@@ -10,7 +10,6 @@ from .exactgeom import (
     Halfspace,
     PolyCone,
     Polytope,
-    Rational,
     RVector,
     centroid,
     cut_cone,

@@ -39,7 +39,6 @@ from .filtration import (
     interpolation_volume,
     liu_bound_check,
     phi_surface,
-    profile_from_dict,
     profile_from_model,
     profile_to_dict,
     section_integral,
@@ -67,18 +66,12 @@ from .singularities import (
     cone_invariants,
     toric_log_fano,
 )
-from .valuation import (
-    MonomialValuation,
-    log_discrepancy_hypersurface,
-    log_discrepancy_toric,
-    nvol_report,
-)
+from .valuation import nvol_report
 
 DEFAULTS = {
     "tol": 1e-8,
     "max_iter": 500,
     "samples": 400,
-    "oracle_depth": 200,
     "seed": 0,
 }
 
@@ -351,10 +344,7 @@ def _run_minimize(spec: JobSpec) -> tuple[Report, str | None]:
         best, spread, runs = minimize_nvol_multistart(
             model, seeds=5, base_seed=seed, tol=tol, max_iter=max_iter
         )
-    if hasattr(model, "m0"):
-        logdisc = log_discrepancy_toric(model, best.argmin)
-    else:
-        logdisc = log_discrepancy_hypersurface(model, best.argmin)
+    logdisc = model.logdisc(best.argmin)
     results = {
         "argmin": [str(v) for v in best.argmin],
         "argmin_approx": [_fmt_float(float(v)) for v in best.argmin],
@@ -441,49 +431,27 @@ def _run_quotient(spec: JobSpec) -> tuple[Report, str | None]:
 def _run_filtration(spec: JobSpec) -> tuple[Report, str | None]:
     samples = int(spec.opt("samples"))
     lam_raw = spec.options.get("lam", "auto")
-    if spec.options.get("profile") is not None:
-        # imported profile: the calculus runs, but there is no model to take
-        # log discrepancies from, so the gap needs an explicit lambda
-        profile = profile_from_dict(spec.options["profile"])
-        if lam_raw == "auto":
-            raise SchemaError("imported profiles need a numeric --lam")
-        lam = float(lam_raw)
-        r_value = a_value = None
-        gap = None
-        inputs = {"profile": spec.options["profile"], "lambda": lam_raw}
+    model = parse_model(spec.model)
+    if isinstance(model, (PolarizedConeData, tuple)):
+        raise SchemaError("filtration needs a toric_cone, hypersurface or akm model")
+    if spec.valuation is None:
+        raise SchemaError("filtration needs --v1")
+    v1 = RVector(spec.valuation)
+    v0_raw = spec.options.get("v0")
+    if v0_raw is not None:
+        v0 = RVector(v0_raw)
+    elif getattr(model, "canonical_xi", None) is not None:
+        v0 = model.canonical_xi
+    elif isinstance(model, WeightedHomogeneousHypersurface) and model.label.startswith("A"):
+        v0 = canonical_weights(model.n, int(model.monomials[-1][-1]))
     else:
-        model = parse_model(spec.model)
-        if isinstance(model, (PolarizedConeData, tuple)):
-            raise SchemaError("filtration needs a toric_cone, hypersurface or akm model")
-        if spec.valuation is None:
-            raise SchemaError("filtration needs --v1")
-        v1 = RVector(spec.valuation)
-        v0_raw = spec.options.get("v0")
-        if v0_raw is not None:
-            v0 = RVector(v0_raw)
-        elif getattr(model, "canonical_xi", None) is not None:
-            v0 = model.canonical_xi
-        elif isinstance(model, WeightedHomogeneousHypersurface) and model.label.startswith("A"):
-            v0 = canonical_weights(model.n, int(model.monomials[-1][-1]))
-        else:
-            raise SchemaError("this model has no canonical grading; pass --v0")
-        profile = profile_from_model(model, v0, v1, samples=samples)
-        if hasattr(model, "m0"):
-            r_value = log_discrepancy_toric(model, v0)
-            a_value = log_discrepancy_toric(model, v1)
-        else:
-            r_value = log_discrepancy_hypersurface(model, v0)
-            a_value = log_discrepancy_hypersurface(model, v1)
-        lam = float(r_value / a_value) if lam_raw == "auto" else float(lam_raw)
-        delta = r_value * Fraction(profile.n + 1, profile.n)
-        gap = stability_gap(profile, float(a_value), delta, profile.degH)
-        inputs = {
-            "model": spec.model,
-            "v0": [str(v) for v in v0],
-            "v1": [str(v) for v in v1],
-            "lambda": lam_raw,
-            "samples": samples,
-        }
+        raise SchemaError("this model has no canonical grading; pass --v0")
+    profile = profile_from_model(model, v0, v1, samples=samples)
+    r_value = model.logdisc(v0)
+    a_value = model.logdisc(v1)
+    lam = float(r_value / a_value) if lam_raw == "auto" else float(lam_raw)
+    delta = r_value * Fraction(profile.n + 1, profile.n)
+    gap = stability_gap(profile, float(a_value), delta, profile.degH)
     forms = interpolation_derivative_forms(profile, lam)
     surface = phi_surface(profile, [0.5, 1.0, 2.0, lam], s_count=21)
     results = {
@@ -512,13 +480,11 @@ def _run_filtration(spec: JobSpec) -> tuple[Report, str | None]:
             "c1": _exact_pair(profile.c1),
             "c2": _exact_pair(profile.c2),
             "vol_v1": _exact_pair(profile.vol_v1),
+            "logdisc_v0": _exact_pair(r_value),
+            "logdisc_v1": _exact_pair(a_value),
+            "stability_gap_approx": _fmt_float(gap),
         }
     )
-    if r_value is not None:
-        results["logdisc_v0"] = _exact_pair(r_value)
-        results["logdisc_v1"] = _exact_pair(a_value)
-    if gap is not None:
-        results["stability_gap_approx"] = _fmt_float(gap)
     checks = [
         _check(
             "phi_at_zero",
@@ -637,7 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="evaluate A, vol and A^n vol")
     p.add_argument("--model", required=True)
     p.add_argument("--valuation", help="comma-separated weights")
-    p.add_argument("--oracle-depth", type=int, default=DEFAULTS["oracle_depth"])
     add_common(p)
 
     p = sub.add_parser("minimize", help="minimize A^n vol over the Reeb cone")
@@ -669,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def spec_from_args(args: argparse.Namespace) -> JobSpec:
     options: dict[str, Any] = {}
-    for key in ("tol", "max_iter", "samples", "oracle_depth", "seed"):
+    for key in ("tol", "max_iter", "samples", "seed"):
         attr = key.replace("-", "_")
         if hasattr(args, attr) and getattr(args, attr) is not None:
             options[key] = getattr(args, attr)

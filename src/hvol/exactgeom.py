@@ -36,8 +36,6 @@ from .errors import (
     UnboundedRegion,
 )
 
-Rational = Fraction  # exact scalar type used throughout the package
-
 
 def rat(x) -> Fraction:
     """Coerce ints, strings like '3/4', and Fractions to Fraction."""

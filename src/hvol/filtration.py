@@ -52,7 +52,6 @@ from .valuation import (
     lattice_count_oracle,
     reduction_variable,
     valuation_volume_hypersurface,
-    valuation_volume_toric,
     _count_box,
     _scaled_int_vector,
     _strict_upper,
@@ -192,7 +191,7 @@ class VolumeProfile:
 
     def vol_r(self, t) -> float:
         """Profile value at t (float path; exact values via vol_r_exact)."""
-        return float(self.vol_r_exact(rat_or_float(t)))
+        return float(self.vol_r_exact(t if isinstance(t, (Fraction, int)) else float(t)))
 
     def vol_r_exact(self, t):
         if self.pieces is not None:
@@ -218,10 +217,6 @@ class VolumeProfile:
                 frac = (t - t0) / (t1 - t0)
                 return v0 + frac * (v1 - v0)
         return 0.0
-
-
-def rat_or_float(x):
-    return x if isinstance(x, (Fraction, int)) else float(x)
 
 
 # -- building profiles from models ---------------------------------------------
@@ -292,7 +287,7 @@ def profile_from_model(
         facet_normals = list(model.sigma.rays)
         rays = model.dual.rays
         for xi in (v0, v1):
-            if any(r.dot(xi) <= 0 for r in rays):
+            if not model.in_domain(xi):
                 raise NotInReebCone(f"{tuple(xi)} is not in the Reeb cone")
         ratios = [r.dot(v1) / r.dot(v0) for r in rays]
         c1 = min(ratios)
@@ -300,7 +295,7 @@ def profile_from_model(
         degH = Fraction(math.factorial(n)) * _cone_slice_volume(
             facet_normals, n, v0, v1, Fraction(0)
         )
-        vol1 = valuation_volume_toric(model, v1)
+        vol1 = model.volume(v1)
     elif isinstance(model, WeightedHomogeneousHypersurface):
         n = model.n
         if any(x <= 0 for x in v0) or any(x <= 0 for x in v1):
@@ -320,6 +315,8 @@ def profile_from_model(
         degH = Fraction(exp * math.factorial(n)) * _cone_slice_volume(
             facet_normals, n, w, a, Fraction(0)
         )
+        # one weight-minimal monomial is fine here: reduction_variable made
+        # it a pure power, whose initial degeneration the formula describes
         vol1 = valuation_volume_hypersurface(
             model, v1, allow_single_initial_monomial=True
         )
@@ -360,43 +357,6 @@ def profile_to_dict(p: VolumeProfile) -> dict:
         "breakpoints": [str(b) for b in p.pieces.breakpoints],
         "pieces": [[str(c) for c in piece] for piece in p.pieces.pieces],
     }
-
-
-def profile_from_dict(data: dict) -> VolumeProfile:
-    """Rebuild a profile from its JSON description."""
-    try:
-        pieces = PiecewisePoly(
-            breakpoints=tuple(Fraction(b) for b in data["breakpoints"]),
-            pieces=tuple(
-                tuple(Fraction(c) for c in piece) for piece in data["pieces"]
-            ),
-        )
-        return VolumeProfile(
-            n=int(data["n"]),
-            degH=Fraction(data["degH"]),
-            c1=Fraction(data["c1"]),
-            c2=Fraction(data["c2"]),
-            vol_v1=Fraction(data["vol_v1"]),
-            pieces=pieces,
-        )
-    except (KeyError, ValueError, ZeroDivisionError) as exc:
-        raise ModelError(f"bad profile description: {exc}") from exc
-
-
-def profile_identity(v0_weights: Sequence, n: int, degH) -> VolumeProfile:
-    """The step profile of v1 = v0: constant degH up to 1, then 0."""
-    degH = rat(degH)
-    one = Fraction(1)
-    return VolumeProfile(
-        n=n,
-        degH=degH,
-        c1=one,
-        c2=one,
-        vol_v1=degH,
-        pieces=PiecewisePoly(breakpoints=(one,), pieces=()),
-        v0_weights=RVector(v0_weights),
-        v1_weights=RVector(v0_weights),
-    )
 
 
 # -- tail transform and integrals ----------------------------------------------
@@ -603,7 +563,7 @@ def interpolation_derivative_forms(p: VolumeProfile, lam: float) -> DerivativeFo
     front = n * lam * degh
     form_a = front * (1 / lam - c1 - i_profile / degh)
     form_b1 = front * (
-        1 / lam - c1 - (n + 1) / (n * degh) * i_theta - theta_c1 / (n * degh)
+        1 / lam - c1 - (n + 1) / (n * degh) * i_theta - c1 * theta_c1 / (n * degh)
     )
     form_b = front * (
         1 / lam

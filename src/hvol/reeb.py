@@ -22,19 +22,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DomainError, NonFiniteObjective, NotInReebCone
 from .exactgeom import RVector, rat
-from .singularities import ToricConeSingularity, WeightedHomogeneousHypersurface
-from .valuation import (
-    MonomialValuation,
-    hypersurface_initial_count,
-    log_discrepancy_hypersurface,
-    log_discrepancy_toric,
-    valuation_volume_hypersurface,
-    valuation_volume_toric,
-)
+from .singularities import ToricConeSingularity
 
 _SNAP_DENOMINATOR = 10**6
 _ITERATE_DENOMINATOR = 10**12
@@ -55,16 +47,10 @@ def reeb_membership(rc: ReebCone, xi: Sequence) -> bool:
     return rc.contains(xi)
 
 
-def _log_discrepancy(model, xi: RVector) -> Fraction:
-    if isinstance(model, ToricConeSingularity):
-        return log_discrepancy_toric(model, xi)
-    return log_discrepancy_hypersurface(model, xi)
-
-
 def normalize_reeb(model, xi: Sequence) -> RVector:
     """(n / A(xi)) * xi, exactly; idempotent, and A of the output equals n."""
     xi = RVector(xi)
-    logdisc = _log_discrepancy(model, xi)
+    logdisc = model.logdisc(xi)
     if logdisc <= 0:
         raise NotInReebCone(f"log discrepancy {logdisc} is not positive")
     return xi.scale(Fraction(model.n) / logdisc)
@@ -76,13 +62,7 @@ def rescaling_law_check(model, xi: Sequence, lam) -> bool:
     lam = rat(lam)
     if lam <= 0:
         raise DomainError("scaling factor must be positive")
-    if isinstance(model, ToricConeSingularity):
-        vol = valuation_volume_toric(model, xi)
-        vol_scaled = valuation_volume_toric(model, xi.scale(lam))
-    else:
-        vol = valuation_volume_hypersurface(model, xi)
-        vol_scaled = valuation_volume_hypersurface(model, xi.scale(lam))
-    return vol_scaled * lam**model.n == vol
+    return model.volume(xi.scale(lam)) * lam**model.n == model.volume(xi)
 
 
 # -- the objective over reduced coordinates -----------------------------------
@@ -95,30 +75,22 @@ class _Objective:
         self.model = model
         self.n = model.n
         self._cache: dict[tuple, Fraction] = {}
+        self._classes = model.symmetry_classes()
+        self.dim = len(self._classes)
+        self._index_of = [0] * sum(len(cls) for cls in self._classes)
+        for ci, cls in enumerate(self._classes):
+            for i in cls:
+                self._index_of[i] = ci
         if isinstance(model, ToricConeSingularity):
-            self.dim = model.n
-            self._expand: Callable[[RVector], RVector] = lambda x: x
             self.default_init = RVector(
                 [sum(c, Fraction(0)) for c in zip(*model.sigma.rays)]
             )
-            self._directions = model.sigma.rays
-        elif isinstance(model, WeightedHomogeneousHypersurface):
-            classes = model.symmetry_classes()
-            self.dim = len(classes)
-            index_of = [0] * model.nvars
-            for ci, cls in enumerate(classes):
-                for i in cls:
-                    index_of[i] = ci
-            self._expand = lambda x: RVector([x[index_of[i]] for i in range(model.nvars)])
-            self._directions = tuple(
-                RVector([1 if j == i else 0 for j in range(self.dim)])
-                for i in range(self.dim)
-            )
-            self.default_init = self._equal_weight_point(model, index_of)
+            self.random_start = self._ray_mixture
         else:
-            raise DomainError(f"cannot minimize over {type(model).__name__}")
+            self.default_init = self._equal_weight_point(model)
+            self.random_start = self._stretched_tie_point
 
-    def _equal_weight_point(self, model, index_of) -> RVector:
+    def _equal_weight_point(self, model) -> RVector:
         """A reduced point where every defining monomial has the same weight.
 
         All monomials tying puts the start in the interior of the valid
@@ -131,7 +103,7 @@ class _Objective:
         for mono in model.monomials[1:]:
             row = [Fraction(0)] * self.dim
             for i in range(model.nvars):
-                row[index_of[i]] += mono[i] - first[i]
+                row[self._index_of[i]] += mono[i] - first[i]
             rows.append(row)
         for basis in (nullspace(rows, self.dim) if rows else []):
             candidate = basis
@@ -140,18 +112,34 @@ class _Objective:
         fallback = RVector([Fraction(1)] * self.dim)
         return fallback
 
+    def _ray_mixture(self, rng: random.Random) -> RVector:
+        """A random positive combination of the cone's rays."""
+        start = RVector([Fraction(0)] * self.dim)
+        for ray in self.model.sigma.rays:
+            start = start + ray.scale(Fraction(rng.randint(50, 300), 100))
+        return start
+
+    def _stretched_tie_point(self, rng: random.Random) -> RVector:
+        """A random coordinate stretch of the all-ties point, pulled back
+        toward it while the weight region is invalid; the tie point itself is
+        always valid, so fall back to it."""
+        factors = [Fraction(rng.randint(50, 300), 100) for _ in range(self.dim)]
+        for _ in range(20):
+            candidate = RVector([f * c for f, c in zip(factors, self.default_init)])
+            if self.feasible(candidate):
+                return candidate
+            factors = [(f + 1) / 2 for f in factors]
+        return self.default_init
+
     def expand(self, x: RVector) -> RVector:
-        return self._expand(RVector(x))
+        return RVector([x[ci] for ci in self._index_of])
 
     def reduce(self, weights: Sequence) -> RVector:
         weights = RVector(weights)
-        if isinstance(self.model, ToricConeSingularity):
-            return weights
-        classes = self.model.symmetry_classes()
-        if len(weights) != self.model.nvars:
+        if len(weights) != len(self._index_of):
             raise DomainError("weight vector has the wrong length")
         reduced = []
-        for cls in classes:
+        for cls in self._classes:
             vals = {weights[i] for i in cls}
             if len(vals) != 1:
                 raise DomainError("initial point must respect the variable symmetry")
@@ -171,19 +159,10 @@ class _Objective:
         if hit is not None:
             return hit
         full = self.expand(x)
-        try:
-            if isinstance(self.model, ToricConeSingularity):
-                logdisc = log_discrepancy_toric(self.model, full)
-                vol = valuation_volume_toric(self.model, full)
-            else:
-                if any(w <= 0 for w in full):
-                    raise NonFiniteObjective("weights left the positive orthant")
-                if hypersurface_initial_count(self.model, full) < 2:
-                    raise NonFiniteObjective("initial form degenerated to one monomial")
-                logdisc = log_discrepancy_hypersurface(self.model, full)
-                vol = valuation_volume_hypersurface(self.model, full)
-        except NotInReebCone as exc:
-            raise NonFiniteObjective(str(exc)) from exc
+        if not self.model.in_domain(full):
+            raise NonFiniteObjective("weights left the model's domain")
+        logdisc = self.model.logdisc(full)
+        vol = self.model.volume(full)
         if logdisc <= 0 or vol <= 0:
             raise NonFiniteObjective("objective left its finite range")
         result = logdisc**self.n * vol
@@ -191,8 +170,7 @@ class _Objective:
         return result
 
     def normalize(self, x: RVector) -> RVector:
-        full = self.expand(x)
-        logdisc = _log_discrepancy(self.model, full)
+        logdisc = self.model.logdisc(self.expand(x))
         if logdisc <= 0:
             raise NonFiniteObjective("cannot normalize: nonpositive log discrepancy")
         return RVector(x).scale(Fraction(self.n) / logdisc)
@@ -366,24 +344,7 @@ def minimize_nvol_multistart(
     rng = random.Random(base_seed)
     results = []
     for _ in range(max(1, seeds)):
-        if isinstance(model, ToricConeSingularity):
-            start = RVector([Fraction(0)] * obj.dim)
-            for ray in obj._directions:
-                start = start + ray.scale(Fraction(rng.randint(50, 300), 100))
-        else:
-            # random coordinate stretch of the all-ties point, pulled back
-            # toward it while the weight region is invalid; the tie point
-            # itself is always valid, so fall back to it
-            factors = [Fraction(rng.randint(50, 300), 100) for _ in range(obj.dim)]
-            start = obj.default_init
-            for _ in range(20):
-                candidate = RVector(
-                    [f * c for f, c in zip(factors, obj.default_init)]
-                )
-                if obj.feasible(candidate):
-                    start = candidate
-                    break
-                factors = [(f + 1) / 2 for f in factors]
+        start = obj.random_start(rng)
         results.append(
             minimize_nvol(model, init=obj.expand(start), tol=tol, max_iter=max_iter)
         )

@@ -48,13 +48,7 @@ from .singularities import (
     cyclic_quotient_cone,
     toric_log_fano,
 )
-from .valuation import (
-    MonomialValuation,
-    lattice_count_oracle,
-    log_discrepancy_hypersurface,
-    log_discrepancy_toric,
-    nvol_report,
-)
+from .valuation import lattice_count_oracle, nvol_report
 
 
 @dataclass
@@ -295,13 +289,8 @@ def _profile_cases():
         ("C2(1,2)", c2, RVector([1, 1]), RVector([1, 2])),
         ("A1_3fold(canonical)", a13, canonical_weights(3, 2), canonical_weights(3, 2)),
         ("C3(1,1,2)", c3, RVector([1, 1, 1]), RVector([1, 1, 2])),
+        ("conifold(1,1,3)", conifold(), RVector([0, 0, 2]), RVector([1, 1, 3])),
     ]
-
-
-def _logdisc(model, weights) -> Fraction:
-    if hasattr(model, "m0"):
-        return log_discrepancy_toric(model, weights)
-    return log_discrepancy_hypersurface(model, weights)
 
 
 def check_interpolation_calculus() -> list[CheckResult]:
@@ -309,8 +298,8 @@ def check_interpolation_calculus() -> list[CheckResult]:
     for name, model, v0, v1 in _profile_cases():
         profile = profile_from_model(model, v0, v1)
         n = profile.n
-        r_value = _logdisc(model, v0)
-        a_value = _logdisc(model, v1)
+        r_value = model.logdisc(v0)
+        a_value = model.logdisc(v1)
         lam_star = float(r_value / a_value)
         lambdas = [0.5, 1.0, 2.0, lam_star]
         for lam in lambdas:
@@ -411,14 +400,14 @@ def check_stability_gap(seed: int = 0) -> list[CheckResult]:
     out = []
     for name, model, v0 in GAP_MODELS:
         n = model.n
-        r_value = _logdisc(model, v0)
+        r_value = model.logdisc(v0)
         degh = None
         worst = math.inf
         worst_rel = 0.0
         for v1 in _gap_samples(name, model, v0, rng):
             profile = profile_from_model(model, v0, v1)
             degh = profile.degH
-            a_value = _logdisc(model, v1)
+            a_value = model.logdisc(v1)
             delta = r_value * Fraction(n + 1, n)
             gap = stability_gap(profile, float(a_value), delta, degh)
             worst = min(worst, gap)
@@ -476,7 +465,7 @@ def check_reeb_laws(seed: int = 0) -> list[CheckResult]:
         out.append(
             CheckResult.exact(
                 f"normalize_slice[{name}]",
-                log_discrepancy_toric(model, normalized),
+                model.logdisc(normalized),
                 Fraction(model.n),
             )
         )

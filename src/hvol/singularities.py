@@ -5,6 +5,14 @@ A toric cone singularity is Spec of the semigroup ring of the dual cone; its
 Gorenstein vector m0 (pairing to 1 with every primitive ray) encodes the
 log discrepancy of toric valuations.  The polarized-cone data (n, r, degH)
 is everything the normalized-volume lower bound depends on.
+
+Both cone models answer the same four questions about a weight vector w (a
+Reeb vector on a toric cone, a monomial weight on a hypersurface):
+`logdisc(w)`, `volume(w)`, `in_domain(w)` and `lattice_count(a, p)`.  These
+methods are the one place where the kind of model decides which formula of
+valuation.py applies; the rest of the package calls them, and asks which kind
+of model it holds only where the mathematics differs (profile construction,
+graded colengths, minimizer start points).
 """
 
 from __future__ import annotations
@@ -27,7 +35,16 @@ from .exactgeom import (
     solve_square,
     vertex_enumerate,
 )
-from .valuation import MonomialValuation
+from .valuation import (
+    MonomialValuation,
+    hypersurface_initial_count,
+    lattice_count_hypersurface,
+    lattice_count_toric,
+    log_discrepancy_hypersurface,
+    log_discrepancy_toric,
+    valuation_volume_hypersurface,
+    valuation_volume_toric,
+)
 
 
 @dataclass
@@ -59,6 +76,26 @@ class ToricConeSingularity:
     def reeb_generators(self) -> tuple[RVector, ...]:
         """Rays of the dual cone; xi is Reeb iff it pairs positively with all."""
         return self.dual.rays
+
+    def logdisc(self, xi: Sequence) -> Fraction:
+        """A(xi) = <m0, xi>; raises NotInReebCone outside the Reeb cone."""
+        return log_discrepancy_toric(self, xi)
+
+    def volume(self, xi: Sequence) -> Fraction:
+        """n! times the volume of {y in the dual cone : <xi, y> <= 1}."""
+        return valuation_volume_toric(self, xi)
+
+    def in_domain(self, xi: Sequence) -> bool:
+        """Whether xi lies in the Reeb cone, where logdisc and volume are defined."""
+        return all(gen.dot(xi) > 0 for gen in self.reeb_generators)
+
+    def lattice_count(self, a: RVector, p: Fraction) -> int:
+        """Lattice points alpha of the dual cone with <alpha, a> < p."""
+        return lattice_count_toric(self, a, p)
+
+    def symmetry_classes(self) -> list[list[int]]:
+        """One class per coordinate: minimization uses no symmetry of the cone."""
+        return [[i] for i in range(self.n)]
 
 
 def _gorenstein_vector(sigma: PolyCone) -> RVector:
@@ -101,6 +138,22 @@ class WeightedHomogeneousHypersurface:
     def n(self) -> int:
         """Dimension of the hypersurface germ."""
         return self.nvars - 1
+
+    def logdisc(self, a: Sequence) -> Fraction:
+        """sum(a) - d(a); raises NotInReebCone unless every weight is positive."""
+        return log_discrepancy_hypersurface(self, a)
+
+    def volume(self, a: Sequence) -> Fraction:
+        """d(a) / prod(a); raises ModelError if one monomial has the least weight."""
+        return valuation_volume_hypersurface(self, a)
+
+    def in_domain(self, a: Sequence) -> bool:
+        """Whether the weights are positive and tie at least two monomials at d(a)."""
+        return all(x > 0 for x in a) and hypersurface_initial_count(self, a) >= 2
+
+    def lattice_count(self, a: RVector, p: Fraction) -> int:
+        """Standard monomials of a-weight below p."""
+        return lattice_count_hypersurface(self, a, p)
 
     def symmetry_classes(self) -> list[list[int]]:
         """Variable classes interchangeable by symmetries of the monomial set."""

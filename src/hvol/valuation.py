@@ -7,6 +7,10 @@ Monomial weight vectors and toric Reeb vectors are evaluated exactly:
 * weighted-homogeneous hypersurfaces: A = sum(weights) - d(a) where d(a) is
   the minimal weight of the defining monomials, volume d(a) / prod(weights).
 
+These functions are the formulas; callers reach them through the model
+methods `logdisc`, `volume`, `in_domain` and `lattice_count` (see
+singularities.py), which pick the formula for the model's kind.
+
 The closed hypersurface formulas are the multiplicity of the initial
 degeneration; they are guarded by a syntactic precondition (at least two
 monomials must achieve the minimal weight unless the caller overrides) and
@@ -28,7 +32,7 @@ import numpy as np
 from .errors import BudgetExceeded, ModelError, NotInReebCone, OracleDisagreement
 from .exactgeom import RVector, cut_cone, polytope_volume, rat
 
-if TYPE_CHECKING:  # models are duck-typed at runtime to keep imports acyclic
+if TYPE_CHECKING:  # the model classes call into this module, so no runtime import
     from .singularities import ToricConeSingularity, WeightedHomogeneousHypersurface
 
 _ENUM_BUDGET = 60_000_000  # bounding-box cells; the true count stays below 1e7
@@ -133,7 +137,9 @@ def log_discrepancy_hypersurface(
     w: "WeightedHomogeneousHypersurface", a: Sequence
 ) -> Fraction:
     """sum(a) - d(a); may be nonpositive for non-klt input (flagged, not an error)."""
-    a = MonomialValuation(a)
+    a = RVector(a)
+    if any(x <= 0 for x in a):
+        raise NotInReebCone("hypersurface weights must be strictly positive")
     if len(a) != w.nvars:
         raise ModelError(f"expected {w.nvars} weights, got {len(a)}")
     return sum(a, Fraction(0)) - hypersurface_weight_order(w, a)
@@ -171,11 +177,7 @@ def valuation_volume_hypersurface(
     return volume
 
 
-# -- dispatch ----------------------------------------------------------------
-
-
-def _is_toric(model) -> bool:
-    return hasattr(model, "m0")
+# -- reports -----------------------------------------------------------------
 
 
 def nvol_report(model, weights: Sequence, v_of_divisor=None) -> ValuationReport:
@@ -184,16 +186,9 @@ def nvol_report(model, weights: Sequence, v_of_divisor=None) -> ValuationReport:
     `v_of_divisor` is the value of the valuation on a boundary divisor; when
     given, the report also carries the pair discrepancy A - v(E).
     """
-    if _is_toric(model):
-        xi = RVector(weights)
-        logdisc = log_discrepancy_toric(model, xi)
-        volume = valuation_volume_toric(model, xi)
-        n = model.n
-    else:
-        a = MonomialValuation(weights)
-        logdisc = log_discrepancy_hypersurface(model, a)
-        volume = valuation_volume_hypersurface(model, a)
-        n = model.n
+    logdisc = model.logdisc(weights)
+    volume = model.volume(weights)
+    n = model.n
     pair = None
     if v_of_divisor is not None:
         pair = log_adjusted_discrepancy(logdisc, v_of_divisor)
@@ -269,12 +264,10 @@ def lattice_count_oracle(model, a: Sequence, p) -> int:
     p = rat(p)
     if p <= 0:
         raise ValueError("threshold p must be positive")
-    if _is_toric(model):
-        return _lattice_count_toric(model, a, p)
-    return _lattice_count_hypersurface(model, a, p)
+    return model.lattice_count(a, p)
 
 
-def _lattice_count_toric(x: "ToricConeSingularity", a: RVector, p: Fraction) -> int:
+def lattice_count_toric(x: "ToricConeSingularity", a: RVector, p: Fraction) -> int:
     _require_reeb(x, a)
     region = cut_cone(x.dual, a).scale(p)
     bounds = []
@@ -315,7 +308,7 @@ def reduction_variable(
     )
 
 
-def _lattice_count_hypersurface(
+def lattice_count_hypersurface(
     w: "WeightedHomogeneousHypersurface", a: RVector, p: Fraction
 ) -> int:
     if len(a) != w.nvars or any(weight <= 0 for weight in a):

@@ -126,6 +126,10 @@ def test_exit_code_on_schema_error(capsys):
 def test_exit_code_on_model_error(capsys):
     code = main(["compute", "--model", C2_TORIC, "--valuation", "1,-1"])
     assert code == 3
+    # a nonpositive hypersurface weight is an error report, not a traceback
+    code = main(["compute", "--model", '{"type":"akm","n":2,"k":2}', "--valuation", "1,1,0"])
+    assert code == 3
+    assert "not_in_reeb_cone" in capsys.readouterr().err
 
 
 def test_parse_model_variants():

@@ -7,6 +7,7 @@ import pytest
 from hvol.errors import BudgetExceeded, ModelError, NotInReebCone, OracleDisagreement
 from hvol.exactgeom import RVector
 from hvol.singularities import (
+    WeightedHomogeneousHypersurface,
     affine_space,
     akm_singularity,
     canonical_weights,
@@ -121,16 +122,37 @@ def test_rescaling_invariance_exact():
             assert nvol_report(model, weights.scale(lam)).nvol == base
 
 
+XY_ZW = WeightedHomogeneousHypersurface(nvars=4, monomials=((1, 1, 0, 0), (0, 0, 1, 1)))
+
+
 def test_toric_hypersurface_consistency_a1():
-    # the quadric surface and 3-fold have both descriptions; A, vol, nvol agree
+    # the quadric surface and 3-fold have both descriptions; A, vol, nvol agree,
+    # in reports and through the model methods
     pairs = [
-        (cyclic_quotient_cone(2, 1), akm_singularity(2, 2), 2),
-        (conifold(), akm_singularity(3, 2), 3),
+        (cyclic_quotient_cone(2, 1), akm_singularity(2, 2), canonical_weights(2, 2)),
+        (conifold(), akm_singularity(3, 2), canonical_weights(3, 2)),
+        (conifold(), XY_ZW, RVector([2, 2, 2, 2])),
     ]
-    for toric, hyp, n in pairs:
-        rt = nvol_report(toric, toric.canonical_xi)
-        rh = nvol_report(hyp, canonical_weights(n, 2))
+    for toric, hyp, weights in pairs:
+        xi = toric.canonical_xi
+        rt = nvol_report(toric, xi)
+        rh = nvol_report(hyp, weights)
         assert (rt.logdisc, rt.volume, rt.nvol) == (rh.logdisc, rh.volume, rh.nvol)
+        assert (toric.logdisc(xi), toric.volume(xi)) == (hyp.logdisc(weights), hyp.volume(weights))
+        assert toric.in_domain(xi) and hyp.in_domain(weights)
+    # the domain boundary: a ray of sigma is not a Reeb vector
+    assert not conifold().in_domain([1, 0, 0])
+    with pytest.raises(NotInReebCone):
+        conifold().logdisc([1, 0, 0])
+    # a weight whose initial form is the single monomial xy
+    assert not XY_ZW.in_domain([1, 1, 2, 2])
+    assert XY_ZW.logdisc([1, 1, 2, 2]) == 4
+    with pytest.raises(ModelError):
+        XY_ZW.volume([1, 1, 2, 2])
+    # a nonpositive weight
+    assert not XY_ZW.in_domain([1, 1, 1, 0])
+    with pytest.raises(NotInReebCone):
+        XY_ZW.logdisc([1, 1, 1, 0])
 
 
 def test_lattice_count_small():
