@@ -1,8 +1,9 @@
 """Exact rational linear algebra and convex geometry.
 
 Everything here is computed over ``fractions.Fraction``: vertex enumeration,
-polytope volumes, centroids, dual cones and cone truncation.  These are the
-primitives behind every toric volume evaluation in the package, and the
+polytope volumes, centroids, dual cones, cone truncation and cone
+triangulation.  They build each toric model's triangulation once, the volume
+profiles of filtrations and the bounds of the lattice oracle, and the
 acceptance identities they feed are exact equalities, so no floating point is
 allowed to enter.
 
@@ -17,7 +18,8 @@ Conventions
   filters by feasibility; fine for the desk-scale inputs this package targets
   (<= ~20 facets in dimension <= 6).
 * Volumes come from a recursive fan triangulation anchored at the
-  lexicographically smallest vertex, which makes results reproducible.
+  lexicographically smallest vertex, which makes results reproducible; a
+  cone is triangulated by fanning one cross-section the same way.
 """
 
 from __future__ import annotations
@@ -467,3 +469,35 @@ def cut_cone(c: PolyCone, xi: Sequence) -> Polytope:
             raise NotInReebCone(f"ray {tuple(ray)} pairs nonpositively with {tuple(xi)}")
     hrep = list(c.facet_halfspaces()) + [Halfspace(-xi, Fraction(1))]
     return Polytope.from_hrep(hrep, c.dim)
+
+
+def triangulate_cone(c: PolyCone) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Simplicial cones tiling c: (|det U_s|, indices into c.rays) for each s.
+
+    The cross-section {<xi0, y> = 1} of c at xi0, the sum of c's facet
+    normals, is fanned from its lex-min vertex; each cross-section vertex
+    u / <u, xi0> names the ray u.  The tiling is checked once: summed at xi0,
+    |det U_s| / prod <u, xi0> must give dim! times the volume of the cut
+    polytope.
+    """
+    dim = c.dim
+    xi0 = RVector([Fraction(0)] * dim)
+    for h in c.facet_halfspaces():
+        xi0 = xi0 + h.normal
+    region = cut_cone(c, xi0)
+    index = {tuple(ray.scale(1 / ray.dot(xi0))): i for i, ray in enumerate(c.rays)}
+    section = [v for v in region.vrep if not v.is_zero()]
+    simplices = []
+    for simplex in _fan_simplices(section, region.hrep, dim - 1):
+        rays = tuple(sorted(index[tuple(v)] for v in simplex))
+        d = abs(det([list(c.rays[i]) for i in rays]))
+        if d != 0:
+            simplices.append((int(d), rays))
+    tiled = sum(
+        (Fraction(d, math.prod(int(c.rays[i].dot(xi0)) for i in rays)) for d, rays in simplices),
+        Fraction(0),
+    )
+    expected = math.factorial(dim) * polytope_volume(region)
+    if tiled != expected:
+        raise DegeneratePolytope(f"simplicial cones cover {tiled}, the cut cone {expected}")
+    return tuple(simplices)

@@ -170,7 +170,10 @@ class _Objective:
         return result
 
     def normalize(self, x: RVector) -> RVector:
-        logdisc = self.model.logdisc(self.expand(x))
+        full = self.expand(x)
+        if not self.model.in_domain(full):
+            raise NonFiniteObjective("cannot normalize: weights left the model's domain")
+        logdisc = self.model.logdisc(full)
         if logdisc <= 0:
             raise NonFiniteObjective("cannot normalize: nonpositive log discrepancy")
         return RVector(x).scale(Fraction(self.n) / logdisc)

@@ -37,7 +37,7 @@ from .molien import (
     quotient_min_nvol,
     quotient_volume,
 )
-from .reeb import minimize_nvol_multistart, normalize_reeb, rescaling_law_check
+from .reeb import minimize_nvol, minimize_nvol_multistart, normalize_reeb, rescaling_law_check
 from .singularities import (
     PolarizedConeData,
     affine_space,
@@ -86,12 +86,24 @@ def _coprime_pairs(max_r: int) -> list[tuple[int, int]]:
 
 
 def check_quotient_min() -> list[CheckResult]:
+    """4/r two ways on C^2/Z_r: the exact nvol at the canonical Reeb vector,
+    and one minimizer run from a start off the centre of the Reeb cone."""
     out = []
     for r, a in _coprime_pairs(12):
-        result = quotient_min_nvol(cyclic_group(r, a))
+        model = cyclic_quotient_cone(r, a)
+        expected = Fraction(4, r)
         out.append(
             CheckResult.exact(
-                f"quotient_min[r={r},a={a}]", result.min_nvol, Fraction(4, r)
+                f"quotient_canonical_nvol[r={r},a={a}]",
+                nvol_report(model, model.canonical_xi).nvol,
+                expected,
+            )
+        )
+        first, second = model.sigma.rays
+        found = minimize_nvol(model, init=first + second.scale(3)).min_nvol
+        out.append(
+            CheckResult.close(
+                f"quotient_min[r={r},a={a}]", found, float(expected), 1e-9 * float(expected)
             )
         )
     hyp = nvol_report(akm_singularity(2, 2), canonical_weights(2, 2))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -33,6 +34,7 @@ from .exactgeom import (
     matrix_rank,
     rat,
     solve_square,
+    triangulate_cone,
     vertex_enumerate,
 )
 from .valuation import (
@@ -42,6 +44,7 @@ from .valuation import (
     lattice_count_toric,
     log_discrepancy_hypersurface,
     log_discrepancy_toric,
+    reeb_pairings,
     valuation_volume_hypersurface,
     valuation_volume_toric,
 )
@@ -72,22 +75,31 @@ class ToricConeSingularity:
         xi = RVector(canonical_xi) if canonical_xi is not None else None
         return cls(n=n, sigma=sigma, m0=m0, dual=dual, canonical_xi=xi, label=label)
 
-    @property
-    def reeb_generators(self) -> tuple[RVector, ...]:
-        """Rays of the dual cone; xi is Reeb iff it pairs positively with all."""
-        return self.dual.rays
+    @cached_property
+    def reeb_generators(self) -> tuple[tuple[int, ...], ...]:
+        """Rays of the dual cone as integer tuples; xi is Reeb iff it pairs
+        positively with all of them."""
+        return tuple(tuple(int(c) for c in gen) for gen in self.dual.rays)
+
+    @cached_property
+    def volume_triangulation(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(|det U_s|, dual-ray indices) of the simplicial cones tiling the dual
+        cone; built on the first `volume` call, then reused."""
+        return triangulate_cone(self.dual)
 
     def logdisc(self, xi: Sequence) -> Fraction:
         """A(xi) = <m0, xi>; raises NotInReebCone outside the Reeb cone."""
         return log_discrepancy_toric(self, xi)
 
     def volume(self, xi: Sequence) -> Fraction:
-        """n! times the volume of {y in the dual cone : <xi, y> <= 1}."""
+        """n! times the volume of {y in the dual cone : <xi, y> <= 1}: the
+        Martelli-Sparks-Yau closed form (hep-th/0503183) over
+        `volume_triangulation`, which is built once per model."""
         return valuation_volume_toric(self, xi)
 
     def in_domain(self, xi: Sequence) -> bool:
         """Whether xi lies in the Reeb cone, where logdisc and volume are defined."""
-        return all(gen.dot(xi) > 0 for gen in self.reeb_generators)
+        return all(p > 0 for p in reeb_pairings(self, RVector(xi))[0])
 
     def lattice_count(self, a: RVector, p: Fraction) -> int:
         """Lattice points alpha of the dual cone with <alpha, a> < p."""

@@ -2,8 +2,9 @@
 
 Monomial weight vectors and toric Reeb vectors are evaluated exactly:
 
-* toric cones: A = <m0, xi> against the Gorenstein vector, volume as
-  n! times the exact volume of the truncated dual cone;
+* toric cones: A = <m0, xi> against the Gorenstein vector, and n! vol(xi)
+  from the Martelli-Sparks-Yau closed form, a sum over a triangulation of
+  the dual cone that each model builds once;
 * weighted-homogeneous hypersurfaces: A = sum(weights) - d(a) where d(a) is
   the minimal weight of the defining monomials, volume d(a) / prod(weights).
 
@@ -30,7 +31,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, ModelError, NotInReebCone, OracleDisagreement
-from .exactgeom import RVector, cut_cone, polytope_volume, rat
+from .exactgeom import RVector, cut_cone, rat
 
 if TYPE_CHECKING:  # the model classes call into this module, so no runtime import
     from .singularities import ToricConeSingularity, WeightedHomogeneousHypersurface
@@ -95,12 +96,26 @@ def log_adjusted_discrepancy(logdisc, v_of_E) -> Fraction:
 # -- toric evaluation --------------------------------------------------------
 
 
-def _require_reeb(x: "ToricConeSingularity", xi: RVector) -> None:
-    for gen in x.dual.rays:
-        if gen.dot(xi) <= 0:
+def reeb_pairings(x: "ToricConeSingularity", xi: RVector) -> tuple[list[int], int]:
+    """(<u, z> for every dual ray u, D), where xi = z / D with z integral.
+
+    xi is a Reeb vector exactly when every pairing is positive.
+    """
+    if len(xi) != x.n:
+        raise ValueError("dimension mismatch")
+    denom = math.lcm(*(c.denominator for c in xi))
+    z = [c.numerator * (denom // c.denominator) for c in xi]
+    return [sum(a * b for a, b in zip(gen, z)) for gen in x.reeb_generators], denom
+
+
+def _require_reeb(x: "ToricConeSingularity", xi: RVector) -> tuple[list[int], int]:
+    pairings, denom = reeb_pairings(x, xi)
+    for gen, pairing in zip(x.dual.rays, pairings):
+        if pairing <= 0:
             raise NotInReebCone(
                 f"{tuple(xi)} pairs nonpositively with weight generator {tuple(gen)}"
             )
+    return pairings, denom
 
 
 def log_discrepancy_toric(x: "ToricConeSingularity", xi: Sequence) -> Fraction:
@@ -110,10 +125,20 @@ def log_discrepancy_toric(x: "ToricConeSingularity", xi: Sequence) -> Fraction:
 
 
 def valuation_volume_toric(x: "ToricConeSingularity", xi: Sequence) -> Fraction:
+    """n! vol(xi) = sum over s of |det U_s| / prod_{u in s} <u, xi>.
+
+    This is the Martelli-Sparks-Yau volume functional (hep-th/0503183): s
+    runs over the simplicial cones of the model's triangulation of the dual
+    cone, built once per model, and U_s holds the primitive dual rays of s.
+    With xi = z / D the sum is D^n times a sum over integer pairings.
+    """
     xi = RVector(xi)
-    _require_reeb(x, xi)
-    region = cut_cone(x.dual, xi)
-    return math.factorial(x.n) * polytope_volume(region)
+    pairings, denom = _require_reeb(x, xi)
+    total = sum(
+        (Fraction(d, math.prod(pairings[i] for i in rays)) for d, rays in x.volume_triangulation),
+        Fraction(0),
+    )
+    return total * denom**x.n
 
 
 # -- hypersurface evaluation -------------------------------------------------

@@ -18,6 +18,7 @@ from hvol.reeb import (
     ricci_bound_transfer,
 )
 from hvol.singularities import (
+    ToricConeSingularity,
     affine_space,
     akm_singularity,
     canonical_weights,
@@ -111,6 +112,19 @@ def test_multistart_agreement():
     assert best.min_nvol_exact == 16
     normalized = normalize_reeb(conifold(), best.argmin)
     assert normalized == best.argmin  # already on the slice
+
+
+def _ypq_nvol(p, q):
+    """27 Vol(Y^{p,q}) / Vol(S^5), Gauntlett-Martelli-Sparks-Waldram (hep-th/0403002)."""
+    s = math.sqrt(4 * p * p - 3 * q * q)
+    return 27 * q * q * (2 * p + s) / (3 * p * p * (3 * q * q - 2 * p * p + p * s))
+
+
+def test_multistart_ypq_line_search_stays_in_reeb_cone():
+    # line-search steps that leave the Reeb cone are rejected, not raised
+    model = ToricConeSingularity.from_rays([[1, 0, 0], [1, 1, 2], [1, 3, 3], [1, 1, 0]])
+    best, _, _ = minimize_nvol_multistart(model, base_seed=1)
+    assert best.min_nvol == pytest.approx(_ypq_nvol(3, 1), rel=1e-9)
 
 
 def test_link_volume():

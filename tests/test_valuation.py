@@ -3,10 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvol.errors import BudgetExceeded, ModelError, NotInReebCone, OracleDisagreement
-from hvol.exactgeom import RVector
+from hvol.exactgeom import RVector, cut_cone, polytope_volume
 from hvol.singularities import (
+    ToricConeSingularity,
     WeightedHomogeneousHypersurface,
     affine_space,
     akm_singularity,
@@ -199,3 +202,37 @@ def test_nvol_report_flags_nonpositive():
     report = nvol_report(affine_space(2), [1, 1])
     assert not report.nonpositive_discrepancy
     assert report.nvol_approx == pytest.approx(4.0)
+
+
+# Cones whose dual cone the closed-form volume triangulates: simplicial and
+# not, Y^{p,q}, and three 4-dim Gorenstein cones over lattice polytopes.
+CLOSED_FORM_CONES = {
+    "C3": affine_space(3).sigma.rays,
+    "conifold": conifold().sigma.rays,
+    "C2/Z3": cyclic_quotient_cone(3, 2).sigma.rays,
+    "C3/Z3": [[1, 0, 0], [0, 1, 0], [-1, -1, 3]],
+    "Y31": [[1, 0, 0], [1, 1, 2], [1, 3, 3], [1, 1, 0]],
+    "Y32": [[1, 0, 0], [1, 0, 1], [1, 3, 3], [1, 1, 0]],
+    "cube": [[a, b, c, 1] for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)],
+    "octahedron": [[s * e for e in row] + [1] for row in ([1, 0, 0], [0, 1, 0], [0, 0, 1]) for s in (1, -1)],
+    "square pyramid": [[1, 1, 0, 1], [1, -1, 0, 1], [-1, 1, 0, 1], [-1, -1, 0, 1], [0, 0, 1, 1]],
+}
+# minimizer iterates carry denominators up to 10^12
+COEFFICIENTS = st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=10**12)
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_CONES))
+def test_closed_form_volume_equals_cut_polytope(name):
+    model = ToricConeSingularity.from_rays(CLOSED_FORM_CONES[name])
+    rays = model.sigma.rays
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(st.lists(COEFFICIENTS, min_size=len(rays), max_size=len(rays)))
+    def check(coeffs):
+        xi = RVector([0] * model.n)
+        for c, ray in zip(coeffs, rays):
+            xi = xi + ray.scale(c)
+        expected = math.factorial(model.n) * polytope_volume(cut_cone(model.dual, xi))
+        assert model.volume(xi) == expected
+
+    check()
