@@ -4,10 +4,10 @@ For a cone singularity graded by a reference valuation v0 and filtered by a
 second monomial valuation v1, the profile t -> vol(R^(t)) measures the
 asymptotic density of the filtration level t inside the graded pieces.  On
 toric and weighted-homogeneous models the profile is an exact piecewise
-polynomial: it is built here by cutting the dual cone with the rotating
-hyperplane <v1 - t v0, y> >= 0, sampling exact volumes on each combinatorial
-interval and interpolating, with breakpoints at the v1/v0 ratios of the
-extreme rays.
+polynomial of degree < n: it is built here by cutting the dual cone with the
+rotating hyperplane <v1 - t v0, y> >= 0, sampling exact volumes on each
+combinatorial interval and interpolating, with breakpoints at the v1/v0
+ratios of the extreme rays.
 
 Everything downstream is derived from the profile:
 
@@ -16,21 +16,23 @@ Everything downstream is derived from the profile:
 * the volume identity vol(v1) = degH / c1^n - n * integral_{c1}^inf
   vol(R^(t)) / t^(n+1) dt;
 * the two-parameter interpolation Phi(lambda, s) between the graded volume
-  (s = 0) and the rescaled filtration volume (s = 1), convex in s;
+  (s = 0) and the rescaled filtration volume (s = 1), convex in s (C. Li,
+  arXiv:1511.08164);
 * four independent expressions for the derivative of Phi at s = 0, whose
   mutual agreement certifies the calculus;
 * the stability gap A(v1) - delta / degH * integral_0^inf Theta, nonnegative
   on semistable models and zero at the canonical valuation.
 
-Piecewise-polynomial profiles are integrated in closed form with exact
-rational arithmetic; sampled profiles (linear interpolation) fall back to
-adaptive Simpson quadrature with absolute tolerance 1e-10.
+Every integral is a closed form in exact rational arithmetic: on a piece of
+degree < n the kernels t^(-n-1) and lambda s / (1 - s + lambda s t)^(n+1)
+integrate to Laurent polynomials with no logarithmic term.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from functools import cached_property
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -41,7 +43,7 @@ from .errors import (
     NotInReebCone,
     PreconditionViolated,
 )
-from .exactgeom import Halfspace, PolyCone, Polytope, RVector, polytope_volume, rat
+from .exactgeom import Halfspace, Polytope, RVector, polytope_volume, rat
 from .singularities import (
     PolarizedConeData,
     ToricConeSingularity,
@@ -56,8 +58,6 @@ from .valuation import (
     _scaled_int_vector,
     _strict_upper,
 )
-
-_SIMPSON_TOL = 1e-10
 
 
 # -- piecewise polynomial helpers ---------------------------------------------
@@ -90,6 +90,20 @@ def _poly_tail_kernel(
         power = j - n
         total += c * (hi**power - lo**power) / power
     return total
+
+
+def _poly_compose_affine(
+    coeffs: Sequence[Fraction], b0: Fraction, b1: Fraction
+) -> list[Fraction]:
+    """Coefficients of u -> poly(b0 + b1 u), of the same degree."""
+    out = [coeffs[-1]]
+    for c in reversed(coeffs[:-1]):
+        new = [o * b0 for o in out] + [Fraction(0)]
+        for k, o in enumerate(out):
+            new[k + 1] += o * b1
+        new[0] += c
+        out = new
+    return out
 
 
 def _lagrange_coeffs(points: list[tuple[Fraction, Fraction]]) -> list[Fraction]:
@@ -139,22 +153,15 @@ class VolumeProfile:
     c1: Fraction
     c2: Fraction
     vol_v1: Fraction
-    pieces: PiecewisePoly | None = None
-    samples: tuple[tuple[float, float], ...] | None = None
+    pieces: PiecewisePoly
     v0_weights: RVector | None = None
     v1_weights: RVector | None = None
     label: str = ""
-    _regions: list[tuple[Fraction, Fraction, tuple[Fraction, ...]]] = field(
-        default=None, repr=False
-    )
 
     def __post_init__(self):
-        if self.pieces is None and self.samples is None:
-            raise ModelError("profile needs polynomial pieces or a sample table")
         if self.c1 <= 0 or self.c2 < self.c1:
             raise ModelError("support bounds must satisfy 0 < c1 <= c2")
-        if self.pieces is not None:
-            self._validate_shape()
+        self._validate_shape()
 
     def _validate_shape(self):
         """Probe that the pieces are nonincreasing and within [0, degH]."""
@@ -171,52 +178,31 @@ class VolumeProfile:
                 raise ModelError(f"profile increases at t={t}")
             last = value
 
-    # Region decomposition of [0, c2]: constant degH up to the first
-    # breakpoint, then the polynomial pieces.  Only for piecewise profiles.
+    @cached_property
     def regions(self) -> list[tuple[Fraction, Fraction, tuple[Fraction, ...]]]:
-        if self.pieces is None:
-            raise ModelError("sampled profiles have no exact region decomposition")
-        if self._regions is None:
-            regs: list[tuple[Fraction, Fraction, tuple[Fraction, ...]]] = []
-            first = self.pieces.breakpoints[0]
-            if first > 0:
-                regs.append((Fraction(0), first, (self.degH,)))
-            for (lo, hi), coeffs in zip(
-                zip(self.pieces.breakpoints, self.pieces.breakpoints[1:]),
-                self.pieces.pieces,
-            ):
-                regs.append((lo, hi, tuple(coeffs)))
-            self._regions = regs
-        return self._regions
+        """[0, c2] cut into regions: constant degH up to the first
+        breakpoint, then the polynomial pieces."""
+        bps = self.pieces.breakpoints
+        regs = [(Fraction(0), bps[0], (self.degH,))] if bps[0] > 0 else []
+        return regs + [
+            (lo, hi, tuple(coeffs))
+            for (lo, hi), coeffs in zip(zip(bps, bps[1:]), self.pieces.pieces)
+        ]
 
     def vol_r(self, t) -> float:
         """Profile value at t (float path; exact values via vol_r_exact)."""
         return float(self.vol_r_exact(t if isinstance(t, (Fraction, int)) else float(t)))
 
     def vol_r_exact(self, t):
-        if self.pieces is not None:
-            bps = self.pieces.breakpoints
-            if t <= bps[0]:
-                return self.degH if not isinstance(t, float) else float(self.degH)
-            if t >= bps[-1]:
-                return Fraction(0) if not isinstance(t, float) else 0.0
-            for (lo, hi), coeffs in zip(zip(bps, bps[1:]), self.pieces.pieces):
-                if t <= hi:
-                    return _poly_eval(coeffs, t)
-            return Fraction(0)
-        return self._interp_sample(float(t))
-
-    def _interp_sample(self, t: float) -> float:
-        pts = self.samples
-        if t <= pts[0][0]:
-            return float(self.degH)
-        if t >= pts[-1][0]:
-            return 0.0
-        for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
-            if t <= t1:
-                frac = (t - t0) / (t1 - t0)
-                return v0 + frac * (v1 - v0)
-        return 0.0
+        bps = self.pieces.breakpoints
+        if t <= bps[0]:
+            return self.degH if not isinstance(t, float) else float(self.degH)
+        if t >= bps[-1]:
+            return Fraction(0) if not isinstance(t, float) else 0.0
+        for (lo, hi), coeffs in zip(zip(bps, bps[1:]), self.pieces.pieces):
+            if t <= hi:
+                return _poly_eval(coeffs, t)
+        return Fraction(0)
 
 
 # -- building profiles from models ---------------------------------------------
@@ -273,13 +259,8 @@ def profile_from_model(
     model,
     v0_weights: Sequence,
     v1_weights: Sequence,
-    samples: int = 0,
 ) -> VolumeProfile:
-    """Exact piecewise-polynomial profile of the v1-filtration on the v0-graded ring.
-
-    `samples` > 0 additionally attaches a dense table of the profile for
-    export; the exact pieces remain the computational path.
-    """
+    """Exact piecewise-polynomial profile of the v1-filtration on the v0-graded ring."""
     v0 = RVector(v0_weights)
     v1 = RVector(v1_weights)
     if isinstance(model, ToricConeSingularity):
@@ -322,22 +303,13 @@ def profile_from_model(
         )
     else:
         raise ModelError(f"cannot build a profile for {type(model).__name__}")
-    c2 = pieces.breakpoints[-1]
-    table = None
-    if samples > 0:
-        grid = [float(c2) * 1.05 * j / (samples - 1) for j in range(samples)]
-        profile_tmp = VolumeProfile(
-            n=n, degH=degH, c1=c1, c2=c2, vol_v1=vol1, pieces=pieces
-        )
-        table = tuple((t, profile_tmp.vol_r(t)) for t in grid)
     return VolumeProfile(
         n=n,
         degH=degH,
         c1=c1,
-        c2=c2,
+        c2=pieces.breakpoints[-1],
         vol_v1=vol1,
         pieces=pieces,
-        samples=table,
         v0_weights=v0,
         v1_weights=v1,
         label=getattr(model, "label", ""),
@@ -346,8 +318,6 @@ def profile_from_model(
 
 def profile_to_dict(p: VolumeProfile) -> dict:
     """JSON-ready description: breakpoints and polynomial pieces as strings."""
-    if p.pieces is None:
-        raise ModelError("only piecewise-polynomial profiles serialize to JSON")
     return {
         "n": p.n,
         "degH": str(p.degH),
@@ -365,7 +335,7 @@ def profile_to_dict(p: VolumeProfile) -> dict:
 def _tail_kernel_integral(p: VolumeProfile, x: Fraction) -> Fraction:
     """integral_x^inf vol_r(t) t^(-n-1) dt, exact; x > 0."""
     total = Fraction(0)
-    for lo, hi, coeffs in p.regions():
+    for lo, hi, coeffs in p.regions:
         a = max(lo, x)
         if a >= hi:
             continue
@@ -374,14 +344,10 @@ def _tail_kernel_integral(p: VolumeProfile, x: Fraction) -> Fraction:
 
 
 def tail_volume(p: VolumeProfile, x) -> float:
-    """Theta(x) = n x^n * integral_x^inf vol_r(t) / t^(n+1) dt.
-
-    Exact closed form on piecewise-polynomial profiles, adaptive Simpson on
-    sampled ones.
-    """
+    """Theta(x) = n x^n * integral_x^inf vol_r(t) / t^(n+1) dt, as a float."""
     if x <= 0:
         raise ValueError("tail transform needs x > 0")
-    return float(tail_volume_exact(p, x)) if p.pieces is not None else _tail_simpson(p, x)
+    return float(tail_volume_exact(p, x))
 
 
 def tail_volume_exact(p: VolumeProfile, x) -> Fraction:
@@ -391,24 +357,11 @@ def tail_volume_exact(p: VolumeProfile, x) -> Fraction:
     return p.n * x**p.n * _tail_kernel_integral(p, x)
 
 
-def _tail_simpson(p: VolumeProfile, x: float) -> float:
-    x = float(x)
-    hi = float(p.c2)
-    if x >= hi:
-        return 0.0
-    if p.samples is not None and p.samples[-1][1] > 1e-12:
-        raise IntegralDivergence("sample table does not decay to zero")
-    integral = _adaptive_simpson(
-        lambda t: p.vol_r(t) / t ** (p.n + 1), x, hi, _SIMPSON_TOL
-    )
-    return p.n * x**p.n * integral
-
-
 def theta_integral(p: VolumeProfile, lo) -> Fraction:
-    """integral_lo^inf Theta(t) dt in closed form (piecewise profiles)."""
+    """integral_lo^inf Theta(t) dt in closed form."""
     lo = rat(lo)
     total = Fraction(0)
-    for u, v, _ in p.regions():
+    for u, v, _ in p.regions:
         a = max(u, lo)
         if a >= v:
             continue
@@ -422,7 +375,7 @@ def _theta_integral_region(p: VolumeProfile, a: Fraction, b: Fraction) -> Fracti
     # Theta(t) = n t^n G(t) with G(t) = G(b) + integral_t^b vol_r s^(-n-1) ds
     g_b = _tail_kernel_integral(p, b)
     coeffs = None
-    for u, v, cs in p.regions():
+    for u, v, cs in p.regions:
         if u <= a and b <= v:
             coeffs = cs
             break
@@ -445,7 +398,7 @@ def profile_integral(p: VolumeProfile, lo) -> Fraction:
     """integral_lo^inf vol_r(t) dt in closed form."""
     lo = rat(lo)
     total = Fraction(0)
-    for u, v, coeffs in p.regions():
+    for u, v, coeffs in p.regions:
         a = max(u, lo)
         if a >= v:
             continue
@@ -458,16 +411,9 @@ def section_integral(p: VolumeProfile) -> Fraction:
     return theta_integral(p, Fraction(0))
 
 
-def volume_from_profile(p: VolumeProfile) -> float:
+def volume_from_profile(p: VolumeProfile) -> Fraction:
     """vol(v1) = degH / c1^n - n integral_{c1}^inf vol_r(t) / t^(n+1) dt."""
-    if p.pieces is not None:
-        value = p.degH / p.c1**p.n - p.n * _tail_kernel_integral(p, p.c1)
-        return float(value)
-    c1 = float(p.c1)
-    integral = _adaptive_simpson(
-        lambda t: p.vol_r(t) / t ** (p.n + 1), c1, float(p.c2), _SIMPSON_TOL
-    )
-    return float(p.degH) / c1**p.n - p.n * integral
+    return p.degH / p.c1**p.n - p.n * _tail_kernel_integral(p, p.c1)
 
 
 def section_volume(p: VolumeProfile, x) -> float:
@@ -495,71 +441,64 @@ def liu_bound_check(p: VolumeProfile, xs: Sequence[float], tol: float = 1e-8) ->
 # -- the interpolation function Phi ---------------------------------------------
 
 
-def interpolation_volume(p: VolumeProfile, lam: float, s: float) -> float:
+def interpolation_volume(p: VolumeProfile, lam, s) -> Fraction:
     """Phi(lambda, s): volume along the interpolation from v0 to lambda*v1.
 
     Phi(lambda, 0) = degH exactly; Phi(lambda, 1) = lambda^-n vol(v1);
-    continuous and convex in s on [0, 1].
+    continuous and convex in s on [0, 1].  lambda and s are rationals (a
+    float counts as its exact binary value) and the result is exact.
     """
-    lam = float(lam)
+    lam, s = Fraction(lam), Fraction(s)
     if lam <= 0:
         raise ValueError("lambda must be positive")
     if not 0 <= s <= 1:
         raise ValueError("s must lie in [0, 1]")
     if s == 0:
-        return float(p.degH)
-    n = p.n
-    shift = 1.0 - s
-    head = float(p.degH) / (lam * float(p.c1) * s + shift) ** n
-
-    def integrand(t: float) -> float:
-        return p.vol_r(t) * lam * s / (shift + lam * s * t) ** (n + 1)
-
-    if p.pieces is not None:
-        tail = 0.0
-        for lo, hi, _ in p.regions():
-            a = max(float(lo), float(p.c1))
-            if a >= float(hi):
-                continue
-            tail += _adaptive_simpson(integrand, a, float(hi), _SIMPSON_TOL)
-    else:
-        tail = _adaptive_simpson(integrand, float(p.c1), float(p.c2), _SIMPSON_TOL)
-    return head - n * tail
+        return p.degH
+    shift, slope = 1 - s, lam * s
+    # Phi = degH / u(c1)^n - n * integral_{c1}^inf vol_r(t) slope / u^(n+1) dt
+    # with u = shift + slope * t; in u each piece is a polynomial of degree < n
+    # and the integral is the tail kernel between the images of its ends
+    tail = Fraction(0)
+    for lo, hi, coeffs in p.regions:
+        a = max(lo, p.c1)
+        if a >= hi:
+            continue
+        in_u = _poly_compose_affine(coeffs, -shift / slope, 1 / slope)
+        tail += _poly_tail_kernel(in_u, shift + slope * a, shift + slope * hi, p.n)
+    return p.degH / (shift + slope * p.c1) ** p.n - p.n * tail
 
 
 @dataclass(frozen=True)
 class DerivativeForms:
     """The four independent expressions for d/ds Phi(lambda, s) at s = 0."""
 
-    via_profile_integral: float
-    via_tail_integral: float
-    via_tail_and_volume: float
-    via_section_integral: float
+    via_profile_integral: Fraction
+    via_tail_integral: Fraction
+    via_tail_and_volume: Fraction
+    via_section_integral: Fraction
 
-    def spread(self) -> float:
+    def spread(self) -> Fraction:
         vals = (
             self.via_profile_integral,
             self.via_tail_integral,
             self.via_tail_and_volume,
             self.via_section_integral,
         )
-        scale = max(1.0, max(abs(v) for v in vals))
+        scale = max(1, max(abs(v) for v in vals))
         return (max(vals) - min(vals)) / scale
 
 
-def interpolation_derivative_forms(p: VolumeProfile, lam: float) -> DerivativeForms:
+def interpolation_derivative_forms(p: VolumeProfile, lam) -> DerivativeForms:
     """Evaluate the four derivative formulas from independent exact integrals."""
-    if p.pieces is None:
-        raise ModelError("derivative forms need the exact piecewise profile")
-    lam = float(lam)
+    lam = Fraction(lam)
     n = p.n
-    degh = float(p.degH)
-    c1 = float(p.c1)
-    i_profile = float(profile_integral(p, p.c1))
-    i_theta = float(theta_integral(p, p.c1))
-    i_section = float(section_integral(p))
-    theta_c1 = float(tail_volume_exact(p, p.c1))
-    vol1 = float(p.vol_v1)
+    degh = p.degH
+    c1 = p.c1
+    i_profile = profile_integral(p, c1)
+    i_theta = theta_integral(p, c1)
+    i_section = section_integral(p)
+    theta_c1 = tail_volume_exact(p, c1)
     front = n * lam * degh
     form_a = front * (1 / lam - c1 - i_profile / degh)
     form_b1 = front * (
@@ -569,7 +508,7 @@ def interpolation_derivative_forms(p: VolumeProfile, lam: float) -> DerivativeFo
         1 / lam
         - c1 * (n + 1) / n
         - (n + 1) / (n * degh) * i_theta
-        + c1 ** (n + 1) * vol1 / (n * degh)
+        + c1 ** (n + 1) * p.vol_v1 / (n * degh)
     )
     form_c = front * (1 / lam - (n + 1) / (n * degh) * i_section)
     return DerivativeForms(
@@ -589,11 +528,15 @@ class PhiSurface:
 
 
 def phi_surface(
-    p: VolumeProfile, lambdas: Sequence[float], s_count: int = 21
+    p: VolumeProfile, lambdas: Sequence, s_count: int = 21
 ) -> PhiSurface:
     s_grid = tuple(j / (s_count - 1) for j in range(s_count))
     values = tuple(
-        tuple(interpolation_volume(p, lam, s) for s in s_grid) for lam in lambdas
+        tuple(
+            float(interpolation_volume(p, lam, Fraction(j, s_count - 1)))
+            for j in range(s_count)
+        )
+        for lam in lambdas
     )
     derivs = tuple(interpolation_derivative_forms(p, lam) for lam in lambdas)
     return PhiSurface(
@@ -617,12 +560,7 @@ def stability_gap(p: VolumeProfile, logdisc_v: float, delta, degL) -> float:
         raise ValueError("gap needs a finite log discrepancy")
     if float(delta) <= 0 or float(degL) <= 0:
         raise ValueError("delta and L^n must be positive")
-    if p.pieces is not None:
-        integral = float(section_integral(p))
-    else:
-        integral = _adaptive_simpson(
-            lambda t: section_volume(p, t), 1e-12, float(p.c2), _SIMPSON_TOL
-        )
+    integral = float(section_integral(p))
     return float(logdisc_v) - float(delta) / float(degL) * integral
 
 
@@ -706,31 +644,3 @@ def _graded_colength(model, v0: RVector, v1: RVector, m: Fraction) -> int:
             bounds, nonstrict, weight_vec, _strict_upper(weight_scale * m)
         )
     return total
-
-
-# -- quadrature ---------------------------------------------------------------------
-
-
-def _adaptive_simpson(f, a: float, b: float, tol: float, depth: int = 48) -> float:
-    if b <= a:
-        return 0.0
-    fa, fb = f(a), f(b)
-    mid = 0.5 * (a + b)
-    fm = f(mid)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_step(f, a, b, fa, fb, fm, whole, tol, depth)
-
-
-def _simpson_step(f, a, b, fa, fb, fm, whole, tol, depth):
-    mid = 0.5 * (a + b)
-    lm = 0.5 * (a + mid)
-    rm = 0.5 * (mid + b)
-    flm, frm = f(lm), f(rm)
-    left = (mid - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    half = 0.5 * tol
-    return _simpson_step(
-        f, a, mid, fa, fm, flm, left, half, depth - 1
-    ) + _simpson_step(f, mid, b, fm, fb, frm, right, half, depth - 1)

@@ -22,8 +22,6 @@ from .filtration import (
     interpolation_volume,
     profile_from_model,
     profile_integral,
-    section_integral,
-    section_volume,
     stability_gap,
     tail_volume_exact,
     theta_integral,
@@ -310,69 +308,68 @@ def check_interpolation_calculus() -> list[CheckResult]:
     for name, model, v0, v1 in _profile_cases():
         profile = profile_from_model(model, v0, v1)
         n = profile.n
-        r_value = model.logdisc(v0)
-        a_value = model.logdisc(v1)
-        lam_star = float(r_value / a_value)
-        lambdas = [0.5, 1.0, 2.0, lam_star]
-        for lam in lambdas:
+        lam_star = model.logdisc(v0) / model.logdisc(v1)
+        for lam in (Fraction(1, 2), Fraction(1), Fraction(2), lam_star):
+            label = f"{name},lam={float(lam):.6g}"
             out.append(
                 CheckResult.exact(
-                    f"phi_at_zero[{name},lam={lam:.6g}]",
-                    interpolation_volume(profile, lam, 0.0),
-                    float(profile.degH),
+                    f"phi_at_zero[{label}]", interpolation_volume(profile, lam, 0), profile.degH
                 )
             )
             out.append(
-                CheckResult.close(
-                    f"phi_at_one[{name},lam={lam:.6g}]",
-                    interpolation_volume(profile, lam, 1.0),
-                    lam ** (-n) * float(profile.vol_v1),
-                    1e-8,
+                CheckResult.exact(
+                    f"phi_at_one[{label}]",
+                    interpolation_volume(profile, lam, 1),
+                    lam**-n * profile.vol_v1,
                 )
             )
-        values = [interpolation_volume(profile, lam_star, j / 20) for j in range(21)]
-        worst = 0.0
-        for j in range(1, 20):
-            worst = min(worst, (values[j - 1] + values[j + 1]) / 2 - values[j])
+        # Phi at s = 1/2 against the closed-form volume of the interpolated
+        # weight, which never goes through the profile
+        half = Fraction(1, 2)
         out.append(
-            CheckResult.at_least(f"phi_midpoint_convexity[{name}]", worst, 0.0, 1e-9)
+            CheckResult.exact(
+                f"phi_matches_volume[{name}]",
+                interpolation_volume(profile, lam_star, half),
+                model.volume(v0.scale(1 - half) + v1.scale(half * lam_star)),
+            )
+        )
+        values = [interpolation_volume(profile, lam_star, Fraction(j, 20)) for j in range(21)]
+        worst = min(
+            [Fraction(0)]
+            + [(values[j - 1] + values[j + 1]) / 2 - values[j] for j in range(1, 20)]
+        )
+        out.append(
+            CheckResult(f"phi_midpoint_convexity[{name}]", worst >= 0, str(worst), "0", "exact")
         )
         forms = interpolation_derivative_forms(profile, lam_star)
+        out.append(CheckResult.exact(f"derivative_forms_agree[{name}]", forms.spread(), 0))
         out.append(
-            CheckResult.close(
-                f"derivative_forms_agree[{name}]", forms.spread(), 0.0, 1e-7
-            )
-        )
-        theta_c1 = float(tail_volume_exact(profile, profile.c1))
-        out.append(
-            CheckResult.close(
+            CheckResult.exact(
                 f"theta_c1_identity[{name}]",
-                theta_c1,
-                float(profile.degH - profile.c1**n * profile.vol_v1),
-                1e-8,
+                tail_volume_exact(profile, profile.c1),
+                profile.degH - profile.c1**n * profile.vol_v1,
             )
         )
-        lhs = float(profile_integral(profile, profile.c1))
-        rhs = float(
-            Fraction(n + 1, n) * theta_integral(profile, profile.c1)
-            + profile.c1 / n * tail_volume_exact(profile, profile.c1)
-        )
-        out.append(CheckResult.close(f"integral_identity[{name}]", lhs, rhs, 1e-8))
         out.append(
-            CheckResult.close(
-                f"profile_volume[{name}]",
-                volume_from_profile(profile),
-                float(profile.vol_v1),
-                1e-6 * float(profile.vol_v1),
+            CheckResult.exact(
+                f"integral_identity[{name}]",
+                profile_integral(profile, profile.c1),
+                Fraction(n + 1, n) * theta_integral(profile, profile.c1)
+                + profile.c1 / n * tail_volume_exact(profile, profile.c1),
+            )
+        )
+        out.append(
+            CheckResult.exact(
+                f"profile_volume[{name}]", volume_from_profile(profile), profile.vol_v1
             )
         )
     identity = profile_from_model(
         akm_singularity(3, 2), canonical_weights(3, 2), canonical_weights(3, 2)
     )
-    forms = interpolation_derivative_forms(identity, 1.0)
+    forms = interpolation_derivative_forms(identity, 1)
     out.append(
-        CheckResult.close(
-            "derivative_zero_at_minimizer", abs(forms.spread()) + abs(forms.via_profile_integral), 0.0, 1e-9
+        CheckResult.exact(
+            "derivative_zero_at_minimizer", forms.spread() + abs(forms.via_profile_integral), 0
         )
     )
     return out
@@ -423,7 +420,7 @@ def check_stability_gap(seed: int = 0) -> list[CheckResult]:
             delta = r_value * Fraction(n + 1, n)
             gap = stability_gap(profile, float(a_value), delta, degh)
             worst = min(worst, gap)
-            forms = interpolation_derivative_forms(profile, float(r_value / a_value))
+            forms = interpolation_derivative_forms(profile, r_value / a_value)
             lhs = forms.via_section_integral * float(a_value)
             rhs = n * float(degh) * gap
             worst_rel = max(worst_rel, abs(lhs - rhs) / max(1.0, abs(lhs)))

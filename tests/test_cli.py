@@ -132,6 +132,15 @@ def test_exit_code_on_model_error(capsys):
     assert "not_in_reeb_cone" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra", [["--lam", "0"], ["--lam", "nan"], ["--lam=-1/2"], ["--samples", "1"]]
+)
+def test_filtration_rejects_bad_lambda_and_samples(capsys, extra):
+    code = main(["filtration", "--model", C2_TORIC, "--v1", "1,2"] + extra)
+    assert code == 3
+    assert "schema_error" in capsys.readouterr().err
+
+
 def test_parse_model_variants():
     assert isinstance(
         parse_model({"type": "toric_cone", "rays": [[1, 0], [0, 1]]}),

@@ -2,12 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hvol.errors import ModelError, NotInReebCone, PreconditionViolated
+from hvol.errors import NotInReebCone, PreconditionViolated
 from hvol.exactgeom import RVector
 from hvol.filtration import (
     PiecewisePoly,
-    VolumeProfile,
     interpolation_derivative_forms,
     interpolation_volume,
     liu_bound_check,
@@ -25,10 +26,12 @@ from hvol.filtration import (
 )
 from hvol.singularities import (
     PolarizedConeData,
+    ToricConeSingularity,
     affine_space,
     akm_singularity,
     canonical_weights,
     conifold,
+    cyclic_quotient_cone,
 )
 from hvol.valuation import (
     log_discrepancy_hypersurface,
@@ -239,32 +242,51 @@ def test_profile_dimension_identity():
     )
 
 
-def test_sampled_profile_numeric_path(plane_profile):
-    exact = plane_profile
-    grid = [j * 2.2 / 399 for j in range(400)]
-    table = tuple((t, exact.vol_r(t)) for t in grid)
-    sampled = VolumeProfile(
-        n=2,
-        degH=exact.degH,
-        c1=exact.c1,
-        c2=exact.c2,
-        vol_v1=exact.vol_v1,
-        samples=table,
-    )
-    assert volume_from_profile(sampled) == pytest.approx(0.5, abs=1e-4)
-    assert tail_volume(sampled, 1.2) == pytest.approx(tail_volume(exact, 1.2), abs=1e-4)
-    assert interpolation_volume(sampled, 1.0, 0.5) == pytest.approx(
-        interpolation_volume(exact, 1.0, 0.5), abs=1e-4
-    )
-
-
-def test_profile_requires_some_representation():
-    with pytest.raises(ModelError):
-        VolumeProfile(n=2, degH=Fraction(1), c1=Fraction(1), c2=Fraction(2), vol_v1=Fraction(1))
-
-
 def test_piecewise_poly_validation():
     with pytest.raises(ValueError):
         PiecewisePoly(breakpoints=(Fraction(2), Fraction(1)), pieces=((Fraction(1),),))
     with pytest.raises(ValueError):
         PiecewisePoly(breakpoints=(Fraction(1), Fraction(2)), pieces=())
+
+
+# v0 is the sum of the rays; v1 a random positive ray combination, so c1 != 1
+INTERPOLATION_CONES = {
+    "C3": affine_space(3).sigma.rays,
+    "conifold": conifold().sigma.rays,
+    "C2/Z3": cyclic_quotient_cone(3, 2).sigma.rays,
+    "Y31": [[1, 0, 0], [1, 1, 2], [1, 3, 3], [1, 1, 0]],
+}
+RAY_COEFFICIENTS = st.fractions(min_value=Fraction(1, 10), max_value=10, max_denominator=12)
+
+
+@pytest.mark.parametrize("name", sorted(INTERPOLATION_CONES))
+def test_interpolation_equals_closed_form_volume(name):
+    # Phi(lambda, s) is the volume of the weight (1 - s) v0 + s lambda v1;
+    # the model evaluates that from its dual-cone triangulation, never from
+    # the profile
+    model = ToricConeSingularity.from_rays(INTERPOLATION_CONES[name])
+    rays = model.sigma.rays
+    v0 = sum(rays[1:], rays[0])
+
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(RAY_COEFFICIENTS, min_size=len(rays), max_size=len(rays)),
+        st.fractions(min_value=Fraction(1, 10), max_value=5, max_denominator=30),
+        st.fractions(min_value=0, max_value=1, max_denominator=30),
+    )
+    def check(coeffs, lam, s):
+        v1 = RVector([0] * model.n)
+        for c, ray in zip(coeffs, rays):
+            v1 = v1 + ray.scale(c)
+        profile = profile_from_model(model, v0, v1)
+        phi = interpolation_volume(profile, lam, s)
+        assert phi == model.volume(v0.scale(1 - s) + v1.scale(s * lam))
+        forms = interpolation_derivative_forms(profile, lam)
+        assert (
+            forms.via_profile_integral
+            == forms.via_tail_integral
+            == forms.via_tail_and_volume
+            == forms.via_section_integral
+        )
+
+    check()
