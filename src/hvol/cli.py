@@ -327,11 +327,13 @@ def _run_compute(spec: JobSpec) -> tuple[Report, str | None]:
 
 
 def _run_minimize(spec: JobSpec) -> tuple[Report, str | None]:
+    tol = float(spec.opt("tol"))
+    if not 0 < tol < math.inf:
+        raise SchemaError(f"minimize --tol must be a positive finite number, not {tol!r}")
     model = parse_model(spec.model)
     if isinstance(model, (PolarizedConeData, tuple)):
         raise SchemaError("minimize needs a toric_cone, hypersurface or akm model")
     init = spec.valuation
-    tol = float(spec.opt("tol"))
     max_iter = int(spec.opt("max_iter"))
     seed = int(spec.opt("seed"))
     if init is not None:

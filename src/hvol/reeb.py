@@ -154,14 +154,16 @@ class _Objective:
             return False
 
     def value(self, x: RVector) -> Fraction:
-        key = tuple(x)
+        # (numerator, denominator) pairs hash without the modular inverse
+        # that Fraction.__hash__ takes
+        key = tuple((c.numerator, c.denominator) for c in x)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         full = self.expand(x)
-        if not self.model.in_domain(full):
+        logdisc = self.model.domain_logdisc(full)
+        if logdisc is None:
             raise NonFiniteObjective("weights left the model's domain")
-        logdisc = self.model.logdisc(full)
         vol = self.model.volume(full)
         if logdisc <= 0 or vol <= 0:
             raise NonFiniteObjective("objective left its finite range")
@@ -170,13 +172,12 @@ class _Objective:
         return result
 
     def normalize(self, x: RVector) -> RVector:
-        full = self.expand(x)
-        if not self.model.in_domain(full):
+        logdisc = self.model.domain_logdisc(self.expand(x))
+        if logdisc is None:
             raise NonFiniteObjective("cannot normalize: weights left the model's domain")
-        logdisc = self.model.logdisc(full)
         if logdisc <= 0:
             raise NonFiniteObjective("cannot normalize: nonpositive log discrepancy")
-        return RVector(x).scale(Fraction(self.n) / logdisc)
+        return x.scale(Fraction(self.n) / logdisc)
 
 
 @dataclass

@@ -6,10 +6,13 @@ Gorenstein vector m0 (pairing to 1 with every primitive ray) encodes the
 log discrepancy of toric valuations.  The polarized-cone data (n, r, degH)
 is everything the normalized-volume lower bound depends on.
 
-Both cone models answer the same four questions about a weight vector w (a
-Reeb vector on a toric cone, a monomial weight on a hypersurface):
-`logdisc(w)`, `volume(w)`, `in_domain(w)` and `lattice_count(a, p)`.  These
-methods are the one place where the kind of model decides which formula of
+Both cone models answer the same questions about a weight vector w (a Reeb
+vector on a toric cone, a monomial weight on a hypersurface): `logdisc(w)`,
+`volume(w)`, `domain_logdisc(w)` (the log discrepancy when w lies in the
+model's domain, None otherwise, in one integer pass), `in_domain(w)` and
+`lattice_count(a, p)`.  Each model states its domain once, in
+`domain_logdisc`; `in_domain` only asks whether that is None.  These methods
+are the one place where the kind of model decides which formula of
 valuation.py applies; the rest of the package calls them, and asks which kind
 of model it holds only where the mathematics differs (profile construction,
 graded colengths, minimizer start points).
@@ -39,12 +42,12 @@ from .exactgeom import (
 )
 from .valuation import (
     MonomialValuation,
-    hypersurface_initial_count,
+    domain_logdisc_hypersurface,
+    domain_logdisc_toric,
     lattice_count_hypersurface,
     lattice_count_toric,
     log_discrepancy_hypersurface,
     log_discrepancy_toric,
-    reeb_pairings,
     valuation_volume_hypersurface,
     valuation_volume_toric,
 )
@@ -82,6 +85,12 @@ class ToricConeSingularity:
         return tuple(tuple(int(c) for c in gen) for gen in self.dual.rays)
 
     @cached_property
+    def gorenstein_numerators(self) -> tuple[tuple[int, ...], int]:
+        """(M, e) with m0 = M / e, M integral and e the least such integer."""
+        e = math.lcm(*(c.denominator for c in self.m0))
+        return tuple(int(c * e) for c in self.m0), e
+
+    @cached_property
     def volume_triangulation(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """(|det U_s|, dual-ray indices) of the simplicial cones tiling the dual
         cone; built on the first `volume` call, then reused."""
@@ -97,9 +106,14 @@ class ToricConeSingularity:
         `volume_triangulation`, which is built once per model."""
         return valuation_volume_toric(self, xi)
 
+    def domain_logdisc(self, xi: Sequence) -> Fraction | None:
+        """A(xi) when xi lies in the Reeb cone, where logdisc and volume are
+        defined, and None otherwise."""
+        return domain_logdisc_toric(self, xi)
+
     def in_domain(self, xi: Sequence) -> bool:
-        """Whether xi lies in the Reeb cone, where logdisc and volume are defined."""
-        return all(p > 0 for p in reeb_pairings(self, RVector(xi))[0])
+        """Whether xi lies in the Reeb cone."""
+        return self.domain_logdisc(xi) is not None
 
     def lattice_count(self, a: RVector, p: Fraction) -> int:
         """Lattice points alpha of the dual cone with <alpha, a> < p."""
@@ -146,6 +160,11 @@ class WeightedHomogeneousHypersurface:
             mons.append(vec)
         self.monomials = tuple(mons)
 
+    @cached_property
+    def exponents(self) -> tuple[tuple[int, ...], ...]:
+        """The monomials as integer tuples, paired with cleared weight vectors."""
+        return tuple(tuple(int(e) for e in m) for m in self.monomials)
+
     @property
     def n(self) -> int:
         """Dimension of the hypersurface germ."""
@@ -159,9 +178,14 @@ class WeightedHomogeneousHypersurface:
         """d(a) / prod(a); raises ModelError if one monomial has the least weight."""
         return valuation_volume_hypersurface(self, a)
 
+    def domain_logdisc(self, a: Sequence) -> Fraction | None:
+        """sum(a) - d(a) when the weights are positive and tie at least two
+        monomials at d(a), where volume is defined, and None otherwise."""
+        return domain_logdisc_hypersurface(self, a)
+
     def in_domain(self, a: Sequence) -> bool:
-        """Whether the weights are positive and tie at least two monomials at d(a)."""
-        return all(x > 0 for x in a) and hypersurface_initial_count(self, a) >= 2
+        """Whether `volume` is defined at a."""
+        return self.domain_logdisc(a) is not None
 
     def lattice_count(self, a: RVector, p: Fraction) -> int:
         """Standard monomials of a-weight below p."""

@@ -8,9 +8,18 @@ Monomial weight vectors and toric Reeb vectors are evaluated exactly:
 * weighted-homogeneous hypersurfaces: A = sum(weights) - d(a) where d(a) is
   the minimal weight of the defining monomials, volume d(a) / prod(weights).
 
+Each evaluation clears the point's denominators once (w = z / D, see
+`integer_pairings`) and pairs z with integer rows cached on the model: the
+dual rays and the Gorenstein numerators M = e * m0 of a toric cone, the
+monomial exponents of a hypersurface.  A, vol and domain membership are then
+integer sums, and each result is one `Fraction` built at the end.  A weight
+vector of the wrong length is a `ModelError`.
+
 These functions are the formulas; callers reach them through the model
-methods `logdisc`, `volume`, `in_domain` and `lattice_count` (see
-singularities.py), which pick the formula for the model's kind.
+methods `logdisc`, `volume`, `domain_logdisc`, `in_domain` and
+`lattice_count` (see singularities.py), which pick the formula for the
+model's kind.  `domain_logdisc` answers "is w in the domain, and what is A
+there" in one integer pass, for the minimizer's objective.
 
 The closed hypersurface formulas are the multiplicity of the initial
 degeneration; they are guarded by a syntactic precondition (at least two
@@ -26,6 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
+from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -93,35 +103,60 @@ def log_adjusted_discrepancy(logdisc, v_of_E) -> Fraction:
     return rat(logdisc) - rat(v_of_E)
 
 
+# -- integer pairings --------------------------------------------------------
+
+
+def _as_rvector(w: Sequence) -> RVector:
+    return w if isinstance(w, RVector) else RVector(w)
+
+
+def integer_pairings(
+    rows: Sequence[Sequence[int]], w: RVector
+) -> tuple[list[int], list[int], int]:
+    """(z, [<row, z> for each row], D) where w = z / D, z integral, D least.
+
+    The one place a point's denominators are cleared: every formula below
+    reads A, vol and domain membership off these integers.  The rows (dual
+    rays or monomial exponents) all have the model's length, so a weight
+    vector of any other length is refused here, before `zip` could truncate.
+    """
+    if len(w) != len(rows[0]):
+        raise ModelError(f"expected {len(rows[0])} weights, got {len(w)}")
+    denom = math.lcm(*(c.denominator for c in w))
+    z = [c.numerator * (denom // c.denominator) for c in w]
+    return z, [sum(map(mul, row, z)) for row in rows], denom
+
+
 # -- toric evaluation --------------------------------------------------------
 
 
-def reeb_pairings(x: "ToricConeSingularity", xi: RVector) -> tuple[list[int], int]:
-    """(<u, z> for every dual ray u, D), where xi = z / D with z integral.
-
-    xi is a Reeb vector exactly when every pairing is positive.
-    """
-    if len(xi) != x.n:
-        raise ValueError("dimension mismatch")
-    denom = math.lcm(*(c.denominator for c in xi))
-    z = [c.numerator * (denom // c.denominator) for c in xi]
-    return [sum(a * b for a, b in zip(gen, z)) for gen in x.reeb_generators], denom
-
-
-def _require_reeb(x: "ToricConeSingularity", xi: RVector) -> tuple[list[int], int]:
-    pairings, denom = reeb_pairings(x, xi)
+def _require_reeb(x: "ToricConeSingularity", xi: RVector) -> tuple[list[int], list[int], int]:
+    z, pairings, denom = integer_pairings(x.reeb_generators, xi)
     for gen, pairing in zip(x.dual.rays, pairings):
         if pairing <= 0:
             raise NotInReebCone(
                 f"{tuple(xi)} pairs nonpositively with weight generator {tuple(gen)}"
             )
-    return pairings, denom
+    return z, pairings, denom
+
+
+def _toric_logdisc(x: "ToricConeSingularity", z: list[int], denom: int) -> Fraction:
+    """<m0, xi> = <M, z> / (e D) with m0 = M / e."""
+    m, e = x.gorenstein_numerators
+    return Fraction(sum(map(mul, m, z)), e * denom)
 
 
 def log_discrepancy_toric(x: "ToricConeSingularity", xi: Sequence) -> Fraction:
-    xi = RVector(xi)
-    _require_reeb(x, xi)
-    return x.m0.dot(xi)
+    z, _, denom = _require_reeb(x, _as_rvector(xi))
+    return _toric_logdisc(x, z, denom)
+
+
+def domain_logdisc_toric(x: "ToricConeSingularity", xi: Sequence) -> Fraction | None:
+    """A(xi) when xi is a Reeb vector (every dual-ray pairing positive), else None."""
+    z, pairings, denom = integer_pairings(x.reeb_generators, _as_rvector(xi))
+    if min(pairings) <= 0:
+        return None
+    return _toric_logdisc(x, z, denom)
 
 
 def valuation_volume_toric(x: "ToricConeSingularity", xi: Sequence) -> Fraction:
@@ -130,44 +165,45 @@ def valuation_volume_toric(x: "ToricConeSingularity", xi: Sequence) -> Fraction:
     This is the Martelli-Sparks-Yau volume functional (hep-th/0503183): s
     runs over the simplicial cones of the model's triangulation of the dual
     cone, built once per model, and U_s holds the primitive dual rays of s.
-    With xi = z / D the sum is D^n times a sum over integer pairings.
+    With xi = z / D the sum is D^n times a sum over integer pairings, taken
+    over the common denominator prod_u <u, z> (each simplex uses distinct
+    rays), so one `Fraction` is built at the end.
     """
-    xi = RVector(xi)
-    pairings, denom = _require_reeb(x, xi)
-    total = sum(
-        (Fraction(d, math.prod(pairings[i] for i in rays)) for d, rays in x.volume_triangulation),
-        Fraction(0),
+    _, pairings, denom = _require_reeb(x, _as_rvector(xi))
+    common = math.prod(pairings)
+    numerator = sum(
+        d * (common // math.prod(pairings[i] for i in rays))
+        for d, rays in x.volume_triangulation
     )
-    return total * denom**x.n
+    return Fraction(numerator * denom**x.n, common)
 
 
 # -- hypersurface evaluation -------------------------------------------------
 
 
-def hypersurface_weight_order(w: "WeightedHomogeneousHypersurface", a: Sequence) -> Fraction:
-    """d(a): minimal a-weight over the defining monomials."""
-    a = RVector(a)
-    return min(RVector(m).dot(a) for m in w.monomials)
-
-
-def hypersurface_initial_count(w: "WeightedHomogeneousHypersurface", a: Sequence) -> int:
-    """Number of defining monomials achieving the minimal a-weight."""
-    a = RVector(a)
-    weights = [RVector(m).dot(a) for m in w.monomials]
-    d = min(weights)
-    return sum(1 for v in weights if v == d)
-
-
 def log_discrepancy_hypersurface(
     w: "WeightedHomogeneousHypersurface", a: Sequence
 ) -> Fraction:
-    """sum(a) - d(a); may be nonpositive for non-klt input (flagged, not an error)."""
-    a = RVector(a)
-    if any(x <= 0 for x in a):
+    """sum(a) - d(a); may be nonpositive for non-klt input (flagged, not an error).
+
+    d(a) is the minimal a-weight <m, a> over the defining monomials m.
+    """
+    z, weights, denom = integer_pairings(w.exponents, _as_rvector(a))
+    if min(z) <= 0:
         raise NotInReebCone("hypersurface weights must be strictly positive")
-    if len(a) != w.nvars:
-        raise ModelError(f"expected {w.nvars} weights, got {len(a)}")
-    return sum(a, Fraction(0)) - hypersurface_weight_order(w, a)
+    return Fraction(sum(z) - min(weights), denom)
+
+
+def domain_logdisc_hypersurface(
+    w: "WeightedHomogeneousHypersurface", a: Sequence
+) -> Fraction | None:
+    """sum(a) - d(a) when every weight is positive and at least two monomials
+    reach d(a), else None."""
+    z, weights, denom = integer_pairings(w.exponents, _as_rvector(a))
+    order = min(weights)
+    if min(z) <= 0 or weights.count(order) < 2:
+        return None
+    return Fraction(sum(z) - order, denom)
 
 
 def valuation_volume_hypersurface(
@@ -179,19 +215,21 @@ def valuation_volume_hypersurface(
     oracle_depth: int = 200,
     oracle_rel_tol: float = 0.05,
 ) -> Fraction:
-    """d(a) / prod(a), the multiplicity of the a-initial degeneration."""
-    a = MonomialValuation(a)
-    if len(a) != w.nvars:
-        raise ModelError(f"expected {w.nvars} weights, got {len(a)}")
-    if not allow_single_initial_monomial and hypersurface_initial_count(w, a) < 2:
+    """d(a) / prod(a), the multiplicity of the a-initial degeneration.
+
+    With a = z / D and d(a) = d / D this is d * D^(nvars - 1) / prod(z).
+    """
+    a = _as_rvector(a)
+    z, weights, denom = integer_pairings(w.exponents, a)
+    if min(z) <= 0:
+        raise ValueError(f"monomial weights must be positive, got {tuple(a)}")
+    order = min(weights)
+    if not allow_single_initial_monomial and weights.count(order) < 2:
         raise ModelError(
             "a-initial form of the defining polynomial is a single monomial; "
             "pass allow_single_initial_monomial=True if the degeneration is valid"
         )
-    denom = Fraction(1)
-    for weight in a:
-        denom *= weight
-    volume = hypersurface_weight_order(w, a) / denom
+    volume = Fraction(order * denom ** (w.nvars - 1), math.prod(z))
     if oracle_check:
         count = lattice_count_oracle(w, a, Fraction(oracle_depth))
         estimate = math.factorial(w.n) * count / float(oracle_depth) ** w.n
@@ -317,16 +355,17 @@ def reduction_variable(
     a variable appearing in no other monomial, otherwise the count does not
     represent the initial degeneration and we refuse.
     """
-    d = hypersurface_weight_order(w, a)
+    _, weights, _ = integer_pairings(w.exponents, _as_rvector(a))
+    order = min(weights)
     for j in range(w.nvars):
-        owners = [m for m in w.monomials if m[j] > 0]
+        owners = [k for k, m in enumerate(w.exponents) if m[j] > 0]
         if len(owners) != 1:
             continue
-        mono = owners[0]
+        mono = w.exponents[owners[0]]
         if any(mono[i] != 0 for i in range(w.nvars) if i != j):
             continue
-        if RVector(mono).dot(a) == d:
-            return j, int(mono[j])
+        if weights[owners[0]] == order:
+            return j, mono[j]
     raise ModelError(
         "lattice counting needs a weight-minimal monomial that is a pure power "
         "of a variable occurring in no other monomial"

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import hvol
 
 from hvol.cli import JobSpec, main, parse_group, parse_model, run
 from hvol.errors import SchemaError
@@ -139,6 +145,49 @@ def test_filtration_rejects_bad_lambda_and_samples(capsys, extra):
     code = main(["filtration", "--model", C2_TORIC, "--v1", "1,2"] + extra)
     assert code == 3
     assert "schema_error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_minimize_rejects_bad_tol(capsys, tol):
+    code = main(["minimize", "--model", C2_TORIC, "--tol", tol])
+    assert code == 3
+    assert "schema_error" in capsys.readouterr().err
+
+
+C2_BARE = '{"type":"toric_cone","rays":[[1,0],[0,1]]}'
+AKM_22 = '{"type":"akm","n":2,"k":2}'
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compute", "--model", C2_BARE, "--valuation=1"], "expected 2 weights, got 1"),
+        (["compute", "--model", C2_BARE, "--valuation=1,2,3"], "expected 2 weights, got 3"),
+        (["filtration", "--model", C2_TORIC, "--v1=1,2,3"], "expected 2 weights, got 3"),
+        (["filtration", "--model", C2_TORIC, "--v1=1,2", "--v0=1"], "expected 2 weights, got 1"),
+        (["filtration", "--model", AKM_22, "--v1=1,1"], "expected 3 weights, got 2"),
+        (["compute", "--model", AKM_22, "--valuation=1,1"], "expected 3 weights, got 2"),
+    ],
+)
+def test_wrong_length_weights_are_model_errors(capsys, argv, message):
+    code = main(argv)
+    assert code == 3
+    assert f"error[model_error]: {message}" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(hvol.__file__).resolve().parent.parent)
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-m", "hvol", "compute", "--model", C2_TORIC, "--valuation", "1,1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["results"]["nvol"]["exact"] == "4"
 
 
 def test_parse_model_variants():

@@ -236,3 +236,114 @@ def test_closed_form_volume_equals_cut_polytope(name):
         assert model.volume(xi) == expected
 
     check()
+
+
+# The integer path (w = z / D, then integer pairings) against the plain
+# Fraction formulas.  C^2/Z_3(1,1) has the non-integral Gorenstein vector
+# m0 = (2/3, 1); Y^{3,1} has a non-simplicial dual cone.
+INTEGER_PATH_CONES = {
+    "C2/Z3(1,1)": cyclic_quotient_cone(3, 1),
+    "conifold": conifold(),
+    "Y31": ToricConeSingularity.from_rays(CLOSED_FORM_CONES["Y31"]),
+}
+INTEGER_PATH_HYPERSURFACES = {
+    "akm(3,3)": akm_singularity(3, 3),
+    "x2+y3+z4+w12": WeightedHomogeneousHypersurface(
+        nvars=4, monomials=((2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 4, 0), (0, 0, 0, 12))
+    ),
+}
+# a stretch of 1 puts a monomial at the tie weight, so ties are common
+STRETCHES = st.one_of(
+    st.just(Fraction(1)),
+    st.fractions(min_value=Fraction(1, 2), max_value=3, max_denominator=10**12),
+)
+
+
+def _toric_reference(model, xi):
+    """(A, n! vol) from m0 and the cut polytope, or None off the Reeb cone."""
+    if not all(u.dot(xi) > 0 for u in model.dual.rays):
+        return None
+    return model.m0.dot(xi), math.factorial(model.n) * polytope_volume(cut_cone(model.dual, xi))
+
+
+def _check_toric(model, xi):
+    expected = _toric_reference(model, xi)
+    assert model.in_domain(xi) == (expected is not None)
+    if expected is None:
+        assert model.domain_logdisc(xi) is None
+        with pytest.raises(NotInReebCone):
+            model.logdisc(xi)
+        with pytest.raises(NotInReebCone):
+            model.volume(xi)
+    else:
+        assert model.domain_logdisc(xi) == model.logdisc(xi) == expected[0]
+        assert model.volume(xi) == expected[1]
+
+
+def _check_hypersurface(model, a):
+    weights = [m.dot(a) for m in model.monomials]
+    order = min(weights)
+    positive = all(x > 0 for x in a)
+    in_domain = positive and weights.count(order) >= 2
+    assert model.in_domain(a) == in_domain
+    if not positive:
+        assert model.domain_logdisc(a) is None
+        with pytest.raises(NotInReebCone):
+            model.logdisc(a)
+        return
+    assert model.logdisc(a) == sum(a) - order
+    if in_domain:
+        assert model.domain_logdisc(a) == sum(a) - order
+        assert model.volume(a) == order / math.prod(a)
+    else:
+        assert model.domain_logdisc(a) is None
+        with pytest.raises(ModelError):
+            model.volume(a)
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_PATH_CONES))
+def test_integer_path_matches_fraction_formulas_toric(name):
+    model = INTEGER_PATH_CONES[name]
+    rays = model.sigma.rays
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.fractions(min_value=-1, max_value=100, max_denominator=10**12),
+            min_size=len(rays),
+            max_size=len(rays),
+        )
+    )
+    def check(coeffs):
+        xi = RVector([0] * model.n)
+        for c, ray in zip(coeffs, rays):
+            xi = xi + ray.scale(c)
+        _check_toric(model, xi)
+
+    check()
+    # boundary: a ray of sigma pairs to zero with a dual ray; just inside it
+    _check_toric(model, rays[0])
+    _check_toric(model, rays[0] + rays[1].scale(Fraction(1, 10**12)))
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_PATH_HYPERSURFACES))
+def test_integer_path_matches_fraction_formulas_hypersurface(name):
+    model = INTEGER_PATH_HYPERSURFACES[name]
+    degrees = [max(m) for m in model.monomials]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=10**12),
+        st.lists(STRETCHES, min_size=model.nvars, max_size=model.nvars),
+    )
+    def check(order, stretches):
+        _check_hypersurface(model, RVector(order * s / d for s, d in zip(stretches, degrees)))
+
+    check()
+    tie = RVector(Fraction(12, d) for d in degrees)
+    _check_hypersurface(model, tie)
+    # boundary: one weight-minimal monomial; zero weights, where two zeros
+    # also tie two monomials at d(a) = 0
+    _check_hypersurface(model, RVector(list(tie[:-1]) + [tie[-1] / 2]))
+    _check_hypersurface(model, RVector(list(tie[:-1]) + [0]))
+    _check_hypersurface(model, RVector([0, 0] + list(tie[2:])))
