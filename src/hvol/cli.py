@@ -510,13 +510,11 @@ def _run_filtration(spec: JobSpec) -> tuple[Report, str | None]:
         _check(
             "liu_bound",
             liu_bound_check(
-                profile,
-                [float(profile.c1) * (0.25 + 0.25 * j) for j in range(4)]
-                + [float(profile.c2)],
+                profile, [profile.c1 * Fraction(j, 4) for j in range(1, 5)] + [profile.c2]
             ),
             "pointwise bound",
             "holds",
-            "1e-08",
+            "exact",
         )
     )
     buf = io.StringIO()

@@ -2,8 +2,8 @@
 
 Everything here is computed over ``fractions.Fraction``: vertex enumeration,
 polytope volumes, centroids, dual cones, cone truncation and cone
-triangulation.  They build each toric model's triangulation once, the volume
-profiles of filtrations and the bounds of the lattice oracle, and the
+triangulation.  They build each toric model's triangulation once and measure
+the polytopes that the self-tests compare closed forms against, and the
 acceptance identities they feed are exact equalities, so no floating point is
 allowed to enter.
 

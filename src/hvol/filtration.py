@@ -2,12 +2,21 @@
 
 For a cone singularity graded by a reference valuation v0 and filtered by a
 second monomial valuation v1, the profile t -> vol(R^(t)) measures the
-asymptotic density of the filtration level t inside the graded pieces.  On
-toric and weighted-homogeneous models the profile is an exact piecewise
-polynomial of degree < n: it is built here by cutting the dual cone with the
-rotating hyperplane <v1 - t v0, y> >= 0, sampling exact volumes on each
-combinatorial interval and interpolating, with breakpoints at the v1/v0
-ratios of the extreme rays.
+asymptotic density of the filtration level t inside the graded pieces: n!
+times the volume of {y in the dual cone : <v0, y> <= 1, <v1, y> >= t <v0, y>},
+the Duistermaat-Heckman measure of v1 on the v0-slice.  It is built in closed
+form from the model's simplicial cones (`simplicial_pieces`).  On a
+simplicial cone with generators u_1, ..., u_n the substitution
+y = sum mu_i u_i / <v0, u_i> maps the slice to the cone over the part of the
+face {mu >= 0, sum mu_i = 1} where sum mu_i k_i >= t, with knots
+k_i = <v1, u_i> / <v0, u_i>.  So the cone contributes its volume weight
+|det U| / prod <v0, u_i> (Martelli-Sparks-Yau, hep-th/0503183) times the
+share of that face, the tail of the uniform measure's B-spline: the divided
+difference of x -> (x - t)_+^(n-1) at the knots (Curry-Schoenberg;
+Brion-Vergne).  Between consecutive knots this is a polynomial of degree < n
+in t, and repeated knots take confluent divided differences, so every piece
+is exact.  A hypersurface contributes one simplex, the orthant left after
+the reduction variable, weighted by that variable's exponent.
 
 Everything downstream is derived from the profile:
 
@@ -40,10 +49,9 @@ from .errors import (
     BoundViolated,
     IntegralDivergence,
     ModelError,
-    NotInReebCone,
     PreconditionViolated,
 )
-from .exactgeom import Halfspace, Polytope, RVector, polytope_volume, rat
+from .exactgeom import RVector, rat
 from .singularities import (
     PolarizedConeData,
     ToricConeSingularity,
@@ -51,6 +59,7 @@ from .singularities import (
 )
 from .valuation import (
     ValuationReport,
+    dual_cone_box,
     lattice_count_oracle,
     reduction_variable,
     valuation_volume_hypersurface,
@@ -104,27 +113,6 @@ def _poly_compose_affine(
         new[0] += c
         out = new
     return out
-
-
-def _lagrange_coeffs(points: list[tuple[Fraction, Fraction]]) -> list[Fraction]:
-    """Exact interpolating polynomial through the given rational points."""
-    coeffs = [Fraction(0)] * len(points)
-    for i, (ti, vi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (tj, _) in enumerate(points):
-            if j == i:
-                continue
-            denom *= ti - tj
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, b in enumerate(basis):  # multiply basis by (t - tj)
-                new[k + 1] += b
-                new[k] -= tj * b
-            basis = new
-        scale = vi / denom
-        for k, b in enumerate(basis):
-            coeffs[k] += scale * b
-    return coeffs
 
 
 @dataclass(frozen=True)
@@ -208,108 +196,71 @@ class VolumeProfile:
 # -- building profiles from models ---------------------------------------------
 
 
-def _cone_slice_volume(
-    facet_normals: list[RVector],
-    dim: int,
-    w: RVector,
-    a: RVector,
-    t: Fraction,
-) -> Fraction:
-    """vol of {y in cone : <w, y> <= 1, <a - t w, y> >= 0}, exactly."""
-    hrep = [Halfspace(nrm, Fraction(0)) for nrm in facet_normals]
-    hrep.append(Halfspace(-w, Fraction(1)))
-    rotating = a - w.scale(t)
-    if not rotating.is_zero():
-        hrep.append(Halfspace(rotating, Fraction(0)))
-    region = Polytope.from_hrep(hrep, dim)
-    return polytope_volume(region)
+def _bspline_tail(knots: Sequence[Fraction], hi: Fraction, n: int) -> list[Fraction]:
+    """Divided difference of x -> (x - t)_+^(n-1) at the knots, in powers of t.
+
+    Valid for t in an interval (lo, hi) that contains no knot: a knot k >= hi
+    has k > t and contributes (k - t)^(n-1), a knot k <= lo contributes 0.
+    Where a run of sorted knots is equal the difference quotient is replaced
+    by the Taylor coefficient, the j-th x-derivative over j!, which is
+    C(n-1, j) (k - t)^(n-1-j) at an active knot.
+    """
+    ks = sorted(knots)
+
+    def taylor(k: Fraction, j: int) -> list[Fraction]:
+        coeffs = [Fraction(0)] * n
+        if k >= hi:
+            m = n - 1 - j
+            for i in range(m + 1):
+                coeffs[i] = math.comb(n - 1, j) * math.comb(m, i) * (-1) ** i * k ** (m - i)
+        return coeffs
+
+    column = [taylor(k, 0) for k in ks]
+    for j in range(1, n):
+        column = [
+            taylor(ks[i], j)
+            if ks[i + j] == ks[i]
+            else [(b - a) / (ks[i + j] - ks[i]) for a, b in zip(column[i], column[i + 1])]
+            for i in range(n - j)
+        ]
+    return column[0]
 
 
-def _piecewise_from_cone(
-    facet_normals: list[RVector],
-    ray_ratios: list[Fraction],
-    dim: int,
-    w: RVector,
-    a: RVector,
-    multiplier: Fraction,
-) -> PiecewisePoly:
-    """Exact profile pieces between consecutive extreme-ray ratios."""
-    bps = sorted(set(ray_ratios))
-    fact = Fraction(math.factorial(dim)) * multiplier
+def profile_from_model(model, v0_weights: Sequence, v1_weights: Sequence) -> VolumeProfile:
+    """Exact piecewise-polynomial profile of the v1-filtration on the v0-graded ring.
 
-    def value(t: Fraction) -> Fraction:
-        return fact * _cone_slice_volume(facet_normals, dim, w, a, t)
-
-    pieces = []
-    for lo, hi in zip(bps, bps[1:]):
-        if dim == 1:
-            samples = [lo + (hi - lo) / 2]
-        else:
-            samples = [lo + (hi - lo) * Fraction(j, dim - 1) for j in range(dim)]
-        pts = [(t, value(t)) for t in samples]
-        coeffs = _lagrange_coeffs(pts) if len(pts) > 1 else [pts[0][1]]
-        probe = lo + (hi - lo) / (dim + 2)
-        if _poly_eval(tuple(coeffs), probe) != value(probe):
-            raise ModelError("hidden breakpoint: profile is not polynomial here")
-        pieces.append(tuple(coeffs))
-    return PiecewisePoly(breakpoints=tuple(bps), pieces=tuple(pieces))
-
-
-def profile_from_model(
-    model,
-    v0_weights: Sequence,
-    v1_weights: Sequence,
-) -> VolumeProfile:
-    """Exact piecewise-polynomial profile of the v1-filtration on the v0-graded ring."""
+    vol(R^(t)) = sum_s w_s [k_s1, ..., k_sn] (x - t)_+^(n-1) over the
+    model's (weight, knots) pairs s; the breakpoints are the distinct knots,
+    and degH = vol(R^(0)) is the sum of the weights.
+    """
     v0 = RVector(v0_weights)
     v1 = RVector(v1_weights)
-    if isinstance(model, ToricConeSingularity):
-        n = model.n
-        facet_normals = list(model.sigma.rays)
-        rays = model.dual.rays
-        for xi in (v0, v1):
-            if not model.in_domain(xi):
-                raise NotInReebCone(f"{tuple(xi)} is not in the Reeb cone")
-        ratios = [r.dot(v1) / r.dot(v0) for r in rays]
-        c1 = min(ratios)
-        pieces = _piecewise_from_cone(facet_normals, ratios, n, v0, v1, Fraction(1))
-        degH = Fraction(math.factorial(n)) * _cone_slice_volume(
-            facet_normals, n, v0, v1, Fraction(0)
-        )
-        vol1 = model.volume(v1)
-    elif isinstance(model, WeightedHomogeneousHypersurface):
-        n = model.n
-        if any(x <= 0 for x in v0) or any(x <= 0 for x in v1):
-            raise NotInReebCone("hypersurface weights must be strictly positive")
-        red, exp = reduction_variable(model, v1)
-        keep = [i for i in range(model.nvars) if i != red]
-        w = RVector([v0[i] for i in keep])
-        a = RVector([v1[i] for i in keep])
-        facet_normals = [
-            RVector([1 if j == i else 0 for j in range(n)]) for i in range(n)
-        ]
-        ratios = [a[i] / w[i] for i in range(n)]
-        c1 = min(v1[i] / v0[i] for i in range(model.nvars))
-        pieces = _piecewise_from_cone(
-            facet_normals, ratios, n, w, a, Fraction(exp)
-        )
-        degH = Fraction(exp * math.factorial(n)) * _cone_slice_volume(
-            facet_normals, n, w, a, Fraction(0)
-        )
-        # one weight-minimal monomial is fine here: reduction_variable made
-        # it a pure power, whose initial degeneration the formula describes
-        vol1 = valuation_volume_hypersurface(
-            model, v1, allow_single_initial_monomial=True
-        )
+    n = model.n
+    simplices = model.simplicial_pieces(v0, v1)
+    bps = sorted({k for _, knots in simplices for k in knots})
+    pieces = []
+    for hi in bps[1:]:
+        coeffs = [Fraction(0)] * n
+        for weight, knots in simplices:
+            for j, c in enumerate(_bspline_tail(knots, hi, n)):
+                coeffs[j] += weight * c
+        pieces.append(tuple(coeffs))
+    if isinstance(model, WeightedHomogeneousHypersurface):
+        # the reduction variable bounds the support too; one weight-minimal
+        # monomial is fine here: reduction_variable made it a pure power,
+        # whose initial degeneration the formula describes
+        c1 = min(b / a for a, b in zip(v0, v1))
+        vol1 = valuation_volume_hypersurface(model, v1, allow_single_initial_monomial=True)
     else:
-        raise ModelError(f"cannot build a profile for {type(model).__name__}")
+        c1 = bps[0]
+        vol1 = model.volume(v1)
     return VolumeProfile(
         n=n,
-        degH=degH,
+        degH=sum(weight for weight, _ in simplices),
         c1=c1,
-        c2=pieces.breakpoints[-1],
+        c2=bps[-1],
         vol_v1=vol1,
-        pieces=pieces,
+        pieces=PiecewisePoly(breakpoints=tuple(bps), pieces=tuple(pieces)),
         v0_weights=v0,
         v1_weights=v1,
         label=getattr(model, "label", ""),
@@ -351,7 +302,8 @@ def tail_volume(p: VolumeProfile, x) -> float:
 
 
 def tail_volume_exact(p: VolumeProfile, x) -> Fraction:
-    x = rat(x) if not isinstance(x, float) else Fraction(x).limit_denominator(10**15)
+    """Theta(x) exactly; a float x counts as its exact binary value."""
+    x = Fraction(x)
     if x >= p.c2:
         return Fraction(0)
     return p.n * x**p.n * _tail_kernel_integral(p, x)
@@ -423,17 +375,16 @@ def section_volume(p: VolumeProfile, x) -> float:
     return tail_volume(p, x)
 
 
-def liu_bound_check(p: VolumeProfile, xs: Sequence[float], tol: float = 1e-8) -> bool:
-    """Pointwise bound vol(F S^(x)) + vol(v1) x^n >= degH, equality on (0, c1]."""
-    vol1 = float(p.vol_v1)
-    degh = float(p.degH)
-    for x in xs:
-        if not 0 < x <= float(p.c2):
+def liu_bound_check(p: VolumeProfile, xs: Sequence) -> bool:
+    """Pointwise bound vol(F S^(x)) + vol(v1) x^n >= degH, equality on (0, c1].
+
+    Exact at rational sample points (a float counts as its exact binary value).
+    """
+    for x in map(Fraction, xs):
+        if not 0 < x <= p.c2:
             raise PreconditionViolated("sample points must lie in (0, c2]")
-        lhs = section_volume(p, x) + vol1 * float(x) ** p.n
-        if lhs < degh - tol:
-            return False
-        if float(x) <= float(p.c1) and abs(lhs - degh) > tol:
+        lhs = tail_volume_exact(p, x) + p.vol_v1 * x**p.n
+        if lhs < p.degH or (x <= p.c1 and lhs != p.degH):
             return False
     return True
 
@@ -601,46 +552,23 @@ def profile_dimension_check(
 
 
 def _graded_colength(model, v0: RVector, v1: RVector, m: Fraction) -> int:
-    import math as _math
-
-    from .exactgeom import cut_cone
-
+    grade_vec, grade_scale = _scaled_int_vector(v0)
+    weight_vec, weight_scale = _scaled_int_vector(v1)
+    top = _strict_upper(weight_scale * m)
     if isinstance(model, ToricConeSingularity):
         ratios_min = min(r.dot(v1) / r.dot(v0) for r in model.dual.rays)
         rows = [(_scaled_int_vector(ray)[0], 0) for ray in model.sigma.rays]
-        dims = model.n
         # the slice lives inside {alpha in dual cone : <v1, alpha> <= m}
-        region = cut_cone(model.dual, v1).scale(m)
-        base_bounds = []
-        for i in range(dims):
-            coords = [v[i] for v in region.vrep]
-            base_bounds.append((_math.ceil(min(coords)), _math.floor(max(coords))))
-        red_bound = None
+        bounds = dual_cone_box(model, v1, m)
     else:
         ratios_min = min(v1[i] / v0[i] for i in range(model.nvars))
         red, exp = reduction_variable(model, v1)
-        dims = model.nvars
         rows = []
-        weight_ints, weight_scale_tmp = _scaled_int_vector(v1)
-        top = _strict_upper(weight_scale_tmp * m)
-        base_bounds = [(0, top // weight_ints[i]) for i in range(dims)]
-        red_bound = (red, exp)
-    grade_vec, grade_scale = _scaled_int_vector(v0)
-    weight_vec, weight_scale = _scaled_int_vector(v1)
+        bounds = [(0, top // w) for w in weight_vec]
+        bounds[red] = (0, min(bounds[red][1], exp - 1))
     total = 0
-    max_grade = int(m / ratios_min) + 1
-    for k in range(max_grade + 1):
+    for k in range(int(m / ratios_min) + 2):
         # slice <v0, alpha> = k, weight < m
-        bounds = []
-        for i in range(dims):
-            lo, hi = base_bounds[i]
-            if red_bound is not None and i == red_bound[0]:
-                hi = min(hi, red_bound[1] - 1)
-            bounds.append((lo, hi))
-        nonstrict = list(rows)
-        nonstrict.append((grade_vec, -k * grade_scale))
-        nonstrict.append(([-g for g in grade_vec], k * grade_scale))
-        total += _count_box(
-            bounds, nonstrict, weight_vec, _strict_upper(weight_scale * m)
-        )
+        grade = [(grade_vec, -k * grade_scale), ([-g for g in grade_vec], k * grade_scale)]
+        total += _count_box(bounds, rows + grade, weight_vec, top)
     return total

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .exactgeom import Halfspace, RVector, rat
+from .exactgeom import Halfspace, Polytope, RVector, polytope_volume, rat
 from .filtration import (
     interpolation_derivative_forms,
     interpolation_volume,
@@ -38,6 +38,7 @@ from .molien import (
 from .reeb import minimize_nvol, minimize_nvol_multistart, normalize_reeb, rescaling_law_check
 from .singularities import (
     PolarizedConeData,
+    ToricConeSingularity,
     affine_space,
     akm_singularity,
     canonical_weights,
@@ -46,7 +47,7 @@ from .singularities import (
     cyclic_quotient_cone,
     toric_log_fano,
 )
-from .valuation import lattice_count_oracle, nvol_report
+from .valuation import lattice_count_oracle, nvol_report, reduction_variable
 
 
 @dataclass
@@ -303,11 +304,41 @@ def _profile_cases():
     ]
 
 
+def _slice_volume(model, v0: RVector, v1: RVector, t: Fraction) -> Fraction:
+    """n! vol {y in the cone : <v0, y> <= 1, <v1 - t v0, y> >= 0} from the
+    enumerated vertices of the slice.  The cone is the dual cone of a toric
+    model; for a hypersurface it is the orthant of the variables other than
+    v1's reduction variable, and the volume counts that variable's exponent."""
+    if isinstance(model, ToricConeSingularity):
+        normals, multiplicity = list(model.sigma.rays), 1
+    else:
+        red, multiplicity = reduction_variable(model, v1)
+        keep = [i for i in range(model.nvars) if i != red]
+        v0, v1 = RVector(v0[i] for i in keep), RVector(v1[i] for i in keep)
+        normals = [RVector(int(i == j) for j in keep) for i in keep]
+    n = len(v0)
+    hrep = [Halfspace(u, 0) for u in normals] + [Halfspace(-v0, 1)]
+    rotating = v1 - v0.scale(t)
+    if not rotating.is_zero():
+        hrep.append(Halfspace(rotating, 0))
+    return math.factorial(n) * multiplicity * polytope_volume(Polytope.from_hrep(hrep, n))
+
+
 def check_interpolation_calculus() -> list[CheckResult]:
     out = []
     for name, model, v0, v1 in _profile_cases():
         profile = profile_from_model(model, v0, v1)
         n = profile.n
+        # the closed-form pieces against the vertex-enumerated slice, at the
+        # midpoint of every region of the profile
+        mids = [(lo + hi) / 2 for lo, hi, _ in profile.regions]
+        out.append(
+            CheckResult.exact(
+                f"profile_matches_slice_volume[{name}]",
+                " ".join(str(profile.vol_r_exact(t)) for t in mids),
+                " ".join(str(_slice_volume(model, v0, v1, t)) for t in mids),
+            )
+        )
         lam_star = model.logdisc(v0) / model.logdisc(v1)
         for lam in (Fraction(1, 2), Fraction(1), Fraction(2), lam_star):
             label = f"{name},lam={float(lam):.6g}"

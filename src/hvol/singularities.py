@@ -11,10 +11,12 @@ vector on a toric cone, a monomial weight on a hypersurface): `logdisc(w)`,
 `volume(w)`, `domain_logdisc(w)` (the log discrepancy when w lies in the
 model's domain, None otherwise, in one integer pass), `in_domain(w)` and
 `lattice_count(a, p)`.  Each model states its domain once, in
-`domain_logdisc`; `in_domain` only asks whether that is None.  These methods
-are the one place where the kind of model decides which formula of
-valuation.py applies; the rest of the package calls them, and asks which kind
-of model it holds only where the mathematics differs (profile construction,
+`domain_logdisc`; `in_domain` only asks whether that is None.  Both also give
+`simplicial_pieces(v0, v1)`, the (weight, knots) pairs that the volume
+profile of a filtration sums over (filtration.py).  These methods are the one
+place where the kind of model decides which formula applies; the rest of the
+package calls them, and asks which kind of model it holds only where the
+mathematics differs (the support bound and filtration volume of a profile,
 graded colengths, minimizer start points).
 """
 
@@ -26,7 +28,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import AngleOutOfRange, InvalidIndex, ModelError, NotQGorenstein
+from .errors import AngleOutOfRange, InvalidIndex, ModelError, NotInReebCone, NotQGorenstein
 from .exactgeom import (
     Halfspace,
     PolyCone,
@@ -44,10 +46,12 @@ from .valuation import (
     MonomialValuation,
     domain_logdisc_hypersurface,
     domain_logdisc_toric,
+    integer_pairings,
     lattice_count_hypersurface,
     lattice_count_toric,
     log_discrepancy_hypersurface,
     log_discrepancy_toric,
+    reduction_variable,
     valuation_volume_hypersurface,
     valuation_volume_toric,
 )
@@ -118,6 +122,22 @@ class ToricConeSingularity:
     def lattice_count(self, a: RVector, p: Fraction) -> int:
         """Lattice points alpha of the dual cone with <alpha, a> < p."""
         return lattice_count_toric(self, a, p)
+
+    def simplicial_pieces(self, v0: RVector, v1: RVector) -> list[tuple[Fraction, tuple]]:
+        """(weight, knots) per simplicial cone s of `volume_triangulation`:
+        |det U_s| / prod_{u in s} <u, v0>, the terms of n! vol(v0), and the
+        ratios <u, v1> / <u, v0>.  Both must be Reeb vectors."""
+        (p0, d0), (p1, d1) = (integer_pairings(self.reeb_generators, xi)[1:] for xi in (v0, v1))
+        for xi, pairings in ((v0, p0), (v1, p1)):
+            if min(pairings) <= 0:
+                raise NotInReebCone(f"{tuple(xi)} is not in the Reeb cone")
+        return [
+            (
+                Fraction(d * d0**self.n, math.prod(p0[i] for i in rays)),
+                tuple(Fraction(p1[i] * d0, p0[i] * d1) for i in rays),
+            )
+            for d, rays in self.volume_triangulation
+        ]
 
     def symmetry_classes(self) -> list[list[int]]:
         """One class per coordinate: minimization uses no symmetry of the cone."""
@@ -190,6 +210,18 @@ class WeightedHomogeneousHypersurface:
     def lattice_count(self, a: RVector, p: Fraction) -> int:
         """Standard monomials of a-weight below p."""
         return lattice_count_hypersurface(self, a, p)
+
+    def simplicial_pieces(self, v0: RVector, v1: RVector) -> list[tuple[Fraction, tuple]]:
+        """One (weight, knots) pair: the orthant of the variables other than
+        v1's reduction variable, with weight exp / prod v0_i, exp that
+        variable's exponent, and knots v1_i / v0_i.  Weights must be positive."""
+        v0, v1 = RVector(v0), RVector(v1)
+        if any(min(integer_pairings(self.exponents, a)[0]) <= 0 for a in (v0, v1)):
+            raise NotInReebCone("hypersurface weights must be strictly positive")
+        red, exp = reduction_variable(self, v1)
+        keep = [i for i in range(self.nvars) if i != red]
+        weight = Fraction(exp) / math.prod(v0[i] for i in keep)
+        return [(weight, tuple(v1[i] / v0[i] for i in keep))]
 
     def symmetry_classes(self) -> list[list[int]]:
         """Variable classes interchangeable by symmetries of the monomial set."""

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, ModelError, NotInReebCone, OracleDisagreement
-from .exactgeom import RVector, cut_cone, rat
+from .exactgeom import RVector, rat
 
 if TYPE_CHECKING:  # the model classes call into this module, so no runtime import
     from .singularities import ToricConeSingularity, WeightedHomogeneousHypersurface
@@ -330,13 +330,21 @@ def lattice_count_oracle(model, a: Sequence, p) -> int:
     return model.lattice_count(a, p)
 
 
+def dual_cone_box(x: "ToricConeSingularity", a: RVector, p: Fraction) -> list[tuple[int, int]]:
+    """Integer bounds per coordinate of {alpha in the dual cone : <alpha, a> <= p}.
+
+    That polytope is conv(0, p u / <u, a>) over the dual rays u, so the box
+    comes from the rays without enumerating vertices.
+    """
+    _, pairings, denom = _require_reeb(x, a)
+    corners = [ray.scale(p * denom / pairing) for ray, pairing in zip(x.dual.rays, pairings)]
+    return [
+        (math.ceil(min(0, *coords)), math.floor(max(0, *coords))) for coords in zip(*corners)
+    ]
+
+
 def lattice_count_toric(x: "ToricConeSingularity", a: RVector, p: Fraction) -> int:
-    _require_reeb(x, a)
-    region = cut_cone(x.dual, a).scale(p)
-    bounds = []
-    for i in range(x.n):
-        coords = [v[i] for v in region.vrep]
-        bounds.append((math.ceil(min(coords)), math.floor(max(coords))))
+    bounds = dual_cone_box(x, a, p)
     nonstrict = []
     for ray in x.sigma.rays:  # sigma rays are the facet normals of the dual cone
         coefs, _ = _scaled_int_vector(ray)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hvol.errors import NotInReebCone, PreconditionViolated
-from hvol.exactgeom import RVector
+from hvol.exactgeom import Halfspace, Polytope, RVector, nullspace, polytope_volume
 from hvol.filtration import (
     PiecewisePoly,
     interpolation_derivative_forms,
@@ -37,6 +38,7 @@ from hvol.valuation import (
     log_discrepancy_hypersurface,
     log_discrepancy_toric,
     nvol_report,
+    reduction_variable,
 )
 
 
@@ -140,6 +142,20 @@ def test_liu_bound(plane_profile, step_profile):
     assert lhs > 1 + 1e-6
     with pytest.raises(PreconditionViolated):
         liu_bound_check(plane_profile, [5.0])
+
+
+def test_liu_bound_is_exact(plane_profile, space_profile):
+    for p in (plane_profile, space_profile):
+        assert liu_bound_check(p, [p.c1 * Fraction(j, 4) for j in range(1, 5)] + [p.c2])
+    # equality on (0, c1] is exact: a vol(v1) off by 1e-30 breaks it
+    nudged = dataclasses.replace(plane_profile, vol_v1=plane_profile.vol_v1 + Fraction(1, 10**30))
+    assert not liu_bound_check(nudged, [Fraction(1, 2)])
+
+
+def test_tail_volume_takes_a_float_at_its_binary_value(plane_profile, space_profile):
+    for p in (plane_profile, space_profile):
+        for x in (0.3, 1.1, 1.7):
+            assert tail_volume_exact(p, x) == tail_volume_exact(p, Fraction(x))
 
 
 def test_interpolation_endpoints(plane_profile, step_profile):
@@ -288,5 +304,113 @@ def test_interpolation_equals_closed_form_volume(name):
             == forms.via_tail_and_volume
             == forms.via_section_integral
         )
+
+    check()
+
+
+# -- the closed-form profile against vertex-enumerated slices --------------------
+
+PROFILE_CONES = {
+    "C2": affine_space(2),
+    "C3": affine_space(3),
+    "C2/Z3": cyclic_quotient_cone(3, 2),
+    "conifold": conifold(),
+    "Y31": ToricConeSingularity.from_rays([[1, 0, 0], [1, 1, 2], [1, 3, 3], [1, 1, 0]]),
+    "square pyramid": ToricConeSingularity.from_rays(
+        [[1, 1, 0, 1], [1, -1, 0, 1], [-1, 1, 0, 1], [-1, -1, 0, 1], [0, 0, 1, 1]]
+    ),
+    "akm(2,3)": akm_singularity(2, 3),
+    "akm(3,2)": akm_singularity(3, 2),
+    "akm(3,3)": akm_singularity(3, 3),
+}
+# per hypersurface, a v1 whose reduction leaves two variables with equal ratios
+EQUAL_RATIO_V1 = {
+    "akm(2,3)": [1, 3, 2],
+    "akm(3,2)": [2, 2, 2, 3],
+    "akm(3,3)": [3, 4, 4, 3],
+}
+
+
+def _grading(model) -> RVector:
+    if isinstance(model, ToricConeSingularity):
+        rays = model.sigma.rays
+        return sum(rays[1:], rays[0])
+    return canonical_weights(model.n, int(model.monomials[-1][-1]))
+
+
+def _vertex_enumerated_slice(model, v0, v1, t) -> Fraction:
+    """n! vol {y in the cone : <v0, y> <= 1, <v1 - t v0, y> >= 0}, with the
+    cone the dual cone, or for a hypersurface the orthant left after v1's
+    reduction variable with that variable's exponent as multiplicity."""
+    if isinstance(model, ToricConeSingularity):
+        normals, multiplicity = list(model.sigma.rays), 1
+    else:
+        red, multiplicity = reduction_variable(model, v1)
+        keep = [i for i in range(model.nvars) if i != red]
+        v0, v1 = RVector(v0[i] for i in keep), RVector(v1[i] for i in keep)
+        normals = [RVector(int(i == j) for j in keep) for i in keep]
+    n = len(v0)
+    hrep = [Halfspace(u, 0) for u in normals] + [Halfspace(-v0, 1)]
+    if v1 != v0.scale(t):
+        hrep.append(Halfspace(v1 - v0.scale(t), 0))
+    return math.factorial(n) * multiplicity * polytope_volume(Polytope.from_hrep(hrep, n))
+
+
+def _assert_profile_matches_slices(model, v0, v1, t):
+    # at t * c2, at every knot and in the middle of every region
+    profile = profile_from_model(model, v0, v1)
+    mids = tuple((lo + hi) / 2 for lo, hi, _ in profile.regions)
+    for x in (t * profile.c2,) + profile.pieces.breakpoints + mids:
+        assert profile.vol_r_exact(x) == _vertex_enumerated_slice(model, v0, v1, x), x
+
+
+def _repeated_knot_cases(name):
+    model = PROFILE_CONES[name]
+    v0 = _grading(model)
+    cases = {"v1=v0": v0, "v1=2v0": v0.scale(2)}
+    if name in EQUAL_RATIO_V1:
+        cases["two equal ratios"] = RVector(EQUAL_RATIO_V1[name])
+    elif model.n > 2:
+        # move v0 along a direction orthogonal to two dual rays of one
+        # simplicial cone, so that both keep the ratio 1
+        _, rays = model.volume_triangulation[0]
+        first, second = (model.dual.rays[i] for i in rays[:2])
+        x = nullspace([list(first), list(second)], model.n)[0]
+        step = min(u.dot(v0) / abs(u.dot(x)) for u in model.dual.rays if u.dot(x) != 0) / 2
+        cases["two equal ratios"] = v0 + x.scale(step)
+    return [pytest.param(name, v1, id=f"{name}, {kind}") for kind, v1 in cases.items()]
+
+
+@pytest.mark.parametrize(
+    "name,v1", [case for name in PROFILE_CONES for case in _repeated_knot_cases(name)]
+)
+def test_profile_with_repeated_knots_matches_slice_volume(name, v1):
+    model = PROFILE_CONES[name]
+    pieces = model.simplicial_pieces(_grading(model), v1)
+    assert any(len(set(knots)) < len(knots) for _, knots in pieces)
+    for t in (Fraction(1, 3), Fraction(7, 6)):
+        _assert_profile_matches_slices(model, _grading(model), v1, t)
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_CONES))
+def test_profile_matches_slice_volume(name):
+    # the B-spline pieces against n! times the volume of the slice at t,
+    # measured from its enumerated vertices; t drawn up to 5/4 of c2 and
+    # also taken at every knot
+    model = PROFILE_CONES[name]
+    v0 = _grading(model)
+    toric = isinstance(model, ToricConeSingularity)
+    size = len(model.sigma.rays) if toric else model.nvars
+
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(RAY_COEFFICIENTS, min_size=size, max_size=size),
+        st.fractions(min_value=0, max_value=Fraction(5, 4), max_denominator=40),
+    )
+    def check(coeffs, t):
+        v1 = RVector(coeffs)
+        if toric:
+            v1 = sum((ray.scale(c) for c, ray in zip(v1, model.sigma.rays)), RVector([0] * model.n))
+        _assert_profile_matches_slices(model, v0, v1, t)
 
     check()
