@@ -28,6 +28,7 @@ from .valuation import (
     nvol_report,
     valuation_volume_hypersurface,
     valuation_volume_toric,
+    volume_gradient_toric,
 )
 from .singularities import (
     PolarizedConeData,

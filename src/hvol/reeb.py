@@ -1,19 +1,40 @@
 """Minimization of the normalized volume over the Reeb cone.
 
-The objective A(xi)^n vol(xi) is scale invariant, so descent runs on the
-normalization slice {A(xi) = n}: every accepted iterate is a rational vector
-renormalized exactly, objective values are computed in exact arithmetic and
-only compared as floats.  Gradients come from central finite differences
-(the objective has no closed derivative in general), a backtracking line
-search rejects steps that leave the cone or the valid weight region, and the
-final point is snapped to nearby low-denominator rationals and re-verified
-exactly whenever the snap does not increase the objective.
+The objective A(xi)^n vol(xi) is scale invariant, so both minimizers work on
+the normalization slice {A(xi) = n}.
 
-The minimum can sit at a kink of the piecewise objective (the set of
-weight-minimal defining monomials changes there), where no finite-difference
-gradient vanishes; a run that stalls with no descent step available is
-reported as converged at line-search resolution, and the multi-start driver
-is the practical certificate that the stall point is the global minimum.
+Toric cones.  On the slice the objective is n^n V(xi), where
+V(xi) = sum_s |det U_s| / prod_{u in s} <u, xi> sums over the model's cached
+triangulation of the dual cone (Martelli-Sparks-Yau, hep-th/0503183).  V is
+strictly convex on the Reeb cone (hep-th/0603021), so its minimum on the
+slice is unique and one start finds it.  V, its gradient and its Hessian are
+closed forms over the triangulation; damped Newton steps on the slice's KKT
+system run in floats, and a backtracking guard keeps every <u, xi> positive.
+The final point x is rationalized and put on the slice exactly, and
+convexity brackets the minimum with two exact rationals:
+
+    n^n (V(x) + min_i <grad V(x), n rho_i - x>)  <=  min  <=  n^n V(x).
+
+The slice of the closed Reeb cone (the cone sigma itself) is the polytope
+with vertices n rho_i over the primitive rays rho_i of sigma, which pair to 1
+with the Gorenstein vector m0, and a convex function lies above its tangent
+plane there; the least value of that plane on the polytope is at a vertex.
+The bracket is the certificate: it is 0 wide when x is the minimizer, and
+exact-gradient Newton steps polish x while it is wider than `CERTIFIED_WIDTH`
+relative to its upper end.
+
+Hypersurfaces.  Descent runs on the slice: every accepted iterate is a
+rational vector renormalized exactly, objective values are computed in exact
+arithmetic and only compared as floats.  Gradients come from central finite
+differences (the objective is only piecewise smooth), a backtracking line
+search rejects steps that leave the valid weight region, and the final point
+is snapped to nearby low-denominator rationals and re-verified exactly
+whenever the snap does not increase the objective.  The minimum can sit at a
+kink of the piecewise objective (the set of weight-minimal defining monomials
+changes there), where no finite-difference gradient vanishes; a run that
+stalls with no descent step available is reported as converged at
+line-search resolution, and the multi-start driver is the practical
+certificate that the stall point is the global minimum.
 """
 
 from __future__ import annotations
@@ -22,11 +43,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import DomainError, NonFiniteObjective, NotInReebCone
 from .exactgeom import RVector, rat
 from .singularities import ToricConeSingularity
+from .valuation import volume_gradient_toric
 
 _SNAP_DENOMINATOR = 10**6
 _ITERATE_DENOMINATOR = 10**12
@@ -69,7 +92,8 @@ def rescaling_law_check(model, xi: Sequence, lam) -> bool:
 
 
 class _Objective:
-    """Exact scale-invariant objective in symmetry-reduced coordinates."""
+    """Exact scale-invariant objective of a hypersurface in symmetry-reduced
+    coordinates."""
 
     def __init__(self, model):
         self.model = model
@@ -81,14 +105,7 @@ class _Objective:
         for ci, cls in enumerate(self._classes):
             for i in cls:
                 self._index_of[i] = ci
-        if isinstance(model, ToricConeSingularity):
-            self.default_init = RVector(
-                [sum(c, Fraction(0)) for c in zip(*model.sigma.rays)]
-            )
-            self.random_start = self._ray_mixture
-        else:
-            self.default_init = self._equal_weight_point(model)
-            self.random_start = self._stretched_tie_point
+        self.default_init = self._equal_weight_point(model)
 
     def _equal_weight_point(self, model) -> RVector:
         """A reduced point where every defining monomial has the same weight.
@@ -111,13 +128,6 @@ class _Objective:
                 return RVector(candidate)
         fallback = RVector([Fraction(1)] * self.dim)
         return fallback
-
-    def _ray_mixture(self, rng: random.Random) -> RVector:
-        """A random positive combination of the cone's rays."""
-        start = RVector([Fraction(0)] * self.dim)
-        for ray in self.model.sigma.rays:
-            start = start + ray.scale(Fraction(rng.randint(50, 300), 100))
-        return start
 
     def _stretched_tie_point(self, rng: random.Random) -> RVector:
         """A random coordinate stretch of the all-ties point, pulled back
@@ -183,13 +193,148 @@ class _Objective:
 @dataclass
 class MinimizeResult:
     argmin: RVector  # full weight vector on the A = n slice
-    min_nvol: float
-    min_nvol_exact: Fraction | None
-    iterations: int
+    min_nvol: float  # the objective at argmin, as a float
+    # the exact objective at argmin, an upper bound on the minimum; None when a
+    # hypersurface run's snapped point raised the objective
+    min_nvol_upper: Fraction | None
+    # toric: the exact convexity bound below the minimum (module docstring);
+    # None for hypersurfaces, whose runs carry no certificate
+    min_nvol_lower: Fraction | None
+    iterations: int  # Newton steps and polishing steps, or descent iterations
     trajectory: list[tuple[tuple[float, ...], float]]
-    grad_norm: float
+    grad_norm: float  # of the objective at argmin (toric: exact, then rounded)
+    # toric: the bracket is at most CERTIFIED_WIDTH wide relative to its upper end;
+    # hypersurface: the gradient fell below tol or no descent step was left
     converged: bool
-    stalled_at_kink: bool = False
+    stalled_at_kink: bool = False  # hypersurfaces only
+
+
+# -- toric cones: Newton steps and an exact bracket ----------------------------
+
+CERTIFIED_WIDTH = Fraction(1, 10**12)  # widest bracket, relative to its upper end, that certifies
+_POLISH_STEPS = 3
+
+
+def _volume_derivatives(model: ToricConeSingularity, x: list[float]):
+    """(V, grad V, Hessian of V, pairings <u, x>) at a float point x of the
+    Reeb cone, over `volume_triangulation`: with t_s = |det U_s| / prod_{u in s}
+    <u, x> and w_s = sum_{u in s} u / <u, x>, V = sum t_s, grad V = -sum t_s w_s
+    and the Hessian is sum t_s (w_s w_s^T + sum_{u in s} u u^T / <u, x>^2)."""
+    n = model.n
+    gens = model.reeb_generators
+    pairings = [sum(map(mul, u, x)) for u in gens]
+    value = 0.0
+    grad = [0.0] * n
+    hess = [[0.0] * n for _ in range(n)]
+    for d, rays in model.volume_triangulation:
+        t = d / math.prod(pairings[i] for i in rays)
+        w = [sum(gens[i][k] / pairings[i] for i in rays) for k in range(n)]
+        value += t
+        for k in range(n):
+            grad[k] -= t * w[k]
+            for j in range(n):
+                hess[k][j] += t * (
+                    w[k] * w[j] + sum(gens[i][k] * gens[i][j] / pairings[i] ** 2 for i in rays)
+                )
+    return value, grad, hess, pairings
+
+
+def _kkt_step(hess, grad, m0: list[float], residual: float) -> list[float]:
+    """The Newton step dx of min V subject to <m0, x> = n: the first n entries
+    of the solution of [[H, m0], [m0^T, 0]] (dx, mu) = (-grad, residual), by
+    Gaussian elimination with partial pivoting.  Plain float arithmetic makes
+    the iterates, and so the reports, the same on every platform."""
+    n = len(grad)
+    rows = [hess[k] + [m0[k], -grad[k]] for k in range(n)] + [m0 + [0.0, residual]]
+    size = n + 1
+    for col in range(size):
+        pivot = max(range(col, size), key=lambda r: abs(rows[r][col]))
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(col + 1, size):
+            factor = rows[r][col] / rows[col][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    out = [0.0] * size
+    for r in reversed(range(size)):
+        tail = sum(rows[r][k] * out[k] for k in range(r + 1, size))
+        out[r] = (rows[r][size] - tail) / rows[r][r]
+    return out[:n]
+
+
+def _bracket(model: ToricConeSingularity, x: RVector) -> tuple[Fraction, Fraction, RVector]:
+    """(lower, upper, grad V(x)) for x on the slice, exactly: upper is
+    n^n V(x) and lower n^n (V(x) + min_i <grad V(x), n rho_i - x>)."""
+    n = model.n
+    volume = model.volume(x)
+    grad = volume_gradient_toric(model, x)
+    # every primitive ray pairs to 1 with m0 (_gorenstein_vector), so the
+    # slice of sigma has the vertices n rho_i
+    drop = min(grad.dot(ray.scale(n) - x) for ray in model.sigma.rays)
+    return n**n * (volume + drop), n**n * volume, grad
+
+
+def _minimize_toric(model: ToricConeSingularity, init, max_iter: int) -> MinimizeResult:
+    """Damped Newton steps on the slice, then the exact bracket, polished by
+    exact-gradient steps while it is wider than CERTIFIED_WIDTH."""
+    n = model.n
+    if init is None:
+        init = [sum(c, Fraction(0)) for c in zip(*model.sigma.rays)]
+    m0 = [float(c) for c in model.m0]
+    x = [float(c) for c in normalize_reeb(model, init)]
+    trajectory = []
+    last_step = math.inf
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        value, grad, hess, pairings = _volume_derivatives(model, x)
+        trajectory.append((tuple(x), n**n * value))
+        step = _kkt_step(hess, grad, m0, n - sum(map(mul, m0, x)))
+        size = max(map(abs, step))
+        # stop once a step moves only the last bits of x, or stops shrinking
+        # while small (rounding noise)
+        if size <= 2.2e-16 * max(map(abs, x)) or last_step <= size < 1e-8:
+            break
+        decrement = -sum(map(mul, grad, step))
+        along = [sum(map(mul, u, step)) for u in model.reeb_generators]
+        t = 1.0
+        while any(p + t * q <= 0 for p, q in zip(pairings, along)):
+            t /= 2
+        # Armijo backtracking while V is far from its minimum; near it the
+        # decrease sinks below float resolution and full steps converge
+        while decrement > 1e-10 * value:
+            candidate = [a + t * b for a, b in zip(x, step)]
+            if _volume_derivatives(model, candidate)[0] <= value - 1e-4 * t * decrement:
+                break
+            t /= 2
+        x = [a + t * b for a, b in zip(x, step)]
+        last_step = t * size
+    point = normalize_reeb(
+        model, [Fraction(c).limit_denominator(_ITERATE_DENOMINATOR) for c in x]
+    )
+    lower, upper, grad = _bracket(model, point)
+    for _ in range(_POLISH_STEPS):
+        if upper - lower <= CERTIFIED_WIDTH * upper:
+            break
+        hess = _volume_derivatives(model, [float(c) for c in point])[2]
+        step = _kkt_step(hess, [float(g) for g in grad], m0, 0.0)
+        point = normalize_reeb(model, point + RVector(map(Fraction, step)))
+        lower, upper, grad = _bracket(model, point)
+        trajectory.append((point.as_floats(), float(upper)))
+        iterations += 1
+    # the objective's gradient on the slice, n^n (V m0 + grad V), vanishes at the minimizer
+    volume = upper / n**n
+    grad_norm = math.hypot(*(float(n**n * (volume * m + g)) for m, g in zip(model.m0, grad)))
+    return MinimizeResult(
+        argmin=point,
+        min_nvol=float(upper),
+        min_nvol_upper=upper,
+        min_nvol_lower=lower,
+        iterations=iterations,
+        trajectory=trajectory,
+        grad_norm=grad_norm,
+        converged=upper - lower <= CERTIFIED_WIDTH * upper,
+    )
+
+
+# -- hypersurfaces: finite-difference descent ----------------------------------
 
 
 def _rationalize(value: float) -> Fraction:
@@ -233,14 +378,19 @@ def minimize_nvol(
     tol: float = 1e-8,
     max_iter: int = 500,
 ) -> MinimizeResult:
-    """Projected-gradient descent of A^n vol over the Reeb cone.
+    """Minimize A^n vol over the Reeb cone from one start.
 
-    `init` is a full weight vector strictly inside the cone (for symmetric
-    hypersurfaces it must respect the symmetry); defaults to the barycentric
-    ray.  Descent stops when the finite-difference gradient norm on the slice
-    drops below `tol`, or when no descending step remains at line-search
-    resolution (a kink minimum).
+    `init` is a full weight vector in the model's domain (for symmetric
+    hypersurfaces it must respect the symmetry).  A toric cone takes Newton
+    steps from `init`, by default the sum of the cone's rays, and returns the
+    exact bracket of the module docstring; `tol` is not used there.  A
+    hypersurface runs projected-gradient descent from `init`, by default the
+    point where every monomial has the same weight, until the
+    finite-difference gradient norm on the slice drops below `tol` or no
+    descending step remains at line-search resolution (a kink minimum).
     """
+    if isinstance(model, ToricConeSingularity):
+        return _minimize_toric(model, init, max_iter)
     obj = _Objective(model)
     if init is None:
         x = obj.default_init
@@ -308,7 +458,8 @@ def minimize_nvol(
     return MinimizeResult(
         argmin=obj.expand(x),
         min_nvol=f_x,
-        min_nvol_exact=exact,
+        min_nvol_upper=exact,
+        min_nvol_lower=None,
         iterations=iterations,
         trajectory=trajectory,
         grad_norm=grad_norm,
@@ -342,13 +493,18 @@ def minimize_nvol_multistart(
     """Run from `seeds` random interior starts; returns (best, spread, all).
 
     The spread is the max pairwise infinity-distance between the normalized
-    minimizers, the practical certificate that the runs agree.
+    minimizers, the practical certificate that the runs agree.  A toric model
+    makes one Newton run, certified by its bracket, and returns
+    (best, 0.0, [best]); `seeds` and `base_seed` are not used there.
     """
+    if isinstance(model, ToricConeSingularity):
+        best = minimize_nvol(model, tol=tol, max_iter=max_iter)
+        return best, 0.0, [best]
     obj = _Objective(model)
     rng = random.Random(base_seed)
     results = []
     for _ in range(max(1, seeds)):
-        start = obj.random_start(rng)
+        start = obj._stretched_tie_point(rng)
         results.append(
             minimize_nvol(model, init=obj.expand(start), tol=tol, max_iter=max_iter)
         )

@@ -17,7 +17,8 @@ profile of a filtration sums over (filtration.py).  These methods are the one
 place where the kind of model decides which formula applies; the rest of the
 package calls them, and asks which kind of model it holds only where the
 mathematics differs (the support bound and filtration volume of a profile,
-graded colengths, minimizer start points).
+graded colengths, and the minimizer: Newton steps with an exact bracket on a
+toric cone, finite-difference descent on a hypersurface).
 """
 
 from __future__ import annotations
@@ -138,10 +139,6 @@ class ToricConeSingularity:
             )
             for d, rays in self.volume_triangulation
         ]
-
-    def symmetry_classes(self) -> list[list[int]]:
-        """One class per coordinate: minimization uses no symmetry of the cone."""
-        return [[i] for i in range(self.n)]
 
 
 def _gorenstein_vector(sigma: PolyCone) -> RVector:

@@ -3,8 +3,8 @@
 Monomial weight vectors and toric Reeb vectors are evaluated exactly:
 
 * toric cones: A = <m0, xi> against the Gorenstein vector, and n! vol(xi)
-  from the Martelli-Sparks-Yau closed form, a sum over a triangulation of
-  the dual cone that each model builds once;
+  and its gradient from the Martelli-Sparks-Yau closed form, a sum over a
+  triangulation of the dual cone that each model builds once;
 * weighted-homogeneous hypersurfaces: A = sum(weights) - d(a) where d(a) is
   the minimal weight of the defining monomials, volume d(a) / prod(weights).
 
@@ -176,6 +176,25 @@ def valuation_volume_toric(x: "ToricConeSingularity", xi: Sequence) -> Fraction:
         for d, rays in x.volume_triangulation
     )
     return Fraction(numerator * denom**x.n, common)
+
+
+def volume_gradient_toric(x: "ToricConeSingularity", xi: Sequence) -> RVector:
+    """The gradient of n! vol at xi, exactly:
+    -sum over s of |det U_s| / prod_{u in s} <u, xi> * sum_{u in s} u / <u, xi>.
+
+    This differentiates `valuation_volume_toric` term by term.  With xi = z / D
+    each coordinate is -D^(n+1) / C^2 times an integer sum, C the product of
+    every pairing <u, z>.
+    """
+    _, pairings, denom = _require_reeb(x, _as_rvector(xi))
+    common = math.prod(pairings)
+    total = [0] * x.n
+    for d, rays in x.volume_triangulation:
+        weight = d * (common // math.prod(pairings[i] for i in rays))
+        for i in rays:
+            coeff = weight * (common // pairings[i])
+            total = [t + coeff * u for t, u in zip(total, x.reeb_generators[i])]
+    return RVector(Fraction(-t * denom ** (x.n + 1), common * common) for t in total)
 
 
 # -- hypersurface evaluation -------------------------------------------------

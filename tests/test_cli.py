@@ -48,8 +48,10 @@ def test_minimize_akm(capsys):
     code, out = run_cli(capsys, ["minimize", "--model", AKM_35])
     assert code == 0
     report = json.loads(out)
-    assert report["results"]["min_nvol_exact"] == "27/2"
+    assert report["results"]["min_nvol_upper"] == "27/2"
+    assert report["results"]["min_nvol_lower"] is None
     assert report["results"]["converged"] is True
+    assert [c["name"] for c in report["checks"]][-1] == "multistart_agreement"
 
 
 def test_minimize_with_init_matches_example(capsys):
@@ -60,7 +62,26 @@ def test_minimize_with_init_matches_example(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["results"]["argmin"] == ["1", "1", "1"]
-    assert report["results"]["min_nvol_exact"] == "27"
+    assert report["results"]["min_nvol_upper"] == report["results"]["min_nvol_lower"] == "27"
+    bracket = report["checks"][-1]
+    assert bracket["name"] == "certified_bracket"
+    assert (bracket["pass"], bracket["lhs"], bracket["rhs"]) == (True, "27", "27")
+
+
+def test_toric_minimize_ignores_seed(capsys):
+    # one Newton run, certified by its bracket: --seed changes nothing but
+    # the echo of the inputs
+    model = '{"type":"toric_cone","rays":[[1,0,0],[1,1,2],[1,3,3],[1,1,0]]}'
+    runs = []
+    for seed in ("0", "7"):
+        code, out = run_cli(capsys, ["minimize", "--model", model, "--seed", seed])
+        assert code == 0
+        report = json.loads(out)
+        assert report.pop("inputs")["seed"] == int(seed)
+        csv_code, csv = run_cli(capsys, ["minimize", "--model", model, "--seed", seed, "--format", "csv"])
+        assert csv_code == 0
+        runs.append((json.dumps(report, sort_keys=True), csv))
+    assert runs[0] == runs[1]
 
 
 def test_quotient_cyclic(capsys):

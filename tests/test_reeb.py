@@ -1,11 +1,14 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvol.errors import DomainError, NotInReebCone
-from hvol.exactgeom import RVector
+from hvol.exactgeom import RVector, centroid, cut_cone, polytope_volume
 from hvol.reeb import (
     ReebCone,
     hvol_lower,
@@ -25,7 +28,7 @@ from hvol.singularities import (
     conifold,
     cyclic_quotient_cone,
 )
-from hvol.valuation import log_discrepancy_toric
+from hvol.valuation import log_discrepancy_toric, volume_gradient_toric
 
 
 def test_reeb_membership():
@@ -72,21 +75,22 @@ def test_minimize_affine_space():
     result = minimize_nvol(affine_space(3), init=[1, 2, 5], tol=1e-8)
     assert result.converged
     assert result.argmin == RVector([1, 1, 1])
-    assert result.min_nvol_exact == 27
+    assert result.min_nvol_lower == result.min_nvol_upper == 27
     assert result.min_nvol == pytest.approx(27.0, abs=1e-9)
 
 
 def test_minimize_akm_kink():
     # piecewise objective 3(3-2x)^3 / 2(1+x)^3/x with the minimum at the kink
     result = minimize_nvol(akm_singularity(3, 3), init=[1, 1, 1, 1])
-    assert result.min_nvol_exact == Fraction(125, 9)
+    assert result.min_nvol_upper == Fraction(125, 9)
+    assert result.min_nvol_lower is None
     ratio = result.argmin[-1] / result.argmin[0]
     assert ratio == Fraction(2, 3)
 
 
 def test_minimize_akm_interior_stationary():
     result = minimize_nvol(akm_singularity(3, 5), init=[1, 1, 1, 1])
-    assert result.min_nvol_exact == Fraction(27, 2)
+    assert result.min_nvol_upper == Fraction(27, 2)
     assert result.argmin[-1] / result.argmin[0] == Fraction(1, 2)
 
 
@@ -106,10 +110,15 @@ def test_minimize_rejects_bad_init():
 
 
 def test_multistart_agreement():
-    best, spread, runs = minimize_nvol_multistart(conifold(), seeds=5, base_seed=1)
+    # hypersurfaces run five starts, which must agree
+    best, spread, runs = minimize_nvol_multistart(akm_singularity(3, 3), seeds=5, base_seed=1)
     assert len(runs) == 5
     assert spread <= 1e-6
-    assert best.min_nvol_exact == 16
+    assert best.min_nvol_upper == Fraction(125, 9)
+    # a toric model makes one run, certified by its bracket
+    best, spread, runs = minimize_nvol_multistart(conifold(), seeds=5, base_seed=1)
+    assert (spread, runs) == (0.0, [best])
+    assert best.min_nvol_lower == best.min_nvol_upper == 16
     normalized = normalize_reeb(conifold(), best.argmin)
     assert normalized == best.argmin  # already on the slice
 
@@ -173,3 +182,104 @@ def test_convexity_probe_along_slice():
                 )
             )
         assert values[0] + values[2] - 2 * values[1] >= -1e-9
+
+
+# -- the certified toric bracket -----------------------------------------------
+
+
+def _ypq_cone(p, q):
+    return ToricConeSingularity.from_rays([[1, 0, 0], [1, p - q - 1, p - q], [1, p, p], [1, 1, 0]])
+
+
+def _ypq_nvol_decimal(p, q):
+    """The GMSW value of `_ypq_nvol` to 50 digits, in stdlib decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        s = Decimal(4 * p * p - 3 * q * q).sqrt()
+        return 27 * q * q * (2 * p + s) / (3 * p * p * (3 * q * q - 2 * p * p + p * s))
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_cyclic_quotient_bracket_is_exact(r):
+    # the descent this replaced needed 6 to 75 iterations over r = 1..12
+    model = cyclic_quotient_cone(r, 1)
+    first, second = model.sigma.rays
+    result = minimize_nvol(model, init=first + second.scale(3))
+    assert result.min_nvol_lower == result.min_nvol_upper == Fraction(4, r)
+    assert result.iterations <= 10
+    assert result.converged
+
+
+@pytest.mark.parametrize(
+    "name, model, expected",
+    [
+        ("C2", affine_space(2), 4),
+        ("C3", affine_space(3), 27),
+        ("C4", affine_space(4), 256),
+        ("C3/Z3", ToricConeSingularity.from_rays([[1, 0, 0], [0, 1, 0], [-1, -1, 3]]), 9),
+        ("conifold", conifold(), 16),
+    ],
+)
+def test_rational_minima_have_zero_width_brackets(name, model, expected):
+    best, _, _ = minimize_nvol_multistart(model)
+    assert best.min_nvol_lower == best.min_nvol_upper == expected
+    assert best.grad_norm == 0.0
+
+
+@pytest.mark.parametrize("p, q", [(p, q) for p in range(2, 7) for q in range(1, p)])
+def test_ypq_bracket_contains_gmsw_value(p, q):
+    best = minimize_nvol(_ypq_cone(p, q))
+    exact = Fraction(_ypq_nvol_decimal(p, q))
+    slack = Fraction(1, 10**45)  # far above the decimal's rounding
+    assert best.min_nvol_lower <= exact - slack
+    assert exact + slack <= best.min_nvol_upper
+    assert best.min_nvol_upper - best.min_nvol_lower < Fraction(1, 10**12)
+    assert best.converged
+
+
+def test_polishing_narrows_a_wide_bracket():
+    # the Newton run is cut after one step, far from the minimum of Y^{4,2};
+    # exact-gradient steps must still bring the bracket below 1e-12
+    best = minimize_nvol(_ypq_cone(4, 2), max_iter=1)
+    assert best.iterations > 1  # one Newton step, then the polishing steps
+    assert best.converged
+    exact = Fraction(_ypq_nvol_decimal(4, 2))
+    assert best.min_nvol_lower < exact < best.min_nvol_upper
+    assert best.min_nvol_upper - best.min_nvol_lower <= Fraction(1, 10**12) * best.min_nvol_upper
+
+
+GRADIENT_CONES = {
+    "C3": affine_space(3),
+    "conifold": conifold(),
+    "C2/Z3": cyclic_quotient_cone(3, 1),
+    "Y31": _ypq_cone(3, 1),
+    "square pyramid": ToricConeSingularity.from_rays(
+        [[1, 1, 0, 1], [1, -1, 0, 1], [-1, 1, 0, 1], [-1, -1, 0, 1], [0, 0, 1, 1]]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRADIENT_CONES))
+def test_gradient_is_the_centroid_of_the_cut_polytope(name):
+    # grad V(xi) = -(n+1) V(xi) centroid{y in the dual cone : <xi, y> <= 1},
+    # the Martelli-Sparks-Yau derivative; the right side comes from the
+    # enumerated vertices of that polytope
+    model = GRADIENT_CONES[name]
+    rays = model.sigma.rays
+
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.fractions(min_value=Fraction(1, 10), max_value=10, max_denominator=12),
+            min_size=len(rays),
+            max_size=len(rays),
+        )
+    )
+    def check(coeffs):
+        xi = sum((ray.scale(c) for c, ray in zip(coeffs, rays)), RVector([0] * model.n))
+        cut = cut_cone(model.dual, xi)
+        volume = math.factorial(model.n) * polytope_volume(cut)
+        assert volume == model.volume(xi)
+        assert volume_gradient_toric(model, xi) == centroid(cut).scale(-(model.n + 1) * volume)
+
+    check()
