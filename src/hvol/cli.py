@@ -3,7 +3,7 @@
 Commands
 --------
 hvol compute    --model m.json [--valuation "1,1,1"]
-hvol minimize   --model m.json [--init "..."] [--tol 1e-8] [--seed 0]
+hvol minimize   --model m.json [--init "..."]  (--tol and --seed are not used)
 hvol quotient   --group '{"type":"cyclic","r":7,"a":3}'
 hvol filtration --model m.json --v1 "1,2" [--v0 "..."] [--lam auto]
 hvol selftest   [--filter name]
@@ -22,6 +22,7 @@ Exit codes: 0 all checks pass, 2 some check failed, 3 schema or model error.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -56,7 +57,7 @@ from .molien import (
     quotient_min_nvol,
     quotient_volume,
 )
-from .reeb import CERTIFIED_WIDTH, minimize_nvol, minimize_nvol_multistart
+from .reeb import CERTIFIED_WIDTH, minimize_nvol
 from .singularities import (
     PolarizedConeData,
     ToricConeSingularity,
@@ -224,10 +225,6 @@ def _check(name: str, passed: bool, lhs, rhs, tolerance) -> dict:
     }
 
 
-def _optional_str(value) -> str | None:
-    return None if value is None else str(value)
-
-
 def _exact_pair(value: Fraction) -> dict:
     return {"exact": str(value), "approx": _fmt_float(float(value))}
 
@@ -340,25 +337,21 @@ def _run_minimize(spec: JobSpec) -> tuple[Report, str | None]:
     init = spec.valuation
     max_iter = int(spec.opt("max_iter"))
     seed = int(spec.opt("seed"))
-    if init is not None:
-        best = minimize_nvol(model, init=init, tol=tol, max_iter=max_iter)
-        spread = 0.0
-    else:
-        best, spread, _ = minimize_nvol_multistart(
-            model, seeds=5, base_seed=seed, tol=tol, max_iter=max_iter
-        )
+    best = minimize_nvol(model, init=init, tol=tol, max_iter=max_iter)
     logdisc = model.logdisc(best.argmin)
+    lower, upper = best.min_nvol_lower, best.min_nvol_upper
     results = {
         "argmin": [str(v) for v in best.argmin],
         "argmin_approx": [_fmt_float(float(v)) for v in best.argmin],
         "min_nvol_approx": _fmt_float(best.min_nvol),
-        "min_nvol_upper": _optional_str(best.min_nvol_upper),
-        "min_nvol_lower": _optional_str(best.min_nvol_lower),
+        "min_nvol_upper": str(upper),
+        "min_nvol_lower": str(lower),
         "iterations": best.iterations,
         "grad_norm_approx": _fmt_float(best.grad_norm),
         "converged": best.converged,
         "stalled_at_kink": best.stalled_at_kink,
-        "multistart_spread_approx": _fmt_float(spread),
+        # one run per model, so no spread; kept for the report's schema
+        "multistart_spread_approx": _fmt_float(0.0),
     }
     checks = [
         _check("converged", best.converged, best.converged, True, "boolean"),
@@ -369,22 +362,14 @@ def _run_minimize(spec: JobSpec) -> tuple[Report, str | None]:
             str(model.n),
             "exact",
         ),
+        _check(
+            "certified_bracket",
+            lower <= upper and upper - lower <= CERTIFIED_WIDTH * upper,
+            str(lower),
+            str(upper),
+            f"{float(CERTIFIED_WIDTH):g} relative",
+        ),
     ]
-    lower, upper = best.min_nvol_lower, best.min_nvol_upper
-    if lower is not None:  # a toric run: the exact bracket certifies the minimum
-        checks.append(
-            _check(
-                "certified_bracket",
-                lower <= upper and upper - lower <= CERTIFIED_WIDTH * upper,
-                str(lower),
-                str(upper),
-                f"{float(CERTIFIED_WIDTH):g} relative",
-            )
-        )
-    else:
-        checks.append(
-            _check("multistart_agreement", spread <= 1e-6, _fmt_float(spread), "0", "1e-06")
-        )
     buf = io.StringIO()
     dim = len(best.argmin)
     buf.write("iteration," + ",".join(f"w{i}" for i in range(dim)) + ",nvol\n")
@@ -579,7 +564,9 @@ def _load_json_arg(raw: str, what: str) -> dict:
         raise SchemaError(f"cannot load {what}: {exc}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `hvol` parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hvol",
         description="normalized volume of valuations on cone singularities",
@@ -599,28 +586,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "minimize",
         help="minimize A^n vol over the Reeb cone",
-        description="Toric cones: Newton steps from one start, then an exact bracket "
-        "min_nvol_lower <= min <= min_nvol_upper from convexity (the certified_bracket "
-        "check asks for a width of at most 1e-12 relative); --tol and --seed do not "
-        "change the result.  Hypersurfaces: finite-difference descent from five "
-        "seeded starts; min_nvol_upper is the exact objective at the snapped best "
-        "point, min_nvol_lower is null, and multistart_agreement compares the starts.",
+        description="Newton steps on each convex piece of the model's domain (a toric "
+        "cone's Reeb cone; the faces of a hypersurface's domain, over weights constant on "
+        "interchangeable variables), then an exact bracket min_nvol_lower <= min <= "
+        "min_nvol_upper from convexity (the certified_bracket check asks for a width of "
+        "at most 1e-12 relative).  A hypersurface result is the minimum among monomial "
+        "valuations in these coordinates.  --tol and --seed are accepted and change no "
+        "report; a hypersurface --init is checked and then unused.",
     )
     p.add_argument("--model", required=True)
-    p.add_argument("--init", help="comma-separated starting weights (one run)")
-    p.add_argument(
-        "--tol",
-        type=float,
-        default=DEFAULTS["tol"],
-        help="hypersurface descent: gradient norm to stop at",
-    )
+    p.add_argument("--init", help="comma-separated starting weights (used on a toric cone)")
+    p.add_argument("--tol", type=float, default=DEFAULTS["tol"], help="checked, not used")
     p.add_argument("--max-iter", type=int, default=DEFAULTS["max_iter"])
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=DEFAULTS["seed"],
-        help="hypersurface descent: seed of the five starts",
-    )
+    p.add_argument("--seed", type=int, default=DEFAULTS["seed"], help="not used")
     add_common(p)
 
     p = sub.add_parser("quotient", help="quotient surface invariants")

@@ -55,10 +55,6 @@ class PreconditionViolated(HvolError):
     code = "precondition_violated"
 
 
-class NonFiniteObjective(HvolError):
-    code = "non_finite_objective"
-
-
 class IntegralDivergence(HvolError):
     code = "integral_divergence"
 

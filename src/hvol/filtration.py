@@ -475,7 +475,6 @@ class PhiSurface:
     lambdas: tuple[float, ...]
     s_grid: tuple[float, ...]
     values: tuple[tuple[float, ...], ...]
-    derivatives_at_zero: tuple[DerivativeForms, ...]
 
 
 def phi_surface(
@@ -489,13 +488,7 @@ def phi_surface(
         )
         for lam in lambdas
     )
-    derivs = tuple(interpolation_derivative_forms(p, lam) for lam in lambdas)
-    return PhiSurface(
-        lambdas=tuple(float(x) for x in lambdas),
-        s_grid=s_grid,
-        values=values,
-        derivatives_at_zero=derivs,
-    )
+    return PhiSurface(lambdas=tuple(float(x) for x in lambdas), s_grid=s_grid, values=values)
 
 
 # -- stability gap ----------------------------------------------------------------

@@ -1,57 +1,60 @@
 """Minimization of the normalized volume over the Reeb cone.
 
-The objective A(xi)^n vol(xi) is scale invariant, so both minimizers work on
-the normalization slice {A(xi) = n}.
+The objective A(w)^n vol(w) is scale invariant, so the minimizer works on the
+normalization slice {A(w) = n}.  It reads the model's `convex_pieces`
+(singularities.py): convex programs whose least minimum is the minimum.  On a
+piece, A(w) = <row, w> is linear and vol(w) = F(w) = sum_s d_s /
+prod_{u in s} <u, w> is convex wherever every <u, w> > 0, so the objective on
+the slice is n^n F.
 
-Toric cones.  On the slice the objective is n^n V(xi), where
-V(xi) = sum_s |det U_s| / prod_{u in s} <u, xi> sums over the model's cached
-triangulation of the dual cone (Martelli-Sparks-Yau, hep-th/0503183).  V is
-strictly convex on the Reeb cone (hep-th/0603021), so its minimum on the
-slice is unique and one start finds it.  V, its gradient and its Hessian are
-closed forms over the triangulation; damped Newton steps on the slice's KKT
-system run in floats, and a backtracking guard keeps every <u, xi> positive.
-The final point x is rationalized and put on the slice exactly, and
-convexity brackets the minimum with two exact rationals:
+* A toric cone is one piece, its Reeb cone: F is the Martelli-Sparks-Yau
+  volume over the cached triangulation of the dual cone (hep-th/0503183),
+  strictly convex on the Reeb cone (hep-th/0603021), and the slice of the
+  closed cone has the vertices n rho_i over the primitive rays rho_i of sigma.
+* A hypersurface is one piece per face of its domain, the weights where a set
+  S of monomials ties at the least weight d(w): there vol = <m, w> / prod w =
+  sum_i m_i / prod_{k != i} w_k for m in S (unit-vector generators, weights
+  m_i).  Every face is the interior of a polyhedral cell; the least minimum
+  over the faces that lies inside its face is the minimum over the domain.
+  Faces are taken over weights constant on the classes of interchangeable
+  variables, so a hypersurface result is the minimum among monomial
+  valuations in these coordinates with such weights.
 
-    n^n (V(x) + min_i <grad V(x), n rho_i - x>)  <=  min  <=  n^n V(x).
+Each piece runs damped Newton steps in floats on its slice, in its own
+coordinates, with F, grad F and the Hessian in closed form; a backtracking
+guard keeps every pairing positive.  The final point x is rationalized and put
+on the slice exactly; the least exact objective over the runs is the upper end
+of the bracket.  Convexity gives the lower end: F lies above its tangent plane
+at any point where it is convex, and the least value of that plane on a
+piece's slice is at a vertex, so
 
-The slice of the closed Reeb cone (the cone sigma itself) is the polytope
-with vertices n rho_i over the primitive rays rho_i of sigma, which pair to 1
-with the Gorenstein vector m0, and a convex function lies above its tangent
-plane there; the least value of that plane on the polytope is at a vertex.
-The bracket is the certificate: it is 0 wide when x is the minimizer, and
-exact-gradient Newton steps polish x while it is wider than `CERTIFIED_WIDTH`
-relative to its upper end.
+    n^n min over pieces of (F(x) + min_v <grad F(x), v - x>)  <=  min
 
-Hypersurfaces.  Descent runs on the slice: every accepted iterate is a
-rational vector renormalized exactly, objective values are computed in exact
-arithmetic and only compared as floats.  Gradients come from central finite
-differences (the objective is only piecewise smooth), a backtracking line
-search rejects steps that leave the valid weight region, and the final point
-is snapped to nearby low-denominator rationals and re-verified exactly
-whenever the snap does not increase the objective.  The minimum can sit at a
-kink of the piecewise objective (the set of weight-minimal defining monomials
-changes there), where no finite-difference gradient vanishes; a run that
-stalls with no descent step available is reported as converged at
-line-search resolution, and the multi-start driver is the practical
-certificate that the stall point is the global minimum.
+with x the best run point for that piece.  Pieces run from the smallest
+faces up, and a piece whose bound at the runs so far reaches their least
+objective holds no better point, so it is not run.  The bracket is the
+certificate: it
+is 0 wide when the runs found the minimizer exactly, and exact-gradient Newton
+steps polish the winning point while it is wider than `CERTIFIED_WIDTH`
+relative to its upper end.  No run depends on a seed: `minimize --seed` and
+`--tol` are accepted and change no report, and an initial point only starts
+a toric cone's run (a hypersurface checks it lies in the domain, then drops
+it).
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .errors import DomainError, NonFiniteObjective, NotInReebCone
+from .errors import DomainError, NotInReebCone
 from .exactgeom import RVector, rat
-from .singularities import ToricConeSingularity
-from .valuation import volume_gradient_toric
+from .singularities import ConvexPiece
+from .valuation import simplex_sum
 
-_SNAP_DENOMINATOR = 10**6
 _ITERATE_DENOMINATOR = 10**12
 
 
@@ -88,159 +91,65 @@ def rescaling_law_check(model, xi: Sequence, lam) -> bool:
     return model.volume(xi.scale(lam)) * lam**model.n == model.volume(xi)
 
 
-# -- the objective over reduced coordinates -----------------------------------
-
-
-class _Objective:
-    """Exact scale-invariant objective of a hypersurface in symmetry-reduced
-    coordinates."""
-
-    def __init__(self, model):
-        self.model = model
-        self.n = model.n
-        self._cache: dict[tuple, Fraction] = {}
-        self._classes = model.symmetry_classes()
-        self.dim = len(self._classes)
-        self._index_of = [0] * sum(len(cls) for cls in self._classes)
-        for ci, cls in enumerate(self._classes):
-            for i in cls:
-                self._index_of[i] = ci
-        self.default_init = self._equal_weight_point(model)
-
-    def _equal_weight_point(self, model) -> RVector:
-        """A reduced point where every defining monomial has the same weight.
-
-        All monomials tying puts the start in the interior of the valid
-        region; falls back to all-ones when no positive tie point exists.
-        """
-        from .exactgeom import nullspace
-
-        rows = []
-        first = model.monomials[0]
-        for mono in model.monomials[1:]:
-            row = [Fraction(0)] * self.dim
-            for i in range(model.nvars):
-                row[self._index_of[i]] += mono[i] - first[i]
-            rows.append(row)
-        for basis in (nullspace(rows, self.dim) if rows else []):
-            candidate = basis
-            if all(c > 0 for c in candidate):
-                return RVector(candidate)
-        fallback = RVector([Fraction(1)] * self.dim)
-        return fallback
-
-    def _stretched_tie_point(self, rng: random.Random) -> RVector:
-        """A random coordinate stretch of the all-ties point, pulled back
-        toward it while the weight region is invalid; the tie point itself is
-        always valid, so fall back to it."""
-        factors = [Fraction(rng.randint(50, 300), 100) for _ in range(self.dim)]
-        for _ in range(20):
-            candidate = RVector([f * c for f, c in zip(factors, self.default_init)])
-            if self.feasible(candidate):
-                return candidate
-            factors = [(f + 1) / 2 for f in factors]
-        return self.default_init
-
-    def expand(self, x: RVector) -> RVector:
-        return RVector([x[ci] for ci in self._index_of])
-
-    def reduce(self, weights: Sequence) -> RVector:
-        weights = RVector(weights)
-        if len(weights) != len(self._index_of):
-            raise DomainError("weight vector has the wrong length")
-        reduced = []
-        for cls in self._classes:
-            vals = {weights[i] for i in cls}
-            if len(vals) != 1:
-                raise DomainError("initial point must respect the variable symmetry")
-            reduced.append(weights[cls[0]])
-        return RVector(reduced)
-
-    def feasible(self, x: RVector) -> bool:
-        try:
-            self.value(x)
-            return True
-        except NonFiniteObjective:
-            return False
-
-    def value(self, x: RVector) -> Fraction:
-        # (numerator, denominator) pairs hash without the modular inverse
-        # that Fraction.__hash__ takes
-        key = tuple((c.numerator, c.denominator) for c in x)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        full = self.expand(x)
-        logdisc = self.model.domain_logdisc(full)
-        if logdisc is None:
-            raise NonFiniteObjective("weights left the model's domain")
-        vol = self.model.volume(full)
-        if logdisc <= 0 or vol <= 0:
-            raise NonFiniteObjective("objective left its finite range")
-        result = logdisc**self.n * vol
-        self._cache[key] = result
-        return result
-
-    def normalize(self, x: RVector) -> RVector:
-        logdisc = self.model.domain_logdisc(self.expand(x))
-        if logdisc is None:
-            raise NonFiniteObjective("cannot normalize: weights left the model's domain")
-        if logdisc <= 0:
-            raise NonFiniteObjective("cannot normalize: nonpositive log discrepancy")
-        return x.scale(Fraction(self.n) / logdisc)
-
-
 @dataclass
 class MinimizeResult:
     argmin: RVector  # full weight vector on the A = n slice
     min_nvol: float  # the objective at argmin, as a float
-    # the exact objective at argmin, an upper bound on the minimum; None when a
-    # hypersurface run's snapped point raised the objective
-    min_nvol_upper: Fraction | None
-    # toric: the exact convexity bound below the minimum (module docstring);
-    # None for hypersurfaces, whose runs carry no certificate
-    min_nvol_lower: Fraction | None
-    iterations: int  # Newton steps and polishing steps, or descent iterations
-    trajectory: list[tuple[tuple[float, ...], float]]
-    grad_norm: float  # of the objective at argmin (toric: exact, then rounded)
-    # toric: the bracket is at most CERTIFIED_WIDTH wide relative to its upper end;
-    # hypersurface: the gradient fell below tol or no descent step was left
-    converged: bool
-    stalled_at_kink: bool = False  # hypersurfaces only
+    min_nvol_upper: Fraction  # the exact objective at argmin, an upper bound on the minimum
+    min_nvol_lower: Fraction  # the exact convexity bound below the minimum (module docstring)
+    iterations: int  # Newton steps over all pieces, and polishing steps
+    trajectory: list[tuple[tuple[float, ...], float]]  # of the winning piece's Newton run
+    grad_norm: float  # of the objective in the winning piece's coordinates (exact, then rounded)
+    converged: bool  # the bracket is at most CERTIFIED_WIDTH wide relative to its upper end
+    stalled_at_kink: bool = False  # no run stalls; kept for the report's schema
 
-
-# -- toric cones: Newton steps and an exact bracket ----------------------------
 
 CERTIFIED_WIDTH = Fraction(1, 10**12)  # widest bracket, relative to its upper end, that certifies
 _POLISH_STEPS = 3
 
 
-def _volume_derivatives(model: ToricConeSingularity, x: list[float]):
-    """(V, grad V, Hessian of V, pairings <u, x>) at a float point x of the
-    Reeb cone, over `volume_triangulation`: with t_s = |det U_s| / prod_{u in s}
-    <u, x> and w_s = sum_{u in s} u / <u, x>, V = sum t_s, grad V = -sum t_s w_s
-    and the Hessian is sum t_s (w_s w_s^T + sum_{u in s} u u^T / <u, x>^2)."""
-    n = model.n
-    gens = model.reeb_generators
+@dataclass
+class _Run:
+    """The end of one piece's Newton run: an exact point of the piece on the
+    slice, the exact objective A^n vol there, and how the run got there."""
+
+    piece: ConvexPiece
+    point: RVector
+    value: Fraction
+    iterations: int
+    trajectory: list[tuple[tuple[float, ...], float]]
+
+
+def _pullback(piece: ConvexPiece, row) -> list[float]:
+    """A covector on the weights, in the piece's coordinates z."""
+    return [float(b.dot(row)) for b in piece.basis]
+
+
+def _volume_derivatives(gens: list[list[float]], simplices, x: list[float]):
+    """(F, grad F, Hessian of F) at a float point x where every <u, x> > 0:
+    with t_s = d_s / prod_{u in s} <u, x> and w_s = sum_{u in s} u / <u, x>,
+    F = sum t_s, grad F = -sum t_s w_s and the Hessian is
+    sum t_s (w_s w_s^T + sum_{u in s} u u^T / <u, x>^2)."""
+    dim = len(x)
     pairings = [sum(map(mul, u, x)) for u in gens]
     value = 0.0
-    grad = [0.0] * n
-    hess = [[0.0] * n for _ in range(n)]
-    for d, rays in model.volume_triangulation:
+    grad = [0.0] * dim
+    hess = [[0.0] * dim for _ in range(dim)]
+    for d, rays in simplices:
         t = d / math.prod(pairings[i] for i in rays)
-        w = [sum(gens[i][k] / pairings[i] for i in rays) for k in range(n)]
+        w = [sum(gens[i][k] / pairings[i] for i in rays) for k in range(dim)]
         value += t
-        for k in range(n):
+        for k in range(dim):
             grad[k] -= t * w[k]
-            for j in range(n):
+            for j in range(dim):
                 hess[k][j] += t * (
                     w[k] * w[j] + sum(gens[i][k] * gens[i][j] / pairings[i] ** 2 for i in rays)
                 )
-    return value, grad, hess, pairings
+    return value, grad, hess
 
 
 def _kkt_step(hess, grad, m0: list[float], residual: float) -> list[float]:
-    """The Newton step dx of min V subject to <m0, x> = n: the first n entries
+    """The Newton step dx of min F subject to <m0, x> = n: the first entries
     of the solution of [[H, m0], [m0^T, 0]] (dx, mu) = (-grad, residual), by
     Gaussian elimination with partial pivoting.  Plain float arithmetic makes
     the iterates, and so the reports, the same on every platform."""
@@ -260,116 +169,99 @@ def _kkt_step(hess, grad, m0: list[float], residual: float) -> list[float]:
     return out[:n]
 
 
-def _bracket(model: ToricConeSingularity, x: RVector) -> tuple[Fraction, Fraction, RVector]:
-    """(lower, upper, grad V(x)) for x on the slice, exactly: upper is
-    n^n V(x) and lower n^n (V(x) + min_i <grad V(x), n rho_i - x>)."""
-    n = model.n
-    volume = model.volume(x)
-    grad = volume_gradient_toric(model, x)
-    # every primitive ray pairs to 1 with m0 (_gorenstein_vector), so the
-    # slice of sigma has the vertices n rho_i
-    drop = min(grad.dot(ray.scale(n) - x) for ray in model.sigma.rays)
-    return n**n * (volume + drop), n**n * volume, grad
+def _on_slice(piece: ConvexPiece, n: int, z) -> RVector:
+    """The weights sum_j z_j basis_j, scaled exactly to <row, w> = n."""
+    w = sum((b.scale(c) for b, c in zip(piece.basis, z)), RVector([0] * len(piece.row)))
+    logdisc = piece.row.dot(w)
+    if logdisc <= 0:
+        raise NotInReebCone(f"log discrepancy {logdisc} is not positive")
+    return w.scale(Fraction(n) / logdisc)
 
 
-def _minimize_toric(model: ToricConeSingularity, init, max_iter: int) -> MinimizeResult:
-    """Damped Newton steps on the slice, then the exact bracket, polished by
-    exact-gradient steps while it is wider than CERTIFIED_WIDTH."""
+def _newton(model, piece: ConvexPiece, start: RVector, max_iter: int) -> _Run | None:
+    """Damped Newton steps on the piece's slice in its coordinates z, from
+    `start`, then the exact rational point; None when that point is outside
+    the piece.  A backtracking guard keeps every generator and bound pairing
+    positive, so a run whose minimum lies on the piece's boundary stops there
+    (the smaller face through that boundary has its own run)."""
     n = model.n
-    if init is None:
-        init = [sum(c, Fraction(0)) for c in zip(*model.sigma.rays)]
-    m0 = [float(c) for c in model.m0]
-    x = [float(c) for c in normalize_reeb(model, init)]
+    gens = [_pullback(piece, u) for u in piece.generators]
+    guards = gens + [_pullback(piece, b) for b in piece.bounds]
+    row = _pullback(piece, piece.row)
+    expand = [[float(c) for c in column] for column in zip(*piece.basis)]
+    x = [float(start[f]) for f in piece.free]
     trajectory = []
     last_step = math.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        value, grad, hess, pairings = _volume_derivatives(model, x)
-        trajectory.append((tuple(x), n**n * value))
-        step = _kkt_step(hess, grad, m0, n - sum(map(mul, m0, x)))
+        value, grad, hess = _volume_derivatives(gens, piece.simplices, x)
+        trajectory.append((tuple(sum(map(mul, e, x)) for e in expand), n**n * value))
+        step = _kkt_step(hess, grad, row, n - sum(map(mul, row, x)))
         size = max(map(abs, step))
         # stop once a step moves only the last bits of x, or stops shrinking
         # while small (rounding noise)
         if size <= 2.2e-16 * max(map(abs, x)) or last_step <= size < 1e-8:
             break
         decrement = -sum(map(mul, grad, step))
-        along = [sum(map(mul, u, step)) for u in model.reeb_generators]
+        # a pairing positive at x and at x + step stays positive in between
+        pairs = ((sum(map(mul, u, x)), sum(map(mul, u, step))) for u in guards)
+        blocking = [(p, q) for p, q in pairs if p <= 0 or p + q <= 0]
         t = 1.0
-        while any(p + t * q <= 0 for p, q in zip(pairings, along)):
+        pinned = 1e-9 * max(map(abs, x))
+        while any(p + t * q <= 0 for p, q in blocking) and t * size > pinned:
             t /= 2
-        # Armijo backtracking while V is far from its minimum; near it the
+        if t < 1 and t * size <= pinned:
+            break  # pinned against the boundary of the piece
+        # Armijo backtracking while F is far from its minimum; near it the
         # decrease sinks below float resolution and full steps converge
         while decrement > 1e-10 * value:
             candidate = [a + t * b for a, b in zip(x, step)]
-            if _volume_derivatives(model, candidate)[0] <= value - 1e-4 * t * decrement:
+            pairings = [sum(map(mul, u, candidate)) for u in gens]
+            trial = sum(d / math.prod(pairings[i] for i in rays) for d, rays in piece.simplices)
+            if trial <= value - 1e-4 * t * decrement:
                 break
             t /= 2
         x = [a + t * b for a, b in zip(x, step)]
         last_step = t * size
-    point = normalize_reeb(
-        model, [Fraction(c).limit_denominator(_ITERATE_DENOMINATOR) for c in x]
-    )
-    lower, upper, grad = _bracket(model, point)
-    for _ in range(_POLISH_STEPS):
-        if upper - lower <= CERTIFIED_WIDTH * upper:
+    point = _on_slice(piece, n, [Fraction(c).limit_denominator(_ITERATE_DENOMINATOR) for c in x])
+    if not _inside(piece, point):
+        return None
+    return _Run(piece, point, _objective(model, point), iterations, trajectory)
+
+
+def _inside(piece: ConvexPiece, w: RVector) -> bool:
+    return all(w.dot(u) > 0 for u in piece.generators) and all(w.dot(b) >= 0 for b in piece.bounds)
+
+
+def _objective(model, w: RVector) -> Fraction:
+    return model.logdisc(w) ** model.n * model.volume(w)
+
+
+def _rank(run: _Run) -> tuple[Fraction, int]:
+    """The least objective wins; on a tie, the piece of fewest coordinates,
+    the face where the most monomials tie, where the gradient vanishes."""
+    return run.value, len(run.piece.free)
+
+
+def _convexity_bound(n: int, piece: ConvexPiece, runs: list[_Run], upper: Fraction) -> Fraction:
+    """n^n times a bound below F on the piece's slice: F(x) + min over its
+    vertices v of <grad F(x), v - x>, which holds at any x where F is convex.
+    The run points x are tried from the least objective up, and the largest
+    bound is kept, until one reaches `upper`."""
+    best = None
+    for run in sorted(runs, key=lambda run: run.value):
+        value, grad = simplex_sum(piece.generators, piece.simplices, run.point)
+        bound = n**n * (value + min(grad.dot(v - run.point) for v in piece.vertices))
+        best = bound if best is None else max(best, bound)
+        if best >= upper:
             break
-        hess = _volume_derivatives(model, [float(c) for c in point])[2]
-        step = _kkt_step(hess, [float(g) for g in grad], m0, 0.0)
-        point = normalize_reeb(model, point + RVector(map(Fraction, step)))
-        lower, upper, grad = _bracket(model, point)
-        trajectory.append((point.as_floats(), float(upper)))
-        iterations += 1
-    # the objective's gradient on the slice, n^n (V m0 + grad V), vanishes at the minimizer
-    volume = upper / n**n
-    grad_norm = math.hypot(*(float(n**n * (volume * m + g)) for m, g in zip(model.m0, grad)))
-    return MinimizeResult(
-        argmin=point,
-        min_nvol=float(upper),
-        min_nvol_upper=upper,
-        min_nvol_lower=lower,
-        iterations=iterations,
-        trajectory=trajectory,
-        grad_norm=grad_norm,
-        converged=upper - lower <= CERTIFIED_WIDTH * upper,
-    )
+    return best
 
 
-# -- hypersurfaces: finite-difference descent ----------------------------------
-
-
-def _rationalize(value: float) -> Fraction:
-    return Fraction(value).limit_denominator(_ITERATE_DENOMINATOR)
-
-
-def _perturb(x: RVector, i: int, delta: float) -> RVector:
-    coords = list(x)
-    coords[i] = _rationalize(float(coords[i]) + delta)
-    return RVector(coords)
-
-
-def _gradient(obj: _Objective, x: RVector, f_x: float) -> list[float]:
-    grad = []
-    for i in range(obj.dim):
-        h = 1e-6 * max(1.0, abs(float(x[i])))
-        hi = _perturb(x, i, h)
-        lo = _perturb(x, i, -h)
-        try:
-            f_hi = float(obj.value(hi))
-        except NonFiniteObjective:
-            f_hi = None
-        try:
-            f_lo = float(obj.value(lo))
-        except NonFiniteObjective:
-            f_lo = None
-        if f_hi is not None and f_lo is not None:
-            grad.append((f_hi - f_lo) / (float(hi[i]) - float(lo[i])))
-        elif f_hi is not None:
-            grad.append((f_hi - f_x) / (float(hi[i]) - float(x[i])))
-        elif f_lo is not None:
-            grad.append((f_x - f_lo) / (float(x[i]) - float(lo[i])))
-        else:
-            grad.append(0.0)
-    return grad
+def _lower_bound(model, runs: list[_Run]) -> Fraction:
+    """The least convexity bound over the model's pieces."""
+    upper = min(run.value for run in runs)
+    return min(_convexity_bound(model.n, piece, runs, upper) for piece in model.convex_pieces)
 
 
 def minimize_nvol(
@@ -378,109 +270,72 @@ def minimize_nvol(
     tol: float = 1e-8,
     max_iter: int = 500,
 ) -> MinimizeResult:
-    """Minimize A^n vol over the Reeb cone from one start.
+    """Minimize A^n vol over the model's domain, with an exact bracket.
 
-    `init` is a full weight vector in the model's domain (for symmetric
-    hypersurfaces it must respect the symmetry).  A toric cone takes Newton
-    steps from `init`, by default the sum of the cone's rays, and returns the
-    exact bracket of the module docstring; `tol` is not used there.  A
-    hypersurface runs projected-gradient descent from `init`, by default the
-    point where every monomial has the same weight, until the
-    finite-difference gradient norm on the slice drops below `tol` or no
-    descending step remains at line-search resolution (a kink minimum).
+    One damped Newton run per piece of `model.convex_pieces` that could hold
+    a better point than the runs before it, each from the centre of its
+    slice's vertices, then the exact bracket of the module docstring,
+    polished by exact-gradient steps on the winning piece while it is wider
+    than CERTIFIED_WIDTH.  `init` must lie in the model's domain; it starts
+    the run of a piece whose coordinates are all the weights (a toric cone's
+    only piece), and is checked but not used on a hypersurface, whose pieces
+    lie in tie hyperplanes.  `tol` is not used.
     """
-    if isinstance(model, ToricConeSingularity):
-        return _minimize_toric(model, init, max_iter)
-    obj = _Objective(model)
-    if init is None:
-        x = obj.default_init
-    else:
-        x = obj.reduce(RVector(init))
-    if not obj.feasible(x):
-        raise NotInReebCone(f"initial point {tuple(map(float, x))} is not admissible")
-    x = obj.normalize(x)
-    f_x = float(obj.value(x))
-    trajectory = [(obj.expand(x).as_floats(), f_x)]
-    converged = False
-    stalled = False
-    grad_norm = math.inf
-    iterations = 0
-    warm_t = None
-    flat_streak = 0
-    for iterations in range(1, max_iter + 1):
-        grad = _gradient(obj, x, f_x)
-        grad_norm = math.sqrt(sum(g * g for g in grad))
-        if grad_norm < tol:
-            converged = True
-            break
-        scale = max(abs(float(c)) for c in x)
-        t = min(1.0, 0.5 * scale / grad_norm)
-        if warm_t is not None:
-            t = min(t, 4.0 * warm_t)
-        accepted = None
-        while t > 1e-16 * scale:
-            candidate = RVector(
-                _rationalize(float(c) - t * g) for c, g in zip(x, grad)
-            )
-            try:
-                candidate = obj.normalize(candidate)
-                f_cand = float(obj.value(candidate))
-            except NonFiniteObjective:
-                t *= 0.5
+    n = model.n
+    if init is not None and model.domain_logdisc(init) is None:
+        point = tuple(map(float, RVector(init)))
+        raise NotInReebCone(f"initial point {point} is not in the model's domain")
+    runs = []
+    # the smallest faces first: a piece whose bound at the runs so far reaches
+    # their least objective holds no better point, and needs no run
+    for piece in sorted(model.convex_pieces, key=lambda piece: len(piece.free)):
+        if runs:
+            upper = min(run.value for run in runs)
+            if _convexity_bound(n, piece, runs, upper) >= upper:
                 continue
-            if f_cand <= f_x - 1e-4 * t * grad_norm**2:
-                accepted = (candidate, f_cand, t)
-                break
-            t *= 0.5
-        if accepted is None:
-            converged = True  # no descent step available: kink minimum
-            stalled = True
+        start = sum(piece.vertices, RVector([0] * len(piece.row)))
+        if init is not None and len(piece.free) == len(init):
+            start = RVector(init)
+        run = _newton(model, piece, _on_slice(piece, n, [start[f] for f in piece.free]), max_iter)
+        if run is not None:
+            runs.append(run)
+    if not runs:
+        raise NotInReebCone("no Newton run ended inside its piece of the domain")
+    iterations = sum(run.iterations for run in runs)
+    best = min(runs, key=_rank)
+    lower = _lower_bound(model, runs)
+    for _ in range(_POLISH_STEPS):
+        if best.value - lower <= CERTIFIED_WIDTH * best.value:
             break
-        step = max(abs(float(a) - float(b)) for a, b in zip(accepted[0], x))
-        drop = f_x - accepted[1]
-        x, f_x, warm_t = accepted
-        trajectory.append((obj.expand(x).as_floats(), f_x))
-        if step < 1e-13 * (1.0 + scale):
-            converged = True
-            stalled = True
+        piece, point = best.piece, best.point
+        gens = [_pullback(piece, u) for u in piece.generators]
+        hess = _volume_derivatives(gens, piece.simplices, [float(point[f]) for f in piece.free])[2]
+        grad = _pullback(piece, simplex_sum(piece.generators, piece.simplices, point)[1])
+        step = _kkt_step(hess, grad, _pullback(piece, piece.row), 0.0)
+        point = _on_slice(piece, n, [point[f] + Fraction(c) for f, c in zip(piece.free, step)])
+        if not _inside(piece, point):
             break
-        flat_streak = flat_streak + 1 if drop <= 1e-14 * (1.0 + abs(f_x)) else 0
-        if flat_streak >= 3:
-            converged = True  # objective numerically stationary
-            stalled = True
-            break
-    x, f_x, exact = _snap(obj, x, f_x)
-    grad = _gradient(obj, x, f_x)
-    grad_norm = math.sqrt(sum(g * g for g in grad))
-    if grad_norm < tol:
-        converged = True
-        stalled = False
+        best.point, best.value = point, _objective(model, point)
+        best.trajectory.append((point.as_floats(), float(best.value)))
+        lower = _lower_bound(model, runs)
+        iterations += 1
+        best = min(runs, key=_rank)
+    upper = best.value
+    # the objective's gradient in the piece's coordinates, the pullback of
+    # n^n (F row + grad F); it vanishes at the piece's minimizer
+    volume, grad = simplex_sum(best.piece.generators, best.piece.simplices, best.point)
+    slope = best.piece.row.scale(volume) + grad
+    grad_norm = math.hypot(*(float(n**n * b.dot(slope)) for b in best.piece.basis))
     return MinimizeResult(
-        argmin=obj.expand(x),
-        min_nvol=f_x,
-        min_nvol_upper=exact,
-        min_nvol_lower=None,
+        argmin=best.point,
+        min_nvol=float(upper),
+        min_nvol_upper=upper,
+        min_nvol_lower=lower,
         iterations=iterations,
-        trajectory=trajectory,
+        trajectory=best.trajectory,
         grad_norm=grad_norm,
-        converged=converged,
-        stalled_at_kink=stalled,
+        converged=upper - lower <= CERTIFIED_WIDTH * upper,
     )
-
-
-def _snap(obj: _Objective, x: RVector, f_x: float):
-    """Snap to low-denominator rationals when that preserves or lowers f."""
-    snapped = RVector(
-        Fraction(float(c)).limit_denominator(_SNAP_DENOMINATOR) for c in x
-    )
-    try:
-        snapped = obj.normalize(snapped)
-        exact = obj.value(snapped)
-    except NonFiniteObjective:
-        return x, f_x, None
-    if float(exact) <= f_x + 1e-12 * (1.0 + abs(f_x)):
-        return snapped, float(exact), exact
-    return x, f_x, None
 
 
 def minimize_nvol_multistart(
@@ -490,30 +345,11 @@ def minimize_nvol_multistart(
     tol: float = 1e-8,
     max_iter: int = 500,
 ) -> tuple[MinimizeResult, float, list[MinimizeResult]]:
-    """Run from `seeds` random interior starts; returns (best, spread, all).
-
-    The spread is the max pairwise infinity-distance between the normalized
-    minimizers, the practical certificate that the runs agree.  A toric model
-    makes one Newton run, certified by its bracket, and returns
-    (best, 0.0, [best]); `seeds` and `base_seed` are not used there.
-    """
-    if isinstance(model, ToricConeSingularity):
-        best = minimize_nvol(model, tol=tol, max_iter=max_iter)
-        return best, 0.0, [best]
-    obj = _Objective(model)
-    rng = random.Random(base_seed)
-    results = []
-    for _ in range(max(1, seeds)):
-        start = obj._stretched_tie_point(rng)
-        results.append(
-            minimize_nvol(model, init=obj.expand(start), tol=tol, max_iter=max_iter)
-        )
-    best = min(results, key=lambda r: r.min_nvol)
-    spread = 0.0
-    for r in results:
-        for a, b in zip(r.argmin, best.argmin):
-            spread = max(spread, abs(float(a) - float(b)))
-    return best, spread, results
+    """(best, 0.0, [best]) from one `minimize_nvol` run: its bracket certifies
+    the minimum, so there are no starts to agree; `seeds` and `base_seed` are
+    not used."""
+    best = minimize_nvol(model, tol=tol, max_iter=max_iter)
+    return best, 0.0, [best]
 
 
 # -- arithmetic transfers ------------------------------------------------------

@@ -22,7 +22,7 @@ from .filtration import (
     interpolation_volume,
     profile_from_model,
     profile_integral,
-    stability_gap,
+    section_integral,
     tail_volume_exact,
     theta_integral,
     volume_from_profile,
@@ -35,7 +35,7 @@ from .molien import (
     quotient_min_nvol,
     quotient_volume,
 )
-from .reeb import minimize_nvol, minimize_nvol_multistart, normalize_reeb, rescaling_law_check
+from .reeb import minimize_nvol, normalize_reeb, rescaling_law_check
 from .singularities import (
     PolarizedConeData,
     ToricConeSingularity,
@@ -182,70 +182,65 @@ def check_molien_limit(depth: int = 400) -> list[CheckResult]:
 # -- criteria 4 and 5: A_{k-1} minimizers ----------------------------------------
 
 
-def _direction_gap(a: RVector, b: RVector) -> float:
-    """Max coordinate distance after scaling both to first coordinate 1."""
-    fa = [float(x) / float(a[0]) for x in a]
-    fb = [float(x) / float(b[0]) for x in b]
-    return max(abs(x - y) for x, y in zip(fa, fb))
-
-
 MINIMIZER_CERTIFIED = [(2, 2), (2, 5), (3, 1), (3, 2), (3, 3), (4, 2), (3, 4), (4, 3)]
+# (n, k, minimum, nvol of the canonical weights) where the canonical weights
+# are not the minimizer
+CONJECTURED = [
+    (3, 5, Fraction(27, 2), Fraction(343, 25)),
+    (4, 4, Fraction(4096, 27), Fraction(625, 4)),
+]
+
+
+def _certified(name: str, best, expected: Fraction) -> CheckResult:
+    """Both ends of the minimizer's exact bracket equal `expected`."""
+    return CheckResult.exact(
+        name, f"{best.min_nvol_lower} {best.min_nvol_upper}", f"{expected} {expected}"
+    )
 
 
 def check_akm_minimizers() -> list[CheckResult]:
     out = []
     for n, k in MINIMIZER_CERTIFIED:
         model = akm_singularity(n, k)
-        best, spread, _ = minimize_nvol_multistart(model, seeds=5, base_seed=0)
-        canonical = canonical_weights(n, k)
+        best = minimize_nvol(model)
         expected = Fraction(((n - 2) * k + 2) ** n, k ** (n - 1))
         out.append(
-            CheckResult.close(
-                f"akm_argmin[n={n},k={k}]",
-                _direction_gap(best.argmin, canonical),
-                0.0,
-                1e-6,
-            )
-        )
-        out.append(
             CheckResult.exact(
-                f"akm_min_value[n={n},k={k}]", best.min_nvol_upper, expected
+                f"akm_argmin[n={n},k={k}]",
+                best.argmin,
+                normalize_reeb(model, canonical_weights(n, k)),
             )
         )
         out.append(
-            CheckResult.close(f"akm_multistart[n={n},k={k}]", spread, 0.0, 1e-6)
+            CheckResult.exact(f"akm_min_value[n={n},k={k}]", best.min_nvol_upper, expected)
         )
+        out.append(_certified(f"akm_certified[n={n},k={k}]", best, expected))
     return out
 
 
 def check_conjectured_minimizers() -> list[CheckResult]:
     out = []
-    for n, k in [(3, 5), (4, 4)]:
+    for n, k, expected, canonical in CONJECTURED:
         model = akm_singularity(n, k)
-        best, _, _ = minimize_nvol_multistart(model, seeds=5, base_seed=0)
-        last_ratio = float(best.argmin[-1]) / float(best.argmin[0])
+        best = minimize_nvol(model)
         out.append(
-            CheckResult.close(
+            CheckResult.exact(
                 f"conjectured_last_weight[n={n},k={k}]",
-                last_ratio,
-                (n - 2) / (n - 1),
-                1e-6,
+                best.argmin[-1] / best.argmin[0],
+                Fraction(n - 2, n - 1),
             )
         )
-    best35, _, _ = minimize_nvol_multistart(akm_singularity(3, 5), seeds=5, base_seed=0)
-    v0_value = nvol_report(akm_singularity(3, 5), canonical_weights(3, 5)).nvol
-    out.append(
-        CheckResult.exact("conjectured_value[n=3,k=5]", best35.min_nvol_upper, Fraction(27, 2))
-    )
-    out.append(
-        CheckResult(
-            "conjectured_below_canonical[n=3,k=5]",
-            best35.min_nvol_upper < v0_value and v0_value == Fraction(6860, 500),
-            str(best35.min_nvol_upper),
-            str(v0_value),
-            "strict <",
+        out.append(_certified(f"conjectured_value[n={n},k={k}]", best, expected))
+        value = nvol_report(model, canonical_weights(n, k)).nvol
+        out.append(
+            CheckResult(
+                f"conjectured_below_canonical[n={n},k={k}]",
+                best.min_nvol_upper < value == canonical,
+                str(best.min_nvol_upper),
+                str(value),
+                "strict <",
+            )
         )
-    )
     return out
 
 
@@ -444,37 +439,35 @@ GAP_MODELS = [
 
 
 def check_stability_gap(seed: int = 0) -> list[CheckResult]:
+    """The gap A(v1) - delta / degH * section_integral, exactly: nonnegative,
+    0 at the canonical valuation, and A(v1) times the section-integral form of
+    d/ds Phi at 0 equals n degH times the gap."""
     rng = random.Random(seed)
     out = []
     for name, model, v0 in GAP_MODELS:
         n = model.n
         r_value = model.logdisc(v0)
-        degh = None
-        worst = math.inf
-        worst_rel = 0.0
+        delta = r_value * Fraction(n + 1, n)
+        gaps, relation = [], []
         for v1 in _gap_samples(name, model, v0, rng):
             profile = profile_from_model(model, v0, v1)
-            degh = profile.degH
             a_value = model.logdisc(v1)
-            delta = r_value * Fraction(n + 1, n)
-            gap = stability_gap(profile, float(a_value), delta, degh)
-            worst = min(worst, gap)
+            gap = a_value - delta / profile.degH * section_integral(profile)
             forms = interpolation_derivative_forms(profile, r_value / a_value)
-            lhs = forms.via_section_integral * float(a_value)
-            rhs = n * float(degh) * gap
-            worst_rel = max(worst_rel, abs(lhs - rhs) / max(1.0, abs(lhs)))
-        out.append(CheckResult.at_least(f"gap_nonnegative[{name}]", worst, 0.0, 1e-9))
+            gaps.append(gap)
+            relation.append(abs(forms.via_section_integral * a_value - n * profile.degH * gap))
         out.append(
-            CheckResult.close(f"gap_derivative_relation[{name}]", worst_rel, 0.0, 1e-7)
+            CheckResult(f"gap_nonnegative[{name}]", min(gaps) >= 0, str(min(gaps)), "0", "exact")
         )
-        canonical_profile = profile_from_model(model, v0, v0)
-        gap0 = stability_gap(
-            canonical_profile,
-            float(r_value),
-            r_value * Fraction(n + 1, n),
-            canonical_profile.degH,
+        out.append(CheckResult.exact(f"gap_derivative_relation[{name}]", max(relation), 0))
+        canonical = profile_from_model(model, v0, v0)
+        out.append(
+            CheckResult.exact(
+                f"gap_zero_at_canonical[{name}]",
+                r_value - delta / canonical.degH * section_integral(canonical),
+                0,
+            )
         )
-        out.append(CheckResult.close(f"gap_zero_at_canonical[{name}]", gap0, 0.0, 1e-8))
     return out
 
 

@@ -17,8 +17,17 @@ profile of a filtration sums over (filtration.py).  These methods are the one
 place where the kind of model decides which formula applies; the rest of the
 package calls them, and asks which kind of model it holds only where the
 mathematics differs (the support bound and filtration volume of a profile,
-graded colengths, and the minimizer: Newton steps with an exact bracket on a
-toric cone, finite-difference descent on a hypersurface).
+and graded colengths).
+
+The minimizer (reeb.py) reads `convex_pieces`: the convex programs whose
+least minimum is the minimum of A^n vol.  A toric cone gives one piece, its
+whole Reeb cone.  A hypersurface gives one piece per face of its domain, the
+weights where a set of monomials ties at the least weight, taken over weights
+constant on the `symmetry_classes`.  Its results are therefore the minimum
+among monomial valuations in these coordinates with such weights, not over all
+valuations.  The pieces, not a start point or a seed, fix every run:
+`minimize --seed` and `--tol` change no report, and a hypersurface's `--init`
+is checked to lie in the domain and then unused.
 """
 
 from __future__ import annotations
@@ -27,6 +36,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import combinations
+from operator import mul
 from typing import Sequence
 
 from .errors import AngleOutOfRange, InvalidIndex, ModelError, NotInReebCone, NotQGorenstein
@@ -38,6 +49,7 @@ from .exactgeom import (
     centroid,
     dual_cone,
     matrix_rank,
+    nullspace,
     rat,
     solve_square,
     triangulate_cone,
@@ -56,6 +68,27 @@ from .valuation import (
     valuation_volume_hypersurface,
     valuation_volume_toric,
 )
+
+
+@dataclass(frozen=True)
+class ConvexPiece:
+    """One convex program of the minimizer, in the model's weights w.
+
+    The piece is the cone of w = sum_j z_j basis_j with every <u, w> > 0 over
+    the `generators` u and <b, w> >= 0 over the `bounds` b; its coordinates are
+    z_j = w[free_j].  There A(w) = <row, w>, and on the slice A = n the
+    normalized volume is n^n F(w) with F(w) = sum_s d_s / prod_{u in s} <u, w>
+    over the `simplices` (d_s, generator indices), a convex function wherever
+    every <u, w> > 0.  `vertices` are the vertices of the closed slice.
+    """
+
+    generators: tuple[tuple[int, ...], ...]
+    simplices: tuple[tuple[int, tuple[int, ...]], ...]
+    row: RVector
+    basis: tuple[RVector, ...]
+    free: tuple[int, ...]
+    bounds: tuple[RVector, ...]
+    vertices: tuple[RVector, ...]
 
 
 @dataclass
@@ -100,6 +133,23 @@ class ToricConeSingularity:
         """(|det U_s|, dual-ray indices) of the simplicial cones tiling the dual
         cone; built on the first `volume` call, then reused."""
         return triangulate_cone(self.dual)
+
+    @cached_property
+    def convex_pieces(self) -> tuple[ConvexPiece, ...]:
+        """The whole Reeb cone: F is the volume over `volume_triangulation`,
+        A = <m0, xi>, and the slice of sigma has the vertices n rho_i, since
+        every primitive ray rho_i pairs to 1 with m0 (`_gorenstein_vector`)."""
+        units = tuple(RVector(int(i == j) for j in range(self.n)) for i in range(self.n))
+        piece = ConvexPiece(
+            generators=self.reeb_generators,
+            simplices=self.volume_triangulation,
+            row=self.m0,
+            basis=units,
+            free=tuple(range(self.n)),
+            bounds=(),
+            vertices=tuple(ray.scale(self.n) for ray in self.sigma.rays),
+        )
+        return (piece,)
 
     def logdisc(self, xi: Sequence) -> Fraction:
         """A(xi) = <m0, xi>; raises NotInReebCone outside the Reeb cone."""
@@ -220,6 +270,29 @@ class WeightedHomogeneousHypersurface:
         weight = Fraction(exp) / math.prod(v0[i] for i in keep)
         return [(weight, tuple(v1[i] / v0[i] for i in keep))]
 
+    @cached_property
+    def convex_pieces(self) -> tuple[ConvexPiece, ...]:
+        """One piece per face of the domain, over weights constant on the
+        `symmetry_classes`.  Monomials that the symmetry identifies act as one
+        monomial counted that often; a face is a set S of them, counted at
+        least twice, that ties at the least weight.  There vol(w) =
+        <m, w> / prod w = sum_k m_k / prod_{l != k} w_l for m in S, a sum of
+        convex terms, and A = <1 - m, w>."""
+        classes = self.symmetry_classes()
+        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for mono in self.exponents:
+            groups.setdefault(tuple(sum(mono[k] for k in cls) for cls in classes), []).append(mono)
+        reduced = list(groups)
+        pieces = []
+        for size in range(1, len(reduced) + 1):
+            for tie in combinations(reduced, size):
+                if sum(len(groups[m]) for m in tie) >= 2:
+                    others = [m for m in reduced if m not in tie]
+                    piece = _face_piece(self.n, classes, tie, others, groups)
+                    if piece is not None:
+                        pieces.append(piece)
+        return tuple(pieces)
+
     def symmetry_classes(self) -> list[list[int]]:
         """Variable classes interchangeable by symmetries of the monomial set."""
         mset = frozenset(self.monomials)
@@ -242,6 +315,89 @@ class WeightedHomogeneousHypersurface:
         for i in range(self.nvars):
             classes.setdefault(find(i), []).append(i)
         return sorted(classes.values())
+
+
+def _face_piece(n: int, classes, tie, others, groups) -> ConvexPiece | None:
+    """The piece where the reduced monomials `tie` tie at or below `others`,
+    in class weights y (one per symmetry class); None when no positive weight
+    lies there, or when the ties force one of `others` to tie as well (the
+    larger face then has the same cell).  `groups` maps a reduced monomial to
+    the monomials it stands for."""
+    dim = len(classes)
+    m = tie[0]
+    basis = nullspace([[a - b for a, b in zip(t, m)] for t in tie[1:]], dim)
+    if not basis:
+        return None
+    # the closed cone in the coordinates z of y = sum_i z_i basis_i: every
+    # y_j >= 0 and every <o - m, y> >= 0, as integer rows; an extreme ray
+    # spans the kernel of len(basis) - 1 of them, and pairs positively with
+    # the row of sum(y)
+    cons = [[b[j] for b in basis] for j in range(dim)]
+    cons += [[RVector(o).dot(b) - RVector(m).dot(b) for b in basis] for o in others]
+    cons = [_integral(c) for c in cons]
+    total = _integral([sum(b) for b in basis])
+    rays = set()
+    for active in combinations(cons, len(basis) - 1):
+        ray = [(-1) ** i * _det([c[:i] + c[i + 1 :] for c in active]) for i in range(len(basis))]
+        sign = sum(map(mul, total, ray))
+        ray = [c if sign > 0 else -c for c in ray]
+        if sign and all(sum(map(mul, c, ray)) >= 0 for c in cons):
+            g = math.gcd(*ray)
+            rays.add(tuple(c // g for c in ray))
+    mean = [sum(col) for col in zip(*rays)]
+    if not rays or any(sum(map(mul, c, mean)) <= 0 for c in cons):
+        return None
+    logdisc = RVector(len(cls) - e for cls, e in zip(classes, m))
+    rays_y = [sum((b.scale(c) for b, c in zip(basis, z)), RVector([0] * dim)) for z in sorted(rays)]
+    if any(logdisc.dot(y) <= 0 for y in rays_y):
+        tied = [mono for t in tie for mono in groups[t]]
+        raise ModelError(f"not klt: the log discrepancy is not positive where {tied} tie")
+    nvars = sum(map(len, classes))
+    class_of = [next(j for j, cls in enumerate(classes) if k in cls) for k in range(nvars)]
+
+    def expand(y: RVector) -> RVector:
+        return RVector(y[class_of[k]] for k in range(nvars))
+
+    def free(b: RVector) -> int:
+        j = next(j for j in range(dim) if b[j] == 1 and all(o[j] == 0 for o in basis if o is not b))
+        return classes[j][0]
+
+    mono = groups[m][0]
+    others_full = [groups[o][0] for o in others]
+    return ConvexPiece(
+        generators=tuple(tuple(int(k == l) for l in range(nvars)) for k in range(nvars)),
+        simplices=tuple(
+            (e, tuple(l for l in range(nvars) if l != k)) for k, e in enumerate(mono) if e > 0
+        ),
+        row=RVector(1 - e for e in mono),
+        basis=tuple(expand(b) for b in basis),
+        free=tuple(free(b) for b in basis),
+        bounds=tuple(RVector(a - e for a, e in zip(o, mono)) for o in others_full),
+        vertices=tuple(expand(y.scale(Fraction(n) / logdisc.dot(y))) for y in rays_y),
+    )
+
+
+def _integral(row) -> list[int]:
+    """A positive multiple of a rational row with integer entries."""
+    scale = math.lcm(*(rat(c).denominator for c in row))
+    return [int(c * scale) for c in row]
+
+
+def _det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination."""
+    a = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for k in range(len(a)):
+        pivot = next((r for r in range(k, len(a)) if a[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot], sign = a[pivot], a[k], -sign
+        for i in range(k + 1, len(a)):
+            for j in range(k + 1, len(a)):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * prev
 
 
 def _swap(vec: Sequence, i: int, j: int) -> list:

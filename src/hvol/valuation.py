@@ -4,7 +4,8 @@ Monomial weight vectors and toric Reeb vectors are evaluated exactly:
 
 * toric cones: A = <m0, xi> against the Gorenstein vector, and n! vol(xi)
   and its gradient from the Martelli-Sparks-Yau closed form, a sum over a
-  triangulation of the dual cone that each model builds once;
+  triangulation of the dual cone that each model builds once (`simplex_sum`
+  evaluates such sums, and their gradients, for the minimizer too);
 * weighted-homogeneous hypersurfaces: A = sum(weights) - d(a) where d(a) is
   the minimal weight of the defining monomials, volume d(a) / prod(weights).
 
@@ -71,7 +72,6 @@ class ValuationReport:
     logdisc: Fraction | float  # +inf allowed
     volume: Fraction
     nvol: Fraction | float
-    logdisc_pair: Fraction | None = None
     nonpositive_discrepancy: bool = False
 
     @property
@@ -179,22 +179,36 @@ def valuation_volume_toric(x: "ToricConeSingularity", xi: Sequence) -> Fraction:
 
 
 def volume_gradient_toric(x: "ToricConeSingularity", xi: Sequence) -> RVector:
-    """The gradient of n! vol at xi, exactly:
-    -sum over s of |det U_s| / prod_{u in s} <u, xi> * sum_{u in s} u / <u, xi>.
+    """The gradient of n! vol at xi, exactly: `simplex_sum` over the model's
+    triangulation, which differentiates `valuation_volume_toric` term by term."""
+    xi = _as_rvector(xi)
+    _require_reeb(x, xi)
+    return simplex_sum(x.reeb_generators, x.volume_triangulation, xi)[1]
 
-    This differentiates `valuation_volume_toric` term by term.  With xi = z / D
-    each coordinate is -D^(n+1) / C^2 times an integer sum, C the product of
-    every pairing <u, z>.
+
+def simplex_sum(
+    generators: Sequence[Sequence[int]], simplices, w: RVector
+) -> tuple[Fraction, RVector]:
+    """(F(w), grad F(w)) exactly, for F(w) = sum_s d_s / prod_{u in s} <u, w>
+    over (d_s, generator indices) pairs with k indices each, integer
+    generators u and every <u, w> > 0.  The gradient is
+    -sum_s d_s / prod_{u in s} <u, w> * sum_{u in s} u / <u, w>.
+
+    With w = z / D, F is D^k / C times an integer sum and each gradient
+    coordinate -D^(k+1) / C^2 times one, C the product of every <u, z>.
     """
-    _, pairings, denom = _require_reeb(x, _as_rvector(xi))
+    _, pairings, denom = integer_pairings(generators, w)
     common = math.prod(pairings)
-    total = [0] * x.n
-    for d, rays in x.volume_triangulation:
+    k = len(simplices[0][1])
+    value, total = 0, [0] * len(w)
+    for d, rays in simplices:
         weight = d * (common // math.prod(pairings[i] for i in rays))
+        value += weight
         for i in rays:
             coeff = weight * (common // pairings[i])
-            total = [t + coeff * u for t, u in zip(total, x.reeb_generators[i])]
-    return RVector(Fraction(-t * denom ** (x.n + 1), common * common) for t in total)
+            total = [t + coeff * u for t, u in zip(total, generators[i])]
+    gradient = RVector(Fraction(-t * denom ** (k + 1), common * common) for t in total)
+    return Fraction(value * denom**k, common), gradient
 
 
 # -- hypersurface evaluation -------------------------------------------------
@@ -262,24 +276,16 @@ def valuation_volume_hypersurface(
 # -- reports -----------------------------------------------------------------
 
 
-def nvol_report(model, weights: Sequence, v_of_divisor=None) -> ValuationReport:
-    """Evaluate A, vol and A^n*vol for a toric or hypersurface model.
-
-    `v_of_divisor` is the value of the valuation on a boundary divisor; when
-    given, the report also carries the pair discrepancy A - v(E).
-    """
+def nvol_report(model, weights: Sequence) -> ValuationReport:
+    """Evaluate A, vol and A^n*vol for a toric or hypersurface model."""
     logdisc = model.logdisc(weights)
     volume = model.volume(weights)
     n = model.n
-    pair = None
-    if v_of_divisor is not None:
-        pair = log_adjusted_discrepancy(logdisc, v_of_divisor)
     return ValuationReport(
         n=n,
         logdisc=logdisc,
         volume=volume,
         nvol=normalized_volume(logdisc, volume, n),
-        logdisc_pair=pair,
         nonpositive_discrepancy=logdisc <= 0,
     )
 

@@ -49,9 +49,31 @@ def test_minimize_akm(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["results"]["min_nvol_upper"] == "27/2"
-    assert report["results"]["min_nvol_lower"] is None
+    assert report["results"]["min_nvol_lower"] == "27/2"
     assert report["results"]["converged"] is True
-    assert [c["name"] for c in report["checks"]][-1] == "multistart_agreement"
+    bracket = report["checks"][-1]
+    assert bracket["name"] == "certified_bracket"
+    assert (bracket["pass"], bracket["lhs"], bracket["rhs"]) == (True, "27/2", "27/2")
+
+
+def test_hypersurface_minimize_ignores_seed_and_init(capsys):
+    # one run per face of the domain, certified by its bracket: --seed and a
+    # hypersurface --init change nothing but the echo of the inputs (the
+    # finite-difference descent this replaced failed akm(3,5) on --seed 10)
+    reports = set()
+    for argv in [["--seed", str(seed)] for seed in range(16)] + [["--init", "1,1,1,1"]]:
+        code, out = run_cli(capsys, ["minimize", "--model", AKM_35, "--tol", "1e-8", *argv])
+        assert code == 0
+        report = json.loads(out)
+        report.pop("inputs")
+        reports.add(json.dumps(report, sort_keys=True))
+    assert len(reports) == 1
+
+
+def test_build_parser_once():
+    from hvol.cli import build_parser
+
+    assert build_parser() is build_parser()
 
 
 def test_minimize_with_init_matches_example(capsys):

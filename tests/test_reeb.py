@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hvol.errors import DomainError, NotInReebCone
+from hvol.errors import DomainError, ModelError, NotInReebCone
+from hvol.molien import binary_dihedral_group, quotient_min_nvol
 from hvol.exactgeom import RVector, centroid, cut_cone, polytope_volume
 from hvol.reeb import (
     ReebCone,
@@ -22,6 +23,7 @@ from hvol.reeb import (
 )
 from hvol.singularities import (
     ToricConeSingularity,
+    WeightedHomogeneousHypersurface,
     affine_space,
     akm_singularity,
     canonical_weights,
@@ -83,7 +85,7 @@ def test_minimize_akm_kink():
     # piecewise objective 3(3-2x)^3 / 2(1+x)^3/x with the minimum at the kink
     result = minimize_nvol(akm_singularity(3, 3), init=[1, 1, 1, 1])
     assert result.min_nvol_upper == Fraction(125, 9)
-    assert result.min_nvol_lower is None
+    assert result.min_nvol_lower == Fraction(125, 9)
     ratio = result.argmin[-1] / result.argmin[0]
     assert ratio == Fraction(2, 3)
 
@@ -110,12 +112,10 @@ def test_minimize_rejects_bad_init():
 
 
 def test_multistart_agreement():
-    # hypersurfaces run five starts, which must agree
+    # every model makes one run, certified by its bracket
     best, spread, runs = minimize_nvol_multistart(akm_singularity(3, 3), seeds=5, base_seed=1)
-    assert len(runs) == 5
-    assert spread <= 1e-6
-    assert best.min_nvol_upper == Fraction(125, 9)
-    # a toric model makes one run, certified by its bracket
+    assert (spread, runs) == (0.0, [best])
+    assert best.min_nvol_lower == best.min_nvol_upper == Fraction(125, 9)
     best, spread, runs = minimize_nvol_multistart(conifold(), seeds=5, base_seed=1)
     assert (spread, runs) == (0.0, [best])
     assert best.min_nvol_lower == best.min_nvol_upper == 16
@@ -283,3 +283,52 @@ def test_gradient_is_the_centroid_of_the_cut_polytope(name):
         assert volume_gradient_toric(model, xi) == centroid(cut).scale(-(model.n + 1) * volume)
 
     check()
+
+
+# -- hypersurfaces: Newton steps on the faces of the domain ----------------------
+
+
+def _hypersurface(*monomials):
+    return WeightedHomogeneousHypersurface(
+        nvars=len(monomials[0]), monomials=tuple(RVector(m) for m in monomials)
+    )
+
+
+@pytest.mark.parametrize(
+    "name, model, expected",
+    [
+        ("akm(4,4)", akm_singularity(4, 4), Fraction(4096, 27)),
+        # no variable symmetry; the minimum is the point where all four tie
+        (
+            "x2+y3+z4+w12",
+            _hypersurface([2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 4, 0], [0, 0, 0, 12]),
+            Fraction(4, 3),
+        ),
+        # the ADE surfaces: 4 / |G| for the binary polyhedral group G
+        ("E6", _hypersurface([2, 0, 0], [0, 3, 0], [0, 0, 4]), Fraction(1, 6)),
+        # a mixed monomial and no variable symmetry
+        ("E7", _hypersurface([2, 0, 0], [0, 3, 0], [0, 1, 3]), Fraction(1, 12)),
+        ("E8", _hypersurface([2, 0, 0], [0, 3, 0], [0, 0, 5]), Fraction(1, 30)),
+    ],
+)
+def test_hypersurface_brackets_have_zero_width(name, model, expected):
+    best = minimize_nvol(model)
+    assert best.min_nvol_lower == best.min_nvol_upper == expected
+    assert best.converged
+    assert model.logdisc(best.argmin) == model.n
+    assert model.in_domain(best.argmin)
+
+
+@pytest.mark.parametrize("k", range(4, 9))
+def test_dk_surfaces_match_the_binary_dihedral_quotient(k):
+    # x^2 + y^2 z + z^(k-1) is C^2 / BD_(k-2), whose minimum molien.py computes
+    model = _hypersurface([2, 0, 0], [0, 2, 1], [0, 0, k - 1])
+    expected = quotient_min_nvol(binary_dihedral_group(k - 2)).min_nvol
+    best = minimize_nvol(model)
+    assert best.min_nvol_lower == best.min_nvol_upper == expected
+
+
+def test_hypersurface_that_is_not_klt_is_a_model_error():
+    # 1/2 + 1/3 + 1/6 = 1: the log discrepancy vanishes on the domain
+    with pytest.raises(ModelError):
+        minimize_nvol(_hypersurface([2, 0, 0], [0, 3, 0], [0, 0, 6]))
