@@ -58,13 +58,11 @@ from .molien import (
 )
 from .reeb import (
     MinimizeResult,
-    ReebCone,
     hvol_lower,
     link_volume_from_nvol,
     minimize_nvol,
     minimize_nvol_multistart,
     normalize_reeb,
-    reeb_membership,
     rescaling_law_check,
     ricci_bound_transfer,
 )

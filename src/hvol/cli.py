@@ -63,7 +63,6 @@ from .singularities import (
     ToricConeSingularity,
     WeightedHomogeneousHypersurface,
     akm_singularity,
-    canonical_weights,
     cone_invariants,
     toric_log_fano,
 )
@@ -337,7 +336,7 @@ def _run_minimize(spec: JobSpec) -> tuple[Report, str | None]:
     init = spec.valuation
     max_iter = int(spec.opt("max_iter"))
     seed = int(spec.opt("seed"))
-    best = minimize_nvol(model, init=init, tol=tol, max_iter=max_iter)
+    best = minimize_nvol(model, init=init, max_iter=max_iter)
     logdisc = model.logdisc(best.argmin)
     lower, upper = best.min_nvol_lower, best.min_nvol_upper
     results = {
@@ -448,10 +447,8 @@ def _run_filtration(spec: JobSpec) -> tuple[Report, str | None]:
     v0_raw = spec.options.get("v0")
     if v0_raw is not None:
         v0 = RVector(v0_raw)
-    elif getattr(model, "canonical_xi", None) is not None:
+    elif model.canonical_xi is not None:
         v0 = model.canonical_xi
-    elif isinstance(model, WeightedHomogeneousHypersurface) and model.label.startswith("A"):
-        v0 = canonical_weights(model.n, int(model.monomials[-1][-1]))
     else:
         raise SchemaError("this model has no canonical grading; pass --v0")
     profile = profile_from_model(model, v0, v1)

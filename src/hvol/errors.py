@@ -43,10 +43,6 @@ class BudgetExceeded(HvolError):
     code = "budget_exceeded"
 
 
-class OracleDisagreement(HvolError):
-    code = "oracle_disagreement"
-
-
 class NonIntegerDimension(HvolError):
     code = "non_integer_dimension"
 

@@ -292,35 +292,6 @@ class Polytope:
         vertices = vertex_enumerate(hrep, dim)
         return cls(dim=dim, hrep=tuple(hrep), vrep=tuple(vertices))
 
-    @classmethod
-    def from_vrep(cls, vertices: Sequence[Sequence], dim: int) -> "Polytope":
-        """Recover the facet halfspaces of a full-dimensional vertex set.
-
-        Exhaustive over dim-subsets spanning a hyperplane, which is plenty for
-        desk-scale inputs; the vertex list is re-derived so that non-extreme
-        input points are dropped.
-        """
-        points = [RVector(v) for v in vertices]
-        if affine_rank(points) != dim:
-            raise NotFullDimensional("vertex set does not span the ambient space")
-        facets: dict[tuple, Halfspace] = {}
-        for subset in combinations(points, dim):
-            base = subset[0]
-            rows = [list(p - base) for p in subset[1:]]
-            normals = nullspace(rows, dim) if rows else [RVector([1] * dim)]
-            if len(normals) != 1:
-                continue
-            normal = normals[0].primitive()
-            offset = -normal.dot(base)
-            values = [normal.dot(p) + offset for p in points]
-            if all(v >= 0 for v in values):
-                facets.setdefault((tuple(normal), offset), Halfspace(normal, offset))
-            elif all(v <= 0 for v in values):
-                facets.setdefault(
-                    (tuple(-normal), -offset), Halfspace(-normal, -offset)
-                )
-        return cls.from_hrep(sorted(facets.values(), key=lambda h: (h.normal, h.offset)), dim)
-
     @property
     def is_full_dimensional(self) -> bool:
         return affine_rank(list(self.vrep)) == self.dim

@@ -16,7 +16,11 @@ difference of x -> (x - t)_+^(n-1) at the knots (Curry-Schoenberg;
 Brion-Vergne).  Between consecutive knots this is a polynomial of degree < n
 in t, and repeated knots take confluent divided differences, so every piece
 is exact.  A hypersurface contributes one simplex, the orthant left after
-the reduction variable, weighted by that variable's exponent.
+the reduction variable, weighted by that variable's exponent.  The same
+pieces give vol(v1) = sum of weight / prod(knots), and the support starts at
+c1 = min <u, v1> / <u, v0> over the model's `reeb_generators`; the discrete
+cross-check counts graded colengths in the model's `lattice_region`.  So
+nothing here asks which kind of model it holds.
 
 Everything downstream is derived from the profile:
 
@@ -52,17 +56,11 @@ from .errors import (
     PreconditionViolated,
 )
 from .exactgeom import RVector, rat
-from .singularities import (
-    PolarizedConeData,
-    ToricConeSingularity,
-    WeightedHomogeneousHypersurface,
-)
+from .singularities import PolarizedConeData
 from .valuation import (
     ValuationReport,
-    dual_cone_box,
+    integer_pairings,
     lattice_count_oracle,
-    reduction_variable,
-    valuation_volume_hypersurface,
     _count_box,
     _scaled_int_vector,
     _strict_upper,
@@ -226,12 +224,22 @@ def _bspline_tail(knots: Sequence[Fraction], hi: Fraction, n: int) -> list[Fract
     return column[0]
 
 
+def _support_start(model, v0: RVector, v1: RVector) -> Fraction:
+    """c1 = min <u, v1> / <u, v0> over the model's Reeb generators u: the
+    least v1-weight of a degree-1 element of the v0-graded ring."""
+    gens = model.reeb_generators
+    (p0, d0), (p1, d1) = (integer_pairings(gens, v)[1:] for v in (v0, v1))
+    return min(Fraction(a * d0, b * d1) for a, b in zip(p1, p0))
+
+
 def profile_from_model(model, v0_weights: Sequence, v1_weights: Sequence) -> VolumeProfile:
     """Exact piecewise-polynomial profile of the v1-filtration on the v0-graded ring.
 
     vol(R^(t)) = sum_s w_s [k_s1, ..., k_sn] (x - t)_+^(n-1) over the
     model's (weight, knots) pairs s; the breakpoints are the distinct knots,
-    and degH = vol(R^(0)) is the sum of the weights.
+    degH = vol(R^(0)) is the sum of the weights, the support starts at c1
+    (`_support_start`) and vol(v1) = sum_s w_s / prod_i k_si, the volume of
+    each simplicial cone at v1.
     """
     v0 = RVector(v0_weights)
     v1 = RVector(v1_weights)
@@ -245,25 +253,16 @@ def profile_from_model(model, v0_weights: Sequence, v1_weights: Sequence) -> Vol
             for j, c in enumerate(_bspline_tail(knots, hi, n)):
                 coeffs[j] += weight * c
         pieces.append(tuple(coeffs))
-    if isinstance(model, WeightedHomogeneousHypersurface):
-        # the reduction variable bounds the support too; one weight-minimal
-        # monomial is fine here: reduction_variable made it a pure power,
-        # whose initial degeneration the formula describes
-        c1 = min(b / a for a, b in zip(v0, v1))
-        vol1 = valuation_volume_hypersurface(model, v1, allow_single_initial_monomial=True)
-    else:
-        c1 = bps[0]
-        vol1 = model.volume(v1)
     return VolumeProfile(
         n=n,
         degH=sum(weight for weight, _ in simplices),
-        c1=c1,
+        c1=_support_start(model, v0, v1),
         c2=bps[-1],
-        vol_v1=vol1,
+        vol_v1=sum(weight / math.prod(knots) for weight, knots in simplices),
         pieces=PiecewisePoly(breakpoints=tuple(bps), pieces=tuple(pieces)),
         v0_weights=v0,
         v1_weights=v1,
-        label=getattr(model, "label", ""),
+        label=model.label,
     )
 
 
@@ -548,17 +547,9 @@ def _graded_colength(model, v0: RVector, v1: RVector, m: Fraction) -> int:
     grade_vec, grade_scale = _scaled_int_vector(v0)
     weight_vec, weight_scale = _scaled_int_vector(v1)
     top = _strict_upper(weight_scale * m)
-    if isinstance(model, ToricConeSingularity):
-        ratios_min = min(r.dot(v1) / r.dot(v0) for r in model.dual.rays)
-        rows = [(_scaled_int_vector(ray)[0], 0) for ray in model.sigma.rays]
-        # the slice lives inside {alpha in dual cone : <v1, alpha> <= m}
-        bounds = dual_cone_box(model, v1, m)
-    else:
-        ratios_min = min(v1[i] / v0[i] for i in range(model.nvars))
-        red, exp = reduction_variable(model, v1)
-        rows = []
-        bounds = [(0, top // w) for w in weight_vec]
-        bounds[red] = (0, min(bounds[red][1], exp - 1))
+    ratios_min = _support_start(model, v0, v1)
+    # the slices lie inside the region of v1-weight below m
+    bounds, rows = model.lattice_region(v1, m)
     total = 0
     for k in range(int(m / ratios_min) + 2):
         # slice <v0, alpha> = k, weight < m

@@ -36,10 +36,9 @@ objective holds no better point, so it is not run.  The bracket is the
 certificate: it
 is 0 wide when the runs found the minimizer exactly, and exact-gradient Newton
 steps polish the winning point while it is wider than `CERTIFIED_WIDTH`
-relative to its upper end.  No run depends on a seed: `minimize --seed` and
-`--tol` are accepted and change no report, and an initial point only starts
-a toric cone's run (a hypersurface checks it lies in the domain, then drops
-it).
+relative to its upper end.  The pieces fix every run, so `minimize_nvol`
+takes no seed and no tolerance; an initial point only starts a toric cone's
+run (a hypersurface checks it lies in the domain, then drops it).
 """
 
 from __future__ import annotations
@@ -56,21 +55,6 @@ from .singularities import ConvexPiece
 from .valuation import simplex_sum
 
 _ITERATE_DENOMINATOR = 10**12
-
-
-@dataclass(frozen=True)
-class ReebCone:
-    """Strict-positivity region of the weight monoid generators."""
-
-    gamma_generators: tuple[RVector, ...]
-
-    def contains(self, xi: Sequence) -> bool:
-        xi = RVector(xi)
-        return all(gen.dot(xi) > 0 for gen in self.gamma_generators)
-
-
-def reeb_membership(rc: ReebCone, xi: Sequence) -> bool:
-    return rc.contains(xi)
 
 
 def normalize_reeb(model, xi: Sequence) -> RVector:
@@ -267,7 +251,6 @@ def _lower_bound(model, runs: list[_Run]) -> Fraction:
 def minimize_nvol(
     model,
     init: Sequence | None = None,
-    tol: float = 1e-8,
     max_iter: int = 500,
 ) -> MinimizeResult:
     """Minimize A^n vol over the model's domain, with an exact bracket.
@@ -279,7 +262,7 @@ def minimize_nvol(
     than CERTIFIED_WIDTH.  `init` must lie in the model's domain; it starts
     the run of a piece whose coordinates are all the weights (a toric cone's
     only piece), and is checked but not used on a hypersurface, whose pieces
-    lie in tie hyperplanes.  `tol` is not used.
+    lie in tie hyperplanes.
     """
     n = model.n
     if init is not None and model.domain_logdisc(init) is None:
@@ -346,9 +329,9 @@ def minimize_nvol_multistart(
     max_iter: int = 500,
 ) -> tuple[MinimizeResult, float, list[MinimizeResult]]:
     """(best, 0.0, [best]) from one `minimize_nvol` run: its bracket certifies
-    the minimum, so there are no starts to agree; `seeds` and `base_seed` are
-    not used."""
-    best = minimize_nvol(model, tol=tol, max_iter=max_iter)
+    the minimum, so there are no starts to agree; `seeds`, `base_seed` and
+    `tol` are not used."""
+    best = minimize_nvol(model, max_iter=max_iter)
     return best, 0.0, [best]
 
 

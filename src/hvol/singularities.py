@@ -6,18 +6,24 @@ Gorenstein vector m0 (pairing to 1 with every primitive ray) encodes the
 log discrepancy of toric valuations.  The polarized-cone data (n, r, degH)
 is everything the normalized-volume lower bound depends on.
 
-Both cone models answer the same questions about a weight vector w (a Reeb
-vector on a toric cone, a monomial weight on a hypersurface): `logdisc(w)`,
-`volume(w)`, `domain_logdisc(w)` (the log discrepancy when w lies in the
-model's domain, None otherwise, in one integer pass), `in_domain(w)` and
-`lattice_count(a, p)`.  Each model states its domain once, in
-`domain_logdisc`; `in_domain` only asks whether that is None.  Both also give
-`simplicial_pieces(v0, v1)`, the (weight, knots) pairs that the volume
-profile of a filtration sums over (filtration.py).  These methods are the one
-place where the kind of model decides which formula applies; the rest of the
-package calls them, and asks which kind of model it holds only where the
-mathematics differs (the support bound and filtration volume of a profile,
-and graded colengths).
+Both cone models offer one interface, and the rest of the package calls it
+without asking which kind of model it holds.  For a weight vector w (a Reeb
+vector on a toric cone, a monomial weight on a hypersurface):
+
+* `logdisc(w)`, `volume(w)` and `domain_logdisc(w)`, the log discrepancy
+  when w lies in the model's domain and None otherwise, in one integer pass;
+  each model states its domain once, there, and `in_domain` only asks whether
+  that is None;
+* `reeb_generators`, the integer rows u with every <u, w> > 0 on admissible
+  weights: the dual rays of a toric cone, the unit vectors of a hypersurface;
+* `lattice_region(a, p)`, the integer box and facet rows holding the
+  monomials of a-weight below p, which `valuation.lattice_count_oracle`
+  counts;
+* `simplicial_pieces(v0, v1)`, the (weight, knots) pairs that the volume
+  profile of a filtration sums over (filtration.py);
+* `convex_pieces`, the minimizer's convex programs (below);
+* `canonical_xi`, the canonical grading where the model knows it (the toric
+  library cones, the A_{k-1} cones of `akm_singularity`), None otherwise.
 
 The minimizer (reeb.py) reads `convex_pieces`: the convex programs whose
 least minimum is the minimum of A^n vol.  A toric cone gives one piece, its
@@ -59,9 +65,8 @@ from .valuation import (
     MonomialValuation,
     domain_logdisc_hypersurface,
     domain_logdisc_toric,
+    dual_cone_box,
     integer_pairings,
-    lattice_count_hypersurface,
-    lattice_count_toric,
     log_discrepancy_hypersurface,
     log_discrepancy_toric,
     reduction_variable,
@@ -170,9 +175,12 @@ class ToricConeSingularity:
         """Whether xi lies in the Reeb cone."""
         return self.domain_logdisc(xi) is not None
 
-    def lattice_count(self, a: RVector, p: Fraction) -> int:
-        """Lattice points alpha of the dual cone with <alpha, a> < p."""
-        return lattice_count_toric(self, a, p)
+    def lattice_region(self, a: RVector, p: Fraction) -> tuple[list, list]:
+        """(box, rows) holding the lattice points alpha of the dual cone with
+        <alpha, a> < p: the integer box around {<alpha, a> <= p} in the dual
+        cone (`dual_cone_box`), and the facet rows <rho, alpha> >= 0 over the
+        primitive rays rho of sigma.  a must be a Reeb vector."""
+        return dual_cone_box(self, a, p), [([int(c) for c in ray], 0) for ray in self.sigma.rays]
 
     def simplicial_pieces(self, v0: RVector, v1: RVector) -> list[tuple[Fraction, tuple]]:
         """(weight, knots) per simplicial cone s of `volume_triangulation`:
@@ -213,6 +221,7 @@ class WeightedHomogeneousHypersurface:
     nvars: int
     monomials: tuple[RVector, ...]
     label: str = ""
+    canonical_xi: RVector | None = None
 
     def __post_init__(self):
         if len(self.monomials) < 2:
@@ -237,6 +246,11 @@ class WeightedHomogeneousHypersurface:
         """Dimension of the hypersurface germ."""
         return self.nvars - 1
 
+    @cached_property
+    def reeb_generators(self) -> tuple[tuple[int, ...], ...]:
+        """The unit vectors: weights are admissible iff all are positive."""
+        return tuple(tuple(int(k == i) for k in range(self.nvars)) for i in range(self.nvars))
+
     def logdisc(self, a: Sequence) -> Fraction:
         """sum(a) - d(a); raises NotInReebCone unless every weight is positive."""
         return log_discrepancy_hypersurface(self, a)
@@ -254,9 +268,16 @@ class WeightedHomogeneousHypersurface:
         """Whether `volume` is defined at a."""
         return self.domain_logdisc(a) is not None
 
-    def lattice_count(self, a: RVector, p: Fraction) -> int:
-        """Standard monomials of a-weight below p."""
-        return lattice_count_hypersurface(self, a, p)
+    def lattice_region(self, a: RVector, p: Fraction) -> tuple[list, list]:
+        """(box, rows) holding the standard monomials alpha with <alpha, a> < p:
+        each alpha_i below p / a_i, and the exponent of a's reduction
+        variable below its exponent there; no facet rows."""
+        if len(a) != self.nvars or any(weight <= 0 for weight in a):
+            raise ModelError("weights must be positive and match the variable count")
+        red, exp = reduction_variable(self, a)
+        bounds = [(0, math.ceil(p / weight) - 1) for weight in a]
+        bounds[red] = (0, min(bounds[red][1], exp - 1))
+        return bounds, []
 
     def simplicial_pieces(self, v0: RVector, v1: RVector) -> list[tuple[Fraction, tuple]]:
         """One (weight, knots) pair: the orthant of the variables other than
@@ -288,7 +309,7 @@ class WeightedHomogeneousHypersurface:
             for tie in combinations(reduced, size):
                 if sum(len(groups[m]) for m in tie) >= 2:
                     others = [m for m in reduced if m not in tie]
-                    piece = _face_piece(self.n, classes, tie, others, groups)
+                    piece = _face_piece(self, classes, tie, others, groups)
                     if piece is not None:
                         pieces.append(piece)
         return tuple(pieces)
@@ -317,7 +338,7 @@ class WeightedHomogeneousHypersurface:
         return sorted(classes.values())
 
 
-def _face_piece(n: int, classes, tie, others, groups) -> ConvexPiece | None:
+def _face_piece(model, classes, tie, others, groups) -> ConvexPiece | None:
     """The piece where the reduced monomials `tie` tie at or below `others`,
     in class weights y (one per symmetry class); None when no positive weight
     lies there, or when the ties force one of `others` to tie as well (the
@@ -365,7 +386,7 @@ def _face_piece(n: int, classes, tie, others, groups) -> ConvexPiece | None:
     mono = groups[m][0]
     others_full = [groups[o][0] for o in others]
     return ConvexPiece(
-        generators=tuple(tuple(int(k == l) for l in range(nvars)) for k in range(nvars)),
+        generators=model.reeb_generators,
         simplices=tuple(
             (e, tuple(l for l in range(nvars) if l != k)) for k, e in enumerate(mono) if e > 0
         ),
@@ -373,7 +394,7 @@ def _face_piece(n: int, classes, tie, others, groups) -> ConvexPiece | None:
         basis=tuple(expand(b) for b in basis),
         free=tuple(free(b) for b in basis),
         bounds=tuple(RVector(a - e for a, e in zip(o, mono)) for o in others_full),
-        vertices=tuple(expand(y.scale(Fraction(n) / logdisc.dot(y))) for y in rays_y),
+        vertices=tuple(expand(y.scale(Fraction(model.n) / logdisc.dot(y))) for y in rays_y),
     )
 
 
@@ -419,7 +440,10 @@ def akm_singularity(n: int, k: int) -> WeightedHomogeneousHypersurface:
     last[n] = k
     monomials.append(last)
     return WeightedHomogeneousHypersurface(
-        nvars=n + 1, monomials=tuple(RVector(m) for m in monomials), label=f"A{k - 1}^{n}"
+        nvars=n + 1,
+        monomials=tuple(RVector(m) for m in monomials),
+        label=f"A{k - 1}^{n}",
+        canonical_xi=canonical_weights(n, k),
     )
 
 

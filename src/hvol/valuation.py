@@ -16,18 +16,16 @@ monomial exponents of a hypersurface.  A, vol and domain membership are then
 integer sums, and each result is one `Fraction` built at the end.  A weight
 vector of the wrong length is a `ModelError`.
 
-These functions are the formulas; callers reach them through the model
-methods `logdisc`, `volume`, `domain_logdisc`, `in_domain` and
-`lattice_count` (see singularities.py), which pick the formula for the
-model's kind.  `domain_logdisc` answers "is w in the domain, and what is A
-there" in one integer pass, for the minimizer's objective.
+These functions are the formulas behind the model methods `logdisc`,
+`volume` and `domain_logdisc` (singularities.py); the rest of the package
+calls the methods.  `domain_logdisc` answers "is w in the domain, and what is
+A there" in one integer pass, for the minimizer's objective.  The
+hypersurface volume is the multiplicity of the initial degeneration, defined
+where at least two monomials reach the least weight.
 
-The closed hypersurface formulas are the multiplicity of the initial
-degeneration; they are guarded by a syntactic precondition (at least two
-monomials must achieve the minimal weight unless the caller overrides) and
-can always be cross-checked against `lattice_count_oracle`, which counts
-monomials below a weight threshold by brute force and is the source of truth
-on disagreement.
+`lattice_count_oracle` counts monomials below a weight threshold by brute
+force, over the box and facet rows that the model's `lattice_region` states;
+it is the independent check on the closed volume formulas.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, ModelError, NotInReebCone, OracleDisagreement
+from .errors import BudgetExceeded, ModelError, NotInReebCone
 from .exactgeom import RVector, rat
 
 if TYPE_CHECKING:  # the model classes call into this module, so no runtime import
@@ -239,16 +237,9 @@ def domain_logdisc_hypersurface(
     return Fraction(sum(z) - order, denom)
 
 
-def valuation_volume_hypersurface(
-    w: "WeightedHomogeneousHypersurface",
-    a: Sequence,
-    *,
-    allow_single_initial_monomial: bool = False,
-    oracle_check: bool = False,
-    oracle_depth: int = 200,
-    oracle_rel_tol: float = 0.05,
-) -> Fraction:
-    """d(a) / prod(a), the multiplicity of the a-initial degeneration.
+def valuation_volume_hypersurface(w: "WeightedHomogeneousHypersurface", a: Sequence) -> Fraction:
+    """d(a) / prod(a), the multiplicity of the a-initial degeneration; a
+    `ModelError` where that initial form is a single monomial.
 
     With a = z / D and d(a) = d / D this is d * D^(nvars - 1) / prod(z).
     """
@@ -257,20 +248,9 @@ def valuation_volume_hypersurface(
     if min(z) <= 0:
         raise ValueError(f"monomial weights must be positive, got {tuple(a)}")
     order = min(weights)
-    if not allow_single_initial_monomial and weights.count(order) < 2:
-        raise ModelError(
-            "a-initial form of the defining polynomial is a single monomial; "
-            "pass allow_single_initial_monomial=True if the degeneration is valid"
-        )
-    volume = Fraction(order * denom ** (w.nvars - 1), math.prod(z))
-    if oracle_check:
-        count = lattice_count_oracle(w, a, Fraction(oracle_depth))
-        estimate = math.factorial(w.n) * count / float(oracle_depth) ** w.n
-        if abs(estimate - float(volume)) > oracle_rel_tol * float(volume):
-            raise OracleDisagreement(
-                f"closed formula {float(volume)} vs oracle estimate {estimate}"
-            )
-    return volume
+    if weights.count(order) < 2:
+        raise ModelError("a-initial form of the defining polynomial is a single monomial")
+    return Fraction(order * denom ** (w.nvars - 1), math.prod(z))
 
 
 # -- reports -----------------------------------------------------------------
@@ -344,15 +324,17 @@ def _scaled_int_vector(vec: Sequence[Fraction]) -> tuple[list[int], int]:
 def lattice_count_oracle(model, a: Sequence, p) -> int:
     """dim of R / {v_a >= p} by monomial enumeration; the volume oracle.
 
-    Toric models count lattice points of the dual cone with <alpha, a> < p;
-    hypersurfaces count standard monomials (reduction-variable exponent below
-    its exponent in the chosen leading monomial) of a-weight < p.
+    Counts the integer points alpha of the model's `lattice_region(a, p)`,
+    its box and facet rows, with <alpha, a> < p: lattice points of the dual
+    cone on a toric cone, standard monomials on a hypersurface.
     """
     a = RVector(a)
     p = rat(p)
     if p <= 0:
         raise ValueError("threshold p must be positive")
-    return model.lattice_count(a, p)
+    bounds, rows = model.lattice_region(a, p)
+    strict_coefs, scale = _scaled_int_vector(a)
+    return _count_box(bounds, rows, strict_coefs, _strict_upper(scale * p))
 
 
 def dual_cone_box(x: "ToricConeSingularity", a: RVector, p: Fraction) -> list[tuple[int, int]]:
@@ -366,16 +348,6 @@ def dual_cone_box(x: "ToricConeSingularity", a: RVector, p: Fraction) -> list[tu
     return [
         (math.ceil(min(0, *coords)), math.floor(max(0, *coords))) for coords in zip(*corners)
     ]
-
-
-def lattice_count_toric(x: "ToricConeSingularity", a: RVector, p: Fraction) -> int:
-    bounds = dual_cone_box(x, a, p)
-    nonstrict = []
-    for ray in x.sigma.rays:  # sigma rays are the facet normals of the dual cone
-        coefs, _ = _scaled_int_vector(ray)
-        nonstrict.append((coefs, 0))
-    strict_coefs, scale = _scaled_int_vector(a)
-    return _count_box(bounds, nonstrict, strict_coefs, _strict_upper(scale * p))
 
 
 def reduction_variable(
@@ -403,20 +375,3 @@ def reduction_variable(
         "lattice counting needs a weight-minimal monomial that is a pure power "
         "of a variable occurring in no other monomial"
     )
-
-
-def lattice_count_hypersurface(
-    w: "WeightedHomogeneousHypersurface", a: RVector, p: Fraction
-) -> int:
-    if len(a) != w.nvars or any(weight <= 0 for weight in a):
-        raise ModelError("weights must be positive and match the variable count")
-    red_var, red_exp = reduction_variable(w, a)
-    strict_coefs, scale = _scaled_int_vector(a)
-    strict_max = _strict_upper(scale * p)
-    bounds = []
-    for i in range(w.nvars):
-        hi = strict_max // strict_coefs[i]
-        if i == red_var:
-            hi = min(hi, red_exp - 1)
-        bounds.append((0, hi))
-    return _count_box(bounds, [], strict_coefs, strict_max)

@@ -135,6 +135,16 @@ def test_filtration_command(capsys):
     assert all(check["pass"] for check in report["checks"])
 
 
+def test_filtration_needs_v0_without_canonical_grading(capsys):
+    # a hypersurface model has no canonical grading, even on A_1's monomials
+    model = '{"type":"hypersurface","n":2,"monomials":[[2,0,0],[0,2,0],[0,0,2]]}'
+    code = main(["filtration", "--model", model, "--v1", "1,1,2"])
+    assert code == 3
+    assert "schema_error" in capsys.readouterr().err
+    code, _ = run_cli(capsys, ["filtration", "--model", model, "--v1", "1,1,2", "--v0", "1,1,1"])
+    assert code == 0
+
+
 def test_selftest_filtered(capsys):
     code, out = run_cli(capsys, ["selftest", "--filter", "sharpness"])
     assert code == 0

@@ -93,6 +93,9 @@ def test_hypersurface_profile_reduction_choice():
     model = akm_singularity(3, 3)
     p = profile_from_model(model, canonical_weights(3, 3), [1, 1, 1, Fraction(1, 2)])
     assert p.degH == Fraction(1, 9)
+    # `volume` refuses a single initial monomial; the pieces still give
+    # vol(v1) = d(v1) / prod(v1) = (3/2) / (1/2)
+    assert p.vol_v1 == 3
     assert volume_from_profile(p) == pytest.approx(float(p.vol_v1), rel=1e-9)
 
 

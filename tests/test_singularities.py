@@ -7,6 +7,7 @@ from hvol.exactgeom import Halfspace, RVector
 from hvol.singularities import (
     PolarizedConeData,
     ToricConeSingularity,
+    WeightedHomogeneousHypersurface,
     affine_space,
     akm_singularity,
     canonical_weights,
@@ -32,6 +33,42 @@ def test_akm_constructor():
     assert tuple(quartic.monomials[-1]) == (0, 0, 0, 4)
     smooth = akm_singularity(2, 1)
     assert tuple(smooth.monomials[-1]) == (0, 0, 1)
+
+
+MODEL_INTERFACE = (
+    "logdisc",
+    "volume",
+    "domain_logdisc",
+    "lattice_region",
+    "simplicial_pieces",
+    "convex_pieces",
+    "reeb_generators",
+    "canonical_xi",
+)
+
+
+@pytest.mark.parametrize("model", [conifold(), akm_singularity(3, 5)], ids=["toric", "hypersurface"])
+def test_models_share_one_interface(model):
+    assert [name for name in MODEL_INTERFACE if not hasattr(model, name)] == []
+
+
+def test_hypersurface_interface_values():
+    model = akm_singularity(3, 5)
+    assert model.canonical_xi == canonical_weights(3, 5)
+    assert model.reeb_generators == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert all(piece.generators == model.reeb_generators for piece in model.convex_pieces)
+    bare = WeightedHomogeneousHypersurface(nvars=3, monomials=tuple(akm_singularity(2, 2).monomials))
+    assert bare.canonical_xi is None
+
+
+def test_lattice_region():
+    a1 = akm_singularity(2, 2)
+    assert a1.lattice_region(RVector([1, 1, 1]), Fraction(2)) == ([(0, 1)] * 3, [])
+    box, rows = affine_space(2).lattice_region(RVector([1, 1]), Fraction(3))
+    assert box == [(0, 3), (0, 3)]
+    assert sorted(rows) == [([0, 1], 0), ([1, 0], 0)]
+    with pytest.raises(ModelError):
+        a1.lattice_region(RVector([1, 0, 1]), Fraction(2))
 
 
 def test_akm_requires_two_monomials():

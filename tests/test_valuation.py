@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hvol.errors import BudgetExceeded, ModelError, NotInReebCone, OracleDisagreement
+from hvol.errors import BudgetExceeded, ModelError, NotInReebCone
 from hvol.exactgeom import RVector, cut_cone, polytope_volume
 from hvol.singularities import (
     ToricConeSingularity,
@@ -88,10 +88,6 @@ def test_volume_hypersurface_single_monomial_guard():
     model = akm_singularity(3, 3)
     with pytest.raises(ModelError):
         valuation_volume_hypersurface(model, [1, 1, 1, Fraction(1, 2)])
-    vol = valuation_volume_hypersurface(
-        model, [1, 1, 1, Fraction(1, 2)], allow_single_initial_monomial=True
-    )
-    assert vol == 3  # d / prod = (3/2) / (1/2)
 
 
 def test_normalized_volume():
@@ -181,21 +177,6 @@ def test_oracle_convergence_decreasing():
 def test_oracle_budget():
     with pytest.raises(BudgetExceeded):
         lattice_count_oracle(affine_space(3), [1, 1, 1], 10**5)
-
-
-def test_oracle_check_flag():
-    vol = valuation_volume_hypersurface(
-        akm_singularity(3, 2), [2, 2, 2, 2], oracle_check=True, oracle_depth=120
-    )
-    assert vol == Fraction(1, 4)
-    with pytest.raises(OracleDisagreement):
-        valuation_volume_hypersurface(
-            akm_singularity(3, 2),
-            [2, 2, 2, 2],
-            oracle_check=True,
-            oracle_depth=120,
-            oracle_rel_tol=1e-9,
-        )
 
 
 def test_nvol_report_flags_nonpositive():
