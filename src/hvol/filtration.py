@@ -30,7 +30,13 @@ Everything downstream is derived from the profile:
   vol(R^(t)) / t^(n+1) dt;
 * the two-parameter interpolation Phi(lambda, s) between the graded volume
   (s = 0) and the rescaled filtration volume (s = 1), convex in s (C. Li,
-  arXiv:1511.08164);
+  arXiv:1511.08164).  On monomial valuations it is the volume of
+  (1 - s) v0 + s lambda v1, so the same pieces give it in closed form,
+  Phi(lambda, s) = sum_s w_s / prod_i (1 - s + lambda s k_si)
+  (Martelli-Sparks-Yau, hep-th/0503183; by Hermite-Genocchi this is the
+  transform of the B-spline profile).  `phi_surface` evaluates that sum;
+  `interpolation_volume` integrates the profile instead and is kept as the
+  independent witness the checks compare it with;
 * four independent expressions for the derivative of Phi at s = 0, whose
   mutual agreement certifies the calculus;
 * the stability gap A(v1) - delta / degH * integral_0^inf Theta, nonnegative
@@ -53,6 +59,7 @@ from .errors import (
     BoundViolated,
     IntegralDivergence,
     ModelError,
+    NotInReebCone,
     PreconditionViolated,
 )
 from .exactgeom import RVector, rat
@@ -71,9 +78,9 @@ from .valuation import (
 
 
 def _poly_eval(coeffs: Sequence, t):
-    result = 0 * t if not isinstance(t, float) else 0.0
+    result = 0 * t
     for c in reversed(coeffs):
-        result = result * t + (c if not isinstance(t, float) else float(c))
+        result = result * t + c
     return result
 
 
@@ -132,7 +139,8 @@ class PiecewisePoly:
 
 @dataclass
 class VolumeProfile:
-    """t -> vol(R^(t)) with its support bounds and the filtration volume."""
+    """t -> vol(R^(t)) with its support bounds, the filtration volume and
+    the (weight, knots) pairs of the simplicial cones it is summed from."""
 
     n: int
     degH: Fraction
@@ -140,6 +148,7 @@ class VolumeProfile:
     c2: Fraction
     vol_v1: Fraction
     pieces: PiecewisePoly
+    simplices: tuple[tuple[Fraction, tuple[Fraction, ...]], ...]  # (weight, knots)
     v0_weights: RVector | None = None
     v1_weights: RVector | None = None
     label: str = ""
@@ -175,20 +184,45 @@ class VolumeProfile:
             for (lo, hi), coeffs in zip(zip(bps, bps[1:]), self.pieces.pieces)
         ]
 
-    def vol_r(self, t) -> float:
-        """Profile value at t (float path; exact values via vol_r_exact)."""
-        return float(self.vol_r_exact(t if isinstance(t, (Fraction, int)) else float(t)))
+    @cached_property
+    def _exact_pieces(self) -> tuple[tuple[Fraction, ...], ...]:
+        """degH, the polynomial pieces and 0, indexed by `_piece_index`."""
+        return ((self.degH,),) + self.pieces.pieces + ((Fraction(0),),)
 
-    def vol_r_exact(self, t):
-        bps = self.pieces.breakpoints
-        if t <= bps[0]:
-            return self.degH if not isinstance(t, float) else float(self.degH)
-        if t >= bps[-1]:
-            return Fraction(0) if not isinstance(t, float) else 0.0
-        for (lo, hi), coeffs in zip(zip(bps, bps[1:]), self.pieces.pieces):
-            if t <= hi:
-                return _poly_eval(coeffs, t)
-        return Fraction(0)
+    @cached_property
+    def _float_pieces(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(tuple(map(float, coeffs)) for coeffs in self._exact_pieces)
+
+    @cached_property
+    def _breakpoint_ratios(self) -> tuple[tuple[int, int], ...]:
+        return tuple((b.numerator, b.denominator) for b in self.pieces.breakpoints)
+
+    @cached_property
+    def _section_integral(self) -> Fraction:
+        return theta_integral(self, Fraction(0))
+
+    def _piece_index(self, t) -> int:
+        """The index of t's piece in `_exact_pieces`: how many breakpoints lie
+        strictly below t, except that t = c2 above the first breakpoint
+        counts all of them.  Compared exactly at t = a / b."""
+        a, b = t.as_integer_ratio()
+        bps = self._breakpoint_ratios
+        i = 0
+        while i < len(bps) and bps[i][0] * b < a * bps[i][1]:
+            i += 1
+        if 0 < i == len(bps) - 1 and bps[i][0] * b == a * bps[i][1]:
+            return len(bps)
+        return i
+
+    def vol_r(self, t) -> float:
+        """Profile value at t as a float: the region is chosen exactly at t's
+        binary value, then the piece is evaluated by float Horner steps."""
+        t = float(t)
+        return _poly_eval(self._float_pieces[self._piece_index(t)], t)
+
+    def vol_r_exact(self, t) -> Fraction:
+        """Profile value at a rational t, exactly."""
+        return _poly_eval(self._exact_pieces[self._piece_index(t)], t)
 
 
 # -- building profiles from models ---------------------------------------------
@@ -229,6 +263,9 @@ def _support_start(model, v0: RVector, v1: RVector) -> Fraction:
     least v1-weight of a degree-1 element of the v0-graded ring."""
     gens = model.reeb_generators
     (p0, d0), (p1, d1) = (integer_pairings(gens, v)[1:] for v in (v0, v1))
+    for v, pairings in ((v0, p0), (v1, p1)):
+        if min(pairings) <= 0:
+            raise NotInReebCone(f"{tuple(v)} is not in the Reeb cone")
     return min(Fraction(a * d0, b * d1) for a, b in zip(p1, p0))
 
 
@@ -260,6 +297,7 @@ def profile_from_model(model, v0_weights: Sequence, v1_weights: Sequence) -> Vol
         c2=bps[-1],
         vol_v1=sum(weight / math.prod(knots) for weight, knots in simplices),
         pieces=PiecewisePoly(breakpoints=tuple(bps), pieces=tuple(pieces)),
+        simplices=tuple((weight, tuple(knots)) for weight, knots in simplices),
         v0_weights=v0,
         v1_weights=v1,
         label=model.label,
@@ -358,8 +396,9 @@ def profile_integral(p: VolumeProfile, lo) -> Fraction:
 
 
 def section_integral(p: VolumeProfile) -> Fraction:
-    """integral_0^inf vol(F S^(t)) dt = integral_0^inf Theta dt, exact."""
-    return theta_integral(p, Fraction(0))
+    """integral_0^inf vol(F S^(t)) dt = integral_0^inf Theta dt, exact;
+    computed once per profile."""
+    return p._section_integral
 
 
 def volume_from_profile(p: VolumeProfile) -> Fraction:
@@ -392,11 +431,15 @@ def liu_bound_check(p: VolumeProfile, xs: Sequence) -> bool:
 
 
 def interpolation_volume(p: VolumeProfile, lam, s) -> Fraction:
-    """Phi(lambda, s): volume along the interpolation from v0 to lambda*v1.
+    """Phi(lambda, s): volume along the interpolation from v0 to lambda*v1,
+    integrated from the profile.
 
     Phi(lambda, 0) = degH exactly; Phi(lambda, 1) = lambda^-n vol(v1);
     continuous and convex in s on [0, 1].  lambda and s are rationals (a
-    float counts as its exact binary value) and the result is exact.
+    float counts as its exact binary value) and the result is exact.  Kept
+    as the profile-path witness: the report checks and the self-test compare
+    it with the closed form of `interpolation_closed_form`, which never
+    looks at the profile pieces.
     """
     lam, s = Fraction(lam), Fraction(s)
     if lam <= 0:
@@ -417,6 +460,41 @@ def interpolation_volume(p: VolumeProfile, lam, s) -> Fraction:
         in_u = _poly_compose_affine(coeffs, -shift / slope, 1 / slope)
         tail += _poly_tail_kernel(in_u, shift + slope * a, shift + slope * hi, p.n)
     return p.degH / (shift + slope * p.c1) ** p.n - p.n * tail
+
+
+def interpolation_closed_form(p: VolumeProfile, lam, s) -> Fraction:
+    """Phi(lambda, s) = sum_s w_s / prod_i (1 - s + lambda s k_si), exact.
+
+    On monomial valuations Phi(lambda, s) is the volume of (1 - s) v0 +
+    s lambda v1 (C. Li, arXiv:1511.08164), and each simplicial cone of
+    weight w and knots k contributes its Martelli-Sparks-Yau term
+    (hep-th/0503183).  lambda and s are rationals (a float counts as its
+    exact binary value).
+    """
+    s = Fraction(s)
+    if not 0 <= s <= 1:
+        raise ValueError("s must lie in [0, 1]")
+    return Fraction(*_phi_ratio(p, Fraction(lam), s.numerator, s.denominator))
+
+
+def _phi_ratio(p: VolumeProfile, lam: Fraction, j: int, m: int) -> tuple[int, int]:
+    """Integers (num, den) with num / den = Phi(lambda, j / m), for 0 <= j <= m.
+
+    With lambda = a / b and a knot k = u / q, the factor 1 - s + lambda s k
+    is ((m - j) b q + j a u) / (m b q), so the sum needs no gcd.
+    """
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    a, b = lam.numerator, lam.denominator
+    num, den = 0, 1
+    for weight, knots in p.simplices:
+        top, bottom = weight.numerator, weight.denominator
+        for k in knots:
+            q = b * k.denominator
+            top *= m * q
+            bottom *= (m - j) * q + j * a * k.numerator
+        num, den = num * bottom + top * den, den * bottom
+    return num, den
 
 
 @dataclass(frozen=True)
@@ -479,13 +557,19 @@ class PhiSurface:
 def phi_surface(
     p: VolumeProfile, lambdas: Sequence, s_count: int = 21
 ) -> PhiSurface:
-    s_grid = tuple(j / (s_count - 1) for j in range(s_count))
+    """Phi(lambda, j / (s_count - 1)) for each lambda and j.
+
+    Each value is the exact Phi(lambda, s) = sum_s w_s / prod_i
+    (1 - s + lambda s k_si) over the profile's simplices (C. Li,
+    arXiv:1511.08164; Martelli-Sparks-Yau, hep-th/0503183), as in
+    `interpolation_closed_form`, rounded to a float once: Python's
+    int / int is correctly rounded.
+    """
+    m = s_count - 1
+    s_grid = tuple(j / m for j in range(s_count))
     values = tuple(
-        tuple(
-            float(interpolation_volume(p, lam, Fraction(j, s_count - 1)))
-            for j in range(s_count)
-        )
-        for lam in lambdas
+        tuple(num / den for num, den in (_phi_ratio(p, lam, j, m) for j in range(s_count)))
+        for lam in map(Fraction, lambdas)
     )
     return PhiSurface(lambdas=tuple(float(x) for x in lambdas), s_grid=s_grid, values=values)
 

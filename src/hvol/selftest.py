@@ -18,6 +18,7 @@ from typing import Callable, Iterable
 
 from .exactgeom import Halfspace, Polytope, RVector, centroid, cut_cone, polytope_volume, rat
 from .filtration import (
+    interpolation_closed_form,
     interpolation_derivative_forms,
     interpolation_volume,
     profile_from_model,
@@ -374,6 +375,18 @@ def check_interpolation_calculus() -> list[CheckResult]:
         )
         out.append(
             CheckResult(f"phi_midpoint_convexity[{name}]", worst >= 0, str(worst), "0", "exact")
+        )
+        # the closed-form sum over the simplices, which `phi_surface` reports,
+        # against the profile integrals on the same grid; the largest gap
+        out.append(
+            CheckResult.exact(
+                f"phi_surface_matches_profile[{name}]",
+                max(
+                    abs(interpolation_closed_form(profile, lam_star, Fraction(j, 20)) - value)
+                    for j, value in enumerate(values)
+                ),
+                0,
+            )
         )
         forms = interpolation_derivative_forms(profile, lam_star)
         out.append(CheckResult.exact(f"derivative_forms_agree[{name}]", forms.spread(), 0))

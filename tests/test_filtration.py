@@ -10,10 +10,12 @@ from hvol.errors import NotInReebCone, PreconditionViolated
 from hvol.exactgeom import Halfspace, Polytope, RVector, nullspace, polytope_volume
 from hvol.filtration import (
     PiecewisePoly,
+    interpolation_closed_form,
     interpolation_derivative_forms,
     interpolation_volume,
     liu_bound_check,
     nvol_lower_bound_check,
+    phi_surface,
     profile_dimension_check,
     profile_from_model,
     profile_integral,
@@ -28,6 +30,7 @@ from hvol.filtration import (
 from hvol.singularities import (
     PolarizedConeData,
     ToricConeSingularity,
+    WeightedHomogeneousHypersurface,
     affine_space,
     akm_singularity,
     canonical_weights,
@@ -261,6 +264,21 @@ def test_profile_dimension_identity():
     )
 
 
+@pytest.mark.parametrize(
+    "model,v0,v1",
+    [
+        (affine_space(2), [1, 0], [1, 1]),
+        (akm_singularity(2, 2), [1, 1, 0], [1, 1, 1]),
+        (affine_space(2), [1, 1], [0, 1]),
+    ],
+    ids=["C2, v0 on the boundary", "akm(2,2), v0 on the boundary", "C2, v1 on the boundary"],
+)
+def test_profile_dimension_check_refuses_non_reeb_weights(model, v0, v1):
+    # the graded colengths divide by the pairings with the Reeb generators
+    with pytest.raises(NotInReebCone):
+        profile_dimension_check(model, v0, v1, [3])
+
+
 def test_piecewise_poly_validation():
     with pytest.raises(ValueError):
         PiecewisePoly(breakpoints=(Fraction(2), Fraction(1)), pieces=((Fraction(1),),))
@@ -417,3 +435,104 @@ def test_profile_matches_slice_volume(name):
         _assert_profile_matches_slices(model, v0, v1, t)
 
     check()
+
+
+# -- Phi in closed form and the float profile path -------------------------------
+
+X2Y3Z4W12 = WeightedHomogeneousHypersurface(
+    nvars=4, monomials=((2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 4, 0), (0, 0, 0, 12))
+)
+
+
+def _ray_combination(model, coeffs) -> RVector:
+    return sum((ray.scale(c) for c, ray in zip(coeffs, model.sigma.rays)), RVector([0] * model.n))
+
+
+# name -> (model, v0, v1).  On x^2+y^3+z^4+w^12 the reduction variable x has
+# the least ratio, 1/2, so c1 lies below the first knot 1.
+CLOSED_FORM_CASES = {
+    name: (PROFILE_CONES[name], _grading(PROFILE_CONES[name]), RVector(v1))
+    for name, v1 in (
+        ("C2", [1, 2]),
+        ("C3", [1, 1, 2]),
+        ("C2/Z3", [Fraction(5, 2), Fraction(1, 2)]),
+        ("conifold", [1, 1, 3]),
+        ("Y31", _ray_combination(PROFILE_CONES["Y31"], [2, 1, 3, 1])),
+        ("square pyramid", _ray_combination(PROFILE_CONES["square pyramid"], [1, 2, 1, 3, 2])),
+        ("akm(2,3)", [1, 3, 2]),
+        ("akm(3,2)", [2, 1, 1, 1]),
+    )
+}
+CLOSED_FORM_CASES["x2+y3+z4+w12"] = (X2Y3Z4W12, RVector([6, 4, 3, 1]), RVector([3, 4, 4, 2]))
+for _name in ("C3", "conifold", "akm(3,2)"):
+    _v0 = _grading(PROFILE_CONES[_name])
+    CLOSED_FORM_CASES[f"{_name}, v1=v0"] = (PROFILE_CONES[_name], _v0, _v0)
+    CLOSED_FORM_CASES[f"{_name}, v1=2v0"] = (PROFILE_CONES[_name], _v0, _v0.scale(2))
+
+
+def _closed_form_profile(name):
+    model, v0, v1 = CLOSED_FORM_CASES[name]
+    return model, v0, v1, profile_from_model(model, v0, v1)
+
+
+def test_closed_form_case_with_c1_below_the_first_knot():
+    _, _, _, p = _closed_form_profile("x2+y3+z4+w12")
+    assert p.c1 == Fraction(1, 2) < p.pieces.breakpoints[0] == 1
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_CASES))
+def test_phi_surface_equals_interpolation_volume(name):
+    # every grid value of the surface is the profile integral rounded once
+    model, v0, v1, p = _closed_form_profile(name)
+    lambdas = [0.5, 1.0, 2.0, model.logdisc(v0) / model.logdisc(v1)]
+    surface = phi_surface(p, lambdas)
+    for lam, row in zip(lambdas, surface.values):
+        for j, value in enumerate(row):
+            s = Fraction(j, 20)
+            phi = interpolation_volume(p, lam, s)
+            assert interpolation_closed_form(p, lam, s) == phi
+            assert value == float(phi), (lam, j)
+
+
+def test_phi_surface_never_integrates_the_profile(monkeypatch, space_profile):
+    import hvol.filtration as filtration
+
+    def refuse(*args):
+        raise AssertionError("phi_surface went through the profile path")
+
+    monkeypatch.setattr(filtration, "interpolation_volume", refuse)
+    monkeypatch.setattr(filtration, "_poly_compose_affine", refuse)
+    surface = phi_surface(space_profile, [1.0])
+    assert surface.values[0][0] == float(space_profile.degH)
+    assert surface.values[0][-1] == float(space_profile.vol_v1)
+
+
+def _vol_r_reference(p, t: float) -> float:
+    """The region chosen by exact comparison at t's binary value, then the
+    piece evaluated by float Horner steps from the top coefficient."""
+    bps = p.pieces.breakpoints
+    if t <= bps[0]:
+        return float(p.degH)
+    if t >= bps[-1]:
+        return 0.0
+    for hi, coeffs in zip(bps[1:], p.pieces.pieces):
+        if t <= hi:
+            result = 0.0
+            for c in reversed(coeffs):
+                result = result * t + float(c)
+            return result
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_CASES))
+def test_vol_r_float_path(name):
+    *_, p = _closed_form_profile(name)
+    c2 = float(p.c2)
+    near = [math.nextafter(float(b), x) for b in p.pieces.breakpoints for x in (0, math.inf)]
+    samples = (
+        [0.0, -1.0, c2, 1.05 * c2, 2 * c2]
+        + [float(b) for b in p.pieces.breakpoints]
+        + near
+        + [c2 * 1.05 * j / 399 for j in range(400)]
+    )
+    for t in samples:
+        assert p.vol_r(t) == _vol_r_reference(p, t), t
