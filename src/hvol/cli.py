@@ -140,6 +140,13 @@ def _parse_weights(text: str) -> list[Fraction]:
     return [_parse_rational(part.strip()) for part in str(text).split(",") if part.strip()]
 
 
+def _canonical_xi(descriptor: dict) -> list[Fraction] | None:
+    canonical = descriptor.get("canonical_xi")
+    if canonical and not isinstance(canonical, list):
+        raise SchemaError("canonical_xi must be a list of weights")
+    return [_parse_rational(v) for v in canonical] if canonical else None
+
+
 def parse_model(descriptor: dict):
     if not isinstance(descriptor, dict) or "type" not in descriptor:
         raise SchemaError("model descriptor must be an object with a 'type' field")
@@ -150,19 +157,22 @@ def parse_model(descriptor: dict):
         rays = descriptor.get("rays")
         if not rays:
             raise SchemaError("toric_cone needs a 'rays' list")
-        canonical = descriptor.get("canonical_xi")
         return ToricConeSingularity.from_rays(
             [[_parse_rational(v) for v in ray] for ray in rays],
-            canonical_xi=[_parse_rational(v) for v in canonical] if canonical else None,
+            canonical_xi=_canonical_xi(descriptor),
         )
     if kind == "hypersurface":
         n = descriptor.get("n")
         monomials = descriptor.get("monomials")
         if n is None or not monomials:
             raise SchemaError("hypersurface needs 'n' and 'monomials'")
+        canonical = _canonical_xi(descriptor)
+        if canonical is not None and (len(canonical) != int(n) + 1 or min(canonical) <= 0):
+            raise SchemaError(f"hypersurface canonical_xi needs {int(n) + 1} positive weights")
         return WeightedHomogeneousHypersurface(
             nvars=int(n) + 1,
             monomials=tuple(RVector([int(e) for e in mono]) for mono in monomials),
+            canonical_xi=RVector(canonical) if canonical else None,
         )
     if kind == "akm":
         try:

@@ -14,6 +14,14 @@ Conventions
 * A :class:`PolyCone` is pointed and full-dimensional; it stores generating
   rays (primitive integer vectors) and, when available, its facet halfspaces
   (offset 0).
+* Every exact linear-algebra decision goes through two kernels.  The
+  rational one is `row_reduce`, Gauss-Jordan over Fraction, under
+  `solve_square`, `matrix_rank` and `nullspace`.  The integer one is
+  `int_det`, Bareiss elimination, under `det` (rows cleared to integers) and
+  `cone_rays`, the extreme rays of {x : <row, x> >= 0} as signed maximal
+  minors.  `cone_rays` gives the rays of `dual_cone`, the recession
+  direction of `vertex_enumerate` and the face cells of a hypersurface
+  (`singularities._face_piece`).
 * Vertex enumeration solves every d-subset of the facet system exactly and
   filters by feasibility; fine for the desk-scale inputs this package targets
   (<= ~20 facets in dimension <= 6).
@@ -28,6 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -112,56 +121,24 @@ class Halfspace:
         return self.value(point) >= 0
 
 
-# -- exact dense linear algebra over Fraction ------------------------------
+# -- exact dense linear algebra ------------------------------------------------
 
 
-def solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Solve a square rational system; returns None if singular."""
-    n = len(rows)
-    a = [list(map(rat, row)) + [rat(b)] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-    return RVector(a[r][n] for r in range(n))
+def row_reduce(
+    rows: Sequence[Sequence], ncols: int
+) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan elimination over Fraction on the first ncols columns.
 
-
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    a = [list(map(rat, row)) for row in rows]
-    if not a:
-        return 0
-    ncols = len(a[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [v * inv for v in a[rank]]
-        for r in range(len(a)):
-            if r != rank and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[rank])]
-        rank += 1
-        if rank == len(a):
-            break
-    return rank
-
-
-def nullspace(rows: Sequence[Sequence[Fraction]], dim: int) -> list[RVector]:
-    """Basis of {x : row . x = 0 for all rows} in ambient dimension dim."""
+    Returns the nonzero rows of the reduced row echelon form, each scaled to
+    a pivot 1 that is the only nonzero entry of its column, and their pivot
+    columns.  Columns past ncols (a right-hand side) ride along.
+    """
     a = [list(map(rat, row)) for row in rows]
     pivots: list[int] = []
-    rank = 0
-    for col in range(dim):
+    for col in range(ncols):
+        if len(pivots) == len(a):
+            break
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
         if pivot is None:
             continue
@@ -173,37 +150,64 @@ def nullspace(rows: Sequence[Sequence[Fraction]], dim: int) -> list[RVector]:
                 factor = a[r][col]
                 a[r] = [v - factor * w for v, w in zip(a[r], a[rank])]
         pivots.append(col)
-        rank += 1
-    free = [c for c in range(dim) if c not in pivots]
+    return a[: len(pivots)], pivots
+
+
+def solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
+    """Solve a square rational system; returns None if singular."""
+    n = len(rows)
+    reduced, pivots = row_reduce([list(row) + [b] for row, b in zip(rows, rhs)], n)
+    if len(pivots) < n:
+        return None
+    return RVector(row[n] for row in reduced)
+
+
+def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    return len(row_reduce(rows, len(rows[0]) if rows else 0)[1])
+
+
+def nullspace(rows: Sequence[Sequence[Fraction]], dim: int) -> list[RVector]:
+    """Basis of {x : row . x = 0 for all rows} in ambient dimension dim: one
+    vector per free column, with a 1 there and 0 in the other free columns."""
+    reduced, pivots = row_reduce(rows, dim)
     basis = []
-    for fcol in free:
-        vec = [Fraction(0)] * dim
-        vec[fcol] = Fraction(1)
-        for r, pcol in enumerate(pivots):
-            vec[pcol] = -a[r][fcol]
+    for fcol in (c for c in range(dim) if c not in pivots):
+        vec = [Fraction(int(c == fcol)) for c in range(dim)]
+        for row, pcol in zip(reduced, pivots):
+            vec[pcol] = -row[fcol]
         basis.append(RVector(vec))
     return basis
 
 
-def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(rows)
-    a = [list(map(rat, row)) for row in rows]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+def _integral(row) -> tuple[list[int], int]:
+    """(s * row, s) for the least positive integer s that clears the
+    denominators of a rational row."""
+    scale = math.lcm(*(rat(c).denominator for c in row))
+    return [int(c * scale) for c in row], scale
+
+
+def int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination."""
+    a = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for k in range(len(a)):
+        pivot = next((r for r in range(k, len(a)) if a[r][k]), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            sign = -sign
-        result *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                factor = a[r][col] * inv
-                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-    return sign * result
+            return 0
+        if pivot != k:
+            a[k], a[pivot], sign = a[pivot], a[k], -sign
+        for i in range(k + 1, len(a)):
+            for j in range(k + 1, len(a)):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * prev
+
+
+def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Determinant of a square rational matrix: `int_det` of the rows cleared
+    to integers, divided by the product of the clearing scales."""
+    cleared = [_integral(row) for row in rows]
+    return Fraction(int_det([r for r, _ in cleared]), math.prod(s for _, s in cleared))
 
 
 def affine_rank(points: Sequence[RVector]) -> int:
@@ -214,6 +218,30 @@ def affine_rank(points: Sequence[RVector]) -> int:
     return matrix_rank([list(p - base) for p in points[1:]])
 
 
+def cone_rays(rows: Sequence[Sequence], dim: int) -> list[RVector]:
+    """Extreme rays of {x : <row, x> >= 0 for every row}, primitive and sorted.
+
+    A candidate is the vector of signed maximal minors of dim - 1 of the rows
+    (cleared to integers), which spans their kernel when they have rank
+    dim - 1 and is zero otherwise; it is kept, with either sign, when every
+    row pairs nonnegatively with it.  In dimension 1 the empty minor gives
+    the candidates (1) and (-1).
+    """
+    ints = [_integral(row)[0] for row in rows]
+    found: set[tuple[int, ...]] = set()
+    for active in combinations(ints, dim - 1):
+        ray = [(-1) ** i * int_det([r[:i] + r[i + 1 :] for r in active]) for i in range(dim)]
+        g = math.gcd(*ray)
+        if g == 0:
+            continue
+        pairings = [sum(map(mul, r, ray)) for r in ints]
+        if min(pairings, default=0) >= 0:
+            found.add(tuple(c // g for c in ray))
+        if max(pairings, default=0) <= 0:
+            found.add(tuple(-c // g for c in ray))
+    return [RVector(ray) for ray in sorted(found)]
+
+
 # -- vertex enumeration -----------------------------------------------------
 
 
@@ -222,26 +250,15 @@ def _recession_direction(hrep: Sequence[Halfspace], dim: int) -> RVector | None:
     normals = [list(h.normal) for h in hrep]
     for vec in nullspace(normals, dim):
         return vec  # lineality direction: recession in both senses
-    if dim == 1:
-        for cand in (RVector([1]), RVector([-1])):
-            if all(h.normal.dot(cand) >= 0 for h in hrep):
-                return cand
-        return None
-    for subset in combinations(range(len(normals)), dim - 1):
-        dirs = nullspace([normals[i] for i in subset], dim)
-        if len(dirs) != 1:
-            continue
-        for cand in (dirs[0], -dirs[0]):
-            if all(h.normal.dot(cand) >= 0 for h in hrep):
-                return cand
-    return None
+    rays = cone_rays(normals, dim)
+    return rays[0] if rays else None
 
 
 def vertex_enumerate(hrep: Sequence[Halfspace], dim: int) -> list[RVector]:
     """All vertices of the polytope cut out by hrep, exactly and deduplicated.
 
-    Raises UnboundedRegion if the feasible region has a recession direction,
-    EmptyRegion if it is infeasible.
+    Raises UnboundedRegion if the feasible region has a vertex and a
+    recession direction, EmptyRegion if it has no vertex.
     """
     hrep = list(hrep)
     if len(hrep) < dim + 1:
@@ -256,24 +273,12 @@ def vertex_enumerate(hrep: Sequence[Halfspace], dim: int) -> list[RVector]:
             continue
         if all(h.value(point) >= 0 for h in hrep):
             found.setdefault(tuple(point), point)
-    direction = _recession_direction(hrep, dim)
-    if direction is not None and (found or _feasible_somewhere(hrep, dim)):
-        raise UnboundedRegion(f"recession direction {tuple(direction)}")
     if not found:
         raise EmptyRegion("no feasible vertex")
+    direction = _recession_direction(hrep, dim)
+    if direction is not None:
+        raise UnboundedRegion(f"recession direction {tuple(direction)}")
     return sorted(found.values())
-
-
-def _feasible_somewhere(hrep: Sequence[Halfspace], dim: int) -> bool:
-    # Cheap feasibility probe used only to distinguish empty from unbounded:
-    # vertices of relaxed subsystems witness nonemptiness in the common cases.
-    for subset in combinations(hrep, min(dim, len(hrep))):
-        point = solve_square(
-            [list(h.normal) for h in subset], [-h.offset for h in subset]
-        )
-        if point is not None and all(h.value(point) >= 0 for h in hrep):
-            return True
-    return False
 
 
 # -- polytopes --------------------------------------------------------------
@@ -408,26 +413,12 @@ class PolyCone:
 
 def dual_cone(c: PolyCone) -> PolyCone:
     """{y : <y, u> >= 0 for every ray u of c}; involutive on pointed cones."""
-    normals = [list(r) for r in c.rays]
-    dim = c.dim
-    rays: dict[tuple, RVector] = {}
-    if dim == 1:
-        for cand in (RVector([1]), RVector([-1])):
-            if all(RVector(n).dot(cand) >= 0 for n in normals):
-                rays.setdefault(tuple(cand), cand)
-    for subset in combinations(range(len(normals)), dim - 1):
-        dirs = nullspace([normals[i] for i in subset], dim)
-        if len(dirs) != 1:
-            continue
-        for cand in (dirs[0].primitive(), (-dirs[0]).primitive()):
-            if all(RVector(n).dot(cand) >= 0 for n in normals) and not cand.is_zero():
-                rays.setdefault(tuple(cand), cand)
-    result_rays = sorted(rays.values())
-    if matrix_rank([list(v) for v in result_rays]) != dim:
+    rays = cone_rays(c.rays, c.dim)
+    if matrix_rank(rays) != c.dim:
         raise NotFullDimensional("dual cone is not full-dimensional (input not pointed)")
     return PolyCone(
-        dim=dim,
-        rays=tuple(result_rays),
+        dim=c.dim,
+        rays=tuple(rays),
         facets=tuple(Halfspace(RVector(r), Fraction(0)) for r in c.rays),
     )
 
@@ -458,12 +449,13 @@ def triangulate_cone(c: PolyCone) -> tuple[tuple[int, tuple[int, ...]], ...]:
     region = cut_cone(c, xi0)
     index = {tuple(ray.scale(1 / ray.dot(xi0))): i for i, ray in enumerate(c.rays)}
     section = [v for v in region.vrep if not v.is_zero()]
+    ints = [[int(x) for x in ray] for ray in c.rays]
     simplices = []
     for simplex in _fan_simplices(section, region.hrep, dim - 1):
         rays = tuple(sorted(index[tuple(v)] for v in simplex))
-        d = abs(det([list(c.rays[i]) for i in rays]))
+        d = abs(int_det([ints[i] for i in rays]))
         if d != 0:
-            simplices.append((int(d), rays))
+            simplices.append((d, rays))
     tiled = sum(
         (Fraction(d, math.prod(int(c.rays[i].dot(xi0)) for i in rays)) for d, rays in simplices),
         Fraction(0),

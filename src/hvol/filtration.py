@@ -201,6 +201,15 @@ class VolumeProfile:
     def _section_integral(self) -> Fraction:
         return theta_integral(self, Fraction(0))
 
+    @cached_property
+    def _kernel_tails(self) -> tuple[Fraction, ...]:
+        """Per region, integral of vol_r(t) t^(-n-1) over the regions after
+        it: each region but the first integrated once, summed from c2 down."""
+        tails = [Fraction(0)]
+        for lo, hi, coeffs in reversed(self.regions[1:]):
+            tails.append(tails[-1] + _poly_tail_kernel(coeffs, lo, hi, self.n))
+        return tuple(reversed(tails))
+
     def _piece_index(self, t) -> int:
         """The index of t's piece in `_exact_pieces`: how many breakpoints lie
         strictly below t, except that t = c2 above the first breakpoint
@@ -321,14 +330,12 @@ def profile_to_dict(p: VolumeProfile) -> dict:
 
 
 def _tail_kernel_integral(p: VolumeProfile, x: Fraction) -> Fraction:
-    """integral_x^inf vol_r(t) t^(-n-1) dt, exact; x > 0."""
-    total = Fraction(0)
-    for lo, hi, coeffs in p.regions:
-        a = max(lo, x)
-        if a >= hi:
-            continue
-        total += _poly_tail_kernel(coeffs, a, hi, p.n)
-    return total
+    """integral_x^inf vol_r(t) t^(-n-1) dt, exact; x > 0: the part of x's
+    region above x plus the cached integral beyond that region."""
+    for (lo, hi, coeffs), beyond in zip(p.regions, p._kernel_tails):
+        if x < hi:
+            return _poly_tail_kernel(coeffs, max(lo, x), hi, p.n) + beyond
+    return Fraction(0)
 
 
 def tail_volume(p: VolumeProfile, x) -> float:
@@ -347,40 +354,28 @@ def tail_volume_exact(p: VolumeProfile, x) -> Fraction:
 
 
 def theta_integral(p: VolumeProfile, lo) -> Fraction:
-    """integral_lo^inf Theta(t) dt in closed form."""
+    """integral_lo^inf Theta(t) dt in closed form, region by region."""
     lo = rat(lo)
+    n = p.n
     total = Fraction(0)
-    for u, v, _ in p.regions:
+    for (u, v, coeffs), g_v in zip(p.regions, p._kernel_tails):
         a = max(u, lo)
         if a >= v:
             continue
-        total += _theta_integral_region(p, a, v)
+        # Theta(t) = n t^n G(t) on [a, v], with G(t) = G(v) + integral_t^v
+        # vol_r s^(-n-1) ds = G(v) + sum_j c_j (v^(j-n) - t^(j-n)) / (j-n)
+        # and G(v) the cached integral beyond the region
+        theta_poly = [Fraction(0)] * (n + 1)
+        const = g_v
+        for j, c in enumerate(coeffs):
+            if c == 0:
+                continue
+            power = j - n
+            const += c * v**power / power
+            theta_poly[j] -= n * c / power
+        theta_poly[n] += n * const
+        total += _poly_integral(theta_poly, a, v)
     return total
-
-
-def _theta_integral_region(p: VolumeProfile, a: Fraction, b: Fraction) -> Fraction:
-    """integral_a^b Theta dt where [a, b] lies inside one profile region."""
-    n = p.n
-    # Theta(t) = n t^n G(t) with G(t) = G(b) + integral_t^b vol_r s^(-n-1) ds
-    g_b = _tail_kernel_integral(p, b)
-    coeffs = None
-    for u, v, cs in p.regions:
-        if u <= a and b <= v:
-            coeffs = cs
-            break
-    if coeffs is None:
-        raise ValueError("interval straddles a region boundary")
-    # Theta(t) = n t^n [g_b + sum_j c_j (b^(j-n) - t^(j-n)) / (j-n)]
-    theta_poly = [Fraction(0)] * (n + 1)
-    const = g_b
-    for j, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        power = j - n
-        const += c * b**power / power
-        theta_poly[j] -= n * c / power
-    theta_poly[n] += n * const
-    return _poly_integral(theta_poly, a, b)
 
 
 def profile_integral(p: VolumeProfile, lo) -> Fraction:

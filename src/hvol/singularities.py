@@ -53,13 +53,12 @@ from .exactgeom import (
     Polytope,
     RVector,
     centroid,
+    cone_rays,
     dual_cone,
-    matrix_rank,
     nullspace,
     rat,
-    solve_square,
+    row_reduce,
     triangulate_cone,
-    vertex_enumerate,
 )
 from .valuation import (
     MonomialValuation,
@@ -200,16 +199,11 @@ class ToricConeSingularity:
 
 
 def _gorenstein_vector(sigma: PolyCone) -> RVector:
-    """Solve <m0, u> = 1 on a spanning subset of rays, verify on all of them."""
-    rays = list(sigma.rays)
-    picked: list[RVector] = []
-    for ray in rays:
-        if matrix_rank([list(r) for r in picked + [ray]]) > len(picked):
-            picked.append(ray)
-        if len(picked) == sigma.dim:
-            break
-    m0 = solve_square([list(r) for r in picked], [Fraction(1)] * sigma.dim)
-    if m0 is None or any(m0.dot(ray) != 1 for ray in rays):
+    """Solve <m0, u> = 1 over every ray u in one elimination, then verify on
+    all of them, since the reduced rows drop an inconsistent equation."""
+    reduced, pivots = row_reduce([list(r) + [1] for r in sigma.rays], sigma.dim)
+    m0 = RVector(row[-1] for row in reduced)
+    if len(pivots) < sigma.dim or any(m0.dot(ray) != 1 for ray in sigma.rays):
         raise NotQGorenstein("no covector pairs to 1 with every primitive ray")
     return m0
 
@@ -343,33 +337,23 @@ def _face_piece(model, classes, tie, others, groups) -> ConvexPiece | None:
     in class weights y (one per symmetry class); None when no positive weight
     lies there, or when the ties force one of `others` to tie as well (the
     larger face then has the same cell).  `groups` maps a reduced monomial to
-    the monomials it stands for."""
+    the monomials it stands for.  The cell's rays are `exactgeom.cone_rays`
+    of its rows, in the coordinates z of the kernel basis of the ties."""
     dim = len(classes)
     m = tie[0]
     basis = nullspace([[a - b for a, b in zip(t, m)] for t in tie[1:]], dim)
     if not basis:
         return None
     # the closed cone in the coordinates z of y = sum_i z_i basis_i: every
-    # y_j >= 0 and every <o - m, y> >= 0, as integer rows; an extreme ray
-    # spans the kernel of len(basis) - 1 of them, and pairs positively with
-    # the row of sum(y)
+    # y_j >= 0 and every <o - m, y> >= 0
     cons = [[b[j] for b in basis] for j in range(dim)]
     cons += [[RVector(o).dot(b) - RVector(m).dot(b) for b in basis] for o in others]
-    cons = [_integral(c) for c in cons]
-    total = _integral([sum(b) for b in basis])
-    rays = set()
-    for active in combinations(cons, len(basis) - 1):
-        ray = [(-1) ** i * _det([c[:i] + c[i + 1 :] for c in active]) for i in range(len(basis))]
-        sign = sum(map(mul, total, ray))
-        ray = [c if sign > 0 else -c for c in ray]
-        if sign and all(sum(map(mul, c, ray)) >= 0 for c in cons):
-            g = math.gcd(*ray)
-            rays.add(tuple(c // g for c in ray))
+    rays = cone_rays(cons, len(basis))
     mean = [sum(col) for col in zip(*rays)]
     if not rays or any(sum(map(mul, c, mean)) <= 0 for c in cons):
         return None
     logdisc = RVector(len(cls) - e for cls, e in zip(classes, m))
-    rays_y = [sum((b.scale(c) for b, c in zip(basis, z)), RVector([0] * dim)) for z in sorted(rays)]
+    rays_y = [sum((b.scale(c) for b, c in zip(basis, z)), RVector([0] * dim)) for z in rays]
     if any(logdisc.dot(y) <= 0 for y in rays_y):
         tied = [mono for t in tie for mono in groups[t]]
         raise ModelError(f"not klt: the log discrepancy is not positive where {tied} tie")
@@ -396,29 +380,6 @@ def _face_piece(model, classes, tie, others, groups) -> ConvexPiece | None:
         bounds=tuple(RVector(a - e for a, e in zip(o, mono)) for o in others_full),
         vertices=tuple(expand(y.scale(Fraction(model.n) / logdisc.dot(y))) for y in rays_y),
     )
-
-
-def _integral(row) -> list[int]:
-    """A positive multiple of a rational row with integer entries."""
-    scale = math.lcm(*(rat(c).denominator for c in row))
-    return [int(c * scale) for c in row]
-
-
-def _det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination."""
-    a = [list(r) for r in rows]
-    sign, prev = 1, 1
-    for k in range(len(a)):
-        pivot = next((r for r in range(k, len(a)) if a[r][k]), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            a[k], a[pivot], sign = a[pivot], a[k], -sign
-        for i in range(k + 1, len(a)):
-            for j in range(k + 1, len(a)):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * prev
 
 
 def _swap(vec: Sequence, i: int, j: int) -> list:

@@ -145,6 +145,32 @@ def test_filtration_needs_v0_without_canonical_grading(capsys):
     assert code == 0
 
 
+A1_MONOMIALS = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
+
+
+def test_filtration_reads_canonical_xi_on_a_hypersurface(capsys):
+    # canonical_xi on a hypersurface descriptor is the default --v0
+    graded = json.dumps({"type": "hypersurface", "n": 2, "monomials": A1_MONOMIALS, "canonical_xi": [1, 1, 1]})
+    bare = json.dumps({"type": "hypersurface", "n": 2, "monomials": A1_MONOMIALS})
+    code, out = run_cli(capsys, ["filtration", "--model", graded, "--v1", "1,1,2"])
+    assert code == 0
+    code, explicit = run_cli(capsys, ["filtration", "--model", bare, "--v1", "1,1,2", "--v0", "1,1,1"])
+    assert code == 0
+    report, expected = json.loads(out), json.loads(explicit)
+    assert report["results"] == expected["results"]
+    assert report["checks"] == expected["checks"]
+
+
+@pytest.mark.parametrize("canonical", [[1, 1], [1, 1, 1, 1], [1, 0, 1], [1, -1, 2], 5])
+def test_hypersurface_canonical_xi_is_checked(capsys, canonical):
+    descriptor = {"type": "hypersurface", "n": 2, "monomials": A1_MONOMIALS, "canonical_xi": canonical}
+    with pytest.raises(SchemaError):
+        parse_model(descriptor)
+    code = main(["filtration", "--model", json.dumps(descriptor), "--v1", "1,1,2"])
+    assert code == 3
+    assert "schema_error" in capsys.readouterr().err
+
+
 def test_selftest_filtered(capsys):
     code, out = run_cli(capsys, ["selftest", "--filter", "sharpness"])
     assert code == 0

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,8 +12,11 @@ from hvol.exactgeom import (
     Polytope,
     RVector,
     centroid,
+    cone_rays,
     cut_cone,
+    det,
     dual_cone,
+    nullspace,
     polytope_volume,
     vertex_enumerate,
 )
@@ -163,3 +168,60 @@ def test_cut_cone_rejects_boundary():
     orthant = dual_cone(PolyCone.from_rays([[1, 0], [0, 1]]))
     with pytest.raises(NotInReebCone):
         cut_cone(orthant, [1, -1])
+
+
+# -- the integer and rational kernels -------------------------------------------
+
+
+def _leibniz(rows):
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+def test_det_matches_leibniz():
+    rng = random.Random(5)
+    for n in range(1, 5):
+        for trial in range(12):
+            rows = [
+                [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n)]
+                for _ in range(n)
+            ]
+            if trial % 3 == 0 and n > 1:
+                # singular: the last row a rational combination of the first two
+                a, b = Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(-3, 3), 3)
+                rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1 % (n - 1)])]
+                assert det(rows) == 0
+            assert det(rows) == _leibniz(rows), rows
+    assert det([[0]]) == 0
+
+
+def _cone_rays_reference(rows, dim):
+    """Kernel of every (dim - 1)-subset of rows by Fraction elimination, both
+    signs, scaled primitive and kept when every row pairs nonnegatively."""
+    found = set()
+    for subset in itertools.combinations(rows, dim - 1):
+        kernel = nullspace([list(r) for r in subset], dim)
+        if len(kernel) != 1:
+            continue
+        for cand in (kernel[0].primitive(), (-kernel[0]).primitive()):
+            if all(RVector(r).dot(cand) >= 0 for r in rows):
+                found.add(tuple(cand))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_cone_rays_matches_brute_force(dim):
+    rng = random.Random(100 + dim)
+    for _ in range(25):
+        rows = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(rng.randint(1, dim + 3))]
+        expected = _cone_rays_reference(rows, dim)
+        assert [tuple(r) for r in cone_rays(rows, dim)] == expected, rows
+
+
+def test_dual_cone_of_a_ray():
+    assert dual_cone(PolyCone.from_rays([[3]])).rays == (RVector([1]),)
+    assert dual_cone(PolyCone.from_rays([[-2]])).rays == (RVector([-1]),)

@@ -10,6 +10,8 @@ from hvol.errors import NotInReebCone, PreconditionViolated
 from hvol.exactgeom import Halfspace, Polytope, RVector, nullspace, polytope_volume
 from hvol.filtration import (
     PiecewisePoly,
+    _poly_tail_kernel,
+    _tail_kernel_integral,
     interpolation_closed_form,
     interpolation_derivative_forms,
     interpolation_volume,
@@ -536,3 +538,22 @@ def test_vol_r_float_path(name):
     )
     for t in samples:
         assert p.vol_r(t) == _vol_r_reference(p, t), t
+
+
+def _tail_kernel_reference(p, x: Fraction) -> Fraction:
+    """integral_x^inf vol_r(t) t^(-n-1) dt summed region by region."""
+    total = Fraction(0)
+    for lo, hi, coeffs in p.regions:
+        if max(lo, x) < hi:
+            total += _poly_tail_kernel(coeffs, max(lo, x), hi, p.n)
+    return total
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_CASES))
+def test_cached_tail_integrals_equal_the_direct_sum(name):
+    *_, p = _closed_form_profile(name)
+    points = [p.c1, p.c2, *p.pieces.breakpoints, *((lo + hi) / 2 for lo, hi, _ in p.regions)]
+    for x in points:
+        assert _tail_kernel_integral(p, x) == _tail_kernel_reference(p, x), x
+        expected = p.n * x**p.n * _tail_kernel_reference(p, x) if x < p.c2 else 0
+        assert tail_volume_exact(p, x) == expected, x
