@@ -1,11 +1,11 @@
 """Exact rational linear algebra and convex geometry.
 
-Everything here is computed over ``fractions.Fraction``: vertex enumeration,
-polytope volumes, centroids, dual cones, cone truncation and cone
-triangulation.  They build each toric model's triangulation once and measure
-the polytopes that the self-tests compare closed forms against, and the
-acceptance identities they feed are exact equalities, so no floating point is
-allowed to enter.
+Everything here is computed over ``fractions.Fraction`` or in integers:
+vertex enumeration, polytope volumes, centroids, dual cones, cone truncation
+and cone triangulation.  They build each toric model's triangulation once and
+measure the polytopes that the self-tests compare closed forms against, and
+the acceptance identities they feed are exact equalities, so no floating
+point is allowed to enter.
 
 Conventions
 -----------
@@ -17,17 +17,21 @@ Conventions
 * Every exact linear-algebra decision goes through two kernels.  The
   rational one is `row_reduce`, Gauss-Jordan over Fraction, under
   `solve_square`, `matrix_rank` and `nullspace`.  The integer one is
-  `int_det`, Bareiss elimination, under `det` (rows cleared to integers) and
-  `cone_rays`, the extreme rays of {x : <row, x> >= 0} as signed maximal
-  minors.  `cone_rays` gives the rays of `dual_cone`, the recession
-  direction of `vertex_enumerate` and the face cells of a hypersurface
-  (`singularities._face_piece`).
+  `_echelon`, Bareiss elimination, under `int_rank`, `int_det`, `det` (rows
+  cleared to integers) and `cone_rays`, the extreme rays of
+  {x : <row, x> >= 0} as signed maximal minors.  `cone_rays` gives the rays
+  of `dual_cone`, the recession direction of `vertex_enumerate` and the face
+  cells of a hypersurface (`singularities._face_piece`).
 * Vertex enumeration solves every d-subset of the facet system exactly and
   filters by feasibility; fine for the desk-scale inputs this package targets
   (<= ~20 facets in dimension <= 6).
-* Volumes come from a recursive fan triangulation anchored at the
-  lexicographically smallest vertex, which makes results reproducible; a
-  cone is triangulated by fanning one cross-section the same way.
+* One fan routine, `_fan`, triangulates a face by fanning from its
+  lexicographically smallest vertex, which makes results reproducible.  It
+  works on vertex indices and facet incidences.  A polytope's volume and
+  centroid fan its enumerated vertices.  A cone (`triangulate_cone`) fans the
+  cross-section whose vertices are its rays scaled to one affine hyperplane,
+  so it needs no vertex enumeration: incidences and ranks come from integer
+  pairings, and `certify_tiling` checks the result combinatorially.
 """
 
 from __future__ import annotations
@@ -35,9 +39,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DegeneratePolytope,
@@ -186,21 +190,41 @@ def _integral(row) -> tuple[list[int], int]:
     return [int(c * scale) for c in row], scale
 
 
+def _echelon(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Bareiss fraction-free elimination of an integer matrix, skipping
+    columns without a pivot: (rank, signed last pivot).  Each entry stays a
+    minor of the input, so every division is exact; for a square matrix of
+    full rank the signed last pivot is its determinant."""
+    a = [list(r) for r in rows]
+    ncols = len(a[0]) if a else 0
+    sign, prev, rank = 1, 1, 0
+    for col in range(ncols):
+        if rank == len(a):
+            break
+        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            a[rank], a[pivot], sign = a[pivot], a[rank], -sign
+        top = a[rank]
+        for i in range(rank + 1, len(a)):
+            row = a[i]
+            for j in range(col + 1, ncols):
+                row[j] = (row[j] * top[col] - row[col] * top[j]) // prev
+        prev = top[col]
+        rank += 1
+    return rank, sign * prev
+
+
 def int_det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix by Bareiss elimination."""
-    a = [list(r) for r in rows]
-    sign, prev = 1, 1
-    for k in range(len(a)):
-        pivot = next((r for r in range(k, len(a)) if a[r][k]), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            a[k], a[pivot], sign = a[pivot], a[k], -sign
-        for i in range(k + 1, len(a)):
-            for j in range(k + 1, len(a)):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * prev
+    rank, pivot = _echelon(rows)
+    return pivot if rank == len(rows) else 0
+
+
+def int_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix by Bareiss elimination."""
+    return _echelon(rows)[0]
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -245,25 +269,14 @@ def cone_rays(rows: Sequence[Sequence], dim: int) -> list[RVector]:
 # -- vertex enumeration -----------------------------------------------------
 
 
-def _recession_direction(hrep: Sequence[Halfspace], dim: int) -> RVector | None:
-    """A nonzero direction in {x : <normal, x> >= 0 for all halfspaces}, if any."""
-    normals = [list(h.normal) for h in hrep]
-    for vec in nullspace(normals, dim):
-        return vec  # lineality direction: recession in both senses
-    rays = cone_rays(normals, dim)
-    return rays[0] if rays else None
+def _show(vec: RVector) -> str:
+    """The primitive integer vector on vec's ray, as '(a, b, ...)'."""
+    return "(" + ", ".join(map(str, vec.primitive())) + ")"
 
 
-def vertex_enumerate(hrep: Sequence[Halfspace], dim: int) -> list[RVector]:
-    """All vertices of the polytope cut out by hrep, exactly and deduplicated.
-
-    Raises UnboundedRegion if the feasible region has a vertex and a
-    recession direction, EmptyRegion if it has no vertex.
-    """
-    hrep = list(hrep)
-    if len(hrep) < dim + 1:
-        # fewer than dim+1 halfspaces can never bound a full-dimensional region
-        raise UnboundedRegion(f"only {len(hrep)} halfspaces in dimension {dim}")
+def _feasible_vertices(hrep: Sequence[Halfspace], dim: int) -> list[RVector]:
+    """The solutions of every dim-subset of hrep's equalities that satisfy all
+    of hrep, deduplicated and sorted."""
     found: dict[tuple, RVector] = {}
     for subset in combinations(hrep, dim):
         point = solve_square(
@@ -273,12 +286,38 @@ def vertex_enumerate(hrep: Sequence[Halfspace], dim: int) -> list[RVector]:
             continue
         if all(h.value(point) >= 0 for h in hrep):
             found.setdefault(tuple(point), point)
+    return sorted(found.values())
+
+
+def vertex_enumerate(hrep: Sequence[Halfspace], dim: int) -> list[RVector]:
+    """All vertices of the polytope cut out by hrep, exactly and deduplicated.
+
+    Raises UnboundedRegion if the region is nonempty and has a recession
+    direction, EmptyRegion if it is empty.  When the normals have rank below
+    dim, the region is invariant under their kernel (its lineality space) and
+    has no vertex; it is nonempty iff its restriction to the row space of the
+    normals has a vertex.
+    """
+    hrep = list(hrep)
+    if len(hrep) < dim + 1:
+        # fewer than dim+1 halfspaces can never bound a full-dimensional region
+        raise UnboundedRegion(f"only {len(hrep)} halfspaces in dimension {dim}")
+    normals = [list(h.normal) for h in hrep]
+    basis, _ = row_reduce(normals, dim)
+    if len(basis) < dim:
+        restricted = [
+            Halfspace(RVector(h.normal.dot(row) for row in basis), h.offset) for h in hrep
+        ]
+        if not _feasible_vertices(restricted, len(basis)):
+            raise EmptyRegion("no feasible point")
+        raise UnboundedRegion(f"recession direction {_show(nullspace(normals, dim)[0])}")
+    found = _feasible_vertices(hrep, dim)
     if not found:
         raise EmptyRegion("no feasible vertex")
-    direction = _recession_direction(hrep, dim)
-    if direction is not None:
-        raise UnboundedRegion(f"recession direction {tuple(direction)}")
-    return sorted(found.values())
+    rays = cone_rays(normals, dim)
+    if rays:
+        raise UnboundedRegion(f"recession direction {_show(rays[0])}")
+    return found
 
 
 # -- polytopes --------------------------------------------------------------
@@ -310,30 +349,39 @@ class Polytope:
         )
 
 
-def _fan_simplices(
-    vertices: Sequence[RVector], hrep: Sequence[Halfspace], face_dim: int
-) -> list[tuple[RVector, ...]]:
-    """Triangulate a face_dim-dimensional face by fanning from its lex-min vertex."""
-    verts = sorted(vertices)
+def _fan(
+    verts: tuple[int, ...],
+    incidences: Sequence[frozenset[int]],
+    rank: Callable[[tuple[int, ...]], int],
+    face_dim: int,
+) -> list[tuple[int, ...]]:
+    """Triangulate a face_dim-dimensional face by fanning from its first vertex.
+
+    Vertices are indices numbered in the lexicographic order of the points
+    they name, so the first of a face is its lex-min vertex.  `incidences`
+    holds, per facet, the vertices on it, and `rank(face)` is the affine rank
+    of a face's vertices.  Each facet not through the apex that meets the
+    face in a (face_dim - 1)-face is fanned in turn, in the facets' order.
+    """
     if face_dim == 1:
         if len(verts) != 2:
             raise DegeneratePolytope(f"edge with {len(verts)} vertices")
-        return [tuple(verts)]
+        return [verts]
     if len(verts) == face_dim + 1:
-        return [tuple(verts)]
+        return [verts]
     apex = verts[0]
-    simplices: list[tuple[RVector, ...]] = []
-    seen: set[tuple] = set()
-    for h in hrep:
-        if h.value(apex) == 0:
+    simplices: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    for incident in incidences:
+        if apex in incident:
             continue  # facets through the apex contribute no volume to the fan
-        face = tuple(sorted(v for v in verts if h.value(v) == 0))
+        face = tuple(v for v in verts if v in incident)
         if len(face) < face_dim or face in seen:
             continue
-        if affine_rank(list(face)) != face_dim - 1:
+        if rank(face) != face_dim - 1:
             continue
         seen.add(face)
-        for sub in _fan_simplices(face, hrep, face_dim - 1):
+        for sub in _fan(face, incidences, rank, face_dim - 1):
             simplices.append(sub + (apex,))
     return simplices
 
@@ -342,14 +390,23 @@ def _simplex_decomposition(p: Polytope) -> list[tuple[Fraction, RVector]]:
     """(|det|, centroid) for each simplex of the fan triangulation."""
     if not p.hrep:
         raise DegeneratePolytope("triangulation requires the halfspace description")
+    verts = sorted(p.vrep)
+    incidences = [frozenset(i for i, v in enumerate(verts) if h.value(v) == 0) for h in p.hrep]
     pieces = []
-    for simplex in _fan_simplices(p.vrep, p.hrep, p.dim):
-        base = simplex[0]
-        d = abs(det([list(v - base) for v in simplex[1:]]))
+    fan = _fan(
+        tuple(range(len(verts))),
+        incidences,
+        lambda face: affine_rank([verts[i] for i in face]),
+        p.dim,
+    )
+    for simplex in fan:
+        points = [verts[i] for i in simplex]
+        base = points[0]
+        d = abs(det([list(v - base) for v in points[1:]]))
         if d == 0:
             continue
         centroid = RVector(
-            sum(coords, Fraction(0)) / (p.dim + 1) for coords in zip(*simplex)
+            sum(coords, Fraction(0)) / (p.dim + 1) for coords in zip(*points)
         )
         pieces.append((d, centroid))
     return pieces
@@ -437,30 +494,91 @@ def triangulate_cone(c: PolyCone) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Simplicial cones tiling c: (|det U_s|, indices into c.rays) for each s.
 
     The cross-section {<xi0, y> = 1} of c at xi0, the sum of c's facet
-    normals, is fanned from its lex-min vertex; each cross-section vertex
-    u / <u, xi0> names the ray u.  The tiling is checked once: summed at xi0,
-    |det U_s| / prod <u, xi0> must give dim! times the volume of the cut
-    polytope.
+    normals, has the vertices u / <u, xi0> over the rays u of c, and its
+    facets lie on c's facets.  It is fanned from its lex-min vertex (`_fan`)
+    on ray indices: ray u lies on facet rho iff <rho, u> = 0, and a set of
+    vertices has affine rank one less than the linear rank of its rays, all
+    in integers.  `certify_tiling` then checks that the cones tile c.
     """
-    dim = c.dim
-    xi0 = RVector([Fraction(0)] * dim)
-    for h in c.facet_halfspaces():
-        xi0 = xi0 + h.normal
-    region = cut_cone(c, xi0)
-    index = {tuple(ray.scale(1 / ray.dot(xi0))): i for i, ray in enumerate(c.rays)}
-    section = [v for v in region.vrep if not v.is_zero()]
-    ints = [[int(x) for x in ray] for ray in c.rays]
-    simplices = []
-    for simplex in _fan_simplices(section, region.hrep, dim - 1):
-        rays = tuple(sorted(index[tuple(v)] for v in simplex))
-        d = abs(int_det([ints[i] for i in rays]))
-        if d != 0:
-            simplices.append((d, rays))
-    tiled = sum(
-        (Fraction(d, math.prod(int(c.rays[i].dot(xi0)) for i in rays)) for d, rays in simplices),
-        Fraction(0),
+    rays = [_integral(ray)[0] for ray in c.rays]
+    normals = [_integral(h.normal)[0] for h in c.facet_halfspaces()]
+    xi0 = [sum(col) for col in zip(*normals)]
+    heights = [sum(map(mul, ray, xi0)) for ray in rays]
+    order = sorted(range(len(rays)), key=lambda i: [Fraction(x, heights[i]) for x in rays[i]])
+    incidences = [
+        frozenset(k for k, i in enumerate(order) if sum(map(mul, normal, rays[i])) == 0)
+        for normal in normals
+    ]
+    fan = _fan(
+        tuple(range(len(order))),
+        incidences,
+        lambda face: int_rank([rays[order[k]] for k in face]) - 1,
+        c.dim - 1,
     )
-    expected = math.factorial(dim) * polytope_volume(region)
-    if tiled != expected:
-        raise DegeneratePolytope(f"simplicial cones cover {tiled}, the cut cone {expected}")
-    return tuple(simplices)
+    return certify_tiling(rays, normals, [tuple(sorted(order[k] for k in s)) for s in fan])
+
+
+def certify_tiling(
+    rays: Sequence[Sequence[int]],
+    normals: Sequence[Sequence[int]],
+    cones: Sequence[tuple[int, ...]],
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(|det U_s|, s) per cone s, once the cones are shown to tile the cone
+    with these integer rays and facet normals; raises DegeneratePolytope if
+    they do not.
+
+    Each cone s holds dim sorted ray indices.  The certificate is the
+    pseudomanifold argument (De Loera-Rambau-Santos, *Triangulations*, 2010),
+    in integer determinants and independent of any volume:
+
+    * every cone has det U_s != 0;
+    * a ridge (dim - 1 rays of a cone) on which some facet normal vanishes
+      lies in exactly one cone, and every other ridge in exactly two, on
+      opposite sides of it, so the number of cones holding a point is the
+      same at every generic point of the cone;
+    * one generic interior point lies in exactly one cone.
+
+    The side of the cone s at its ridge s - {w} is the sign of det(ridge, w),
+    the sign of det U_s times (-1) for each index of s after w.
+    """
+    dim = len(rays[0])
+    out = []
+    sides: list[list[tuple[tuple[int, ...], bool]]] = []
+    by_ridge: dict[tuple[int, ...], list[bool]] = {}
+    for s in cones:
+        d = int_det([rays[i] for i in s])
+        if d == 0:
+            raise DegeneratePolytope(f"the simplicial cone on rays {s} is flat")
+        out.append((abs(d), s))
+        sides.append([])
+        for j in range(dim):
+            ridge = s[:j] + s[j + 1 :]
+            side = (d > 0) == ((dim - 1 - j) % 2 == 0)
+            sides[-1].append((ridge, side))
+            by_ridge.setdefault(ridge, []).append(side)
+    zero_sets = [
+        frozenset(i for i, ray in enumerate(rays) if sum(map(mul, normal, ray)) == 0)
+        for normal in normals
+    ]
+    for ridge, found in by_ridge.items():
+        if any(zero_set.issuperset(ridge) for zero_set in zero_sets):
+            if len(found) != 1:
+                raise DegeneratePolytope(f"boundary ridge {ridge} lies in {len(found)} cones")
+        elif sorted(found) != [False, True]:
+            raise DegeneratePolytope(f"interior ridge {ridge} is not shared by two opposite cones")
+    # sum_i m^i u_i is interior; det(ridge, point) is a nonzero polynomial in
+    # m for every ridge, so some m = 1, 2, ... avoids all of their roots
+    for m in count(1):
+        point = [sum(m**i * ray[k] for i, ray in enumerate(rays)) for k in range(dim)]
+        point_side = {}
+        for ridge in by_ridge:
+            d = int_det([rays[i] for i in ridge] + [point])
+            if d == 0:
+                break
+            point_side[ridge] = d > 0
+        else:
+            break
+    holding = sum(all(point_side[ridge] == side for ridge, side in cone) for cone in sides)
+    if holding != 1:
+        raise DegeneratePolytope(f"a generic interior point lies in {holding} simplicial cones")
+    return tuple(out)

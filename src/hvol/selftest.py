@@ -16,7 +16,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .exactgeom import Halfspace, Polytope, RVector, centroid, cut_cone, polytope_volume, rat
+from .exactgeom import (
+    Halfspace,
+    PolyCone,
+    Polytope,
+    RVector,
+    centroid,
+    cut_cone,
+    dual_cone,
+    polytope_volume,
+    rat,
+    triangulate_cone,
+)
 from .filtration import (
     interpolation_closed_form,
     interpolation_derivative_forms,
@@ -52,6 +63,7 @@ from .valuation import (
     lattice_count_oracle,
     nvol_report,
     reduction_variable,
+    simplex_sum,
     volume_gradient_toric,
 )
 
@@ -585,34 +597,47 @@ def _random_lattice_polytope(rng: random.Random, dim: int) -> list[Halfspace]:
     return out
 
 
+def _lifted_centroid_by_triangulation(facets: list[Halfspace], n: int) -> RVector:
+    """The centroid of the lifted polytope {<eta_i, y'> + a_i y_n >= 0, y_n <= 1}
+    without its vertices.  It is the cut at xi = e_n of the cone over P x {1},
+    whose rays are the extreme rays of {<(eta_i, a_i), y> >= 0}.  With F(xi) the
+    simplex sum over `triangulate_cone`, n! times the cut's volume, the cut's
+    centroid is -grad F / ((n + 1) F) (Martelli-Sparks-Yau, hep-th/0503183)."""
+    cone = dual_cone(PolyCone.from_rays([list(h.normal) + [h.offset] for h in facets]))
+    generators = [tuple(int(c) for c in ray) for ray in cone.rays]
+    value, gradient = simplex_sum(generators, triangulate_cone(cone), RVector([0] * (n - 1) + [1]))
+    return gradient.scale(-1 / ((n + 1) * value))
+
+
 def check_toric_log_fano(seed: int = 0) -> list[CheckResult]:
+    """The lifted centroid and beta_n = r / n that `toric_log_fano` reports,
+    from vertex enumeration and `centroid`, against the triangulated cone over
+    the base polytope."""
     rng = random.Random(seed)
     out = []
     produced = 0
     while produced < 10:
         dim = rng.randint(2, 4)
         facets = _random_lattice_polytope(rng, dim)
-        from .exactgeom import Polytope, centroid as exact_centroid
-
         base = Polytope.from_hrep(facets, dim)
-        p_star = exact_centroid(base)
+        p_star = centroid(base)
         max_l = max(h.value(p_star) for h in facets)
         r = Fraction(1, math.ceil(max_l))
         if r > dim + 1:
             r = Fraction(dim + 1)
         report = toric_log_fano(facets, r)
         n = dim + 1
-        expected = RVector(list(report.p_star) + [Fraction(1)]).scale(Fraction(n, n + 1))
+        lifted = _lifted_centroid_by_triangulation(facets, n)
         out.append(
             CheckResult.exact(
                 f"lifted_centroid[{produced}:dim={dim}]",
                 report.frak_p_star,
-                expected,
+                lifted,
             )
         )
         out.append(
             CheckResult.exact(
-                f"beta_n[{produced}:dim={dim}]", report.beta_n, r / n
+                f"beta_n[{produced}:dim={dim}]", report.s * (1 - lifted[-1]), r / n
             )
         )
         produced += 1

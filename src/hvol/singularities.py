@@ -135,7 +135,9 @@ class ToricConeSingularity:
     @cached_property
     def volume_triangulation(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """(|det U_s|, dual-ray indices) of the simplicial cones tiling the dual
-        cone; built on the first `volume` call, then reused."""
+        cone, built on the first `volume` call, then reused.  The fan and the
+        certificate that it tiles the cone are integer computations on the
+        dual rays and the rays of sigma (`triangulate_cone`)."""
         return triangulate_cone(self.dual)
 
     @cached_property

@@ -254,6 +254,33 @@ def test_wrong_length_weights_are_model_errors(capsys, argv, message):
     assert f"error[model_error]: {message}" in capsys.readouterr().err
 
 
+def _log_fano(*facets) -> str:
+    rows = [{"normal": normal, "offset": offset} for normal, offset in facets]
+    return json.dumps({"type": "toric_log_fano", "facets": rows, "r": "1"})
+
+
+@pytest.mark.parametrize(
+    "model, line",
+    [
+        (
+            _log_fano(([1, 0], 0), ([-1, 0], 1), ([1, 0], 2)),
+            "error[unbounded_region]: recession direction (0, 1)",
+        ),
+        (
+            _log_fano(([1, 0], 0), ([0, 1], 0), ([1, 1], 1)),
+            "error[unbounded_region]: recession direction (0, 1)",
+        ),
+        (
+            _log_fano(([1, 0], -1), ([-1, 0], 0), ([1, 0], 5)),
+            "error[empty_region]: no feasible point",
+        ),
+    ],
+)
+def test_region_errors_name_the_region(capsys, model, line):
+    assert main(["compute", "--model", model]) == 3
+    assert capsys.readouterr().err == line + "\n"
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(hvol.__file__).resolve().parent.parent)
     path = [src, os.environ.get("PYTHONPATH")]

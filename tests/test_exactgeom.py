@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,38 @@ def test_vertex_enumerate_mixed_system():
 
 def test_vertex_enumerate_unbounded():
     with pytest.raises(UnboundedRegion):
+        vertex_enumerate([hs([1, 0]), hs([0, 1]), hs([1, 1], 1)], 2)
+
+
+@pytest.mark.parametrize(
+    "hrep, dim, direction",
+    [
+        # the strip 0 <= x <= 1: normals of rank 1, no vertex
+        ([hs([1, 0]), hs([-1, 0], 1), hs([1, 0], 2)], 2, "(0, 1)"),
+        # a triangle times a line, and a slab in 3-space
+        ([hs([1, 0, 0]), hs([0, 1, 0]), hs([-1, -1, 0], 1), hs([1, 1, 0], 3)], 3, "(0, 0, 1)"),
+        ([hs([1, 1, 1]), hs([-2, -2, -2], 3), hs([1, 1, 1], 7), hs([3, 3, 3], 1)], 3, "(-1, 1, 0)"),
+    ],
+)
+def test_vertex_enumerate_lineality_is_unbounded(hrep, dim, direction):
+    with pytest.raises(UnboundedRegion, match=f"^{re.escape('recession direction ' + direction)}$"):
+        vertex_enumerate(hrep, dim)
+
+
+@pytest.mark.parametrize(
+    "hrep, dim",
+    [
+        ([hs([1, 0], -1), hs([-1, 0]), hs([1, 0], 5)], 2),
+        ([hs([1, 0, 0], -1), hs([-1, 0, 0]), hs([0, 1, 0]), hs([1, 1, 0], 4)], 3),
+    ],
+)
+def test_vertex_enumerate_lineality_and_empty(hrep, dim):
+    with pytest.raises(EmptyRegion):
+        vertex_enumerate(hrep, dim)
+
+
+def test_unbounded_message_prints_a_primitive_integer_vector():
+    with pytest.raises(UnboundedRegion, match=r"^recession direction \(0, 1\)$"):
         vertex_enumerate([hs([1, 0]), hs([0, 1]), hs([1, 1], 1)], 2)
 
 
