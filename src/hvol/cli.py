@@ -401,7 +401,7 @@ def _run_quotient(spec: JobSpec) -> tuple[Report, str | None]:
     checks: list[dict] = []
     if free:
         minimum = quotient_min_nvol(group)
-        volume = quotient_volume(group, depth)
+        volume = quotient_volume(group, depth, series)
         results.update(
             {
                 "min_nvol": _exact_pair(minimum.min_nvol),

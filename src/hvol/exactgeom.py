@@ -16,22 +16,29 @@ Conventions
   (offset 0).
 * Every exact linear-algebra decision goes through two kernels.  The
   rational one is `row_reduce`, Gauss-Jordan over Fraction, under
-  `solve_square`, `matrix_rank` and `nullspace`.  The integer one is
-  `_echelon`, Bareiss elimination, under `int_rank`, `int_det`, `det` (rows
-  cleared to integers) and `cone_rays`, the extreme rays of
-  {x : <row, x> >= 0} as signed maximal minors.  `cone_rays` gives the rays
-  of `dual_cone`, the recession direction of `vertex_enumerate` and the face
-  cells of a hypersurface (`singularities._face_piece`).
-* Vertex enumeration solves every d-subset of the facet system exactly and
-  filters by feasibility; fine for the desk-scale inputs this package targets
-  (<= ~20 facets in dimension <= 6).
+  `matrix_rank` and `nullspace`.  The integer one is `_echelon`, Bareiss
+  elimination, under `int_rank`, `int_det` and `det` (rows cleared to
+  integers), `affine_rank` (differences cleared to integers) and
+  `_kernel_vector`, the signed maximal minors of a set of rows.  Those
+  minors give `cone_rays`, the extreme rays of {x : <row, x> >= 0}, which
+  gives the rays of `dual_cone`, the recession direction of
+  `vertex_enumerate` and the face cells of a hypersurface
+  (`singularities._face_piece`).
+* Vertex enumeration runs in integer minors: each halfspace is cleared to
+  one integer row (normal, offset) once, every d-subset of rows is solved by
+  Cramer's rule over one denominator D > 0, feasibility is an integer
+  inequality, and a `Fraction` is built only for the vertices kept.  It
+  tries every d-subset, which is fine for the desk-scale inputs this package
+  targets (<= ~20 facets in dimension <= 6).
 * One fan routine, `_fan`, triangulates a face by fanning from its
   lexicographically smallest vertex, which makes results reproducible.  It
   works on vertex indices and facet incidences.  A polytope's volume and
-  centroid fan its enumerated vertices.  A cone (`triangulate_cone`) fans the
-  cross-section whose vertices are its rays scaled to one affine hyperplane,
-  so it needs no vertex enumeration: incidences and ranks come from integer
-  pairings, and `certify_tiling` checks the result combinatorially.
+  centroid fan its vertices, cleared to one common denominator, with
+  incidences, ranks, determinants and vertex sums in integers.  A cone
+  (`triangulate_cone`) fans the cross-section whose vertices are its rays
+  scaled to one affine hyperplane, so it needs no vertex enumeration:
+  incidences and ranks come from integer pairings, and `certify_tiling`
+  checks the result combinatorially.
 """
 
 from __future__ import annotations
@@ -157,15 +164,6 @@ def row_reduce(
     return a[: len(pivots)], pivots
 
 
-def solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Solve a square rational system; returns None if singular."""
-    n = len(rows)
-    reduced, pivots = row_reduce([list(row) + [b] for row, b in zip(rows, rhs)], n)
-    if len(pivots) < n:
-        return None
-    return RVector(row[n] for row in reduced)
-
-
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(row_reduce(rows, len(rows[0]) if rows else 0)[1])
 
@@ -239,7 +237,14 @@ def affine_rank(points: Sequence[RVector]) -> int:
     if len(points) <= 1:
         return 0
     base = points[0]
-    return matrix_rank([list(p - base) for p in points[1:]])
+    return int_rank([_integral(p - base)[0] for p in points[1:]])
+
+
+def _kernel_vector(active: Sequence[Sequence[int]], dim: int) -> list[int]:
+    """The signed maximal minors of dim - 1 integer rows of length dim: a
+    vector that pairs to 0 with every row, nonzero iff the rows have rank
+    dim - 1 (Cramer's rule, fraction-free)."""
+    return [(-1) ** i * int_det([r[:i] + r[i + 1 :] for r in active]) for i in range(dim)]
 
 
 def cone_rays(rows: Sequence[Sequence], dim: int) -> list[RVector]:
@@ -254,7 +259,7 @@ def cone_rays(rows: Sequence[Sequence], dim: int) -> list[RVector]:
     ints = [_integral(row)[0] for row in rows]
     found: set[tuple[int, ...]] = set()
     for active in combinations(ints, dim - 1):
-        ray = [(-1) ** i * int_det([r[:i] + r[i + 1 :] for r in active]) for i in range(dim)]
+        ray = _kernel_vector(active, dim)
         g = math.gcd(*ray)
         if g == 0:
             continue
@@ -274,19 +279,26 @@ def _show(vec: RVector) -> str:
     return "(" + ", ".join(map(str, vec.primitive())) + ")"
 
 
-def _feasible_vertices(hrep: Sequence[Halfspace], dim: int) -> list[RVector]:
-    """The solutions of every dim-subset of hrep's equalities that satisfy all
-    of hrep, deduplicated and sorted."""
-    found: dict[tuple, RVector] = {}
-    for subset in combinations(hrep, dim):
-        point = solve_square(
-            [list(h.normal) for h in subset], [-h.offset for h in subset]
-        )
-        if point is None:
+def _feasible_vertices(rows: Sequence[Sequence[int]], dim: int) -> list[RVector]:
+    """The vertices of {x : <a, x> + b >= 0 for every integer row (a, b)},
+    deduplicated and sorted.
+
+    Each dim-subset of rows with det A != 0 meets in one point N / D, (N, D)
+    its kernel vector of signed maximal minors (`_kernel_vector`), signed so
+    that D > 0.  The point is feasible iff <a, N> + b D >= 0 for every row,
+    all in integers; a `Fraction` is built only for the vertices kept.
+    """
+    found: set[tuple[int, ...]] = set()
+    for active in combinations(rows, dim):
+        point = _kernel_vector(active, dim + 1)
+        if point[dim] == 0:
             continue
-        if all(h.value(point) >= 0 for h in hrep):
-            found.setdefault(tuple(point), point)
-    return sorted(found.values())
+        if point[dim] < 0:
+            point = [-c for c in point]
+        if all(sum(map(mul, row, point)) >= 0 for row in rows):
+            g = math.gcd(*point)
+            found.add(tuple(c // g for c in point))
+    return sorted(RVector(Fraction(c, key[dim]) for c in key[:dim]) for key in found)
 
 
 def vertex_enumerate(hrep: Sequence[Halfspace], dim: int) -> list[RVector]:
@@ -296,22 +308,21 @@ def vertex_enumerate(hrep: Sequence[Halfspace], dim: int) -> list[RVector]:
     direction, EmptyRegion if it is empty.  When the normals have rank below
     dim, the region is invariant under their kernel (its lineality space) and
     has no vertex; it is nonempty iff its restriction to the row space of the
-    normals has a vertex.
+    normals has a vertex.  Each halfspace is cleared to one integer row
+    (normal, offset) once, and the vertices are found in integer minors
+    (`_feasible_vertices`).
     """
     hrep = list(hrep)
-    if len(hrep) < dim + 1:
-        # fewer than dim+1 halfspaces can never bound a full-dimensional region
-        raise UnboundedRegion(f"only {len(hrep)} halfspaces in dimension {dim}")
     normals = [list(h.normal) for h in hrep]
     basis, _ = row_reduce(normals, dim)
     if len(basis) < dim:
         restricted = [
-            Halfspace(RVector(h.normal.dot(row) for row in basis), h.offset) for h in hrep
+            _integral([h.normal.dot(row) for row in basis] + [h.offset])[0] for h in hrep
         ]
         if not _feasible_vertices(restricted, len(basis)):
             raise EmptyRegion("no feasible point")
         raise UnboundedRegion(f"recession direction {_show(nullspace(normals, dim)[0])}")
-    found = _feasible_vertices(hrep, dim)
+    found = _feasible_vertices([_integral(list(h.normal) + [h.offset])[0] for h in hrep], dim)
     if not found:
         raise EmptyRegion("no feasible vertex")
     rays = cone_rays(normals, dim)
@@ -386,50 +397,58 @@ def _fan(
     return simplices
 
 
-def _simplex_decomposition(p: Polytope) -> list[tuple[Fraction, RVector]]:
-    """(|det|, centroid) for each simplex of the fan triangulation."""
+def _simplex_decomposition(p: Polytope) -> tuple[list[tuple[int, list[int]]], int]:
+    """The fan triangulation in integers: ([(|det|, vertex sum), ...], L).
+
+    The vertices are cleared to one common denominator L, as integer points
+    V = L v, and each simplex s gives |det(V_i - V_0)| = L^dim |det(v_i - v_0)|
+    and the sum of its V, (dim + 1) L times its centroid.  A vertex lies on
+    the facet (a, b), cleared to integers, iff <a, V> + b L = 0, and a set of
+    vertices has affine rank one less than the linear rank of their (V, L).
+    """
     if not p.hrep:
         raise DegeneratePolytope("triangulation requires the halfspace description")
     verts = sorted(p.vrep)
-    incidences = [frozenset(i for i, v in enumerate(verts) if h.value(v) == 0) for h in p.hrep]
-    pieces = []
+    scale = math.lcm(*(c.denominator for v in verts for c in v))
+    cleared = [[c.numerator * (scale // c.denominator) for c in v] + [scale] for v in verts]
+    rows = [_integral(list(h.normal) + [h.offset])[0] for h in p.hrep]
+    incidences = [
+        frozenset(i for i, v in enumerate(cleared) if sum(map(mul, row, v)) == 0) for row in rows
+    ]
     fan = _fan(
         tuple(range(len(verts))),
         incidences,
-        lambda face: affine_rank([verts[i] for i in face]),
+        lambda face: int_rank([cleared[i] for i in face]) - 1,
         p.dim,
     )
+    pieces = []
     for simplex in fan:
-        points = [verts[i] for i in simplex]
-        base = points[0]
-        d = abs(det([list(v - base) for v in points[1:]]))
-        if d == 0:
-            continue
-        centroid = RVector(
-            sum(coords, Fraction(0)) / (p.dim + 1) for coords in zip(*points)
-        )
-        pieces.append((d, centroid))
-    return pieces
+        base, *others = (cleared[i][:-1] for i in simplex)
+        d = abs(int_det([[a - b for a, b in zip(v, base)] for v in others]))
+        if d:
+            pieces.append((d, [sum(coords) for coords in zip(base, *others)]))
+    return pieces, scale
 
 
 def polytope_volume(p: Polytope) -> Fraction:
     """Exact Euclidean volume; degenerate polytopes report 0 (see is_full_dimensional)."""
     if not p.is_full_dimensional:
         return Fraction(0)
-    total = sum((d for d, _ in _simplex_decomposition(p)), Fraction(0))
-    return total / math.factorial(p.dim)
+    pieces, scale = _simplex_decomposition(p)
+    return Fraction(sum(d for d, _ in pieces), scale**p.dim * math.factorial(p.dim))
 
 
 def centroid(p: Polytope) -> RVector:
     """Exact center of mass with respect to Lebesgue measure."""
     if not p.is_full_dimensional:
         raise DegeneratePolytope("centroid of a lower-dimensional polytope")
-    pieces = _simplex_decomposition(p)
-    total = sum((d for d, _ in pieces), Fraction(0))
-    acc = RVector([Fraction(0)] * p.dim)
-    for d, c in pieces:
-        acc = acc + c.scale(d)
-    return acc.scale(1 / total)
+    pieces, scale = _simplex_decomposition(p)
+    weights = [d for d, _ in pieces]
+    common = sum(weights) * scale * (p.dim + 1)
+    return RVector(
+        Fraction(sum(map(mul, weights, coords)), common)
+        for coords in zip(*(sums for _, sums in pieces))
+    )
 
 
 # -- polyhedral cones -------------------------------------------------------

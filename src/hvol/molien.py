@@ -205,12 +205,16 @@ class QuotientVolume:
     depth: int
 
 
-def quotient_volume(g: FiniteGroupAction, M: int = 400) -> QuotientVolume:
+def quotient_volume(
+    g: FiniteGroupAction, M: int = 400, series: DimensionSeries | None = None
+) -> QuotientVolume:
     """vol of the pushed-forward order valuation: exactly 1/|G|, plus the
-    finite-depth estimate d_M / (M^2/2) for convergence display."""
+    finite-depth estimate d_M / (M^2/2) for convergence display.  A series
+    reaching degree M is reused; otherwise one is computed."""
     if not check_free_in_codim1(g):
         raise PreconditionViolated("action must be free in codimension 1")
-    series = invariant_dimension_series(g, M)
+    if series is None or len(series) <= M:
+        series = invariant_dimension_series(g, M)
     return QuotientVolume(
         exact=Fraction(1, g.order),
         estimate=series[M] / (M**2 / 2),

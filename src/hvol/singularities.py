@@ -529,8 +529,10 @@ def toric_log_fano(facets: Sequence[Halfspace], r) -> ToricLogFanoReport:
     Input facets describe P in R^(n-1) via <eta_i, x> + a_i >= 0.  The report
     carries the barycenter p*, the angles gamma_i = r l_i(p*), the lifted
     polytope with facets <eta_i, y'> + a_i y_n >= 0 and y_n <= 1, and the
-    angles of the lifted pair at s = r (n+1)/n.  The lifted barycenter must
-    equal n/(n+1) (p*, 1) exactly, which forces beta_n = r/n.
+    angles of the lifted pair at s = r (n+1)/n.  The lifted polytope is
+    conv(0, P x {1}), so its vertices are the origin and (v, 1) over the
+    vertices v of P, with no second vertex enumeration.  The lifted
+    barycenter must equal n/(n+1) (p*, 1) exactly, which forces beta_n = r/n.
     """
     r = rat(r)
     if not facets:
@@ -552,7 +554,9 @@ def toric_log_fano(facets: Sequence[Halfspace], r) -> ToricLogFanoReport:
     lifted_hrep.append(
         Halfspace(RVector([0] * base_dim + [-1]), Fraction(1))
     )
-    lifted = Polytope.from_hrep(lifted_hrep, n)
+    # y_n >= 0 on the lifted facets because P is bounded and full-dimensional
+    vrep = [RVector([0] * n)] + [RVector(list(v) + [1]) for v in base.vrep]
+    lifted = Polytope(dim=n, hrep=tuple(lifted_hrep), vrep=tuple(sorted(vrep)))
     frak_p_star = centroid(lifted)
     expected = RVector(list(p_star) + [Fraction(1)]).scale(Fraction(n, n + 1))
     if frak_p_star != expected:

@@ -25,7 +25,10 @@ where at least two monomials reach the least weight.
 
 `lattice_count_oracle` counts monomials below a weight threshold by brute
 force, over the box and facet rows that the model's `lattice_region` states;
-it is the independent check on the closed volume formulas.
+it is the independent check on the closed volume formulas.  The count runs in
+plain integers: it loops over every coordinate of the box but the last and
+adds up the interval of the last coordinate that the rows leave, so it holds
+no array of cells and its memory does not grow with the box.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ from itertools import product as iter_product
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
 from .errors import BudgetExceeded, ModelError, NotInReebCone
 from .exactgeom import RVector, rat
 
@@ -46,7 +47,6 @@ if TYPE_CHECKING:  # the model classes call into this module, so no runtime impo
     from .singularities import ToricConeSingularity, WeightedHomogeneousHypersurface
 
 _ENUM_BUDGET = 60_000_000  # bounding-box cells; the true count stays below 1e7
-_CHUNK = 1_500_000
 
 
 class MonomialValuation(RVector):
@@ -284,35 +284,37 @@ def _count_box(
     strict_coefs: list[int],
     strict_max: int,
 ) -> int:
-    """Count integer points in a box with <c,x>+b >= 0 constraints and <s,x> <= strict_max."""
+    """Count integer points in a box with <c,x>+b >= 0 constraints and <s,x> <= strict_max.
+
+    Loops over every coordinate but the last, x_n.  There each row
+    c x_n + r >= 0 (r collecting the constant and the other coordinates)
+    bounds x_n below by ceil(-r / c) when c > 0 and above by floor(r / -c)
+    when c < 0, or holds or fails outright when c = 0, and the lengths of the
+    resulting intervals are added up.
+    """
     sizes = [hi - lo + 1 for lo, hi in bounds]
     if any(s <= 0 for s in sizes):
         return 0
     total = math.prod(sizes)
     if total > _ENUM_BUDGET:
         raise BudgetExceeded(f"enumeration box of {total} cells exceeds budget")
-    split = 0
-    suffix = total
-    while split < len(bounds) and suffix > _CHUNK:
-        suffix //= sizes[split]
-        split += 1
-    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in bounds[split:]]
-    if axes:
-        grids = np.meshgrid(*axes, indexing="ij")
-        flat = np.stack([g.ravel() for g in grids], axis=0)
-    else:
-        flat = np.zeros((0, 1), dtype=np.int64)
-    ns_tails = [np.asarray(c[split:], dtype=np.int64) @ flat for c, _ in nonstrict]
-    s_tail = np.asarray(strict_coefs[split:], dtype=np.int64) @ flat
+    rows = [(coefs[:-1], coefs[-1], const) for coefs, const in nonstrict]
+    rows.append(([-c for c in strict_coefs[:-1]], -strict_coefs[-1], strict_max))
+    *head, (lo_last, hi_last) = bounds
     count = 0
-    for prefix in iter_product(*[range(lo, hi + 1) for lo, hi in bounds[:split]]):
-        ok = np.ones(flat.shape[1], dtype=bool)
-        for (coefs, const), tail in zip(nonstrict, ns_tails):
-            head = const + sum(coefs[i] * prefix[i] for i in range(split))
-            ok &= tail >= -head
-        head = sum(strict_coefs[i] * prefix[i] for i in range(split))
-        ok &= s_tail <= strict_max - head
-        count += int(ok.sum())
+    for prefix in iter_product(*[range(lo, hi + 1) for lo, hi in head]):
+        lo, hi = lo_last, hi_last
+        for coefs, c, const in rows:
+            r = const + sum(map(mul, coefs, prefix))
+            if c > 0:
+                lo = max(lo, -(r // c))
+            elif c < 0:
+                hi = min(hi, r // -c)
+            elif r < 0:
+                hi = lo - 1
+                break
+        if hi >= lo:
+            count += hi - lo + 1
     return count
 
 

@@ -274,6 +274,19 @@ def _log_fano(*facets) -> str:
             _log_fano(([1, 0], -1), ([-1, 0], 0), ([1, 0], 5)),
             "error[empty_region]: no feasible point",
         ),
+        # fewer than dim + 1 halfspaces: empty or unbounded by feasibility
+        (
+            _log_fano(([1, 0], -1), ([-1, 0], 0)),
+            "error[empty_region]: no feasible point",
+        ),
+        (
+            _log_fano(([1, 0], 0), ([-1, 0], 1)),
+            "error[unbounded_region]: recession direction (0, 1)",
+        ),
+        (
+            _log_fano(([1, 0], 0), ([0, 1], 0)),
+            "error[unbounded_region]: recession direction (0, 1)",
+        ),
     ],
 )
 def test_region_errors_name_the_region(capsys, model, line):
@@ -281,19 +294,26 @@ def test_region_errors_name_the_region(capsys, model, line):
     assert capsys.readouterr().err == line + "\n"
 
 
-def test_python_dash_m_runs_the_cli():
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports hvol from this checkout."""
     src = str(Path(hvol.__file__).resolve().parent.parent)
     path = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    done = subprocess.run(
-        [sys.executable, "-m", "hvol", "compute", "--model", C2_TORIC, "--valuation", "1,1"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    done = _run_python("-m", "hvol", "compute", "--model", C2_TORIC, "--valuation", "1,1")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["results"]["nvol"]["exact"] == "4"
+
+
+def test_import_does_not_load_numpy():
+    # start-up cost: the package runs on the standard library alone
+    done = _run_python("-c", "import sys, hvol, hvol.cli; assert 'numpy' not in sys.modules")
+    assert done.returncode == 0, done.stderr
 
 
 def test_parse_model_variants():

@@ -17,6 +17,7 @@ from hvol.exactgeom import (
     cut_cone,
     det,
     dual_cone,
+    matrix_rank,
     nullspace,
     polytope_volume,
     vertex_enumerate,
@@ -93,6 +94,41 @@ def test_unbounded_message_prints_a_primitive_integer_vector():
 def test_vertex_enumerate_empty():
     with pytest.raises(EmptyRegion):
         vertex_enumerate([hs([1, 0]), hs([-1, 0], -1), hs([0, 1]), hs([0, -1], 1)], 2)
+
+
+def _random_bounded_hrep(rng, dim):
+    """A box around the origin cut by a few random rational halfspaces that
+    keep the origin inside: bounded, full-dimensional, often with vertices
+    on more than dim facets."""
+    hrep = [
+        hs([sign * int(i == j) for j in range(dim)], rng.randint(1, 3))
+        for i in range(dim)
+        for sign in (1, -1)
+    ]
+    for _ in range(rng.randint(1, 4)):
+        normal = [rng.randint(-2, 2) for _ in range(dim)]
+        if any(normal):
+            hrep.append(hs(normal, Fraction(rng.randint(1, 6), rng.randint(1, 3))))
+    rng.shuffle(hrep)
+    return hrep
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_vertex_enumerate_matches_homogenized_cone(dim):
+    # the vertices of {<a, x> + b >= 0} are the rays with t > 0 of the cone
+    # {(x, t) : <a, x> + b t >= 0, t >= 0}, scaled to t = 1
+    rng = random.Random(200 + dim)
+    for _ in range(12 if dim < 4 else 6):
+        hrep = _random_bounded_hrep(rng, dim)
+        rows = [list(h.normal) + [h.offset] for h in hrep] + [[0] * dim + [1]]
+        rays = cone_rays(rows, dim + 1)
+        expected = sorted(RVector(c / ray[dim] for c in ray[:dim]) for ray in rays if ray[dim] > 0)
+        verts = vertex_enumerate(hrep, dim)
+        assert verts == expected, hrep
+        for v in verts:
+            # a vertex is feasible and tight on dim independent facets
+            assert all(h.value(v) >= 0 for h in hrep)
+            assert matrix_rank([list(h.normal) for h in hrep if h.value(v) == 0]) == dim
 
 
 def test_volume_simplex_3d():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hvol.errors import AngleOutOfRange, InvalidIndex, ModelError, NotQGorenstein
-from hvol.exactgeom import Halfspace, RVector
+from hvol.exactgeom import Halfspace, RVector, vertex_enumerate
 from hvol.singularities import (
     PolarizedConeData,
     ToricConeSingularity,
@@ -147,6 +147,26 @@ def test_toric_log_fano_simplex():
     assert toric_log_fano(facets, 3).gammas == (1, 1, 1)
     with pytest.raises(AngleOutOfRange):
         toric_log_fano(facets, 4)
+
+
+@pytest.mark.parametrize(
+    "facets, r",
+    [
+        ([hs([1], 1), hs([-1], 1)], 1),
+        ([hs([1, 0]), hs([0, 1]), hs([-1, -1], 1)], 1),
+        ([hs([1, 0], 2), hs([-1, 0], 1), hs([0, 1], 1), hs([0, -1], 3)], Fraction(1, 4)),
+        # a hexagon with rational offsets, and the cross 3-polytope
+        (
+            [hs([1, 0], 1), hs([0, 1], Fraction(1, 2)), hs([-1, -1], 1)]
+            + [hs([-1, 0], 1), hs([0, -1], 1), hs([1, 1], Fraction(3, 2))],
+            Fraction(1, 2),
+        ),
+        ([hs([a, b, c], 1) for a in (1, -1) for b in (1, -1) for c in (1, -1)], 1),
+    ],
+)
+def test_toric_log_fano_lifted_vertices_match_enumeration(facets, r):
+    lifted = toric_log_fano(facets, r).lifted
+    assert lifted.vrep == tuple(vertex_enumerate(lifted.hrep, lifted.dim))
 
 
 def test_toric_log_fano_centroid_law():

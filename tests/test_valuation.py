@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from hvol.singularities import (
 )
 from hvol.valuation import (
     MonomialValuation,
+    _count_box,
     lattice_count_oracle,
     log_adjusted_discrepancy,
     log_discrepancy_hypersurface,
@@ -172,6 +175,39 @@ def test_oracle_convergence_decreasing():
         count = lattice_count_oracle(model, [1, 1], p)
         errors.append(abs(2 * count / p**2 - 1))
     assert errors[0] > errors[1] > errors[2]
+
+
+def _naive_box_count(bounds, nonstrict, strict_coefs, strict_max):
+    count = 0
+    for x in itertools.product(*[range(lo, hi + 1) for lo, hi in bounds]):
+        if all(sum(map(mul, c, x)) + b >= 0 for c, b in nonstrict):
+            count += sum(map(mul, strict_coefs, x)) <= strict_max
+    return count
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_count_box_matches_naive_count(dim):
+    rng = random.Random(300 + dim)
+    for _ in range(40):
+        bounds = [(lo, lo + rng.randint(0, 5)) for lo in (rng.randint(-3, 2) for _ in range(dim))]
+        # last coefficients of every sign, 0 included, and of size above 1
+        rows = [
+            ([rng.randint(-3, 3) for _ in range(dim)], rng.randint(-6, 6))
+            for _ in range(rng.randint(0, 3))
+        ]
+        strict = [rng.randint(-2, 3) for _ in range(dim)]
+        top = rng.randint(-4, 10)
+        args = (bounds, rows, strict, top)
+        assert _count_box(*args) == _naive_box_count(*args), args
+
+
+def test_count_box_empty_cases():
+    # an empty box, and a strict bound that cuts the box to nothing
+    assert _count_box([(0, 3), (2, 1)], [], [1, 1], 10) == 0
+    assert _count_box([(0, 3), (0, 3)], [], [1, 1], -1) == 0
+    # a row with last coefficient 0 that fails everywhere, or holds everywhere
+    assert _count_box([(0, 3), (0, 3)], [([1, 0], -4)], [1, 1], 10) == 0
+    assert _count_box([(0, 3), (0, 3)], [([1, 0], 0)], [0, 0], 0) == 16
 
 
 def test_oracle_budget():
