@@ -203,24 +203,42 @@ def parse_model(descriptor: dict):
     raise SchemaError(f"unknown model type {kind!r}")
 
 
+def _parse_integer(value, what: str) -> int:
+    """An integer given as a JSON number or string; anything else, a
+    fraction or a boolean included, is a SchemaError."""
+    try:
+        parsed = Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        parsed = None
+    if parsed is None or parsed.denominator != 1:
+        raise SchemaError(f"{what} must be an integer, not {value!r}")
+    return int(parsed)
+
+
 def parse_group(descriptor: dict) -> FiniteGroupAction:
     if not isinstance(descriptor, dict) or "type" not in descriptor:
         raise SchemaError("group descriptor must be an object with a 'type' field")
     kind = descriptor["type"]
     if kind == "cyclic":
-        try:
-            return cyclic_group(int(descriptor["r"]), int(descriptor["a"]))
-        except KeyError as exc:
-            raise SchemaError("cyclic group needs integer 'r' and 'a'") from exc
+        if "r" not in descriptor or "a" not in descriptor:
+            raise SchemaError("cyclic group needs integer 'r' and 'a'")
+        return cyclic_group(
+            _parse_integer(descriptor["r"], "cyclic 'r'"),
+            _parse_integer(descriptor["a"], "cyclic 'a'"),
+        )
     if kind == "elements":
         eigs = descriptor.get("eigs")
-        if not eigs:
+        if not eigs or not isinstance(eigs, list):
             raise SchemaError("element-list group needs 'eigs'")
-        elements = tuple(
-            GroupElement(Fraction(int(p1), int(q1)), Fraction(int(p2), int(q2)))
-            for p1, q1, p2, q2 in eigs
-        )
-        return FiniteGroupAction(elements=elements, label="elements")
+        elements = []
+        for row in eigs:
+            if not isinstance(row, list) or len(row) != 4:
+                raise SchemaError(f"element {row!r} must be a list [p1, q1, p2, q2]")
+            p1, q1, p2, q2 = (_parse_integer(v, f"element {row!r} entry") for v in row)
+            if q1 == 0 or q2 == 0:
+                raise SchemaError(f"element {row!r} has a zero denominator")
+            elements.append(GroupElement(Fraction(p1, q1), Fraction(p2, q2)))
+        return FiniteGroupAction(elements=tuple(elements), label="elements")
     raise SchemaError(f"unknown group type {kind!r}")
 
 
@@ -391,8 +409,11 @@ def _run_minimize(spec: JobSpec) -> tuple[Report, str | None]:
 def _run_quotient(spec: JobSpec) -> tuple[Report, str | None]:
     group = parse_group(spec.group)
     depth = int(spec.opt("samples"))
+    if depth < 1:
+        raise SchemaError(f"quotient --samples must be at least 1, not {depth}")
     free = check_free_in_codim1(group)
-    series = invariant_dimension_series(group, max(depth, group.order + 1))
+    top_m = (60 // group.order) * group.order
+    series = invariant_dimension_series(group, max(depth, group.order + 1, top_m + 1))
     results: dict[str, Any] = {
         "order": group.order,
         "free_in_codim1": free,
@@ -410,7 +431,6 @@ def _run_quotient(spec: JobSpec) -> tuple[Report, str | None]:
                 "volume_estimate_approx": _fmt_float(volume.estimate),
             }
         )
-        top_m = (60 // group.order) * group.order
         if top_m >= group.order:
             ok = pair_identity_check(group, top_m, series)
             rhs = Fraction((top_m + 1) ** 2 + group.order - 1, group.order)

@@ -17,13 +17,13 @@ Conventions
 * Every exact linear-algebra decision goes through two kernels.  The
   rational one is `row_reduce`, Gauss-Jordan over Fraction, under
   `matrix_rank` and `nullspace`.  The integer one is `_echelon`, Bareiss
-  elimination, under `int_rank`, `int_det` and `det` (rows cleared to
-  integers), `affine_rank` (differences cleared to integers) and
-  `_kernel_vector`, the signed maximal minors of a set of rows.  Those
-  minors give `cone_rays`, the extreme rays of {x : <row, x> >= 0}, which
-  gives the rays of `dual_cone`, the recession direction of
-  `vertex_enumerate` and the face cells of a hypersurface
-  (`singularities._face_piece`).
+  elimination, under `int_rank`, `int_det`, `affine_rank` (differences
+  cleared to integers) and `_kernel_vector`, the signed maximal minors of a
+  set of rows.  Those minors give `int_cone_rays`, the extreme rays of
+  {x : <row, x> >= 0} over integer rows: the face cells of a hypersurface
+  (`singularities._face_piece`) call it directly, and `cone_rays`, its
+  wrapper over rational rows, gives the rays of `dual_cone` and the
+  recession direction of `vertex_enumerate`.
 * Vertex enumeration runs in integer minors: each halfspace is cleared to
   one integer row (normal, offset) once, every d-subset of rows is solved by
   Cramer's rule over one denominator D > 0, feasibility is an integer
@@ -225,13 +225,6 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
     return _echelon(rows)[0]
 
 
-def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a square rational matrix: `int_det` of the rows cleared
-    to integers, divided by the product of the clearing scales."""
-    cleared = [_integral(row) for row in rows]
-    return Fraction(int_det([r for r, _ in cleared]), math.prod(s for _, s in cleared))
-
-
 def affine_rank(points: Sequence[RVector]) -> int:
     """Dimension of the affine hull of the given points."""
     if len(points) <= 1:
@@ -247,28 +240,34 @@ def _kernel_vector(active: Sequence[Sequence[int]], dim: int) -> list[int]:
     return [(-1) ** i * int_det([r[:i] + r[i + 1 :] for r in active]) for i in range(dim)]
 
 
-def cone_rays(rows: Sequence[Sequence], dim: int) -> list[RVector]:
-    """Extreme rays of {x : <row, x> >= 0 for every row}, primitive and sorted.
+def int_cone_rays(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[int, ...]]:
+    """Extreme rays of {x : <row, x> >= 0 for every integer row}, as
+    primitive integer tuples in sorted order.
 
-    A candidate is the vector of signed maximal minors of dim - 1 of the rows
-    (cleared to integers), which spans their kernel when they have rank
-    dim - 1 and is zero otherwise; it is kept, with either sign, when every
-    row pairs nonnegatively with it.  In dimension 1 the empty minor gives
-    the candidates (1) and (-1).
+    A candidate is the vector of signed maximal minors of dim - 1 of the rows,
+    which spans their kernel when they have rank dim - 1 and is zero
+    otherwise; it is kept, with either sign, when every row pairs
+    nonnegatively with it.  In dimension 1 the empty minor gives the
+    candidates (1) and (-1).
     """
-    ints = [_integral(row)[0] for row in rows]
     found: set[tuple[int, ...]] = set()
-    for active in combinations(ints, dim - 1):
+    for active in combinations(rows, dim - 1):
         ray = _kernel_vector(active, dim)
         g = math.gcd(*ray)
         if g == 0:
             continue
-        pairings = [sum(map(mul, r, ray)) for r in ints]
+        pairings = [sum(map(mul, r, ray)) for r in rows]
         if min(pairings, default=0) >= 0:
             found.add(tuple(c // g for c in ray))
         if max(pairings, default=0) <= 0:
             found.add(tuple(-c // g for c in ray))
-    return [RVector(ray) for ray in sorted(found)]
+    return sorted(found)
+
+
+def cone_rays(rows: Sequence[Sequence], dim: int) -> list[RVector]:
+    """Extreme rays of {x : <row, x> >= 0 for every rational row}: the rows
+    cleared to integers, then `int_cone_rays`."""
+    return [RVector(ray) for ray in int_cone_rays([_integral(row)[0] for row in rows], dim)]
 
 
 # -- vertex enumeration -----------------------------------------------------

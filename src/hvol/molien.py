@@ -2,9 +2,21 @@
 
 Dimensions of the invariant ring are computed exactly: for each group
 element the trace of the degree-m symmetric power is a sum of roots of
-unity, tracked as an integer vector over the powers of a primitive lcm-order
-root and reduced modulo the cyclotomic polynomial.  Averaging over the group
-must then produce a rational integer, which is asserted.
+unity, tracked as an integer vector over the powers of a primitive root of
+the lcm order N and reduced modulo the cyclotomic polynomial.  Averaging
+over the group must then produce a rational integer, which is asserted at
+every degree.
+
+Only one period of degrees is stepped in that ring.  For an element with
+eigenvalues l1 != l2, tr Sym^{m+N} - tr Sym^m = l1^m sum_{j=m+1}^{m+N} mu^j
+with mu = l2/l1, a full period of a root of unity other than 1, which is 0;
+a scalar element (l1 = l2 = l) gains N l^m instead.  So the group sums obey
+T_{m+N} = T_m + N S_{m mod N}, S_k = sum over scalar g of l_g^k, an identity
+in the cyclotomic ring itself.  Each S_k is reduced to an integer by the
+same routine, and the extension adds integers, so it stays exact; a list
+that is not a group fails at the same first degree, with the same message,
+as stepping every degree would: if T_k is an integer and S_k is not, then
+T_{k+N} is not an integer either.
 
 For actions free in codimension one the series satisfies
 ``d_m + d_{m+1} = ((m+1)^2 + |G| - 1) / |G|`` at every m divisible by |G|,
@@ -147,39 +159,54 @@ def _reduce_to_integer(coeffs: list[int], cyclo: list[int]) -> int:
     return trimmed[0]
 
 
+def _trace_sums(shifts: list[tuple[int, int]], order: int, M: int):
+    """Yield sum_g tr Sym^m(g), reduced to an integer, for m = 0 .. M - 1.
+
+    Degrees below one period are stepped in the cyclotomic ring; each later
+    degree is T_m = T_{m mod N} + (m div N) N S_{m mod N}, with S_k reduced
+    once, the first time a degree needs it.  Being a generator, it reduces
+    no degree before the caller has checked the ones below it.
+    """
+    cyclo = cyclotomic_polynomial(order)
+    # trace of Sym^m for one element: t_m = eig1 * t_{m-1} + eig2^m
+    traces = [[1] + [0] * (order - 1) for _ in shifts]
+    values = []
+    for m in range(min(M, order)):
+        total = [sum(col) for col in zip(*traces)]
+        values.append(_reduce_to_integer(total, cyclo))
+        yield values[m]
+        for idx, (e1, e2) in enumerate(shifts):
+            vec = traces[idx]
+            shifted = vec[-e1:] + vec[:-e1]  # multiply by eig1: rotate by e1
+            shifted[((m + 1) * e2) % order] += 1
+            traces[idx] = shifted
+    scalars = [e1 for e1, e2 in shifts if e1 == e2]
+    scalar_sums: dict[int, int] = {}
+    for m in range(order, M):
+        k = m % order
+        if k not in scalar_sums:
+            power = [0] * order
+            for e in scalars:
+                power[(k * e) % order] += 1
+            scalar_sums[k] = _reduce_to_integer(power, cyclo)
+        yield values[k] + (m // order) * order * scalar_sums[k]
+
+
 def invariant_dimension_series(g: FiniteGroupAction, M: int) -> DimensionSeries:
     """Exact d_m = dim of invariants of degree < m, for m = 0 .. M."""
     if M < 1:
         raise PreconditionViolated("M must be at least 1")
     order = math.lcm(*(math.lcm(e.eig1.denominator, e.eig2.denominator) for e in g.elements))
-    cyclo = cyclotomic_polynomial(order)
     shifts = [
         (int(e.eig1 * order) % order, int(e.eig2 * order) % order) for e in g.elements
     ]
-    # trace of Sym^m for one element: t_m = eig1 * t_{m-1} + eig2^m
-    traces = [[0] * order for _ in g.elements]
-    for vec in traces:
-        vec[0] = 1
     dims = [0]
     running = 0
-    for m in range(M):
-        total = [0] * order
-        for vec in traces:
-            for i, c in enumerate(vec):
-                total[i] += c
-        value = _reduce_to_integer(total, cyclo)
+    for m, value in enumerate(_trace_sums(shifts, order, M)):
         if value % g.order != 0:
             raise NonIntegerDimension(f"average at degree {m} is {value}/{g.order}")
         running += value // g.order
         dims.append(running)
-        for idx, (e1, e2) in enumerate(shifts):
-            vec = traces[idx]
-            shifted = [0] * order
-            for i, c in enumerate(vec):
-                if c:
-                    shifted[(i + e1) % order] += c
-            shifted[((m + 1) * e2) % order] += 1
-            traces[idx] = shifted
     return DimensionSeries(dims=tuple(dims))
 
 

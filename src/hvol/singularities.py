@@ -53,8 +53,8 @@ from .exactgeom import (
     Polytope,
     RVector,
     centroid,
-    cone_rays,
     dual_cone,
+    int_cone_rays,
     nullspace,
     rat,
     row_reduce,
@@ -312,7 +312,7 @@ class WeightedHomogeneousHypersurface:
 
     def symmetry_classes(self) -> list[list[int]]:
         """Variable classes interchangeable by symmetries of the monomial set."""
-        mset = frozenset(self.monomials)
+        mset = frozenset(self.exponents)
         parent = list(range(self.nvars))
 
         def find(i):
@@ -323,9 +323,7 @@ class WeightedHomogeneousHypersurface:
 
         for i in range(self.nvars):
             for j in range(i + 1, self.nvars):
-                swapped = frozenset(
-                    RVector(_swap(m, i, j)) for m in self.monomials
-                )
+                swapped = frozenset(tuple(_swap(m, i, j)) for m in self.exponents)
                 if swapped == mset:
                     parent[find(i)] = find(j)
         classes: dict[int, list[int]] = {}
@@ -339,30 +337,49 @@ def _face_piece(model, classes, tie, others, groups) -> ConvexPiece | None:
     in class weights y (one per symmetry class); None when no positive weight
     lies there, or when the ties force one of `others` to tie as well (the
     larger face then has the same cell).  `groups` maps a reduced monomial to
-    the monomials it stands for.  The cell's rays are `exactgeom.cone_rays`
-    of its rows, in the coordinates z of the kernel basis of the ties."""
+    the monomials it stands for.
+
+    The cell lives in the coordinates z of y = sum_i z_i b_i over the kernel
+    basis b_i of the ties.  Each b_i is cleared to the integer vector s_i b_i,
+    so the cell's rows are integers in z'_i = z_i / s_i and
+    `exactgeom.int_cone_rays` gives its rays.  Each ray maps back to the
+    primitive z with z_i = s_i z'_i, which orders the rays as `cone_rays` in
+    z would, and to the integer weight y' = sum_i z'_i s_i b_i on the ray of
+    y.  The interior and klt tests read only signs, so they run on y'; the
+    slice vertex y' n / <logdisc, y'> is the only `Fraction`, and it does not
+    depend on the scale of y'.
+    """
     dim = len(classes)
     m = tie[0]
     basis = nullspace([[a - b for a, b in zip(t, m)] for t in tie[1:]], dim)
     if not basis:
         return None
-    # the closed cone in the coordinates z of y = sum_i z_i basis_i: every
-    # y_j >= 0 and every <o - m, y> >= 0
-    cons = [[b[j] for b in basis] for j in range(dim)]
-    cons += [[RVector(o).dot(b) - RVector(m).dot(b) for b in basis] for o in others]
-    rays = cone_rays(cons, len(basis))
-    mean = [sum(col) for col in zip(*rays)]
-    if not rays or any(sum(map(mul, c, mean)) <= 0 for c in cons):
+    scales = [math.lcm(*(c.denominator for c in b)) for b in basis]
+    cols = [[c.numerator * (s // c.denominator) for c in b] for b, s in zip(basis, scales)]
+    diffs = [[a - e for a, e in zip(o, m)] for o in others]
+    # the closed cell in z': every y_j >= 0 and every <o - m, y> >= 0
+    cons = [[col[j] for col in cols] for j in range(dim)]
+    cons += [[sum(map(mul, d, col)) for col in cols] for d in diffs]
+    rays = []
+    for ray in int_cone_rays(cons, len(cols)):
+        z = [c * s for c, s in zip(ray, scales)]
+        g = math.gcd(*z)
+        y = [sum(c * col[j] for c, col in zip(ray, cols)) for j in range(dim)]
+        rays.append((tuple(c // g for c in z), y))
+    rays.sort()
+    # the rays' sum is interior unless some row vanishes on the whole cell
+    mean = [sum(col) for col in zip(*(y for _, y in rays))]
+    if not rays or min(mean) <= 0 or any(sum(map(mul, d, mean)) <= 0 for d in diffs):
         return None
-    logdisc = RVector(len(cls) - e for cls, e in zip(classes, m))
-    rays_y = [sum((b.scale(c) for b, c in zip(basis, z)), RVector([0] * dim)) for z in rays]
-    if any(logdisc.dot(y) <= 0 for y in rays_y):
+    logdisc = [len(cls) - e for cls, e in zip(classes, m)]
+    heights = [sum(map(mul, logdisc, y)) for _, y in rays]
+    if min(heights) <= 0:
         tied = [mono for t in tie for mono in groups[t]]
         raise ModelError(f"not klt: the log discrepancy is not positive where {tied} tie")
     nvars = sum(map(len, classes))
     class_of = [next(j for j, cls in enumerate(classes) if k in cls) for k in range(nvars)]
 
-    def expand(y: RVector) -> RVector:
+    def expand(y: Sequence) -> RVector:
         return RVector(y[class_of[k]] for k in range(nvars))
 
     def free(b: RVector) -> int:
@@ -380,7 +397,9 @@ def _face_piece(model, classes, tie, others, groups) -> ConvexPiece | None:
         basis=tuple(expand(b) for b in basis),
         free=tuple(free(b) for b in basis),
         bounds=tuple(RVector(a - e for a, e in zip(o, mono)) for o in others_full),
-        vertices=tuple(expand(y.scale(Fraction(model.n) / logdisc.dot(y))) for y in rays_y),
+        vertices=tuple(
+            expand([Fraction(model.n * c, h) for c in y]) for (_, y), h in zip(rays, heights)
+        ),
     )
 
 

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -122,6 +124,89 @@ def test_quotient_element_list(capsys):
     report = json.loads(out)
     assert report["results"]["order"] == 2
     assert report["results"]["min_nvol"]["exact"] == "2"
+
+
+# sha256 of the default (--samples 400) quotient report and CSV, as stepping
+# the Molien series degree by degree gives them
+QUOTIENT_PINS = [
+    (
+        '{"type":"cyclic","r":7,"a":3}',
+        "5d7c1ba2a671e8675e95757bb0564473e062f1241baf07616ee3c044ea705947",
+        "61ca8b903daf8277428c9624c22364ca15041ceec1725645c05338497638cdf1",
+    ),
+    (
+        '{"type":"elements","eigs":[[0,1,0,1],[1,4,3,4],[1,2,1,2],[3,4,1,4]]}',
+        "650dcde78775e7327931af9fb23176b55e3522dc525366e8b184ac756c2c74f8",
+        "2192471db4b21cac9e8f8986cd4b3ae31a6eac65dcfceddeb190fb7b5860705f",
+    ),
+]
+
+
+@pytest.mark.parametrize("group, report_sha, csv_sha", QUOTIENT_PINS)
+def test_quotient_default_outputs_are_pinned(capsys, group, report_sha, csv_sha):
+    for fmt, expected in (("json", report_sha), ("csv", csv_sha)):
+        code, out = run_cli(capsys, ["quotient", "--group", group, "--format", fmt])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, fmt
+
+
+@pytest.mark.parametrize("samples", [1, 2, 5, 56, 60])
+def test_quotient_few_samples_still_checks_the_pair_identity(capsys, samples):
+    code, out = run_cli(
+        capsys, ["quotient", "--group", '{"type":"cyclic","r":7,"a":3}', "--samples", str(samples)]
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["inputs"]["depth"] == samples
+    pair = next(c for c in report["checks"] if c["name"] == "pair_identity[m=56]")
+    assert pair["pass"] and pair["lhs"] == pair["rhs"] == "465"
+    code, csv = run_cli(
+        capsys,
+        ["quotient", "--group", '{"type":"cyclic","r":7,"a":3}', "--samples", str(samples), "--format", "csv"],
+    )
+    assert code == 0
+    assert len(csv.splitlines()) == 1 + max(samples, 57) + 1
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_quotient_refuses_nonpositive_samples(capsys, samples):
+    code = main(["quotient", "--group", '{"type":"cyclic","r":7,"a":3}', "--samples", samples])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error[schema_error]: quotient --samples")
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        {"type": "elements", "eigs": [[0, 1, 0, 1], [1, 2, 1]]},
+        {"type": "elements", "eigs": [[0, 1, 0, 1], [1, 2, 1, 2, 0]]},
+        {"type": "elements", "eigs": [[0, 1, 0, 1], 5]},
+        {"type": "elements", "eigs": [[0, 1, 0, 1], [1, 0, 1, 2]]},
+        {"type": "elements", "eigs": [[0, 1, 0, 1], [1, 2, 1, 0]]},
+        {"type": "elements", "eigs": [[0, 1, 0, 1], [1, "x", 1, 2]]},
+        {"type": "elements", "eigs": [[0, 1, 0, 1], [1.5, 2, 1, 2]]},
+        {"type": "elements", "eigs": {"0": [0, 1, 0, 1]}},
+        {"type": "cyclic", "r": 3, "a": "x"},
+        {"type": "cyclic", "r": "x", "a": 1},
+        {"type": "cyclic", "r": 3.5, "a": 1},
+        {"type": "cyclic", "r": 3, "a": True},
+    ],
+)
+def test_parse_group_refuses_malformed_descriptors(capsys, group):
+    with pytest.raises(SchemaError):
+        parse_group(group)
+    assert main(["quotient", "--group", json.dumps(group)]) == 3
+    assert capsys.readouterr().err.startswith("error[schema_error]: ")
+
+
+def test_parse_group_accepts_integer_strings():
+    group = parse_group({"type": "cyclic", "r": "5", "a": "2"})
+    assert group.order == 5
+    elements = parse_group({"type": "elements", "eigs": [["0", "1", "0", "1"], [1, -2, 1, 2]]})
+    assert {(e.eig1, e.eig2) for e in elements.elements} == {
+        (0, 0),
+        (Fraction(1, 2), Fraction(1, 2)),
+    }
 
 
 def test_filtration_command(capsys):

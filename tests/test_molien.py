@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hvol.molien import (
     DimensionSeries,
     FiniteGroupAction,
     GroupElement,
+    _reduce_to_integer,
     binary_dihedral_group,
     check_free_in_codim1,
     cyclic_group,
@@ -139,3 +142,118 @@ def test_conjugation_invariance():
     a = invariant_dimension_series(z5, 30)
     b = invariant_dimension_series(swapped, 30)
     assert a.dims == b.dims
+
+
+# -- the series against independent witnesses ----------------------------------
+
+
+def _power_series_dims(numerator: dict[int, int], denominator_degrees, depth: int) -> list[int]:
+    """Cumulative coefficients (degrees below m, m = 0 .. depth) of
+    sum_k c_k t^k / prod_d (1 - t^d)."""
+    coeffs = [0] * depth
+    for k, c in numerator.items():
+        if k < depth:
+            coeffs[k] += c
+    for d in denominator_degrees:
+        for k in range(d, depth):
+            coeffs[k] += coeffs[k - d]
+    dims = [0]
+    for c in coeffs:
+        dims.append(dims[-1] + c)
+    return dims
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_binary_dihedral_matches_hilbert_series(m):
+    # invariants of degrees 4, 2m and 2m + 2 with one relation in degree 4m + 4
+    expected = _power_series_dims({0: 1, 2 * m + 2: 1}, (4, 2 * m), 200)
+    assert list(invariant_dimension_series(binary_dihedral_group(m), 200).dims) == expected
+
+
+@pytest.mark.parametrize("r", range(1, 17))
+def test_cyclic_series_matches_monomial_counts(r):
+    # depth 3r + 2 spans several periods of the trace sums
+    depth = 3 * r + 2
+    for a in range(r):
+        per_degree = [sum(1 for j in range(d + 1) if ((d - j) + a * j) % r == 0) for d in range(depth)]
+        expected = [sum(per_degree[:m]) for m in range(depth + 1)]
+        assert list(invariant_dimension_series(cyclic_group(r, a), depth).dims) == expected, (r, a)
+
+
+def _series_reference(g: FiniteGroupAction, M: int) -> tuple[int, ...]:
+    """The trace sums stepped in the cyclotomic ring at every degree, with no
+    periodic extension: t_m = eig1 t_{m-1} + eig2^m per element."""
+    order = math.lcm(*(math.lcm(e.eig1.denominator, e.eig2.denominator) for e in g.elements))
+    cyclo = cyclotomic_polynomial(order)
+    shifts = [(int(e.eig1 * order) % order, int(e.eig2 * order) % order) for e in g.elements]
+    traces = [[1] + [0] * (order - 1) for _ in g.elements]
+    dims = [0]
+    for m in range(M):
+        total = [sum(vec[i] for vec in traces) for i in range(order)]
+        value = _reduce_to_integer(total, cyclo)
+        if value % g.order != 0:
+            raise NonIntegerDimension(f"average at degree {m} is {value}/{g.order}")
+        dims.append(dims[-1] + value // g.order)
+        for idx, (e1, e2) in enumerate(shifts):
+            shifted = [0] * order
+            for i, c in enumerate(traces[idx]):
+                shifted[(i + e1) % order] += c
+            shifted[((m + 1) * e2) % order] += 1
+            traces[idx] = shifted
+    return DimensionSeries(dims=tuple(dims)).dims
+
+
+def _outcome(series, g, M):
+    try:
+        return series(g, M)
+    except NonIntegerDimension as exc:
+        return str(exc)
+
+
+def _random_element_list(rng: random.Random) -> FiniteGroupAction:
+    """A group, sometimes with elements added or dropped, so that most lists
+    are not closed and fail at some degree."""
+    if rng.random() < 0.8:
+        r = rng.randint(1, 12)
+        base = list(cyclic_group(r, rng.randrange(r)).elements)
+    else:
+        base = list(binary_dihedral_group(rng.randint(1, 4)).elements)
+    for _ in range(rng.randint(0, 3)):
+        q = rng.choice([1, 2, 3, 4, 6])
+        x = Fraction(rng.randrange(q), q)
+        roll = rng.random()
+        if roll < 0.4:
+            base.append(GroupElement(x, x))
+        elif roll < 0.7:
+            base.append(GroupElement(x, Fraction(rng.randrange(q), q)))
+        elif len(base) > 1:
+            base.pop(rng.randrange(1, len(base)))
+    return FiniteGroupAction(elements=tuple(base))
+
+
+def test_series_matches_reference_on_random_element_lists():
+    rng = random.Random(14)
+    failures = 0
+    for _ in range(150):
+        g = _random_element_list(rng)
+        M = rng.choice([1, 2, 5, 20, 45])
+        expected = _outcome(_series_reference, g, M)
+        got = _outcome(lambda g, M: invariant_dimension_series(g, M).dims, g, M)
+        assert got == expected, (g, M)
+        failures += isinstance(expected, str)
+    assert 30 <= failures <= 120
+
+
+def test_series_error_past_one_period_matches_reference():
+    # the trace sums are integers below the period N = 2, and the first
+    # average that is not an integer lies at degree 2 = N, in the extension
+    elements = FiniteGroupAction(
+        elements=(
+            GroupElement(0, 0),
+            GroupElement(0, Fraction(1, 2)),
+            GroupElement(Fraction(1, 2), Fraction(1, 2)),
+        )
+    )
+    expected = _outcome(_series_reference, elements, 6)
+    assert expected == "average at degree 2 is 7/3"
+    assert _outcome(lambda g, M: invariant_dimension_series(g, M).dims, elements, 6) == expected

@@ -1,3 +1,5 @@
+import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -176,3 +178,66 @@ def test_toric_log_fano_centroid_law():
     expected = RVector(list(rep.p_star) + [1]).scale(Fraction(n, n + 1))
     assert rep.frak_p_star == expected
     assert rep.beta_n == Fraction(1, 4) / n
+
+
+def _random_brieskorn_pham(rng: random.Random) -> WeightedHomogeneousHypersurface:
+    degrees = [rng.randint(2, 13) for _ in range(rng.randint(3, 5))]
+    monomials = [[d * (j == i) for j in range(len(degrees))] for i, d in enumerate(degrees)]
+    return WeightedHomogeneousHypersurface(
+        nvars=len(degrees), monomials=tuple(RVector(m) for m in monomials)
+    )
+
+
+@functools.cache
+def _face_cell_models():
+    rng = random.Random(11)
+    models = []
+    while len(models) < 24:
+        model = _random_brieskorn_pham(rng)
+        try:
+            model.convex_pieces
+        except ModelError:
+            continue  # not klt
+        models.append(model)
+    mixed = WeightedHomogeneousHypersurface(
+        nvars=4, monomials=tuple(RVector(m) for m in ([2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 5], [1, 1, 0, 0]))
+    )
+    return models + [mixed, akm_singularity(3, 5)]
+
+
+def test_face_cell_vertices_lie_on_their_faces():
+    """Each slice vertex v of a piece has A(v) = <row, v> = n, weights >= 0,
+    every bound nonnegative, and equal weight at v on the piece's tied
+    monomials (those m with <m - m0, b> = 0 on every basis vector b, m0 the
+    row's monomial), which are at least two and the least of all monomials;
+    and v = sum_j v[free_j] basis_j, its own cell coordinates."""
+    for model in _face_cell_models():
+        assert model.convex_pieces, model.monomials
+        for piece in model.convex_pieces:
+            m0 = RVector(1 - c for c in piece.row)
+            tied = [m for m in model.monomials if all((m - m0).dot(b) == 0 for b in piece.basis)]
+            assert len(tied) >= 2
+            assert piece.vertices
+            for v in piece.vertices:
+                assert piece.row.dot(v) == model.n
+                assert min(v) >= 0
+                assert all(b.dot(v) >= 0 for b in piece.bounds)
+                least = m0.dot(v)
+                assert all(m.dot(v) == least for m in tied)
+                assert all(m.dot(v) >= least for m in model.monomials)
+                assert sum((b.scale(v[j]) for b, j in zip(piece.basis, piece.free)), RVector([0] * len(v))) == v
+            # inside the cell, the tied monomials are exactly the least ones
+            center = sum(piece.vertices[1:], piece.vertices[0])
+            least = min(m.dot(center) for m in model.monomials)
+            assert [m for m in model.monomials if m.dot(center) == least] == tied
+
+
+def test_brieskorn_pham_has_one_piece_per_tie():
+    """On sum_i x_i^{d_i} every set of reduced monomials ties at some positive
+    weight and forces no other tie, so the pieces are the sets counted at
+    least twice: 2^r - 1 nonempty sets of the r distinct degrees, less the
+    singletons of a degree that occurs once."""
+    for model in _face_cell_models()[:-2]:
+        degrees = [max(m) for m in model.monomials]
+        once = sum(degrees.count(d) == 1 for d in set(degrees))
+        assert len(model.convex_pieces) == 2 ** len(set(degrees)) - 1 - once, degrees
