@@ -14,7 +14,8 @@ significant digits under keys suffixed `_approx`, so identical jobs produce
 byte-identical reports.  Wall-clock timing is volatile and therefore only
 included when --timing is passed.  `--format csv` emits the command's main
 tabular payload (trajectory, dimension series, profile samples, or the check
-table) instead of JSON.
+table) instead of JSON.  That payload is built only when it is printed, so a
+JSON run never evaluates it: `filtration --samples` costs nothing there.
 
 Exit codes: 0 all checks pass, 2 some check failed, 3 schema or model error.
 """
@@ -23,14 +24,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import selftest as selftest_mod
 from .errors import HvolError, SchemaError
@@ -157,32 +157,40 @@ def parse_model(descriptor: dict):
         rays = descriptor.get("rays")
         if not rays:
             raise SchemaError("toric_cone needs a 'rays' list")
+        if any(not isinstance(ray, list) or len(ray) != len(rays[0]) for ray in rays):
+            raise SchemaError("toric_cone rays must be lists of one length")
         return ToricConeSingularity.from_rays(
             [[_parse_rational(v) for v in ray] for ray in rays],
             canonical_xi=_canonical_xi(descriptor),
         )
     if kind == "hypersurface":
-        n = descriptor.get("n")
         monomials = descriptor.get("monomials")
-        if n is None or not monomials:
+        if descriptor.get("n") is None or not monomials:
             raise SchemaError("hypersurface needs 'n' and 'monomials'")
+        if any(not isinstance(mono, list) for mono in monomials):
+            raise SchemaError("hypersurface monomials must be lists of exponents")
+        nvars = _parse_integer(descriptor["n"], "hypersurface 'n'") + 1
         canonical = _canonical_xi(descriptor)
-        if canonical is not None and (len(canonical) != int(n) + 1 or min(canonical) <= 0):
-            raise SchemaError(f"hypersurface canonical_xi needs {int(n) + 1} positive weights")
+        if canonical is not None and (len(canonical) != nvars or min(canonical) <= 0):
+            raise SchemaError(f"hypersurface canonical_xi needs {nvars} positive weights")
         return WeightedHomogeneousHypersurface(
-            nvars=int(n) + 1,
-            monomials=tuple(RVector([int(e) for e in mono]) for mono in monomials),
+            nvars=nvars,
+            monomials=tuple(
+                RVector([_parse_integer(e, "hypersurface exponent") for e in mono])
+                for mono in monomials
+            ),
             canonical_xi=RVector(canonical) if canonical else None,
         )
     if kind == "akm":
         try:
-            return akm_singularity(int(descriptor["n"]), int(descriptor["k"]))
+            n, k = descriptor["n"], descriptor["k"]
+            return akm_singularity(_parse_integer(n, "akm 'n'"), _parse_integer(k, "akm 'k'"))
         except KeyError as exc:
             raise SchemaError("akm needs integer fields 'n' and 'k'") from exc
     if kind == "polarized_cone":
         try:
             return PolarizedConeData(
-                n=int(descriptor["n"]),
+                n=_parse_integer(descriptor["n"], "polarized_cone 'n'"),
                 r=_parse_rational(descriptor["r"]),
                 degH=_parse_rational(descriptor["degH"]),
             )
@@ -206,6 +214,8 @@ def parse_model(descriptor: dict):
 def _parse_integer(value, what: str) -> int:
     """An integer given as a JSON number or string; anything else, a
     fraction or a boolean included, is a SchemaError."""
+    if type(value) is int:
+        return value
     try:
         parsed = Fraction(str(value))
     except (ValueError, ZeroDivisionError):
@@ -259,8 +269,9 @@ def _exact_pair(value: Fraction) -> dict:
 # -- command implementations ----------------------------------------------------
 
 
-def run(spec: JobSpec) -> tuple[Report, str | None]:
-    """Execute a job; returns the report and an optional CSV payload."""
+def run(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
+    """Execute a job; returns the report and a zero-argument function that
+    builds the CSV payload, or None where the command has none."""
     start = time.perf_counter()
     handler = {
         "compute": _run_compute,
@@ -271,12 +282,12 @@ def run(spec: JobSpec) -> tuple[Report, str | None]:
     }.get(spec.command)
     if handler is None:
         raise SchemaError(f"unknown command {spec.command!r}")
-    report, csv_payload = handler(spec)
+    report, csv = handler(spec)
     report.timing = time.perf_counter() - start
-    return report, csv_payload
+    return report, csv
 
 
-def _run_compute(spec: JobSpec) -> tuple[Report, str | None]:
+def _run_compute(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
     model = parse_model(spec.model)
     inputs = {"model": spec.model, "valuation": spec.valuation}
     checks: list[dict] = []
@@ -348,13 +359,16 @@ def _run_compute(spec: JobSpec) -> tuple[Report, str | None]:
                 "exact",
             )
         )
-    rows = ["quantity,exact,approx"]
-    for key in ("logdisc", "volume", "nvol"):
-        rows.append(f"{key},{results[key]['exact']},{results[key]['approx']}")
-    return Report("compute", inputs, results, checks), "\n".join(rows) + "\n"
+
+    def csv() -> str:
+        keys = ("logdisc", "volume", "nvol")
+        rows = (f"{k},{results[k]['exact']},{results[k]['approx']}\n" for k in keys)
+        return "quantity,exact,approx\n" + "".join(rows)
+
+    return Report("compute", inputs, results, checks), csv
 
 
-def _run_minimize(spec: JobSpec) -> tuple[Report, str | None]:
+def _run_minimize(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
     tol = float(spec.opt("tol"))
     if not 0 < tol < math.inf:
         raise SchemaError(f"minimize --tol must be a positive finite number, not {tol!r}")
@@ -397,16 +411,19 @@ def _run_minimize(spec: JobSpec) -> tuple[Report, str | None]:
             f"{float(CERTIFIED_WIDTH):g} relative",
         ),
     ]
-    buf = io.StringIO()
-    dim = len(best.argmin)
-    buf.write("iteration," + ",".join(f"w{i}" for i in range(dim)) + ",nvol\n")
-    for i, (point, value) in enumerate(best.trajectory):
-        buf.write(f"{i}," + ",".join(_fmt_float(c) for c in point) + f",{_fmt_float(value)}\n")
+
+    def csv() -> str:
+        head = "iteration," + ",".join(f"w{i}" for i in range(len(best.argmin))) + ",nvol\n"
+        return head + "".join(
+            f"{i}," + ",".join(_fmt_float(c) for c in point) + f",{_fmt_float(value)}\n"
+            for i, (point, value) in enumerate(best.trajectory)
+        )
+
     inputs = {"model": spec.model, "init": init, "tol": tol, "max_iter": max_iter, "seed": seed}
-    return Report("minimize", inputs, results, checks), buf.getvalue()
+    return Report("minimize", inputs, results, checks), csv
 
 
-def _run_quotient(spec: JobSpec) -> tuple[Report, str | None]:
+def _run_quotient(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
     group = parse_group(spec.group)
     depth = int(spec.opt("samples"))
     if depth < 1:
@@ -452,15 +469,15 @@ def _run_quotient(spec: JobSpec) -> tuple[Report, str | None]:
                 f"{2.0 / depth:g}",
             )
         )
-    buf = io.StringIO()
-    buf.write("m,dim_below_m\n")
-    for m, d in enumerate(series.dims):
-        buf.write(f"{m},{d}\n")
+
+    def csv() -> str:
+        return "m,dim_below_m\n" + "".join(f"{m},{d}\n" for m, d in enumerate(series.dims))
+
     inputs = {"group": spec.group, "depth": depth}
-    return Report("quotient", inputs, results, checks), buf.getvalue()
+    return Report("quotient", inputs, results, checks), csv
 
 
-def _run_filtration(spec: JobSpec) -> tuple[Report, str | None]:
+def _run_filtration(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
     samples = int(spec.opt("samples"))
     if samples < 0 or samples == 1:
         raise SchemaError(f"filtration --samples must be 0 or at least 2, not {samples}")
@@ -545,11 +562,12 @@ def _run_filtration(spec: JobSpec) -> tuple[Report, str | None]:
             "exact",
         )
     )
-    buf = io.StringIO()
-    buf.write("t,vol_r\n")
-    for j in range(samples):
-        t = float(profile.c2) * 1.05 * j / (samples - 1)
-        buf.write(f"{_fmt_float(t)},{_fmt_float(profile.vol_r(t))}\n")
+
+    def csv() -> str:
+        ts = (float(profile.c2) * 1.05 * j / (samples - 1) for j in range(samples))
+        rows = (f"{_fmt_float(t)},{_fmt_float(profile.vol_r(t))}\n" for t in ts)
+        return "t,vol_r\n" + "".join(rows)
+
     inputs = {
         "model": spec.model,
         "v0": [str(v) for v in v0],
@@ -557,10 +575,10 @@ def _run_filtration(spec: JobSpec) -> tuple[Report, str | None]:
         "lambda": lam_raw,
         "samples": samples,
     }
-    return Report("filtration", inputs, results, checks), buf.getvalue()
+    return Report("filtration", inputs, results, checks), csv
 
 
-def _run_selftest(spec: JobSpec) -> tuple[Report, str | None]:
+def _run_selftest(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
     name_filter = spec.options.get("filter")
     results = selftest_mod.run_all(name_filter)
     checks = [
@@ -571,11 +589,12 @@ def _run_selftest(spec: JobSpec) -> tuple[Report, str | None]:
         "failed": sum(1 for r in results if not r.passed),
         "filter": name_filter,
     }
-    buf = io.StringIO()
-    buf.write("name,pass,lhs,rhs,tolerance\n")
-    for r in results:
-        buf.write(f"{r.name},{int(r.passed)},{r.lhs},{r.rhs},{r.tolerance}\n")
-    return Report("selftest", {"filter": name_filter}, summary, checks), buf.getvalue()
+
+    def csv() -> str:
+        rows = (f"{r.name},{int(r.passed)},{r.lhs},{r.rhs},{r.tolerance}\n" for r in results)
+        return "name,pass,lhs,rhs,tolerance\n" + "".join(rows)
+
+    return Report("selftest", {"filter": name_filter}, summary, checks), csv
 
 
 # -- argument parsing -------------------------------------------------------------
@@ -638,7 +657,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v1", required=True, help="comma-separated filtration weights")
     p.add_argument("--v0", help="grading weights; defaults to the canonical ones")
     p.add_argument("--lam", "--lambda", dest="lam", default="auto")
-    p.add_argument("--samples", type=int, default=DEFAULTS["samples"])
+    p.add_argument(
+        "--samples",
+        type=int,
+        default=DEFAULTS["samples"],
+        help="profile rows of the --format csv table; a JSON report samples none",
+    )
     add_common(p)
 
     p = sub.add_parser("selftest", help="run the built-in verification suite")
@@ -675,14 +699,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         spec = spec_from_args(args)
-        report, csv_payload = run(spec)
+        report, csv = run(spec)
+        if args.format == "csv" and csv is not None:
+            payload = csv()
+        else:
+            payload = report.to_json(include_timing=args.timing) + "\n"
     except HvolError as exc:
         sys.stderr.write(f"error[{exc.code}]: {exc}\n")
         return 3
-    if args.format == "csv" and csv_payload is not None:
-        payload = csv_payload
-    else:
-        payload = report.to_json(include_timing=args.timing) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(payload)

@@ -209,6 +209,34 @@ def test_parse_group_accepts_integer_strings():
     }
 
 
+# `--format csv` payloads that no golden file covers, as the eagerly built
+# CSV gave them: compute's quantity rows and one self-test check table
+COMPUTE_CSV_PINS = [
+    (C2_TORIC, "1,1", "quantity,exact,approx\nlogdisc,2,2\nvolume,1,1\nnvol,4,4\n"),
+    (AKM_35, "1,1,1,1/2", "quantity,exact,approx\nlogdisc,3/2,1.5\nvolume,4,4\nnvol,27/2,13.5\n"),
+]
+
+
+@pytest.mark.parametrize("model, valuation, expected", COMPUTE_CSV_PINS, ids=["C2", "akm(3,5)"])
+def test_compute_csv_is_pinned(capsys, model, valuation, expected):
+    argv = ["compute", "--model", model, "--valuation", valuation, "--format", "csv"]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert out == expected
+
+
+def test_selftest_csv_is_pinned(capsys):
+    code, out = run_cli(capsys, ["selftest", "--filter", "molien", "--format", "csv"])
+    assert code == 0
+    assert out.splitlines()[:2] == [
+        "name,pass,lhs,rhs,tolerance",
+        "molien_limit[Z1(1,0)],1,1.0024999999999999,1,0.005",
+    ]
+    assert len(out.splitlines()) == 12
+    digest = "a880ec624f5bbb4509134186126902f32d2ec89ac5628148af944eaf80ce36b5"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_filtration_command(capsys):
     code, out = run_cli(
         capsys, ["filtration", "--model", C2_TORIC, "--v1", "1,2", "--lam", "auto"]
@@ -420,6 +448,53 @@ def test_parse_model_variants():
         parse_model({"type": "toric_cone"})
     with pytest.raises(SchemaError):
         parse_group({"type": "cyclic", "r": 3})
+
+
+def _refused_model(capsys, descriptor: dict) -> None:
+    with pytest.raises(SchemaError):
+        parse_model(descriptor)
+    assert main(["compute", "--model", json.dumps(descriptor), "--valuation", "1,1,1"]) == 3
+    assert capsys.readouterr().err.startswith("error[schema_error]: ")
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"n": "x", "k": 2}, {"n": 2.5, "k": 2}, {"n": 3, "k": "2.5"}, {"n": True, "k": 2}],
+)
+def test_akm_refuses_non_integer_fields(capsys, fields):
+    _refused_model(capsys, {"type": "akm", **fields})
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"n": "2.5", "monomials": A1_MONOMIALS},
+        {"n": 2.5, "monomials": A1_MONOMIALS},
+        {"n": 2, "monomials": [[2, 0, 0], [0, "y", 0], [0, 0, 2]]},
+        {"n": 2, "monomials": [[2, 0, 0], [0, 2.5, 0], [0, 0, 2]]},
+        {"n": 2, "monomials": [[2, 0, 0], 5, [0, 0, 2]]},
+    ],
+)
+def test_hypersurface_refuses_non_integer_fields(capsys, fields):
+    _refused_model(capsys, {"type": "hypersurface", **fields})
+
+
+@pytest.mark.parametrize("n", [2.5, "x", "3/2"])
+def test_polarized_cone_refuses_a_non_integer_dimension(capsys, n):
+    _refused_model(capsys, {"type": "polarized_cone", "n": n, "r": "2", "degH": "1/2"})
+
+
+@pytest.mark.parametrize("rays", [[[1, 0], [0]], [[1], [0, 1]], [[1, 0], 5], [5, [1, 0]]])
+def test_toric_cone_refuses_rays_of_unequal_length(capsys, rays):
+    _refused_model(capsys, {"type": "toric_cone", "rays": rays})
+
+
+def test_integer_fields_accept_integer_strings_and_floats():
+    assert parse_model({"type": "akm", "n": "3", "k": 2.0}).nvars == 4
+    monomials = [[2, 0, "0"], [0, 2.0, 0], [0, 0, 2]]
+    hyp = parse_model({"type": "hypersurface", "n": "2", "monomials": monomials})
+    assert hyp.exponents == ((2, 0, 0), (0, 2, 0), (0, 0, 2))
+    assert parse_model({"type": "polarized_cone", "n": "3", "r": "2", "degH": "1/2"}).n == 3
 
 
 def test_schema_version_rejected():

@@ -509,6 +509,36 @@ def test_phi_surface_never_integrates_the_profile(monkeypatch, space_profile):
     assert surface.values[0][-1] == float(space_profile.vol_v1)
 
 
+@pytest.mark.parametrize(
+    "model, flags",
+    [
+        (
+            '{"type":"toric_cone","rays":[[1,0,0],[0,1,0],[-1,0,1],[0,-1,1]]}',
+            ["--v1=-3,3,5", "--v0=0,0,2"],
+        ),
+        ('{"type":"akm","n":3,"k":2}', ["--v1=2/3,1,6,4"]),
+    ],
+    ids=["conifold", "akm(3,2)"],
+)
+def test_json_run_never_samples_the_profile(monkeypatch, capsys, model, flags):
+    from hvol import cli
+    from hvol.filtration import VolumeProfile
+
+    argv = ["filtration", "--model", model, *flags]
+    assert cli.main(argv) == 0
+    unpatched = capsys.readouterr().out
+
+    def refuse(self, t):
+        raise AssertionError("the profile was sampled for a CSV")
+
+    monkeypatch.setattr(VolumeProfile, "vol_r", refuse)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == unpatched
+    # the patch reaches the CSV path: asking for the CSV samples the profile
+    with pytest.raises(AssertionError, match="sampled"):
+        cli.main(argv + ["--format", "csv"])
+
+
 def _vol_r_reference(p, t: float) -> float:
     """The region chosen by exact comparison at t's binary value, then the
     piece evaluated by float Horner steps from the top coefficient."""
