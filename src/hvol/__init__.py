@@ -21,10 +21,8 @@ from .valuation import (
     MonomialValuation,
     ValuationReport,
     lattice_count_oracle,
-    log_adjusted_discrepancy,
     log_discrepancy_hypersurface,
     log_discrepancy_toric,
-    normalized_volume,
     nvol_report,
     valuation_volume_hypersurface,
     valuation_volume_toric,
@@ -58,13 +56,10 @@ from .molien import (
 )
 from .reeb import (
     MinimizeResult,
-    hvol_lower,
-    link_volume_from_nvol,
     minimize_nvol,
     minimize_nvol_multistart,
     normalize_reeb,
     rescaling_law_check,
-    ricci_bound_transfer,
 )
 from .filtration import (
     PhiSurface,
@@ -72,12 +67,8 @@ from .filtration import (
     interpolation_derivative_forms,
     interpolation_volume,
     liu_bound_check,
-    nvol_lower_bound_check,
-    profile_dimension_check,
     profile_from_model,
-    section_volume,
     stability_gap,
-    tail_volume,
     volume_from_profile,
 )
 

@@ -200,13 +200,15 @@ def parse_model(descriptor: dict):
         facets = descriptor.get("facets")
         if not facets or "r" not in descriptor:
             raise SchemaError("toric_log_fano needs 'facets' and 'r'")
-        halfspaces = [
-            Halfspace(
-                RVector([_parse_rational(v) for v in f["normal"]]),
-                _parse_rational(f["offset"]),
-            )
+        if not isinstance(facets, list) or any(
+            not isinstance(f, dict) or not isinstance(f.get("normal"), list) or "offset" not in f
             for f in facets
-        ]
+        ):
+            raise SchemaError("toric_log_fano facets must be objects with 'normal' and 'offset'")
+        normals = [RVector([_parse_rational(v) for v in f["normal"]]) for f in facets]
+        if any(len(v) != len(normals[0]) or not any(v) for v in normals):
+            raise SchemaError("toric_log_fano facet normals must be nonzero and of one length")
+        halfspaces = [Halfspace(v, _parse_rational(f["offset"])) for v, f in zip(normals, facets)]
         return halfspaces, _parse_rational(descriptor["r"])
     raise SchemaError(f"unknown model type {kind!r}")
 
@@ -341,9 +343,7 @@ def _run_compute(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
     report = nvol_report(model, weights)
     results = {
         "n": report.n,
-        "logdisc": _exact_pair(report.logdisc)
-        if report.logdisc != math.inf
-        else {"exact": "inf", "approx": "inf"},
+        "logdisc": _exact_pair(report.logdisc),
         "volume": _exact_pair(report.volume),
         "nvol": _exact_pair(report.nvol),
         "nonpositive_discrepancy": report.nonpositive_discrepancy,

@@ -55,10 +55,6 @@ class IntegralDivergence(HvolError):
     code = "integral_divergence"
 
 
-class BoundViolated(HvolError):
-    code = "bound_violated"
-
-
 class DomainError(HvolError):
     code = "domain_error"
 

@@ -18,9 +18,8 @@ in t, and repeated knots take confluent divided differences, so every piece
 is exact.  A hypersurface contributes one simplex, the orthant left after
 the reduction variable, weighted by that variable's exponent.  The same
 pieces give vol(v1) = sum of weight / prod(knots), and the support starts at
-c1 = min <u, v1> / <u, v0> over the model's `reeb_generators`; the discrete
-cross-check counts graded colengths in the model's `lattice_region`.  So
-nothing here asks which kind of model it holds.
+c1 = min <u, v1> / <u, v0> over the model's `reeb_generators`.  So nothing
+here asks which kind of model it holds.
 
 Everything downstream is derived from the profile:
 
@@ -55,23 +54,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (
-    BoundViolated,
-    IntegralDivergence,
-    ModelError,
-    NotInReebCone,
-    PreconditionViolated,
-)
+from .errors import IntegralDivergence, ModelError, PreconditionViolated
 from .exactgeom import RVector, rat
-from .singularities import PolarizedConeData
-from .valuation import (
-    ValuationReport,
-    integer_pairings,
-    lattice_count_oracle,
-    _count_box,
-    _scaled_int_vector,
-    _strict_upper,
-)
+from .valuation import integer_pairings
 
 
 # -- piecewise polynomial helpers ---------------------------------------------
@@ -149,9 +134,6 @@ class VolumeProfile:
     vol_v1: Fraction
     pieces: PiecewisePoly
     simplices: tuple[tuple[Fraction, tuple[Fraction, ...]], ...]  # (weight, knots)
-    v0_weights: RVector | None = None
-    v1_weights: RVector | None = None
-    label: str = ""
 
     def __post_init__(self):
         if self.c1 <= 0 or self.c2 < self.c1:
@@ -269,16 +251,14 @@ def _bspline_tail(knots: Sequence[Fraction], hi: Fraction, n: int) -> list[Fract
 
 def _support_start(model, v0: RVector, v1: RVector) -> Fraction:
     """c1 = min <u, v1> / <u, v0> over the model's Reeb generators u: the
-    least v1-weight of a degree-1 element of the v0-graded ring."""
+    least v1-weight of a degree-1 element of the v0-graded ring.  Both
+    weights are Reeb vectors, which `simplicial_pieces` has checked."""
     gens = model.reeb_generators
     (p0, d0), (p1, d1) = (integer_pairings(gens, v)[1:] for v in (v0, v1))
-    for v, pairings in ((v0, p0), (v1, p1)):
-        if min(pairings) <= 0:
-            raise NotInReebCone(f"{tuple(v)} is not in the Reeb cone")
     return min(Fraction(a * d0, b * d1) for a, b in zip(p1, p0))
 
 
-def profile_from_model(model, v0_weights: Sequence, v1_weights: Sequence) -> VolumeProfile:
+def profile_from_model(model, v0: Sequence, v1: Sequence) -> VolumeProfile:
     """Exact piecewise-polynomial profile of the v1-filtration on the v0-graded ring.
 
     vol(R^(t)) = sum_s w_s [k_s1, ..., k_sn] (x - t)_+^(n-1) over the
@@ -287,8 +267,7 @@ def profile_from_model(model, v0_weights: Sequence, v1_weights: Sequence) -> Vol
     (`_support_start`) and vol(v1) = sum_s w_s / prod_i k_si, the volume of
     each simplicial cone at v1.
     """
-    v0 = RVector(v0_weights)
-    v1 = RVector(v1_weights)
+    v0, v1 = RVector(v0), RVector(v1)
     n = model.n
     simplices = model.simplicial_pieces(v0, v1)
     bps = sorted({k for _, knots in simplices for k in knots})
@@ -307,9 +286,6 @@ def profile_from_model(model, v0_weights: Sequence, v1_weights: Sequence) -> Vol
         vol_v1=sum(weight / math.prod(knots) for weight, knots in simplices),
         pieces=PiecewisePoly(breakpoints=tuple(bps), pieces=tuple(pieces)),
         simplices=tuple((weight, tuple(knots)) for weight, knots in simplices),
-        v0_weights=v0,
-        v1_weights=v1,
-        label=model.label,
     )
 
 
@@ -336,13 +312,6 @@ def _tail_kernel_integral(p: VolumeProfile, x: Fraction) -> Fraction:
         if x < hi:
             return _poly_tail_kernel(coeffs, max(lo, x), hi, p.n) + beyond
     return Fraction(0)
-
-
-def tail_volume(p: VolumeProfile, x) -> float:
-    """Theta(x) = n x^n * integral_x^inf vol_r(t) / t^(n+1) dt, as a float."""
-    if x <= 0:
-        raise ValueError("tail transform needs x > 0")
-    return float(tail_volume_exact(p, x))
 
 
 def tail_volume_exact(p: VolumeProfile, x) -> Fraction:
@@ -399,13 +368,6 @@ def section_integral(p: VolumeProfile) -> Fraction:
 def volume_from_profile(p: VolumeProfile) -> Fraction:
     """vol(v1) = degH / c1^n - n integral_{c1}^inf vol_r(t) / t^(n+1) dt."""
     return p.degH / p.c1**p.n - p.n * _tail_kernel_integral(p, p.c1)
-
-
-def section_volume(p: VolumeProfile, x) -> float:
-    """vol(F S^(x)): Theta(x) for x > 0 and the full degree degH for x <= 0."""
-    if x <= 0:
-        return float(p.degH)
-    return tail_volume(p, x)
 
 
 def liu_bound_check(p: VolumeProfile, xs: Sequence) -> bool:
@@ -584,54 +546,3 @@ def stability_gap(p: VolumeProfile, logdisc_v: float, delta, degL) -> float:
         raise ValueError("delta and L^n must be positive")
     integral = float(section_integral(p))
     return float(logdisc_v) - float(delta) / float(degL) * integral
-
-
-def nvol_lower_bound_check(
-    report: ValuationReport, cone: PolarizedConeData, tol: float = 1e-9
-) -> bool:
-    """nvol(v) >= r^n degH, the sharp semistable lower bound."""
-    bound = cone.r**cone.n * cone.degH
-    if isinstance(report.nvol, Fraction):
-        ok = report.nvol >= bound or float(bound - report.nvol) <= tol
-    else:
-        ok = float(report.nvol) >= float(bound) - tol
-    if not ok:
-        raise BoundViolated(f"nvol {report.nvol} below bound {bound}")
-    return True
-
-
-# -- discrete cross-check -----------------------------------------------------------
-
-
-def profile_dimension_check(
-    model, v0_weights: Sequence, v1_weights: Sequence, thresholds: Sequence[int]
-) -> bool:
-    """Graded-piece dimension sums equal the total colength at each threshold.
-
-    Left side: sum over degrees k of dim(R_k) - dim(F^m R_k), enumerated per
-    graded slice; right side: the lattice-counting oracle for v1 at m.  Both
-    are exact integers and must agree.
-    """
-    v0 = RVector(v0_weights)
-    v1 = RVector(v1_weights)
-    for m in thresholds:
-        lhs = _graded_colength(model, v0, v1, Fraction(m))
-        rhs = lattice_count_oracle(model, v1, Fraction(m))
-        if lhs != rhs:
-            return False
-    return True
-
-
-def _graded_colength(model, v0: RVector, v1: RVector, m: Fraction) -> int:
-    grade_vec, grade_scale = _scaled_int_vector(v0)
-    weight_vec, weight_scale = _scaled_int_vector(v1)
-    top = _strict_upper(weight_scale * m)
-    ratios_min = _support_start(model, v0, v1)
-    # the slices lie inside the region of v1-weight below m
-    bounds, rows = model.lattice_region(v1, m)
-    total = 0
-    for k in range(int(m / ratios_min) + 2):
-        # slice <v0, alpha> = k, weight < m
-        grade = [(grade_vec, -k * grade_scale), ([-g for g in grade_vec], k * grade_scale)]
-        total += _count_box(bounds, rows + grade, weight_vec, top)
-    return total

@@ -333,29 +333,3 @@ def minimize_nvol_multistart(
     `tol` are not used."""
     best = minimize_nvol(model, max_iter=max_iter)
     return best, 0.0, [best]
-
-
-# -- arithmetic transfers ------------------------------------------------------
-
-
-def link_volume_from_nvol(nvol_ord: float, n: int) -> float:
-    """Contact volume of the link from the normalized volume: (2 pi / n)^n * nvol."""
-    if nvol_ord < 0:
-        raise DomainError("normalized volume must be nonnegative")
-    return (2 * math.pi) ** n / n**n * nvol_ord
-
-
-def ricci_bound_transfer(R: float, m: int) -> float:
-    """(m - 1) R / (m - R): lower Ricci bound after moving the divisor weight."""
-    if not (0 < R <= 1) or m < 2 or m <= R:
-        raise DomainError(f"need 0 < R <= 1 and integer m >= 2 > R, got R={R}, m={m}")
-    return (m - 1) * R / (m - R)
-
-
-def hvol_lower(R: float, nvol_ord: float, n: int) -> float:
-    """Lower bound R^n * nvol(ord) for the minimal normalized volume."""
-    if not (0 < R <= 1):
-        raise DomainError("R must lie in (0, 1]")
-    if nvol_ord < 0:
-        raise DomainError("normalized volume must be nonnegative")
-    return R**n * nvol_ord

@@ -220,6 +220,8 @@ class WeightedHomogeneousHypersurface:
     canonical_xi: RVector | None = None
 
     def __post_init__(self):
+        if self.nvars < 2:
+            raise ModelError("a hypersurface germ needs dimension n >= 1")
         if len(self.monomials) < 2:
             raise ModelError("a hypersurface model needs at least two monomials")
         mons = []

@@ -58,47 +58,16 @@ class MonomialValuation(RVector):
             raise ValueError(f"monomial weights must be positive, got {tuple(vec)}")
         return vec
 
-    def rescale(self, factor) -> "MonomialValuation":
-        return MonomialValuation(self.scale(factor))
-
 
 @dataclass(frozen=True)
 class ValuationReport:
-    """Exact A, vol and normalized volume of one valuation, floats alongside."""
+    """Exact A, vol and normalized volume A^n * vol of one valuation."""
 
     n: int
-    logdisc: Fraction | float  # +inf allowed
+    logdisc: Fraction  # A, nonpositive on non-klt input
     volume: Fraction
-    nvol: Fraction | float
+    nvol: Fraction  # A^n * vol
     nonpositive_discrepancy: bool = False
-
-    @property
-    def logdisc_approx(self) -> float:
-        return float(self.logdisc)
-
-    @property
-    def volume_approx(self) -> float:
-        return float(self.volume)
-
-    @property
-    def nvol_approx(self) -> float:
-        return float(self.nvol)
-
-
-def normalized_volume(logdisc, volume, n: int):
-    """A^n * vol, or +inf on the infinite-discrepancy branch."""
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    if logdisc == math.inf:
-        return math.inf
-    if isinstance(logdisc, Fraction) and isinstance(volume, Fraction):
-        return logdisc**n * volume
-    return float(logdisc) ** n * float(volume)
-
-
-def log_adjusted_discrepancy(logdisc, v_of_E) -> Fraction:
-    """Discrepancy against a pair: A - v(E), with v(E) supplied by the caller."""
-    return rat(logdisc) - rat(v_of_E)
 
 
 # -- integer pairings --------------------------------------------------------
@@ -265,7 +234,7 @@ def nvol_report(model, weights: Sequence) -> ValuationReport:
         n=n,
         logdisc=logdisc,
         volume=volume,
-        nvol=normalized_volume(logdisc, volume, n),
+        nvol=logdisc**n * volume,
         nonpositive_discrepancy=logdisc <= 0,
     )
 

@@ -489,6 +489,44 @@ def test_toric_cone_refuses_rays_of_unequal_length(capsys, rays):
     _refused_model(capsys, {"type": "toric_cone", "rays": rays})
 
 
+_SQUARE_FACETS = [
+    {"normal": [1, 0], "offset": 1},
+    {"normal": [-1, 0], "offset": 1},
+    {"normal": [0, 1], "offset": 1},
+    {"normal": [0, -1], "offset": 1},
+]
+
+
+@pytest.mark.parametrize(
+    "facets",
+    [
+        "abc",
+        [5] + _SQUARE_FACETS[1:],
+        [{"offset": 1}] + _SQUARE_FACETS[1:],
+        [{"normal": [1, 0]}] + _SQUARE_FACETS[1:],
+        [{"normal": 5, "offset": 1}] + _SQUARE_FACETS[1:],
+        [{"normal": "10", "offset": 1}] + _SQUARE_FACETS[1:],
+        [{"normal": [1, 0, 0], "offset": 1}] + _SQUARE_FACETS[1:],
+        [{"normal": [1], "offset": 1}] + _SQUARE_FACETS[1:],
+        [{"normal": [0, 0], "offset": 1}] + _SQUARE_FACETS[1:],
+    ],
+    ids=[
+        "facets a string",
+        "facet not an object",
+        "no normal",
+        "no offset",
+        "normal a number",
+        "normal a string",
+        "normal too long",
+        "normal too short",
+        "zero normal",
+    ],
+)
+def test_toric_log_fano_refuses_malformed_facets(capsys, facets):
+    _refused_model(capsys, {"type": "toric_log_fano", "facets": facets, "r": "1"})
+    assert parse_model({"type": "toric_log_fano", "facets": _SQUARE_FACETS, "r": "1"})
+
+
 def test_integer_fields_accept_integer_strings_and_floats():
     assert parse_model({"type": "akm", "n": "3", "k": 2.0}).nvars == 4
     monomials = [[2, 0, "0"], [0, 2.0, 0], [0, 0, 2]]

@@ -16,21 +16,16 @@ from hvol.filtration import (
     interpolation_derivative_forms,
     interpolation_volume,
     liu_bound_check,
-    nvol_lower_bound_check,
     phi_surface,
-    profile_dimension_check,
     profile_from_model,
     profile_integral,
     section_integral,
-    section_volume,
     stability_gap,
-    tail_volume,
     tail_volume_exact,
     theta_integral,
     volume_from_profile,
 )
 from hvol.singularities import (
-    PolarizedConeData,
     ToricConeSingularity,
     WeightedHomogeneousHypersurface,
     affine_space,
@@ -42,7 +37,6 @@ from hvol.singularities import (
 from hvol.valuation import (
     log_discrepancy_hypersurface,
     log_discrepancy_toric,
-    nvol_report,
     reduction_variable,
 )
 
@@ -88,8 +82,15 @@ def test_step_profile(step_profile):
 
 
 def test_profile_rejects_outside_reeb():
-    with pytest.raises(NotInReebCone):
-        profile_from_model(affine_space(2), [1, 1], [1, -1])
+    cases = [
+        (affine_space(2), [1, 1], [1, -1]),
+        (affine_space(2), [1, 0], [1, 1]),
+        (akm_singularity(2, 2), [1, 1, 0], [1, 1, 1]),
+        (affine_space(2), [1, 1], [0, 1]),
+    ]
+    for model, v0, v1 in cases:
+        with pytest.raises(NotInReebCone):
+            profile_from_model(model, v0, v1)
 
 
 def test_hypersurface_profile_reduction_choice():
@@ -106,12 +107,14 @@ def test_hypersurface_profile_reduction_choice():
 
 def test_tail_volume_closed_forms(plane_profile, step_profile):
     # hand integral: Theta(t) = t^2/2 + 2 - 2t on [1, 2]
-    assert tail_volume(plane_profile, 1.0) == pytest.approx(0.5, abs=1e-12)
-    assert tail_volume(plane_profile, 1.5) == pytest.approx(1 / 8, abs=1e-12)
-    assert tail_volume(plane_profile, 2.0) == 0.0
-    assert tail_volume(plane_profile, 5.0) == 0.0
+    assert tail_volume_exact(plane_profile, 1) == Fraction(1, 2)
+    assert tail_volume_exact(plane_profile, Fraction(3, 2)) == Fraction(1, 8)
+    assert tail_volume_exact(plane_profile, 2) == 0
+    assert tail_volume_exact(plane_profile, 5) == 0
+    # below c1, Theta(x) = degH - x^n vol(v1)
+    assert tail_volume_exact(plane_profile, Fraction(1, 2)) == 1 - Fraction(1, 2) ** 2 / 2
     # step profile: Theta(x) = degH (1 - x^n) below the step
-    assert tail_volume(step_profile, 0.5) == pytest.approx(0.25 * (1 - 0.125))
+    assert tail_volume_exact(step_profile, Fraction(1, 2)) == Fraction(1, 4) * (1 - Fraction(1, 8))
 
 
 def test_theta_c1_identity(plane_profile, space_profile, step_profile):
@@ -135,19 +138,12 @@ def test_integral_identity(plane_profile, space_profile):
         assert lhs == rhs
 
 
-def test_section_volume(plane_profile):
-    assert section_volume(plane_profile, -1.0) == 1.0
-    # below c1 the section volume is degH - x^n vol(v1)
-    assert section_volume(plane_profile, 0.5) == pytest.approx(1 - 0.5**2 * 0.5)
-    assert section_volume(plane_profile, 3.0) == 0.0
-
-
 def test_liu_bound(plane_profile, step_profile):
     assert liu_bound_check(plane_profile, [0.3, 0.9, 1.0, 1.5, 2.0])
     assert liu_bound_check(step_profile, [0.2, 0.5, 1.0])
     # strict inequality beyond c1: both sides computed by hand at x = 1.5
-    lhs = section_volume(plane_profile, 1.5) + 0.5 * 1.5**2
-    assert lhs > 1 + 1e-6
+    x = Fraction(3, 2)
+    assert tail_volume_exact(plane_profile, x) + plane_profile.vol_v1 * x**2 > 1
     with pytest.raises(PreconditionViolated):
         liu_bound_check(plane_profile, [5.0])
 
@@ -242,43 +238,6 @@ def test_gap_derivative_relation(space_profile):
     assert forms.via_section_integral * float(a) == pytest.approx(
         model.n * float(space_profile.degH) * gap, abs=1e-12
     )
-
-
-def test_nvol_lower_bound_check():
-    report = nvol_report(akm_singularity(3, 2), canonical_weights(3, 2))
-    cone = PolarizedConeData(n=3, r=Fraction(2), degH=Fraction(2))
-    assert nvol_lower_bound_check(report, cone)
-    report2 = nvol_report(akm_singularity(3, 3), [1, 1, 1, 1])
-    cone2 = PolarizedConeData(
-        n=3, r=log_discrepancy_hypersurface(akm_singularity(3, 3), canonical_weights(3, 3)) / 3,
-        degH=Fraction(1, 9) * 3**3,
-    )
-    # nvol at (1,1,1,1) is 16 >= 125/9
-    assert report2.nvol == 16
-    assert nvol_lower_bound_check(report2, cone2)
-
-
-def test_profile_dimension_identity():
-    assert profile_dimension_check(affine_space(2), [1, 1], [1, 2], [5, 10, 20])
-    assert profile_dimension_check(conifold(), [0, 0, 1], [1, 1, 3], [5, 10, 20])
-    assert profile_dimension_check(
-        akm_singularity(3, 2), canonical_weights(3, 2), [2, 1, 1, 1], [5, 10, 20]
-    )
-
-
-@pytest.mark.parametrize(
-    "model,v0,v1",
-    [
-        (affine_space(2), [1, 0], [1, 1]),
-        (akm_singularity(2, 2), [1, 1, 0], [1, 1, 1]),
-        (affine_space(2), [1, 1], [0, 1]),
-    ],
-    ids=["C2, v0 on the boundary", "akm(2,2), v0 on the boundary", "C2, v1 on the boundary"],
-)
-def test_profile_dimension_check_refuses_non_reeb_weights(model, v0, v1):
-    # the graded colengths divide by the pairings with the Reeb generators
-    with pytest.raises(NotInReebCone):
-        profile_dimension_check(model, v0, v1, [3])
 
 
 def test_piecewise_poly_validation():

@@ -7,17 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hvol.errors import DomainError, ModelError, NotInReebCone
+from hvol.errors import ModelError, NotInReebCone
 from hvol.molien import binary_dihedral_group, quotient_min_nvol
 from hvol.exactgeom import RVector, centroid, cut_cone, polytope_volume
 from hvol.reeb import (
-    hvol_lower,
-    link_volume_from_nvol,
     minimize_nvol,
     minimize_nvol_multistart,
     normalize_reeb,
     rescaling_law_check,
-    ricci_bound_transfer,
 )
 from hvol.singularities import (
     ToricConeSingularity,
@@ -131,31 +128,6 @@ def test_multistart_ypq_line_search_stays_in_reeb_cone():
     model = ToricConeSingularity.from_rays([[1, 0, 0], [1, 1, 2], [1, 3, 3], [1, 1, 0]])
     best, _, _ = minimize_nvol_multistart(model, base_seed=1)
     assert best.min_nvol == pytest.approx(_ypq_nvol(3, 1), rel=1e-9)
-
-
-def test_link_volume():
-    assert link_volume_from_nvol(27.0, 3) == pytest.approx((2 * math.pi) ** 3)
-    assert link_volume_from_nvol(0.0, 3) == 0.0
-    assert link_volume_from_nvol(2.0, 2) == pytest.approx(2 * link_volume_from_nvol(1.0, 2))
-
-
-def test_ricci_bound_transfer():
-    assert ricci_bound_transfer(1.0, 5) == pytest.approx(1.0)
-    assert ricci_bound_transfer(0.5, 3) == pytest.approx(0.4)
-    grown = [ricci_bound_transfer(0.5, m) for m in range(2, 40)]
-    assert all(a < b for a, b in zip(grown, grown[1:]))
-    assert grown[-1] < 0.5
-    with pytest.raises(DomainError):
-        ricci_bound_transfer(1.5, 3)
-    with pytest.raises(DomainError):
-        ricci_bound_transfer(0.5, 1)
-
-
-def test_hvol_lower():
-    assert hvol_lower(0.5, 16.0, 3) == pytest.approx(2.0)
-    assert hvol_lower(1.0, 27.0, 3) == pytest.approx(27.0)
-    with pytest.raises(DomainError):
-        hvol_lower(0.0, 1.0, 2)
 
 
 def test_convexity_probe_along_slice():

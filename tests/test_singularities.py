@@ -78,6 +78,12 @@ def test_akm_requires_two_monomials():
         akm_singularity(1, 2)
 
 
+def test_hypersurface_requires_positive_dimension():
+    # one variable is a germ of dimension 0, where A^n * vol has no meaning
+    with pytest.raises(ModelError):
+        WeightedHomogeneousHypersurface(nvars=1, monomials=(RVector([1]), RVector([1])))
+
+
 def test_canonical_weights():
     assert tuple(canonical_weights(2, 2)) == (2, 2, 2)
     assert tuple(canonical_weights(3, 5)) == (5, 5, 5, 2)

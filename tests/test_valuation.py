@@ -23,10 +23,8 @@ from hvol.valuation import (
     MonomialValuation,
     _count_box,
     lattice_count_oracle,
-    log_adjusted_discrepancy,
     log_discrepancy_hypersurface,
     log_discrepancy_toric,
-    normalized_volume,
     nvol_report,
     valuation_volume_hypersurface,
     valuation_volume_toric,
@@ -93,23 +91,17 @@ def test_volume_hypersurface_single_monomial_guard():
         valuation_volume_hypersurface(model, [1, 1, 1, Fraction(1, 2)])
 
 
-def test_normalized_volume():
-    assert normalized_volume(Fraction(2), Fraction(1, 2), 2) == 2
-    assert normalized_volume(Fraction(4), Fraction(1, 4), 3) == 16
-    assert normalized_volume(math.inf, 5, 3) == math.inf
-
-
-def test_normalized_volume_monotone():
-    base = normalized_volume(Fraction(3), Fraction(1, 2), 3)
-    assert normalized_volume(Fraction(4), Fraction(1, 2), 3) > base
-    assert normalized_volume(Fraction(3), Fraction(2, 3), 3) > base
-
-
-def test_log_adjusted_discrepancy():
-    assert log_adjusted_discrepancy(5, 0) == 5
-    assert log_adjusted_discrepancy(3, 1) == 2
-    beta = Fraction(2, 3)
-    assert log_adjusted_discrepancy(4, 1 - beta) == 3 + beta
+def test_nvol_report_values():
+    # A^n * vol, exactly: C^2 at (1, 1) has A = 2 and vol = 1, C^3 at (1, 1, 2)
+    # has A = 4 and vol = 1/2, the A2 3-fold at (1, 1, 1, 1) has A = 2 and vol = 2
+    cases = [
+        (affine_space(2), [1, 1], 2, 1, 4),
+        (affine_space(3), [1, 1, 2], 4, Fraction(1, 2), 32),
+        (akm_singularity(3, 3), [1, 1, 1, 1], 2, 2, 16),
+    ]
+    for model, weights, logdisc, volume, nvol in cases:
+        report = nvol_report(model, weights)
+        assert (report.logdisc, report.volume, report.nvol) == (logdisc, volume, nvol)
 
 
 def test_rescaling_invariance_exact():
@@ -218,7 +210,7 @@ def test_oracle_budget():
 def test_nvol_report_flags_nonpositive():
     report = nvol_report(affine_space(2), [1, 1])
     assert not report.nonpositive_discrepancy
-    assert report.nvol_approx == pytest.approx(4.0)
+    assert float(report.nvol) == pytest.approx(4.0)
 
 
 # Cones whose dual cone the closed-form volume triangulates: simplicial and
