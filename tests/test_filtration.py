@@ -82,15 +82,24 @@ def test_step_profile(step_profile):
 
 
 def test_profile_rejects_outside_reeb():
-    cases = [
-        (affine_space(2), [1, 1], [1, -1]),
+    with pytest.raises(NotInReebCone):
+        profile_from_model(affine_space(2), [1, 1], [1, -1])
+
+
+@pytest.mark.parametrize(
+    "model,v0,v1",
+    [
         (affine_space(2), [1, 0], [1, 1]),
         (akm_singularity(2, 2), [1, 1, 0], [1, 1, 1]),
         (affine_space(2), [1, 1], [0, 1]),
-    ]
-    for model, v0, v1 in cases:
-        with pytest.raises(NotInReebCone):
-            profile_from_model(model, v0, v1)
+    ],
+    ids=["C2, v0 on the boundary", "akm(2,2), v0 on the boundary", "C2, v1 on the boundary"],
+)
+def test_profile_dimension_check_refuses_non_reeb_weights(model, v0, v1):
+    # the profile divides by the pairings with the Reeb generators, so a
+    # weight on the boundary of the Reeb cone is refused
+    with pytest.raises(NotInReebCone):
+        profile_from_model(model, v0, v1)
 
 
 def test_hypersurface_profile_reduction_choice():
@@ -136,6 +145,13 @@ def test_integral_identity(plane_profile, space_profile):
             + p.c1 / p.n * tail_volume_exact(p, p.c1)
         )
         assert lhs == rhs
+
+
+def test_section_volume(plane_profile):
+    # for x > 0 the section volume vol(F^x) is Theta(x); floats are read exactly
+    assert tail_volume_exact(plane_profile, 0.5) == pytest.approx(1 - 0.5**2 * 0.5)
+    assert tail_volume_exact(plane_profile, 0.5) == 1 - Fraction(1, 2) ** 2 * plane_profile.vol_v1
+    assert tail_volume_exact(plane_profile, 3.0) == 0
 
 
 def test_liu_bound(plane_profile, step_profile):
