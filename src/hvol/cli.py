@@ -11,11 +11,17 @@ hvol selftest   [--filter name]
 Reports are canonical JSON written to stdout (or --output): keys are sorted,
 exact rationals are "p/q" strings, floating point values are strings with 17
 significant digits under keys suffixed `_approx`, so identical jobs produce
-byte-identical reports.  Wall-clock timing is volatile and therefore only
-included when --timing is passed.  `--format csv` emits the command's main
-tabular payload (trajectory, dimension series, profile samples, or the check
-table) instead of JSON.  That payload is built only when it is printed, so a
-JSON run never evaluates it: `filtration --samples` costs nothing there.
+byte-identical reports.  `Report.to_json` writes that text in one recursive
+pass over the report (`_write_json`): keys sorted, an indent of 2, strings
+escaped to ASCII as the json module escapes them, and a `Fraction` or float
+turned into its string where it is met.  The text is what
+json.dumps(..., sort_keys=True, indent=2) writes for the converted report.
+Wall-clock timing is volatile and therefore only included when --timing is
+passed.  `--format csv` emits the command's main tabular payload
+(trajectory, dimension series, profile samples, or the check table) instead
+of JSON.  That payload is built only when it is printed, so a JSON run never
+evaluates it: `filtration --samples` costs nothing there.  The self-test
+suites are imported only when `hvol selftest` runs.
 
 Exit codes: 0 all checks pass, 2 some check failed, 3 schema or model error.
 """
@@ -30,9 +36,9 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Sequence
 
-from . import selftest as selftest_mod
 from .errors import HvolError, SchemaError
 from .exactgeom import Halfspace, RVector
 from .filtration import (
@@ -104,32 +110,69 @@ class Report:
         payload = {
             "schema": 1,
             "command": self.command,
-            "inputs": _jsonable(self.inputs),
-            "results": _jsonable(self.results),
-            "checks": _jsonable(self.checks),
+            "inputs": self.inputs,
+            "results": self.results,
+            "checks": self.checks,
         }
         if include_timing and self.timing is not None:
             payload["timing"] = {"seconds_approx": _fmt_float(self.timing)}
-        return json.dumps(payload, sort_keys=True, indent=2)
+        out: list[str] = []
+        _write_json(payload, "\n", out)
+        return "".join(out)
 
 
 def _fmt_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _jsonable(obj: Any):
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+def _write_json(obj: Any, newline: str, out: list[str]) -> None:
+    """Append the canonical text of obj to out, `newline` being the line
+    break and indent of obj's own line: what json.dumps(obj, sort_keys=True,
+    indent=2) writes once every Fraction is its "p/q" string and every float
+    its `_fmt_float` string.  Dict keys must be strings."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, Fraction):
+        out.append(f'"{obj}"')
+    elif isinstance(obj, float):
+        out.append(f'"{_fmt_float(obj)}"')
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        opener = "{" + inner
+        for key in sorted(obj):
+            out += (opener, encode_basestring_ascii(key), ": ")
+            _write_json(obj[key], inner, out)
+            opener = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        opener = "[" + inner
+        for item in obj:
+            out.append(opener)
+            _write_json(item, inner, out)
+            opener = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _parse_rational(text) -> Fraction:
+    if type(text) is int:  # a JSON integer, without the round trip through its text
+        return Fraction(text)
     try:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
@@ -258,8 +301,8 @@ def _check(name: str, passed: bool, lhs, rhs, tolerance) -> dict:
     return {
         "name": name,
         "pass": bool(passed),
-        "lhs": _jsonable(lhs),
-        "rhs": _jsonable(rhs),
+        "lhs": lhs,
+        "rhs": rhs,
         "tolerance": str(tolerance),
     }
 
@@ -579,8 +622,10 @@ def _run_filtration(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
 
 
 def _run_selftest(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
+    from . import selftest  # imported here: it is large and only this command runs it
+
     name_filter = spec.options.get("filter")
-    results = selftest_mod.run_all(name_filter)
+    results = selftest.run_all(name_filter)
     checks = [
         _check(r.name, r.passed, r.lhs, r.rhs, r.tolerance) for r in results
     ]

@@ -14,16 +14,27 @@ Conventions
 * A :class:`PolyCone` is pointed and full-dimensional; it stores generating
   rays (primitive integer vectors) and, when available, its facet halfspaces
   (offset 0).
+* :class:`RVector` arithmetic runs on integers: `+`, `-`, `scale` and
+  unary `-` build each coordinate as one `Fraction(num, den)` from the
+  operands' numerators and denominators, and `dot` sums integer products
+  over a running common denominator and builds one `Fraction` at the end,
+  so no `Fraction` operator dispatches per coordinate.
 * Every exact linear-algebra decision goes through two kernels.  The
   rational one is `row_reduce`, Gauss-Jordan over Fraction, under
-  `matrix_rank` and `nullspace`.  The integer one is `_echelon`, Bareiss
-  elimination, under `int_rank`, `int_det`, `affine_rank` (differences
-  cleared to integers) and `_kernel_vector`, the signed maximal minors of a
-  set of rows.  Those minors give `int_cone_rays`, the extreme rays of
-  {x : <row, x> >= 0} over integer rows: the face cells of a hypersurface
+  `nullspace` and the lineality test of `vertex_enumerate`.  The integer one
+  is `_echelon`, Bareiss elimination, under `int_rank`, `int_det` (the
+  cofactor expansion up to 3 x 3), `affine_rank` (differences cleared to
+  integers) and `_kernel_vector`, the signed maximal minors of a set of
+  rows.  The minors give `int_cone_rays`, the extreme rays of {x : <row, x>
+  >= 0} over integer rows: `dual_cone` and the face cells of a hypersurface
   (`singularities._face_piece`) call it directly, and `cone_rays`, its
-  wrapper over rational rows, gives the rays of `dual_cone` and the
-  recession direction of `vertex_enumerate`.
+  wrapper over rational rows, gives the recession direction of
+  `vertex_enumerate`.
+* A model's set-up stays on the integer kernel: `PolyCone.from_rays` and
+  `dual_cone` test rank with `int_rank` on their primitive integer rays,
+  `triangulate_cone` orders rays by an integer key, and a toric model's
+  Gorenstein vector is `_kernel_vector` of n independent rays
+  (`singularities._gorenstein_vector`).
 * Vertex enumeration runs in integer minors: each halfspace is cleared to
   one integer row (normal, offset) once, every d-subset of rows is solved by
   Cramer's rule over one denominator D > 0, feasibility is an integer
@@ -69,10 +80,17 @@ def rat(x) -> Fraction:
 
 
 class RVector(tuple):
-    """Immutable rational vector; tuple ordering gives lexicographic ties."""
+    """Immutable rational vector; tuple ordering gives lexicographic ties.
+
+    Every coordinate is a `Fraction`.  The arithmetic reads the operands'
+    integer numerators and denominators and builds each coordinate of the
+    result as one `Fraction(num, den)`; `dot` sums over a running common
+    denominator and builds one `Fraction` at the end.  An operand may hold
+    ints where it holds Fractions; a float is refused, as `rat` refuses it.
+    """
 
     def __new__(cls, coords: Iterable) -> "RVector":
-        return super().__new__(cls, tuple(rat(c) for c in coords))
+        return super().__new__(cls, [c if type(c) is Fraction else rat(c) for c in coords])
 
     @property
     def dim(self) -> int:
@@ -81,35 +99,59 @@ class RVector(tuple):
     def dot(self, other: Sequence) -> Fraction:
         if len(self) != len(other):
             raise ValueError("dimension mismatch")
-        return sum((a * b for a, b in zip(self, other)), Fraction(0))
+        num, den = 0, 1
+        for a, b in zip(self, other):
+            if type(b) is int:
+                p, q = a.numerator * b, a.denominator
+            else:
+                b = rat(b)
+                p, q = a.numerator * b.numerator, a.denominator * b.denominator
+            if q == den:
+                num += p
+            else:
+                g = math.gcd(q, den)
+                num = num * (q // g) + p * (den // g)
+                den = den // g * q
+        return Fraction(num, den)
 
     def __add__(self, other):
-        return RVector(a + b for a, b in zip(self, other))
+        return _vector(_sum_terms(a, 1, rat(b)) for a, b in zip(self, other))
 
     def __sub__(self, other):
-        return RVector(a - b for a, b in zip(self, other))
+        return _vector(_sum_terms(a, -1, rat(b)) for a, b in zip(self, other))
 
     def __neg__(self):
-        return RVector(-a for a in self)
+        return _vector(-a for a in self)
 
     def scale(self, factor) -> "RVector":
         f = rat(factor)
-        return RVector(f * a for a in self)
+        num, den = f.numerator, f.denominator
+        return _vector(Fraction(num * a.numerator, den * a.denominator) for a in self)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self)
+        return not any(self)
 
     def primitive(self) -> "RVector":
         """Scale to the primitive integer vector on the same ray."""
         if self.is_zero():
             return self
-        denom = math.lcm(*(c.denominator for c in self))
-        ints = [int(c * denom) for c in self]
-        g = math.gcd(*(abs(v) for v in ints))
-        return RVector(Fraction(v, g) for v in ints)
+        ints, _ = _integral(self)
+        g = math.gcd(*ints)
+        return _vector(Fraction(v // g) for v in ints)
 
     def as_floats(self) -> tuple[float, ...]:
         return tuple(float(c) for c in self)
+
+
+def _vector(fractions: Iterable[Fraction]) -> RVector:
+    """An RVector of coordinates that are already Fractions, unchecked."""
+    return tuple.__new__(RVector, fractions)
+
+
+def _sum_terms(a: Fraction, sign: int, b: Fraction) -> Fraction:
+    """a + sign * b as one Fraction over the product of the denominators."""
+    da, db = a.denominator, b.denominator
+    return Fraction(a.numerator * db + sign * b.numerator * da, da * db)
 
 
 @dataclass(frozen=True)
@@ -164,10 +206,6 @@ def row_reduce(
     return a[: len(pivots)], pivots
 
 
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(row_reduce(rows, len(rows[0]) if rows else 0)[1])
-
-
 def nullspace(rows: Sequence[Sequence[Fraction]], dim: int) -> list[RVector]:
     """Basis of {x : row . x = 0 for all rows} in ambient dimension dim: one
     vector per free column, with a 1 there and 0 in the other free columns."""
@@ -184,8 +222,9 @@ def nullspace(rows: Sequence[Sequence[Fraction]], dim: int) -> list[RVector]:
 def _integral(row) -> tuple[list[int], int]:
     """(s * row, s) for the least positive integer s that clears the
     denominators of a rational row."""
-    scale = math.lcm(*(rat(c).denominator for c in row))
-    return [int(c * scale) for c in row], scale
+    row = [c if type(c) is Fraction else rat(c) for c in row]
+    scale = math.lcm(*(c.denominator for c in row))
+    return [c.numerator * (scale // c.denominator) for c in row], scale
 
 
 def _echelon(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
@@ -215,7 +254,16 @@ def _echelon(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination."""
+    """Determinant of a square integer matrix: the cofactor expansion up to
+    3 x 3, Bareiss elimination beyond."""
+    if len(rows) == 1:
+        return rows[0][0]
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    if len(rows) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     rank, pivot = _echelon(rows)
     return pivot if rank == len(rows) else 0
 
@@ -467,7 +515,7 @@ class PolyCone:
         if not vecs:
             raise NotFullDimensional("a cone needs at least one ray")
         d = dim if dim is not None else vecs[0].dim
-        if matrix_rank([list(v) for v in vecs]) != d:
+        if int_rank([_integral(v)[0] for v in vecs]) != d:
             raise NotFullDimensional("rays do not span the ambient space")
         unique: dict[tuple, RVector] = {}
         for v in vecs:
@@ -488,12 +536,12 @@ class PolyCone:
 
 def dual_cone(c: PolyCone) -> PolyCone:
     """{y : <y, u> >= 0 for every ray u of c}; involutive on pointed cones."""
-    rays = cone_rays(c.rays, c.dim)
-    if matrix_rank(rays) != c.dim:
+    rays = int_cone_rays([_integral(ray)[0] for ray in c.rays], c.dim)
+    if int_rank(rays) != c.dim:
         raise NotFullDimensional("dual cone is not full-dimensional (input not pointed)")
     return PolyCone(
         dim=c.dim,
-        rays=tuple(rays),
+        rays=tuple(map(RVector, rays)),
         facets=tuple(Halfspace(RVector(r), Fraction(0)) for r in c.rays),
     )
 
@@ -522,7 +570,9 @@ def triangulate_cone(c: PolyCone) -> tuple[tuple[int, tuple[int, ...]], ...]:
     normals = [_integral(h.normal)[0] for h in c.facet_halfspaces()]
     xi0 = [sum(col) for col in zip(*normals)]
     heights = [sum(map(mul, ray, xi0)) for ray in rays]
-    order = sorted(range(len(rays)), key=lambda i: [Fraction(x, heights[i]) for x in rays[i]])
+    # lexicographic order of the vertices u / <u, xi0>, all scaled by the lcm of the heights
+    top = math.lcm(*heights)
+    order = sorted(range(len(rays)), key=lambda i: [x * (top // heights[i]) for x in rays[i]])
     incidences = [
         frozenset(k for k, i in enumerate(order) if sum(map(mul, normal, rays[i])) == 0)
         for normal in normals

@@ -50,7 +50,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DomainError, NotInReebCone
-from .exactgeom import RVector, rat
+from .exactgeom import RVector, _integral, rat
 from .singularities import ConvexPiece
 from .valuation import simplex_sum
 
@@ -154,12 +154,23 @@ def _kkt_step(hess, grad, m0: list[float], residual: float) -> list[float]:
 
 
 def _on_slice(piece: ConvexPiece, n: int, z) -> RVector:
-    """The weights sum_j z_j basis_j, scaled exactly to <row, w> = n."""
-    w = sum((b.scale(c) for b, c in zip(piece.basis, z)), RVector([0] * len(piece.row)))
-    logdisc = piece.row.dot(w)
-    if logdisc <= 0:
-        raise NotInReebCone(f"log discrepancy {logdisc} is not positive")
-    return w.scale(Fraction(n) / logdisc)
+    """The weights sum_j z_j basis_j, scaled exactly to <row, w> = n.
+
+    In integers: with z = Z / D, basis_j = B_j / s_j and L = lcm(s_j), the
+    weights are W / (D L) for the integer W = sum_j Z_j (L / s_j) B_j, and
+    with row = R / r the point is n r W / <R, W>."""
+    zs, denom = _integral(z)
+    cleared = [_integral(b) for b in piece.basis]
+    top = math.lcm(*(s for _, s in cleared))
+    w = [0] * len(piece.row)
+    for c, (b, s) in zip(zs, cleared):
+        c *= top // s
+        w = [x + c * y for x, y in zip(w, b)]
+    row, r = _integral(piece.row)
+    height = sum(map(mul, row, w))
+    if height <= 0:
+        raise NotInReebCone(f"log discrepancy {Fraction(height, r * denom * top)} is not positive")
+    return RVector(Fraction(n * r * c, height) for c in w)
 
 
 def _newton(model, piece: ConvexPiece, start: RVector, max_iter: int) -> _Run | None:
@@ -214,7 +225,12 @@ def _newton(model, piece: ConvexPiece, start: RVector, max_iter: int) -> _Run | 
 
 
 def _inside(piece: ConvexPiece, w: RVector) -> bool:
-    return all(w.dot(u) > 0 for u in piece.generators) and all(w.dot(b) >= 0 for b in piece.bounds)
+    """Every <u, w> > 0 over the generators and <b, w> >= 0 over the bounds,
+    read off the signs of integer pairings with w cleared to integers."""
+    z, _ = _integral(w)
+    return all(sum(map(mul, z, u)) > 0 for u in piece.generators) and all(
+        sum(map(mul, z, _integral(b)[0])) >= 0 for b in piece.bounds
+    )
 
 
 def _objective(model, w: RVector) -> Fraction:
@@ -235,7 +251,7 @@ def _convexity_bound(n: int, piece: ConvexPiece, runs: list[_Run], upper: Fracti
     best = None
     for run in sorted(runs, key=lambda run: run.value):
         value, grad = simplex_sum(piece.generators, piece.simplices, run.point)
-        bound = n**n * (value + min(grad.dot(v - run.point) for v in piece.vertices))
+        bound = n**n * (value + min(grad.dot(v) for v in piece.vertices) - grad.dot(run.point))
         best = bound if best is None else max(best, bound)
         if best >= upper:
             break

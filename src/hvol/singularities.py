@@ -52,12 +52,13 @@ from .exactgeom import (
     PolyCone,
     Polytope,
     RVector,
+    _kernel_vector,
     centroid,
     dual_cone,
     int_cone_rays,
+    int_rank,
     nullspace,
     rat,
-    row_reduce,
     triangulate_cone,
 )
 from .valuation import (
@@ -201,13 +202,20 @@ class ToricConeSingularity:
 
 
 def _gorenstein_vector(sigma: PolyCone) -> RVector:
-    """Solve <m0, u> = 1 over every ray u in one elimination, then verify on
-    all of them, since the reduced rows drop an inconsistent equation."""
-    reduced, pivots = row_reduce([list(r) + [1] for r in sigma.rays], sigma.dim)
-    m0 = RVector(row[-1] for row in reduced)
-    if len(pivots) < sigma.dim or any(m0.dot(ray) != 1 for ray in sigma.rays):
-        raise NotQGorenstein("no covector pairs to 1 with every primitive ray")
-    return m0
+    """Solve <m0, u> = 1 over the primitive rays u in integers: Cramer's rule
+    (`_kernel_vector`) on the rows (u, -1) of dim independent rays gives a
+    kernel vector (M, e) with <M, u> = e, so m0 = M / e, which is then
+    checked on every ray by integer pairing."""
+    rays = [[int(c) for c in ray] for ray in sigma.rays]
+    basis: list[list[int]] = []
+    for ray in rays:
+        if len(basis) < sigma.dim and int_rank(basis + [ray]) > len(basis):
+            basis.append(ray)
+    if len(basis) == sigma.dim:
+        *m0, e = _kernel_vector([ray + [-1] for ray in basis], sigma.dim + 1)
+        if all(sum(map(mul, ray, m0)) == e for ray in rays):
+            return RVector(Fraction(c, e) for c in m0)
+    raise NotQGorenstein("no covector pairs to 1 with every primitive ray")
 
 
 @dataclass
@@ -550,12 +558,15 @@ def toric_log_fano(facets: Sequence[Halfspace], r) -> ToricLogFanoReport:
     Input facets describe P in R^(n-1) via <eta_i, x> + a_i >= 0.  The report
     carries the barycenter p*, the angles gamma_i = r l_i(p*), the lifted
     polytope with facets <eta_i, y'> + a_i y_n >= 0 and y_n <= 1, and the
-    angles of the lifted pair at s = r (n+1)/n.  The lifted polytope is
-    conv(0, P x {1}), so its vertices are the origin and (v, 1) over the
-    vertices v of P, with no second vertex enumeration.  The lifted
+    angles of the lifted pair at s = r (n+1)/n; an index r <= 0 is an
+    InvalidIndex.  The lifted polytope is conv(0, P x {1}), so its vertices
+    are the origin and (v, 1) over the vertices v of P, with no second
+    vertex enumeration.  The lifted
     barycenter must equal n/(n+1) (p*, 1) exactly, which forces beta_n = r/n.
     """
     r = rat(r)
+    if r <= 0:
+        raise InvalidIndex(f"r = {r} is not positive")
     if not facets:
         raise ModelError("no facets given")
     base_dim = facets[0].normal.dim

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 
 import hvol
 
-from hvol.cli import JobSpec, main, parse_group, parse_model, run
+from hvol.cli import JobSpec, Report, main, parse_group, parse_model, run
 from hvol.errors import SchemaError
 from hvol.singularities import PolarizedConeData, ToricConeSingularity
 
@@ -367,9 +368,27 @@ def test_wrong_length_weights_are_model_errors(capsys, argv, message):
     assert f"error[model_error]: {message}" in capsys.readouterr().err
 
 
-def _log_fano(*facets) -> str:
+def _log_fano(*facets, r: str = "1") -> str:
     rows = [{"normal": normal, "offset": offset} for normal, offset in facets]
-    return json.dumps({"type": "toric_log_fano", "facets": rows, "r": "1"})
+    return json.dumps({"type": "toric_log_fano", "facets": rows, "r": r})
+
+
+# the triangle x >= -1, y >= -1, x + y <= 1: its barycenter 0 is interior,
+# every l_i(0) = 1
+_TRIANGLE = (([1, 0], 1), ([0, 1], 1), ([-1, -1], 1))
+
+
+@pytest.mark.parametrize("r", ["0", "-1"])
+def test_toric_log_fano_refuses_a_nonpositive_index(capsys, r):
+    assert main(["compute", "--model", _log_fano(*_TRIANGLE, r=r)]) == 3
+    assert capsys.readouterr().err == f"error[invalid_index]: r = {r} is not positive\n"
+
+
+def test_toric_log_fano_accepts_a_positive_index_below_one(capsys):
+    assert main(["compute", "--model", _log_fano(*_TRIANGLE, r="1/2")]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["gammas"] == ["1/2", "1/2", "1/2"]
+    assert results["beta_n"]["exact"] == "1/6"
 
 
 @pytest.mark.parametrize(
@@ -426,6 +445,12 @@ def test_python_dash_m_runs_the_cli():
 def test_import_does_not_load_numpy():
     # start-up cost: the package runs on the standard library alone
     done = _run_python("-c", "import sys, hvol, hvol.cli; assert 'numpy' not in sys.modules")
+    assert done.returncode == 0, done.stderr
+
+
+def test_import_does_not_load_the_selftest():
+    # start-up cost: only `hvol selftest` needs the self-test suites
+    done = _run_python("-c", "import sys, hvol.cli; assert 'hvol.selftest' not in sys.modules")
     assert done.returncode == 0, done.stderr
 
 
@@ -548,3 +573,62 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     report = json.loads(target.read_text())
     assert report["results"]["logdisc"]["exact"] == "5"
+
+
+def _jsonable_reference(obj):
+    """The report payload as the json module's encoder is given it: every
+    Fraction its "p/q" string, every float its 17-digit string."""
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, float):
+        return f"{obj:.17g}"
+    if isinstance(obj, dict):
+        return {k: _jsonable_reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable_reference(v) for v in obj]
+    return obj
+
+
+_TEXT = "az_09 \"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u03bd\u2028\U0001f600"
+
+
+def _random_payload(rng: random.Random, depth: int):
+    kind = rng.randrange(12 if depth else 9)
+    if kind == 0:
+        return "".join(rng.choice(_TEXT) for _ in range(rng.randint(0, 8)))
+    if kind == 1:
+        return rng.choice([True, False, None, 1, 0])
+    if kind == 2:
+        return rng.randint(-(10**30), 10**30)
+    if kind == 3:
+        return Fraction(rng.randint(-(10**20), 10**20), rng.randint(1, 10**9))
+    if kind == 4:
+        return rng.choice([0.0, -0.0, 0.1, 1e300, -2.5e-310, float("inf"), float("nan")])
+    if kind == 5:
+        return rng.choice([{}, [], ()])
+    if kind in (6, 7, 8):
+        return rng.random() * 10 ** rng.randint(-5, 5)
+    items = [_random_payload(rng, depth - 1) for _ in range(rng.randint(1, 5))]
+    if kind == 9:
+        return tuple(items)
+    if kind == 10:
+        return items
+    keys = ["".join(rng.choice(_TEXT) for _ in range(rng.randint(0, 4))) for _ in items]
+    return dict(zip(keys, items))
+
+
+def test_report_text_matches_the_json_module():
+    # one recursive pass writes what json.dumps(sort_keys=True, indent=2)
+    # writes for the payload with Fractions and floats made strings
+    rng = random.Random(1602)
+    for _ in range(300):
+        parts = [_random_payload(rng, 4) for _ in range(3)]
+        report = Report("compute", *parts)
+        report.timing = rng.random()
+        payload = {"schema": 1, "command": "compute", "inputs": parts[0], "results": parts[1]}
+        payload["checks"] = parts[2]
+        expected = json.dumps(_jsonable_reference(payload), sort_keys=True, indent=2)
+        assert report.to_json() == expected
+        payload["timing"] = {"seconds_approx": report.timing}
+        expected = json.dumps(_jsonable_reference(payload), sort_keys=True, indent=2)
+        assert report.to_json(include_timing=True) == expected

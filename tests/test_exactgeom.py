@@ -17,7 +17,6 @@ from hvol.exactgeom import (
     cut_cone,
     dual_cone,
     int_det,
-    matrix_rank,
     nullspace,
     polytope_volume,
     vertex_enumerate,
@@ -128,7 +127,7 @@ def test_vertex_enumerate_matches_homogenized_cone(dim):
         for v in verts:
             # a vertex is feasible and tight on dim independent facets
             assert all(h.value(v) >= 0 for h in hrep)
-            assert matrix_rank([list(h.normal) for h in hrep if h.value(v) == 0]) == dim
+            assert not nullspace([list(h.normal) for h in hrep if h.value(v) == 0], dim)
 
 
 def test_volume_simplex_3d():
@@ -291,3 +290,64 @@ def test_cone_rays_matches_brute_force(dim):
 def test_dual_cone_of_a_ray():
     assert dual_cone(PolyCone.from_rays([[3]])).rays == (RVector([1]),)
     assert dual_cone(PolyCone.from_rays([[-2]])).rays == (RVector([-1]),)
+
+
+def _random_rational(rng: random.Random):
+    """A zero, a small or large int, or a Fraction with a small or large
+    numerator and denominator, of either sign."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-9, 9)
+    if kind == 2:
+        return rng.randint(-(10**40), 10**40)
+    if kind == 3:
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+    return Fraction(rng.randint(-(10**30), 10**30), rng.randint(1, 10**25))
+
+
+def _assert_same_fractions(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert type(g) is Fraction and g == e and str(g) == str(e)
+
+
+def test_rvector_arithmetic_matches_fraction_arithmetic():
+    # each operation builds its coordinates from integer numerators and
+    # denominators; the reference is the coordinate-wise Fraction operator
+    rng = random.Random(17)
+    for trial in range(400):
+        dim = rng.randint(1, 6)
+        a = [_random_rational(rng) for _ in range(dim)]
+        b = [_random_rational(rng) for _ in range(dim)]
+        fa, fb = [Fraction(x) for x in a], [Fraction(x) for x in b]
+        # the second operand is an RVector, a plain list of ints and Fractions,
+        # or a tuple
+        other = (RVector(b), b, tuple(b))[trial % 3]
+        v = RVector(a)
+        _assert_same_fractions(v, fa)
+        _assert_same_fractions(v + other, [x + y for x, y in zip(fa, fb)])
+        _assert_same_fractions(v - other, [x - y for x, y in zip(fa, fb)])
+        _assert_same_fractions(-v, [-x for x in fa])
+        factor = _random_rational(rng)
+        _assert_same_fractions(v.scale(factor), [Fraction(factor) * x for x in fa])
+        _assert_same_fractions([v.dot(other)], [sum((x * y for x, y in zip(fa, fb)), Fraction(0))])
+        assert isinstance(v + other, RVector) and isinstance(v.scale(factor), RVector)
+
+
+def test_rvector_keeps_fraction_coordinates_and_refuses_floats():
+    half = Fraction(1, 2)
+    assert RVector([half, 3])[0] is half
+    v = RVector([1, 2])
+    with pytest.raises(TypeError):
+        RVector([0.5, 1])
+    with pytest.raises(TypeError):
+        v + [0.5, 1]
+    with pytest.raises(TypeError):
+        v.scale(0.5)
+    with pytest.raises(TypeError):
+        v.dot([0.5, 1])
+    with pytest.raises(ValueError):
+        v.dot([1, 2, 3])
+    assert RVector([]).dot([]) == 0 and type(RVector([]).dot([])) is Fraction

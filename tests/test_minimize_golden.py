@@ -1,11 +1,12 @@
-"""Golden toric minimize reports: one `hvol minimize` job per model.
+"""Golden minimize reports: one `hvol minimize` job per model.
 
-`data/minimize_golden.json` holds, for C^2/Z_3(1,1), the conifold and
-Y^{3,1}, the job's argv (the `--seed 0` job of each model in
-`hvolbench/jobs.py:toric_minimize_slots`), its `results` object and its
+`data/minimize_golden.json` holds, for C^2/Z_3(1,1), the conifold, Y^{3,1},
+the A_4 3-fold akm(3,5) and the asymmetric hypersurface
+x^2 + y^3 + z^4 + w^12, the job's argv (the `--seed 0` job of each model in
+`hvolbench/jobs.py`), its whole stdout, its `results` object and its
 `--format csv` payload, recorded from the Newton minimizer with its exact
-bracket.  The bracket, the argmin, every float derived from them and the
-Newton trajectory must stay byte-identical.
+bracket.  The report must stay byte-identical: the bracket, the argmin, every
+float derived from them, the Newton trajectory and the report's formatting.
 """
 
 import json
@@ -25,9 +26,9 @@ def _run(capsys, argv):
 
 @pytest.mark.parametrize("record", GOLDEN, ids=[r["model"] for r in GOLDEN])
 def test_minimize_report_matches_recording(capsys, record):
-    report = json.loads(_run(capsys, record["argv"]))
+    out = _run(capsys, record["argv"])
+    report = json.loads(out)
     assert all(check["pass"] for check in report["checks"])
-    assert json.dumps(report["results"], sort_keys=True) == json.dumps(
-        record["results"], sort_keys=True
-    )
+    assert report["results"] == record["results"]
+    assert out == record["stdout"]
     assert _run(capsys, record["argv"] + ["--format", "csv"]) == record["csv"]
