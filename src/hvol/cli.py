@@ -40,7 +40,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Sequence
 
 from .errors import HvolError, SchemaError
-from .exactgeom import Halfspace, RVector
+from .exactgeom import Halfspace, RVector, to_float
 from .filtration import (
     interpolation_derivative_forms,
     interpolation_volume,
@@ -307,8 +307,13 @@ def _check(name: str, passed: bool, lhs, rhs, tolerance) -> dict:
     }
 
 
-def _exact_pair(value: Fraction) -> dict:
-    return {"exact": str(value), "approx": _fmt_float(float(value))}
+def _approx(value, what: str) -> str:
+    """An exact value's float text; `what` names it if it overflows a float."""
+    return _fmt_float(to_float(value, what))
+
+
+def _exact_pair(value: Fraction, what: str) -> dict:
+    return {"exact": str(value), "approx": _approx(value, what)}
 
 
 # -- command implementations ----------------------------------------------------
@@ -339,10 +344,10 @@ def _run_compute(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
     if isinstance(model, PolarizedConeData):
         inv = cone_invariants(model)
         results = {
-            "beta": _exact_pair(inv.beta),
-            "antilog_power": _exact_pair(inv.antilog_power),
-            "nvol_lower_bound": _exact_pair(inv.nvol_lower_bound),
-            "nvol_canonical": _exact_pair(inv.nvol_canonical),
+            "beta": _exact_pair(inv.beta, "beta"),
+            "antilog_power": _exact_pair(inv.antilog_power, "antilog_power"),
+            "nvol_lower_bound": _exact_pair(inv.nvol_lower_bound, "nvol_lower_bound"),
+            "nvol_canonical": _exact_pair(inv.nvol_canonical, "nvol_canonical"),
         }
         checks.append(
             _check(
@@ -363,7 +368,7 @@ def _run_compute(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
             "frak_p_star": [str(v) for v in rep.frak_p_star],
             "s": str(rep.s),
             "beta_i": [str(b) for b in rep.beta_i],
-            "beta_n": _exact_pair(rep.beta_n),
+            "beta_n": _exact_pair(rep.beta_n, "beta_n"),
         }
         n = len(rep.p_star) + 1
         expected = RVector(list(rep.p_star) + [Fraction(1)]).scale(Fraction(n, n + 1))
@@ -386,9 +391,9 @@ def _run_compute(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
     report = nvol_report(model, weights)
     results = {
         "n": report.n,
-        "logdisc": _exact_pair(report.logdisc),
-        "volume": _exact_pair(report.volume),
-        "nvol": _exact_pair(report.nvol),
+        "logdisc": _exact_pair(report.logdisc, "logdisc"),
+        "volume": _exact_pair(report.volume, "volume"),
+        "nvol": _exact_pair(report.nvol, "nvol"),
         "nonpositive_discrepancy": report.nonpositive_discrepancy,
     }
     for lam in (Fraction(1, 3), Fraction(2), Fraction(7)):
@@ -426,7 +431,7 @@ def _run_minimize(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
     lower, upper = best.min_nvol_lower, best.min_nvol_upper
     results = {
         "argmin": [str(v) for v in best.argmin],
-        "argmin_approx": [_fmt_float(float(v)) for v in best.argmin],
+        "argmin_approx": [_approx(v, "the argmin") for v in best.argmin],
         "min_nvol_approx": _fmt_float(best.min_nvol),
         "min_nvol_upper": str(upper),
         "min_nvol_lower": str(lower),
@@ -485,9 +490,9 @@ def _run_quotient(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
         volume = quotient_volume(group, depth, series)
         results.update(
             {
-                "min_nvol": _exact_pair(minimum.min_nvol),
+                "min_nvol": _exact_pair(minimum.min_nvol, "min_nvol"),
                 "logdisc_witness": str(minimum.logdisc_witness),
-                "volume_witness": _exact_pair(minimum.volume_witness),
+                "volume_witness": _exact_pair(minimum.volume_witness, "volume_witness"),
                 "volume_estimate_approx": _fmt_float(volume.estimate),
             }
         )
@@ -506,7 +511,7 @@ def _run_quotient(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
         checks.append(
             _check(
                 "molien_limit",
-                abs(volume.estimate - float(volume.exact)) <= 2.0 / depth,
+                abs(volume.estimate - to_float(volume.exact, "the volume")) <= 2.0 / depth,
                 _fmt_float(volume.estimate),
                 str(volume.exact),
                 f"{2.0 / depth:g}",
@@ -548,19 +553,16 @@ def _run_filtration(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
     if lam is None:
         lam = r_value / a_value
     delta = r_value * Fraction(n + 1, n)
-    gap = stability_gap(profile, float(a_value), delta, profile.degH)
+    gap = stability_gap(profile, to_float(a_value, "logdisc_v1"), delta, profile.degH)
     forms = interpolation_derivative_forms(profile, lam)
     surface = phi_surface(profile, [0.5, 1.0, 2.0, lam], s_count=21)
     results = {
         "profile": profile_to_dict(profile),
-        "lambda_approx": _fmt_float(lam),
+        "lambda_approx": _approx(lam, "lambda"),
         "derivative_at_zero": {
-            "via_profile_integral_approx": _fmt_float(forms.via_profile_integral),
-            "via_tail_integral_approx": _fmt_float(forms.via_tail_integral),
-            "via_tail_and_volume_approx": _fmt_float(forms.via_tail_and_volume),
-            "via_section_integral_approx": _fmt_float(forms.via_section_integral),
+            f"{name}_approx": _approx(value, name) for name, value in vars(forms).items()
         },
-        "section_integral": _exact_pair(section_integral(profile)),
+        "section_integral": _exact_pair(section_integral(profile), "section_integral"),
         "phi_surface": {
             "lambdas_approx": [_fmt_float(x) for x in surface.lambdas],
             "s_grid_approx": [_fmt_float(x) for x in surface.s_grid],
@@ -573,12 +575,12 @@ def _run_filtration(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
     results.update(
         {
             "n": n,
-            "degH": _exact_pair(profile.degH),
-            "c1": _exact_pair(profile.c1),
-            "c2": _exact_pair(profile.c2),
-            "vol_v1": _exact_pair(profile.vol_v1),
-            "logdisc_v0": _exact_pair(r_value),
-            "logdisc_v1": _exact_pair(a_value),
+            "degH": _exact_pair(profile.degH, "degH"),
+            "c1": _exact_pair(profile.c1, "c1"),
+            "c2": _exact_pair(profile.c2, "c2"),
+            "vol_v1": _exact_pair(profile.vol_v1, "vol_v1"),
+            "logdisc_v0": _exact_pair(r_value, "logdisc_v0"),
+            "logdisc_v1": _exact_pair(a_value, "logdisc_v1"),
             "stability_gap_approx": _fmt_float(gap),
         }
     )
@@ -607,7 +609,7 @@ def _run_filtration(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
     )
 
     def csv() -> str:
-        ts = (float(profile.c2) * 1.05 * j / (samples - 1) for j in range(samples))
+        ts = (to_float(profile.c2, "c2") * 1.05 * j / (samples - 1) for j in range(samples))
         rows = (f"{_fmt_float(t)},{_fmt_float(profile.vol_r(t))}\n" for t in ts)
         return "t,vol_r\n" + "".join(rows)
 

@@ -66,6 +66,7 @@ from .errors import (
     EmptyRegion,
     NotFullDimensional,
     NotInReebCone,
+    PreconditionViolated,
     UnboundedRegion,
 )
 
@@ -77,6 +78,17 @@ def rat(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError(f"refusing to coerce float {x!r} to an exact rational")
     return Fraction(x)
+
+
+def to_float(value, what: str, den: int = 1) -> float:
+    """value / den as the nearest float, for a rational value (or an integer
+    value over an integer den, by Python's correctly rounded int / int).
+    A quotient beyond the float range raises PreconditionViolated naming
+    `what`, instead of OverflowError."""
+    try:
+        return float(value) if den == 1 else value / den
+    except OverflowError:
+        raise PreconditionViolated(f"{what} is too large in magnitude for a float") from None
 
 
 class RVector(tuple):

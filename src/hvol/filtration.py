@@ -43,7 +43,12 @@ Everything downstream is derived from the profile:
 
 Every integral is a closed form in exact rational arithmetic: on a piece of
 degree < n the kernels t^(-n-1) and lambda s / (1 - s + lambda s t)^(n+1)
-integrate to Laurent polynomials with no logarithmic term.
+integrate to Laurent polynomials with no logarithmic term.  The arithmetic
+runs on Python integers: a rational is an integer pair (num, den) with
+den > 0, not reduced, and a polynomial is a list of integer numerators over
+one denominator.  `VolumeProfile` clears its pieces, breakpoints and
+simplices to such integers once; the kernels sum over a common denominator,
+and each returned quantity is built as one `Fraction` at the end.
 """
 
 from __future__ import annotations
@@ -52,57 +57,90 @@ import math
 from functools import cached_property
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import IntegralDivergence, ModelError, PreconditionViolated
-from .exactgeom import RVector, rat
+from .exactgeom import RVector, rat, to_float
 from .valuation import integer_pairings
 
 
-# -- piecewise polynomial helpers ---------------------------------------------
+# -- polynomial kernels on integers -------------------------------------------
 
 
-def _poly_eval(coeffs: Sequence, t):
-    result = 0 * t
-    for c in reversed(coeffs):
-        result = result * t + c
-    return result
+def _clear(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values as integer numerators over their least common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _poly_integral(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction) -> Fraction:
-    total = Fraction(0)
-    for j, c in enumerate(coeffs):
-        total += c * (hi ** (j + 1) - lo ** (j + 1)) / (j + 1)
-    return total
+def _horner(nums: Sequence[int], a: int, b: int) -> int:
+    """sum_j nums[j] a^j b^(d-j) with d = len(nums) - 1: b^d poly(a / b)."""
+    acc, scale = 0, 1
+    for c in reversed(nums):
+        acc = acc * a + c * scale
+        scale *= b
+    return acc
+
+
+def _poly_eval(nums: Sequence[int], den: int, t: tuple[int, int]) -> Fraction:
+    """poly(t) for the polynomial nums / den at t = (a, b)."""
+    a, b = t
+    return Fraction(_horner(nums, a, b), den * b ** (len(nums) - 1))
+
+
+def _poly_integral(
+    nums: Sequence[int], den: int, lo: tuple[int, int], hi: tuple[int, int]
+) -> Fraction:
+    """integral_lo^hi poly(t) dt for the polynomial nums / den: the
+    antiderivative, over den * m! with m = len(nums), at both ends."""
+    m = len(nums)
+    scale = math.factorial(m)
+    anti = [0] + [c * (scale // (j + 1)) for j, c in enumerate(nums)]
+    (a, b), (c, d) = lo, hi
+    top = _horner(anti, c, d) * b**m - _horner(anti, a, b) * d**m
+    return Fraction(top, den * scale * (b * d) ** m)
 
 
 def _poly_tail_kernel(
-    coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction, n: int
+    nums: Sequence[int], den: int, lo: tuple[int, int], hi: tuple[int, int], n: int
 ) -> Fraction:
-    """integral_lo^hi poly(t) t^(-n-1) dt; requires deg(poly) < n (no log terms)."""
-    total = Fraction(0)
-    for j, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if j == n:
-            raise IntegralDivergence("degree-n term would produce a logarithm")
-        power = j - n
-        total += c * (hi**power - lo**power) / power
-    return total
+    """integral_lo^hi poly(t) t^(-n-1) dt for 0 < lo <= hi; requires
+    deg(poly) < n (no log terms).  With u = 1 / t it is the integral of
+    sum_j c_j u^(n-1-j) from 1 / hi to 1 / lo."""
+    if any(nums[n:]):
+        raise IntegralDivergence("the tail kernel needs deg(poly) < n: degree n gives a logarithm")
+    padded = list(nums[:n]) + [0] * (n - len(nums))
+    return _poly_integral(padded[::-1], den, hi[::-1], lo[::-1])
 
 
 def _poly_compose_affine(
-    coeffs: Sequence[Fraction], b0: Fraction, b1: Fraction
-) -> list[Fraction]:
-    """Coefficients of u -> poly(b0 + b1 u), of the same degree."""
-    out = [coeffs[-1]]
-    for c in reversed(coeffs[:-1]):
-        new = [o * b0 for o in out] + [Fraction(0)]
+    nums: Sequence[int], den: int, b0: int, b1: int, e: int
+) -> tuple[list[int], int]:
+    """u -> poly((b0 + b1 u) / e) for the polynomial nums / den, of the same
+    degree d: its integer numerators over den * e^d."""
+    out = [nums[-1]]
+    scale = 1
+    for c in reversed(nums[:-1]):
+        scale *= e
+        new = [o * b0 for o in out] + [0]
         for k, o in enumerate(out):
             new[k + 1] += o * b1
-        new[0] += c
+        new[0] += c * scale
         out = new
-    return out
+    return out, den * scale
+
+
+def _below(x: tuple[int, int], y: tuple[int, int]) -> bool:
+    """x < y for rationals (num, den) with positive denominators."""
+    return x[0] * y[1] < y[0] * x[1]
+
+
+def _sum(terms: Iterable[tuple[int, int]]) -> Fraction:
+    """The sum of rationals (num, den) over a running common denominator."""
+    num, den = 0, 1
+    for a, b in terms:
+        num, den = num * b + a * den, den * b
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -141,18 +179,23 @@ class VolumeProfile:
         self._validate_shape()
 
     def _validate_shape(self):
-        """Probe that the pieces are nonincreasing and within [0, degH]."""
-        bps = self.pieces.breakpoints
-        probes: list[Fraction] = []
-        for lo, hi in zip(bps, bps[1:]):
-            probes += [lo, lo + (hi - lo) / 2, hi]
-        last = self.degH
-        for t in probes:
-            value = self.vol_r_exact(t)
-            if value < 0 or value > self.degH:
-                raise ModelError(f"profile value {value} at t={t} outside [0, degH]")
-            if value > last:
-                raise ModelError(f"profile increases at t={t}")
+        """Probe that the pieces are nonincreasing and within [0, degH]:
+        each interval's ends and midpoint, by integer Horner steps."""
+        bps = self._breakpoint_ratios
+        probes: list[tuple[int, int]] = []
+        for (a, b), (c, d) in zip(bps, bps[1:]):
+            probes += [(a, b), (a * d + c * b, 2 * b * d), (c, d)]
+        h_num, h_den = self.degH.numerator, self.degH.denominator
+        last = h_num, h_den
+        for a, b in probes:
+            nums, den = self._cleared_pieces[self._piece_index(a, b)]
+            value = _horner(nums, a, b), den * b ** (len(nums) - 1)
+            if value[0] < 0 or value[0] * h_den > h_num * value[1]:
+                raise ModelError(
+                    f"profile value {Fraction(*value)} at t={Fraction(a, b)} outside [0, degH]"
+                )
+            if _below(last, value):
+                raise ModelError(f"profile increases at t={Fraction(a, b)}")
             last = value
 
     @cached_property
@@ -173,11 +216,37 @@ class VolumeProfile:
 
     @cached_property
     def _float_pieces(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(tuple(map(float, coeffs)) for coeffs in self._exact_pieces)
+        return tuple(
+            tuple(to_float(c, "a profile coefficient") for c in coeffs)
+            for coeffs in self._exact_pieces
+        )
+
+    @cached_property
+    def _cleared_pieces(self) -> tuple[tuple[list[int], int], ...]:
+        """`_exact_pieces` as integer numerators over one denominator each."""
+        return tuple(_clear(coeffs) for coeffs in self._exact_pieces)
+
+    @cached_property
+    def _cleared_regions(
+        self,
+    ) -> tuple[tuple[tuple[int, int], tuple[int, int], list[int], int], ...]:
+        """`regions` on integers: (lo, hi, numerators, denominator)."""
+        return tuple(
+            ((lo.numerator, lo.denominator), (hi.numerator, hi.denominator), *_clear(coeffs))
+            for lo, hi, coeffs in self.regions
+        )
 
     @cached_property
     def _breakpoint_ratios(self) -> tuple[tuple[int, int], ...]:
         return tuple((b.numerator, b.denominator) for b in self.pieces.breakpoints)
+
+    @cached_property
+    def _simplex_ratios(self) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+        """`simplices` on integers: (weight num, weight den, knot pairs)."""
+        return tuple(
+            (w.numerator, w.denominator, tuple((k.numerator, k.denominator) for k in knots))
+            for w, knots in self.simplices
+        )
 
     @cached_property
     def _section_integral(self) -> Fraction:
@@ -188,15 +257,14 @@ class VolumeProfile:
         """Per region, integral of vol_r(t) t^(-n-1) over the regions after
         it: each region but the first integrated once, summed from c2 down."""
         tails = [Fraction(0)]
-        for lo, hi, coeffs in reversed(self.regions[1:]):
-            tails.append(tails[-1] + _poly_tail_kernel(coeffs, lo, hi, self.n))
+        for lo, hi, nums, den in reversed(self._cleared_regions[1:]):
+            tails.append(tails[-1] + _poly_tail_kernel(nums, den, lo, hi, self.n))
         return tuple(reversed(tails))
 
-    def _piece_index(self, t) -> int:
-        """The index of t's piece in `_exact_pieces`: how many breakpoints lie
-        strictly below t, except that t = c2 above the first breakpoint
-        counts all of them.  Compared exactly at t = a / b."""
-        a, b = t.as_integer_ratio()
+    def _piece_index(self, a: int, b: int) -> int:
+        """The index of the piece of t = a / b (b > 0) in `_exact_pieces`: how
+        many breakpoints lie strictly below t, except that t = c2 above the
+        first breakpoint counts all of them."""
         bps = self._breakpoint_ratios
         i = 0
         while i < len(bps) and bps[i][0] * b < a * bps[i][1]:
@@ -209,53 +277,68 @@ class VolumeProfile:
         """Profile value at t as a float: the region is chosen exactly at t's
         binary value, then the piece is evaluated by float Horner steps."""
         t = float(t)
-        return _poly_eval(self._float_pieces[self._piece_index(t)], t)
+        result = 0 * t
+        for c in reversed(self._float_pieces[self._piece_index(*t.as_integer_ratio())]):
+            result = result * t + c
+        return result
 
     def vol_r_exact(self, t) -> Fraction:
-        """Profile value at a rational t, exactly."""
-        return _poly_eval(self._exact_pieces[self._piece_index(t)], t)
+        """Profile value at a rational t (a float counts as its exact binary
+        value), exactly."""
+        a, b = t.as_integer_ratio()
+        return _poly_eval(*self._cleared_pieces[self._piece_index(a, b)], (a, b))
 
 
 # -- building profiles from models ---------------------------------------------
 
 
-def _bspline_tail(knots: Sequence[Fraction], hi: Fraction, n: int) -> list[Fraction]:
-    """Divided difference of x -> (x - t)_+^(n-1) at the knots, in powers of t.
+def _bspline_tail(ks: Sequence[int], hi: int, n: int) -> tuple[list[int], int]:
+    """Divided difference of x -> (x - t)_+^(n-1) at the sorted integer
+    knots ks, in powers of t: integer numerators over one denominator.
 
     Valid for t in an interval (lo, hi) that contains no knot: a knot k >= hi
     has k > t and contributes (k - t)^(n-1), a knot k <= lo contributes 0.
     Where a run of sorted knots is equal the difference quotient is replaced
     by the Taylor coefficient, the j-th x-derivative over j!, which is
-    C(n-1, j) (k - t)^(n-1-j) at an active knot.
+    C(n-1, j) (k - t)^(n-1-j) at an active knot.  Every table entry is a
+    list of numerators over one denominator, a product of knot gaps.
     """
-    ks = sorted(knots)
 
-    def taylor(k: Fraction, j: int) -> list[Fraction]:
-        coeffs = [Fraction(0)] * n
+    def taylor(k: int, j: int) -> tuple[list[int], int]:
+        coeffs = [0] * n
         if k >= hi:
             m = n - 1 - j
+            outer = math.comb(n - 1, j)
             for i in range(m + 1):
-                coeffs[i] = math.comb(n - 1, j) * math.comb(m, i) * (-1) ** i * k ** (m - i)
-        return coeffs
+                coeffs[i] = (-1) ** i * outer * math.comb(m, i) * k ** (m - i)
+        return coeffs, 1
 
     column = [taylor(k, 0) for k in ks]
     for j in range(1, n):
-        column = [
-            taylor(ks[i], j)
-            if ks[i + j] == ks[i]
-            else [(b - a) / (ks[i + j] - ks[i]) for a, b in zip(column[i], column[i + 1])]
-            for i in range(n - j)
-        ]
+        new = []
+        for i in range(n - j):
+            gap = ks[i + j] - ks[i]
+            if gap == 0:
+                new.append(taylor(ks[i], j))
+                continue
+            (a, da), (b, db) = column[i], column[i + 1]
+            new.append(([y * da - x * db for x, y in zip(a, b)], da * db * gap))
+        column = new
     return column[0]
 
 
 def _support_start(model, v0: RVector, v1: RVector) -> Fraction:
     """c1 = min <u, v1> / <u, v0> over the model's Reeb generators u: the
     least v1-weight of a degree-1 element of the v0-graded ring.  Both
-    weights are Reeb vectors, which `simplicial_pieces` has checked."""
+    weights are Reeb vectors, which `simplicial_pieces` has checked, so
+    every <u, v0> is positive and the ratios compare by cross products."""
     gens = model.reeb_generators
     (p0, d0), (p1, d1) = (integer_pairings(gens, v)[1:] for v in (v0, v1))
-    return min(Fraction(a * d0, b * d1) for a, b in zip(p1, p0))
+    num, den = p1[0], p0[0]
+    for a, b in zip(p1, p0):
+        if a * den < num * b:
+            num, den = a, b
+    return Fraction(num * d0, den * d1)
 
 
 def profile_from_model(model, v0: Sequence, v1: Sequence) -> VolumeProfile:
@@ -266,25 +349,42 @@ def profile_from_model(model, v0: Sequence, v1: Sequence) -> VolumeProfile:
     degH = vol(R^(0)) is the sum of the weights, the support starts at c1
     (`_support_start`) and vol(v1) = sum_s w_s / prod_i k_si, the volume of
     each simplicial cone at v1.
+
+    All knots are cleared to one denominator q, k = x / q.  The divided
+    difference at the integers x, in powers of T = q t, is the one at the
+    knots in powers of t (an order n-1 difference scales by q^(n-1), as does
+    (x - t)^(n-1)), so the coefficient of t^j is q^j times that of T^j.
     """
     v0, v1 = RVector(v0), RVector(v1)
     n = model.n
     simplices = model.simplicial_pieces(v0, v1)
-    bps = sorted({k for _, knots in simplices for k in knots})
+    q = math.lcm(*(k.denominator for _, knots in simplices for k in knots))
+    cleared = [
+        (weight, sorted(k.numerator * (q // k.denominator) for k in knots))
+        for weight, knots in simplices
+    ]
+    xs = sorted({x for _, ks in cleared for x in ks})
+    powers = [q**j for j in range(n)]
     pieces = []
-    for hi in bps[1:]:
-        coeffs = [Fraction(0)] * n
-        for weight, knots in simplices:
-            for j, c in enumerate(_bspline_tail(knots, hi, n)):
-                coeffs[j] += weight * c
-        pieces.append(tuple(coeffs))
+    for hi in xs[1:]:
+        nums, den = [0] * n, 1
+        for weight, ks in cleared:
+            if ks[-1] < hi:  # every knot at or below the interval
+                continue
+            tail, tail_den = _bspline_tail(ks, hi, n)
+            w_num, w_den = weight.numerator, weight.denominator * tail_den
+            nums = [s * w_den + w_num * c * den for s, c in zip(nums, tail)]
+            den *= w_den
+        pieces.append(tuple(Fraction(c * p, den) for c, p in zip(nums, powers)))
+    bps = tuple(Fraction(x, q) for x in xs)
     return VolumeProfile(
         n=n,
-        degH=sum(weight for weight, _ in simplices),
+        degH=_sum((w.numerator, w.denominator) for w, _ in cleared),
         c1=_support_start(model, v0, v1),
         c2=bps[-1],
-        vol_v1=sum(weight / math.prod(knots) for weight, knots in simplices),
-        pieces=PiecewisePoly(breakpoints=tuple(bps), pieces=tuple(pieces)),
+        # weight / prod(knots) = w_num q^n / (w_den prod(x))
+        vol_v1=_sum((w.numerator * q**n, w.denominator * math.prod(ks)) for w, ks in cleared),
+        pieces=PiecewisePoly(breakpoints=bps, pieces=tuple(pieces)),
         simplices=tuple((weight, tuple(knots)) for weight, knots in simplices),
     )
 
@@ -305,12 +405,18 @@ def profile_to_dict(p: VolumeProfile) -> dict:
 # -- tail transform and integrals ----------------------------------------------
 
 
+def _later(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """max(x, y) for rationals (num, den) with positive denominators."""
+    return y if _below(x, y) else x
+
+
 def _tail_kernel_integral(p: VolumeProfile, x: Fraction) -> Fraction:
     """integral_x^inf vol_r(t) t^(-n-1) dt, exact; x > 0: the part of x's
     region above x plus the cached integral beyond that region."""
-    for (lo, hi, coeffs), beyond in zip(p.regions, p._kernel_tails):
-        if x < hi:
-            return _poly_tail_kernel(coeffs, max(lo, x), hi, p.n) + beyond
+    x = x.numerator, x.denominator
+    for (lo, hi, nums, den), beyond in zip(p._cleared_regions, p._kernel_tails):
+        if _below(x, hi):
+            return _poly_tail_kernel(nums, den, _later(lo, x), hi, p.n) + beyond
     return Fraction(0)
 
 
@@ -319,43 +425,49 @@ def tail_volume_exact(p: VolumeProfile, x) -> Fraction:
     x = Fraction(x)
     if x >= p.c2:
         return Fraction(0)
-    return p.n * x**p.n * _tail_kernel_integral(p, x)
+    g = _tail_kernel_integral(p, x)
+    n = p.n
+    return Fraction(n * x.numerator**n * g.numerator, x.denominator**n * g.denominator)
 
 
 def theta_integral(p: VolumeProfile, lo) -> Fraction:
     """integral_lo^inf Theta(t) dt in closed form, region by region."""
     lo = rat(lo)
+    lo = lo.numerator, lo.denominator
     n = p.n
+    scale = math.factorial(n)
     total = Fraction(0)
-    for (u, v, coeffs), g_v in zip(p.regions, p._kernel_tails):
-        a = max(u, lo)
-        if a >= v:
+    for (u, v, nums, den), g_v in zip(p._cleared_regions, p._kernel_tails):
+        a = _later(u, lo)
+        if not _below(a, v):
             continue
         # Theta(t) = n t^n G(t) on [a, v], with G(t) = G(v) + integral_t^v
-        # vol_r s^(-n-1) ds = G(v) + sum_j c_j (v^(j-n) - t^(j-n)) / (j-n)
-        # and G(v) the cached integral beyond the region
-        theta_poly = [Fraction(0)] * (n + 1)
-        const = g_v
-        for j, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            power = j - n
-            const += c * v**power / power
-            theta_poly[j] -= n * c / power
-        theta_poly[n] += n * const
-        total += _poly_integral(theta_poly, a, v)
+        # vol_r s^(-n-1) ds = G(v) + sum_j c_j (t^(j-n) - v^(j-n)) / (n-j)
+        # and G(v) the cached integral beyond the region.  Over the
+        # denominator D = den(G(v)) den n! v_num^n, with w_j = n! / (n-j) *
+        # nums_j, the t^j coefficient is n w_j den(G(v)) v_num^n (j < n) and
+        # the t^n one n (num(G(v)) den n! v_num^n - den(G(v)) S), where
+        # S = sum_j w_j v_den^(n-j) v_num^j.
+        v_num, v_den = v
+        g_num, g_den = g_v.numerator, g_v.denominator
+        w = [scale // (n - j) * c for j, c in enumerate(nums)]
+        v_pow = v_num**n
+        s = _horner(w + [0] * (n + 1 - len(w)), v_num, v_den)
+        theta = [n * wj * g_den * v_pow for wj in w] + [0] * (n - len(w))
+        theta.append(n * (g_num * den * scale * v_pow - g_den * s))
+        total += _poly_integral(theta, g_den * den * scale * v_pow, a, v)
     return total
 
 
 def profile_integral(p: VolumeProfile, lo) -> Fraction:
     """integral_lo^inf vol_r(t) dt in closed form."""
     lo = rat(lo)
+    lo = lo.numerator, lo.denominator
     total = Fraction(0)
-    for u, v, coeffs in p.regions:
-        a = max(u, lo)
-        if a >= v:
-            continue
-        total += _poly_integral(coeffs, a, v)
+    for u, v, nums, den in p._cleared_regions:
+        a = _later(u, lo)
+        if _below(a, v):
+            total += _poly_integral(nums, den, a, v)
     return total
 
 
@@ -367,7 +479,10 @@ def section_integral(p: VolumeProfile) -> Fraction:
 
 def volume_from_profile(p: VolumeProfile) -> Fraction:
     """vol(v1) = degH / c1^n - n integral_{c1}^inf vol_r(t) / t^(n+1) dt."""
-    return p.degH / p.c1**p.n - p.n * _tail_kernel_integral(p, p.c1)
+    g = _tail_kernel_integral(p, p.c1)
+    n, h, c1 = p.n, p.degH, p.c1
+    degh_term = h.numerator * c1.denominator**n, h.denominator * c1.numerator**n
+    return _sum([degh_term, (-n * g.numerator, g.denominator)])
 
 
 def liu_bound_check(p: VolumeProfile, xs: Sequence) -> bool:
@@ -375,11 +490,19 @@ def liu_bound_check(p: VolumeProfile, xs: Sequence) -> bool:
 
     Exact at rational sample points (a float counts as its exact binary value).
     """
+    n = p.n
+    h_num, h_den = p.degH.numerator, p.degH.denominator
+    v_num, v_den = p.vol_v1.numerator, p.vol_v1.denominator
     for x in map(Fraction, xs):
         if not 0 < x <= p.c2:
             raise PreconditionViolated("sample points must lie in (0, c2]")
-        lhs = tail_volume_exact(p, x) + p.vol_v1 * x**p.n
-        if lhs < p.degH or (x <= p.c1 and lhs != p.degH):
+        theta = tail_volume_exact(p, x)
+        # lhs = theta + vol(v1) x^n = top / bottom, compared with degH
+        x_pow = x.denominator**n
+        bottom = theta.denominator * v_den * x_pow
+        top = theta.numerator * v_den * x_pow + v_num * x.numerator**n * theta.denominator
+        lhs, rhs = top * h_den, h_num * bottom
+        if lhs < rhs or (x <= p.c1 and lhs != rhs):
             return False
     return True
 
@@ -405,18 +528,28 @@ def interpolation_volume(p: VolumeProfile, lam, s) -> Fraction:
         raise ValueError("s must lie in [0, 1]")
     if s == 0:
         return p.degH
-    shift, slope = 1 - s, lam * s
+    n = p.n
+    la, lb = lam.numerator, lam.denominator
+    sa, sb = s.numerator, s.denominator
     # Phi = degH / u(c1)^n - n * integral_{c1}^inf vol_r(t) slope / u^(n+1) dt
-    # with u = shift + slope * t; in u each piece is a polynomial of degree < n
-    # and the integral is the tail kernel between the images of its ends
+    # with u = shift + slope * t, shift = 1 - s and slope = lambda s; in u each
+    # piece is a polynomial of degree < n, through t = (b0 + b1 u) / e, and
+    # the integral is the tail kernel between the images of its ends
+    b0, b1, e = -(sb - sa) * lb, lb * sb, la * sa
+
+    def u_of(t: tuple[int, int]) -> tuple[int, int]:
+        return (sb - sa) * lb * t[1] + la * sa * t[0], lb * sb * t[1]
+
+    c1 = p.c1.numerator, p.c1.denominator
     tail = Fraction(0)
-    for lo, hi, coeffs in p.regions:
-        a = max(lo, p.c1)
-        if a >= hi:
-            continue
-        in_u = _poly_compose_affine(coeffs, -shift / slope, 1 / slope)
-        tail += _poly_tail_kernel(in_u, shift + slope * a, shift + slope * hi, p.n)
-    return p.degH / (shift + slope * p.c1) ** p.n - p.n * tail
+    for lo, hi, nums, den in p._cleared_regions:
+        a = _later(lo, c1)
+        if _below(a, hi):
+            in_u, in_den = _poly_compose_affine(nums, den, b0, b1, e)
+            tail += _poly_tail_kernel(in_u, in_den, u_of(a), u_of(hi), n)
+    u, w = u_of(c1)
+    degh_term = p.degH.numerator * w**n, p.degH.denominator * u**n
+    return _sum([degh_term, (-n * tail.numerator, tail.denominator)])
 
 
 def interpolation_closed_form(p: VolumeProfile, lam, s) -> Fraction:
@@ -431,27 +564,48 @@ def interpolation_closed_form(p: VolumeProfile, lam, s) -> Fraction:
     s = Fraction(s)
     if not 0 <= s <= 1:
         raise ValueError("s must lie in [0, 1]")
-    return Fraction(*_phi_ratio(p, Fraction(lam), s.numerator, s.denominator))
+    return Fraction(*_phi_ratio(p, Fraction(lam), s.denominator, [s.numerator])[0])
 
 
-def _phi_ratio(p: VolumeProfile, lam: Fraction, j: int, m: int) -> tuple[int, int]:
-    """Integers (num, den) with num / den = Phi(lambda, j / m), for 0 <= j <= m.
+def _phi_ratio(
+    p: VolumeProfile, lam: Fraction, m: int, js: Sequence[int]
+) -> list[tuple[int, int]]:
+    """Integers (num, den) with num / den = Phi(lambda, j / m), for each j in
+    js, 0 <= j <= m.
 
     With lambda = a / b and a knot k = u / q, the factor 1 - s + lambda s k
-    is ((m - j) b q + j a u) / (m b q), so the sum needs no gcd.
+    is (m b q + j (a u - b q)) / (m b q), so the sum needs no gcd, and each
+    simplex's numerator and factors are set up once for all j.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
     a, b = lam.numerator, lam.denominator
-    num, den = 0, 1
-    for weight, knots in p.simplices:
-        top, bottom = weight.numerator, weight.denominator
-        for k in knots:
-            q = b * k.denominator
+    terms = []
+    for top, bottom, knots in p._simplex_ratios:
+        factors = []
+        for u, q in knots:
+            q *= b
             top *= m * q
-            bottom *= (m - j) * q + j * a * k.numerator
-        num, den = num * bottom + top * den, den * bottom
-    return num, den
+            factors.append((m * q, a * u - q))
+        terms.append((top, bottom, factors))
+    out = []
+    for j in js:
+        num, den = 0, 1
+        for top, bottom, factors in terms:
+            for base, step in factors:
+                bottom *= base + j * step
+            num, den = num * bottom + top * den, den * bottom
+        out.append((num, den))
+    return out
+
+
+def _combination(*terms) -> Fraction:
+    """The sum of c * prod(factors) over the terms (c, *factors), an integer
+    c times rationals."""
+    return _sum(
+        (c * math.prod(f.numerator for f in fs), math.prod(f.denominator for f in fs))
+        for c, *fs in terms
+    )
 
 
 @dataclass(frozen=True)
@@ -475,7 +629,18 @@ class DerivativeForms:
 
 
 def interpolation_derivative_forms(p: VolumeProfile, lam) -> DerivativeForms:
-    """Evaluate the four derivative formulas from independent exact integrals."""
+    """Evaluate the four derivative formulas from independent exact integrals.
+
+    With front = n lambda degH, each is front times a bracket, multiplied out:
+      profile:  front (1/lambda - c1 - I_vol / degH)
+      tail:     front (1/lambda - c1 - (n+1) I_Theta / (n degH)
+                       - c1 Theta(c1) / (n degH))
+      volume:   front (1/lambda - (n+1) c1 / n - (n+1) I_Theta / (n degH)
+                       + c1^(n+1) vol(v1) / (n degH))
+      section:  front (1/lambda - (n+1) I_section / (n degH))
+    where I_vol and I_Theta integrate vol_r and Theta from c1 and I_section
+    integrates Theta from 0.
+    """
     lam = Fraction(lam)
     n = p.n
     degh = p.degH
@@ -484,23 +649,18 @@ def interpolation_derivative_forms(p: VolumeProfile, lam) -> DerivativeForms:
     i_theta = theta_integral(p, c1)
     i_section = section_integral(p)
     theta_c1 = tail_volume_exact(p, c1)
-    front = n * lam * degh
-    form_a = front * (1 / lam - c1 - i_profile / degh)
-    form_b1 = front * (
-        1 / lam - c1 - (n + 1) / (n * degh) * i_theta - c1 * theta_c1 / (n * degh)
-    )
-    form_b = front * (
-        1 / lam
-        - c1 * (n + 1) / n
-        - (n + 1) / (n * degh) * i_theta
-        + c1 ** (n + 1) * p.vol_v1 / (n * degh)
-    )
-    form_c = front * (1 / lam - (n + 1) / (n * degh) * i_section)
     return DerivativeForms(
-        via_profile_integral=form_a,
-        via_tail_integral=form_b1,
-        via_tail_and_volume=form_b,
-        via_section_integral=form_c,
+        via_profile_integral=_combination((n, degh), (-n, lam, degh, c1), (-n, lam, i_profile)),
+        via_tail_integral=_combination(
+            (n, degh), (-n, lam, degh, c1), (-(n + 1), lam, i_theta), (-1, lam, c1, theta_c1)
+        ),
+        via_tail_and_volume=_combination(
+            (n, degh),
+            (-(n + 1), lam, degh, c1),
+            (-(n + 1), lam, i_theta),
+            (1, lam, p.vol_v1, *[c1] * (n + 1)),
+        ),
+        via_section_integral=_combination((n, degh), (-(n + 1), lam, i_section)),
     )
 
 
@@ -525,10 +685,15 @@ def phi_surface(
     m = s_count - 1
     s_grid = tuple(j / m for j in range(s_count))
     values = tuple(
-        tuple(num / den for num, den in (_phi_ratio(p, lam, j, m) for j in range(s_count)))
+        tuple(
+            to_float(num, "Phi(lambda, s)", den)
+            for num, den in _phi_ratio(p, lam, m, range(s_count))
+        )
         for lam in map(Fraction, lambdas)
     )
-    return PhiSurface(lambdas=tuple(float(x) for x in lambdas), s_grid=s_grid, values=values)
+    return PhiSurface(
+        lambdas=tuple(to_float(x, "lambda") for x in lambdas), s_grid=s_grid, values=values
+    )
 
 
 # -- stability gap ----------------------------------------------------------------
@@ -540,9 +705,10 @@ def stability_gap(p: VolumeProfile, logdisc_v: float, delta, degL) -> float:
     Nonnegative whenever the compactified cone is semistable; zero at the
     canonical valuation.
     """
-    if not math.isfinite(float(logdisc_v)):
+    logdisc_v = to_float(logdisc_v, "the log discrepancy")
+    if not math.isfinite(logdisc_v):
         raise ValueError("gap needs a finite log discrepancy")
-    if float(delta) <= 0 or float(degL) <= 0:
+    if delta <= 0 or degL <= 0:
         raise ValueError("delta and L^n must be positive")
-    integral = float(section_integral(p))
-    return float(logdisc_v) - float(delta) / float(degL) * integral
+    integral = to_float(section_integral(p), "the section integral")
+    return logdisc_v - to_float(delta, "delta") / to_float(degL, "L^n") * integral

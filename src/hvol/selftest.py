@@ -133,19 +133,20 @@ def check_quotient_min() -> list[CheckResult]:
     return out
 
 
-LIBRARY_GROUPS = [
-    cyclic_group(1, 0),
-    cyclic_group(2, 1),
-    cyclic_group(3, 1),
-    cyclic_group(3, 2),
-    cyclic_group(5, 2),
-    cyclic_group(7, 3),
-    cyclic_group(8, 3),
-    cyclic_group(11, 5),
-    cyclic_group(12, 5),
-    binary_dihedral_group(2),
-    binary_dihedral_group(3),
-]
+def _library_groups():
+    return [
+        cyclic_group(1, 0),
+        cyclic_group(2, 1),
+        cyclic_group(3, 1),
+        cyclic_group(3, 2),
+        cyclic_group(5, 2),
+        cyclic_group(7, 3),
+        cyclic_group(8, 3),
+        cyclic_group(11, 5),
+        cyclic_group(12, 5),
+        binary_dihedral_group(2),
+        binary_dihedral_group(3),
+    ]
 
 
 # -- criterion 2: exact pair identity ------------------------------------------
@@ -153,7 +154,7 @@ LIBRARY_GROUPS = [
 
 def check_pair_identity() -> list[CheckResult]:
     out = []
-    for group in LIBRARY_GROUPS:
+    for group in _library_groups():
         series = invariant_dimension_series(group, 62)
         for m in range(group.order, 61, group.order):
             ok = pair_identity_check(group, m, series)
@@ -175,7 +176,7 @@ def check_pair_identity() -> list[CheckResult]:
 
 def check_molien_limit(depth: int = 400) -> list[CheckResult]:
     out = []
-    for group in LIBRARY_GROUPS:
+    for group in _library_groups():
         qv = quotient_volume(group, depth)
         out.append(
             CheckResult.close(
@@ -278,18 +279,19 @@ def check_sharpness(trials: int = 50, seed: int = 0) -> list[CheckResult]:
 # -- criterion 7: lattice-counting oracle ------------------------------------------
 
 
-ORACLE_CASES = [
-    ("C2", affine_space(2), [[1, 1], [2, 1], [1, 3]]),
-    ("C3", affine_space(3), [[1, 1, 1], [2, 1, 1], [1, 1, 2]]),
-    ("A1_surface", cyclic_quotient_cone(2, 1), [[2, 0], [1, 0], [3, 1]]),
-    ("A1_3fold", akm_singularity(3, 2), [[2, 2, 2, 2], [1, 1, 1, 1], [2, 1, 1, 1]]),
-    ("A2_3fold", akm_singularity(3, 3), [[3, 3, 3, 2], [1, 1, 1, 1], [1, 1, 1, 2]]),
-]
+def _oracle_cases():
+    return [
+        ("C2", affine_space(2), [[1, 1], [2, 1], [1, 3]]),
+        ("C3", affine_space(3), [[1, 1, 1], [2, 1, 1], [1, 1, 2]]),
+        ("A1_surface", cyclic_quotient_cone(2, 1), [[2, 0], [1, 0], [3, 1]]),
+        ("A1_3fold", akm_singularity(3, 2), [[2, 2, 2, 2], [1, 1, 1, 1], [2, 1, 1, 1]]),
+        ("A2_3fold", akm_singularity(3, 3), [[3, 3, 3, 2], [1, 1, 1, 1], [1, 1, 1, 2]]),
+    ]
 
 
 def check_oracle(depth: int = 200) -> list[CheckResult]:
     out = []
-    for name, model, valuations in ORACLE_CASES:
+    for name, model, valuations in _oracle_cases():
         for weights in valuations:
             report = nvol_report(model, weights)
             count = lattice_count_oracle(model, RVector(weights), Fraction(depth))
@@ -442,13 +444,14 @@ def _gap_samples(model, rng) -> Iterable[RVector]:
         yield sum((v.scale(Fraction(rng.randint(20, 300), 100)) for v in vertices), zero)
 
 
-GAP_MODELS = [
-    ("C2", affine_space(2), RVector([1, 1])),
-    ("C3", affine_space(3), RVector([1, 1, 1])),
-    ("A1_surface", cyclic_quotient_cone(2, 1), RVector([2, 0])),
-    ("conifold", conifold(), RVector([0, 0, 2])),
-    ("A2_3fold", akm_singularity(3, 3), canonical_weights(3, 3)),
-]
+def _gap_models():
+    return [
+        ("C2", affine_space(2), RVector([1, 1])),
+        ("C3", affine_space(3), RVector([1, 1, 1])),
+        ("A1_surface", cyclic_quotient_cone(2, 1), RVector([2, 0])),
+        ("conifold", conifold(), RVector([0, 0, 2])),
+        ("A2_3fold", akm_singularity(3, 3), canonical_weights(3, 3)),
+    ]
 
 
 def check_stability_gap(seed: int = 0) -> list[CheckResult]:
@@ -457,7 +460,7 @@ def check_stability_gap(seed: int = 0) -> list[CheckResult]:
     d/ds Phi at 0 equals n degH times the gap."""
     rng = random.Random(seed)
     out = []
-    for name, model, v0 in GAP_MODELS:
+    for name, model, v0 in _gap_models():
         n = model.n
         r_value = model.logdisc(v0)
         delta = r_value * Fraction(n + 1, n)
@@ -487,19 +490,20 @@ def check_stability_gap(seed: int = 0) -> list[CheckResult]:
 # -- criterion 10: Reeb-cone laws ----------------------------------------------------
 
 
-TORIC_LIBRARY = [
-    ("C2", affine_space(2)),
-    ("C3", affine_space(3)),
-    ("A1_surface", cyclic_quotient_cone(2, 1)),
-    ("conifold", conifold()),
-    ("Z3_surface", cyclic_quotient_cone(3, 2)),
-]
+def _toric_library():
+    return [
+        ("C2", affine_space(2)),
+        ("C3", affine_space(3)),
+        ("A1_surface", cyclic_quotient_cone(2, 1)),
+        ("conifold", conifold()),
+        ("Z3_surface", cyclic_quotient_cone(3, 2)),
+    ]
 
 
 def check_reeb_laws(seed: int = 0) -> list[CheckResult]:
     rng = random.Random(seed)
     out = []
-    for name, model in TORIC_LIBRARY:
+    for name, model in _toric_library():
         xi = RVector([Fraction(0)] * model.n)
         for ray in model.sigma.rays:
             xi = xi + ray.scale(Fraction(rng.randint(10, 50), 10))

@@ -384,6 +384,28 @@ def test_toric_log_fano_refuses_a_nonpositive_index(capsys, r):
     assert capsys.readouterr().err == f"error[invalid_index]: r = {r} is not positive\n"
 
 
+C2_PLAIN = '{"type":"toric_cone","rays":[[1,0],[0,1]]}'
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["filtration", "--model", C2_PLAIN, "--v0=1,1", "--v1=1,1", "--lam=1e400"], "lambda"),
+        (["filtration", "--model", C2_PLAIN, "--v0=1,1", "--v1=1,1", "--lam=1e-400"], "Phi(lambda, s)"),
+        (["filtration", "--model", C2_PLAIN, "--v0=1,1", "--v1=1e400,1"], "logdisc_v1"),
+        (["filtration", "--model", '{"type":"akm","n":2,"k":3}', "--v1=1e400,1,1"], "logdisc_v1"),
+        (["compute", "--model", C2_PLAIN, "--valuation=1e400,1"], "logdisc"),
+        (["compute", "--model", C2_PLAIN, "--valuation=1e-400,1"], "volume"),
+    ],
+    ids=["huge lambda", "tiny lambda", "huge v1", "huge akm v1", "huge valuation", "tiny valuation"],
+)
+def test_values_beyond_the_float_range_are_refused(capsys, argv, what):
+    # the exact value exists, but its float approximation does not
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == f"error[precondition_violated]: {what} is too large in magnitude for a float\n"
+
+
 def test_toric_log_fano_accepts_a_positive_index_below_one(capsys):
     assert main(["compute", "--model", _log_fano(*_TRIANGLE, r="1/2")]) == 0
     results = json.loads(capsys.readouterr().out)["results"]

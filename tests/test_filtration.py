@@ -3,13 +3,17 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hvol.errors import NotInReebCone, PreconditionViolated
+from hvol.errors import IntegralDivergence, NotInReebCone, PreconditionViolated
 from hvol.exactgeom import Halfspace, Polytope, RVector, nullspace, polytope_volume
 from hvol.filtration import (
     PiecewisePoly,
+    _bspline_tail,
+    _poly_compose_affine,
+    _poly_eval,
+    _poly_integral,
     _poly_tail_kernel,
     _tail_kernel_integral,
     interpolation_closed_form,
@@ -550,7 +554,7 @@ def _tail_kernel_reference(p, x: Fraction) -> Fraction:
     total = Fraction(0)
     for lo, hi, coeffs in p.regions:
         if max(lo, x) < hi:
-            total += _poly_tail_kernel(coeffs, max(lo, x), hi, p.n)
+            total += _ref_tail_kernel(coeffs, max(lo, x), hi, p.n)
     return total
 
 
@@ -562,3 +566,163 @@ def test_cached_tail_integrals_equal_the_direct_sum(name):
         assert _tail_kernel_integral(p, x) == _tail_kernel_reference(p, x), x
         expected = p.n * x**p.n * _tail_kernel_reference(p, x) if x < p.c2 else 0
         assert tail_volume_exact(p, x) == expected, x
+
+
+# -- the integer kernels against plain Fraction references -----------------------
+
+
+def _ref_eval(coeffs, t: Fraction) -> Fraction:
+    result = Fraction(0)
+    for c in reversed(coeffs):
+        result = result * t + c
+    return result
+
+
+def _ref_integral(coeffs, lo: Fraction, hi: Fraction) -> Fraction:
+    total = Fraction(0)
+    for j, c in enumerate(coeffs):
+        total += c * (hi ** (j + 1) - lo ** (j + 1)) / (j + 1)
+    return total
+
+
+def _ref_tail_kernel(coeffs, lo: Fraction, hi: Fraction, n: int) -> Fraction:
+    total = Fraction(0)
+    for j, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if j == n:
+            raise IntegralDivergence("degree-n term would produce a logarithm")
+        power = j - n
+        total += c * (hi**power - lo**power) / power
+    return total
+
+
+def _ref_compose_affine(coeffs, b0: Fraction, b1: Fraction) -> list[Fraction]:
+    out = [coeffs[-1]]
+    for c in reversed(coeffs[:-1]):
+        new = [o * b0 for o in out] + [Fraction(0)]
+        for k, o in enumerate(out):
+            new[k + 1] += o * b1
+        new[0] += c
+        out = new
+    return out
+
+
+def _ref_bspline_tail(knots, hi: Fraction, n: int) -> list[Fraction]:
+    ks = sorted(knots)
+
+    def taylor(k, j):
+        coeffs = [Fraction(0)] * n
+        if k >= hi:
+            m = n - 1 - j
+            for i in range(m + 1):
+                coeffs[i] = math.comb(n - 1, j) * math.comb(m, i) * (-1) ** i * k ** (m - i)
+        return coeffs
+
+    column = [taylor(k, 0) for k in ks]
+    for j in range(1, n):
+        column = [
+            taylor(ks[i], j)
+            if ks[i + j] == ks[i]
+            else [(b - a) / (ks[i + j] - ks[i]) for a, b in zip(column[i], column[i + 1])]
+            for i in range(n - j)
+        ]
+    return column[0]
+
+
+BIG = 10**30
+NUMERATORS = st.integers(min_value=-BIG, max_value=BIG)
+COEFFS = st.lists(NUMERATORS, min_size=1, max_size=6)
+DENOMINATORS = st.integers(min_value=1, max_value=BIG)
+POINTS = st.tuples(NUMERATORS, DENOMINATORS)
+POSITIVE = st.tuples(st.integers(min_value=1, max_value=BIG), DENOMINATORS)
+KERNEL_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def _fractions(nums, den):
+    return [Fraction(c, den) for c in nums]
+
+
+def _exact(value, expected):
+    assert type(value) is Fraction
+    assert value == expected
+
+
+@KERNEL_SETTINGS
+@given(COEFFS, DENOMINATORS, POINTS)
+@example([0, 0, 0], 1, (0, 1))
+@example([-3, 0, 5], 7, (-2, 3))
+def test_poly_eval_matches_fraction_horner(nums, den, t):
+    _exact(_poly_eval(nums, den, t), _ref_eval(_fractions(nums, den), Fraction(*t)))
+
+
+@KERNEL_SETTINGS
+@given(COEFFS, DENOMINATORS, POINTS, POINTS)
+@example([1, -2, 0, 4], 3, (0, 1), (5, 2))
+@example([0], 1, (0, 1), (1, 1))
+@example([BIG, -BIG], BIG - 1, (-BIG, 7), (BIG, 11))
+def test_poly_integral_matches_fraction_reference(nums, den, lo, hi):
+    expected = _ref_integral(_fractions(nums, den), Fraction(*lo), Fraction(*hi))
+    _exact(_poly_integral(nums, den, lo, hi), expected)
+
+
+@KERNEL_SETTINGS
+@given(st.integers(min_value=1, max_value=5), st.data())
+@example(3, None)
+def test_poly_tail_kernel_matches_fraction_reference(n, data):
+    if data is None:  # zeros, a negative coefficient and a repeated end
+        nums, den, lo, hi = [0, -5, 0], 2, (1, 3), (1, 3)
+    else:
+        nums = data.draw(st.lists(NUMERATORS, min_size=1, max_size=n))
+        den = data.draw(DENOMINATORS)
+        lo, hi = data.draw(POSITIVE), data.draw(POSITIVE)
+    expected = _ref_tail_kernel(_fractions(nums, den), Fraction(*lo), Fraction(*hi), n)
+    _exact(_poly_tail_kernel(nums, den, lo, hi, n), expected)
+
+
+@KERNEL_SETTINGS
+@given(st.integers(min_value=1, max_value=5), COEFFS, NUMERATORS.filter(bool), DENOMINATORS)
+def test_poly_tail_kernel_refuses_a_degree_n_term(n, nums, top, den):
+    nums = (nums + [0] * n)[:n] + [top]
+    with pytest.raises(IntegralDivergence):
+        _poly_tail_kernel(nums, den, (1, 2), (3, 1), n)
+    with pytest.raises(IntegralDivergence):
+        _ref_tail_kernel(_fractions(nums, den), Fraction(1, 2), Fraction(3), n)
+
+
+@KERNEL_SETTINGS
+@given(COEFFS, DENOMINATORS, NUMERATORS, NUMERATORS, NUMERATORS.filter(bool))
+@example([0, 0], 1, 0, 1, 1)
+@example([4, -1, 0, 2], 9, -3, 5, -7)
+def test_poly_compose_affine_matches_fraction_reference(nums, den, b0, b1, e):
+    out, out_den = _poly_compose_affine(nums, den, b0, b1, e)
+    assert all(type(c) is int for c in out) and type(out_den) is int
+    composed = [Fraction(c, out_den) for c in out]
+    expected = _ref_compose_affine(_fractions(nums, den), Fraction(b0, e), Fraction(b1, e))
+    for value, ref in zip(composed, expected, strict=True):
+        _exact(value, ref)
+
+
+# knots drawn from a small pool, so that runs of equal knots (the confluent
+# branch) are common
+KNOTS = st.fractions(min_value=Fraction(1, 7), max_value=6, max_denominator=7)
+
+
+@KERNEL_SETTINGS
+@given(st.integers(min_value=1, max_value=5), st.data())
+@example(4, None)
+def test_bspline_tail_matches_fraction_reference(n, data):
+    if data is None:  # a run of three equal knots below a fourth
+        knots = [Fraction(3, 2)] * 3 + [Fraction(5, 2)]
+    else:
+        pool = data.draw(st.lists(KNOTS, min_size=1, max_size=3))
+        knots = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    # cleared to one denominator as profile_from_model clears them
+    q = math.lcm(*(k.denominator for k in knots))
+    xs = sorted(k.numerator * (q // k.denominator) for k in knots)
+    for hi in sorted(set(xs)):
+        nums, den = _bspline_tail(xs, hi, n)
+        assert all(type(c) is int for c in nums) and type(den) is int
+        expected = _ref_bspline_tail(knots, Fraction(hi, q), n)
+        for j, (c, ref) in enumerate(zip(nums, expected, strict=True)):
+            _exact(Fraction(c * q**j, den), ref)
