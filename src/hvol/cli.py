@@ -8,6 +8,11 @@ hvol quotient   --group '{"type":"cyclic","r":7,"a":3}'
 hvol filtration --model m.json --v1 "1,2" [--v0 "..."] [--lam auto]
 hvol selftest   [--filter name]
 
+The parsed command line is the job: each subcommand's parser names its
+handler, which reads its own flags.  A handler loads its JSON argument and
+parses its weight flags before its other checks; an empty flag value counts
+as absent.
+
 Reports are canonical JSON written to stdout (or --output): keys are sorted,
 exact rationals are "p/q" strings, floating point values are strings with 17
 significant digits under keys suffixed `_approx`, so identical jobs produce
@@ -34,7 +39,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Sequence
@@ -73,25 +78,6 @@ from .singularities import (
     toric_log_fano,
 )
 from .valuation import nvol_report
-
-DEFAULTS = {
-    "tol": 1e-8,
-    "max_iter": 500,
-    "samples": 400,
-    "seed": 0,
-}
-
-
-@dataclass
-class JobSpec:
-    command: str
-    model: dict | None = None
-    group: dict | None = None
-    valuation: list | None = None
-    options: dict = field(default_factory=dict)
-
-    def opt(self, key: str):
-        return self.options.get(key, DEFAULTS.get(key))
 
 
 @dataclass
@@ -179,8 +165,11 @@ def _parse_rational(text) -> Fraction:
         raise SchemaError(f"bad rational literal {text!r}") from exc
 
 
-def _parse_weights(text: str) -> list[Fraction]:
-    return [_parse_rational(part.strip()) for part in str(text).split(",") if part.strip()]
+def _parse_weights(text: str | None) -> list[Fraction] | None:
+    """Comma-separated weights; None for an absent or empty flag."""
+    if not text:
+        return None
+    return [_parse_rational(part.strip()) for part in text.split(",") if part.strip()]
 
 
 def _canonical_xi(descriptor: dict) -> list[Fraction] | None:
@@ -316,30 +305,22 @@ def _exact_pair(value: Fraction, what: str) -> dict:
     return {"exact": str(value), "approx": _approx(value, what)}
 
 
+def _cone_model(descriptor, command: str):
+    """The model of `descriptor`, refused unless it offers the cone-model interface."""
+    model = parse_model(descriptor)
+    if isinstance(model, (PolarizedConeData, tuple)):
+        raise SchemaError(f"{command} needs a toric_cone, hypersurface or akm model")
+    return model
+
+
 # -- command implementations ----------------------------------------------------
 
 
-def run(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
-    """Execute a job; returns the report and a zero-argument function that
-    builds the CSV payload, or None where the command has none."""
-    start = time.perf_counter()
-    handler = {
-        "compute": _run_compute,
-        "minimize": _run_minimize,
-        "quotient": _run_quotient,
-        "filtration": _run_filtration,
-        "selftest": _run_selftest,
-    }.get(spec.command)
-    if handler is None:
-        raise SchemaError(f"unknown command {spec.command!r}")
-    report, csv = handler(spec)
-    report.timing = time.perf_counter() - start
-    return report, csv
-
-
-def _run_compute(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
-    model = parse_model(spec.model)
-    inputs = {"model": spec.model, "valuation": spec.valuation}
+def _run_compute(args: argparse.Namespace) -> tuple[Report, Callable[[], str] | None]:
+    descriptor = _load_json_arg(args.model, "model")
+    valuation = _parse_weights(args.valuation)
+    model = parse_model(descriptor)
+    inputs = {"model": descriptor, "valuation": valuation}
     checks: list[dict] = []
     if isinstance(model, PolarizedConeData):
         inv = cone_invariants(model)
@@ -385,9 +366,9 @@ def _run_compute(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
             _check("beta_n_is_r_over_n", rep.beta_n == r / n, str(rep.beta_n), str(r / n), "exact")
         )
         return Report("compute", inputs, results, checks), None
-    if spec.valuation is None:
+    if valuation is None:
         raise SchemaError("compute on this model needs --valuation")
-    weights = RVector(spec.valuation)
+    weights = RVector(valuation)
     report = nvol_report(model, weights)
     results = {
         "n": report.n,
@@ -416,17 +397,13 @@ def _run_compute(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
     return Report("compute", inputs, results, checks), csv
 
 
-def _run_minimize(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
-    tol = float(spec.opt("tol"))
-    if not 0 < tol < math.inf:
-        raise SchemaError(f"minimize --tol must be a positive finite number, not {tol!r}")
-    model = parse_model(spec.model)
-    if isinstance(model, (PolarizedConeData, tuple)):
-        raise SchemaError("minimize needs a toric_cone, hypersurface or akm model")
-    init = spec.valuation
-    max_iter = int(spec.opt("max_iter"))
-    seed = int(spec.opt("seed"))
-    best = minimize_nvol(model, init=init, max_iter=max_iter)
+def _run_minimize(args: argparse.Namespace) -> tuple[Report, Callable[[], str] | None]:
+    descriptor = _load_json_arg(args.model, "model")
+    init = _parse_weights(args.init)
+    if not 0 < args.tol < math.inf:
+        raise SchemaError(f"minimize --tol must be a positive finite number, not {args.tol!r}")
+    model = _cone_model(descriptor, "minimize")
+    best = minimize_nvol(model, init=init, max_iter=args.max_iter)
     logdisc = model.logdisc(best.argmin)
     lower, upper = best.min_nvol_lower, best.min_nvol_upper
     results = {
@@ -467,13 +444,14 @@ def _run_minimize(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
             for i, (point, value) in enumerate(best.trajectory)
         )
 
-    inputs = {"model": spec.model, "init": init, "tol": tol, "max_iter": max_iter, "seed": seed}
+    inputs = dict(model=descriptor, init=init, tol=args.tol, max_iter=args.max_iter, seed=args.seed)
     return Report("minimize", inputs, results, checks), csv
 
 
-def _run_quotient(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
-    group = parse_group(spec.group)
-    depth = int(spec.opt("samples"))
+def _run_quotient(args: argparse.Namespace) -> tuple[Report, Callable[[], str] | None]:
+    descriptor = _load_json_arg(args.group, "group")
+    group = parse_group(descriptor)
+    depth = args.samples
     if depth < 1:
         raise SchemaError(f"quotient --samples must be at least 1, not {depth}")
     free = check_free_in_codim1(group)
@@ -521,25 +499,25 @@ def _run_quotient(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
     def csv() -> str:
         return "m,dim_below_m\n" + "".join(f"{m},{d}\n" for m, d in enumerate(series.dims))
 
-    inputs = {"group": spec.group, "depth": depth}
+    inputs = {"group": descriptor, "depth": depth}
     return Report("quotient", inputs, results, checks), csv
 
 
-def _run_filtration(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
-    samples = int(spec.opt("samples"))
+def _run_filtration(args: argparse.Namespace) -> tuple[Report, Callable[[], str] | None]:
+    descriptor = _load_json_arg(args.model, "model")
+    v1_raw = _parse_weights(args.v1)
+    v0_raw = _parse_weights(args.v0)
+    samples = args.samples
     if samples < 0 or samples == 1:
         raise SchemaError(f"filtration --samples must be 0 or at least 2, not {samples}")
-    lam_raw = spec.options.get("lam", "auto")
+    lam_raw = args.lam or "auto"  # absent or empty
     lam = None if lam_raw == "auto" else _parse_rational(lam_raw)
     if lam is not None and lam <= 0:
         raise SchemaError(f"--lam must be auto or a positive rational, not {lam_raw!r}")
-    model = parse_model(spec.model)
-    if isinstance(model, (PolarizedConeData, tuple)):
-        raise SchemaError("filtration needs a toric_cone, hypersurface or akm model")
-    if spec.valuation is None:
+    model = _cone_model(descriptor, "filtration")
+    if v1_raw is None:
         raise SchemaError("filtration needs --v1")
-    v1 = RVector(spec.valuation)
-    v0_raw = spec.options.get("v0")
+    v1 = RVector(v1_raw)
     if v0_raw is not None:
         v0 = RVector(v0_raw)
     elif model.canonical_xi is not None:
@@ -614,7 +592,7 @@ def _run_filtration(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
         return "t,vol_r\n" + "".join(rows)
 
     inputs = {
-        "model": spec.model,
+        "model": descriptor,
         "v0": [str(v) for v in v0],
         "v1": [str(v) for v in v1],
         "lambda": lam_raw,
@@ -623,10 +601,10 @@ def _run_filtration(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
     return Report("filtration", inputs, results, checks), csv
 
 
-def _run_selftest(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
+def _run_selftest(args: argparse.Namespace) -> tuple[Report, Callable[[], str] | None]:
     from . import selftest  # imported here: it is large and only this command runs it
 
-    name_filter = spec.options.get("filter")
+    name_filter = args.filter or None
     results = selftest.run_all(name_filter)
     checks = [
         _check(r.name, r.passed, r.lhs, r.rhs, r.tolerance) for r in results
@@ -647,7 +625,10 @@ def _run_selftest(spec: JobSpec) -> tuple[Report, Callable[[], str] | None]:
 # -- argument parsing -------------------------------------------------------------
 
 
-def _load_json_arg(raw: str, what: str) -> dict:
+def _load_json_arg(raw: str, what: str):
+    """The JSON text `raw`, or the JSON file it names; None when it is empty."""
+    if not raw:
+        return None
     try:
         if raw.strip().startswith("{"):
             return json.loads(raw)
@@ -666,15 +647,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, handler):
         p.add_argument("--output", help="write the report here instead of stdout")
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--timing", action="store_true", help="include wall time in the report")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("compute", help="evaluate A, vol and A^n vol")
     p.add_argument("--model", required=True)
     p.add_argument("--valuation", help="comma-separated weights")
-    add_common(p)
+    add_common(p, _run_compute)
 
     p = sub.add_parser(
         "minimize",
@@ -689,64 +671,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--model", required=True)
     p.add_argument("--init", help="comma-separated starting weights (used on a toric cone)")
-    p.add_argument("--tol", type=float, default=DEFAULTS["tol"], help="checked, not used")
-    p.add_argument("--max-iter", type=int, default=DEFAULTS["max_iter"])
-    p.add_argument("--seed", type=int, default=DEFAULTS["seed"], help="not used")
-    add_common(p)
+    p.add_argument("--tol", type=float, default=1e-8, help="checked, not used")
+    p.add_argument("--max-iter", type=int, default=500)
+    p.add_argument("--seed", type=int, default=0, help="not used")
+    add_common(p, _run_minimize)
 
     p = sub.add_parser("quotient", help="quotient surface invariants")
     p.add_argument("--group", required=True)
-    p.add_argument("--samples", type=int, default=DEFAULTS["samples"])
-    add_common(p)
+    p.add_argument("--samples", type=int, default=400)
+    add_common(p, _run_quotient)
 
     p = sub.add_parser("filtration", help="volume profile and interpolation calculus")
     p.add_argument("--model", required=True)
     p.add_argument("--v1", required=True, help="comma-separated filtration weights")
     p.add_argument("--v0", help="grading weights; defaults to the canonical ones")
-    p.add_argument("--lam", "--lambda", dest="lam", default="auto")
+    p.add_argument("--lam", "--lambda", dest="lam", help="a positive rational; auto by default")
     p.add_argument(
         "--samples",
         type=int,
-        default=DEFAULTS["samples"],
+        default=400,
         help="profile rows of the --format csv table; a JSON report samples none",
     )
-    add_common(p)
+    add_common(p, _run_filtration)
 
     p = sub.add_parser("selftest", help="run the built-in verification suite")
     p.add_argument("--filter", help="only run suites whose name contains this")
-    add_common(p)
+    add_common(p, _run_selftest)
     return parser
-
-
-def spec_from_args(args: argparse.Namespace) -> JobSpec:
-    options: dict[str, Any] = {}
-    for key in ("tol", "max_iter", "samples", "seed"):
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is not None:
-            options[key] = getattr(args, attr)
-    model = _load_json_arg(args.model, "model") if getattr(args, "model", None) else None
-    group = _load_json_arg(args.group, "group") if getattr(args, "group", None) else None
-    valuation = None
-    if getattr(args, "valuation", None):
-        valuation = _parse_weights(args.valuation)
-    if getattr(args, "init", None):
-        valuation = _parse_weights(args.init)
-    if getattr(args, "v1", None):
-        valuation = _parse_weights(args.v1)
-    if getattr(args, "v0", None):
-        options["v0"] = _parse_weights(args.v0)
-    if getattr(args, "lam", None):
-        options["lam"] = args.lam
-    if getattr(args, "filter", None):
-        options["filter"] = args.filter
-    return JobSpec(command=args.command, model=model, group=group, valuation=valuation, options=options)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        spec = spec_from_args(args)
-        report, csv = run(spec)
+        start = time.perf_counter()
+        report, csv = args.handler(args)
+        report.timing = time.perf_counter() - start
         if args.format == "csv" and csv is not None:
             payload = csv()
         else:

@@ -182,9 +182,6 @@ class Halfspace:
     def value(self, point: Sequence) -> Fraction:
         return self.normal.dot(point) + self.offset
 
-    def contains(self, point: Sequence) -> bool:
-        return self.value(point) >= 0
-
 
 # -- exact dense linear algebra ------------------------------------------------
 
@@ -410,14 +407,6 @@ class Polytope:
     def is_full_dimensional(self) -> bool:
         return affine_rank(list(self.vrep)) == self.dim
 
-    def scale(self, factor) -> "Polytope":
-        f = rat(factor)
-        return Polytope(
-            dim=self.dim,
-            hrep=tuple(Halfspace(h.normal, h.offset * f) for h in self.hrep),
-            vrep=tuple(v.scale(f) for v in self.vrep),
-        )
-
 
 def _fan(
     verts: tuple[int, ...],
@@ -541,9 +530,6 @@ class PolyCone:
                 Halfspace(ray, Fraction(0)) for ray in dual.rays
             )
         return self.facets
-
-    def contains(self, point: Sequence) -> bool:
-        return all(h.contains(point) for h in self.facet_halfspaces())
 
 
 def dual_cone(c: PolyCone) -> PolyCone:

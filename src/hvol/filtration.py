@@ -60,17 +60,11 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import IntegralDivergence, ModelError, PreconditionViolated
-from .exactgeom import RVector, rat, to_float
+from .exactgeom import RVector, _integral, rat, to_float
 from .valuation import integer_pairings
 
 
 # -- polynomial kernels on integers -------------------------------------------
-
-
-def _clear(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The values as integer numerators over their least common denominator."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _horner(nums: Sequence[int], a: int, b: int) -> int:
@@ -224,7 +218,7 @@ class VolumeProfile:
     @cached_property
     def _cleared_pieces(self) -> tuple[tuple[list[int], int], ...]:
         """`_exact_pieces` as integer numerators over one denominator each."""
-        return tuple(_clear(coeffs) for coeffs in self._exact_pieces)
+        return tuple(_integral(coeffs) for coeffs in self._exact_pieces)
 
     @cached_property
     def _cleared_regions(
@@ -232,7 +226,7 @@ class VolumeProfile:
     ) -> tuple[tuple[tuple[int, int], tuple[int, int], list[int], int], ...]:
         """`regions` on integers: (lo, hi, numerators, denominator)."""
         return tuple(
-            ((lo.numerator, lo.denominator), (hi.numerator, hi.denominator), *_clear(coeffs))
+            ((lo.numerator, lo.denominator), (hi.numerator, hi.denominator), *_integral(coeffs))
             for lo, hi, coeffs in self.regions
         )
 

@@ -278,7 +278,9 @@ def minimize_nvol(
     than CERTIFIED_WIDTH.  `init` must lie in the model's domain; it starts
     the run of a piece whose coordinates are all the weights (a toric cone's
     only piece), and is checked but not used on a hypersurface, whose pieces
-    lie in tie hyperplanes.
+    lie in tie hyperplanes.  A run from `init` that ends outside its piece,
+    or whose float arithmetic breaks down because `init` lies too near the
+    boundary, is run again from the default start.
     """
     n = model.n
     if init is not None and model.domain_logdisc(init) is None:
@@ -292,10 +294,15 @@ def minimize_nvol(
             upper = min(run.value for run in runs)
             if _convexity_bound(n, piece, runs, upper) >= upper:
                 continue
-        start = sum(piece.vertices, RVector([0] * len(piece.row)))
-        if init is not None and len(piece.free) == len(init):
-            start = RVector(init)
-        run = _newton(model, piece, _on_slice(piece, n, [start[f] for f in piece.free]), max_iter)
+        run, free = None, piece.free
+        if init is not None and len(free) == len(init):
+            try:
+                run = _newton(model, piece, _on_slice(piece, n, [init[f] for f in free]), max_iter)
+            except (ZeroDivisionError, OverflowError):
+                pass  # float pairings vanish or overflow at a start this near the boundary
+        if run is None:  # no init for this piece, or its run ended outside the piece
+            start = sum(piece.vertices, RVector([0] * len(piece.row)))
+            run = _newton(model, piece, _on_slice(piece, n, [start[f] for f in free]), max_iter)
         if run is not None:
             runs.append(run)
     if not runs:

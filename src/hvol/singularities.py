@@ -12,8 +12,7 @@ vector on a toric cone, a monomial weight on a hypersurface):
 
 * `logdisc(w)`, `volume(w)` and `domain_logdisc(w)`, the log discrepancy
   when w lies in the model's domain and None otherwise, in one integer pass;
-  each model states its domain once, there, and `in_domain` only asks whether
-  that is None;
+  each model states its domain once, there;
 * `reeb_generators`, the integer rows u with every <u, w> > 0 on admissible
   weights: the dual rays of a toric cone, the unit vectors of a hypersurface;
 * `lattice_region(a, p)`, the integer box and facet rows holding the
@@ -173,10 +172,6 @@ class ToricConeSingularity:
         defined, and None otherwise."""
         return domain_logdisc_toric(self, xi)
 
-    def in_domain(self, xi: Sequence) -> bool:
-        """Whether xi lies in the Reeb cone."""
-        return self.domain_logdisc(xi) is not None
-
     def lattice_region(self, a: RVector, p: Fraction) -> tuple[list, list]:
         """(box, rows) holding the lattice points alpha of the dual cone with
         <alpha, a> < p: the integer box around {<alpha, a> <= p} in the dual
@@ -269,10 +264,6 @@ class WeightedHomogeneousHypersurface:
         """sum(a) - d(a) when the weights are positive and tie at least two
         monomials at d(a), where volume is defined, and None otherwise."""
         return domain_logdisc_hypersurface(self, a)
-
-    def in_domain(self, a: Sequence) -> bool:
-        """Whether `volume` is defined at a."""
-        return self.domain_logdisc(a) is not None
 
     def lattice_region(self, a: RVector, p: Fraction) -> tuple[list, list]:
         """(box, rows) holding the standard monomials alpha with <alpha, a> < p:

@@ -41,7 +41,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import BudgetExceeded, ModelError, NotInReebCone
-from .exactgeom import RVector, rat
+from .exactgeom import RVector, _integral, rat
 
 if TYPE_CHECKING:  # the model classes call into this module, so no runtime import
     from .singularities import ToricConeSingularity, WeightedHomogeneousHypersurface
@@ -287,11 +287,6 @@ def _count_box(
     return count
 
 
-def _scaled_int_vector(vec: Sequence[Fraction]) -> tuple[list[int], int]:
-    scale = math.lcm(*(rat(v).denominator for v in vec))
-    return [int(rat(v) * scale) for v in vec], scale
-
-
 def lattice_count_oracle(model, a: Sequence, p) -> int:
     """dim of R / {v_a >= p} by monomial enumeration; the volume oracle.
 
@@ -304,7 +299,7 @@ def lattice_count_oracle(model, a: Sequence, p) -> int:
     if p <= 0:
         raise ValueError("threshold p must be positive")
     bounds, rows = model.lattice_region(a, p)
-    strict_coefs, scale = _scaled_int_vector(a)
+    strict_coefs, scale = _integral(a)
     return _count_box(bounds, rows, strict_coefs, _strict_upper(scale * p))
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import hvol
 
-from hvol.cli import JobSpec, Report, main, parse_group, parse_model, run
+from hvol.cli import Report, main, parse_group, parse_model
 from hvol.errors import SchemaError
 from hvol.singularities import PolarizedConeData, ToricConeSingularity
 
@@ -304,15 +304,11 @@ def test_csv_output(capsys):
     assert len(lines) >= 2
 
 
-def test_reports_are_byte_identical(tmp_path):
-    spec = JobSpec(
-        command="minimize",
-        model=json.loads(AKM_35),
-        options={"seed": 3},
-    )
-    first, _ = run(spec)
-    second, _ = run(spec)
-    assert first.to_json() == second.to_json()
+def test_reports_are_byte_identical(capsys):
+    argv = ["minimize", "--model", AKM_35, "--seed", "3"]
+    first = run_cli(capsys, argv)
+    assert first == run_cli(capsys, argv)
+    assert first[0] == 0
 
 
 def test_exit_code_on_schema_error(capsys):
@@ -411,6 +407,86 @@ def test_toric_log_fano_accepts_a_positive_index_below_one(capsys):
     results = json.loads(capsys.readouterr().out)["results"]
     assert results["gammas"] == ["1/2", "1/2", "1/2"]
     assert results["beta_n"]["exact"] == "1/6"
+
+
+POLARIZED = '{"type":"polarized_cone","n":3,"r":1,"degH":9}'
+
+
+@pytest.mark.parametrize(
+    "argv, same_as",
+    [
+        (["compute", "--model", POLARIZED, "--valuation", ""], ["compute", "--model", POLARIZED]),
+        (["minimize", "--model", C2_BARE, "--init", ""], ["minimize", "--model", C2_BARE]),
+        (
+            ["filtration", "--model", C2_TORIC, "--v1=1,2", "--v0", ""],
+            ["filtration", "--model", C2_TORIC, "--v1=1,2"],
+        ),
+        (
+            ["filtration", "--model", C2_TORIC, "--v1=1,2", "--lam", ""],
+            ["filtration", "--model", C2_TORIC, "--v1=1,2", "--lam", "auto"],
+        ),
+    ],
+    ids=["valuation", "init", "v0", "lam is auto"],
+)
+def test_an_empty_flag_counts_as_absent(capsys, argv, same_as):
+    first = (main(argv), *capsys.readouterr())
+    assert first == (main(same_as), *capsys.readouterr())
+
+
+def test_an_empty_filter_runs_every_suite(capsys, monkeypatch):
+    from hvol import selftest
+
+    filters = []
+    monkeypatch.setattr(selftest, "run_all", lambda name_filter: filters.append(name_filter) or [])
+    assert main(["selftest", "--filter", ""]) == 0
+    assert filters == [None]
+    assert json.loads(capsys.readouterr().out)["inputs"] == {"filter": None}
+
+
+def _refused_kind(command: str) -> str:
+    return f"error[schema_error]: {command} needs a toric_cone, hypersurface or akm model\n"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ["compute", "--model", C2_BARE, "--valuation", ""],
+            "error[schema_error]: compute on this model needs --valuation\n",
+        ),
+        (
+            ["filtration", "--model", C2_TORIC, "--v1", ""],
+            "error[schema_error]: filtration needs --v1\n",
+        ),
+        (["minimize", "--model", POLARIZED], _refused_kind("minimize")),
+        (["minimize", "--model", _log_fano(*_TRIANGLE)], _refused_kind("minimize")),
+        (["filtration", "--model", POLARIZED, "--v1=1,2"], _refused_kind("filtration")),
+        (["filtration", "--model", _log_fano(*_TRIANGLE), "--v1=1,2"], _refused_kind("filtration")),
+        # two faults: the JSON argument and the weight flags are read first
+        (
+            ["minimize", "--model", "{bad", "--tol", "0"],
+            "error[schema_error]: cannot load model: Expecting property name enclosed in double"
+            " quotes: line 1 column 2 (char 1)\n",
+        ),
+        (
+            ["minimize", "--model", C2_BARE, "--init", "1,x", "--tol", "-1"],
+            "error[schema_error]: bad rational literal 'x'\n",
+        ),
+    ],
+)
+def test_refusals_are_pinned(capsys, argv, line):
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", line)
+
+
+@pytest.mark.parametrize("init", ["1e300,1", "1,1e-300", "1e-300,1", "1e30,1", "1e16,1"])
+def test_minimize_from_a_start_near_the_reeb_cone_boundary(capsys, init):
+    # a start this close to the boundary breaks or strands the float Newton
+    # run, which then runs again from the default start
+    code, out = run_cli(capsys, ["minimize", "--model", C2_BARE, f"--init={init}"])
+    assert code == 0
+    _, plain = run_cli(capsys, ["minimize", "--model", C2_BARE])
+    assert json.loads(out)["results"] == json.loads(plain)["results"]
 
 
 @pytest.mark.parametrize(

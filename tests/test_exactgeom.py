@@ -148,7 +148,8 @@ def test_volume_truncated_triangle():
 def test_volume_scaling_law():
     p = Polytope.from_hrep(SIMPLEX_2D, 2)
     for lam in (Fraction(1, 3), Fraction(5, 2), 4):
-        assert polytope_volume(p.scale(lam)) == Fraction(lam) ** 2 * polytope_volume(p)
+        scaled = Polytope.from_hrep([Halfspace(h.normal, h.offset * lam) for h in SIMPLEX_2D], 2)
+        assert polytope_volume(scaled) == Fraction(lam) ** 2 * polytope_volume(p)
 
 
 def test_volume_unimodular_invariance():
@@ -221,7 +222,7 @@ def test_dual_cone_involution_random():
         # double dual regenerates the extreme rays, up to dropping redundant ones
         assert set(map(tuple, double.rays)) <= set(map(tuple, cone.rays))
         for ray in cone.rays:
-            assert double.contains(ray)
+            assert all(h.value(ray) >= 0 for h in double.facet_halfspaces())
 
 
 def test_cut_cone_simplex():

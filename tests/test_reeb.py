@@ -285,7 +285,7 @@ def test_hypersurface_brackets_have_zero_width(name, model, expected):
     assert best.min_nvol_lower == best.min_nvol_upper == expected
     assert best.converged
     assert model.logdisc(best.argmin) == model.n
-    assert model.in_domain(best.argmin)
+    assert model.domain_logdisc(best.argmin) is not None
 
 
 @pytest.mark.parametrize("k", range(4, 9))
