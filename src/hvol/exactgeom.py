@@ -19,22 +19,21 @@ Conventions
   operands' numerators and denominators, and `dot` sums integer products
   over a running common denominator and builds one `Fraction` at the end,
   so no `Fraction` operator dispatches per coordinate.
-* Every exact linear-algebra decision goes through two kernels.  The
-  rational one is `row_reduce`, Gauss-Jordan over Fraction, under
-  `nullspace` and the lineality test of `vertex_enumerate`.  The integer one
-  is `_echelon`, Bareiss elimination, under `int_rank`, `int_det` (the
-  cofactor expansion up to 3 x 3), `affine_rank` (differences cleared to
-  integers) and `_kernel_vector`, the signed maximal minors of a set of
-  rows.  The minors give `int_cone_rays`, the extreme rays of {x : <row, x>
-  >= 0} over integer rows: `dual_cone` and the face cells of a hypersurface
-  (`singularities._face_piece`) call it directly, and `cone_rays`, its
-  wrapper over rational rows, gives the recession direction of
-  `vertex_enumerate`.
-* A model's set-up stays on the integer kernel: `PolyCone.from_rays` and
-  `dual_cone` test rank with `int_rank` on their primitive integer rays,
-  `triangulate_cone` orders rays by an integer key, and a toric model's
-  Gorenstein vector is `_kernel_vector` of n independent rays
-  (`singularities._gorenstein_vector`).
+* Every exact linear-algebra decision runs on integer rows, in one family
+  of fraction-free eliminations (Bareiss 1968): `_echelon`, Bareiss
+  elimination, gives `int_rank`, `int_det` (the cofactor expansion up to
+  3 x 3) and `affine_rank` (differences cleared to integers);
+  `_kernel_vector`, the signed maximal minors of a set of rows, gives the
+  extreme rays of `int_cone_rays` and the vertices of `vertex_enumerate`;
+  `int_kernel`, fraction-free Gauss-Jordan, gives kernel bases: the
+  lineality space of `vertex_enumerate`, the tie kernels of a hypersurface's
+  faces (`singularities._face_piece`) and a toric model's Gorenstein vector
+  (`singularities._gorenstein_vector`).  A rational row is cleared to
+  integers once (`_integral`) before it enters them.
+* A model's set-up stays on integers: `PolyCone.from_rays` and `dual_cone`
+  test rank with `int_rank` on their primitive integer rays, `dual_cone`
+  takes the extreme rays with `int_cone_rays`, and `triangulate_cone`
+  orders rays by an integer key.
 * Vertex enumeration runs in integer minors: each halfspace is cleared to
   one integer row (normal, offset) once, every d-subset of rows is solved by
   Cramer's rule over one denominator D > 0, feasibility is an integer
@@ -64,6 +63,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import (
     DegeneratePolytope,
     EmptyRegion,
+    ModelError,
     NotFullDimensional,
     NotInReebCone,
     PreconditionViolated,
@@ -103,6 +103,9 @@ class RVector(tuple):
 
     def __new__(cls, coords: Iterable) -> "RVector":
         return super().__new__(cls, [c if type(c) is Fraction else rat(c) for c in coords])
+
+    def __str__(self) -> str:  # '(9/5, 1)', not a tuple of Fraction reprs
+        return "(" + ", ".join(map(str, self)) + ")"
 
     @property
     def dim(self) -> int:
@@ -145,11 +148,7 @@ class RVector(tuple):
 
     def primitive(self) -> "RVector":
         """Scale to the primitive integer vector on the same ray."""
-        if self.is_zero():
-            return self
-        ints, _ = _integral(self)
-        g = math.gcd(*ints)
-        return _vector(Fraction(v // g) for v in ints)
+        return _vector(map(Fraction, _primitive_row(_integral(self)[0])))
 
     def as_floats(self) -> tuple[float, ...]:
         return tuple(float(c) for c in self)
@@ -184,48 +183,6 @@ class Halfspace:
 
 
 # -- exact dense linear algebra ------------------------------------------------
-
-
-def row_reduce(
-    rows: Sequence[Sequence], ncols: int
-) -> tuple[list[list[Fraction]], list[int]]:
-    """Gauss-Jordan elimination over Fraction on the first ncols columns.
-
-    Returns the nonzero rows of the reduced row echelon form, each scaled to
-    a pivot 1 that is the only nonzero entry of its column, and their pivot
-    columns.  Columns past ncols (a right-hand side) ride along.
-    """
-    a = [list(map(rat, row)) for row in rows]
-    pivots: list[int] = []
-    for col in range(ncols):
-        if len(pivots) == len(a):
-            break
-        rank = len(pivots)
-        pivot = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [v * inv for v in a[rank]]
-        for r in range(len(a)):
-            if r != rank and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[rank])]
-        pivots.append(col)
-    return a[: len(pivots)], pivots
-
-
-def nullspace(rows: Sequence[Sequence[Fraction]], dim: int) -> list[RVector]:
-    """Basis of {x : row . x = 0 for all rows} in ambient dimension dim: one
-    vector per free column, with a 1 there and 0 in the other free columns."""
-    reduced, pivots = row_reduce(rows, dim)
-    basis = []
-    for fcol in (c for c in range(dim) if c not in pivots):
-        vec = [Fraction(int(c == fcol)) for c in range(dim)]
-        for row, pcol in zip(reduced, pivots):
-            vec[pcol] = -row[fcol]
-        basis.append(RVector(vec))
-    return basis
 
 
 def _integral(row) -> tuple[list[int], int]:
@@ -297,6 +254,44 @@ def _kernel_vector(active: Sequence[Sequence[int]], dim: int) -> list[int]:
     return [(-1) ** i * int_det([r[:i] + r[i + 1 :] for r in active]) for i in range(dim)]
 
 
+def int_kernel(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[int, tuple[int, ...]]]:
+    """A basis of {x : <row, x> = 0 for every integer row of length dim}:
+    (f, x) per free column f, x the primitive integer vector with x_f > 0
+    and 0 on the other free columns.  Fraction-free Gauss-Jordan: each step
+    cross-multiplies a row with the pivot row and divides it by its gcd, so
+    each reduced row has a pivot p > 0 at its column c and 0 at the other
+    pivots.  Then x_c / x_f = -row[f] / p: x / x_f is the Gauss-Jordan
+    basis vector over Fraction."""
+    a = [_primitive_row(row) for row in rows if any(row)]
+    pivots: list[int] = []
+    for col in range(dim):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if pivot is None:
+            continue
+        top = a[pivot] if a[pivot][col] > 0 else [-v for v in a[pivot]]
+        a[pivot], a[rank] = a[rank], top
+        for i, row in enumerate(a):
+            if i != rank and row[col]:
+                a[i] = _primitive_row([v * top[col] - row[col] * w for v, w in zip(row, top)])
+        pivots.append(col)
+    basis = []
+    for f in (c for c in range(dim) if c not in pivots):
+        scale = math.lcm(*(row[c] for c, row in zip(pivots, a) if row[f]))
+        x = [0] * dim
+        x[f] = scale
+        for c, row in zip(pivots, a):
+            x[c] = -row[f] * (scale // row[c])
+        basis.append((f, tuple(_primitive_row(x))))
+    return basis
+
+
+def _primitive_row(row: Sequence[int]) -> list[int]:
+    """An integer row divided by the gcd of its entries (a zero row as is)."""
+    g = math.gcd(*row) or 1
+    return [v // g for v in row]
+
+
 def int_cone_rays(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[int, ...]]:
     """Extreme rays of {x : <row, x> >= 0 for every integer row}, as
     primitive integer tuples in sorted order.
@@ -321,18 +316,7 @@ def int_cone_rays(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[int, ..
     return sorted(found)
 
 
-def cone_rays(rows: Sequence[Sequence], dim: int) -> list[RVector]:
-    """Extreme rays of {x : <row, x> >= 0 for every rational row}: the rows
-    cleared to integers, then `int_cone_rays`."""
-    return [RVector(ray) for ray in int_cone_rays([_integral(row)[0] for row in rows], dim)]
-
-
 # -- vertex enumeration -----------------------------------------------------
-
-
-def _show(vec: RVector) -> str:
-    """The primitive integer vector on vec's ray, as '(a, b, ...)'."""
-    return "(" + ", ".join(map(str, vec.primitive())) + ")"
 
 
 def _feasible_vertices(rows: Sequence[Sequence[int]], dim: int) -> list[RVector]:
@@ -352,8 +336,7 @@ def _feasible_vertices(rows: Sequence[Sequence[int]], dim: int) -> list[RVector]
         if point[dim] < 0:
             point = [-c for c in point]
         if all(sum(map(mul, row, point)) >= 0 for row in rows):
-            g = math.gcd(*point)
-            found.add(tuple(c // g for c in point))
+            found.add(tuple(_primitive_row(point)))
     return sorted(RVector(Fraction(c, key[dim]) for c in key[:dim]) for key in found)
 
 
@@ -361,29 +344,28 @@ def vertex_enumerate(hrep: Sequence[Halfspace], dim: int) -> list[RVector]:
     """All vertices of the polytope cut out by hrep, exactly and deduplicated.
 
     Raises UnboundedRegion if the region is nonempty and has a recession
-    direction, EmptyRegion if it is empty.  When the normals have rank below
-    dim, the region is invariant under their kernel (its lineality space) and
-    has no vertex; it is nonempty iff its restriction to the row space of the
-    normals has a vertex.  Each halfspace is cleared to one integer row
-    (normal, offset) once, and the vertices are found in integer minors
-    (`_feasible_vertices`).
+    direction, EmptyRegion if it is empty.  Each halfspace is cleared to one
+    integer row (normal, offset) once.  A kernel of the normals (`int_kernel`)
+    is a lineality space, so there is no vertex; the region is nonempty iff
+    it has a vertex on the complement where the kernel's free columns are 0.
+    Otherwise the vertices are found in integer minors (`_feasible_vertices`)
+    and a ray of the normals' cone (`int_cone_rays`) is a recession direction.
     """
-    hrep = list(hrep)
-    normals = [list(h.normal) for h in hrep]
-    basis, _ = row_reduce(normals, dim)
-    if len(basis) < dim:
-        restricted = [
-            _integral([h.normal.dot(row) for row in basis] + [h.offset])[0] for h in hrep
-        ]
-        if not _feasible_vertices(restricted, len(basis)):
+    rows = [_integral(list(h.normal) + [h.offset])[0] for h in hrep]
+    normals = [row[:dim] for row in rows]
+    kernel = int_kernel(normals, dim)
+    if kernel:
+        free = {f for f, _ in kernel}
+        restricted = [[c for j, c in enumerate(row) if j not in free] for row in rows]
+        if not _feasible_vertices(restricted, dim - len(kernel)):
             raise EmptyRegion("no feasible point")
-        raise UnboundedRegion(f"recession direction {_show(nullspace(normals, dim)[0])}")
-    found = _feasible_vertices([_integral(list(h.normal) + [h.offset])[0] for h in hrep], dim)
+        raise UnboundedRegion(f"recession direction {RVector(kernel[0][1])}")
+    found = _feasible_vertices(rows, dim)
     if not found:
         raise EmptyRegion("no feasible vertex")
-    rays = cone_rays(normals, dim)
+    rays = int_cone_rays(normals, dim)
     if rays:
-        raise UnboundedRegion(f"recession direction {_show(rays[0])}")
+        raise UnboundedRegion(f"recession direction {RVector(rays[0])}")
     return found
 
 
@@ -515,6 +497,9 @@ class PolyCone:
         vecs = [RVector(r).primitive() for r in rays]
         if not vecs:
             raise NotFullDimensional("a cone needs at least one ray")
+        for v in vecs:
+            if v.is_zero():
+                raise ModelError(f"ray {v} is zero")
         d = dim if dim is not None else vecs[0].dim
         if int_rank([_integral(v)[0] for v in vecs]) != d:
             raise NotFullDimensional("rays do not span the ambient space")
@@ -549,7 +534,7 @@ def cut_cone(c: PolyCone, xi: Sequence) -> Polytope:
     xi = RVector(xi)
     for ray in c.rays:
         if ray.dot(xi) <= 0:
-            raise NotInReebCone(f"ray {tuple(ray)} pairs nonpositively with {tuple(xi)}")
+            raise NotInReebCone(f"ray {ray} pairs nonpositively with {xi}")
     hrep = list(c.facet_halfspaces()) + [Halfspace(-xi, Fraction(1))]
     return Polytope.from_hrep(hrep, c.dim)
 

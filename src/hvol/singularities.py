@@ -51,12 +51,10 @@ from .exactgeom import (
     PolyCone,
     Polytope,
     RVector,
-    _kernel_vector,
     centroid,
     dual_cone,
     int_cone_rays,
-    int_rank,
-    nullspace,
+    int_kernel,
     rat,
     triangulate_cone,
 )
@@ -115,8 +113,8 @@ class ToricConeSingularity:
     ) -> "ToricConeSingularity":
         sigma = PolyCone.from_rays(rays)
         n = sigma.dim
-        m0 = _gorenstein_vector(sigma)
         dual = dual_cone(sigma)
+        m0 = _gorenstein_vector(sigma)
         xi = RVector(canonical_xi) if canonical_xi is not None else None
         return cls(n=n, sigma=sigma, m0=m0, dual=dual, canonical_xi=xi, label=label)
 
@@ -186,7 +184,7 @@ class ToricConeSingularity:
         (p0, d0), (p1, d1) = (integer_pairings(self.reeb_generators, xi)[1:] for xi in (v0, v1))
         for xi, pairings in ((v0, p0), (v1, p1)):
             if min(pairings) <= 0:
-                raise NotInReebCone(f"{tuple(xi)} is not in the Reeb cone")
+                raise NotInReebCone(f"{xi} is not in the Reeb cone")
         return [
             (
                 Fraction(d * d0**self.n, math.prod(p0[i] for i in rays)),
@@ -197,20 +195,15 @@ class ToricConeSingularity:
 
 
 def _gorenstein_vector(sigma: PolyCone) -> RVector:
-    """Solve <m0, u> = 1 over the primitive rays u in integers: Cramer's rule
-    (`_kernel_vector`) on the rows (u, -1) of dim independent rays gives a
-    kernel vector (M, e) with <M, u> = e, so m0 = M / e, which is then
-    checked on every ray by integer pairing."""
-    rays = [[int(c) for c in ray] for ray in sigma.rays]
-    basis: list[list[int]] = []
-    for ray in rays:
-        if len(basis) < sigma.dim and int_rank(basis + [ray]) > len(basis):
-            basis.append(ray)
-    if len(basis) == sigma.dim:
-        *m0, e = _kernel_vector([ray + [-1] for ray in basis], sigma.dim + 1)
-        if all(sum(map(mul, ray, m0)) == e for ray in rays):
-            return RVector(Fraction(c, e) for c in m0)
-    raise NotQGorenstein("no covector pairs to 1 with every primitive ray")
+    """Solve <m0, u> = 1 over the primitive rays u in integers.  Since the
+    rays span, the rows (u, -1) have at most one kernel vector (M, e)
+    (`int_kernel`), with e != 0 and <M, u> = e on every ray, so m0 = M / e;
+    with none, no covector pairs to 1 with every ray."""
+    kernel = int_kernel([[int(c) for c in ray] + [-1] for ray in sigma.rays], sigma.dim + 1)
+    if not kernel:
+        raise NotQGorenstein("no covector pairs to 1 with every primitive ray")
+    *m0, e = kernel[0][1]
+    return RVector(Fraction(c, e) for c in m0)
 
 
 @dataclass
@@ -340,23 +333,24 @@ def _face_piece(model, classes, tie, others, groups) -> ConvexPiece | None:
     larger face then has the same cell).  `groups` maps a reduced monomial to
     the monomials it stands for.
 
-    The cell lives in the coordinates z of y = sum_i z_i b_i over the kernel
-    basis b_i of the ties.  Each b_i is cleared to the integer vector s_i b_i,
-    so the cell's rows are integers in z'_i = z_i / s_i and
-    `exactgeom.int_cone_rays` gives its rays.  Each ray maps back to the
-    primitive z with z_i = s_i z'_i, which orders the rays as `cone_rays` in
-    z would, and to the integer weight y' = sum_i z'_i s_i b_i on the ray of
-    y.  The interior and klt tests read only signs, so they run on y'; the
-    slice vertex y' n / <logdisc, y'> is the only `Fraction`, and it does not
-    depend on the scale of y'.
+    The cell lives in the coordinates z of y = sum_f z_f b_f over the kernel
+    basis of the ties (`exactgeom.int_kernel`): one primitive integer vector
+    x per free column f, with b_f = x / x_f.  So the cell's rows are integers
+    in z'_f = z_f / x_f and `exactgeom.int_cone_rays` gives its rays.  Each
+    ray maps back to the primitive z with z_f = x_f z'_f, the key that sorts
+    the rays, and to the integer weight y' = sum_f z'_f x on the ray of y.
+    The interior and klt tests read only signs, so they run on y'; the slice
+    vertex y' n / <logdisc, y'> is the only `Fraction`, and it does not
+    depend on the scale of y'.  A piece's coordinate for b_f is the weight of
+    the first variable of class f.
     """
     dim = len(classes)
     m = tie[0]
-    basis = nullspace([[a - b for a, b in zip(t, m)] for t in tie[1:]], dim)
-    if not basis:
+    kernel = int_kernel([[a - b for a, b in zip(t, m)] for t in tie[1:]], dim)
+    if not kernel:
         return None
-    scales = [math.lcm(*(c.denominator for c in b)) for b in basis]
-    cols = [[c.numerator * (s // c.denominator) for c in b] for b, s in zip(basis, scales)]
+    cols = [x for _, x in kernel]
+    scales = [x[f] for f, x in kernel]
     diffs = [[a - e for a, e in zip(o, m)] for o in others]
     # the closed cell in z': every y_j >= 0 and every <o - m, y> >= 0
     cons = [[col[j] for col in cols] for j in range(dim)]
@@ -383,10 +377,6 @@ def _face_piece(model, classes, tie, others, groups) -> ConvexPiece | None:
     def expand(y: Sequence) -> RVector:
         return RVector(y[class_of[k]] for k in range(nvars))
 
-    def free(b: RVector) -> int:
-        j = next(j for j in range(dim) if b[j] == 1 and all(o[j] == 0 for o in basis if o is not b))
-        return classes[j][0]
-
     mono = groups[m][0]
     others_full = [groups[o][0] for o in others]
     return ConvexPiece(
@@ -395,8 +385,8 @@ def _face_piece(model, classes, tie, others, groups) -> ConvexPiece | None:
             (e, tuple(l for l in range(nvars) if l != k)) for k, e in enumerate(mono) if e > 0
         ),
         row=RVector(1 - e for e in mono),
-        basis=tuple(expand(b) for b in basis),
-        free=tuple(free(b) for b in basis),
+        basis=tuple(expand([Fraction(c, x[f]) for c in x]) for f, x in kernel),
+        free=tuple(classes[f][0] for f, _ in kernel),
         bounds=tuple(RVector(a - e for a, e in zip(o, mono)) for o in others_full),
         vertices=tuple(
             expand([Fraction(model.n * c, h) for c in y]) for (_, y), h in zip(rays, heights)

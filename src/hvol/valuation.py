@@ -55,7 +55,7 @@ class MonomialValuation(RVector):
     def __new__(cls, weights: Sequence) -> "MonomialValuation":
         vec = super().__new__(cls, weights)
         if any(w <= 0 for w in vec):
-            raise ValueError(f"monomial weights must be positive, got {tuple(vec)}")
+            raise ValueError(f"monomial weights must be positive, got {vec}")
         return vec
 
 
@@ -101,9 +101,7 @@ def _require_reeb(x: "ToricConeSingularity", xi: RVector) -> tuple[list[int], li
     z, pairings, denom = integer_pairings(x.reeb_generators, xi)
     for gen, pairing in zip(x.dual.rays, pairings):
         if pairing <= 0:
-            raise NotInReebCone(
-                f"{tuple(xi)} pairs nonpositively with weight generator {tuple(gen)}"
-            )
+            raise NotInReebCone(f"{xi} pairs nonpositively with weight generator {gen}")
     return z, pairings, denom
 
 

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import random
@@ -522,6 +524,46 @@ def test_minimize_from_a_start_near_the_reeb_cone_boundary(capsys, init):
 def test_region_errors_name_the_region(capsys, model, line):
     assert main(["compute", "--model", model]) == 3
     assert capsys.readouterr().err == line + "\n"
+
+
+def _toric(rays) -> str:
+    return json.dumps({"type": "toric_cone", "rays": rays})
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        # exact vectors print as (a, b/c, ...), not as Fraction reprs
+        (
+            ["compute", "--model", C2_BARE, "--valuation", "1,-1"],
+            "error[not_in_reeb_cone]: (1, -1) pairs nonpositively with weight generator (0, 1)",
+        ),
+        (
+            ["filtration", "--model", C2_BARE, "--v0", "1,1", "--v1", "1,-1"],
+            "error[not_in_reeb_cone]: (1, -1) is not in the Reeb cone",
+        ),
+        # a cone that is not pointed, and a zero ray, are refused as such
+        (
+            ["compute", "--model", _toric([[1, 0], [-1, 0], [0, 1]]), "--valuation", "1,1"],
+            "error[not_full_dimensional]: dual cone is not full-dimensional (input not pointed)",
+        ),
+        (
+            ["compute", "--model", _toric([[1, 0], [0, 0], [0, 1]]), "--valuation", "1,1"],
+            "error[model_error]: ray (0, 0) is zero",
+        ),
+    ],
+)
+def test_toric_cone_refusals_are_pinned(capsys, argv, line):
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", line + "\n")
+
+
+def test_selftest_prints_exact_vectors_without_fraction_reprs(capsys):
+    code, out = run_cli(capsys, ["selftest", "--format", "csv"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) > 400
+    assert not [row for row in rows if "Fraction(" in row["lhs"] + row["rhs"]]
 
 
 def _run_python(*args: str) -> subprocess.CompletedProcess:

@@ -13,11 +13,11 @@ from hvol.exactgeom import (
     Polytope,
     RVector,
     centroid,
-    cone_rays,
     cut_cone,
     dual_cone,
+    int_cone_rays,
     int_det,
-    nullspace,
+    int_kernel,
     polytope_volume,
     vertex_enumerate,
 )
@@ -95,6 +95,78 @@ def test_vertex_enumerate_empty():
         vertex_enumerate([hs([1, 0]), hs([-1, 0], -1), hs([0, 1]), hs([0, -1], 1)], 2)
 
 
+def _cleared(row):
+    """A rational row times the least positive integer that makes it integral."""
+    row = [Fraction(c) for c in row]
+    scale = math.lcm(*(c.denominator for c in row))
+    return [int(c * scale) for c in row]
+
+
+def _nullspace_reference(rows, dim):
+    """Gauss-Jordan over Fraction: {free column f: the kernel vector with a 1
+    at f and 0 in the other free columns}."""
+    a = [[Fraction(c) for c in row] for row in rows]
+    pivots = []
+    for col in range(dim):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        top = [v / a[rank][col] for v in a[rank]]
+        a[rank] = top
+        for r in range(len(a)):
+            factor = a[r][col]
+            if r != rank and factor:
+                a[r] = [v - factor * w for v, w in zip(a[r], top)]
+        pivots.append(col)
+    basis = {}
+    for f in (c for c in range(dim) if c not in pivots):
+        vec = [Fraction(int(c == f)) for c in range(dim)]
+        for row, pcol in zip(a, pivots):
+            vec[pcol] = -row[f]
+        basis[f] = RVector(vec)
+    return basis
+
+
+def _random_kernel_rows(rng, dim):
+    """Up to dim + 2 small integer rows, with zero rows, repeated rows and
+    integer combinations of earlier rows mixed in, or no rows at all."""
+    rows = []
+    for _ in range(rng.randint(0, dim + 2)):
+        kind = rng.randrange(6)
+        if kind == 0:
+            rows.append([0] * dim)
+        elif kind == 1 and rows:
+            rows.append(list(rng.choice(rows)))
+        elif kind == 2 and len(rows) >= 2:
+            (a, u), (b, v) = ((rng.randint(-3, 3), rng.choice(rows)) for _ in range(2))
+            rows.append([a * x + b * y for x, y in zip(u, v)])
+        else:
+            rows.append([rng.randint(-4, 4) for _ in range(dim)])
+    return rows
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_int_kernel_matches_fraction_gauss_jordan(dim):
+    rng = random.Random(300 + dim)
+    for _ in range(150):
+        rows = _random_kernel_rows(rng, dim)
+        expected = _nullspace_reference(rows, dim)
+        kernel = int_kernel(rows, dim)
+        assert [f for f, _ in kernel] == sorted(expected), rows
+        for f, x in kernel:
+            assert x[f] > 0 and math.gcd(*x) == 1, (rows, x)
+            assert RVector(x).scale(Fraction(1, x[f])) == expected[f], rows
+            assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in rows)
+
+
+def test_int_kernel_of_no_rows_is_the_unit_basis():
+    assert int_kernel([], 3) == [(0, (1, 0, 0)), (1, (0, 1, 0)), (2, (0, 0, 1))]
+    assert int_kernel([[2, 4]], 2) == [(1, (-2, 1))]
+    assert int_kernel([[1, 0], [0, 3]], 2) == []
+
+
 def _random_bounded_hrep(rng, dim):
     """A box around the origin cut by a few random rational halfspaces that
     keep the origin inside: bounded, full-dimensional, often with vertices
@@ -119,15 +191,17 @@ def test_vertex_enumerate_matches_homogenized_cone(dim):
     rng = random.Random(200 + dim)
     for _ in range(12 if dim < 4 else 6):
         hrep = _random_bounded_hrep(rng, dim)
-        rows = [list(h.normal) + [h.offset] for h in hrep] + [[0] * dim + [1]]
-        rays = cone_rays(rows, dim + 1)
-        expected = sorted(RVector(c / ray[dim] for c in ray[:dim]) for ray in rays if ray[dim] > 0)
+        rows = [_cleared(list(h.normal) + [h.offset]) for h in hrep] + [[0] * dim + [1]]
+        rays = int_cone_rays(rows, dim + 1)
+        expected = sorted(
+            RVector(Fraction(c, ray[dim]) for c in ray[:dim]) for ray in rays if ray[dim] > 0
+        )
         verts = vertex_enumerate(hrep, dim)
         assert verts == expected, hrep
         for v in verts:
             # a vertex is feasible and tight on dim independent facets
             assert all(h.value(v) >= 0 for h in hrep)
-            assert not nullspace([list(h.normal) for h in hrep if h.value(v) == 0], dim)
+            assert not int_kernel([_cleared(h.normal) for h in hrep if h.value(v) == 0], dim)
 
 
 def test_volume_simplex_3d():
@@ -270,7 +344,7 @@ def _cone_rays_reference(rows, dim):
     signs, scaled primitive and kept when every row pairs nonnegatively."""
     found = set()
     for subset in itertools.combinations(rows, dim - 1):
-        kernel = nullspace([list(r) for r in subset], dim)
+        kernel = list(_nullspace_reference(subset, dim).values())
         if len(kernel) != 1:
             continue
         for cand in (kernel[0].primitive(), (-kernel[0]).primitive()):
@@ -285,7 +359,7 @@ def test_cone_rays_matches_brute_force(dim):
     for _ in range(25):
         rows = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(rng.randint(1, dim + 3))]
         expected = _cone_rays_reference(rows, dim)
-        assert [tuple(r) for r in cone_rays(rows, dim)] == expected, rows
+        assert int_cone_rays(rows, dim) == expected, rows
 
 
 def test_dual_cone_of_a_ray():

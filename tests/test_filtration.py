@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hvol.errors import IntegralDivergence, NotInReebCone, PreconditionViolated
-from hvol.exactgeom import Halfspace, Polytope, RVector, nullspace, polytope_volume
+from hvol.exactgeom import Halfspace, Polytope, RVector, int_kernel, polytope_volume
 from hvol.filtration import (
     PiecewisePoly,
     _bspline_tail,
@@ -377,7 +377,8 @@ def _repeated_knot_cases(name):
         # simplicial cone, so that both keep the ratio 1
         _, rays = model.volume_triangulation[0]
         first, second = (model.dual.rays[i] for i in rays[:2])
-        x = nullspace([list(first), list(second)], model.n)[0]
+        f, x = int_kernel([[int(c) for c in first], [int(c) for c in second]], model.n)[0]
+        x = RVector(x).scale(Fraction(1, x[f]))
         step = min(u.dot(v0) / abs(u.dot(x)) for u in model.dual.rays if u.dot(x) != 0) / 2
         cases["two equal ratios"] = v0 + x.scale(step)
     return [pytest.param(name, v1, id=f"{name}, {kind}") for kind, v1 in cases.items()]

@@ -1,11 +1,15 @@
 """Golden minimize reports: one `hvol minimize` job per model.
 
 `data/minimize_golden.json` holds, for C^2/Z_3(1,1), the conifold, Y^{3,1},
-the A_4 3-fold akm(3,5) and the asymmetric hypersurface
-x^2 + y^3 + z^4 + w^12, the job's argv (the `--seed 0` job of each model in
-`hvolbench/jobs.py`), its whole stdout, its `results` object and its
-`--format csv` payload, recorded from the Newton minimizer with its exact
-bracket.  The report must stay byte-identical: the bracket, the argmin, every
+the asymmetric hypersurface x^2 + y^3 + z^4 + w^12 and every A_{k-1} cone
+that `hvolbench/jobs.py` minimizes, akm(n,k) for (n,k) = (2,2), (2,5),
+(3,1), (3,2), (3,3), (4,2), (3,4), (4,3) and (3,5), the job's argv (the
+`--seed 0` job of each model in `hvolbench/jobs.py`), its whole stdout, its
+`results` object and its `--format csv` payload, recorded from the Newton
+minimizer with its exact bracket.  So every layout of hypersurface pieces
+that the benchmark minimizes is pinned, and so is akm(4,4), whose minimizer
+(3/2, 3/2, 3/2, 3/2, 1) is not on the ray of its canonical weights
+(4, 4, 4, 4, 2).  The report must stay byte-identical: the bracket, the argmin, every
 float derived from them, the Newton trajectory and the report's formatting.
 """
 
