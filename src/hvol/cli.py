@@ -208,7 +208,7 @@ def parse_model(descriptor: dict):
         return WeightedHomogeneousHypersurface(
             nvars=nvars,
             monomials=tuple(
-                RVector([_parse_integer(e, "hypersurface exponent") for e in mono])
+                tuple(_parse_integer(e, "hypersurface exponent") for e in mono)
                 for mono in monomials
             ),
             canonical_xi=RVector(canonical) if canonical else None,

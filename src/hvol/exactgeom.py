@@ -11,9 +11,9 @@ Conventions
 -----------
 * A :class:`Halfspace` ``(normal, offset)`` is the set ``{x : <normal, x> +
   offset >= 0}``.
-* A :class:`PolyCone` is pointed and full-dimensional; it stores generating
-  rays (primitive integer vectors) and, when available, its facet halfspaces
-  (offset 0).
+* A :class:`PolyCone` is pointed and full-dimensional; it stores its
+  generating rays as sorted, distinct primitive integer tuples, and its
+  facet normals (`facets`, the rays of the dual cone) the same way.
 * :class:`RVector` arithmetic runs on integers: `+`, `-`, `scale` and
   unary `-` build each coordinate as one `Fraction(num, den)` from the
   operands' numerators and denominators, and `dot` sums integer products
@@ -30,10 +30,12 @@ Conventions
   faces (`singularities._face_piece`) and a toric model's Gorenstein vector
   (`singularities._gorenstein_vector`).  A rational row is cleared to
   integers once (`_integral`) before it enters them.
-* A model's set-up stays on integers: `PolyCone.from_rays` and `dual_cone`
-  test rank with `int_rank` on their primitive integer rays, `dual_cone`
-  takes the extreme rays with `int_cone_rays`, and `triangulate_cone`
-  orders rays by an integer key.
+* A model's set-up stays on integers: `PolyCone.from_rays` clears each
+  given ray to its primitive integer tuple once, and what follows reads the
+  tuples as they are: `from_rays` and `dual_cone` test rank with `int_rank`,
+  `dual_cone` takes the extreme rays with `int_cone_rays`, and
+  `triangulate_cone` orders rays by an integer key.  An :class:`RVector`
+  holds a rational point (a weight, a vertex), never a ray.
 * Vertex enumeration runs in integer minors: each halfspace is cleared to
   one integer row (normal, offset) once, every d-subset of rows is solved by
   Cramer's rule over one denominator D > 0, feasibility is an integer
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, count
 from operator import mul
@@ -146,10 +149,6 @@ class RVector(tuple):
     def is_zero(self) -> bool:
         return not any(self)
 
-    def primitive(self) -> "RVector":
-        """Scale to the primitive integer vector on the same ray."""
-        return _vector(map(Fraction, _primitive_row(_integral(self)[0])))
-
     def as_floats(self) -> tuple[float, ...]:
         return tuple(float(c) for c in self)
 
@@ -173,10 +172,10 @@ class Halfspace:
     offset: Fraction
 
     def __post_init__(self):
-        if self.normal.is_zero():
-            raise ValueError("halfspace normal must be nonzero")
         object.__setattr__(self, "normal", RVector(self.normal))
         object.__setattr__(self, "offset", rat(self.offset))
+        if self.normal.is_zero():
+            raise ValueError("halfspace normal must be nonzero")
 
     def value(self, point: Sequence) -> Fraction:
         return self.normal.dot(point) + self.offset
@@ -486,56 +485,50 @@ def centroid(p: Polytope) -> RVector:
 
 @dataclass
 class PolyCone:
-    """Pointed full-dimensional rational cone, rays and/or facet normals."""
+    """Pointed full-dimensional rational cone: its generating rays as sorted,
+    distinct primitive integer tuples, and its facet normals (`facets`)."""
 
     dim: int
-    rays: tuple[RVector, ...]
-    facets: tuple[Halfspace, ...] | None = None
+    rays: tuple[tuple[int, ...], ...]
 
     @classmethod
-    def from_rays(cls, rays: Sequence[Sequence], dim: int | None = None) -> "PolyCone":
-        vecs = [RVector(r).primitive() for r in rays]
+    def from_rays(cls, rays: Sequence[Sequence]) -> "PolyCone":
+        """The cone generated by rational rays, each cleared to its primitive
+        integer vector once."""
+        vecs = [tuple(_primitive_row(_integral(r)[0])) for r in rays]
         if not vecs:
             raise NotFullDimensional("a cone needs at least one ray")
         for v in vecs:
-            if v.is_zero():
-                raise ModelError(f"ray {v} is zero")
-        d = dim if dim is not None else vecs[0].dim
-        if int_rank([_integral(v)[0] for v in vecs]) != d:
+            if not any(v):
+                raise ModelError(f"ray {RVector(v)} is zero")
+        if int_rank(vecs) != len(vecs[0]):
             raise NotFullDimensional("rays do not span the ambient space")
-        unique: dict[tuple, RVector] = {}
-        for v in vecs:
-            unique.setdefault(tuple(v), v)
-        return cls(dim=d, rays=tuple(sorted(unique.values())))
+        return cls(dim=len(vecs[0]), rays=tuple(sorted(set(vecs))))
 
-    def facet_halfspaces(self) -> tuple[Halfspace, ...]:
-        if self.facets is None:
-            dual = dual_cone(self)
-            self.facets = tuple(
-                Halfspace(ray, Fraction(0)) for ray in dual.rays
-            )
-        return self.facets
+    @cached_property
+    def facets(self) -> tuple[tuple[int, ...], ...]:
+        """Primitive integer facet normals, the rays of the dual cone; set by
+        `dual_cone` on the cone it returns, computed on first use otherwise."""
+        return dual_cone(self).rays
 
 
 def dual_cone(c: PolyCone) -> PolyCone:
     """{y : <y, u> >= 0 for every ray u of c}; involutive on pointed cones."""
-    rays = int_cone_rays([_integral(ray)[0] for ray in c.rays], c.dim)
+    rays = int_cone_rays(c.rays, c.dim)
     if int_rank(rays) != c.dim:
         raise NotFullDimensional("dual cone is not full-dimensional (input not pointed)")
-    return PolyCone(
-        dim=c.dim,
-        rays=tuple(map(RVector, rays)),
-        facets=tuple(Halfspace(RVector(r), Fraction(0)) for r in c.rays),
-    )
+    dual = PolyCone(dim=c.dim, rays=tuple(rays))
+    dual.facets = c.rays
+    return dual
 
 
 def cut_cone(c: PolyCone, xi: Sequence) -> Polytope:
     """{y in c : <y, xi> <= 1}; requires xi strictly positive on the rays of c."""
     xi = RVector(xi)
     for ray in c.rays:
-        if ray.dot(xi) <= 0:
-            raise NotInReebCone(f"ray {ray} pairs nonpositively with {xi}")
-    hrep = list(c.facet_halfspaces()) + [Halfspace(-xi, Fraction(1))]
+        if xi.dot(ray) <= 0:
+            raise NotInReebCone(f"ray {RVector(ray)} pairs nonpositively with {xi}")
+    hrep = [Halfspace(normal, 0) for normal in c.facets] + [Halfspace(-xi, Fraction(1))]
     return Polytope.from_hrep(hrep, c.dim)
 
 
@@ -549,8 +542,7 @@ def triangulate_cone(c: PolyCone) -> tuple[tuple[int, tuple[int, ...]], ...]:
     vertices has affine rank one less than the linear rank of its rays, all
     in integers.  `certify_tiling` then checks that the cones tile c.
     """
-    rays = [_integral(ray)[0] for ray in c.rays]
-    normals = [_integral(h.normal)[0] for h in c.facet_halfspaces()]
+    rays, normals = c.rays, c.facets
     xi0 = [sum(col) for col in zip(*normals)]
     heights = [sum(map(mul, ray, xi0)) for ray in rays]
     # lexicographic order of the vertices u / <u, xi0>, all scaled by the lcm of the heights

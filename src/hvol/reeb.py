@@ -229,7 +229,7 @@ def _inside(piece: ConvexPiece, w: RVector) -> bool:
     read off the signs of integer pairings with w cleared to integers."""
     z, _ = _integral(w)
     return all(sum(map(mul, z, u)) > 0 for u in piece.generators) and all(
-        sum(map(mul, z, _integral(b)[0])) >= 0 for b in piece.bounds
+        sum(map(mul, z, b)) >= 0 for b in piece.bounds
     )
 
 

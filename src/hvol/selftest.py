@@ -114,7 +114,7 @@ def check_quotient_min() -> list[CheckResult]:
             )
         )
         first, second = model.sigma.rays
-        found = minimize_nvol(model, init=first + second.scale(3))
+        found = minimize_nvol(model, init=[a + 3 * b for a, b in zip(first, second)])
         out.append(
             CheckResult.exact(
                 f"quotient_min[r={r},a={a}]",
@@ -506,7 +506,7 @@ def check_reeb_laws(seed: int = 0) -> list[CheckResult]:
     for name, model in _toric_library():
         xi = RVector([Fraction(0)] * model.n)
         for ray in model.sigma.rays:
-            xi = xi + ray.scale(Fraction(rng.randint(10, 50), 10))
+            xi = xi + RVector(ray).scale(Fraction(rng.randint(10, 50), 10))
         ok = all(
             rescaling_law_check(model, xi, lam)
             for lam in (Fraction(1, 3), Fraction(2), Fraction(7), Fraction(1, 2), Fraction(3))
@@ -596,8 +596,7 @@ def _lifted_centroid_by_triangulation(facets: list[Halfspace], n: int) -> RVecto
     simplex sum over `triangulate_cone`, n! times the cut's volume, the cut's
     centroid is -grad F / ((n + 1) F) (Martelli-Sparks-Yau, hep-th/0503183)."""
     cone = dual_cone(PolyCone.from_rays([list(h.normal) + [h.offset] for h in facets]))
-    generators = [tuple(int(c) for c in ray) for ray in cone.rays]
-    value, gradient = simplex_sum(generators, triangulate_cone(cone), RVector([0] * (n - 1) + [1]))
+    value, gradient = simplex_sum(cone.rays, triangulate_cone(cone), RVector([0] * (n - 1) + [1]))
     return gradient.scale(-1 / ((n + 1) * value))
 
 

@@ -24,6 +24,11 @@ vector on a toric cone, a monomial weight on a hypersurface):
 * `canonical_xi`, the canonical grading where the model knows it (the toric
   library cones, the A_{k-1} cones of `akm_singularity`), None otherwise.
 
+Behind the interface each model stores its lattice data as int tuples,
+cleared once by its constructor: a toric cone's `sigma.rays`, `dual.rays`
+and `gorenstein_numerators` (M, e) with m0 = M / e, a hypersurface's
+`monomials`.
+
 The minimizer (reeb.py) reads `convex_pieces`: the convex programs whose
 least minimum is the minimum of A^n vol.  A toric cone gives one piece, its
 whole Reeb cone.  A hypersurface gives one piece per face of its domain, the
@@ -63,6 +68,7 @@ from .valuation import (
     domain_logdisc_hypersurface,
     domain_logdisc_toric,
     dual_cone_box,
+    hypersurface_pairings,
     integer_pairings,
     log_discrepancy_hypersurface,
     log_discrepancy_toric,
@@ -89,16 +95,18 @@ class ConvexPiece:
     row: RVector
     basis: tuple[RVector, ...]
     free: tuple[int, ...]
-    bounds: tuple[RVector, ...]
+    bounds: tuple[tuple[int, ...], ...]
     vertices: tuple[RVector, ...]
 
 
 @dataclass
 class ToricConeSingularity:
-    """X = Spec of the semigroup ring of sigma-dual; rays of sigma primitive."""
+    """X = Spec of the semigroup ring of sigma-dual; rays of sigma primitive.
+    `gorenstein_numerators` is (M, e) with m0 = M / e (`_gorenstein_vector`)."""
 
     n: int
     sigma: PolyCone
+    gorenstein_numerators: tuple[tuple[int, ...], int]
     m0: RVector
     dual: PolyCone = field(repr=False)
     canonical_xi: RVector | None = None
@@ -112,23 +120,17 @@ class ToricConeSingularity:
         label: str = "",
     ) -> "ToricConeSingularity":
         sigma = PolyCone.from_rays(rays)
-        n = sigma.dim
         dual = dual_cone(sigma)
-        m0 = _gorenstein_vector(sigma)
+        m, e = numerators = _gorenstein_vector(sigma)
+        m0 = RVector(Fraction(c, e) for c in m)
         xi = RVector(canonical_xi) if canonical_xi is not None else None
-        return cls(n=n, sigma=sigma, m0=m0, dual=dual, canonical_xi=xi, label=label)
+        return cls(sigma.dim, sigma, numerators, m0, dual, canonical_xi=xi, label=label)
 
-    @cached_property
+    @property
     def reeb_generators(self) -> tuple[tuple[int, ...], ...]:
-        """Rays of the dual cone as integer tuples; xi is Reeb iff it pairs
-        positively with all of them."""
-        return tuple(tuple(int(c) for c in gen) for gen in self.dual.rays)
-
-    @cached_property
-    def gorenstein_numerators(self) -> tuple[tuple[int, ...], int]:
-        """(M, e) with m0 = M / e, M integral and e the least such integer."""
-        e = math.lcm(*(c.denominator for c in self.m0))
-        return tuple(int(c * e) for c in self.m0), e
+        """Rays of the dual cone; xi is Reeb iff it pairs positively with all
+        of them."""
+        return self.dual.rays
 
     @cached_property
     def volume_triangulation(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -151,7 +153,7 @@ class ToricConeSingularity:
             basis=units,
             free=tuple(range(self.n)),
             bounds=(),
-            vertices=tuple(ray.scale(self.n) for ray in self.sigma.rays),
+            vertices=tuple(RVector(self.n * c for c in ray) for ray in self.sigma.rays),
         )
         return (piece,)
 
@@ -175,7 +177,7 @@ class ToricConeSingularity:
         <alpha, a> < p: the integer box around {<alpha, a> <= p} in the dual
         cone (`dual_cone_box`), and the facet rows <rho, alpha> >= 0 over the
         primitive rays rho of sigma.  a must be a Reeb vector."""
-        return dual_cone_box(self, a, p), [([int(c) for c in ray], 0) for ray in self.sigma.rays]
+        return dual_cone_box(self, a, p), [(list(ray), 0) for ray in self.sigma.rays]
 
     def simplicial_pieces(self, v0: RVector, v1: RVector) -> list[tuple[Fraction, tuple]]:
         """(weight, knots) per simplicial cone s of `volume_triangulation`:
@@ -194,16 +196,17 @@ class ToricConeSingularity:
         ]
 
 
-def _gorenstein_vector(sigma: PolyCone) -> RVector:
-    """Solve <m0, u> = 1 over the primitive rays u in integers.  Since the
-    rays span, the rows (u, -1) have at most one kernel vector (M, e)
-    (`int_kernel`), with e != 0 and <M, u> = e on every ray, so m0 = M / e;
-    with none, no covector pairs to 1 with every ray."""
-    kernel = int_kernel([[int(c) for c in ray] + [-1] for ray in sigma.rays], sigma.dim + 1)
+def _gorenstein_vector(sigma: PolyCone) -> tuple[tuple[int, ...], int]:
+    """(M, e) with m0 = M / e pairing to 1 with every primitive ray u, in
+    integers.  Since the rays span, the rows (u, -1) have at most one kernel
+    vector, the primitive (M, e) with e > 0 (`int_kernel`; e is its free
+    column), and <M, u> = e on every ray; with none, no covector pairs to 1
+    with every ray."""
+    kernel = int_kernel([ray + (-1,) for ray in sigma.rays], sigma.dim + 1)
     if not kernel:
         raise NotQGorenstein("no covector pairs to 1 with every primitive ray")
-    *m0, e = kernel[0][1]
-    return RVector(Fraction(c, e) for c in m0)
+    *m, e = kernel[0][1]
+    return tuple(m), e
 
 
 @dataclass
@@ -211,7 +214,7 @@ class WeightedHomogeneousHypersurface:
     """Hypersurface {sum of monomials = 0} in C^(n+1), coefficients generic."""
 
     nvars: int
-    monomials: tuple[RVector, ...]
+    monomials: tuple[tuple[int, ...], ...]  # exponent vectors, stored as int tuples
     label: str = ""
     canonical_xi: RVector | None = None
 
@@ -222,18 +225,13 @@ class WeightedHomogeneousHypersurface:
             raise ModelError("a hypersurface model needs at least two monomials")
         mons = []
         for m in self.monomials:
-            vec = RVector(m)
-            if len(vec) != self.nvars:
+            exps = [rat(e) for e in m]
+            if len(exps) != self.nvars:
                 raise ModelError("monomial exponent length does not match nvars")
-            if any(e < 0 or e.denominator != 1 for e in vec):
+            if any(e < 0 or e.denominator != 1 for e in exps):
                 raise ModelError("exponents must be nonnegative integers")
-            mons.append(vec)
+            mons.append(tuple(e.numerator for e in exps))
         self.monomials = tuple(mons)
-
-    @cached_property
-    def exponents(self) -> tuple[tuple[int, ...], ...]:
-        """The monomials as integer tuples, paired with cleared weight vectors."""
-        return tuple(tuple(int(e) for e in m) for m in self.monomials)
 
     @property
     def n(self) -> int:
@@ -250,7 +248,8 @@ class WeightedHomogeneousHypersurface:
         return log_discrepancy_hypersurface(self, a)
 
     def volume(self, a: Sequence) -> Fraction:
-        """d(a) / prod(a); raises ModelError if one monomial has the least weight."""
+        """d(a) / prod(a); raises NotInReebCone unless every weight is positive,
+        ModelError if one monomial has the least weight."""
         return valuation_volume_hypersurface(self, a)
 
     def domain_logdisc(self, a: Sequence) -> Fraction | None:
@@ -261,9 +260,8 @@ class WeightedHomogeneousHypersurface:
     def lattice_region(self, a: RVector, p: Fraction) -> tuple[list, list]:
         """(box, rows) holding the standard monomials alpha with <alpha, a> < p:
         each alpha_i below p / a_i, and the exponent of a's reduction
-        variable below its exponent there; no facet rows."""
-        if len(a) != self.nvars or any(weight <= 0 for weight in a):
-            raise ModelError("weights must be positive and match the variable count")
+        variable below its exponent there; no facet rows.  The weights must
+        be positive."""
         red, exp = reduction_variable(self, a)
         bounds = [(0, math.ceil(p / weight) - 1) for weight in a]
         bounds[red] = (0, min(bounds[red][1], exp - 1))
@@ -274,8 +272,7 @@ class WeightedHomogeneousHypersurface:
         v1's reduction variable, with weight exp / prod v0_i, exp that
         variable's exponent, and knots v1_i / v0_i.  Weights must be positive."""
         v0, v1 = RVector(v0), RVector(v1)
-        if any(min(integer_pairings(self.exponents, a)[0]) <= 0 for a in (v0, v1)):
-            raise NotInReebCone("hypersurface weights must be strictly positive")
+        hypersurface_pairings(self, v0)
         red, exp = reduction_variable(self, v1)
         keep = [i for i in range(self.nvars) if i != red]
         weight = Fraction(exp) / math.prod(v0[i] for i in keep)
@@ -291,7 +288,7 @@ class WeightedHomogeneousHypersurface:
         convex terms, and A = <1 - m, w>."""
         classes = self.symmetry_classes()
         groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for mono in self.exponents:
+        for mono in self.monomials:
             groups.setdefault(tuple(sum(mono[k] for k in cls) for cls in classes), []).append(mono)
         reduced = list(groups)
         pieces = []
@@ -306,7 +303,7 @@ class WeightedHomogeneousHypersurface:
 
     def symmetry_classes(self) -> list[list[int]]:
         """Variable classes interchangeable by symmetries of the monomial set."""
-        mset = frozenset(self.exponents)
+        mset = frozenset(self.monomials)
         parent = list(range(self.nvars))
 
         def find(i):
@@ -317,7 +314,7 @@ class WeightedHomogeneousHypersurface:
 
         for i in range(self.nvars):
             for j in range(i + 1, self.nvars):
-                swapped = frozenset(tuple(_swap(m, i, j)) for m in self.exponents)
+                swapped = frozenset(tuple(_swap(m, i, j)) for m in self.monomials)
                 if swapped == mset:
                     parent[find(i)] = find(j)
         classes: dict[int, list[int]] = {}
@@ -387,7 +384,7 @@ def _face_piece(model, classes, tie, others, groups) -> ConvexPiece | None:
         row=RVector(1 - e for e in mono),
         basis=tuple(expand([Fraction(c, x[f]) for c in x]) for f, x in kernel),
         free=tuple(classes[f][0] for f, _ in kernel),
-        bounds=tuple(RVector(a - e for a, e in zip(o, mono)) for o in others_full),
+        bounds=tuple(tuple(a - e for a, e in zip(o, mono)) for o in others_full),
         vertices=tuple(
             expand([Fraction(model.n * c, h) for c in y]) for (_, y), h in zip(rays, heights)
         ),
@@ -414,7 +411,7 @@ def akm_singularity(n: int, k: int) -> WeightedHomogeneousHypersurface:
     monomials.append(last)
     return WeightedHomogeneousHypersurface(
         nvars=n + 1,
-        monomials=tuple(RVector(m) for m in monomials),
+        monomials=tuple(map(tuple, monomials)),
         label=f"A{k - 1}^{n}",
         canonical_xi=canonical_weights(n, k),
     )

@@ -10,11 +10,13 @@ Monomial weight vectors and toric Reeb vectors are evaluated exactly:
   the minimal weight of the defining monomials, volume d(a) / prod(weights).
 
 Each evaluation clears the point's denominators once (w = z / D, see
-`integer_pairings`) and pairs z with integer rows cached on the model: the
-dual rays and the Gorenstein numerators M = e * m0 of a toric cone, the
-monomial exponents of a hypersurface.  A, vol and domain membership are then
-integer sums, and each result is one `Fraction` built at the end.  A weight
-vector of the wrong length is a `ModelError`.
+`integer_pairings`) and pairs z with the int tuples the model stores: the
+dual rays and the Gorenstein numerators (M, e), m0 = M / e, of a toric cone,
+the monomial exponents of a hypersurface.  A, vol and domain membership are
+then integer sums, and each result is one `Fraction` built at the end.  A
+weight vector of the wrong length is a `ModelError`; hypersurface weights
+that are not all positive, where a formula needs them positive, are a
+`NotInReebCone` (`hypersurface_pairings`).
 
 These functions are the formulas behind the model methods `logdisc`,
 `volume` and `domain_logdisc` (singularities.py); the rest of the package
@@ -73,12 +75,8 @@ class ValuationReport:
 # -- integer pairings --------------------------------------------------------
 
 
-def _as_rvector(w: Sequence) -> RVector:
-    return w if isinstance(w, RVector) else RVector(w)
-
-
 def integer_pairings(
-    rows: Sequence[Sequence[int]], w: RVector
+    rows: Sequence[Sequence[int]], w: Sequence
 ) -> tuple[list[int], list[int], int]:
     """(z, [<row, z> for each row], D) where w = z / D, z integral, D least.
 
@@ -89,19 +87,20 @@ def integer_pairings(
     """
     if len(w) != len(rows[0]):
         raise ModelError(f"expected {len(rows[0])} weights, got {len(w)}")
-    denom = math.lcm(*(c.denominator for c in w))
-    z = [c.numerator * (denom // c.denominator) for c in w]
+    z, denom = _integral(w)
     return z, [sum(map(mul, row, z)) for row in rows], denom
 
 
 # -- toric evaluation --------------------------------------------------------
 
 
-def _require_reeb(x: "ToricConeSingularity", xi: RVector) -> tuple[list[int], list[int], int]:
+def _require_reeb(x: "ToricConeSingularity", xi: Sequence) -> tuple[list[int], list[int], int]:
     z, pairings, denom = integer_pairings(x.reeb_generators, xi)
-    for gen, pairing in zip(x.dual.rays, pairings):
+    for gen, pairing in zip(x.reeb_generators, pairings):
         if pairing <= 0:
-            raise NotInReebCone(f"{xi} pairs nonpositively with weight generator {gen}")
+            raise NotInReebCone(
+                f"{RVector(xi)} pairs nonpositively with weight generator {RVector(gen)}"
+            )
     return z, pairings, denom
 
 
@@ -112,13 +111,13 @@ def _toric_logdisc(x: "ToricConeSingularity", z: list[int], denom: int) -> Fract
 
 
 def log_discrepancy_toric(x: "ToricConeSingularity", xi: Sequence) -> Fraction:
-    z, _, denom = _require_reeb(x, _as_rvector(xi))
+    z, _, denom = _require_reeb(x, xi)
     return _toric_logdisc(x, z, denom)
 
 
 def domain_logdisc_toric(x: "ToricConeSingularity", xi: Sequence) -> Fraction | None:
     """A(xi) when xi is a Reeb vector (every dual-ray pairing positive), else None."""
-    z, pairings, denom = integer_pairings(x.reeb_generators, _as_rvector(xi))
+    z, pairings, denom = integer_pairings(x.reeb_generators, xi)
     if min(pairings) <= 0:
         return None
     return _toric_logdisc(x, z, denom)
@@ -134,7 +133,7 @@ def valuation_volume_toric(x: "ToricConeSingularity", xi: Sequence) -> Fraction:
     over the common denominator prod_u <u, z> (each simplex uses distinct
     rays), so one `Fraction` is built at the end.
     """
-    _, pairings, denom = _require_reeb(x, _as_rvector(xi))
+    _, pairings, denom = _require_reeb(x, xi)
     common = math.prod(pairings)
     numerator = sum(
         d * (common // math.prod(pairings[i] for i in rays))
@@ -146,7 +145,6 @@ def valuation_volume_toric(x: "ToricConeSingularity", xi: Sequence) -> Fraction:
 def volume_gradient_toric(x: "ToricConeSingularity", xi: Sequence) -> RVector:
     """The gradient of n! vol at xi, exactly: `simplex_sum` over the model's
     triangulation, which differentiates `valuation_volume_toric` term by term."""
-    xi = _as_rvector(xi)
     _require_reeb(x, xi)
     return simplex_sum(x.reeb_generators, x.volume_triangulation, xi)[1]
 
@@ -179,6 +177,18 @@ def simplex_sum(
 # -- hypersurface evaluation -------------------------------------------------
 
 
+def hypersurface_pairings(
+    w: "WeightedHomogeneousHypersurface", a: Sequence
+) -> tuple[list[int], list[int], int]:
+    """`integer_pairings` of the weights a with the monomial exponents; a
+    NotInReebCone unless every weight is positive, the one error of every
+    hypersurface formula that needs positive weights."""
+    z, weights, denom = integer_pairings(w.monomials, a)
+    if min(z) <= 0:
+        raise NotInReebCone("hypersurface weights must be strictly positive")
+    return z, weights, denom
+
+
 def log_discrepancy_hypersurface(
     w: "WeightedHomogeneousHypersurface", a: Sequence
 ) -> Fraction:
@@ -186,9 +196,7 @@ def log_discrepancy_hypersurface(
 
     d(a) is the minimal a-weight <m, a> over the defining monomials m.
     """
-    z, weights, denom = integer_pairings(w.exponents, _as_rvector(a))
-    if min(z) <= 0:
-        raise NotInReebCone("hypersurface weights must be strictly positive")
+    z, weights, denom = hypersurface_pairings(w, a)
     return Fraction(sum(z) - min(weights), denom)
 
 
@@ -197,7 +205,7 @@ def domain_logdisc_hypersurface(
 ) -> Fraction | None:
     """sum(a) - d(a) when every weight is positive and at least two monomials
     reach d(a), else None."""
-    z, weights, denom = integer_pairings(w.exponents, _as_rvector(a))
+    z, weights, denom = integer_pairings(w.monomials, a)
     order = min(weights)
     if min(z) <= 0 or weights.count(order) < 2:
         return None
@@ -210,10 +218,7 @@ def valuation_volume_hypersurface(w: "WeightedHomogeneousHypersurface", a: Seque
 
     With a = z / D and d(a) = d / D this is d * D^(nvars - 1) / prod(z).
     """
-    a = _as_rvector(a)
-    z, weights, denom = integer_pairings(w.exponents, a)
-    if min(z) <= 0:
-        raise ValueError(f"monomial weights must be positive, got {tuple(a)}")
+    z, weights, denom = hypersurface_pairings(w, a)
     order = min(weights)
     if weights.count(order) < 2:
         raise ModelError("a-initial form of the defining polynomial is a single monomial")
@@ -308,7 +313,9 @@ def dual_cone_box(x: "ToricConeSingularity", a: RVector, p: Fraction) -> list[tu
     comes from the rays without enumerating vertices.
     """
     _, pairings, denom = _require_reeb(x, a)
-    corners = [ray.scale(p * denom / pairing) for ray, pairing in zip(x.dual.rays, pairings)]
+    corners = [
+        [p * denom * c / pairing for c in ray] for ray, pairing in zip(x.reeb_generators, pairings)
+    ]
     return [
         (math.ceil(min(0, *coords)), math.floor(max(0, *coords))) for coords in zip(*corners)
     ]
@@ -322,15 +329,16 @@ def reduction_variable(
     Standard monomials bound the exponent of one variable by its exponent in
     a weight-minimal defining monomial; that monomial must be a pure power of
     a variable appearing in no other monomial, otherwise the count does not
-    represent the initial degeneration and we refuse.
+    represent the initial degeneration and we refuse.  The weights must be
+    positive (`hypersurface_pairings`).
     """
-    _, weights, _ = integer_pairings(w.exponents, _as_rvector(a))
+    _, weights, _ = hypersurface_pairings(w, a)
     order = min(weights)
     for j in range(w.nvars):
-        owners = [k for k, m in enumerate(w.exponents) if m[j] > 0]
+        owners = [k for k, m in enumerate(w.monomials) if m[j] > 0]
         if len(owners) != 1:
             continue
-        mono = w.exponents[owners[0]]
+        mono = w.monomials[owners[0]]
         if any(mono[i] != 0 for i in range(w.nvars) if i != j):
             continue
         if weights[owners[0]] == order:

@@ -696,7 +696,7 @@ def test_integer_fields_accept_integer_strings_and_floats():
     assert parse_model({"type": "akm", "n": "3", "k": 2.0}).nvars == 4
     monomials = [[2, 0, "0"], [0, 2.0, 0], [0, 0, 2]]
     hyp = parse_model({"type": "hypersurface", "n": "2", "monomials": monomials})
-    assert hyp.exponents == ((2, 0, 0), (0, 2, 0), (0, 0, 2))
+    assert hyp.monomials == ((2, 0, 0), (0, 2, 0), (0, 0, 2))
     assert parse_model({"type": "polarized_cone", "n": "3", "r": "2", "degH": "1/2"}).n == 3
 
 

@@ -296,7 +296,13 @@ def test_dual_cone_involution_random():
         # double dual regenerates the extreme rays, up to dropping redundant ones
         assert set(map(tuple, double.rays)) <= set(map(tuple, cone.rays))
         for ray in cone.rays:
-            assert all(h.value(ray) >= 0 for h in double.facet_halfspaces())
+            assert all(RVector(normal).dot(ray) >= 0 for normal in double.facets)
+
+
+def test_halfspace_accepts_a_list_normal():
+    assert Halfspace([0, 1], 0) == Halfspace(RVector([0, 1]), Fraction(0))
+    with pytest.raises(ValueError, match="nonzero"):
+        Halfspace([0, 0], 1)
 
 
 def test_cut_cone_simplex():
@@ -347,7 +353,9 @@ def _cone_rays_reference(rows, dim):
         kernel = list(_nullspace_reference(subset, dim).values())
         if len(kernel) != 1:
             continue
-        for cand in (kernel[0].primitive(), (-kernel[0]).primitive()):
+        cleared = _cleared(kernel[0])
+        g = math.gcd(*cleared)
+        for cand in ([c // g for c in cleared], [-c // g for c in cleared]):
             if all(RVector(r).dot(cand) >= 0 for r in rows):
                 found.add(tuple(cand))
     return sorted(found)

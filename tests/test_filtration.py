@@ -283,7 +283,7 @@ def test_interpolation_equals_closed_form_volume(name):
     # the model evaluates that from its dual-cone triangulation, never from
     # the profile
     model = ToricConeSingularity.from_rays(INTERPOLATION_CONES[name])
-    rays = model.sigma.rays
+    rays = [RVector(ray) for ray in model.sigma.rays]
     v0 = sum(rays[1:], rays[0])
 
     @settings(max_examples=8, deadline=None, derandomize=True, database=None)
@@ -335,7 +335,7 @@ EQUAL_RATIO_V1 = {
 
 def _grading(model) -> RVector:
     if isinstance(model, ToricConeSingularity):
-        rays = model.sigma.rays
+        rays = [RVector(ray) for ray in model.sigma.rays]
         return sum(rays[1:], rays[0])
     return canonical_weights(model.n, int(model.monomials[-1][-1]))
 
@@ -377,9 +377,9 @@ def _repeated_knot_cases(name):
         # simplicial cone, so that both keep the ratio 1
         _, rays = model.volume_triangulation[0]
         first, second = (model.dual.rays[i] for i in rays[:2])
-        f, x = int_kernel([[int(c) for c in first], [int(c) for c in second]], model.n)[0]
+        f, x = int_kernel([first, second], model.n)[0]
         x = RVector(x).scale(Fraction(1, x[f]))
-        step = min(u.dot(v0) / abs(u.dot(x)) for u in model.dual.rays if u.dot(x) != 0) / 2
+        step = min(v0.dot(u) / abs(x.dot(u)) for u in model.dual.rays if x.dot(u) != 0) / 2
         cases["two equal ratios"] = v0 + x.scale(step)
     return [pytest.param(name, v1, id=f"{name}, {kind}") for kind, v1 in cases.items()]
 
@@ -413,7 +413,7 @@ def test_profile_matches_slice_volume(name):
     def check(coeffs, t):
         v1 = RVector(coeffs)
         if toric:
-            v1 = sum((ray.scale(c) for c, ray in zip(v1, model.sigma.rays)), RVector([0] * model.n))
+            v1 = sum((RVector(ray).scale(c) for c, ray in zip(v1, model.sigma.rays)), RVector([0] * model.n))
         _assert_profile_matches_slices(model, v0, v1, t)
 
     check()
@@ -427,7 +427,7 @@ X2Y3Z4W12 = WeightedHomogeneousHypersurface(
 
 
 def _ray_combination(model, coeffs) -> RVector:
-    return sum((ray.scale(c) for c, ray in zip(coeffs, model.sigma.rays)), RVector([0] * model.n))
+    return sum((RVector(ray).scale(c) for c, ray in zip(coeffs, model.sigma.rays)), RVector([0] * model.n))
 
 
 # name -> (model, v0, v1).  On x^2+y^3+z^4+w^12 the reduction variable x has

@@ -48,7 +48,7 @@ def test_normalize_idempotent_random():
     for _ in range(10):
         xi = RVector([Fraction(0)] * 3)
         for ray in model.sigma.rays:
-            xi = xi + ray.scale(Fraction(rng.randint(1, 40), 7))
+            xi = xi + RVector(ray).scale(Fraction(rng.randint(1, 40), 7))
         once = normalize_reeb(model, xi)
         assert normalize_reeb(model, once) == once
         assert log_discrepancy_toric(model, once) == model.n
@@ -172,7 +172,7 @@ def _ypq_nvol_decimal(p, q):
 def test_cyclic_quotient_bracket_is_exact(r):
     # the descent this replaced needed 6 to 75 iterations over r = 1..12
     model = cyclic_quotient_cone(r, 1)
-    first, second = model.sigma.rays
+    first, second = map(RVector, model.sigma.rays)
     result = minimize_nvol(model, init=first + second.scale(3))
     assert result.min_nvol_lower == result.min_nvol_upper == Fraction(4, r)
     assert result.iterations <= 10
@@ -234,7 +234,7 @@ def test_gradient_is_the_centroid_of_the_cut_polytope(name):
     # the Martelli-Sparks-Yau derivative; the right side comes from the
     # enumerated vertices of that polytope
     model = GRADIENT_CONES[name]
-    rays = model.sigma.rays
+    rays = [RVector(ray) for ray in model.sigma.rays]
 
     @settings(max_examples=6, deadline=None, derandomize=True, database=None)
     @given(

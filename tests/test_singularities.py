@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hvol.errors import AngleOutOfRange, InvalidIndex, ModelError, NotQGorenstein
+from hvol.errors import AngleOutOfRange, InvalidIndex, ModelError, NotInReebCone, NotQGorenstein
 from hvol.exactgeom import Halfspace, RVector, vertex_enumerate
 from hvol.singularities import (
     PolarizedConeData,
@@ -69,8 +69,38 @@ def test_lattice_region():
     box, rows = affine_space(2).lattice_region(RVector([1, 1]), Fraction(3))
     assert box == [(0, 3), (0, 3)]
     assert sorted(rows) == [([0, 1], 0), ([1, 0], 0)]
-    with pytest.raises(ModelError):
+    with pytest.raises(NotInReebCone):
         a1.lattice_region(RVector([1, 0, 1]), Fraction(2))
+    with pytest.raises(ModelError):
+        a1.lattice_region(RVector([1, 1]), Fraction(2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda model, a: model.logdisc(a),
+        lambda model, a: model.volume(a),
+        lambda model, a: model.lattice_region(a, Fraction(2)),
+        lambda model, a: model.simplicial_pieces(RVector([1, 1, 1]), a),
+        lambda model, a: model.simplicial_pieces(a, RVector([1, 1, 1])),
+    ],
+    ids=["logdisc", "volume", "lattice_region", "simplicial_pieces v1", "simplicial_pieces v0"],
+)
+def test_nonpositive_hypersurface_weights_are_one_error(call):
+    with pytest.raises(NotInReebCone, match="^hypersurface weights must be strictly positive$"):
+        call(akm_singularity(2, 2), RVector([1, -1, 1]))
+
+
+def test_hypersurface_monomials_are_int_tuples():
+    # integral Fraction exponents are accepted and stored as ints
+    given = (RVector([2, 0, 0]), (0, Fraction(3), 0), [0, 0, 5])
+    for model in (akm_singularity(3, 5), WeightedHomogeneousHypersurface(nvars=3, monomials=given)):
+        assert all(type(m) is tuple for m in model.monomials)
+        assert all(type(e) is int for m in model.monomials for e in m)
+    assert akm_singularity(2, 3).monomials == ((2, 0, 0), (0, 2, 0), (0, 0, 3))
+    for bad in ((0, Fraction(1, 2), 0), (0, -1, 2)):
+        with pytest.raises(ModelError):
+            WeightedHomogeneousHypersurface(nvars=3, monomials=((2, 0, 0), bad))
 
 
 def test_akm_requires_two_monomials():
@@ -219,23 +249,24 @@ def test_face_cell_vertices_lie_on_their_faces():
     and v = sum_j v[free_j] basis_j, its own cell coordinates."""
     for model in _face_cell_models():
         assert model.convex_pieces, model.monomials
+        monomials = [RVector(m) for m in model.monomials]
         for piece in model.convex_pieces:
             m0 = RVector(1 - c for c in piece.row)
-            tied = [m for m in model.monomials if all((m - m0).dot(b) == 0 for b in piece.basis)]
+            tied = [m for m in monomials if all((m - m0).dot(b) == 0 for b in piece.basis)]
             assert len(tied) >= 2
             assert piece.vertices
             for v in piece.vertices:
                 assert piece.row.dot(v) == model.n
                 assert min(v) >= 0
-                assert all(b.dot(v) >= 0 for b in piece.bounds)
+                assert all(v.dot(b) >= 0 for b in piece.bounds)
                 least = m0.dot(v)
                 assert all(m.dot(v) == least for m in tied)
-                assert all(m.dot(v) >= least for m in model.monomials)
+                assert all(m.dot(v) >= least for m in monomials)
                 assert sum((b.scale(v[j]) for b, j in zip(piece.basis, piece.free)), RVector([0] * len(v))) == v
             # inside the cell, the tied monomials are exactly the least ones
             center = sum(piece.vertices[1:], piece.vertices[0])
-            least = min(m.dot(center) for m in model.monomials)
-            assert [m for m in model.monomials if m.dot(center) == least] == tied
+            least = min(m.dot(center) for m in monomials)
+            assert [m for m in monomials if m.dot(center) == least] == tied
 
 
 def test_brieskorn_pham_has_one_piece_per_tie():

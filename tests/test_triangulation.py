@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import hvol.exactgeom as exactgeom
-from hvol.errors import DegeneratePolytope
+from hvol.errors import DegeneratePolytope, NotQGorenstein
 from hvol.exactgeom import (
     PolyCone,
     RVector,
@@ -21,6 +21,7 @@ from hvol.exactgeom import (
     cut_cone,
     dual_cone,
     int_det,
+    int_rank,
     polytope_volume,
     triangulate_cone,
 )
@@ -68,17 +69,43 @@ SIGMAS = (
 def test_volume_sum_equals_cut_polytope_off_the_fan_vector(name, sigma):
     dual = dual_cone(sigma)
     simplices = triangulate_cone(dual)
-    generators = [tuple(int(c) for c in ray) for ray in dual.rays]
-    xi0 = sum(sigma.rays[1:], sigma.rays[0])
+    xi0 = [sum(col) for col in zip(*sigma.rays)]
     rng = random.Random(name)
     for _ in range(3):
         xi = RVector([0] * sigma.dim)
         for ray in sigma.rays:
-            xi = xi + ray.scale(Fraction(rng.randint(1, 40), rng.randint(1, 9)))
-        if xi.primitive() == xi0.primitive():
-            continue
+            xi = xi + RVector(ray).scale(Fraction(rng.randint(1, 40), rng.randint(1, 9)))
+        if int_rank([xi0, exactgeom._integral(xi)[0]]) == 1:
+            continue  # xi lies on the ray of xi0, where the fan is built
         expected = math.factorial(sigma.dim) * polytope_volume(cut_cone(dual, xi))
-        assert simplex_sum(generators, simplices, xi)[0] == expected
+        assert simplex_sum(dual.rays, simplices, xi)[0] == expected
+
+
+def _assert_primitive_sorted_ints(rays):
+    assert all(type(ray) is tuple and all(type(c) is int for c in ray) for ray in rays)
+    assert all(math.gcd(*ray) == 1 for ray in rays)
+    assert list(rays) == sorted(set(rays))
+
+
+@pytest.mark.parametrize("name, sigma", SIGMAS, ids=[name for name, _ in SIGMAS])
+def test_models_store_primitive_integer_rays(name, sigma):
+    # the random cones are rarely Q-Gorenstein; their model set-up stops there
+    try:
+        model = ToricConeSingularity.from_rays(sigma.rays)
+    except NotQGorenstein:
+        assert name.startswith("random")
+        model = None
+    cones = (sigma, dual_cone(sigma)) if model is None else (model.sigma, model.dual)
+    for cone in cones:
+        _assert_primitive_sorted_ints(cone.rays)
+        _assert_primitive_sorted_ints(cone.facets)
+    if model is None:
+        return
+    assert model.sigma.rays == sigma.rays
+    m, e = model.gorenstein_numerators
+    assert e > 0 and math.gcd(*m, e) == 1
+    assert all(sum(a * b for a, b in zip(m, ray)) == e for ray in model.sigma.rays)
+    assert model.m0 == RVector(Fraction(c, e) for c in m)
 
 
 def test_triangulation_enumerates_no_vertices(monkeypatch):
@@ -89,7 +116,7 @@ def test_triangulation_enumerates_no_vertices(monkeypatch):
         monkeypatch.setattr(exactgeom, name, refuse)
     model = ToricConeSingularity.from_rays(_ypq_rays(5, 2))
     assert len(model.volume_triangulation) == 2
-    assert model.volume(sum(model.sigma.rays[1:], model.sigma.rays[0])) > 0
+    assert model.volume([sum(col) for col in zip(*model.sigma.rays)]) > 0
 
 
 CERTIFIED = {
@@ -103,9 +130,7 @@ CERTIFIED = {
 
 
 def _integer_cone(model):
-    rays = [list(ray) for ray in model.reeb_generators]
-    normals = [[int(c) for c in ray] for ray in model.sigma.rays]
-    return rays, normals
+    return model.reeb_generators, model.sigma.rays
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFIED))

@@ -233,7 +233,7 @@ COEFFICIENTS = st.fractions(min_value=Fraction(1, 100), max_value=100, max_denom
 @pytest.mark.parametrize("name", sorted(CLOSED_FORM_CONES))
 def test_closed_form_volume_equals_cut_polytope(name):
     model = ToricConeSingularity.from_rays(CLOSED_FORM_CONES[name])
-    rays = model.sigma.rays
+    rays = [RVector(ray) for ray in model.sigma.rays]
 
     @settings(max_examples=15, deadline=None, derandomize=True, database=None)
     @given(st.lists(COEFFICIENTS, min_size=len(rays), max_size=len(rays)))
@@ -270,7 +270,7 @@ STRETCHES = st.one_of(
 
 def _toric_reference(model, xi):
     """(A, n! vol) from m0 and the cut polytope, or None off the Reeb cone."""
-    if not all(u.dot(xi) > 0 for u in model.dual.rays):
+    if not all(xi.dot(u) > 0 for u in model.dual.rays):
         return None
     return model.m0.dot(xi), math.factorial(model.n) * polytope_volume(cut_cone(model.dual, xi))
 
@@ -290,7 +290,7 @@ def _check_toric(model, xi):
 
 
 def _check_hypersurface(model, a):
-    weights = [m.dot(a) for m in model.monomials]
+    weights = [a.dot(m) for m in model.monomials]
     order = min(weights)
     positive = all(x > 0 for x in a)
     in_domain = positive and weights.count(order) >= 2
@@ -313,7 +313,7 @@ def _check_hypersurface(model, a):
 @pytest.mark.parametrize("name", sorted(INTEGER_PATH_CONES))
 def test_integer_path_matches_fraction_formulas_toric(name):
     model = INTEGER_PATH_CONES[name]
-    rays = model.sigma.rays
+    rays = [RVector(ray) for ray in model.sigma.rays]
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(
