@@ -26,7 +26,9 @@ passed.  `--format csv` emits the command's main tabular payload
 (trajectory, dimension series, profile samples, or the check table) instead
 of JSON.  That payload is built only when it is printed, so a JSON run never
 evaluates it: `filtration --samples` costs nothing there.  The self-test
-suites are imported only when `hvol selftest` runs.
+suites are imported only when `hvol selftest` runs.  Record types are
+NamedTuples or plain classes, so start-up loads no `dataclasses` (nor the
+`inspect` it imports) and generates no methods through `exec`.
 
 Exit codes: 0 all checks pass, 2 some check failed, 3 schema or model error.
 """
@@ -39,7 +41,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Sequence
@@ -80,13 +81,13 @@ from .singularities import (
 from .valuation import nvol_report
 
 
-@dataclass
 class Report:
-    command: str
-    inputs: dict
-    results: dict
-    checks: list[dict]
-    timing: float | None = None
+    def __init__(self, command: str, inputs: dict, results: dict, checks: list[dict]):
+        self.command = command
+        self.inputs = inputs
+        self.results = results
+        self.checks = checks
+        self.timing: float | None = None
 
     @property
     def passed(self) -> bool:
@@ -402,6 +403,8 @@ def _run_minimize(args: argparse.Namespace) -> tuple[Report, Callable[[], str] |
     init = _parse_weights(args.init)
     if not 0 < args.tol < math.inf:
         raise SchemaError(f"minimize --tol must be a positive finite number, not {args.tol!r}")
+    if args.max_iter < 1:
+        raise SchemaError(f"minimize --max-iter must be a positive integer, not {args.max_iter}")
     model = _cone_model(descriptor, "minimize")
     best = minimize_nvol(model, init=init, max_iter=args.max_iter)
     logdisc = model.logdisc(best.argmin)
@@ -538,7 +541,7 @@ def _run_filtration(args: argparse.Namespace) -> tuple[Report, Callable[[], str]
         "profile": profile_to_dict(profile),
         "lambda_approx": _approx(lam, "lambda"),
         "derivative_at_zero": {
-            f"{name}_approx": _approx(value, name) for name, value in vars(forms).items()
+            f"{name}_approx": _approx(value, name) for name, value in forms._asdict().items()
         },
         "section_integral": _exact_pair(section_integral(profile), "section_integral"),
         "phi_surface": {
@@ -710,13 +713,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             payload = csv()
         else:
             payload = report.to_json(include_timing=args.timing) + "\n"
+        if args.output:
+            try:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(payload)
+            except OSError as exc:
+                raise SchemaError(f"cannot write report: {exc}") from exc
     except HvolError as exc:
         sys.stderr.write(f"error[{exc.code}]: {exc}\n")
         return 3
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
+    if not args.output:
         sys.stdout.write(payload)
     return 0 if report.passed else 2
 

@@ -56,12 +56,11 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, count
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     DegeneratePolytope,
@@ -164,18 +163,22 @@ def _sum_terms(a: Fraction, sign: int, b: Fraction) -> Fraction:
     return Fraction(a.numerator * db + sign * b.numerator * da, da * db)
 
 
-@dataclass(frozen=True)
 class Halfspace:
     """Closed halfspace {x : <normal, x> + offset >= 0}."""
 
-    normal: RVector
-    offset: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "normal", RVector(self.normal))
-        object.__setattr__(self, "offset", rat(self.offset))
+    def __init__(self, normal: Sequence, offset):
+        self.normal = RVector(normal)
+        self.offset = rat(offset)
         if self.normal.is_zero():
             raise ValueError("halfspace normal must be nonzero")
+
+    def __eq__(self, other):
+        if not isinstance(other, Halfspace):
+            return NotImplemented
+        return self.normal == other.normal and self.offset == other.offset
+
+    def __repr__(self) -> str:
+        return f"Halfspace(normal={self.normal!r}, offset={self.offset!r})"
 
     def value(self, point: Sequence) -> Fraction:
         return self.normal.dot(point) + self.offset
@@ -371,8 +374,7 @@ def vertex_enumerate(hrep: Sequence[Halfspace], dim: int) -> list[RVector]:
 # -- polytopes --------------------------------------------------------------
 
 
-@dataclass
-class Polytope:
+class Polytope(NamedTuple):
     """Bounded intersection of halfspaces together with its vertex set."""
 
     dim: int
@@ -483,13 +485,16 @@ def centroid(p: Polytope) -> RVector:
 # -- polyhedral cones -------------------------------------------------------
 
 
-@dataclass
 class PolyCone:
     """Pointed full-dimensional rational cone: its generating rays as sorted,
     distinct primitive integer tuples, and its facet normals (`facets`)."""
 
-    dim: int
-    rays: tuple[tuple[int, ...], ...]
+    def __init__(self, dim: int, rays: tuple[tuple[int, ...], ...]):
+        self.dim = dim
+        self.rays = rays
+
+    def __repr__(self) -> str:
+        return f"PolyCone(dim={self.dim!r}, rays={self.rays!r})"
 
     @classmethod
     def from_rays(cls, rays: Sequence[Sequence]) -> "PolyCone":

@@ -55,9 +55,8 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import IntegralDivergence, ModelError, PreconditionViolated
 from .exactgeom import RVector, _integral, rat, to_float
@@ -137,40 +136,57 @@ def _sum(terms: Iterable[tuple[int, int]]) -> Fraction:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
 class PiecewisePoly:
-    """Polynomial pieces on consecutive intervals of a rational breakpoint grid."""
+    """Polynomial pieces on consecutive intervals of a rational breakpoint grid;
+    each piece's coefficients run from low to high degree."""
 
-    breakpoints: tuple[Fraction, ...]
-    pieces: tuple[tuple[Fraction, ...], ...]  # coeffs low -> high per interval
-
-    def __post_init__(self):
-        if len(self.pieces) != max(0, len(self.breakpoints) - 1):
+    def __init__(
+        self, breakpoints: tuple[Fraction, ...], pieces: tuple[tuple[Fraction, ...], ...]
+    ):
+        if len(pieces) != max(0, len(breakpoints) - 1):
             raise ValueError("need one piece per breakpoint interval")
-        if any(b >= c for b, c in zip(self.breakpoints, self.breakpoints[1:])):
+        if any(b >= c for b, c in zip(breakpoints, breakpoints[1:])):
             raise ValueError("breakpoints must be strictly increasing")
+        self.breakpoints = breakpoints
+        self.pieces = pieces
+
+    def __repr__(self) -> str:
+        return f"PiecewisePoly(breakpoints={self.breakpoints!r}, pieces={self.pieces!r})"
 
 
 # -- the profile ---------------------------------------------------------------
 
 
-@dataclass
 class VolumeProfile:
     """t -> vol(R^(t)) with its support bounds, the filtration volume and
     the (weight, knots) pairs of the simplicial cones it is summed from."""
 
-    n: int
-    degH: Fraction
-    c1: Fraction
-    c2: Fraction
-    vol_v1: Fraction
-    pieces: PiecewisePoly
-    simplices: tuple[tuple[Fraction, tuple[Fraction, ...]], ...]  # (weight, knots)
-
-    def __post_init__(self):
-        if self.c1 <= 0 or self.c2 < self.c1:
+    def __init__(
+        self,
+        n: int,
+        degH: Fraction,
+        c1: Fraction,
+        c2: Fraction,
+        vol_v1: Fraction,
+        pieces: PiecewisePoly,
+        simplices: tuple[tuple[Fraction, tuple[Fraction, ...]], ...],
+    ):
+        self.n = n
+        self.degH = degH
+        self.c1 = c1
+        self.c2 = c2
+        self.vol_v1 = vol_v1
+        self.pieces = pieces
+        self.simplices = simplices
+        if c1 <= 0 or c2 < c1:
             raise ModelError("support bounds must satisfy 0 < c1 <= c2")
         self._validate_shape()
+
+    def __repr__(self) -> str:
+        return (
+            f"VolumeProfile(n={self.n!r}, degH={self.degH!r}, c1={self.c1!r}, c2={self.c2!r}, "
+            f"vol_v1={self.vol_v1!r}, pieces={self.pieces!r}, simplices={self.simplices!r})"
+        )
 
     def _validate_shape(self):
         """Probe that the pieces are nonincreasing and within [0, degH]:
@@ -602,8 +618,7 @@ def _combination(*terms) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class DerivativeForms:
+class DerivativeForms(NamedTuple):
     """The four independent expressions for d/ds Phi(lambda, s) at s = 0."""
 
     via_profile_integral: Fraction
@@ -658,8 +673,7 @@ def interpolation_derivative_forms(p: VolumeProfile, lam) -> DerivativeForms:
     )
 
 
-@dataclass(frozen=True)
-class PhiSurface:
+class PhiSurface(NamedTuple):
     lambdas: tuple[float, ...]
     s_grid: tuple[float, ...]
     values: tuple[tuple[float, ...], ...]

@@ -28,24 +28,22 @@ valuation at the origin (log discrepancy 2, volume 1/|G|).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import NonIntegerDimension, PreconditionViolated
 from .exactgeom import rat
 
 
-@dataclass(frozen=True)
 class GroupElement:
     """Eigenvalues of a 2x2 unitary as rotation numbers p/q (e^{2 pi i p/q})."""
 
-    eig1: Fraction
-    eig2: Fraction
+    def __init__(self, eig1, eig2):
+        self.eig1 = rat(eig1) % 1
+        self.eig2 = rat(eig2) % 1
 
-    def __post_init__(self):
-        object.__setattr__(self, "eig1", rat(self.eig1) % 1)
-        object.__setattr__(self, "eig2", rat(self.eig2) % 1)
+    def __repr__(self) -> str:
+        return f"GroupElement(eig1={self.eig1!r}, eig2={self.eig2!r})"
 
     @property
     def is_identity(self) -> bool:
@@ -56,31 +54,33 @@ class GroupElement:
         return self.eig1 == 0 or self.eig2 == 0
 
 
-@dataclass(frozen=True)
 class FiniteGroupAction:
-    elements: tuple[GroupElement, ...]
-    label: str = ""
-
-    def __post_init__(self):
-        if not any(e.is_identity for e in self.elements):
+    def __init__(self, elements: tuple[GroupElement, ...], label: str = ""):
+        if not any(e.is_identity for e in elements):
             raise PreconditionViolated("element list must contain the identity")
+        self.elements = elements
+        self.label = label
+
+    def __repr__(self) -> str:
+        return f"FiniteGroupAction(elements={self.elements!r}, label={self.label!r})"
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
 class DimensionSeries:
     """dims[m] = dimension of the degree-below-m part of the invariant ring."""
 
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.dims) < 2 or self.dims[0] != 0 or self.dims[1] != 1:
+    def __init__(self, dims: tuple[int, ...]):
+        if len(dims) < 2 or dims[0] != 0 or dims[1] != 1:
             raise NonIntegerDimension("series must start 0, 1")
-        if any(b < a for a, b in zip(self.dims, self.dims[1:])):
+        if any(b < a for a, b in zip(dims, dims[1:])):
             raise NonIntegerDimension("series must be nondecreasing")
+        self.dims = dims
+
+    def __repr__(self) -> str:
+        return f"DimensionSeries(dims={self.dims!r})"
 
     def __getitem__(self, m: int) -> int:
         return self.dims[m]
@@ -225,8 +225,7 @@ def pair_identity_check(g: FiniteGroupAction, m: int, series: DimensionSeries | 
     return Fraction(series[m] + series[m + 1]) == rhs
 
 
-@dataclass(frozen=True)
-class QuotientVolume:
+class QuotientVolume(NamedTuple):
     exact: Fraction
     estimate: float
     depth: int
@@ -249,8 +248,7 @@ def quotient_volume(
     )
 
 
-@dataclass(frozen=True)
-class QuotientMinimum:
+class QuotientMinimum(NamedTuple):
     min_nvol: Fraction
     logdisc_witness: Fraction
     volume_witness: Fraction

@@ -44,10 +44,9 @@ run (a hypersurface checks it lies in the domain, then drops it).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, NotInReebCone
 from .exactgeom import RVector, _integral, rat
@@ -75,8 +74,7 @@ def rescaling_law_check(model, xi: Sequence, lam) -> bool:
     return model.volume(xi.scale(lam)) * lam**model.n == model.volume(xi)
 
 
-@dataclass
-class MinimizeResult:
+class MinimizeResult(NamedTuple):
     argmin: RVector  # full weight vector on the A = n slice
     min_nvol: float  # the objective at argmin, as a float
     min_nvol_upper: Fraction  # the exact objective at argmin, an upper bound on the minimum
@@ -92,16 +90,23 @@ CERTIFIED_WIDTH = Fraction(1, 10**12)  # widest bracket, relative to its upper e
 _POLISH_STEPS = 3
 
 
-@dataclass
 class _Run:
     """The end of one piece's Newton run: an exact point of the piece on the
     slice, the exact objective A^n vol there, and how the run got there."""
 
-    piece: ConvexPiece
-    point: RVector
-    value: Fraction
-    iterations: int
-    trajectory: list[tuple[tuple[float, ...], float]]
+    def __init__(
+        self,
+        piece: ConvexPiece,
+        point: RVector,
+        value: Fraction,
+        iterations: int,
+        trajectory: list[tuple[tuple[float, ...], float]],
+    ):
+        self.piece = piece
+        self.point = point
+        self.value = value
+        self.iterations = iterations
+        self.trajectory = trajectory
 
 
 def _pullback(piece: ConvexPiece, row) -> list[float]:

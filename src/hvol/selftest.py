@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -68,13 +67,13 @@ from .valuation import (
 )
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    lhs: str
-    rhs: str
-    tolerance: str
+    def __init__(self, name: str, passed: bool, lhs: str, rhs: str, tolerance: str):
+        self.name = name
+        self.passed = passed
+        self.lhs = lhs
+        self.rhs = rhs
+        self.tolerance = tolerance
 
     @classmethod
     def exact(cls, name: str, lhs, rhs) -> "CheckResult":

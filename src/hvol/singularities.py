@@ -43,12 +43,11 @@ is checked to lie in the domain and then unused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import AngleOutOfRange, InvalidIndex, ModelError, NotInReebCone, NotQGorenstein
 from .exactgeom import (
@@ -78,8 +77,7 @@ from .valuation import (
 )
 
 
-@dataclass(frozen=True)
-class ConvexPiece:
+class ConvexPiece(NamedTuple):
     """One convex program of the minimizer, in the model's weights w.
 
     The piece is the cone of w = sum_j z_j basis_j with every <u, w> > 0 over
@@ -99,18 +97,34 @@ class ConvexPiece:
     vertices: tuple[RVector, ...]
 
 
-@dataclass
 class ToricConeSingularity:
     """X = Spec of the semigroup ring of sigma-dual; rays of sigma primitive.
     `gorenstein_numerators` is (M, e) with m0 = M / e (`_gorenstein_vector`)."""
 
-    n: int
-    sigma: PolyCone
-    gorenstein_numerators: tuple[tuple[int, ...], int]
-    m0: RVector
-    dual: PolyCone = field(repr=False)
-    canonical_xi: RVector | None = None
-    label: str = ""
+    def __init__(
+        self,
+        n: int,
+        sigma: PolyCone,
+        gorenstein_numerators: tuple[tuple[int, ...], int],
+        m0: RVector,
+        dual: PolyCone,
+        canonical_xi: RVector | None = None,
+        label: str = "",
+    ):
+        self.n = n
+        self.sigma = sigma
+        self.gorenstein_numerators = gorenstein_numerators
+        self.m0 = m0
+        self.dual = dual
+        self.canonical_xi = canonical_xi
+        self.label = label
+
+    def __repr__(self) -> str:
+        return (
+            f"ToricConeSingularity(n={self.n!r}, sigma={self.sigma!r}, "
+            f"gorenstein_numerators={self.gorenstein_numerators!r}, m0={self.m0!r}, "
+            f"canonical_xi={self.canonical_xi!r}, label={self.label!r})"
+        )
 
     @classmethod
     def from_rays(
@@ -209,29 +223,39 @@ def _gorenstein_vector(sigma: PolyCone) -> tuple[tuple[int, ...], int]:
     return tuple(m), e
 
 
-@dataclass
 class WeightedHomogeneousHypersurface:
-    """Hypersurface {sum of monomials = 0} in C^(n+1), coefficients generic."""
+    """Hypersurface {sum of monomials = 0} in C^(n+1), coefficients generic.
+    The `monomials` are its exponent vectors, stored as int tuples."""
 
-    nvars: int
-    monomials: tuple[tuple[int, ...], ...]  # exponent vectors, stored as int tuples
-    label: str = ""
-    canonical_xi: RVector | None = None
-
-    def __post_init__(self):
-        if self.nvars < 2:
+    def __init__(
+        self,
+        nvars: int,
+        monomials: Sequence[Sequence],
+        label: str = "",
+        canonical_xi: RVector | None = None,
+    ):
+        if nvars < 2:
             raise ModelError("a hypersurface germ needs dimension n >= 1")
-        if len(self.monomials) < 2:
+        if len(monomials) < 2:
             raise ModelError("a hypersurface model needs at least two monomials")
         mons = []
-        for m in self.monomials:
+        for m in monomials:
             exps = [rat(e) for e in m]
-            if len(exps) != self.nvars:
+            if len(exps) != nvars:
                 raise ModelError("monomial exponent length does not match nvars")
             if any(e < 0 or e.denominator != 1 for e in exps):
                 raise ModelError("exponents must be nonnegative integers")
             mons.append(tuple(e.numerator for e in exps))
+        self.nvars = nvars
         self.monomials = tuple(mons)
+        self.label = label
+        self.canonical_xi = canonical_xi
+
+    def __repr__(self) -> str:
+        return (
+            f"WeightedHomogeneousHypersurface(nvars={self.nvars!r}, monomials={self.monomials!r}, "
+            f"label={self.label!r}, canonical_xi={self.canonical_xi!r})"
+        )
 
     @property
     def n(self) -> int:
@@ -471,25 +495,23 @@ def fano_index_check(r, n: int) -> bool:
     return 0 < r <= n
 
 
-@dataclass(frozen=True)
 class PolarizedConeData:
     """Cone over a polarized log-Fano base, reduced to (n, r, degH)."""
 
-    n: int
-    r: Fraction
-    degH: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", rat(self.r))
-        object.__setattr__(self, "degH", rat(self.degH))
+    def __init__(self, n: int, r, degH):
+        self.n = n
+        self.r = rat(r)
+        self.degH = rat(degH)
         if self.degH <= 0:
             raise ModelError("degH must be positive")
         if not fano_index_check(self.r, self.n):
             raise InvalidIndex(f"r = {self.r} outside (0, {self.n}]")
 
+    def __repr__(self) -> str:
+        return f"PolarizedConeData(n={self.n!r}, r={self.r!r}, degH={self.degH!r})"
 
-@dataclass(frozen=True)
-class ConeInvariants:
+
+class ConeInvariants(NamedTuple):
     beta: Fraction
     antilog_power: Fraction  # (-K - D)^n of the compactified cone
     nvol_lower_bound: Fraction  # (n/(n+1))^n * antilog_power
@@ -519,8 +541,7 @@ def cone_invariants(c: PolarizedConeData) -> ConeInvariants:
 # -- toric log-Fano example pipeline -------------------------------------------
 
 
-@dataclass(frozen=True)
-class ToricLogFanoReport:
+class ToricLogFanoReport(NamedTuple):
     p_star: RVector
     gammas: tuple[Fraction, ...]
     lifted: Polytope

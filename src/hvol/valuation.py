@@ -36,11 +36,10 @@ no array of cells and its memory does not grow with the box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from operator import mul
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ModelError, NotInReebCone
 from .exactgeom import RVector, _integral, rat
@@ -61,8 +60,7 @@ class MonomialValuation(RVector):
         return vec
 
 
-@dataclass(frozen=True)
-class ValuationReport:
+class ValuationReport(NamedTuple):
     """Exact A, vol and normalized volume A^n * vol of one valuation."""
 
     n: int

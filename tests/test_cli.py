@@ -474,6 +474,14 @@ def _refused_kind(command: str) -> str:
             ["minimize", "--model", C2_BARE, "--init", "1,x", "--tol", "-1"],
             "error[schema_error]: bad rational literal 'x'\n",
         ),
+        (
+            ["minimize", "--model", C2_BARE, "--max-iter=-3"],
+            "error[schema_error]: minimize --max-iter must be a positive integer, not -3\n",
+        ),
+        (
+            ["minimize", "--model", C2_BARE, "--max-iter", "0"],
+            "error[schema_error]: minimize --max-iter must be a positive integer, not 0\n",
+        ),
     ],
 )
 def test_refusals_are_pinned(capsys, argv, line):
@@ -585,6 +593,17 @@ def test_python_dash_m_runs_the_cli():
 def test_import_does_not_load_numpy():
     # start-up cost: the package runs on the standard library alone
     done = _run_python("-c", "import sys, hvol, hvol.cli; assert 'numpy' not in sys.modules")
+    assert done.returncode == 0, done.stderr
+
+
+def test_import_does_not_load_dataclasses():
+    # start-up cost: `dataclasses` brings `inspect` with it, and each
+    # decorated class compiles its methods through exec
+    code = (
+        "import sys, hvol, hvol.cli, hvol.selftest; "
+        "loaded = {'dataclasses', 'inspect'} & set(sys.modules); assert not loaded, loaded"
+    )
+    done = _run_python("-c", code)
     assert done.returncode == 0, done.stderr
 
 
@@ -713,6 +732,16 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     report = json.loads(target.read_text())
     assert report["results"]["logdisc"]["exact"] == "5"
+
+
+def test_output_to_an_unwritable_path_is_a_schema_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code = main(["compute", "--model", C2_TORIC, "--valuation", "1,1", "--output", str(target)])
+    assert code == 3
+    assert capsys.readouterr() == (
+        "",
+        f"error[schema_error]: cannot write report: [Errno 2] No such file or directory: '{target}'\n",
+    )
 
 
 def _jsonable_reference(obj):

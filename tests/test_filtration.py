@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -10,6 +9,7 @@ from hvol.errors import IntegralDivergence, NotInReebCone, PreconditionViolated
 from hvol.exactgeom import Halfspace, Polytope, RVector, int_kernel, polytope_volume
 from hvol.filtration import (
     PiecewisePoly,
+    VolumeProfile,
     _bspline_tail,
     _poly_compose_affine,
     _poly_eval,
@@ -172,7 +172,10 @@ def test_liu_bound_is_exact(plane_profile, space_profile):
     for p in (plane_profile, space_profile):
         assert liu_bound_check(p, [p.c1 * Fraction(j, 4) for j in range(1, 5)] + [p.c2])
     # equality on (0, c1] is exact: a vol(v1) off by 1e-30 breaks it
-    nudged = dataclasses.replace(plane_profile, vol_v1=plane_profile.vol_v1 + Fraction(1, 10**30))
+    p = plane_profile
+    nudged = VolumeProfile(
+        p.n, p.degH, p.c1, p.c2, p.vol_v1 + Fraction(1, 10**30), p.pieces, p.simplices
+    )
     assert not liu_bound_check(nudged, [Fraction(1, 2)])
 
 
