@@ -166,11 +166,15 @@ def _parse_rational(text) -> Fraction:
         raise SchemaError(f"bad rational literal {text!r}") from exc
 
 
-def _parse_weights(text: str | None) -> list[Fraction] | None:
-    """Comma-separated weights; None for an absent or empty flag."""
+def _parse_weights(text: str | None, flag: str) -> list[Fraction] | None:
+    """Comma-separated weights; None for an absent or empty flag, and a
+    SchemaError for an empty entry, such as a doubled or trailing comma."""
     if not text:
         return None
-    return [_parse_rational(part.strip()) for part in text.split(",") if part.strip()]
+    parts = [part.strip() for part in text.split(",")]
+    if not all(parts):
+        raise SchemaError(f"--{flag} has an empty entry: {text!r}")
+    return [_parse_rational(part) for part in parts]
 
 
 def _canonical_xi(descriptor: dict) -> list[Fraction] | None:
@@ -319,7 +323,7 @@ def _cone_model(descriptor, command: str):
 
 def _run_compute(args: argparse.Namespace) -> tuple[Report, Callable[[], str] | None]:
     descriptor = _load_json_arg(args.model, "model")
-    valuation = _parse_weights(args.valuation)
+    valuation = _parse_weights(args.valuation, "valuation")
     model = parse_model(descriptor)
     inputs = {"model": descriptor, "valuation": valuation}
     checks: list[dict] = []
@@ -400,7 +404,7 @@ def _run_compute(args: argparse.Namespace) -> tuple[Report, Callable[[], str] | 
 
 def _run_minimize(args: argparse.Namespace) -> tuple[Report, Callable[[], str] | None]:
     descriptor = _load_json_arg(args.model, "model")
-    init = _parse_weights(args.init)
+    init = _parse_weights(args.init, "init")
     if not 0 < args.tol < math.inf:
         raise SchemaError(f"minimize --tol must be a positive finite number, not {args.tol!r}")
     if args.max_iter < 1:
@@ -508,8 +512,8 @@ def _run_quotient(args: argparse.Namespace) -> tuple[Report, Callable[[], str] |
 
 def _run_filtration(args: argparse.Namespace) -> tuple[Report, Callable[[], str] | None]:
     descriptor = _load_json_arg(args.model, "model")
-    v1_raw = _parse_weights(args.v1)
-    v0_raw = _parse_weights(args.v0)
+    v1_raw = _parse_weights(args.v1, "v1")
+    v0_raw = _parse_weights(args.v0, "v0")
     samples = args.samples
     if samples < 0 or samples == 1:
         raise SchemaError(f"filtration --samples must be 0 or at least 2, not {samples}")

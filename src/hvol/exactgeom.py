@@ -148,9 +148,6 @@ class RVector(tuple):
     def is_zero(self) -> bool:
         return not any(self)
 
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(c) for c in self)
-
 
 def _vector(fractions: Iterable[Fraction]) -> RVector:
     """An RVector of coordinates that are already Fractions, unchecked."""
@@ -189,8 +186,8 @@ class Halfspace:
 
 def _integral(row) -> tuple[list[int], int]:
     """(s * row, s) for the least positive integer s that clears the
-    denominators of a rational row."""
-    row = [c if type(c) is Fraction else rat(c) for c in row]
+    denominators of a rational row; int entries pass as they are."""
+    row = [c if type(c) is Fraction or type(c) is int else rat(c) for c in row]
     scale = math.lcm(*(c.denominator for c in row))
     return [c.numerator * (scale // c.denominator) for c in row], scale
 

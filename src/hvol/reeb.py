@@ -33,12 +33,17 @@ piece's slice is at a vertex, so
 with x the best run point for that piece.  Pieces run from the smallest
 faces up, and a piece whose bound at the runs so far reaches their least
 objective holds no better point, so it is not run.  The bracket is the
-certificate: it
-is 0 wide when the runs found the minimizer exactly, and exact-gradient Newton
-steps polish the winning point while it is wider than `CERTIFIED_WIDTH`
-relative to its upper end.  The pieces fix every run, so `minimize_nvol`
-takes no seed and no tolerance; an initial point only starts a toric cone's
-run (a hypersurface checks it lies in the domain, then drops it).
+certificate: it is 0 wide when the runs found the minimizer exactly, and
+exact-gradient Newton steps polish the winning point while it is wider than
+`CERTIFIED_WIDTH` relative to its upper end.  The pieces fix every run, so
+`minimize_nvol` takes no seed and no tolerance; an initial point only starts a
+toric cone's run (a hypersurface checks it lies in the domain, then drops it).
+
+The exact side runs on the pieces' integers.  A run's point is a pair (P, Q),
+w = P / Q; the interior test, bound and gradient are integer sums at P, every
+float for Newton an int / int quotient, rounded as float(Fraction) is.  Each
+run keeps the bound of every piece at its point, so pruning and the bracket
+compute it once; a polishing step that moves the point drops them.
 """
 
 from __future__ import annotations
@@ -90,28 +95,21 @@ CERTIFIED_WIDTH = Fraction(1, 10**12)  # widest bracket, relative to its upper e
 _POLISH_STEPS = 3
 
 
-class _Run:
-    """The end of one piece's Newton run: an exact point of the piece on the
-    slice, the exact objective A^n vol there, and how the run got there."""
+class _Run(NamedTuple):
+    """The end of one piece's Newton run."""
 
-    def __init__(
-        self,
-        piece: ConvexPiece,
-        point: RVector,
-        value: Fraction,
-        iterations: int,
-        trajectory: list[tuple[tuple[float, ...], float]],
-    ):
-        self.piece = piece
-        self.point = point
-        self.value = value
-        self.iterations = iterations
-        self.trajectory = trajectory
+    piece: ConvexPiece
+    point: tuple[tuple[int, ...], int]  # (P, Q): the exact point P / Q on the slice
+    value: Fraction  # the exact objective A^n vol there
+    iterations: int
+    trajectory: list[tuple[tuple[float, ...], float]]
+    bounds: dict[int, Fraction]  # the convexity bounds at the point, by piece index
 
 
-def _pullback(piece: ConvexPiece, row) -> list[float]:
-    """A covector on the weights, in the piece's coordinates z."""
-    return [float(b.dot(row)) for b in piece.basis]
+def _pullback(piece: ConvexPiece, row: Sequence[int], den: int = 1) -> list[float]:
+    """The covector row / den on the weights, in the piece's coordinates z:
+    <x, row> / (s den) for each basis vector x / s, correctly rounded."""
+    return [sum(map(mul, x, row)) / (s * den) for x, s in piece.basis]
 
 
 def _volume_derivatives(gens: list[list[float]], simplices, x: list[float]):
@@ -158,38 +156,37 @@ def _kkt_step(hess, grad, m0: list[float], residual: float) -> list[float]:
     return out[:n]
 
 
-def _on_slice(piece: ConvexPiece, n: int, z) -> RVector:
-    """The weights sum_j z_j basis_j, scaled exactly to <row, w> = n.
-
-    In integers: with z = Z / D, basis_j = B_j / s_j and L = lcm(s_j), the
-    weights are W / (D L) for the integer W = sum_j Z_j (L / s_j) B_j, and
-    with row = R / r the point is n r W / <R, W>."""
-    zs, denom = _integral(z)
-    cleared = [_integral(b) for b in piece.basis]
-    top = math.lcm(*(s for _, s in cleared))
-    w = [0] * len(piece.row)
-    for c, (b, s) in zip(zs, cleared):
+def _on_slice(piece: ConvexPiece, n: int, z: Sequence[int], denom: int) -> tuple:
+    """The weights sum_j (z_j / denom) basis_j, scaled exactly to A = n, as
+    (P, Q) in lowest terms.  With basis_j = x_j / s_j and L = lcm(s_j), they
+    are W / (denom L) for the integer W = sum_j z_j (L / s_j) x_j, and with
+    row (R, r) the point is n r W / <R, W>."""
+    top = math.lcm(*(s for _, s in piece.basis))
+    (row, r), w = piece.row, [0] * len(piece.row[0])
+    for c, (x, s) in zip(z, piece.basis):
         c *= top // s
-        w = [x + c * y for x, y in zip(w, b)]
-    row, r = _integral(piece.row)
+        w = [a + c * b for a, b in zip(w, x)]
     height = sum(map(mul, row, w))
     if height <= 0:
         raise NotInReebCone(f"log discrepancy {Fraction(height, r * denom * top)} is not positive")
-    return RVector(Fraction(n * r * c, height) for c in w)
+    point = [n * r * c for c in w]
+    g = math.gcd(height, *point)
+    return tuple(c // g for c in point), height // g
 
 
-def _newton(model, piece: ConvexPiece, start: RVector, max_iter: int) -> _Run | None:
-    """Damped Newton steps on the piece's slice in its coordinates z, from
-    `start`, then the exact rational point; None when that point is outside
+def _newton(model, piece: ConvexPiece, z: Sequence[int], denom: int, max_iter: int) -> _Run | None:
+    """Damped Newton steps on the piece's slice in its coordinates, from
+    `_on_slice(z, denom)`, then the exact point; None when that is outside
     the piece.  A backtracking guard keeps every generator and bound pairing
     positive, so a run whose minimum lies on the piece's boundary stops there
     (the smaller face through that boundary has its own run)."""
     n = model.n
     gens = [_pullback(piece, u) for u in piece.generators]
     guards = gens + [_pullback(piece, b) for b in piece.bounds]
-    row = _pullback(piece, piece.row)
-    expand = [[float(c) for c in column] for column in zip(*piece.basis)]
-    x = [float(start[f]) for f in piece.free]
+    row = _pullback(piece, *piece.row)
+    expand = [[x[k] / s for x, s in piece.basis] for k in range(len(piece.row[0]))]
+    point, height = _on_slice(piece, n, z, denom)
+    x = [point[f] / height for f in piece.free]
     trajectory = []
     last_step = math.inf
     iterations = 0
@@ -223,23 +220,24 @@ def _newton(model, piece: ConvexPiece, start: RVector, max_iter: int) -> _Run | 
             t /= 2
         x = [a + t * b for a, b in zip(x, step)]
         last_step = t * size
-    point = _on_slice(piece, n, [Fraction(c).limit_denominator(_ITERATE_DENOMINATOR) for c in x])
-    if not _inside(piece, point):
+    z = (Fraction(c).limit_denominator(_ITERATE_DENOMINATOR) for c in x)
+    end = _on_slice(piece, n, *_integral(z))
+    if not _inside(piece, end[0]):
         return None
-    return _Run(piece, point, _objective(model, point), iterations, trajectory)
+    return _Run(piece, end, _objective(model, end[0]), iterations, trajectory, {})
 
 
-def _inside(piece: ConvexPiece, w: RVector) -> bool:
-    """Every <u, w> > 0 over the generators and <b, w> >= 0 over the bounds,
-    read off the signs of integer pairings with w cleared to integers."""
-    z, _ = _integral(w)
-    return all(sum(map(mul, z, u)) > 0 for u in piece.generators) and all(
-        sum(map(mul, z, b)) >= 0 for b in piece.bounds
+def _inside(piece: ConvexPiece, point: Sequence[int]) -> bool:
+    """Every <u, P> > 0 over the generators and <b, P> >= 0 over the bounds,
+    for a point P / Q with Q > 0."""
+    return all(sum(map(mul, point, u)) > 0 for u in piece.generators) and all(
+        sum(map(mul, point, b)) >= 0 for b in piece.bounds
     )
 
 
-def _objective(model, w: RVector) -> Fraction:
-    return model.logdisc(w) ** model.n * model.volume(w)
+def _objective(model, point: Sequence[int]) -> Fraction:
+    """A^n vol at P, equal to its value at P / Q: A has degree 1, vol -n."""
+    return model.logdisc(point) ** model.n * model.volume(point)
 
 
 def _rank(run: _Run) -> tuple[Fraction, int]:
@@ -248,25 +246,43 @@ def _rank(run: _Run) -> tuple[Fraction, int]:
     return run.value, len(run.piece.free)
 
 
-def _convexity_bound(n: int, piece: ConvexPiece, runs: list[_Run], upper: Fraction) -> Fraction:
-    """n^n times a bound below F on the piece's slice: F(x) + min over its
-    vertices v of <grad F(x), v - x>, which holds at any x where F is convex.
-    The run points x are tried from the least objective up, and the largest
-    bound is kept, until one reaches `upper`."""
-    best = None
-    for run in sorted(runs, key=lambda run: run.value):
-        value, grad = simplex_sum(piece.generators, piece.simplices, run.point)
-        bound = n**n * (value + min(grad.dot(v) for v in piece.vertices) - grad.dot(run.point))
-        best = bound if best is None else max(best, bound)
-        if best >= upper:
-            break
-    return best
+def _convexity_bound(n: int, piece: ConvexPiece, run: _Run) -> Fraction:
+    """n^n times a bound below F on the piece's slice: F(w) + min over its
+    vertices v of <grad F(w), v - w> at the run's point w = P / Q, which
+    holds wherever F is convex.  With F(P) = N / C and grad F(P) = -T / C^2
+    (`simplex_sum`) and F of degree -n, the least vertex V / h is the one of
+    largest <T, V> / h, and the bound is n^n Q^n (h (N C + <T, P>) - Q <T, V>)
+    / (C^2 h)."""
+    point, height = run.point
+    value, common, total = simplex_sum(piece.generators, piece.simplices, point)
+    (top, over), *rest = piece.vertices
+    top = sum(map(mul, total, top))
+    for vertex, h in rest:
+        pairing = sum(map(mul, total, vertex))
+        if pairing * over > top * h:
+            top, over = pairing, h
+    slack = over * (value * common + sum(map(mul, total, point))) - height * top
+    return Fraction(n**n * height**n * slack, common * common * over)
 
 
-def _lower_bound(model, runs: list[_Run]) -> Fraction:
-    """The least convexity bound over the model's pieces."""
-    upper = min(run.value for run in runs)
-    return min(_convexity_bound(model.n, piece, runs, upper) for piece in model.convex_pieces)
+def _lower_bound(n: int, pieces, runs: list[_Run]) -> Fraction:
+    """The least over the (index, piece) pairs of `pieces` of the largest
+    convexity bound of the piece at the run points, tried from the least
+    objective up until one reaches it.  A run keeps the bounds at its point
+    by piece index, so each is computed once."""
+    runs = sorted(runs, key=lambda run: run.value)
+    least = None
+    for index, piece in pieces:
+        best = None
+        for run in runs:
+            bound = run.bounds.get(index)
+            if bound is None:
+                bound = run.bounds[index] = _convexity_bound(n, piece, run)
+            best = bound if best is None else max(best, bound)
+            if best >= runs[0].value:
+                break
+        least = best if least is None else min(least, best)
+    return least
 
 
 def minimize_nvol(
@@ -294,51 +310,58 @@ def minimize_nvol(
     runs = []
     # the smallest faces first: a piece whose bound at the runs so far reaches
     # their least objective holds no better point, and needs no run
-    for piece in sorted(model.convex_pieces, key=lambda piece: len(piece.free)):
-        if runs:
-            upper = min(run.value for run in runs)
-            if _convexity_bound(n, piece, runs, upper) >= upper:
-                continue
+    for index, piece in sorted(enumerate(model.convex_pieces), key=lambda it: len(it[1].free)):
+        if runs and _lower_bound(n, [(index, piece)], runs) >= min(run.value for run in runs):
+            continue
         run, free = None, piece.free
         if init is not None and len(free) == len(init):
             try:
-                run = _newton(model, piece, _on_slice(piece, n, [init[f] for f in free]), max_iter)
+                run = _newton(model, piece, *_integral([init[f] for f in free]), max_iter)
             except (ZeroDivisionError, OverflowError):
                 pass  # float pairings vanish or overflow at a start this near the boundary
         if run is None:  # no init for this piece, or its run ended outside the piece
-            start = sum(piece.vertices, RVector([0] * len(piece.row)))
-            run = _newton(model, piece, _on_slice(piece, n, [start[f] for f in free]), max_iter)
+            common = math.lcm(*(h for _, h in piece.vertices))
+            centre = [sum(v[f] * (common // h) for v, h in piece.vertices) for f in free]
+            run = _newton(model, piece, centre, common, max_iter)
         if run is not None:
             runs.append(run)
     if not runs:
         raise NotInReebCone("no Newton run ended inside its piece of the domain")
     iterations = sum(run.iterations for run in runs)
     best = min(runs, key=_rank)
-    lower = _lower_bound(model, runs)
+    lower = _lower_bound(n, enumerate(model.convex_pieces), runs)
     for _ in range(_POLISH_STEPS):
         if best.value - lower <= CERTIFIED_WIDTH * best.value:
             break
-        piece, point = best.piece, best.point
+        piece, (point, height) = best.piece, best.point
         gens = [_pullback(piece, u) for u in piece.generators]
-        hess = _volume_derivatives(gens, piece.simplices, [float(point[f]) for f in piece.free])[2]
-        grad = _pullback(piece, simplex_sum(piece.generators, piece.simplices, point)[1])
-        step = _kkt_step(hess, grad, _pullback(piece, piece.row), 0.0)
-        point = _on_slice(piece, n, [point[f] + Fraction(c) for f, c in zip(piece.free, step)])
-        if not _inside(piece, point):
+        x = [point[f] / height for f in piece.free]
+        hess = _volume_derivatives(gens, piece.simplices, x)[2]
+        _, common, total = simplex_sum(piece.generators, piece.simplices, point)
+        grad = _pullback(piece, [-(height ** (n + 1)) * t for t in total], common * common)
+        # each step coordinate is a dyadic p / q, added to P_f / Q exactly
+        step = _kkt_step(hess, grad, _pullback(piece, *piece.row), 0.0)
+        step = [c.as_integer_ratio() for c in step]
+        top = math.lcm(*(q for _, q in step))
+        z = [point[f] * top + p * (top // q) * height for f, (p, q) in zip(piece.free, step)]
+        moved = _on_slice(piece, n, z, height * top)
+        if not _inside(piece, moved[0]):
             break
-        best.point, best.value = point, _objective(model, point)
-        best.trajectory.append((point.as_floats(), float(best.value)))
-        lower = _lower_bound(model, runs)
+        value = _objective(model, moved[0])
+        runs[runs.index(best)] = best = best._replace(point=moved, value=value, bounds={})
+        best.trajectory.append((tuple(c / moved[1] for c in moved[0]), float(best.value)))
+        lower = _lower_bound(n, enumerate(model.convex_pieces), runs)
         iterations += 1
         best = min(runs, key=_rank)
     upper = best.value
-    # the objective's gradient in the piece's coordinates, the pullback of
-    # n^n (F row + grad F); it vanishes at the piece's minimizer
-    volume, grad = simplex_sum(best.piece.generators, best.piece.simplices, best.point)
-    slope = best.piece.row.scale(volume) + grad
-    grad_norm = math.hypot(*(float(n**n * b.dot(slope)) for b in best.piece.basis))
+    # the pullback of the objective's gradient n^n (F R / r + grad F) =
+    # n^n Q^n (N C R - r Q T) / (r C^2), which vanishes at the minimizer
+    (point, height), (row, r) = best.point, best.piece.row
+    volume, common, total = simplex_sum(best.piece.generators, best.piece.simplices, point)
+    slope = [n**n * height**n * (volume * common * a - r * height * t) for a, t in zip(row, total)]
+    grad_norm = math.hypot(*_pullback(best.piece, slope, r * common * common))
     return MinimizeResult(
-        argmin=best.point,
+        argmin=RVector(Fraction(c, height) for c in point),
         min_nvol=float(upper),
         min_nvol_upper=upper,
         min_nvol_lower=lower,

@@ -437,7 +437,7 @@ def check_interpolation_calculus() -> list[CheckResult]:
 def _gap_samples(model, rng) -> Iterable[RVector]:
     """Ten weights inside the domain: positive combinations of the vertices
     of the slice of the model's first convex piece."""
-    vertices = model.convex_pieces[0].vertices
+    vertices = [RVector(Fraction(c, h) for c in v) for v, h in model.convex_pieces[0].vertices]
     zero = RVector([0] * len(vertices[0]))
     for _ in range(10):
         yield sum((v.scale(Fraction(rng.randint(20, 300), 100)) for v in vertices), zero)
@@ -593,10 +593,11 @@ def _lifted_centroid_by_triangulation(facets: list[Halfspace], n: int) -> RVecto
     without its vertices.  It is the cut at xi = e_n of the cone over P x {1},
     whose rays are the extreme rays of {<(eta_i, a_i), y> >= 0}.  With F(xi) the
     simplex sum over `triangulate_cone`, n! times the cut's volume, the cut's
-    centroid is -grad F / ((n + 1) F) (Martelli-Sparks-Yau, hep-th/0503183)."""
+    centroid is -grad F / ((n + 1) F) (Martelli-Sparks-Yau, hep-th/0503183),
+    that is T / ((n + 1) N C) with F = N / C and grad F = -T / C^2."""
     cone = dual_cone(PolyCone.from_rays([list(h.normal) + [h.offset] for h in facets]))
-    value, gradient = simplex_sum(cone.rays, triangulate_cone(cone), RVector([0] * (n - 1) + [1]))
-    return gradient.scale(-1 / ((n + 1) * value))
+    value, common, total = simplex_sum(cone.rays, triangulate_cone(cone), [0] * (n - 1) + [1])
+    return RVector(Fraction(t, (n + 1) * value * common) for t in total)
 
 
 def check_toric_log_fano(seed: int = 0) -> list[CheckResult]:

@@ -27,7 +27,8 @@ vector on a toric cone, a monomial weight on a hypersurface):
 Behind the interface each model stores its lattice data as int tuples,
 cleared once by its constructor: a toric cone's `sigma.rays`, `dual.rays`
 and `gorenstein_numerators` (M, e) with m0 = M / e, a hypersurface's
-`monomials`.
+`monomials`.  Its `convex_pieces` are int tuples too, rationals as integer
+numerators over integer denominators (`ConvexPiece`).
 
 The minimizer (reeb.py) reads `convex_pieces`: the convex programs whose
 least minimum is the minimum of A^n vol.  A toric cone gives one piece, its
@@ -78,23 +79,25 @@ from .valuation import (
 
 
 class ConvexPiece(NamedTuple):
-    """One convex program of the minimizer, in the model's weights w.
+    """One convex program of the minimizer, in the model's weights w, in integers.
 
     The piece is the cone of w = sum_j z_j basis_j with every <u, w> > 0 over
     the `generators` u and <b, w> >= 0 over the `bounds` b; its coordinates are
-    z_j = w[free_j].  There A(w) = <row, w>, and on the slice A = n the
+    z_j = w[free_j], and basis_j = x / s for its pair (x, s), s = x[free_j].
+    There A(w) = <R, w> / r for the `row` (R, r), and on the slice A = n the
     normalized volume is n^n F(w) with F(w) = sum_s d_s / prod_{u in s} <u, w>
     over the `simplices` (d_s, generator indices), a convex function wherever
-    every <u, w> > 0.  `vertices` are the vertices of the closed slice.
+    every <u, w> > 0.  The `vertices` of the closed slice are pairs (V, h),
+    the vertex V / h.
     """
 
     generators: tuple[tuple[int, ...], ...]
     simplices: tuple[tuple[int, tuple[int, ...]], ...]
-    row: RVector
-    basis: tuple[RVector, ...]
+    row: tuple[tuple[int, ...], int]
+    basis: tuple[tuple[tuple[int, ...], int], ...]
     free: tuple[int, ...]
     bounds: tuple[tuple[int, ...], ...]
-    vertices: tuple[RVector, ...]
+    vertices: tuple[tuple[tuple[int, ...], int], ...]
 
 
 class ToricConeSingularity:
@@ -159,15 +162,14 @@ class ToricConeSingularity:
         """The whole Reeb cone: F is the volume over `volume_triangulation`,
         A = <m0, xi>, and the slice of sigma has the vertices n rho_i, since
         every primitive ray rho_i pairs to 1 with m0 (`_gorenstein_vector`)."""
-        units = tuple(RVector(int(i == j) for j in range(self.n)) for i in range(self.n))
         piece = ConvexPiece(
             generators=self.reeb_generators,
             simplices=self.volume_triangulation,
-            row=self.m0,
-            basis=units,
+            row=self.gorenstein_numerators,
+            basis=tuple((tuple(int(i == j) for j in range(self.n)), 1) for i in range(self.n)),
             free=tuple(range(self.n)),
             bounds=(),
-            vertices=tuple(RVector(self.n * c for c in ray) for ray in self.sigma.rays),
+            vertices=tuple((tuple(self.n * c for c in ray), 1) for ray in self.sigma.rays),
         )
         return (piece,)
 
@@ -361,9 +363,9 @@ def _face_piece(model, classes, tie, others, groups) -> ConvexPiece | None:
     ray maps back to the primitive z with z_f = x_f z'_f, the key that sorts
     the rays, and to the integer weight y' = sum_f z'_f x on the ray of y.
     The interior and klt tests read only signs, so they run on y'; the slice
-    vertex y' n / <logdisc, y'> is the only `Fraction`, and it does not
-    depend on the scale of y'.  A piece's coordinate for b_f is the weight of
-    the first variable of class f.
+    vertex is the pair (n y', <logdisc, y'>) and the basis vector b_f the pair
+    (x, x_f), each variable taking the entry of its class.  A piece's
+    coordinate for b_f is the weight of the first variable of class f.
     """
     dim = len(classes)
     m = tie[0]
@@ -394,10 +396,6 @@ def _face_piece(model, classes, tie, others, groups) -> ConvexPiece | None:
         raise ModelError(f"not klt: the log discrepancy is not positive where {tied} tie")
     nvars = sum(map(len, classes))
     class_of = [next(j for j, cls in enumerate(classes) if k in cls) for k in range(nvars)]
-
-    def expand(y: Sequence) -> RVector:
-        return RVector(y[class_of[k]] for k in range(nvars))
-
     mono = groups[m][0]
     others_full = [groups[o][0] for o in others]
     return ConvexPiece(
@@ -405,12 +403,12 @@ def _face_piece(model, classes, tie, others, groups) -> ConvexPiece | None:
         simplices=tuple(
             (e, tuple(l for l in range(nvars) if l != k)) for k, e in enumerate(mono) if e > 0
         ),
-        row=RVector(1 - e for e in mono),
-        basis=tuple(expand([Fraction(c, x[f]) for c in x]) for f, x in kernel),
+        row=(tuple(1 - e for e in mono), 1),
+        basis=tuple((tuple(x[j] for j in class_of), x[f]) for f, x in kernel),
         free=tuple(classes[f][0] for f, _ in kernel),
         bounds=tuple(tuple(a - e for a, e in zip(o, mono)) for o in others_full),
         vertices=tuple(
-            expand([Fraction(model.n * c, h) for c in y]) for (_, y), h in zip(rays, heights)
+            (tuple(model.n * y[j] for j in class_of), h) for (_, y), h in zip(rays, heights)
         ),
     )
 

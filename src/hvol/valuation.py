@@ -143,33 +143,33 @@ def valuation_volume_toric(x: "ToricConeSingularity", xi: Sequence) -> Fraction:
 def volume_gradient_toric(x: "ToricConeSingularity", xi: Sequence) -> RVector:
     """The gradient of n! vol at xi, exactly: `simplex_sum` over the model's
     triangulation, which differentiates `valuation_volume_toric` term by term."""
-    _require_reeb(x, xi)
-    return simplex_sum(x.reeb_generators, x.volume_triangulation, xi)[1]
+    z, _, denom = _require_reeb(x, xi)
+    _, common, total = simplex_sum(x.reeb_generators, x.volume_triangulation, z)
+    return RVector(Fraction(-t * denom ** (x.n + 1), common * common) for t in total)
 
 
 def simplex_sum(
-    generators: Sequence[Sequence[int]], simplices, w: RVector
-) -> tuple[Fraction, RVector]:
-    """(F(w), grad F(w)) exactly, for F(w) = sum_s d_s / prod_{u in s} <u, w>
-    over (d_s, generator indices) pairs with k indices each, integer
-    generators u and every <u, w> > 0.  The gradient is
-    -sum_s d_s / prod_{u in s} <u, w> * sum_{u in s} u / <u, w>.
+    generators: Sequence[Sequence[int]], simplices, z: Sequence[int]
+) -> tuple[int, int, list[int]]:
+    """(N, C, T) at an integer point z with every <u, z> > 0, for
+    F(z) = sum_s d_s / prod_{u in s} <u, z> over (d_s, generator indices)
+    pairs and integer generators u: C is the product of every <u, z>,
+    F(z) = N / C, and grad F(z) = -T / C^2, since the gradient is
+    -sum_s d_s / prod_{u in s} <u, z> * sum_{u in s} u / <u, z>.
 
-    With w = z / D, F is D^k / C times an integer sum and each gradient
-    coordinate -D^(k+1) / C^2 times one, C the product of every <u, z>.
+    With k indices per simplex F has degree -k, so at w = z / D it is
+    D^k N / C with gradient -D^(k+1) T / C^2.
     """
-    _, pairings, denom = integer_pairings(generators, w)
+    pairings = [sum(map(mul, u, z)) for u in generators]
     common = math.prod(pairings)
-    k = len(simplices[0][1])
-    value, total = 0, [0] * len(w)
+    value, total = 0, [0] * len(z)
     for d, rays in simplices:
         weight = d * (common // math.prod(pairings[i] for i in rays))
         value += weight
         for i in rays:
             coeff = weight * (common // pairings[i])
             total = [t + coeff * u for t, u in zip(total, generators[i])]
-    gradient = RVector(Fraction(-t * denom ** (k + 1), common * common) for t in total)
-    return Fraction(value * denom**k, common), gradient
+    return value, common, total
 
 
 # -- hypersurface evaluation -------------------------------------------------

@@ -482,6 +482,19 @@ def _refused_kind(command: str) -> str:
             ["minimize", "--model", C2_BARE, "--max-iter", "0"],
             "error[schema_error]: minimize --max-iter must be a positive integer, not 0\n",
         ),
+        # an empty entry in a weight flag, not a shorter weight vector
+        (
+            ["compute", "--model", C2_BARE, "--valuation", "1,,1"],
+            "error[schema_error]: --valuation has an empty entry: '1,,1'\n",
+        ),
+        (
+            ["minimize", "--model", C2_BARE, "--init=,"],
+            "error[schema_error]: --init has an empty entry: ','\n",
+        ),
+        (
+            ["filtration", "--model", C2_TORIC, "--v1=1,2,"],
+            "error[schema_error]: --v1 has an empty entry: '1,2,'\n",
+        ),
     ],
 )
 def test_refusals_are_pinned(capsys, argv, line):

@@ -2,6 +2,7 @@ import math
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hvol.errors import ModelError, NotInReebCone
 from hvol.molien import binary_dihedral_group, quotient_min_nvol
 from hvol.exactgeom import RVector, centroid, cut_cone, polytope_volume
+import hvol.reeb as reeb
 from hvol.reeb import (
     minimize_nvol,
     minimize_nvol_multistart,
@@ -254,6 +256,58 @@ def test_gradient_is_the_centroid_of_the_cut_polytope(name):
     check()
 
 
+def _random_unimodular(rng, n):
+    """A matrix of GL_n(Z): random elementary row operations on the
+    identity, then a sign flip of the first row half of the time."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    if rng.random() < 0.5:
+        u[0] = [-a for a in u[0]]
+    return u
+
+
+def _apply(u, v):
+    return [sum(map(mul, row, v)) for row in u]
+
+
+COVARIANCE_CONES = {
+    "conifold": conifold().sigma.rays,
+    "Y21": _ypq_cone(2, 1).sigma.rays,
+    "Y32": _ypq_cone(3, 2).sigma.rays,
+    "C3/Z3": ((1, 0, 0), (0, 1, 0), (-1, -1, 3)),
+    "C x conifold": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, -1, 0, 1), (0, 0, -1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", COVARIANCE_CONES)
+def test_minimize_is_covariant_under_unimodular_maps(name):
+    """U in GL_n(Z) applied to the rays maps the Reeb cone, the volume and the
+    log discrepancy along, so the minimum stays and the argmin moves to
+    U argmin.  A zero-width bracket must be equal on both sides; a wide one
+    need only overlap, because the image is another float problem."""
+    rays = COVARIANCE_CONES[name]
+    base = minimize_nvol(ToricConeSingularity.from_rays(rays))
+    rng = random.Random(name)
+    maps = [_random_unimodular(rng, len(rays[0])) for _ in range(10)]
+    if name == "C3/Z3":
+        # certifies 9 only to within 1.5e-12, at an argmin near (0, 33, 21)
+        maps.append([[1, 0, 0], [0, -3, 11], [0, -2, 7]])
+    for u in maps:
+        image = minimize_nvol(ToricConeSingularity.from_rays([_apply(u, ray) for ray in rays]))
+        assert image.converged, u
+        expected = [float(c) for c in _apply(u, base.argmin)]
+        scale = max(map(abs, expected))
+        assert all(abs(float(a) - b) <= 1e-9 * scale for a, b in zip(image.argmin, expected)), u
+        brackets = [(r.min_nvol_lower, r.min_nvol_upper) for r in (base, image)]
+        if all(lower == upper for lower, upper in brackets):
+            assert brackets[0] == brackets[1], u
+        else:
+            assert max(lower for lower, _ in brackets) <= min(upper for _, upper in brackets), u
+
+
 # -- hypersurfaces: Newton steps on the faces of the domain ----------------------
 
 
@@ -301,3 +355,17 @@ def test_hypersurface_that_is_not_klt_is_a_model_error():
     # 1/2 + 1/3 + 1/6 = 1: the log discrepancy vanishes on the domain
     with pytest.raises(ModelError):
         minimize_nvol(_hypersurface([2, 0, 0], [0, 3, 0], [0, 0, 6]))
+
+
+def test_each_convexity_bound_is_computed_once_per_piece_and_run(monkeypatch):
+    """On x^2+y^3+z^4+w^12 one Newton run prunes the other 10 pieces by their
+    bounds at its point, and the lower bound reuses those bounds: 11 in all."""
+    model = _hypersurface([2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 4, 0], [0, 0, 0, 12])
+    calls = []
+    bound = reeb._convexity_bound
+    monkeypatch.setattr(reeb, "_convexity_bound", lambda *args: calls.append(args) or bound(*args))
+    best = minimize_nvol(model)
+    assert len(model.convex_pieces) == 11
+    assert best.min_nvol_lower == best.min_nvol_upper == Fraction(4, 3)
+    assert len(calls) == 11
+    assert len({(id(piece), id(run)) for _, piece, run in calls}) == 11

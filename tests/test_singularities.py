@@ -1,6 +1,7 @@
 import functools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -242,29 +243,41 @@ def _face_cell_models():
 
 
 def test_face_cell_vertices_lie_on_their_faces():
-    """Each slice vertex v of a piece has A(v) = <row, v> = n, weights >= 0,
-    every bound nonnegative, and equal weight at v on the piece's tied
-    monomials (those m with <m - m0, b> = 0 on every basis vector b, m0 the
-    row's monomial), which are at least two and the least of all monomials;
-    and v = sum_j v[free_j] basis_j, its own cell coordinates."""
+    """Each slice vertex v = V / h of a piece has A(v) = <R, V> / (r h) = n,
+    weights >= 0, every bound nonnegative, and equal weight at v on the
+    piece's tied monomials (those m with <m - m0, x> = 0 on every basis
+    vector x / s, m0 the row's monomial), which are at least two and the
+    least of all monomials; and v = sum_j v[free_j] x_j / s_j, its own cell
+    coordinates.  Every field holds integers, and s_j = x_j[free_j]."""
     for model in _face_cell_models():
         assert model.convex_pieces, model.monomials
         monomials = [RVector(m) for m in model.monomials]
         for piece in model.convex_pieces:
-            m0 = RVector(1 - c for c in piece.row)
-            tied = [m for m in monomials if all((m - m0).dot(b) == 0 for b in piece.basis)]
+            row, r = piece.row
+            assert r == 1 and all(type(c) is int for c in row)
+            assert all(type(c) is int for x, s in piece.basis for c in (*x, s))
+            assert all(x[j] == s > 0 for (x, s), j in zip(piece.basis, piece.free))
+            m0 = RVector(1 - c for c in row)
+            tied = [m for m in monomials if all((m - m0).dot(x) == 0 for x, _ in piece.basis)]
             assert len(tied) >= 2
             assert piece.vertices
-            for v in piece.vertices:
-                assert piece.row.dot(v) == model.n
-                assert min(v) >= 0
-                assert all(v.dot(b) >= 0 for b in piece.bounds)
+            for vertex, h in piece.vertices:
+                assert all(type(c) is int for c in vertex) and type(h) is int and h > 0
+                v = RVector(Fraction(c, h) for c in vertex)
+                assert sum(map(mul, row, vertex)) == model.n * r * h
+                assert min(vertex) >= 0
+                assert all(sum(map(mul, vertex, b)) >= 0 for b in piece.bounds)
                 least = m0.dot(v)
                 assert all(m.dot(v) == least for m in tied)
                 assert all(m.dot(v) >= least for m in monomials)
-                assert sum((b.scale(v[j]) for b, j in zip(piece.basis, piece.free)), RVector([0] * len(v))) == v
+                cell = RVector([0] * len(v))
+                for (x, s), j in zip(piece.basis, piece.free):
+                    cell = cell + RVector(x).scale(Fraction(v[j], s))
+                assert cell == v
             # inside the cell, the tied monomials are exactly the least ones
-            center = sum(piece.vertices[1:], piece.vertices[0])
+            center = RVector([0] * len(row))
+            for vertex, h in piece.vertices:
+                center = center + RVector(Fraction(c, h) for c in vertex)
             least = min(m.dot(center) for m in monomials)
             assert [m for m in monomials if m.dot(center) == least] == tied
 
