@@ -422,9 +422,6 @@ def _run_minimize(args: argparse.Namespace) -> tuple[Report, Callable[[], str] |
         "iterations": best.iterations,
         "grad_norm_approx": _fmt_float(best.grad_norm),
         "converged": best.converged,
-        "stalled_at_kink": best.stalled_at_kink,
-        # one run per model, so no spread; kept for the report's schema
-        "multistart_spread_approx": _fmt_float(0.0),
     }
     checks = [
         _check("converged", best.converged, best.converged, True, "boolean"),
@@ -537,8 +534,9 @@ def _run_filtration(args: argparse.Namespace) -> tuple[Report, Callable[[], str]
     a_value = model.logdisc(v1)
     if lam is None:
         lam = r_value / a_value
-    delta = r_value * Fraction(n + 1, n)
-    gap = stability_gap(profile, to_float(a_value, "logdisc_v1"), delta, profile.degH)
+    gap = stability_gap(profile, r_value, a_value)
+    # a v1 beyond the float range is refused here, before the Phi surface
+    logdisc_v1 = _exact_pair(a_value, "logdisc_v1")
     forms = interpolation_derivative_forms(profile, lam)
     surface = phi_surface(profile, [0.5, 1.0, 2.0, lam], s_count=21)
     results = {
@@ -565,8 +563,8 @@ def _run_filtration(args: argparse.Namespace) -> tuple[Report, Callable[[], str]
             "c2": _exact_pair(profile.c2, "c2"),
             "vol_v1": _exact_pair(profile.vol_v1, "vol_v1"),
             "logdisc_v0": _exact_pair(r_value, "logdisc_v0"),
-            "logdisc_v1": _exact_pair(a_value, "logdisc_v1"),
-            "stability_gap_approx": _fmt_float(gap),
+            "logdisc_v1": logdisc_v1,
+            "stability_gap_approx": _approx(gap, "stability_gap"),
         }
     )
     exact_pairs = [

@@ -21,10 +21,11 @@ Conventions
   so no `Fraction` operator dispatches per coordinate.
 * Every exact linear-algebra decision runs on integer rows, in one family
   of fraction-free eliminations (Bareiss 1968): `_echelon`, Bareiss
-  elimination, gives `int_rank`, `int_det` (the cofactor expansion up to
-  3 x 3) and `affine_rank` (differences cleared to integers);
-  `_kernel_vector`, the signed maximal minors of a set of rows, gives the
-  extreme rays of `int_cone_rays` and the vertices of `vertex_enumerate`;
+  elimination, gives `int_rank` (also the affine rank of a polytope's
+  vertices, cleared to one denominator) and `int_det` (the cofactor
+  expansion up to 3 x 3); the signed maximal minors of a set of rows give
+  the extreme rays of `int_cone_rays`, and so the vertices and recession
+  directions of `vertex_enumerate`;
   `int_kernel`, fraction-free Gauss-Jordan, gives kernel bases: the
   lineality space of `vertex_enumerate`, the tie kernels of a hypersurface's
   faces (`singularities._face_piece`) and a toric model's Gorenstein vector
@@ -37,11 +38,12 @@ Conventions
   `triangulate_cone` orders rays by an integer key.  An :class:`RVector`
   holds a rational point (a weight, a vertex), never a ray.
 * Vertex enumeration runs in integer minors: each halfspace is cleared to
-  one integer row (normal, offset) once, every d-subset of rows is solved by
-  Cramer's rule over one denominator D > 0, feasibility is an integer
-  inequality, and a `Fraction` is built only for the vertices kept.  It
-  tries every d-subset, which is fine for the desk-scale inputs this package
-  targets (<= ~20 facets in dimension <= 6).
+  one integer row (normal, offset) once, and the extreme rays (N, D) of the
+  homogenized cone {(x, t) : <a, x> + b t >= 0, t >= 0} are the vertices
+  N / D (D > 0) and the recession directions N (D = 0); a `Fraction` is
+  built only for the vertices.  It tries every d-subset of rows, which is
+  fine for the desk-scale inputs this package targets (<= ~20 facets in
+  dimension <= 6).
 * One fan routine, `_fan`, triangulates a face by fanning from its
   lexicographically smallest vertex, which makes results reproducible.  It
   works on vertex indices and facet incidences.  A polytope's volume and
@@ -238,21 +240,6 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
     return _echelon(rows)[0]
 
 
-def affine_rank(points: Sequence[RVector]) -> int:
-    """Dimension of the affine hull of the given points."""
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    return int_rank([_integral(p - base)[0] for p in points[1:]])
-
-
-def _kernel_vector(active: Sequence[Sequence[int]], dim: int) -> list[int]:
-    """The signed maximal minors of dim - 1 integer rows of length dim: a
-    vector that pairs to 0 with every row, nonzero iff the rows have rank
-    dim - 1 (Cramer's rule, fraction-free)."""
-    return [(-1) ** i * int_det([r[:i] + r[i + 1 :] for r in active]) for i in range(dim)]
-
-
 def int_kernel(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[int, tuple[int, ...]]]:
     """A basis of {x : <row, x> = 0 for every integer row of length dim}:
     (f, x) per free column f, x the primitive integer vector with x_f > 0
@@ -303,7 +290,7 @@ def int_cone_rays(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[int, ..
     """
     found: set[tuple[int, ...]] = set()
     for active in combinations(rows, dim - 1):
-        ray = _kernel_vector(active, dim)
+        ray = [(-1) ** i * int_det([r[:i] + r[i + 1 :] for r in active]) for i in range(dim)]
         g = math.gcd(*ray)
         if g == 0:
             continue
@@ -318,25 +305,16 @@ def int_cone_rays(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[int, ..
 # -- vertex enumeration -----------------------------------------------------
 
 
-def _feasible_vertices(rows: Sequence[Sequence[int]], dim: int) -> list[RVector]:
-    """The vertices of {x : <a, x> + b >= 0 for every integer row (a, b)},
-    deduplicated and sorted.
-
-    Each dim-subset of rows with det A != 0 meets in one point N / D, (N, D)
-    its kernel vector of signed maximal minors (`_kernel_vector`), signed so
-    that D > 0.  The point is feasible iff <a, N> + b D >= 0 for every row,
-    all in integers; a `Fraction` is built only for the vertices kept.
-    """
-    found: set[tuple[int, ...]] = set()
-    for active in combinations(rows, dim):
-        point = _kernel_vector(active, dim + 1)
-        if point[dim] == 0:
-            continue
-        if point[dim] < 0:
-            point = [-c for c in point]
-        if all(sum(map(mul, row, point)) >= 0 for row in rows):
-            found.add(tuple(_primitive_row(point)))
-    return sorted(RVector(Fraction(c, key[dim]) for c in key[:dim]) for key in found)
+def _homogenized_rays(
+    rows: Sequence[Sequence[int]], dim: int
+) -> tuple[list[RVector], list[tuple[int, ...]]]:
+    """The extreme rays (N, D) of {(x, t) : <a, x> + b t >= 0, t >= 0} over
+    integer rows (a, b) (`int_cone_rays`), split by D: the points N / D for
+    D > 0, sorted, and the directions N for D = 0, in sorted order.  A
+    `Fraction` is built only for the points."""
+    rays = int_cone_rays([*rows, [0] * dim + [1]], dim + 1)
+    points = sorted(RVector(Fraction(c, ray[dim]) for c in ray[:dim]) for ray in rays if ray[dim])
+    return points, [ray[:dim] for ray in rays if not ray[dim]]
 
 
 def vertex_enumerate(hrep: Sequence[Halfspace], dim: int) -> list[RVector]:
@@ -347,24 +325,23 @@ def vertex_enumerate(hrep: Sequence[Halfspace], dim: int) -> list[RVector]:
     integer row (normal, offset) once.  A kernel of the normals (`int_kernel`)
     is a lineality space, so there is no vertex; the region is nonempty iff
     it has a vertex on the complement where the kernel's free columns are 0.
-    Otherwise the vertices are found in integer minors (`_feasible_vertices`)
-    and a ray of the normals' cone (`int_cone_rays`) is a recession direction.
+    Otherwise the region is the slice t = 1 of a pointed cone, and one call of
+    `_homogenized_rays` gives both its vertices and its extreme recession
+    directions, the rays of the normals' cone.
     """
     rows = [_integral(list(h.normal) + [h.offset])[0] for h in hrep]
-    normals = [row[:dim] for row in rows]
-    kernel = int_kernel(normals, dim)
+    kernel = int_kernel([row[:dim] for row in rows], dim)
     if kernel:
         free = {f for f, _ in kernel}
         restricted = [[c for j, c in enumerate(row) if j not in free] for row in rows]
-        if not _feasible_vertices(restricted, dim - len(kernel)):
+        if not _homogenized_rays(restricted, dim - len(kernel))[0]:
             raise EmptyRegion("no feasible point")
         raise UnboundedRegion(f"recession direction {RVector(kernel[0][1])}")
-    found = _feasible_vertices(rows, dim)
+    found, directions = _homogenized_rays(rows, dim)
     if not found:
         raise EmptyRegion("no feasible vertex")
-    rays = int_cone_rays(normals, dim)
-    if rays:
-        raise UnboundedRegion(f"recession direction {RVector(rays[0])}")
+    if directions:
+        raise UnboundedRegion(f"recession direction {RVector(directions[0])}")
     return found
 
 
@@ -385,7 +362,14 @@ class Polytope(NamedTuple):
 
     @property
     def is_full_dimensional(self) -> bool:
-        return affine_rank(list(self.vrep)) == self.dim
+        """The vertices' affine rank, one less than the rank of (V, L), is dim."""
+        return int_rank(_homogenized(self.vrep)[0]) == self.dim + 1
+
+
+def _homogenized(points: Sequence[RVector]) -> tuple[list[list[int]], int]:
+    """The points cleared to one common denominator L: rows (V, L), V = L v."""
+    scale = math.lcm(*(c.denominator for v in points for c in v))
+    return [[c.numerator * (scale // c.denominator) for c in v] + [scale] for v in points], scale
 
 
 def _fan(
@@ -437,8 +421,7 @@ def _simplex_decomposition(p: Polytope) -> tuple[list[tuple[int, list[int]]], in
     if not p.hrep:
         raise DegeneratePolytope("triangulation requires the halfspace description")
     verts = sorted(p.vrep)
-    scale = math.lcm(*(c.denominator for v in verts for c in v))
-    cleared = [[c.numerator * (scale // c.denominator) for c in v] + [scale] for v in verts]
+    cleared, scale = _homogenized(verts)
     rows = [_integral(list(h.normal) + [h.offset])[0] for h in p.hrep]
     incidences = [
         frozenset(i for i, v in enumerate(cleared) if sum(map(mul, row, v)) == 0) for row in rows

@@ -46,9 +46,10 @@ degree < n the kernels t^(-n-1) and lambda s / (1 - s + lambda s t)^(n+1)
 integrate to Laurent polynomials with no logarithmic term.  The arithmetic
 runs on Python integers: a rational is an integer pair (num, den) with
 den > 0, not reduced, and a polynomial is a list of integer numerators over
-one denominator.  `VolumeProfile` clears its pieces, breakpoints and
-simplices to such integers once; the kernels sum over a common denominator,
-and each returned quantity is built as one `Fraction` at the end.
+one denominator.  `VolumeProfile` holds its regions and simplices in that
+form, built once by `profile_from_model` from the integers it works in; the
+kernels read them as they are, sum over a common denominator, and build each
+returned quantity as one `Fraction` at the end.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import IntegralDivergence, ModelError, PreconditionViolated
-from .exactgeom import RVector, _integral, rat, to_float
+from .exactgeom import RVector, rat, to_float
 from .valuation import integer_pairings
 
 
@@ -136,30 +137,19 @@ def _sum(terms: Iterable[tuple[int, int]]) -> Fraction:
     return Fraction(num, den)
 
 
-class PiecewisePoly:
-    """Polynomial pieces on consecutive intervals of a rational breakpoint grid;
-    each piece's coefficients run from low to high degree."""
-
-    def __init__(
-        self, breakpoints: tuple[Fraction, ...], pieces: tuple[tuple[Fraction, ...], ...]
-    ):
-        if len(pieces) != max(0, len(breakpoints) - 1):
-            raise ValueError("need one piece per breakpoint interval")
-        if any(b >= c for b, c in zip(breakpoints, breakpoints[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        self.breakpoints = breakpoints
-        self.pieces = pieces
-
-    def __repr__(self) -> str:
-        return f"PiecewisePoly(breakpoints={self.breakpoints!r}, pieces={self.pieces!r})"
-
-
 # -- the profile ---------------------------------------------------------------
 
 
 class VolumeProfile:
-    """t -> vol(R^(t)) with its support bounds, the filtration volume and
-    the (weight, knots) pairs of the simplicial cones it is summed from."""
+    """t -> vol(R^(t)) with its support bounds and the filtration volume, on
+    integers.
+
+    `regions` holds (lo, hi, nums, den) per region of [0, c2], in increasing
+    order from the constant degH region: lo and hi are rationals (num, den)
+    and the profile there is the polynomial nums / den, coefficients from low
+    to high degree.  `simplices` holds (weight num, weight den, knots) per
+    simplicial cone the profile is summed from, each knot a pair (num, den).
+    """
 
     def __init__(
         self,
@@ -168,15 +158,15 @@ class VolumeProfile:
         c1: Fraction,
         c2: Fraction,
         vol_v1: Fraction,
-        pieces: PiecewisePoly,
-        simplices: tuple[tuple[Fraction, tuple[Fraction, ...]], ...],
+        regions: tuple[tuple[tuple[int, int], tuple[int, int], tuple[int, ...], int], ...],
+        simplices: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...],
     ):
         self.n = n
         self.degH = degH
         self.c1 = c1
         self.c2 = c2
         self.vol_v1 = vol_v1
-        self.pieces = pieces
+        self.regions = regions
         self.simplices = simplices
         if c1 <= 0 or c2 < c1:
             raise ModelError("support bounds must satisfy 0 < c1 <= c2")
@@ -185,78 +175,39 @@ class VolumeProfile:
     def __repr__(self) -> str:
         return (
             f"VolumeProfile(n={self.n!r}, degH={self.degH!r}, c1={self.c1!r}, c2={self.c2!r}, "
-            f"vol_v1={self.vol_v1!r}, pieces={self.pieces!r}, simplices={self.simplices!r})"
+            f"vol_v1={self.vol_v1!r}, regions={self.regions!r}, simplices={self.simplices!r})"
         )
 
     def _validate_shape(self):
-        """Probe that the pieces are nonincreasing and within [0, degH]:
-        each interval's ends and midpoint, by integer Horner steps."""
-        bps = self._breakpoint_ratios
-        probes: list[tuple[int, int]] = []
-        for (a, b), (c, d) in zip(bps, bps[1:]):
-            probes += [(a, b), (a * d + c * b, 2 * b * d), (c, d)]
+        """Check that the regions tile [0, c2] in increasing order, and probe
+        that the profile is nonincreasing within [0, degH]: each region's
+        polynomial at its ends and midpoint, by integer Horner steps."""
         h_num, h_den = self.degH.numerator, self.degH.denominator
-        last = h_num, h_den
-        for a, b in probes:
-            nums, den = self._cleared_pieces[self._piece_index(a, b)]
-            value = _horner(nums, a, b), den * b ** (len(nums) - 1)
-            if value[0] < 0 or value[0] * h_den > h_num * value[1]:
+        last, end = (h_num, h_den), (0, 1)
+        for lo, hi, nums, den in self.regions:
+            (a, b), (c, d) = lo, hi
+            if a * end[1] != end[0] * b or not _below(lo, hi):
                 raise ModelError(
-                    f"profile value {Fraction(*value)} at t={Fraction(a, b)} outside [0, degH]"
+                    f"region [{Fraction(a, b)}, {Fraction(c, d)}] after {Fraction(*end)}: "
+                    "the regions must tile [0, c2] in increasing order"
                 )
-            if _below(last, value):
-                raise ModelError(f"profile increases at t={Fraction(a, b)}")
-            last = value
+            for t in (lo, (a * d + c * b, 2 * b * d), hi):
+                value = _horner(nums, *t), den * t[1] ** (len(nums) - 1)
+                if value[0] < 0 or value[0] * h_den > h_num * value[1]:
+                    raise ModelError(
+                        f"profile value {Fraction(*value)} at t={Fraction(*t)} outside [0, degH]"
+                    )
+                if _below(last, value):
+                    raise ModelError(f"profile increases at t={Fraction(*t)}")
+                last = value
+            end = hi
+        if end[0] * self.c2.denominator != self.c2.numerator * end[1]:
+            raise ModelError(f"the regions end at {Fraction(*end)}, not at c2 = {self.c2}")
 
-    @cached_property
-    def regions(self) -> list[tuple[Fraction, Fraction, tuple[Fraction, ...]]]:
-        """[0, c2] cut into regions: constant degH up to the first
-        breakpoint, then the polynomial pieces."""
-        bps = self.pieces.breakpoints
-        regs = [(Fraction(0), bps[0], (self.degH,))] if bps[0] > 0 else []
-        return regs + [
-            (lo, hi, tuple(coeffs))
-            for (lo, hi), coeffs in zip(zip(bps, bps[1:]), self.pieces.pieces)
-        ]
-
-    @cached_property
-    def _exact_pieces(self) -> tuple[tuple[Fraction, ...], ...]:
-        """degH, the polynomial pieces and 0, indexed by `_piece_index`."""
-        return ((self.degH,),) + self.pieces.pieces + ((Fraction(0),),)
-
-    @cached_property
-    def _float_pieces(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(
-            tuple(to_float(c, "a profile coefficient") for c in coeffs)
-            for coeffs in self._exact_pieces
-        )
-
-    @cached_property
-    def _cleared_pieces(self) -> tuple[tuple[list[int], int], ...]:
-        """`_exact_pieces` as integer numerators over one denominator each."""
-        return tuple(_integral(coeffs) for coeffs in self._exact_pieces)
-
-    @cached_property
-    def _cleared_regions(
-        self,
-    ) -> tuple[tuple[tuple[int, int], tuple[int, int], list[int], int], ...]:
-        """`regions` on integers: (lo, hi, numerators, denominator)."""
-        return tuple(
-            ((lo.numerator, lo.denominator), (hi.numerator, hi.denominator), *_integral(coeffs))
-            for lo, hi, coeffs in self.regions
-        )
-
-    @cached_property
-    def _breakpoint_ratios(self) -> tuple[tuple[int, int], ...]:
-        return tuple((b.numerator, b.denominator) for b in self.pieces.breakpoints)
-
-    @cached_property
-    def _simplex_ratios(self) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
-        """`simplices` on integers: (weight num, weight den, knot pairs)."""
-        return tuple(
-            (w.numerator, w.denominator, tuple((k.numerator, k.denominator) for k in knots))
-            for w, knots in self.simplices
-        )
+    @property
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        """The upper ends of the regions: the distinct knots, the last one c2."""
+        return tuple(Fraction(*hi) for _, hi, _, _ in self.regions)
 
     @cached_property
     def _section_integral(self) -> Fraction:
@@ -267,36 +218,36 @@ class VolumeProfile:
         """Per region, integral of vol_r(t) t^(-n-1) over the regions after
         it: each region but the first integrated once, summed from c2 down."""
         tails = [Fraction(0)]
-        for lo, hi, nums, den in reversed(self._cleared_regions[1:]):
+        for lo, hi, nums, den in reversed(self.regions[1:]):
             tails.append(tails[-1] + _poly_tail_kernel(nums, den, lo, hi, self.n))
         return tuple(reversed(tails))
 
-    def _piece_index(self, a: int, b: int) -> int:
-        """The index of the piece of t = a / b (b > 0) in `_exact_pieces`: how
-        many breakpoints lie strictly below t, except that t = c2 above the
-        first breakpoint counts all of them."""
-        bps = self._breakpoint_ratios
-        i = 0
-        while i < len(bps) and bps[i][0] * b < a * bps[i][1]:
-            i += 1
-        if 0 < i == len(bps) - 1 and bps[i][0] * b == a * bps[i][1]:
-            return len(bps)
-        return i
+    def _piece_at(self, a: int, b: int) -> tuple[Sequence[int], int]:
+        """The polynomial (nums, den) at t = a / b (b > 0): that of the first
+        region with t <= hi, except that t = c2 after the first region, like
+        t > c2, reads the 0 beyond c2."""
+        last = len(self.regions) - 1
+        for i, (_, (c, d), nums, den) in enumerate(self.regions):
+            if a * d < c * b or (a * d == c * b and not 0 < i == last):
+                return nums, den
+        return (0,), 1
 
     def vol_r(self, t) -> float:
         """Profile value at t as a float: the region is chosen exactly at t's
-        binary value, then the piece is evaluated by float Horner steps."""
+        binary value, then its polynomial, each coefficient rounded once, is
+        evaluated by float Horner steps."""
         t = float(t)
+        nums, den = self._piece_at(*t.as_integer_ratio())
         result = 0 * t
-        for c in reversed(self._float_pieces[self._piece_index(*t.as_integer_ratio())]):
-            result = result * t + c
+        for c in reversed(nums):
+            result = result * t + to_float(c, "a profile coefficient", den)
         return result
 
     def vol_r_exact(self, t) -> Fraction:
         """Profile value at a rational t (a float counts as its exact binary
         value), exactly."""
         a, b = t.as_integer_ratio()
-        return _poly_eval(*self._cleared_pieces[self._piece_index(a, b)], (a, b))
+        return _poly_eval(*self._piece_at(a, b), (a, b))
 
 
 # -- building profiles from models ---------------------------------------------
@@ -375,8 +326,9 @@ def profile_from_model(model, v0: Sequence, v1: Sequence) -> VolumeProfile:
     ]
     xs = sorted({x for _, ks in cleared for x in ks})
     powers = [q**j for j in range(n)]
-    pieces = []
-    for hi in xs[1:]:
+    degh = _sum((w.numerator, w.denominator) for w, _ in cleared)
+    regions = [((0, 1), (xs[0], q), (degh.numerator,), degh.denominator)]
+    for lo, hi in zip(xs, xs[1:]):
         nums, den = [0] * n, 1
         for weight, ks in cleared:
             if ks[-1] < hi:  # every knot at or below the interval
@@ -385,30 +337,35 @@ def profile_from_model(model, v0: Sequence, v1: Sequence) -> VolumeProfile:
             w_num, w_den = weight.numerator, weight.denominator * tail_den
             nums = [s * w_den + w_num * c * den for s, c in zip(nums, tail)]
             den *= w_den
-        pieces.append(tuple(Fraction(c * p, den) for c, p in zip(nums, powers)))
-    bps = tuple(Fraction(x, q) for x in xs)
+        nums = [c * p for c, p in zip(nums, powers)]
+        g = math.gcd(den, *nums)
+        regions.append(((lo, q), (hi, q), tuple(c // g for c in nums), den // g))
     return VolumeProfile(
         n=n,
-        degH=_sum((w.numerator, w.denominator) for w, _ in cleared),
+        degH=degh,
         c1=_support_start(model, v0, v1),
-        c2=bps[-1],
+        c2=Fraction(xs[-1], q),
         # weight / prod(knots) = w_num q^n / (w_den prod(x))
         vol_v1=_sum((w.numerator * q**n, w.denominator * math.prod(ks)) for w, ks in cleared),
-        pieces=PiecewisePoly(breakpoints=bps, pieces=tuple(pieces)),
-        simplices=tuple((weight, tuple(knots)) for weight, knots in simplices),
+        regions=tuple(regions),
+        simplices=tuple(
+            (w.numerator, w.denominator, tuple((k.numerator, k.denominator) for k in knots))
+            for w, knots in simplices
+        ),
     )
 
 
 def profile_to_dict(p: VolumeProfile) -> dict:
-    """JSON-ready description: breakpoints and polynomial pieces as strings."""
+    """JSON-ready description: breakpoints and the polynomial pieces after
+    the constant degH region, as strings."""
     return {
         "n": p.n,
         "degH": str(p.degH),
         "c1": str(p.c1),
         "c2": str(p.c2),
         "vol_v1": str(p.vol_v1),
-        "breakpoints": [str(b) for b in p.pieces.breakpoints],
-        "pieces": [[str(c) for c in piece] for piece in p.pieces.pieces],
+        "breakpoints": [str(b) for b in p.breakpoints],
+        "pieces": [[str(Fraction(c, den)) for c in nums] for _, _, nums, den in p.regions[1:]],
     }
 
 
@@ -424,7 +381,7 @@ def _tail_kernel_integral(p: VolumeProfile, x: Fraction) -> Fraction:
     """integral_x^inf vol_r(t) t^(-n-1) dt, exact; x > 0: the part of x's
     region above x plus the cached integral beyond that region."""
     x = x.numerator, x.denominator
-    for (lo, hi, nums, den), beyond in zip(p._cleared_regions, p._kernel_tails):
+    for (lo, hi, nums, den), beyond in zip(p.regions, p._kernel_tails):
         if _below(x, hi):
             return _poly_tail_kernel(nums, den, _later(lo, x), hi, p.n) + beyond
     return Fraction(0)
@@ -447,7 +404,7 @@ def theta_integral(p: VolumeProfile, lo) -> Fraction:
     n = p.n
     scale = math.factorial(n)
     total = Fraction(0)
-    for (u, v, nums, den), g_v in zip(p._cleared_regions, p._kernel_tails):
+    for (u, v, nums, den), g_v in zip(p.regions, p._kernel_tails):
         a = _later(u, lo)
         if not _below(a, v):
             continue
@@ -474,7 +431,7 @@ def profile_integral(p: VolumeProfile, lo) -> Fraction:
     lo = rat(lo)
     lo = lo.numerator, lo.denominator
     total = Fraction(0)
-    for u, v, nums, den in p._cleared_regions:
+    for u, v, nums, den in p.regions:
         a = _later(u, lo)
         if _below(a, v):
             total += _poly_integral(nums, den, a, v)
@@ -552,7 +509,7 @@ def interpolation_volume(p: VolumeProfile, lam, s) -> Fraction:
 
     c1 = p.c1.numerator, p.c1.denominator
     tail = Fraction(0)
-    for lo, hi, nums, den in p._cleared_regions:
+    for lo, hi, nums, den in p.regions:
         a = _later(lo, c1)
         if _below(a, hi):
             in_u, in_den = _poly_compose_affine(nums, den, b0, b1, e)
@@ -591,7 +548,7 @@ def _phi_ratio(
         raise ValueError("lambda must be positive")
     a, b = lam.numerator, lam.denominator
     terms = []
-    for top, bottom, knots in p._simplex_ratios:
+    for top, bottom, knots in p.simplices:
         factors = []
         for u, q in knots:
             q *= b
@@ -707,16 +664,11 @@ def phi_surface(
 # -- stability gap ----------------------------------------------------------------
 
 
-def stability_gap(p: VolumeProfile, logdisc_v: float, delta, degL) -> float:
-    """A(v) - delta / (L^n) * integral_0^inf vol(F S^(t)) dt.
+def stability_gap(p: VolumeProfile, logdisc_v0, logdisc_v1) -> Fraction:
+    """A(v1) - delta / L^n * integral_0^inf vol(F S^(t)) dt, exactly, with
+    delta = (n+1)/n A(v0) and L^n = degH.
 
     Nonnegative whenever the compactified cone is semistable; zero at the
     canonical valuation.
     """
-    logdisc_v = to_float(logdisc_v, "the log discrepancy")
-    if not math.isfinite(logdisc_v):
-        raise ValueError("gap needs a finite log discrepancy")
-    if delta <= 0 or degL <= 0:
-        raise ValueError("delta and L^n must be positive")
-    integral = to_float(section_integral(p), "the section integral")
-    return logdisc_v - to_float(delta, "delta") / to_float(degL, "L^n") * integral
+    return rat(logdisc_v1) - Fraction(p.n + 1, p.n) * rat(logdisc_v0) / p.degH * section_integral(p)

@@ -88,7 +88,7 @@ class MinimizeResult(NamedTuple):
     trajectory: list[tuple[tuple[float, ...], float]]  # of the winning piece's Newton run
     grad_norm: float  # of the objective in the winning piece's coordinates (exact, then rounded)
     converged: bool  # the bracket is at most CERTIFIED_WIDTH wide relative to its upper end
-    stalled_at_kink: bool = False  # no run stalls; kept for the report's schema
+    stalled_at_kink: bool = False  # no run stalls; hvolbench/tracing.py and tests/test_trace_targets.py read it
 
 
 CERTIFIED_WIDTH = Fraction(1, 10**12)  # widest bracket, relative to its upper end, that certifies

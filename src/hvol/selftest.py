@@ -33,7 +33,7 @@ from .filtration import (
     interpolation_volume,
     profile_from_model,
     profile_integral,
-    section_integral,
+    stability_gap,
     tail_volume_exact,
     theta_integral,
     volume_from_profile,
@@ -344,7 +344,7 @@ def check_interpolation_calculus() -> list[CheckResult]:
         n = profile.n
         # the closed-form pieces against the vertex-enumerated slice, at the
         # midpoint of every region of the profile
-        mids = [(lo + hi) / 2 for lo, hi, _ in profile.regions]
+        mids = [Fraction(a * d + c * b, 2 * b * d) for (a, b), (c, d), *_ in profile.regions]
         out.append(
             CheckResult.exact(
                 f"profile_matches_slice_volume[{name}]",
@@ -454,20 +454,20 @@ def _gap_models():
 
 
 def check_stability_gap(seed: int = 0) -> list[CheckResult]:
-    """The gap A(v1) - delta / degH * section_integral, exactly: nonnegative,
-    0 at the canonical valuation, and A(v1) times the section-integral form of
-    d/ds Phi at 0 equals n degH times the gap."""
+    """The gap A(v1) - (n+1)/n A(v0) / degH * section_integral, exactly
+    (`stability_gap`): nonnegative, 0 at the canonical valuation, and A(v1)
+    times the section-integral form of d/ds Phi at 0 equals n degH times the
+    gap."""
     rng = random.Random(seed)
     out = []
     for name, model, v0 in _gap_models():
         n = model.n
         r_value = model.logdisc(v0)
-        delta = r_value * Fraction(n + 1, n)
         gaps, relation = [], []
         for v1 in _gap_samples(model, rng):
             profile = profile_from_model(model, v0, v1)
             a_value = model.logdisc(v1)
-            gap = a_value - delta / profile.degH * section_integral(profile)
+            gap = stability_gap(profile, r_value, a_value)
             forms = interpolation_derivative_forms(profile, r_value / a_value)
             gaps.append(gap)
             relation.append(abs(forms.via_section_integral * a_value - n * profile.degH * gap))
@@ -479,7 +479,7 @@ def check_stability_gap(seed: int = 0) -> list[CheckResult]:
         out.append(
             CheckResult.exact(
                 f"gap_zero_at_canonical[{name}]",
-                r_value - delta / canonical.degH * section_integral(canonical),
+                stability_gap(canonical, r_value, r_value),
                 0,
             )
         )

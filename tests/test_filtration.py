@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -5,10 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hvol.errors import IntegralDivergence, NotInReebCone, PreconditionViolated
+from hvol.errors import IntegralDivergence, ModelError, NotInReebCone, PreconditionViolated
 from hvol.exactgeom import Halfspace, Polytope, RVector, int_kernel, polytope_volume
 from hvol.filtration import (
-    PiecewisePoly,
     VolumeProfile,
     _bspline_tail,
     _poly_compose_affine,
@@ -64,17 +64,50 @@ def step_profile():
     return profile_from_model(akm_singularity(3, 2), w, w)
 
 
+def _fraction_regions(p):
+    """`p.regions` read as (lo, hi, coefficients) in Fractions."""
+    return [
+        (Fraction(*lo), Fraction(*hi), tuple(Fraction(c, den) for c in nums))
+        for lo, hi, nums, den in p.regions
+    ]
+
+
+def _pieces(p):
+    """The polynomial pieces after the constant degH region."""
+    return tuple(coeffs for _, _, coeffs in _fraction_regions(p)[1:])
+
+
+def _midpoints(p):
+    return tuple((lo + hi) / 2 for lo, hi, _ in _fraction_regions(p))
+
+
 def test_plane_profile_pieces(plane_profile):
     p = plane_profile
     assert (p.degH, p.c1, p.c2, p.vol_v1) == (1, 1, 2, Fraction(1, 2))
-    assert p.pieces.breakpoints == (1, 2)
-    assert p.pieces.pieces == ((2, -1),)
+    assert p.breakpoints == (1, 2)
+    assert _fraction_regions(p) == [(0, 1, (1,)), (1, 2, (2, -1))]
 
 
 def test_space_profile_pieces(space_profile):
     p = space_profile
-    assert p.pieces.pieces == ((4, -4, 1),)
+    assert _pieces(p) == ((4, -4, 1),)
     assert p.vol_v1 == Fraction(1, 2)
+
+
+def test_profile_is_stored_in_ints(space_profile, step_profile):
+    # regions (lo, hi, nums, den) with lo and hi pairs (num, den), and
+    # simplices (weight num, weight den, knot pairs): no Fraction inside
+    def ints(value):
+        if isinstance(value, tuple):
+            return all(ints(v) for v in value)
+        return type(value) is int
+
+    model, v0, v1 = X2Y3Z4W12, RVector([6, 4, 3, 1]), RVector([3, 4, 4, 2])
+    for p in (space_profile, step_profile, profile_from_model(model, v0, v1)):
+        assert type(p.regions) is tuple and type(p.simplices) is tuple
+        assert ints(p.regions) and ints(p.simplices)
+        assert all(len(r) == 4 and len(r[0]) == len(r[1]) == 2 for r in p.regions)
+        assert all(len(s) == 3 and all(len(k) == 2 for k in s[2]) for s in p.simplices)
 
 
 def test_step_profile(step_profile):
@@ -174,7 +207,7 @@ def test_liu_bound_is_exact(plane_profile, space_profile):
     # equality on (0, c1] is exact: a vol(v1) off by 1e-30 breaks it
     p = plane_profile
     nudged = VolumeProfile(
-        p.n, p.degH, p.c1, p.c2, p.vol_v1 + Fraction(1, 10**30), p.pieces, p.simplices
+        p.n, p.degH, p.c1, p.c2, p.vol_v1 + Fraction(1, 10**30), p.regions, p.simplices
     )
     assert not liu_bound_check(nudged, [Fraction(1, 2)])
 
@@ -227,9 +260,10 @@ def test_derivative_step_profile(step_profile):
 
 
 def test_stability_gap_plane(plane_profile):
-    # the derivative vanishes in every direction on smooth C^2, so the gap is 0
-    gap = stability_gap(plane_profile, 3.0, 3, 1)
-    assert gap == pytest.approx(0.0, abs=1e-12)
+    # the derivative vanishes in every direction on smooth C^2, so the gap is
+    # 0: A(v0) = 2, A(v1) = 3
+    gap = stability_gap(plane_profile, 2, 3)
+    assert type(gap) is Fraction and gap == 0
 
 
 def test_stability_gap_scales_linearly():
@@ -238,36 +272,67 @@ def test_stability_gap_scales_linearly():
     model = akm_singularity(3, 3)
     v0 = canonical_weights(3, 3)
     r = log_discrepancy_hypersurface(model, v0)
-    delta = r * Fraction(4, 3)
     base = profile_from_model(model, v0, [1, 1, 1, 1])
     a = log_discrepancy_hypersurface(model, [1, 1, 1, 1])
-    gap = stability_gap(base, float(a), delta, base.degH)
+    gap = stability_gap(base, r, a)
     doubled = profile_from_model(model, v0, [2, 2, 2, 2])
     a2 = log_discrepancy_hypersurface(model, [2, 2, 2, 2])
-    gap2 = stability_gap(doubled, float(a2), delta, doubled.degH)
-    assert gap > 1e-3
-    assert gap2 == pytest.approx(2 * gap, rel=1e-9)
+    gap2 = stability_gap(doubled, r, a2)
+    assert gap > Fraction(1, 1000)
+    assert gap2 == 2 * gap
 
 
 def test_gap_derivative_relation(space_profile):
     model = affine_space(3)
     r = log_discrepancy_toric(model, [1, 1, 1])
     a = log_discrepancy_toric(model, [1, 1, 2])
-    lam_star = float(r / a)
-    forms = interpolation_derivative_forms(space_profile, lam_star)
-    gap = stability_gap(
-        space_profile, float(a), r * Fraction(model.n + 1, model.n), space_profile.degH
-    )
-    assert forms.via_section_integral * float(a) == pytest.approx(
-        model.n * float(space_profile.degH) * gap, abs=1e-12
-    )
+    forms = interpolation_derivative_forms(space_profile, r / a)
+    gap = stability_gap(space_profile, r, a)
+    assert forms.via_section_integral * a == model.n * space_profile.degH * gap
 
 
-def test_piecewise_poly_validation():
-    with pytest.raises(ValueError):
-        PiecewisePoly(breakpoints=(Fraction(2), Fraction(1)), pieces=((Fraction(1),),))
-    with pytest.raises(ValueError):
-        PiecewisePoly(breakpoints=(Fraction(1), Fraction(2)), pieces=())
+@pytest.mark.parametrize(
+    "model, flags, gap",
+    [
+        (
+            '{"type":"toric_cone","rays":[[1,0,0],[0,1,0],[-1,0,1],[0,-1,1]]}',
+            ["--v0=0,0,2", "--v1=4/5,8/5,2"],
+            Fraction(0),
+        ),
+        (
+            '{"type":"toric_cone","rays":[[1,0,0],[0,1,0],[0,0,1]]}',
+            ["--v0=1,1,3/2", "--v1=1,6,5"],
+            Fraction(-1, 18),
+        ),
+    ],
+    ids=["conifold", "C3"],
+)
+def test_reported_gap_is_the_exact_gap_rounded_once(capsys, model, flags, gap):
+    # a float formula cancels here: 8.9e-16 for the exact 0 on the
+    # conifold, and -0.055555555555557135 for -1/18 on C^3
+    from hvol import cli
+
+    assert cli.main(["filtration", "--model", model, *flags]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["stability_gap_approx"] == f"{float(gap):.17g}"
+
+
+def test_volume_profile_refuses_regions_that_do_not_tile(plane_profile):
+    p = plane_profile
+    first, second = p.regions
+    lo, hi, nums, den = second
+
+    def rebuild(regions):
+        return VolumeProfile(p.n, p.degH, p.c1, p.c2, p.vol_v1, regions, p.simplices)
+
+    assert rebuild((first, second)).regions == p.regions
+    reversed_ends = (first, (lo, (1, 2), nums, den))
+    gap = (first, ((3, 2), hi, nums, den))
+    for regions in ((second, first), reversed_ends, gap):
+        with pytest.raises(ModelError, match="tile"):
+            rebuild(regions)
+    with pytest.raises(ModelError, match="not at c2"):
+        rebuild((first,))
 
 
 # v0 is the sum of the rays; v1 a random positive ray combination, so c1 != 1
@@ -364,8 +429,7 @@ def _vertex_enumerated_slice(model, v0, v1, t) -> Fraction:
 def _assert_profile_matches_slices(model, v0, v1, t):
     # at t * c2, at every knot and in the middle of every region
     profile = profile_from_model(model, v0, v1)
-    mids = tuple((lo + hi) / 2 for lo, hi, _ in profile.regions)
-    for x in (t * profile.c2,) + profile.pieces.breakpoints + mids:
+    for x in (t * profile.c2,) + profile.breakpoints + _midpoints(profile):
         assert profile.vol_r_exact(x) == _vertex_enumerated_slice(model, v0, v1, x), x
 
 
@@ -462,7 +526,7 @@ def _closed_form_profile(name):
 
 def test_closed_form_case_with_c1_below_the_first_knot():
     _, _, _, p = _closed_form_profile("x2+y3+z4+w12")
-    assert p.c1 == Fraction(1, 2) < p.pieces.breakpoints[0] == 1
+    assert p.c1 == Fraction(1, 2) < p.breakpoints[0] == 1
 
 
 @pytest.mark.parametrize("name", sorted(CLOSED_FORM_CASES))
@@ -525,12 +589,12 @@ def test_json_run_never_samples_the_profile(monkeypatch, capsys, model, flags):
 def _vol_r_reference(p, t: float) -> float:
     """The region chosen by exact comparison at t's binary value, then the
     piece evaluated by float Horner steps from the top coefficient."""
-    bps = p.pieces.breakpoints
+    bps = p.breakpoints
     if t <= bps[0]:
         return float(p.degH)
     if t >= bps[-1]:
         return 0.0
-    for hi, coeffs in zip(bps[1:], p.pieces.pieces):
+    for hi, coeffs in zip(bps[1:], _pieces(p)):
         if t <= hi:
             result = 0.0
             for c in reversed(coeffs):
@@ -542,10 +606,10 @@ def _vol_r_reference(p, t: float) -> float:
 def test_vol_r_float_path(name):
     *_, p = _closed_form_profile(name)
     c2 = float(p.c2)
-    near = [math.nextafter(float(b), x) for b in p.pieces.breakpoints for x in (0, math.inf)]
+    near = [math.nextafter(float(b), x) for b in p.breakpoints for x in (0, math.inf)]
     samples = (
         [0.0, -1.0, c2, 1.05 * c2, 2 * c2]
-        + [float(b) for b in p.pieces.breakpoints]
+        + [float(b) for b in p.breakpoints]
         + near
         + [c2 * 1.05 * j / 399 for j in range(400)]
     )
@@ -556,7 +620,7 @@ def test_vol_r_float_path(name):
 def _tail_kernel_reference(p, x: Fraction) -> Fraction:
     """integral_x^inf vol_r(t) t^(-n-1) dt summed region by region."""
     total = Fraction(0)
-    for lo, hi, coeffs in p.regions:
+    for lo, hi, coeffs in _fraction_regions(p):
         if max(lo, x) < hi:
             total += _ref_tail_kernel(coeffs, max(lo, x), hi, p.n)
     return total
@@ -565,7 +629,7 @@ def _tail_kernel_reference(p, x: Fraction) -> Fraction:
 @pytest.mark.parametrize("name", sorted(CLOSED_FORM_CASES))
 def test_cached_tail_integrals_equal_the_direct_sum(name):
     *_, p = _closed_form_profile(name)
-    points = [p.c1, p.c2, *p.pieces.breakpoints, *((lo + hi) / 2 for lo, hi, _ in p.regions)]
+    points = [p.c1, p.c2, *p.breakpoints, *_midpoints(p)]
     for x in points:
         assert _tail_kernel_integral(p, x) == _tail_kernel_reference(p, x), x
         expected = p.n * x**p.n * _tail_kernel_reference(p, x) if x < p.c2 else 0

@@ -7,9 +7,11 @@ akm(2,3) and akm(3,2), the first round's raw job and its first c1=1 job in
 and CSV were recorded with the sampled-profile code of commit 01128f8; the
 stdout fields and the c1=1 records were recorded from the integer-backed
 toric minimize commit 1b7a795, before the filtration calculus moved to
-integer numerators.  The report must stay byte-identical: the profile
-pieces, every exact field, the lhs and rhs of every check, the floats
-derived from them and the report's formatting.
+integer numerators.  The `stability_gap_approx` text of six records was
+later changed by hand, in `results` and `stdout`, to the exact gap rounded
+once, where the float formula had cancelled.  The report must stay
+byte-identical: the profile pieces, every exact field, the lhs and rhs of
+every check, the floats derived from them and the report's formatting.
 """
 
 import json
