@@ -45,7 +45,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Sequence
 
-from .errors import HvolError, SchemaError
+from .errors import HvolError, PreconditionViolated, SchemaError
 from .exactgeom import Halfspace, RVector, to_float
 from .filtration import (
     interpolation_derivative_forms,
@@ -307,7 +307,12 @@ def _approx(value, what: str) -> str:
 
 
 def _exact_pair(value: Fraction, what: str) -> dict:
-    return {"exact": str(value), "approx": _approx(value, what)}
+    """An exact value's text and float; `what` names it if either fails."""
+    try:
+        exact = str(value)
+    except ValueError:
+        raise PreconditionViolated(f"{what} has too many digits for an exact report") from None
+    return {"exact": exact, "approx": _approx(value, what)}
 
 
 def _cone_model(descriptor, command: str):

@@ -15,9 +15,9 @@ vector on a toric cone, a monomial weight on a hypersurface):
   each model states its domain once, there;
 * `reeb_generators`, the integer rows u with every <u, w> > 0 on admissible
   weights: the dual rays of a toric cone, the unit vectors of a hypersurface;
-* `lattice_region(a, p)`, the integer box and facet rows holding the
-  monomials of a-weight below p, which `valuation.lattice_count_oracle`
-  counts;
+* `series_pieces(a)`, (D, pieces): the Hilbert series of the monomials graded
+  by A = D a integral, pieces (weights, size, shifts) of sum_s t^s / prod_w
+  (1 - t^w) over `size` shifts, which `valuation.lattice_count_oracle` sums;
 * `simplicial_pieces(v0, v1)`, the (weight, knots) pairs that the volume
   profile of a filtration sums over (filtration.py);
 * `convex_pieces`, the minimizer's convex programs (below);
@@ -67,12 +67,12 @@ from .valuation import (
     MonomialValuation,
     domain_logdisc_hypersurface,
     domain_logdisc_toric,
-    dual_cone_box,
     hypersurface_pairings,
     integer_pairings,
     log_discrepancy_hypersurface,
     log_discrepancy_toric,
     reduction_variable,
+    series_pieces_toric,
     valuation_volume_hypersurface,
     valuation_volume_toric,
 )
@@ -188,12 +188,9 @@ class ToricConeSingularity:
         defined, and None otherwise."""
         return domain_logdisc_toric(self, xi)
 
-    def lattice_region(self, a: RVector, p: Fraction) -> tuple[list, list]:
-        """(box, rows) holding the lattice points alpha of the dual cone with
-        <alpha, a> < p: the integer box around {<alpha, a> <= p} in the dual
-        cone (`dual_cone_box`), and the facet rows <rho, alpha> >= 0 over the
-        primitive rays rho of sigma.  a must be a Reeb vector."""
-        return dual_cone_box(self, a, p), [(list(ray), 0) for ray in self.sigma.rays]
+    def series_pieces(self, a: Sequence) -> tuple[int, list]:
+        """Half-open cones of `volume_triangulation` (`valuation.series_pieces_toric`)."""
+        return series_pieces_toric(self, a)
 
     def simplicial_pieces(self, v0: RVector, v1: RVector) -> list[tuple[Fraction, tuple]]:
         """(weight, knots) per simplicial cone s of `volume_triangulation`:
@@ -283,15 +280,12 @@ class WeightedHomogeneousHypersurface:
         monomials at d(a), where volume is defined, and None otherwise."""
         return domain_logdisc_hypersurface(self, a)
 
-    def lattice_region(self, a: RVector, p: Fraction) -> tuple[list, list]:
-        """(box, rows) holding the standard monomials alpha with <alpha, a> < p:
-        each alpha_i below p / a_i, and the exponent of a's reduction
-        variable below its exponent there; no facet rows.  The weights must
-        be positive."""
+    def series_pieces(self, a: Sequence) -> tuple[int, list]:
+        """(D, [piece]), A = D a: the standard monomials, exponent below exp in the
+        reduction variable, sum_{j < exp} t^(j A_red) / prod_{i != red} (1 - t^A_i)."""
+        z, _, denom = hypersurface_pairings(self, a)
         red, exp = reduction_variable(self, a)
-        bounds = [(0, math.ceil(p / weight) - 1) for weight in a]
-        bounds[red] = (0, min(bounds[red][1], exp - 1))
-        return bounds, []
+        return denom, [(z[:red] + z[red + 1 :], exp, range(0, exp * z[red], z[red]))]
 
     def simplicial_pieces(self, v0: RVector, v1: RVector) -> list[tuple[Fraction, tuple]]:
         """One (weight, knots) pair: the orthant of the variables other than

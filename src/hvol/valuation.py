@@ -25,29 +25,29 @@ A there" in one integer pass, for the minimizer's objective.  The
 hypersurface volume is the multiplicity of the initial degeneration, defined
 where at least two monomials reach the least weight.
 
-`lattice_count_oracle` counts monomials below a weight threshold by brute
-force, over the box and facet rows that the model's `lattice_region` states;
-it is the independent check on the closed volume formulas.  The count runs in
-plain integers: it loops over every coordinate of the box but the last and
-adds up the interval of the last coordinate that the rows leave, so it holds
-no array of cells and its memory does not grow with the box.
+`lattice_count_oracle` counts the monomials of a-weight below p, the
+colength whose limit defines vol, from the Hilbert series that the model's
+`series_pieces` states: on a toric cone one term per half-open cone of the
+volume triangulation, the index-character of Martelli-Sparks-Yau.  It is the
+independent check on the closed volume formulas; `hvol selftest` checks it
+against a box sweep.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import accumulate
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ModelError, NotInReebCone
-from .exactgeom import RVector, _integral, rat
+from .exactgeom import RVector, _integral, int_kernel, rat
 
 if TYPE_CHECKING:  # the model classes call into this module, so no runtime import
     from .singularities import ToricConeSingularity, WeightedHomogeneousHypersurface
 
-_ENUM_BUDGET = 60_000_000  # bounding-box cells; the true count stays below 1e7
+_SERIES_BUDGET = 2_000_000  # table cells and parallelepiped points per oracle call
 
 
 class MonomialValuation(RVector):
@@ -240,83 +240,84 @@ def nvol_report(model, weights: Sequence) -> ValuationReport:
     )
 
 
-# -- brute-force lattice counting oracle -------------------------------------
+# -- lattice counting oracle -------------------------------------------------
 
 
-def _strict_upper(bound: Fraction) -> int:
-    """Largest integer strictly below bound."""
-    return math.ceil(bound) - 1
+def series_pieces_toric(x: "ToricConeSingularity", a: Sequence) -> tuple[int, list]:
+    """(D, pieces) for the dual cone's lattice points graded by A = D a: per
+    simplicial cone s of the volume triangulation, (<u, A> over u in s,
+    |det U_s|, the lazy `_half_open_degrees`).  a must be a Reeb vector."""
+    _, pairings, denom = _require_reeb(x, a)
+    rays = x.reeb_generators
+    inner = [sum(col) for col in zip(*rays)]
+    pieces = []
+    for d, s in x.volume_triangulation:
+        weights = [pairings[i] for i in s]
+        pieces.append((weights, d, _half_open_degrees([rays[i] for i in s], weights, inner, d)))
+    return denom, pieces
 
 
-def _count_box(
-    bounds: list[tuple[int, int]],
-    nonstrict: list[tuple[list[int], int]],
-    strict_coefs: list[int],
-    strict_max: int,
-) -> int:
-    """Count integer points in a box with <c,x>+b >= 0 constraints and <s,x> <= strict_max.
+def _half_open_degrees(rays: list, weights: list[int], inner: list[int], det: int):
+    """Yield <pi, A> over the det lattice points pi = sum_j lambda_j u_j,
+    weights[j] = <u_j, A>, with lambda_j in [0, 1), or (0, 1] on open facets.
 
-    Loops over every coordinate but the last, x_n.  There each row
-    c x_n + r >= 0 (r collecting the constant and the other coordinates)
-    bounds x_n below by ceil(-r / c) when c > 0 and above by floor(r / -c)
-    when c < 0, or holds or fails outright when c = 0, and the lengths of the
-    resulting intervals are added up.
+    Row b_j of B = det U^-1 is normal to the facet opposite u_j, open when
+    `inner`, inside the dual cone, pushed to inner + eps e_1 + eps^2 e_2 + ...
+    lies beyond it (the first nonzero of <b_j, inner>, b_j1, ..., b_jn is
+    negative), so each lattice point lies in one half-open cone (Koeppe-
+    Verdoolaege 2008).  x -> B x mod det embeds Z^n / U Z^n and B's columns
+    generate it, each adding the cosets of its least multiple already in.
+    A residue r is the point lambda = r / det, r_j = 0 read as det if open.
     """
-    sizes = [hi - lo + 1 for lo, hi in bounds]
-    if any(s <= 0 for s in sizes):
-        return 0
-    total = math.prod(sizes)
-    if total > _ENUM_BUDGET:
-        raise BudgetExceeded(f"enumeration box of {total} cells exceeds budget")
-    rows = [(coefs[:-1], coefs[-1], const) for coefs, const in nonstrict]
-    rows.append(([-c for c in strict_coefs[:-1]], -strict_coefs[-1], strict_max))
-    *head, (lo_last, hi_last) = bounds
-    count = 0
-    for prefix in iter_product(*[range(lo, hi + 1) for lo, hi in head]):
-        lo, hi = lo_last, hi_last
-        for coefs, c, const in rows:
-            r = const + sum(map(mul, coefs, prefix))
-            if c > 0:
-                lo = max(lo, -(r // c))
-            elif c < 0:
-                hi = min(hi, r // -c)
-            elif r < 0:
-                hi = lo - 1
-                break
-        if hi >= lo:
-            count += hi - lo + 1
-    return count
+    n = len(rays)
+    normals = []
+    for j, u in enumerate(rays):
+        ((_, x),) = int_kernel(rays[:j] + rays[j + 1 :], n)
+        normals.append([c * (det // sum(map(mul, x, u))) for c in x])
+    is_open = [next(v for v in (sum(map(mul, b, inner)), *b) if v) < 0 for b in normals]
+    group = {(0,) * n}
+    for gen in zip(*normals):
+        multiples, step = [(0,) * n], tuple(g % det for g in gen)
+        while step not in group:
+            multiples.append(step)
+            step = tuple((s + g) % det for s, g in zip(step, gen))
+        group = {tuple((c + m) % det for c, m in zip(g, mult)) for g in group for mult in multiples}
+    for r in group:
+        yield sum((c or det * o) * w for c, o, w in zip(r, is_open, weights)) // det
+
+
+def _prefix_counts(weights: Sequence[int], top: int) -> list[int]:
+    """#{k >= 0 : sum_j k_j w_j <= m} for m = 0..top, the coefficients of
+    1 / ((1 - t) prod_j (1 - t^w_j)): a running sum per residue class mod w."""
+    table = [1] * (top + 1)
+    for w in weights:
+        for r in range(min(w, top + 1)):
+            table[r::w] = accumulate(table[r::w])
+    return table
 
 
 def lattice_count_oracle(model, a: Sequence, p) -> int:
-    """dim of R / {v_a >= p} by monomial enumeration; the volume oracle.
+    """dim of R / {v_a >= p} from the model's Hilbert series; the volume oracle.
 
-    Counts the integer points alpha of the model's `lattice_region(a, p)`,
-    its box and facet rows, with <alpha, a> < p: lattice points of the dual
-    cone on a toric cone, standard monomials on a hypersurface.
+    The monomials with <alpha, a> < p have degree at most top = ceil(D p) - 1
+    in the grading by A = D a of `series_pieces`: #{k : sum_j k_j w_j <= top
+    - s} per shift s of a piece (weights, size, shifts), read off one table.
+    The (top + 1) * len(weights) + size cells per piece meet the budget first.
     """
     a = RVector(a)
     p = rat(p)
     if p <= 0:
         raise ValueError("threshold p must be positive")
-    bounds, rows = model.lattice_region(a, p)
-    strict_coefs, scale = _integral(a)
-    return _count_box(bounds, rows, strict_coefs, _strict_upper(scale * p))
-
-
-def dual_cone_box(x: "ToricConeSingularity", a: RVector, p: Fraction) -> list[tuple[int, int]]:
-    """Integer bounds per coordinate of {alpha in the dual cone : <alpha, a> <= p}.
-
-    That polytope is conv(0, p u / <u, a>) over the dual rays u, so the box
-    comes from the rays without enumerating vertices.
-    """
-    _, pairings, denom = _require_reeb(x, a)
-    corners = [
-        [p * denom * c / pairing for c in ray] for ray, pairing in zip(x.reeb_generators, pairings)
-    ]
-    return [
-        (math.ceil(min(0, *coords)), math.floor(max(0, *coords))) for coords in zip(*corners)
-    ]
+    scale, pieces = model.series_pieces(a)
+    top = math.ceil(scale * p) - 1
+    cells = sum((top + 1) * len(weights) + size for weights, size, _ in pieces)
+    if cells > _SERIES_BUDGET:
+        raise BudgetExceeded(f"series tables of {cells} cells exceed budget")
+    count = 0
+    for weights, _, shifts in pieces:
+        table = _prefix_counts(weights, top)
+        count += sum(table[top - s] for s in shifts if s <= top)
+    return count
 
 
 def reduction_variable(

@@ -404,6 +404,18 @@ def test_values_beyond_the_float_range_are_refused(capsys, argv, what):
     assert err == f"error[precondition_violated]: {what} is too large in magnitude for a float\n"
 
 
+@pytest.mark.parametrize("r", ["1", "2"])
+def test_values_beyond_the_digit_limit_are_refused(capsys, r):
+    # (-K - D)^n = r^n (2001/2000)^n degH: a rational whose numerator has
+    # more digits than Python prints; at r = 1 its float is about e
+    model = json.dumps({"type": "polarized_cone", "n": 2000, "r": r, "degH": "1"})
+    assert main(["compute", "--model", model]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "error[precondition_violated]: antilog_power has too many digits for an exact report\n",
+    )
+
+
 def test_toric_log_fano_accepts_a_positive_index_below_one(capsys):
     assert main(["compute", "--model", _log_fano(*_TRIANGLE, r="1/2")]) == 0
     results = json.loads(capsys.readouterr().out)["results"]

@@ -7,6 +7,7 @@ import pytest
 
 from hvol.errors import AngleOutOfRange, InvalidIndex, ModelError, NotInReebCone, NotQGorenstein
 from hvol.exactgeom import Halfspace, RVector, vertex_enumerate
+from hvol.selftest import lattice_region
 from hvol.singularities import (
     PolarizedConeData,
     ToricConeSingularity,
@@ -42,7 +43,7 @@ MODEL_INTERFACE = (
     "logdisc",
     "volume",
     "domain_logdisc",
-    "lattice_region",
+    "series_pieces",
     "simplicial_pieces",
     "convex_pieces",
     "reeb_generators",
@@ -65,15 +66,33 @@ def test_hypersurface_interface_values():
 
 
 def test_lattice_region():
+    # the box witness of `hvol selftest`, now outside the model interface
     a1 = akm_singularity(2, 2)
-    assert a1.lattice_region(RVector([1, 1, 1]), Fraction(2)) == ([(0, 1)] * 3, [])
-    box, rows = affine_space(2).lattice_region(RVector([1, 1]), Fraction(3))
+    assert lattice_region(a1, RVector([1, 1, 1]), Fraction(2)) == ([(0, 1)] * 3, [])
+    box, rows = lattice_region(affine_space(2), RVector([1, 1]), Fraction(3))
     assert box == [(0, 3), (0, 3)]
     assert sorted(rows) == [([0, 1], 0), ([1, 0], 0)]
     with pytest.raises(NotInReebCone):
-        a1.lattice_region(RVector([1, 0, 1]), Fraction(2))
+        lattice_region(a1, RVector([1, 0, 1]), Fraction(2))
     with pytest.raises(ModelError):
-        a1.lattice_region(RVector([1, 1]), Fraction(2))
+        lattice_region(a1, RVector([1, 1]), Fraction(2))
+
+
+def test_series_pieces():
+    # A_1 surface: x^2 + y^2 + z^2 with x reduced, 1 + t over (1 - t)^2
+    (scale, [(weights, size, shifts)]) = akm_singularity(2, 2).series_pieces(RVector([1, 1, 1]))
+    assert (scale, weights, size, list(shifts)) == (1, [1, 1], 2, [0, 1])
+    scale, pieces = akm_singularity(2, 3).series_pieces(RVector([Fraction(3, 2), Fraction(3, 2), 1]))
+    assert scale == 2 and [(w, n, list(s)) for w, n, s in pieces] == [([3, 2], 2, [0, 3])]
+    # C^2/Z_2: one cone on the dual rays (1, 0), (1, 2) with the point (1, 1)
+    scale, [(weights, size, shifts)] = cyclic_quotient_cone(2, 1).series_pieces(RVector([2, 0]))
+    assert (scale, sorted(weights), size, sorted(shifts)) == (1, [2, 2], 2, [0, 2])
+    # the conifold: two unimodular cones; the facet they share is open in one
+    scale, pieces = conifold().series_pieces(RVector([0, 0, 2]))
+    assert scale == 1
+    assert sorted((w, n, sorted(s)) for w, n, s in pieces) == [([2, 2, 2], 1, [0]), ([2, 2, 2], 1, [2])]
+    with pytest.raises(NotInReebCone):
+        conifold().series_pieces(RVector([1, 0, 0]))
 
 
 @pytest.mark.parametrize(
@@ -81,11 +100,11 @@ def test_lattice_region():
     [
         lambda model, a: model.logdisc(a),
         lambda model, a: model.volume(a),
-        lambda model, a: model.lattice_region(a, Fraction(2)),
+        lambda model, a: model.series_pieces(a),
         lambda model, a: model.simplicial_pieces(RVector([1, 1, 1]), a),
         lambda model, a: model.simplicial_pieces(a, RVector([1, 1, 1])),
     ],
-    ids=["logdisc", "volume", "lattice_region", "simplicial_pieces v1", "simplicial_pieces v0"],
+    ids=["logdisc", "volume", "series_pieces", "simplicial_pieces v1", "simplicial_pieces v0"],
 )
 def test_nonpositive_hypersurface_weights_are_one_error(call):
     with pytest.raises(NotInReebCone, match="^hypersurface weights must be strictly positive$"):

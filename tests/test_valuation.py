@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from operator import mul
 
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hvol.errors import BudgetExceeded, ModelError, NotInReebCone
+from hvol.errors import BudgetExceeded, ModelError, NotFullDimensional, NotInReebCone
 from hvol.exactgeom import RVector, cut_cone, polytope_volume
+from hvol.selftest import _count_box, box_count
 from hvol.singularities import (
     ToricConeSingularity,
     WeightedHomogeneousHypersurface,
@@ -21,7 +23,6 @@ from hvol.singularities import (
 )
 from hvol.valuation import (
     MonomialValuation,
-    _count_box,
     lattice_count_oracle,
     log_discrepancy_hypersurface,
     log_discrepancy_toric,
@@ -203,8 +204,18 @@ def test_count_box_empty_cases():
 
 
 def test_oracle_budget():
+    # the box witness sweeps 10^10 cells here; the series needs 3 * 10^5
     with pytest.raises(BudgetExceeded):
-        lattice_count_oracle(affine_space(3), [1, 1, 1], 10**5)
+        box_count(affine_space(3), [1, 1, 1], 10**5)
+    assert lattice_count_oracle(affine_space(3), [1, 1, 1], 10**5) == math.comb(10**5 + 2, 3)
+
+
+def test_series_budget():
+    # a table of 10^6 cells and three weights: refused before it is built
+    with pytest.raises(BudgetExceeded, match="^series tables of 3000001 cells exceed budget$"):
+        lattice_count_oracle(affine_space(3), [1, 1, 1], 10**6)
+    with pytest.raises(BudgetExceeded):
+        lattice_count_oracle(akm_singularity(2, 2), [1, 1, Fraction(1, 10**6)], 1)
 
 
 def test_nvol_report_flags_nonpositive():
@@ -356,3 +367,106 @@ def test_integer_path_matches_fraction_formulas_hypersurface(name):
     _check_hypersurface(model, RVector(list(tie[:-1]) + [tie[-1] / 2]))
     _check_hypersurface(model, RVector(list(tie[:-1]) + [0]))
     _check_hypersurface(model, RVector([0, 0] + list(tie[2:])))
+
+
+# The series count against the box witness of `hvol selftest`, exactly.
+
+
+def _same_count(model, a, depth):
+    assert lattice_count_oracle(model, a, depth) == box_count(model, a, depth)
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_CONES))
+def test_series_count_equals_box_witness_on_library_cones(name):
+    # non-simplicial dual cones (conifold, Y^{p,q}, the 4-dim ones) and
+    # simplicial cones with |det U_s| > 1 (C^2/Z3, C^3/Z3)
+    model = ToricConeSingularity.from_rays(CLOSED_FORM_CONES[name])
+    rays = [RVector(ray) for ray in model.sigma.rays]
+
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.fractions(min_value=Fraction(1, 3), max_value=2, max_denominator=3),
+            min_size=len(rays),
+            max_size=len(rays),
+        ),
+        st.fractions(min_value=Fraction(1, 2), max_value=7 if model.n < 4 else 3, max_denominator=3),
+    )
+    def check(coeffs, depth):
+        xi = RVector([0] * model.n)
+        for c, ray in zip(coeffs, rays):
+            xi = xi + ray.scale(c)
+        _same_count(model, xi, depth)
+
+    check()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_series_count_equals_box_witness_on_random_cones(data):
+    n = data.draw(st.integers(2, 4))
+    rays = data.draw(
+        st.lists(
+            st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1).map(lambda r: r + [1]),
+            min_size=n,
+            max_size=n + 2,
+            unique_by=tuple,
+        )
+    )
+    try:
+        model = ToricConeSingularity.from_rays(rays)
+    except NotFullDimensional:
+        return
+    # a Reeb vector: a positive combination of the rays of sigma
+    xi = RVector([Fraction(0)] * n)
+    for ray in model.sigma.rays:
+        c = data.draw(st.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=4))
+        xi = xi + RVector(ray).scale(c)
+    top = 6 if n < 4 else 2
+    _same_count(model, xi, data.draw(st.fractions(min_value=Fraction(1, 2), max_value=top, max_denominator=3)))
+
+
+ORACLE_HYPERSURFACES = [akm_singularity(2, 2), akm_singularity(2, 5), akm_singularity(3, 3)] + [
+    INTEGER_PATH_HYPERSURFACES["x2+y3+z4+w12"]
+]
+
+
+@pytest.mark.parametrize("model", ORACLE_HYPERSURFACES, ids=lambda m: str(m.monomials))
+def test_series_count_equals_box_witness_on_hypersurfaces(model):
+    degrees = [max(m) for m in model.monomials]
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(
+        st.fractions(min_value=2, max_value=6, max_denominator=4),
+        st.lists(
+            st.one_of(st.just(Fraction(1)), st.fractions(min_value=1, max_value=3, max_denominator=4)),
+            min_size=model.nvars,
+            max_size=model.nvars,
+        ),
+        st.fractions(min_value=Fraction(1, 2), max_value=4, max_denominator=3),
+    )
+    def check(order, stretches, depth):
+        # a stretch of 1 ties the monomial at the least weight
+        _same_count(model, [order * s / d for s, d in zip(stretches, degrees)], depth)
+
+    check()
+    # every monomial tied at the least weight
+    _same_count(model, [Fraction(12, d) for d in degrees], 25)
+
+
+@pytest.mark.parametrize(
+    "model, a, p, error, message",
+    [
+        (affine_space(2), [1, 1], 0, ValueError, "threshold p must be positive"),
+        (akm_singularity(2, 2), [1, 1, 1], Fraction(-1, 2), ValueError, "threshold p must be positive"),
+        (conifold(), [1, 0, 0], 3, NotInReebCone, "(1, 0, 0) pairs nonpositively with weight generator (0, 0, 1)"),
+        (conifold(), [1, 1], 3, ModelError, "expected 3 weights, got 2"),
+        (akm_singularity(2, 2), [1, -1, 1], 3, NotInReebCone, "hypersurface weights must be strictly positive"),
+        (XY_ZW, [1, 1, 2, 2], 3, ModelError, "lattice counting needs a weight-minimal monomial"),
+    ],
+    ids=["toric p=0", "hypersurface p<0", "not Reeb", "wrong length", "nonpositive weight", "no reduction"],
+)
+def test_series_count_refuses_as_the_box_witness(model, a, p, error, message):
+    for count in (lattice_count_oracle, box_count):
+        with pytest.raises(error, match=re.escape(message)):
+            count(model, a, p)
