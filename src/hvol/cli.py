@@ -174,7 +174,12 @@ def _parse_weights(text: str | None, flag: str) -> list[Fraction] | None:
     parts = [part.strip() for part in text.split(",")]
     if not all(parts):
         raise SchemaError(f"--{flag} has an empty entry: {text!r}")
-    return [_parse_rational(part) for part in parts]
+    weights = [_parse_rational(part) for part in parts]
+    try:
+        [str(w) for w in weights]  # the report echoes each entry as text
+    except ValueError:
+        raise SchemaError(f"--{flag} has an entry with too many digits: {text!r}") from None
+    return weights
 
 
 def _canonical_xi(descriptor: dict) -> list[Fraction] | None:
@@ -648,10 +653,17 @@ def _load_json_arg(raw: str, what: str):
         raise SchemaError(f"cannot load {what}: {exc}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3 as SchemaError, not 2, the code of failed checks."""
+
+    def error(self, message):
+        raise SchemaError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `hvol` parser, built once per process: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hvol",
         description="normalized volume of valuations on cone singularities",
     )
@@ -711,8 +723,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         start = time.perf_counter()
         report, csv = args.handler(args)
         report.timing = time.perf_counter() - start

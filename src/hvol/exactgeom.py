@@ -19,31 +19,31 @@ Conventions
   operands' numerators and denominators, and `dot` sums integer products
   over a running common denominator and builds one `Fraction` at the end,
   so no `Fraction` operator dispatches per coordinate.
-* Every exact linear-algebra decision runs on integer rows, in one family
-  of fraction-free eliminations (Bareiss 1968): `_echelon`, Bareiss
-  elimination, gives `int_rank` (also the affine rank of a polytope's
-  vertices, cleared to one denominator) and `int_det` (the cofactor
-  expansion up to 3 x 3); the signed maximal minors of a set of rows give
-  the extreme rays of `int_cone_rays`, and so the vertices and recession
-  directions of `vertex_enumerate`;
-  `int_kernel`, fraction-free Gauss-Jordan, gives kernel bases: the
-  lineality space of `vertex_enumerate`, the tie kernels of a hypersurface's
-  faces (`singularities._face_piece`) and a toric model's Gorenstein vector
-  (`singularities._gorenstein_vector`).  A rational row is cleared to
-  integers once (`_integral`) before it enters them.
+* Every exact linear-algebra decision runs on integer rows, fraction-free:
+  `_echelon`, Bareiss elimination (Bareiss 1968), gives `int_rank` (also
+  the affine rank of a polytope's vertices, cleared to one denominator) and
+  `int_det` (the cofactor expansion up to 3 x 3); `int_kernel`,
+  fraction-free Gauss-Jordan, gives kernel bases: the lineality space of
+  `vertex_enumerate`, the tie kernels of a hypersurface's faces
+  (`singularities._face_piece`) and a toric model's Gorenstein vector
+  (`singularities._gorenstein_vector`); `int_cone_rays`, the integer double
+  description, gives extreme rays: the rays of `dual_cone`, the vertices
+  and recession directions of `vertex_enumerate` and the cells of a
+  hypersurface's faces.  A rational row is cleared to integers once
+  (`_integral`) before it enters them.
 * A model's set-up stays on integers: `PolyCone.from_rays` clears each
   given ray to its primitive integer tuple once, and what follows reads the
   tuples as they are: `from_rays` and `dual_cone` test rank with `int_rank`,
   `dual_cone` takes the extreme rays with `int_cone_rays`, and
   `triangulate_cone` orders rays by an integer key.  An :class:`RVector`
   holds a rational point (a weight, a vertex), never a ray.
-* Vertex enumeration runs in integer minors: each halfspace is cleared to
-  one integer row (normal, offset) once, and the extreme rays (N, D) of the
+* Vertex enumeration runs in integers: each halfspace is cleared to one
+  integer row (normal, offset) once, and the extreme rays (N, D) of the
   homogenized cone {(x, t) : <a, x> + b t >= 0, t >= 0} are the vertices
   N / D (D > 0) and the recession directions N (D = 0); a `Fraction` is
-  built only for the vertices.  It tries every d-subset of rows, which is
-  fine for the desk-scale inputs this package targets (<= ~20 facets in
-  dimension <= 6).
+  built only for the vertices.  The double description's cost follows the
+  rays of its intermediate cones, not the (d - 1)-subsets of rows, whose
+  signed maximal minors are its witness (self-test criterion 12).
 * One fan routine, `_fan`, triangulates a face by fanning from its
   lexicographically smallest vertex, which makes results reproducible.  It
   works on vertex indices and facet incidences.  A polytope's volume and
@@ -60,7 +60,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import count
 from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -182,6 +182,12 @@ class Halfspace:
     def value(self, point: Sequence) -> Fraction:
         return self.normal.dot(point) + self.offset
 
+    @cached_property
+    def row(self) -> tuple[list[int], int]:
+        """(c (normal, offset), c) for the least positive integer c that
+        clears the denominators (`_integral`), cleared on first use."""
+        return _integral([*self.normal, self.offset])
+
 
 # -- exact dense linear algebra ------------------------------------------------
 
@@ -280,26 +286,61 @@ def _primitive_row(row: Sequence[int]) -> list[int]:
 
 def int_cone_rays(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[int, ...]]:
     """Extreme rays of {x : <row, x> >= 0 for every integer row}, as
-    primitive integer tuples in sorted order.
+    primitive integer tuples in sorted order; when the rows have rank
+    dim - 1, the kernel vector with both signs, and below that none.
 
-    A candidate is the vector of signed maximal minors of dim - 1 of the rows,
-    which spans their kernel when they have rank dim - 1 and is zero
-    otherwise; it is kept, with either sign, when every row pairs
-    nonnegatively with it.  In dimension 1 the empty minor gives the
-    candidates (1) and (-1).
+    Integer double description (Motzkin et al. 1953; Fukuda-Prodon 1996) of
+    the cone as lines + cone(rays), from the unit vectors as lines, each ray
+    with the bitmask of the rows it is tight on.  A row that pairs nonzero
+    with a line turns it, oriented positive, into a ray, and projects the
+    other lines and the rays onto its kernel.  Any other row keeps the rays
+    it pairs nonnegatively with, and combines a positive and a negative ray
+    when they are adjacent: no third ray is tight on every row both are.
     """
-    found: set[tuple[int, ...]] = set()
-    for active in combinations(rows, dim - 1):
-        ray = [(-1) ** i * int_det([r[:i] + r[i + 1 :] for r in active]) for i in range(dim)]
-        g = math.gcd(*ray)
-        if g == 0:
+    lines = [(0,) * i + (1,) + (0,) * (dim - 1 - i) for i in range(dim)]
+    rays: list[tuple[tuple[int, ...], int]] = []
+    for k, row in enumerate(rows):
+        bit = 1 << k
+        for i, line in enumerate(lines):
+            q = sum(map(mul, row, line))
+            if q:
+                break
+        else:
+            kept, positive, negative = [], [], []
+            for r, m in rays:
+                p = sum(map(mul, row, r))
+                if p < 0:
+                    negative.append((r, m, p))
+                else:
+                    kept.append((r, m | bit) if p == 0 else (r, m))
+                    if p:
+                        positive.append((r, m, p))
+            need = dim - len(lines) - 2
+            for u, mu, p in positive if negative else ():
+                for v, mv, s in negative:
+                    common = mu & mv
+                    if common.bit_count() >= need and sum(m & common == common for _, m in rays) == 2:
+                        kept.append((_project(p, v, s, u), common | bit))
+            rays = kept
             continue
-        pairings = [sum(map(mul, r, ray)) for r in rows]
-        if min(pairings, default=0) >= 0:
-            found.add(tuple(c // g for c in ray))
-        if max(pairings, default=0) <= 0:
-            found.add(tuple(-c // g for c in ray))
-    return sorted(found)
+        if q < 0:
+            q, line = -q, tuple(-c for c in line)
+        del lines[i]
+        lines[i:] = [_project(q, v, sum(map(mul, row, v)), line) for v in lines[i:]]
+        rays = [(_project(q, r, sum(map(mul, row, r)), line), m | bit) for r, m in rays]
+        rays.append((line, bit - 1))
+    if lines:
+        return sorted([lines[0], tuple(-c for c in lines[0])]) if len(lines) == 1 else []
+    return sorted([r for r, _ in rays])
+
+
+def _project(q: int, v: tuple[int, ...], p: int, line: Sequence[int]) -> tuple[int, ...]:
+    """The primitive q v - p line, for primitive v."""
+    if not p:
+        return v
+    w = [q * a - p * b for a, b in zip(v, line)]
+    g = math.gcd(*w)
+    return tuple(w) if g == 1 else tuple(a // g for a in w)
 
 
 # -- vertex enumeration -----------------------------------------------------
@@ -313,7 +354,10 @@ def _homogenized_rays(
     D > 0, sorted, and the directions N for D = 0, in sorted order.  A
     `Fraction` is built only for the points."""
     rays = int_cone_rays([*rows, [0] * dim + [1]], dim + 1)
-    points = sorted(RVector(Fraction(c, ray[dim]) for c in ray[:dim]) for ray in rays if ray[dim])
+    tops = [ray for ray in rays if ray[dim]]
+    scale = math.lcm(*(ray[dim] for ray in tops))
+    tops.sort(key=lambda ray: [c * (scale // ray[dim]) for c in ray[:dim]])
+    points = [_vector(Fraction(c, ray[dim]) for c in ray[:dim]) for ray in tops]
     return points, [ray[:dim] for ray in rays if not ray[dim]]
 
 
@@ -326,10 +370,11 @@ def vertex_enumerate(hrep: Sequence[Halfspace], dim: int) -> list[RVector]:
     is a lineality space, so there is no vertex; the region is nonempty iff
     it has a vertex on the complement where the kernel's free columns are 0.
     Otherwise the region is the slice t = 1 of a pointed cone, and one call of
-    `_homogenized_rays` gives both its vertices and its extreme recession
-    directions, the rays of the normals' cone.
+    `_homogenized_rays`, one double description (`int_cone_rays`), gives both
+    its vertices and its extreme recession directions, the rays of the
+    normals' cone.
     """
-    rows = [_integral(list(h.normal) + [h.offset])[0] for h in hrep]
+    rows = [h.row[0] for h in hrep]
     kernel = int_kernel([row[:dim] for row in rows], dim)
     if kernel:
         free = {f for f, _ in kernel}
@@ -410,24 +455,29 @@ def _fan(
 
 
 def _simplex_decomposition(p: Polytope) -> tuple[list[tuple[int, list[int]]], int]:
-    """The fan triangulation in integers: ([(|det|, vertex sum), ...], L).
+    """The fan triangulation in integers: ([(|det|, vertex sum), ...], L),
+    with no simplex when p is not full-dimensional.
 
-    The vertices are cleared to one common denominator L, as integer points
-    V = L v, and each simplex s gives |det(V_i - V_0)| = L^dim |det(v_i - v_0)|
-    and the sum of its V, (dim + 1) L times its centroid.  A vertex lies on
-    the facet (a, b), cleared to integers, iff <a, V> + b L = 0, and a set of
-    vertices has affine rank one less than the linear rank of their (V, L).
+    The vertices are cleared to one common denominator L once, as integer
+    points V = L v; their rows (V, L) have rank dim + 1 iff p is
+    full-dimensional.  Each simplex s gives |det(V_i - V_0)| = L^dim
+    |det(v_i - v_0)| and the sum of its V, (dim + 1) L times its centroid.  A
+    vertex lies on the facet (a, b), cleared to integers, iff <a, V> + b L =
+    0, and a set of vertices has affine rank one less than the linear rank of
+    their (V, L).
     """
+    cleared, scale = _homogenized(p.vrep)
+    if int_rank(cleared) != p.dim + 1:
+        return [], scale
     if not p.hrep:
         raise DegeneratePolytope("triangulation requires the halfspace description")
-    verts = sorted(p.vrep)
-    cleared, scale = _homogenized(verts)
-    rows = [_integral(list(h.normal) + [h.offset])[0] for h in p.hrep]
+    cleared.sort()  # the lexicographic order of the vertices: one denominator
     incidences = [
-        frozenset(i for i, v in enumerate(cleared) if sum(map(mul, row, v)) == 0) for row in rows
+        frozenset(i for i, v in enumerate(cleared) if sum(map(mul, h.row[0], v)) == 0)
+        for h in p.hrep
     ]
     fan = _fan(
-        tuple(range(len(verts))),
+        tuple(range(len(cleared))),
         incidences,
         lambda face: int_rank([cleared[i] for i in face]) - 1,
         p.dim,
@@ -443,20 +493,18 @@ def _simplex_decomposition(p: Polytope) -> tuple[list[tuple[int, list[int]]], in
 
 def polytope_volume(p: Polytope) -> Fraction:
     """Exact Euclidean volume; degenerate polytopes report 0 (see is_full_dimensional)."""
-    if not p.is_full_dimensional:
-        return Fraction(0)
     pieces, scale = _simplex_decomposition(p)
     return Fraction(sum(d for d, _ in pieces), scale**p.dim * math.factorial(p.dim))
 
 
 def centroid(p: Polytope) -> RVector:
     """Exact center of mass with respect to Lebesgue measure."""
-    if not p.is_full_dimensional:
-        raise DegeneratePolytope("centroid of a lower-dimensional polytope")
     pieces, scale = _simplex_decomposition(p)
+    if not pieces:
+        raise DegeneratePolytope("centroid of a lower-dimensional polytope")
     weights = [d for d, _ in pieces]
     common = sum(weights) * scale * (p.dim + 1)
-    return RVector(
+    return _vector(
         Fraction(sum(map(mul, weights, coords)), common)
         for coords in zip(*(sums for _, sums in pieces))
     )

@@ -4,8 +4,9 @@ Every check here is a reproducible desk-scale consequence of the volume
 minimization theory: exact quotient-surface identities, global minimizers of
 the A_{k-1} family, sharpness of the lower bound, oracle agreement for the
 closed volume formulas, the interpolation calculus, stability gaps, Reeb-cone
-laws and the toric log-Fano centroid identity.  The CLI `selftest` command and
-the acceptance test module both run this list.
+laws, the toric log-Fano centroid identity and the extreme rays of integer
+cones against the minors sweep.  The CLI `selftest` command and the
+acceptance test module both run this list.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 from operator import mul
 from typing import Callable, Iterable
 
@@ -27,6 +28,8 @@ from .exactgeom import (
     centroid,
     cut_cone,
     dual_cone,
+    int_cone_rays,
+    int_det,
     polytope_volume,
     rat,
     triangulate_cone,
@@ -64,6 +67,8 @@ from .singularities import (
 )
 from .valuation import (
     _require_reeb,
+    hypersurface_pairings,
+    initial_order,
     lattice_count_oracle,
     nvol_report,
     reduction_variable,
@@ -348,10 +353,12 @@ def lattice_region(model, a: RVector, p: Fraction) -> tuple[list, list]:
     cone (`dual_cone_box`), and the facet rows <rho, alpha> >= 0 over the
     primitive rays rho of sigma; a must be a Reeb vector.  On a hypersurface:
     each alpha_i below p / a_i, and the exponent of a's reduction variable
-    below its exponent there; no facet rows; the weights must be positive.
+    below its exponent there; no facet rows; the weights must be positive and
+    tie two monomials at the least weight, where `volume` is defined.
     """
     if isinstance(model, ToricConeSingularity):
         return dual_cone_box(model, a, p), [(list(ray), 0) for ray in model.sigma.rays]
+    initial_order(hypersurface_pairings(model, a)[1])
     red, exp = reduction_variable(model, a)
     bounds = [(0, math.ceil(p / weight) - 1) for weight in a]
     bounds[red] = (0, min(bounds[red][1], exp - 1))
@@ -738,6 +745,87 @@ def check_toric_log_fano(seed: int = 0) -> list[CheckResult]:
     return out
 
 
+# -- criterion 12: extreme rays of integer cones -----------------------------------------
+
+
+def minors_cone_rays(rows, dim: int) -> list[tuple[int, ...]]:
+    """The output of `exactgeom.int_cone_rays` by the signed maximal minors of
+    every (dim - 1)-subset of the rows, independent of the double description:
+    the witness that criterion 12 compares it with.
+
+    A candidate is the vector of signed maximal minors of dim - 1 of the rows,
+    which spans their kernel when they have rank dim - 1 and is zero
+    otherwise; it is kept, with either sign, when every row pairs
+    nonnegatively with it.  In dimension 1 the empty minor gives the
+    candidates (1) and (-1).  C(len(rows), dim - 1) determinants: desk-scale
+    inputs only.
+    """
+    found: set[tuple[int, ...]] = set()
+    for active in combinations(rows, dim - 1):
+        ray = [(-1) ** i * int_det([r[:i] + r[i + 1 :] for r in active]) for i in range(dim)]
+        g = math.gcd(*ray)
+        if g == 0:
+            continue
+        pairings = [sum(map(mul, r, ray)) for r in rows]
+        if min(pairings, default=0) >= 0:
+            found.add(tuple(c // g for c in ray))
+        if max(pairings, default=0) <= 0:
+            found.add(tuple(-c // g for c in ray))
+    return sorted(found)
+
+
+def random_cone_rows(rng: random.Random, dim: int, count: int, lost: int = 0) -> list[list[int]]:
+    """count integer rows of length dim: fresh rows pairing positively with
+    (1, ..., 1), so that the cone has rays, and zero, repeated, scaled and
+    opposite copies of earlier rows.  With lost > 0 the rows vanish on `lost`
+    columns before a random unimodular column shear, so their rank is at
+    most dim - lost and the kernel is no coordinate space."""
+    rows: list[list[int]] = []
+    for _ in range(count):
+        kind = rng.randrange(8) if rows else 0
+        if kind < 4:
+            row = [0] * dim
+            while sum(row) <= 0:
+                row = [rng.randint(-3, 3) for _ in range(dim)]
+        elif kind == 4:
+            row = [0] * dim
+        else:
+            row = list(rng.choice(rows))
+            if kind == 6:
+                row = [rng.randint(2, 3) * c for c in row]
+            elif kind == 7:
+                row = [-c for c in row]
+        rows.append(row)
+    for j in rng.sample(range(dim), min(lost, dim)):
+        for row in rows:
+            row[j] = 0
+    for _ in range(dim if dim > 1 else 0):
+        i, j = rng.sample(range(dim), 2)
+        c = rng.randint(-2, 2)
+        for row in rows:
+            row[i] += c * row[j]
+    return rows
+
+
+def check_cone_rays(seed: int = 0, per_dim: int = 15) -> list[CheckResult]:
+    """`int_cone_rays` equals the minors sweep exactly on seeded random row
+    sets in dimensions 2-5, a third of them of rank below dim."""
+    rng = random.Random(seed)
+    out = []
+    for dim in range(2, 6):
+        for k in range(per_dim):
+            lost = rng.randint(1, 2) if k % 3 == 2 else 0
+            rows = random_cone_rows(rng, dim, rng.randint(dim, dim + 6), lost)
+            out.append(
+                CheckResult.exact(
+                    f"cone_rays[dim={dim},{k}]",
+                    int_cone_rays(rows, dim),
+                    minors_cone_rays(rows, dim),
+                )
+            )
+    return out
+
+
 # -- driver ------------------------------------------------------------------------------
 
 
@@ -753,6 +841,7 @@ SUITES: list[tuple[str, Callable[[], list[CheckResult]]]] = [
     ("gap", check_stability_gap),
     ("reeb", check_reeb_laws),
     ("toric_log_fano", check_toric_log_fano),
+    ("cone_rays", check_cone_rays),
 ]
 
 

@@ -50,12 +50,21 @@ from itertools import combinations
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .errors import AngleOutOfRange, InvalidIndex, ModelError, NotInReebCone, NotQGorenstein
+from .errors import (
+    AngleOutOfRange,
+    DegeneratePolytope,
+    InvalidIndex,
+    ModelError,
+    NotInReebCone,
+    NotQGorenstein,
+)
 from .exactgeom import (
     Halfspace,
     PolyCone,
     Polytope,
     RVector,
+    _integral,
+    _vector,
     centroid,
     dual_cone,
     int_cone_rays,
@@ -68,6 +77,7 @@ from .valuation import (
     domain_logdisc_hypersurface,
     domain_logdisc_toric,
     hypersurface_pairings,
+    initial_order,
     integer_pairings,
     log_discrepancy_hypersurface,
     log_discrepancy_toric,
@@ -282,8 +292,10 @@ class WeightedHomogeneousHypersurface:
 
     def series_pieces(self, a: Sequence) -> tuple[int, list]:
         """(D, [piece]), A = D a: the standard monomials, exponent below exp in the
-        reduction variable, sum_{j < exp} t^(j A_red) / prod_{i != red} (1 - t^A_i)."""
-        z, _, denom = hypersurface_pairings(self, a)
+        reduction variable, sum_{j < exp} t^(j A_red) / prod_{i != red} (1 - t^A_i).
+        Refused outside the domain of `volume`, with its ModelError."""
+        z, weights, denom = hypersurface_pairings(self, a)
+        initial_order(weights)
         red, exp = reduction_variable(self, a)
         return denom, [(z[:red] + z[red + 1 :], exp, range(0, exp * z[red], z[red]))]
 
@@ -353,9 +365,10 @@ def _face_piece(model, classes, tie, others, groups) -> ConvexPiece | None:
     The cell lives in the coordinates z of y = sum_f z_f b_f over the kernel
     basis of the ties (`exactgeom.int_kernel`): one primitive integer vector
     x per free column f, with b_f = x / x_f.  So the cell's rows are integers
-    in z'_f = z_f / x_f and `exactgeom.int_cone_rays` gives its rays.  Each
-    ray maps back to the primitive z with z_f = x_f z'_f, the key that sorts
-    the rays, and to the integer weight y' = sum_f z'_f x on the ray of y.
+    in z'_f = z_f / x_f, and the integer double description
+    (`exactgeom.int_cone_rays`) gives its extreme rays.  Each ray maps back
+    to the primitive z with z_f = x_f z'_f, the key that sorts the rays, and
+    to the integer weight y' = sum_f z'_f x on the ray of y.
     The interior and klt tests read only signs, so they run on y'; the slice
     vertex is the pair (n y', <logdisc, y'>) and the basis vector b_f the pair
     (x, x_f), each variable taking the entry of its class.  A piece's
@@ -552,8 +565,10 @@ def toric_log_fano(facets: Sequence[Halfspace], r) -> ToricLogFanoReport:
     angles of the lifted pair at s = r (n+1)/n; an index r <= 0 is an
     InvalidIndex.  The lifted polytope is conv(0, P x {1}), so its vertices
     are the origin and (v, 1) over the vertices v of P, with no second
-    vertex enumeration.  The lifted
-    barycenter must equal n/(n+1) (p*, 1) exactly, which forces beta_n = r/n.
+    vertex enumeration, and its own fan triangulation gives its barycenter,
+    which must equal n/(n+1) (p*, 1) exactly and forces beta_n = r/n.  The
+    angles pair the facets' integer rows with the barycenters cleared to
+    integers; `centroid` tests that P is full-dimensional.
     """
     r = rat(r)
     if r <= 0:
@@ -563,30 +578,38 @@ def toric_log_fano(facets: Sequence[Halfspace], r) -> ToricLogFanoReport:
     base_dim = facets[0].normal.dim
     n = base_dim + 1
     base = Polytope.from_hrep(list(facets), base_dim)
-    if not base.is_full_dimensional:
-        raise ModelError("base polytope is not full-dimensional")
-    p_star = centroid(base)
-    gammas = tuple(r * h.value(p_star) for h in facets)
+    try:
+        p_star = centroid(base)
+    except DegeneratePolytope:
+        raise ModelError("base polytope is not full-dimensional") from None
+    # each facet's integer row (R, c), R = c (eta_i, a_i), and (p*, 1) = point / den
+    rows = [h.row for h in facets]
+    point, den = _integral([*p_star, 1])
+    gammas = tuple(
+        Fraction(r.numerator * sum(map(mul, row, point)), r.denominator * c * den)
+        for row, c in rows
+    )
     if any(g > 1 for g in gammas):
         raise AngleOutOfRange(f"some r*l_i(p*) exceeds 1: {tuple(map(str, gammas))}")
     if any(g <= 0 for g in gammas):
         raise AngleOutOfRange("barycenter must be interior: some l_i(p*) <= 0")
-    lifted_hrep = [
-        Halfspace(RVector(list(h.normal) + [h.offset]), Fraction(0)) for h in facets
-    ]
-    lifted_hrep.append(
-        Halfspace(RVector([0] * base_dim + [-1]), Fraction(1))
-    )
+    lifted_hrep = [Halfspace(_vector((*h.normal, h.offset)), 0) for h in facets]
+    lifted_hrep.append(Halfspace([0] * base_dim + [-1], 1))
     # y_n >= 0 on the lifted facets because P is bounded and full-dimensional
-    vrep = [RVector([0] * n)] + [RVector(list(v) + [1]) for v in base.vrep]
+    one = Fraction(1)
+    vrep = [RVector([0] * n)] + [_vector((*v, one)) for v in base.vrep]
     lifted = Polytope(dim=n, hrep=tuple(lifted_hrep), vrep=tuple(sorted(vrep)))
     frak_p_star = centroid(lifted)
-    expected = RVector(list(p_star) + [Fraction(1)]).scale(Fraction(n, n + 1))
-    if frak_p_star != expected:
+    lifted_point, lifted_den = _integral(frak_p_star)
+    # frak_p_star = n/(n+1) (p*, 1), with (p*, 1) = point / den
+    if any((n + 1) * f * den != n * p * lifted_den for f, p in zip(lifted_point, point)):
         raise ModelError("lifted barycenter violates the n/(n+1) law")
     s = r * Fraction(n + 1, n)
-    beta_i = tuple(s * h.value(frak_p_star) for h in lifted_hrep[:-1])
-    beta_n = s * lifted_hrep[-1].value(frak_p_star)
+    beta_i = tuple(
+        Fraction(s.numerator * sum(map(mul, row, lifted_point)), s.denominator * c * lifted_den)
+        for row, c in rows
+    )
+    beta_n = s * Fraction(lifted_den - lifted_point[-1], lifted_den)
     assert beta_i == gammas
     assert beta_n == r / n
     return ToricLogFanoReport(

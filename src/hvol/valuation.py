@@ -217,10 +217,16 @@ def valuation_volume_hypersurface(w: "WeightedHomogeneousHypersurface", a: Seque
     With a = z / D and d(a) = d / D this is d * D^(nvars - 1) / prod(z).
     """
     z, weights, denom = hypersurface_pairings(w, a)
+    return Fraction(initial_order(weights) * denom ** (w.nvars - 1), math.prod(z))
+
+
+def initial_order(weights: list[int]) -> int:
+    """The least of the monomials' weights; a `ModelError` where one monomial
+    alone attains it, outside the domain of the hypersurface's volume."""
     order = min(weights)
     if weights.count(order) < 2:
         raise ModelError("a-initial form of the defining polynomial is a single monomial")
-    return Fraction(order * denom ** (w.nvars - 1), math.prod(z))
+    return order
 
 
 # -- reports -----------------------------------------------------------------

@@ -88,6 +88,10 @@ def test_criterion_11_toric_log_fano_centroids():
     _run("toric_log_fano")
 
 
+def test_criterion_12_cone_rays_match_the_minors():
+    _run("cone_rays")
+
+
 def test_full_suite_is_green():
     # reuses the suites the criterion tests above already ran
     results = [r for name, _ in selftest.SUITES for r in _timed(name)[0]]

@@ -287,6 +287,13 @@ def test_hypersurface_canonical_xi_is_checked(capsys, canonical):
     assert "schema_error" in capsys.readouterr().err
 
 
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["minimize", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hvol minimize")
+
+
 def test_selftest_filtered(capsys):
     code, out = run_cli(capsys, ["selftest", "--filter", "sharpness"])
     assert code == 0
@@ -506,6 +513,26 @@ def _refused_kind(command: str) -> str:
         (
             ["filtration", "--model", C2_TORIC, "--v1=1,2,"],
             "error[schema_error]: --v1 has an empty entry: '1,2,'\n",
+        ),
+        # an entry whose text exceeds Python's digit limit, refused before
+        # the report echoes it
+        (
+            ["minimize", "--model", C2_BARE, "--init=1e5000,1"],
+            "error[schema_error]: --init has an entry with too many digits: '1e5000,1'\n",
+        ),
+        # usage errors are schema errors (exit 3), not argparse's exit 2
+        (
+            ["minimize"],
+            "error[schema_error]: hvol minimize: the following arguments are required: --model\n",
+        ),
+        (
+            ["minimize", "--model", C2_BARE, "--max-iter", "abc"],
+            "error[schema_error]: hvol minimize: argument --max-iter: invalid int value: 'abc'\n",
+        ),
+        (
+            ["bogus"],
+            "error[schema_error]: hvol: argument command: invalid choice: 'bogus' (choose from"
+            " 'compute', 'minimize', 'quotient', 'filtration', 'selftest')\n",
         ),
     ],
 )

@@ -21,6 +21,7 @@ from hvol.exactgeom import (
     polytope_volume,
     vertex_enumerate,
 )
+from hvol.selftest import minors_cone_rays, random_cone_rows
 
 
 def hs(normal, offset=0):
@@ -368,6 +369,50 @@ def test_cone_rays_matches_brute_force(dim):
         rows = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(rng.randint(1, dim + 3))]
         expected = _cone_rays_reference(rows, dim)
         assert int_cone_rays(rows, dim) == expected, rows
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_cone_rays_match_the_minors_witness(dim):
+    # the double description against the signed maximal minors on 0-10 rows
+    # with zero, repeated, scaled and opposite rows, a third of them of rank
+    # below dim (lineality: both signs of a kernel line, or no ray at all)
+    rng = random.Random(300 + dim)
+    cases = {1: 60, 2: 60, 3: 80, 4: 80, 5: 80, 6: 60}[dim]
+    for k in range(cases):
+        lost = rng.randint(1, min(2, dim)) if k % 3 == 2 else 0
+        rows = random_cone_rows(rng, dim, rng.randint(0, 10), lost)
+        assert int_cone_rays(rows, dim) == minors_cone_rays(rows, dim), rows
+
+
+def test_cone_rays_with_lineality():
+    # rank dim - 1: the kernel line with both signs; below that: no ray
+    assert int_cone_rays([], 1) == [(-1,), (1,)]
+    assert int_cone_rays([[0]], 1) == [(-1,), (1,)]
+    assert int_cone_rays([], 2) == []
+    assert int_cone_rays([[1, 0]], 2) == [(0, -1), (0, 1)]
+    assert int_cone_rays([[2, 4, 0], [-1, -2, 0]], 3) == []
+    assert int_cone_rays([[2, 4, 0], [0, 0, -3], [-1, -2, 0]], 3) == [(-2, 1, 0), (2, -1, 0)]
+    assert int_cone_rays([[1, 0], [-1, 0], [0, 1], [0, -1]], 2) == []
+
+
+def _cube(d):
+    return [hs(e, 1) for i in range(d) for e in ([int(j == i) for j in range(d)], [-int(j == i) for j in range(d)])]
+
+
+def _cross(d):
+    return [hs(signs, 1) for signs in itertools.product([1, -1], repeat=d)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_cube_and_cross_polytope_vertex_counts(d):
+    cube = vertex_enumerate(_cube(d), d)
+    assert cube == sorted(RVector(v) for v in itertools.product([-1, 1], repeat=d))
+    cross = vertex_enumerate(_cross(d), d)
+    assert len(cross) == 2 * d
+    assert {tuple(map(abs, v)) for v in cross} == {tuple(int(j == i) for j in range(d)) for i in range(d)}
+    # and the cone over the cube has the 2d facets of the cross-polytope
+    cone = PolyCone.from_rays([list(v) + [1] for v in itertools.product([-1, 1], repeat=d)])
+    assert len(dual_cone(cone).rays) == 2 * d
 
 
 def test_dual_cone_of_a_ray():

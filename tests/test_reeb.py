@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from decimal import Decimal, localcontext
@@ -28,6 +29,17 @@ from hvol.singularities import (
     cyclic_quotient_cone,
 )
 from hvol.valuation import log_discrepancy_toric, volume_gradient_toric
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_minimize_on_the_cone_over_the_cube(d):
+    # the dual polytope, the cross-polytope, has barycenter 0, the paper's
+    # criterion, so xi = (0, ..., 0, d + 1) is the minimizer, and the minimum
+    # is (-K)^d = d! vol(cross-polytope) = 2^d: a zero-width bracket
+    rays = [list(v) + [1] for v in itertools.product([-1, 1], repeat=d)]
+    best = minimize_nvol(ToricConeSingularity.from_rays(rays))
+    assert best.min_nvol_lower == best.min_nvol_upper == 2**d
+    assert best.argmin == RVector([0] * d + [d + 1])
 
 
 def test_reeb_membership():

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from fractions import Fraction
 from operator import mul
@@ -225,6 +226,22 @@ def test_toric_log_fano_simplex():
 def test_toric_log_fano_lifted_vertices_match_enumeration(facets, r):
     lifted = toric_log_fano(facets, r).lifted
     assert lifted.vrep == tuple(vertex_enumerate(lifted.hrep, lifted.dim))
+
+
+def test_toric_log_fano_on_a_shifted_5_dim_cross_polytope():
+    # |<s, x - t>| <= 1 over the 32 sign vectors s: the barycenter is the
+    # shift t, every l_i(p*) is 1, and beta_n = r / n with n = 6
+    shift = [Fraction(1, 2), -1, 0, 2, Fraction(-1, 3)]
+    facets = [
+        hs(signs, 1 - sum(a * b for a, b in zip(signs, shift)))
+        for signs in itertools.product([1, -1], repeat=5)
+    ]
+    r = Fraction(2, 3)
+    rep = toric_log_fano(facets, r)
+    assert rep.p_star == RVector(shift)
+    assert rep.gammas == (r,) * 32 == rep.beta_i
+    assert rep.beta_n == r / 6
+    assert len(rep.lifted.vrep) == 11
 
 
 def test_toric_log_fano_centroid_law():

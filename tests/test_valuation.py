@@ -214,8 +214,9 @@ def test_series_budget():
     # a table of 10^6 cells and three weights: refused before it is built
     with pytest.raises(BudgetExceeded, match="^series tables of 3000001 cells exceed budget$"):
         lattice_count_oracle(affine_space(3), [1, 1, 1], 10**6)
+    # weights in the domain: y^2 and z^2 tie at the least weight
     with pytest.raises(BudgetExceeded):
-        lattice_count_oracle(akm_singularity(2, 2), [1, 1, Fraction(1, 10**6)], 1)
+        lattice_count_oracle(akm_singularity(2, 2), [1, Fraction(1, 10**6), Fraction(1, 10**6)], 1)
 
 
 def test_nvol_report_flags_nonpositive():
@@ -440,13 +441,16 @@ def test_series_count_equals_box_witness_on_hypersurfaces(model):
         st.fractions(min_value=2, max_value=6, max_denominator=4),
         st.lists(
             st.one_of(st.just(Fraction(1)), st.fractions(min_value=1, max_value=3, max_denominator=4)),
-            min_size=model.nvars,
-            max_size=model.nvars,
+            min_size=model.nvars - 1,
+            max_size=model.nvars - 1,
         ),
+        st.integers(min_value=0, max_value=model.nvars - 1),
         st.fractions(min_value=Fraction(1, 2), max_value=4, max_denominator=3),
     )
-    def check(order, stretches, depth):
-        # a stretch of 1 ties the monomial at the least weight
+    def check(order, stretches, at, depth):
+        # monomial i has weight order * stretch_i; a copy of the least stretch
+        # inserted at `at` ties two monomials at the least weight, as volume needs
+        stretches.insert(at, min(stretches))
         _same_count(model, [order * s / d for s, d in zip(stretches, degrees)], depth)
 
     check()
@@ -462,9 +466,11 @@ def test_series_count_equals_box_witness_on_hypersurfaces(model):
         (conifold(), [1, 0, 0], 3, NotInReebCone, "(1, 0, 0) pairs nonpositively with weight generator (0, 0, 1)"),
         (conifold(), [1, 1], 3, ModelError, "expected 3 weights, got 2"),
         (akm_singularity(2, 2), [1, -1, 1], 3, NotInReebCone, "hypersurface weights must be strictly positive"),
-        (XY_ZW, [1, 1, 2, 2], 3, ModelError, "lattice counting needs a weight-minimal monomial"),
+        (XY_ZW, [1, 1, 1, 1], 3, ModelError, "lattice counting needs a weight-minimal monomial"),
+        # x^2 alone has the least weight: outside the domain of volume
+        (akm_singularity(2, 3), [1, 2, 1], 10, ModelError, "a-initial form of the defining polynomial is a single monomial"),
     ],
-    ids=["toric p=0", "hypersurface p<0", "not Reeb", "wrong length", "nonpositive weight", "no reduction"],
+    ids=["toric p=0", "hypersurface p<0", "not Reeb", "wrong length", "nonpositive weight", "no reduction", "one least monomial"],
 )
 def test_series_count_refuses_as_the_box_witness(model, a, p, error, message):
     for count in (lattice_count_oracle, box_count):
