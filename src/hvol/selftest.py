@@ -777,16 +777,20 @@ def minors_cone_rays(rows, dim: int) -> list[tuple[int, ...]]:
 def random_cone_rows(rng: random.Random, dim: int, count: int, lost: int = 0) -> list[list[int]]:
     """count integer rows of length dim: fresh rows pairing positively with
     (1, ..., 1), so that the cone has rays, and zero, repeated, scaled and
-    opposite copies of earlier rows.  With lost > 0 the rows vanish on `lost`
-    columns before a random unimodular column shear, so their rank is at
-    most dim - lost and the kernel is no coordinate space."""
+    opposite copies of earlier rows.  Fresh entries lie in [-1, 1] for half
+    the row sets, whose cones have many rays on many rows each, so that the
+    adjacency of two rays is not read off their count of common rows, and in
+    [-3, 3] otherwise.  With lost > 0 the rows vanish on `lost` columns
+    before a random unimodular column shear, so their rank is at most
+    dim - lost and the kernel is no coordinate space."""
     rows: list[list[int]] = []
+    spread = rng.choice((1, 3))
     for _ in range(count):
         kind = rng.randrange(8) if rows else 0
         if kind < 4:
             row = [0] * dim
             while sum(row) <= 0:
-                row = [rng.randint(-3, 3) for _ in range(dim)]
+                row = [rng.randint(-spread, spread) for _ in range(dim)]
         elif kind == 4:
             row = [0] * dim
         else:
