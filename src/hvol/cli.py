@@ -30,7 +30,8 @@ suites are imported only when `hvol selftest` runs.  Record types are
 NamedTuples or plain classes, so start-up loads no `dataclasses` (nor the
 `inspect` it imports) and generates no methods through `exec`.
 
-Exit codes: 0 all checks pass, 2 some check failed, 3 schema or model error.
+Exit codes: 0 all checks pass, 2 some check failed, 3 schema or model error,
+usage errors included (a missing flag, a bad value, an unknown command).
 """
 
 from __future__ import annotations
