@@ -6,17 +6,7 @@ over the Reeb cone, and verifies the volume calculus identities (profiles,
 interpolation derivatives, stability gaps) that certify the minimizers.
 """
 
-from .exactgeom import (
-    Halfspace,
-    PolyCone,
-    Polytope,
-    RVector,
-    centroid,
-    cut_cone,
-    dual_cone,
-    polytope_volume,
-    vertex_enumerate,
-)
+from .exactgeom import PolyCone, RVector, dual_cone
 from .valuation import (
     MonomialValuation,
     ValuationReport,

@@ -47,7 +47,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Sequence
 
 from .errors import HvolError, PreconditionViolated, SchemaError
-from .exactgeom import Halfspace, RVector, to_float
+from .exactgeom import RVector, _integral, to_float
 from .filtration import (
     interpolation_derivative_forms,
     interpolation_volume,
@@ -74,6 +74,7 @@ from .reeb import CERTIFIED_WIDTH, minimize_nvol
 from .singularities import (
     PolarizedConeData,
     ToricConeSingularity,
+    ToricLogFanoPair,
     WeightedHomogeneousHypersurface,
     akm_singularity,
     cone_invariants,
@@ -248,11 +249,11 @@ def parse_model(descriptor: dict):
             for f in facets
         ):
             raise SchemaError("toric_log_fano facets must be objects with 'normal' and 'offset'")
-        normals = [RVector([_parse_rational(v) for v in f["normal"]]) for f in facets]
+        normals = [[_parse_rational(v) for v in f["normal"]] for f in facets]
         if any(len(v) != len(normals[0]) or not any(v) for v in normals):
             raise SchemaError("toric_log_fano facet normals must be nonzero and of one length")
-        halfspaces = [Halfspace(v, _parse_rational(f["offset"])) for v, f in zip(normals, facets)]
-        return halfspaces, _parse_rational(descriptor["r"])
+        rows = [_integral([*v, _parse_rational(f["offset"])]) for v, f in zip(normals, facets)]
+        return ToricLogFanoPair(rows, _parse_rational(descriptor["r"]))
     raise SchemaError(f"unknown model type {kind!r}")
 
 
@@ -312,19 +313,24 @@ def _approx(value, what: str) -> str:
     return _fmt_float(to_float(value, what))
 
 
-def _exact_pair(value: Fraction, what: str) -> dict:
-    """An exact value's text and float; `what` names it if either fails."""
+def _exact_text(value: Fraction, what: str) -> str:
+    """An exact value's text; `what` names it if it has more digits than
+    Python prints."""
     try:
-        exact = str(value)
+        return str(value)
     except ValueError:
         raise PreconditionViolated(f"{what} has too many digits for an exact report") from None
-    return {"exact": exact, "approx": _approx(value, what)}
+
+
+def _exact_pair(value: Fraction, what: str) -> dict:
+    """An exact value's text and float; `what` names it if either fails."""
+    return {"exact": _exact_text(value, what), "approx": _approx(value, what)}
 
 
 def _cone_model(descriptor, command: str):
     """The model of `descriptor`, refused unless it offers the cone-model interface."""
     model = parse_model(descriptor)
-    if isinstance(model, (PolarizedConeData, tuple)):
+    if isinstance(model, (PolarizedConeData, ToricLogFanoPair)):
         raise SchemaError(f"{command} needs a toric_cone, hypersurface or akm model")
     return model
 
@@ -356,30 +362,36 @@ def _run_compute(args: argparse.Namespace) -> tuple[Report, Callable[[], str] | 
             )
         )
         return Report("compute", inputs, results, checks), None
-    if isinstance(model, tuple):  # toric_log_fano: (facets, r)
-        facets, r = model
-        rep = toric_log_fano(facets, r)
+    if isinstance(model, ToricLogFanoPair):
+        rep = toric_log_fano(*model)
         results = {
-            "p_star": [str(v) for v in rep.p_star],
-            "gammas": [str(g) for g in rep.gammas],
-            "frak_p_star": [str(v) for v in rep.frak_p_star],
-            "s": str(rep.s),
-            "beta_i": [str(b) for b in rep.beta_i],
+            "p_star": [_exact_text(v, "p_star") for v in rep.p_star],
+            "gammas": [_exact_text(g, "gammas") for g in rep.gammas],
+            "frak_p_star": [_exact_text(v, "frak_p_star") for v in rep.frak_p_star],
+            "s": _exact_text(rep.s, "s"),
+            "beta_i": [_exact_text(b, "beta_i") for b in rep.beta_i],
             "beta_n": _exact_pair(rep.beta_n, "beta_n"),
         }
         n = len(rep.p_star) + 1
-        expected = RVector(list(rep.p_star) + [Fraction(1)]).scale(Fraction(n, n + 1))
+        expected = RVector([*rep.p_star, 1]).scale(Fraction(n, n + 1))
         checks.append(
             _check(
                 "lifted_centroid",
                 rep.frak_p_star == expected,
-                [str(v) for v in rep.frak_p_star],
-                [str(v) for v in expected],
+                results["frak_p_star"],
+                [_exact_text(v, "lifted_centroid") for v in expected],
                 "exact",
             )
         )
+        r_over_n = model.r / n
         checks.append(
-            _check("beta_n_is_r_over_n", rep.beta_n == r / n, str(rep.beta_n), str(r / n), "exact")
+            _check(
+                "beta_n_is_r_over_n",
+                rep.beta_n == r_over_n,
+                results["beta_n"]["exact"],
+                _exact_text(r_over_n, "beta_n_is_r_over_n"),
+                "exact",
+            )
         )
         return Report("compute", inputs, results, checks), None
     if valuation is None:

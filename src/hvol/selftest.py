@@ -7,6 +7,11 @@ closed volume formulas, the interpolation calculus, stability gaps, Reeb-cone
 laws, the toric log-Fano centroid identity and the extreme rays of integer
 cones against the minors sweep.  The CLI `selftest` command and the
 acceptance test module both run this list.
+
+The module also holds the witnesses those checks compare with, computed
+apart from the program's own route: among them the `Fraction` polytope layer
+(halfspaces, vertex enumeration, polytope volumes and centroids, cut cones),
+which `import hvol` does not load.
 """
 
 from __future__ import annotations
@@ -14,25 +19,23 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product as iter_product
 from operator import mul
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, DegeneratePolytope, EmptyRegion, NotInReebCone, UnboundedRegion
 from .exactgeom import (
-    Halfspace,
     PolyCone,
-    Polytope,
     RVector,
+    _fan,
     _integral,
-    centroid,
-    cut_cone,
-    dual_cone,
+    _vector,
     int_cone_rays,
     int_det,
-    polytope_volume,
+    int_kernel,
+    int_rank,
     rat,
-    triangulate_cone,
 )
 from .filtration import (
     interpolation_closed_form,
@@ -72,7 +75,6 @@ from .valuation import (
     lattice_count_oracle,
     nvol_report,
     reduction_variable,
-    simplex_sum,
     volume_gradient_toric,
 )
 
@@ -102,6 +104,157 @@ def _coprime_pairs(max_r: int) -> list[tuple[int, int]]:
                 pairs.append((r, a))
                 break  # one representative per order keeps runtime small
     return pairs
+
+
+# -- the Fraction polytope layer: the witness of the closed forms -------------------
+#
+# Halfspaces, vertex enumeration, polytope volumes and centroids, and cut
+# cones, computed from the vertices, apart from the cone triangulation and the
+# simplex sums that the program uses: criteria 8, 10 and 11 compare with them.
+
+
+class Halfspace:
+    """Closed halfspace {x : <normal, x> + offset >= 0}."""
+
+    def __init__(self, normal: Sequence, offset):
+        self.normal = RVector(normal)
+        self.offset = rat(offset)
+        if self.normal.is_zero():
+            raise ValueError("halfspace normal must be nonzero")
+
+    def __repr__(self) -> str:
+        return f"Halfspace(normal={self.normal!r}, offset={self.offset!r})"
+
+    def value(self, point: Sequence) -> Fraction:
+        return self.normal.dot(point) + self.offset
+
+    @cached_property
+    def row(self) -> tuple[list[int], int]:
+        """(c (normal, offset), c) for the least positive integer c that
+        clears the denominators (`_integral`), cleared on first use."""
+        return _integral([*self.normal, self.offset])
+
+
+def _homogenized_rays(
+    rows: Sequence[Sequence[int]], dim: int
+) -> tuple[list[RVector], list[tuple[int, ...]]]:
+    """The extreme rays (N, D) of {(x, t) : <a, x> + b t >= 0, t >= 0} over
+    integer rows (a, b) (`int_cone_rays`), split by D: the points N / D for
+    D > 0, sorted, and the directions N for D = 0, in sorted order.  A
+    `Fraction` is built only for the points."""
+    rays = int_cone_rays([*rows, [0] * dim + [1]], dim + 1)
+    tops = [ray for ray in rays if ray[dim]]
+    scale = math.lcm(*(ray[dim] for ray in tops))
+    tops.sort(key=lambda ray: [c * (scale // ray[dim]) for c in ray[:dim]])
+    points = [_vector(Fraction(c, ray[dim]) for c in ray[:dim]) for ray in tops]
+    return points, [ray[:dim] for ray in rays if not ray[dim]]
+
+
+def vertex_enumerate(hrep: Sequence[Halfspace], dim: int) -> list[RVector]:
+    """All vertices of the polytope cut out by hrep, exactly and deduplicated.
+
+    Raises UnboundedRegion if the region is nonempty and has a recession
+    direction, EmptyRegion if it is empty.  Each halfspace is cleared to one
+    integer row (normal, offset) once.  A kernel of the normals (`int_kernel`)
+    is a lineality space, so there is no vertex; the region is nonempty iff
+    it has a vertex on the complement where the kernel's free columns are 0.
+    Otherwise the region is the slice t = 1 of a pointed cone, and one call of
+    `_homogenized_rays`, one double description (`int_cone_rays`), gives both
+    its vertices and its extreme recession directions, the rays of the
+    normals' cone.
+    """
+    rows = [h.row[0] for h in hrep]
+    kernel = int_kernel([row[:dim] for row in rows], dim)
+    if kernel:
+        free = {f for f, _ in kernel}
+        restricted = [[c for j, c in enumerate(row) if j not in free] for row in rows]
+        if not _homogenized_rays(restricted, dim - len(kernel))[0]:
+            raise EmptyRegion("no feasible point")
+        raise UnboundedRegion(f"recession direction {RVector(kernel[0][1])}")
+    found, directions = _homogenized_rays(rows, dim)
+    if not found:
+        raise EmptyRegion("no feasible vertex")
+    if directions:
+        raise UnboundedRegion(f"recession direction {RVector(directions[0])}")
+    return found
+
+
+class Polytope(NamedTuple):
+    """Bounded intersection of halfspaces together with its vertex set."""
+
+    dim: int
+    hrep: tuple[Halfspace, ...]
+    vrep: tuple[RVector, ...]
+
+    @classmethod
+    def from_hrep(cls, hrep: Sequence[Halfspace], dim: int) -> "Polytope":
+        vertices = vertex_enumerate(hrep, dim)
+        return cls(dim=dim, hrep=tuple(hrep), vrep=tuple(vertices))
+
+
+def _simplex_decomposition(p: Polytope) -> tuple[list[tuple[int, list[int]]], int]:
+    """The fan triangulation in integers: ([(|det|, vertex sum), ...], L),
+    with no simplex when p is not full-dimensional.
+
+    The vertices are cleared to one common denominator L once, as integer
+    points V = L v; their rows (V, L) have rank dim + 1 iff p is
+    full-dimensional.  Each simplex s gives |det(V_i - V_0)| = L^dim
+    |det(v_i - v_0)| and the sum of its V, (dim + 1) L times its centroid.  A
+    vertex lies on the facet (a, b), cleared to integers, iff <a, V> + b L =
+    0, and a set of vertices has affine rank one less than the linear rank of
+    their (V, L).
+    """
+    scale = math.lcm(*(c.denominator for v in p.vrep for c in v))
+    cleared = [[c.numerator * (scale // c.denominator) for c in v] + [scale] for v in p.vrep]
+    if int_rank(cleared) != p.dim + 1:
+        return [], scale
+    cleared.sort()  # the lexicographic order of the vertices: one denominator
+    incidences = [
+        frozenset(i for i, v in enumerate(cleared) if sum(map(mul, h.row[0], v)) == 0)
+        for h in p.hrep
+    ]
+    fan = _fan(
+        tuple(range(len(cleared))),
+        incidences,
+        lambda face: int_rank([cleared[i] for i in face]) - 1,
+        p.dim,
+    )
+    pieces = []
+    for simplex in fan:
+        base, *others = (cleared[i][:-1] for i in simplex)
+        d = abs(int_det([[a - b for a, b in zip(v, base)] for v in others]))
+        if d:
+            pieces.append((d, [sum(coords) for coords in zip(base, *others)]))
+    return pieces, scale
+
+
+def polytope_volume(p: Polytope) -> Fraction:
+    """Exact Euclidean volume; a lower-dimensional polytope reports 0."""
+    pieces, scale = _simplex_decomposition(p)
+    return Fraction(sum(d for d, _ in pieces), scale**p.dim * math.factorial(p.dim))
+
+
+def centroid(p: Polytope) -> RVector:
+    """Exact center of mass with respect to Lebesgue measure."""
+    pieces, scale = _simplex_decomposition(p)
+    if not pieces:
+        raise DegeneratePolytope("centroid of a lower-dimensional polytope")
+    weights = [d for d, _ in pieces]
+    common = sum(weights) * scale * (p.dim + 1)
+    return _vector(
+        Fraction(sum(map(mul, weights, coords)), common)
+        for coords in zip(*(sums for _, sums in pieces))
+    )
+
+
+def cut_cone(c: PolyCone, xi: Sequence) -> Polytope:
+    """{y in c : <y, xi> <= 1}; requires xi strictly positive on the rays of c."""
+    xi = RVector(xi)
+    for ray in c.rays:
+        if xi.dot(ray) <= 0:
+            raise NotInReebCone(f"ray {RVector(ray)} pairs nonpositively with {xi}")
+    hrep = [Halfspace(normal, 0) for normal in c.facets] + [Halfspace(-xi, Fraction(1))]
+    return Polytope.from_hrep(hrep, c.dim)
 
 
 # -- criterion 1: quotient surfaces -------------------------------------------
@@ -656,92 +809,64 @@ def check_reeb_laws(seed: int = 0) -> list[CheckResult]:
 # -- criterion 11: toric log-Fano centroid law ------------------------------------------
 
 
-def _random_lattice_polytope(rng: random.Random, dim: int) -> list[Halfspace]:
-    """A random unimodular image of a cube, simplex or cross-polytope."""
+def _random_rational_polytope(rng: random.Random, dim: int) -> list[Halfspace]:
+    """A random unimodular image of a cube, simplex or cross-polytope, each
+    facet pushed out by 0, 1/2, 1 or 3/2, so that its vertices have unequal
+    denominators and the simplices of its triangulation unequal volumes."""
     kind = rng.choice(["cube", "simplex", "cross"])
+    units = [[int(i == j) for j in range(dim)] for i in range(dim)]
     if kind == "cube":
-        hrep = []
-        for i in range(dim):
-            e = [0] * dim
-            e[i] = 1
-            hrep.append((list(e), 1))
-            hrep.append(([-v for v in e], 1))
+        hrep = [(e, 1) for e in units] + [([-v for v in e], 1) for e in units]
     elif kind == "simplex":
-        hrep = []
-        for i in range(dim):
-            e = [0] * dim
-            e[i] = 1
-            hrep.append((list(e), 0))
-        hrep.append(([-1] * dim, dim))
+        hrep = [(e, 0) for e in units] + [([-1] * dim, dim)]
     else:
-        hrep = []
-        for signs in range(2**dim):
-            row = [(1 if signs >> i & 1 else -1) for i in range(dim)]
-            hrep.append((row, 1))
+        hrep = [(list(signs), 1) for signs in iter_product([1, -1], repeat=dim)]
     # random unimodular shear and integer translation: x -> U x + t
-    u = [[Fraction(1 if i == j else 0) for j in range(dim)] for i in range(dim)]
+    u = [list(e) for e in units]
     for _ in range(3):
         i, j = rng.randrange(dim), rng.randrange(dim)
         if i != j:
             c = rng.randint(-2, 2)
-            for col in range(dim):
-                u[i][col] += c * u[j][col]
-    shift = [Fraction(rng.randint(-3, 3)) for _ in range(dim)]
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    shift = [rng.randint(-3, 3) for _ in range(dim)]
     # halfspace <a, x> + b >= 0 pulls back to <a U, y> + (<a, t> + b) >= 0 for x = U y + t
-    out = []
-    for normal, offset in hrep:
-        pulled = [
-            sum(rat(normal[r]) * u[r][col] for r in range(dim)) for col in range(dim)
-        ]
-        const = sum(rat(normal[r]) * shift[r] for r in range(dim)) + offset
-        out.append(Halfspace(RVector(pulled), const))
-    return out
+    return [
+        Halfspace(
+            [sum(a * row[col] for a, row in zip(normal, u)) for col in range(dim)],
+            sum(map(mul, normal, shift)) + offset + Fraction(rng.randint(0, 3), 2),
+        )
+        for normal, offset in hrep
+    ]
 
 
-def _lifted_centroid_by_triangulation(facets: list[Halfspace], n: int) -> RVector:
-    """The centroid of the lifted polytope {<eta_i, y'> + a_i y_n >= 0, y_n <= 1}
-    without its vertices.  It is the cut at xi = e_n of the cone over P x {1},
-    whose rays are the extreme rays of {<(eta_i, a_i), y> >= 0}.  With F(xi) the
-    simplex sum over `triangulate_cone`, n! times the cut's volume, the cut's
-    centroid is -grad F / ((n + 1) F) (Martelli-Sparks-Yau, hep-th/0503183),
-    that is T / ((n + 1) N C) with F = N / C and grad F = -T / C^2."""
-    cone = dual_cone(PolyCone.from_rays([list(h.normal) + [h.offset] for h in facets]))
-    value, common, total = simplex_sum(cone.rays, triangulate_cone(cone), [0] * (n - 1) + [1])
-    return RVector(Fraction(t, (n + 1) * value * common) for t in total)
+def lifted_polytope(facets: Sequence[Halfspace]) -> Polytope:
+    """{(y', y_n) : <eta_i, y'> + a_i y_n >= 0, y_n <= 1} = conv(0, P x {1})
+    for P = {<eta_i, x> + a_i >= 0}, by vertex enumeration."""
+    n = facets[0].normal.dim + 1
+    hrep = [Halfspace([*h.normal, h.offset], 0) for h in facets]
+    return Polytope.from_hrep([*hrep, Halfspace([0] * (n - 1) + [-1], 1)], n)
 
 
 def check_toric_log_fano(seed: int = 0) -> list[CheckResult]:
-    """The lifted centroid and beta_n = r / n that `toric_log_fano` reports,
-    from vertex enumeration and `centroid`, against the triangulated cone over
-    the base polytope."""
+    """The barycenters that `toric_log_fano` reads off the cone over P x {1},
+    frak_p* of the lifted polytope and p* of P, against the centroids of the
+    vertex-enumerated lifted polytope and of P."""
     rng = random.Random(seed)
     out = []
-    produced = 0
-    while produced < 10:
+    for k in range(10):
         dim = rng.randint(2, 4)
-        facets = _random_lattice_polytope(rng, dim)
-        base = Polytope.from_hrep(facets, dim)
-        p_star = centroid(base)
-        max_l = max(h.value(p_star) for h in facets)
-        r = Fraction(1, math.ceil(max_l))
-        if r > dim + 1:
-            r = Fraction(dim + 1)
-        report = toric_log_fano(facets, r)
-        n = dim + 1
-        lifted = _lifted_centroid_by_triangulation(facets, n)
+        facets = _random_rational_polytope(rng, dim)
+        p_star = centroid(Polytope.from_hrep(facets, dim))
+        r = Fraction(1, math.ceil(max(h.value(p_star) for h in facets)))
+        report = toric_log_fano([h.row for h in facets], r)
         out.append(
             CheckResult.exact(
-                f"lifted_centroid[{produced}:dim={dim}]",
+                f"lifted_centroid[{k}:dim={dim}]",
                 report.frak_p_star,
-                lifted,
+                centroid(lifted_polytope(facets)),
             )
         )
-        out.append(
-            CheckResult.exact(
-                f"beta_n[{produced}:dim={dim}]", report.s * (1 - lifted[-1]), r / n
-            )
-        )
-        produced += 1
+        out.append(CheckResult.exact(f"barycenter[{k}:dim={dim}]", report.p_star, p_star))
     return out
 
 

@@ -39,6 +39,10 @@ among monomial valuations in these coordinates with such weights, not over all
 valuations.  The pieces, not a start point or a seed, fix every run:
 `minimize --seed` and `--tol` change no report, and a hypersurface's `--init`
 is checked to lie in the domain and then unused.
+
+The toric log-Fano pipeline (`toric_log_fano`) takes a toric cone's integer
+route through the cone over P x {1}; the `Fraction` polytope layer (vertex
+enumeration, centroids) is its witness in `selftest` (criterion 11).
 """
 
 from __future__ import annotations
@@ -48,27 +52,26 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, NoReturn, Sequence
 
 from .errors import (
     AngleOutOfRange,
-    DegeneratePolytope,
+    EmptyRegion,
     InvalidIndex,
     ModelError,
     NotInReebCone,
     NotQGorenstein,
+    UnboundedRegion,
 )
 from .exactgeom import (
-    Halfspace,
     PolyCone,
-    Polytope,
     RVector,
-    _integral,
     _vector,
-    centroid,
     dual_cone,
     int_cone_rays,
+    int_det,
     int_kernel,
+    int_rank,
     rat,
     triangulate_cone,
 )
@@ -83,6 +86,7 @@ from .valuation import (
     log_discrepancy_toric,
     reduction_variable,
     series_pieces_toric,
+    simplex_sum,
     valuation_volume_hypersurface,
     valuation_volume_toric,
 )
@@ -546,78 +550,110 @@ def cone_invariants(c: PolarizedConeData) -> ConeInvariants:
 # -- toric log-Fano example pipeline -------------------------------------------
 
 
+class ToricLogFanoPair(NamedTuple):
+    """A toric log-Fano pair as `toric_log_fano` reads it: the facets of
+    P = {x : <eta_i, x> + a_i >= 0} as integer rows (R_i, c_i), R_i = c_i
+    (eta_i, a_i) with c_i > 0, and the index r."""
+
+    facets: Sequence[tuple[Sequence[int], int]]
+    r: Fraction
+
+
 class ToricLogFanoReport(NamedTuple):
     p_star: RVector
     gammas: tuple[Fraction, ...]
-    lifted: Polytope
     frak_p_star: RVector
     s: Fraction
     beta_i: tuple[Fraction, ...]
     beta_n: Fraction
 
 
-def toric_log_fano(facets: Sequence[Halfspace], r) -> ToricLogFanoReport:
-    """Lift a lattice polytope to the cone polytope and verify the centroid law.
+def toric_log_fano(facets: Sequence[tuple[Sequence[int], int]], r) -> ToricLogFanoReport:
+    """The barycenters and angles of a toric log-Fano pair and of its lift.
 
-    Input facets describe P in R^(n-1) via <eta_i, x> + a_i >= 0.  The report
-    carries the barycenter p*, the angles gamma_i = r l_i(p*), the lifted
-    polytope with facets <eta_i, y'> + a_i y_n >= 0 and y_n <= 1, and the
-    angles of the lifted pair at s = r (n+1)/n; an index r <= 0 is an
-    InvalidIndex.  The lifted polytope is conv(0, P x {1}), so its vertices
-    are the origin and (v, 1) over the vertices v of P, with no second
-    vertex enumeration, and its own fan triangulation gives its barycenter,
-    which must equal n/(n+1) (p*, 1) exactly and forces beta_n = r/n.  The
-    angles pair the facets' integer rows with the barycenters cleared to
-    integers; `centroid` tests that P is full-dimensional.
+    P in R^(n-1) is {<eta_i, x> + a_i >= 0}, facet i the integer row (R_i,
+    c_i), R_i = c_i (eta_i, a_i), c_i > 0.  The report holds the barycenter
+    p* of P, gamma_i = r l_i(p*), the barycenter frak_p* of the lifted
+    polytope {<eta_i, y'> + a_i y_n >= 0, y_n <= 1} = conv(0, P x {1}), and
+    beta_i, beta_n of the lifted pair at s = r (n+1)/n; r <= 0 is an
+    InvalidIndex.  `hvol compute` checks the law frak_p* = n/(n+1) (p*, 1).
+
+    One double description gives the rays (V_j, D_j) of the cone {<eta_i, x>
+    + a_i t >= 0, t >= 0} over P x {1}, and `triangulate_cone` its simplicial
+    cones.  frak_p* is -grad F / ((n+1) F) at e_n, F the simplex sum over the
+    cones (Martelli-Sparks-Yau, hep-th/0503183).  p* is read apart from it:
+    each cone cuts out the simplex of P on the vertices V_i / D_i, weighted
+    by its own (n-1)-dimensional |det|.  A lineality space, a ray with t = 0
+    or no ray with t > 0 refuses P as vertex enumeration does, and rays of
+    rank below n make P lower-dimensional, a ModelError.
     """
     r = rat(r)
     if r <= 0:
         raise InvalidIndex(f"r = {r} is not positive")
     if not facets:
         raise ModelError("no facets given")
-    base_dim = facets[0].normal.dim
-    n = base_dim + 1
-    base = Polytope.from_hrep(list(facets), base_dim)
-    try:
-        p_star = centroid(base)
-    except DegeneratePolytope:
-        raise ModelError("base polytope is not full-dimensional") from None
-    # each facet's integer row (R, c), R = c (eta_i, a_i), and (p*, 1) = point / den
-    rows = [h.row for h in facets]
-    point, den = _integral([*p_star, 1])
+    rows = [row for row, _ in facets]
+    n = len(rows[0])
+    e_n = [0] * (n - 1) + [1]
+    rays = int_cone_rays([*rows, e_n], n)
+    if not rays or rays[0] == tuple(-c for c in rays[-1]):
+        _refuse_region(rows, n)
+    directions = [ray for ray in rays if not ray[-1]]
+    if len(directions) == len(rays):
+        raise EmptyRegion("no feasible vertex")
+    if directions:
+        raise UnboundedRegion(f"recession direction {RVector(directions[0][:-1])}")
+    if int_rank(rays) < n:
+        raise ModelError("base polytope is not full-dimensional")
+    cones = triangulate_cone(PolyCone(dim=n, rays=tuple(rays)))
+    # the simplex of P in each cone, its vertices cleared to one denominator L
+    scale = math.lcm(*(ray[-1] for ray in rays))
+    points = [[c * (scale // ray[-1]) for c in ray[:-1]] for ray in rays]
+    weight, moments = 0, [0] * (n - 1)
+    for _, cone in cones:
+        base, *others = (points[i] for i in cone)
+        d = abs(int_det([[a - b for a, b in zip(v, base)] for v in others]))
+        weight += d
+        moments = [m + d * sum(coords) for m, coords in zip(moments, zip(base, *others))]
+    # (p*, 1) = point / den
+    den = n * scale * weight
+    point = [*moments, den]
+    p_star = _vector(Fraction(m, den) for m in moments)
     gammas = tuple(
         Fraction(r.numerator * sum(map(mul, row, point)), r.denominator * c * den)
-        for row, c in rows
+        for row, c in facets
     )
     if any(g > 1 for g in gammas):
         raise AngleOutOfRange(f"some r*l_i(p*) exceeds 1: {tuple(map(str, gammas))}")
     if any(g <= 0 for g in gammas):
         raise AngleOutOfRange("barycenter must be interior: some l_i(p*) <= 0")
-    lifted_hrep = [Halfspace(_vector((*h.normal, h.offset)), 0) for h in facets]
-    lifted_hrep.append(Halfspace([0] * base_dim + [-1], 1))
-    # y_n >= 0 on the lifted facets because P is bounded and full-dimensional
-    one = Fraction(1)
-    vrep = [RVector([0] * n)] + [_vector((*v, one)) for v in base.vrep]
-    lifted = Polytope(dim=n, hrep=tuple(lifted_hrep), vrep=tuple(sorted(vrep)))
-    frak_p_star = centroid(lifted)
-    lifted_point, lifted_den = _integral(frak_p_star)
-    # frak_p_star = n/(n+1) (p*, 1), with (p*, 1) = point / den
-    if any((n + 1) * f * den != n * p * lifted_den for f, p in zip(lifted_point, point)):
-        raise ModelError("lifted barycenter violates the n/(n+1) law")
+    value, common, total = simplex_sum(rays, cones, e_n)
+    # frak_p* = total / lifted_den
+    lifted_den = (n + 1) * value * common
     s = r * Fraction(n + 1, n)
-    beta_i = tuple(
-        Fraction(s.numerator * sum(map(mul, row, lifted_point)), s.denominator * c * lifted_den)
-        for row, c in rows
-    )
-    beta_n = s * Fraction(lifted_den - lifted_point[-1], lifted_den)
-    assert beta_i == gammas
-    assert beta_n == r / n
     return ToricLogFanoReport(
         p_star=p_star,
         gammas=gammas,
-        lifted=lifted,
-        frak_p_star=frak_p_star,
+        frak_p_star=_vector(Fraction(t, lifted_den) for t in total),
         s=s,
-        beta_i=beta_i,
-        beta_n=beta_n,
+        beta_i=tuple(
+            Fraction(s.numerator * sum(map(mul, row, total)), s.denominator * c * lifted_den)
+            for row, c in facets
+        ),
+        beta_n=s * Fraction(lifted_den - total[-1], lifted_den),
     )
+
+
+def _refuse_region(rows: list[Sequence[int]], n: int) -> NoReturn:
+    """Refuse P when the cone over it is {0} or has a lineality space, the
+    kernel of the normals; P is then empty iff it has no point where the
+    kernel's free columns are 0."""
+    kernel = int_kernel([row[:-1] for row in rows], n - 1)
+    if not kernel:
+        raise EmptyRegion("no feasible vertex")
+    free = {f for f, _ in kernel}
+    restricted = [[c for j, c in enumerate(row) if j not in free] for row in rows]
+    dim = n - len(kernel)
+    if not any(ray[-1] for ray in int_cone_rays([*restricted, [0] * (dim - 1) + [1]], dim)):
+        raise EmptyRegion("no feasible point")
+    raise UnboundedRegion(f"recession direction {RVector(kernel[0][1])}")

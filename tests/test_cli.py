@@ -12,10 +12,12 @@ from pathlib import Path
 import pytest
 
 import hvol
+import hvol.singularities as singularities
 
 from hvol.cli import Report, main, parse_group, parse_model
 from hvol.errors import SchemaError
 from hvol.singularities import PolarizedConeData, ToricConeSingularity
+from hvol.valuation import simplex_sum
 
 
 AKM_35 = '{"type":"akm","n":3,"k":5}'
@@ -430,6 +432,40 @@ def test_toric_log_fano_accepts_a_positive_index_below_one(capsys):
     assert results["beta_n"]["exact"] == "1/6"
 
 
+def test_log_fano_texts_beyond_the_digit_limit_are_refused(capsys):
+    # P = [-10^5000, 1]: its barycenter has more digits than Python prints
+    model = _log_fano(([1], "1e5000"), ([-1], "1"), r="1e-5000")
+    assert main(["compute", "--model", model]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "error[precondition_violated]: p_star has too many digits for an exact report\n",
+    )
+
+
+# a hexagon with rational offsets, whose triangulation has simplices of
+# unequal volume
+_HEXAGON = (
+    ([1, 0], "1"), ([0, 1], "1/2"), ([-1, -1], "1"),
+    ([-1, 0], "1"), ([0, -1], "1"), ([1, 1], "3/2"),
+)
+
+
+def test_lifted_centroid_can_fail(capsys, monkeypatch):
+    # one barycenter from the cone's simplex sum, the other from the simplices
+    # of P: unit weights in the simplex sum break only the first
+    model = _log_fano(*_HEXAGON, r="1/2")
+    assert main(["compute", "--model", model]) == 0
+    capsys.readouterr()
+
+    def unit_weights(generators, simplices, z):
+        return simplex_sum(generators, [(1, s) for _, s in simplices], z)
+
+    monkeypatch.setattr(singularities, "simplex_sum", unit_weights)
+    assert main(["compute", "--model", model]) == 2
+    checks = {c["name"]: c["pass"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["lifted_centroid"] is False
+
+
 POLARIZED = '{"type":"polarized_cone","n":3,"r":1,"degH":9}'
 
 
@@ -662,6 +698,18 @@ def test_import_does_not_load_dataclasses():
 def test_import_does_not_load_the_selftest():
     # start-up cost: only `hvol selftest` needs the self-test suites
     done = _run_python("-c", "import sys, hvol.cli; assert 'hvol.selftest' not in sys.modules")
+    assert done.returncode == 0, done.stderr
+
+
+def test_import_leaves_the_polytope_layer_to_the_selftest():
+    # start-up cost: the Fraction polytope layer is the self-test's witness
+    code = (
+        "import sys, hvol.cli, hvol.exactgeom as e; "
+        "names = {'Halfspace', 'Polytope', 'vertex_enumerate', 'polytope_volume', "
+        "'centroid', 'cut_cone'} & set(vars(e)); "
+        "assert not names, names; assert 'hvol.selftest' not in sys.modules"
+    )
+    done = _run_python("-c", code)
     assert done.returncode == 0, done.stderr
 
 

@@ -5,8 +5,10 @@ compute` on the conifold and Y^{3,1} (the first job of each model in the
 "compute toric 4 rays" slot of `hvolbench/jobs.py:short_jobs_slots`) and on
 one unimodular image each of a cube, cross-polytope and simplex in dimensions
 2 and 3 (the first job of each `toric_log_fano` slot there).  They reach
-vertex enumeration, the centroid and exact determinants, which the minimize
-and filtration goldens do not; every report must stay byte-identical.
+the double description of the cone over a polytope, its certified
+triangulation, both barycenter formulas of `toric_log_fano` and exact
+determinants, which the minimize and filtration goldens do not; every report
+must stay byte-identical.
 """
 
 import json

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hvol.errors import IntegralDivergence, ModelError, NotInReebCone, PreconditionViolated
-from hvol.exactgeom import Halfspace, Polytope, RVector, int_kernel, polytope_volume
+from hvol.exactgeom import RVector, int_kernel
 from hvol.filtration import (
     VolumeProfile,
     _bspline_tail,
@@ -29,6 +29,7 @@ from hvol.filtration import (
     theta_integral,
     volume_from_profile,
 )
+from hvol.selftest import Halfspace, Polytope, polytope_volume
 from hvol.singularities import (
     ToricConeSingularity,
     WeightedHomogeneousHypersurface,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hvol.errors import ModelError, NotInReebCone
 from hvol.molien import binary_dihedral_group, quotient_min_nvol
-from hvol.exactgeom import RVector, centroid, cut_cone, polytope_volume
+from hvol.exactgeom import RVector
 import hvol.reeb as reeb
 from hvol.reeb import (
     minimize_nvol,
@@ -19,6 +19,7 @@ from hvol.reeb import (
     normalize_reeb,
     rescaling_law_check,
 )
+from hvol.selftest import centroid, cut_cone, polytope_volume
 from hvol.singularities import (
     ToricConeSingularity,
     WeightedHomogeneousHypersurface,

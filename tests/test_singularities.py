@@ -6,9 +6,25 @@ from operator import mul
 
 import pytest
 
-from hvol.errors import AngleOutOfRange, InvalidIndex, ModelError, NotInReebCone, NotQGorenstein
-from hvol.exactgeom import Halfspace, RVector, vertex_enumerate
-from hvol.selftest import lattice_region
+from hvol.errors import (
+    AngleOutOfRange,
+    DegeneratePolytope,
+    EmptyRegion,
+    InvalidIndex,
+    ModelError,
+    NotInReebCone,
+    NotQGorenstein,
+    UnboundedRegion,
+)
+from hvol.exactgeom import RVector
+from hvol.selftest import (
+    Halfspace,
+    Polytope,
+    centroid,
+    lattice_region,
+    lifted_polytope,
+    vertex_enumerate,
+)
 from hvol.singularities import (
     PolarizedConeData,
     ToricConeSingularity,
@@ -27,6 +43,11 @@ from hvol.valuation import nvol_report
 
 def hs(normal, offset=0):
     return Halfspace(RVector(normal), Fraction(offset))
+
+
+def _log_fano(facets, r):
+    """`toric_log_fano` on the facets' integer rows."""
+    return toric_log_fano([h.row for h in facets], r)
 
 
 def test_akm_constructor():
@@ -189,7 +210,7 @@ def test_invalid_index_rejected():
 
 def test_toric_log_fano_interval():
     facets = [hs([1], 1), hs([-1], 1)]
-    rep = toric_log_fano(facets, 1)
+    rep = _log_fano(facets, 1)
     assert rep.p_star == RVector([0])
     assert rep.gammas == (1, 1)
     assert rep.beta_n == Fraction(1, 2)
@@ -198,14 +219,14 @@ def test_toric_log_fano_interval():
 
 def test_toric_log_fano_simplex():
     facets = [hs([1, 0]), hs([0, 1]), hs([-1, -1], 1)]
-    rep = toric_log_fano(facets, 1)
+    rep = _log_fano(facets, 1)
     assert rep.p_star == RVector([Fraction(1, 3), Fraction(1, 3)])
     assert rep.gammas == (Fraction(1, 3),) * 3
     assert rep.beta_n == Fraction(1, 3)
     # r = 3 puts every angle at the boundary value 1, still valid
-    assert toric_log_fano(facets, 3).gammas == (1, 1, 1)
+    assert _log_fano(facets, 3).gammas == (1, 1, 1)
     with pytest.raises(AngleOutOfRange):
-        toric_log_fano(facets, 4)
+        _log_fano(facets, 4)
 
 
 @pytest.mark.parametrize(
@@ -224,8 +245,13 @@ def test_toric_log_fano_simplex():
     ],
 )
 def test_toric_log_fano_lifted_vertices_match_enumeration(facets, r):
-    lifted = toric_log_fano(facets, r).lifted
-    assert lifted.vrep == tuple(vertex_enumerate(lifted.hrep, lifted.dim))
+    # the enumerated lifted polytope is conv(0, P x {1}): its vertices are the
+    # origin and (v, 1) over the vertices v of P, and its centroid is frak_p*
+    n = facets[0].normal.dim + 1
+    lifted = lifted_polytope(facets)
+    over_base = [RVector([*v, 1]) for v in vertex_enumerate(facets, n - 1)]
+    assert lifted.vrep == tuple(sorted([RVector([0] * n), *over_base]))
+    assert centroid(lifted) == _log_fano(facets, r).frak_p_star
 
 
 def test_toric_log_fano_on_a_shifted_5_dim_cross_polytope():
@@ -237,20 +263,60 @@ def test_toric_log_fano_on_a_shifted_5_dim_cross_polytope():
         for signs in itertools.product([1, -1], repeat=5)
     ]
     r = Fraction(2, 3)
-    rep = toric_log_fano(facets, r)
+    rep = _log_fano(facets, r)
     assert rep.p_star == RVector(shift)
     assert rep.gammas == (r,) * 32 == rep.beta_i
     assert rep.beta_n == r / 6
-    assert len(rep.lifted.vrep) == 11
+    assert len(lifted_polytope(facets).vrep) == 11
 
 
 def test_toric_log_fano_centroid_law():
     facets = [hs([1, 0], 2), hs([-1, 0], 1), hs([0, 1], 1), hs([0, -1], 3)]
-    rep = toric_log_fano(facets, Fraction(1, 4))
+    rep = _log_fano(facets, Fraction(1, 4))
     n = 3
     expected = RVector(list(rep.p_star) + [1]).scale(Fraction(n, n + 1))
     assert rep.frak_p_star == expected
     assert rep.beta_n == Fraction(1, 4) / n
+
+
+def _witness_region(facets, dim):
+    """The barycenter of the vertex-enumerated region, or the refusal that
+    `toric_log_fano` owes it: (error type, message)."""
+    try:
+        return centroid(Polytope.from_hrep(facets, dim))
+    except (EmptyRegion, UnboundedRegion) as exc:
+        return type(exc), str(exc)
+    except DegeneratePolytope:
+        return ModelError, "base polytope is not full-dimensional"
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_toric_log_fano_refuses_regions_as_vertex_enumeration(dim):
+    # random small regions, some flat (a facet and its opposite), some in a
+    # box and some with a lineality space (a column of zeros): the cone route
+    # gives the barycenter or the refusal, message included, of the witness
+    rng = random.Random(300 + dim)
+    outcomes = set()
+    for _ in range(150):
+        count = rng.randint(1, dim + 4)
+        rows = [[rng.randint(-2, 2) for _ in range(dim + 1)] for _ in range(count)]
+        if rng.random() < 0.25:
+            rows.append([-c for c in rows[0]])
+        if rng.random() < 0.5:
+            rows += [[s * (j == i) for j in range(dim)] + [2] for i in range(dim) for s in (1, -1)]
+        if dim > 1 and rng.random() < 0.25:
+            rows = [row[:1] + [0] + row[2:] for row in rows]
+        facets = [hs(row[:-1], row[-1]) for row in rows if any(row[:-1])]
+        if not facets:
+            continue
+        expected = _witness_region(facets, dim)
+        try:
+            found = _log_fano(facets, Fraction(1, 100)).p_star
+        except (EmptyRegion, UnboundedRegion, ModelError) as exc:
+            found = type(exc), str(exc)
+        assert found == expected, facets
+        outcomes.add(expected[1].split(" (")[0] if type(expected) is tuple else "barycenter")
+    assert len(outcomes) == (4 if dim == 1 else 5), outcomes
 
 
 def _random_brieskorn_pham(rng: random.Random) -> WeightedHomogeneousHypersurface:

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hvol.errors import BudgetExceeded, ModelError, NotFullDimensional, NotInReebCone
-from hvol.exactgeom import RVector, cut_cone, polytope_volume
-from hvol.selftest import _count_box, box_count
+from hvol.exactgeom import RVector
+from hvol.selftest import _count_box, box_count, cut_cone, polytope_volume
 from hvol.singularities import (
     ToricConeSingularity,
     WeightedHomogeneousHypersurface,
