@@ -372,7 +372,8 @@ class PolyCone:
     @cached_property
     def facets(self) -> tuple[tuple[int, ...], ...]:
         """Primitive integer facet normals, the rays of the dual cone; set by
-        `dual_cone` on the cone it returns, computed on first use otherwise."""
+        `dual_cone` on the cone it returns and by a caller that has them
+        (`facets_among`), computed on first use otherwise."""
         return dual_cone(self).rays
 
 
@@ -384,6 +385,25 @@ def dual_cone(c: PolyCone) -> PolyCone:
     dual = PolyCone(dim=c.dim, rays=tuple(rays))
     dual.facets = c.rays
     return dual
+
+
+def facets_among(
+    rows: Sequence[Sequence[int]], rays: Sequence[Sequence[int]]
+) -> tuple[tuple[int, ...], ...]:
+    """The facet normals of the pointed full-dimensional cone {x : <row, x>
+    >= 0} over nonzero integer rows, given its extreme rays: the distinct
+    primitive rows whose sets of tight rays (bitmasks) are inclusion-maximal,
+    sorted, which are the rays of its dual cone."""
+    tight = {
+        tuple(_primitive_row(row)): sum(
+            1 << k for k, ray in enumerate(rays) if not sum(map(mul, row, ray))
+        )
+        for row in rows
+    }
+    masks = set(tight.values())
+    return tuple(
+        sorted(row for row, m in tight.items() if not any(o != m and m & o == m for o in masks))
+    )
 
 
 def triangulate_cone(c: PolyCone) -> tuple[tuple[int, tuple[int, ...]], ...]:

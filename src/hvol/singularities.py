@@ -68,6 +68,7 @@ from .exactgeom import (
     RVector,
     _vector,
     dual_cone,
+    facets_among,
     int_cone_rays,
     int_det,
     int_kernel,
@@ -579,9 +580,10 @@ def toric_log_fano(facets: Sequence[tuple[Sequence[int], int]], r) -> ToricLogFa
     InvalidIndex.  `hvol compute` checks the law frak_p* = n/(n+1) (p*, 1).
 
     One double description gives the rays (V_j, D_j) of the cone {<eta_i, x>
-    + a_i t >= 0, t >= 0} over P x {1}, and `triangulate_cone` its simplicial
-    cones.  frak_p* is -grad F / ((n+1) F) at e_n, F the simplex sum over the
-    cones (Martelli-Sparks-Yau, hep-th/0503183).  p* is read apart from it:
+    + a_i t >= 0, t >= 0} over P x {1}, its facets are among those rows
+    (`facets_among`), and `triangulate_cone` gives its simplicial cones.
+    frak_p* is -grad F / ((n+1) F) at e_n, F the simplex sum over the cones
+    (Martelli-Sparks-Yau, hep-th/0503183).  p* is read apart from it:
     each cone cuts out the simplex of P on the vertices V_i / D_i, weighted
     by its own (n-1)-dimensional |det|.  A lineality space, a ray with t = 0
     or no ray with t > 0 refuses P as vertex enumeration does, and rays of
@@ -605,7 +607,9 @@ def toric_log_fano(facets: Sequence[tuple[Sequence[int], int]], r) -> ToricLogFa
         raise UnboundedRegion(f"recession direction {RVector(directions[0][:-1])}")
     if int_rank(rays) < n:
         raise ModelError("base polytope is not full-dimensional")
-    cones = triangulate_cone(PolyCone(dim=n, rays=tuple(rays)))
+    cone = PolyCone(dim=n, rays=tuple(rays))
+    cone.facets = facets_among([*rows, e_n], rays)
+    cones = triangulate_cone(cone)
     # the simplex of P in each cone, its vertices cleared to one denominator L
     scale = math.lcm(*(ray[-1] for ray in rays))
     points = [[c * (scale // ray[-1]) for c in ray[:-1]] for ray in rays]
@@ -624,7 +628,11 @@ def toric_log_fano(facets: Sequence[tuple[Sequence[int], int]], r) -> ToricLogFa
         for row, c in facets
     )
     if any(g > 1 for g in gammas):
-        raise AngleOutOfRange(f"some r*l_i(p*) exceeds 1: {tuple(map(str, gammas))}")
+        try:
+            texts = str(tuple(map(str, gammas)))
+        except ValueError:  # past the digit limit of int-to-str conversion
+            texts = "the gammas have too many digits to print"
+        raise AngleOutOfRange(f"some r*l_i(p*) exceeds 1: {texts}")
     if any(g <= 0 for g in gammas):
         raise AngleOutOfRange("barycenter must be interior: some l_i(p*) <= 0")
     value, common, total = simplex_sum(rays, cones, e_n)

@@ -1,9 +1,11 @@
+import collections
 import csv
 import hashlib
 import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,7 +16,8 @@ import pytest
 import hvol
 import hvol.singularities as singularities
 
-from hvol.cli import Report, main, parse_group, parse_model
+from hvol.cli import COMMANDS, Report, main, parse_model
+from hvol.commands.quotient import parse_group
 from hvol.errors import SchemaError
 from hvol.singularities import PolarizedConeData, ToricConeSingularity
 from hvol.valuation import simplex_sum
@@ -81,6 +84,7 @@ def test_build_parser_once():
     from hvol.cli import build_parser
 
     assert build_parser() is build_parser()
+    assert build_parser("minimize") is build_parser("minimize")
 
 
 def test_minimize_with_init_matches_example(capsys):
@@ -442,6 +446,23 @@ def test_log_fano_texts_beyond_the_digit_limit_are_refused(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "facets, r, gammas",
+    [
+        # the segment [-1, 1] at r = 2: each gamma is 2 l_i(0) = 2
+        ((([1], "1"), ([-1], "1")), "2", "('2', '2')"),
+        # P = [-10^5000, 1]: its gammas have more digits than Python prints
+        ((([1], "1e5000"), ([-1], "1")), "1", "the gammas have too many digits to print"),
+    ],
+)
+def test_angles_above_one_are_refused(capsys, facets, r, gammas):
+    assert main(["compute", "--model", _log_fano(*facets, r=r)]) == 3
+    assert capsys.readouterr() == (
+        "",
+        f"error[angle_out_of_range]: some r*l_i(p*) exceeds 1: {gammas}\n",
+    )
+
+
 # a hexagon with rational offsets, whose triangulation has simplices of
 # unequal volume
 _HEXAGON = (
@@ -569,6 +590,11 @@ def _refused_kind(command: str) -> str:
             ["bogus"],
             "error[schema_error]: hvol: argument command: invalid choice: 'bogus' (choose from"
             " 'compute', 'minimize', 'quotient', 'filtration', 'selftest')\n",
+        ),
+        ([], "error[schema_error]: hvol: the following arguments are required: command\n"),
+        (
+            ["minimize", "--model", C2_BARE, "--bogus"],
+            "error[schema_error]: hvol: unrecognized arguments: --bogus\n",
         ),
     ],
 )
@@ -699,6 +725,51 @@ def test_import_does_not_load_the_selftest():
     # start-up cost: only `hvol selftest` needs the self-test suites
     done = _run_python("-c", "import sys, hvol.cli; assert 'hvol.selftest' not in sys.modules")
     assert done.returncode == 0, done.stderr
+
+
+def test_a_command_loads_only_its_own_module():
+    # start-up cost: each command's code is compiled only when it runs
+    code = (
+        "import sys, hvol.cli; "
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('hvol.commands.')); "
+        "assert loaded() == [], loaded(); "
+        f"assert hvol.cli.main(['minimize', '--model', {C2_TORIC!r}]) == 0; "
+        "assert loaded() == ['hvol.commands.minimize'], loaded()"
+    )
+    done = _run_python("-c", code)
+    assert done.returncode == 0, done.stderr
+
+
+_FLAGS = {
+    "compute": ("--model", "--valuation"),
+    "minimize": ("--model", "--init", "--tol", "--max-iter", "--seed"),
+    "quotient": ("--group", "--samples"),
+    "filtration": ("--model", "--v1", "--v0", "--lam", "--samples"),
+    "selftest": ("--filter",),
+}
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert list(COMMANDS) == list(_FLAGS)
+    for name, text in COMMANDS.items():
+        assert re.search(rf"^ +{name} +{re.escape(text)}$", out, re.MULTILINE), name
+
+
+@pytest.mark.parametrize("command", list(_FLAGS))
+def test_command_help_names_its_own_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: hvol {command} ")
+    own = set(_FLAGS[command]) | {"--output", "--format", "--timing"}
+    others = {flag for flags in _FLAGS.values() for flag in flags} - own
+    assert all(flag in out for flag in own)
+    assert not [flag for flag in others if flag in out]
 
 
 def test_import_leaves_the_polytope_layer_to_the_selftest():
@@ -901,3 +972,20 @@ def test_report_text_matches_the_json_module():
         payload["timing"] = {"seconds_approx": report.timing}
         expected = json.dumps(_jsonable_reference(payload), sort_keys=True, indent=2)
         assert report.to_json(include_timing=True) == expected
+
+
+def test_report_text_of_subclasses_matches_the_json_module():
+    # subclasses of the JSON types are written as their base types
+    point = collections.namedtuple("Point", "x y")
+    label = type("Label", (str,), {})
+    parts = (
+        {"p": point(Fraction(1, 2), label("a")), "d": collections.OrderedDict(b=True, a=[point(1, 2)])},
+        {"k": label("\u00e9")},
+        [point([], {})],
+    )
+    payload = {"schema": 1, "command": "compute", "inputs": parts[0], "results": parts[1]}
+    payload["checks"] = parts[2]
+    expected = json.dumps(_jsonable_reference(payload), sort_keys=True, indent=2)
+    assert Report("compute", *parts).to_json() == expected
+    with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+        Report("compute", {"x": {1}}, {}, []).to_json()

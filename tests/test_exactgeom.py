@@ -7,7 +7,16 @@ from fractions import Fraction
 import pytest
 
 from hvol.errors import DegeneratePolytope, EmptyRegion, NotInReebCone, UnboundedRegion
-from hvol.exactgeom import PolyCone, RVector, dual_cone, int_cone_rays, int_det, int_kernel
+from hvol.exactgeom import (
+    PolyCone,
+    RVector,
+    dual_cone,
+    facets_among,
+    int_cone_rays,
+    int_det,
+    int_kernel,
+    int_rank,
+)
 from hvol.selftest import (
     Halfspace,
     Polytope,
@@ -379,6 +388,24 @@ def test_cone_rays_match_the_minors_witness(dim):
         lost = rng.randint(1, min(2, dim)) if k % 3 == 2 else 0
         rows = random_cone_rows(rng, dim, rng.randint(0, 10), lost)
         assert int_cone_rays(rows, dim) == minors_cone_rays(rows, dim), rows
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_facets_among_the_rows_are_the_dual_rays(dim):
+    # the rows tight on inclusion-maximal sets of rays, among redundant,
+    # repeated and scaled rows, are the facets that dual_cone finds
+    rng = random.Random(500 + dim)
+    checked = redundant = 0
+    while checked < 40:
+        rows = [row for row in random_cone_rows(rng, dim, rng.randint(dim, dim + 6)) if any(row)]
+        rays = int_cone_rays(rows, dim)
+        if not rays or rays[0] == tuple(-c for c in rays[-1]) or int_rank(rays) < dim:
+            continue  # not a pointed full-dimensional cone
+        checked += 1
+        expected = dual_cone(PolyCone(dim=dim, rays=tuple(rays))).rays
+        assert facets_among(rows, rays) == expected, rows
+        redundant += len(rows) > len(expected)
+    assert redundant >= 20
 
 
 def test_cone_rays_with_lineality():
