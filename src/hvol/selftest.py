@@ -68,15 +68,7 @@ from .singularities import (
     cyclic_quotient_cone,
     toric_log_fano,
 )
-from .valuation import (
-    _require_reeb,
-    hypersurface_pairings,
-    initial_order,
-    lattice_count_oracle,
-    nvol_report,
-    reduction_variable,
-    volume_gradient_toric,
-)
+from .valuation import initial_order, lattice_count_oracle, nvol_report
 
 
 class CheckResult:
@@ -490,7 +482,7 @@ def dual_cone_box(x: ToricConeSingularity, a: RVector, p: Fraction) -> list[tupl
     That polytope is conv(0, p u / <u, a>) over the dual rays u, so the box
     comes from the rays without enumerating vertices.
     """
-    _, pairings, denom = _require_reeb(x, a)
+    _, pairings, denom = x.reeb_pairings(a)
     corners = [
         [p * denom * c / pairing for c in ray] for ray, pairing in zip(x.reeb_generators, pairings)
     ]
@@ -511,8 +503,8 @@ def lattice_region(model, a: RVector, p: Fraction) -> tuple[list, list]:
     """
     if isinstance(model, ToricConeSingularity):
         return dual_cone_box(model, a, p), [(list(ray), 0) for ray in model.sigma.rays]
-    initial_order(hypersurface_pairings(model, a)[1])
-    red, exp = reduction_variable(model, a)
+    initial_order(model.pairings(a)[1])
+    red, exp = model.reduction_variable(a)
     bounds = [(0, math.ceil(p / weight) - 1) for weight in a]
     bounds[red] = (0, min(bounds[red][1], exp - 1))
     return bounds, []
@@ -584,11 +576,12 @@ def _slice_volume(model, v0: RVector, v1: RVector, t: Fraction) -> Fraction:
     """n! vol {y in the cone : <v0, y> <= 1, <v1 - t v0, y> >= 0} from the
     enumerated vertices of the slice.  The cone is the dual cone of a toric
     model; for a hypersurface it is the orthant of the variables other than
-    v1's reduction variable, and the volume counts that variable's exponent."""
+    the reduction variable of v0 and v1, and the volume counts that variable's
+    exponent."""
     if isinstance(model, ToricConeSingularity):
         normals, multiplicity = list(model.sigma.rays), 1
     else:
-        red, multiplicity = reduction_variable(model, v1)
+        red, multiplicity = model.reduction_variable(v0, v1)
         keep = [i for i in range(model.nvars) if i != red]
         v0, v1 = RVector(v0[i] for i in keep), RVector(v1[i] for i in keep)
         normals = [RVector(int(i == j) for j in keep) for i in keep]
@@ -616,11 +609,12 @@ def check_interpolation_calculus() -> list[CheckResult]:
             )
         )
         lam_star = model.logdisc(v0) / model.logdisc(v1)
+        degh = model.volume(v0)  # the closed form, apart from the profile
         for lam in (Fraction(1, 2), Fraction(1), Fraction(2), lam_star):
             label = f"{name},lam={float(lam):.6g}"
             out.append(
                 CheckResult.exact(
-                    f"phi_at_zero[{label}]", interpolation_volume(profile, lam, 0), profile.degH
+                    f"phi_at_zero[{label}]", interpolation_volume(profile, lam, 0), degh
                 )
             )
             out.append(
@@ -799,7 +793,7 @@ def check_reeb_laws(seed: int = 0) -> list[CheckResult]:
         out.append(
             CheckResult.exact(
                 f"gradient_centroid[{name}]",
-                " ".join(map(str, volume_gradient_toric(model, xi))),
+                " ".join(map(str, model.volume_gradient(xi))),
                 " ".join(map(str, expected)),
             )
         )

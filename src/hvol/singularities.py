@@ -26,9 +26,14 @@ vector on a toric cone, a monomial weight on a hypersurface):
 
 Behind the interface each model stores its lattice data as int tuples,
 cleared once by its constructor: a toric cone's `sigma.rays`, `dual.rays`
-and `gorenstein_numerators` (M, e) with m0 = M / e, a hypersurface's
-`monomials`.  Its `convex_pieces` are int tuples too, rationals as integer
-numerators over integer denominators (`ConvexPiece`).
+and `gorenstein_numerators` (M, e), from which `m0` = M / e is read, a
+hypersurface's `monomials`.  Each model states its formulas in its own
+methods, as integer sums over the pairings of `valuation.integer_pairings`:
+`reeb_pairings` of a toric cone and `pairings` of a hypersurface clear a
+weight vector once and refuse it outside the Reeb cone.  Only `volume` calls
+out, to its closed form in valuation.py, where the benchmark traces it.  The
+`convex_pieces` are int tuples too, rationals as integer numerators over
+integer denominators (`ConvexPiece`).
 
 The minimizer (reeb.py) reads `convex_pieces`: the convex programs whose
 least minimum is the minimum of A^n vol.  A toric cone gives one piece, its
@@ -78,15 +83,9 @@ from .exactgeom import (
 )
 from .valuation import (
     MonomialValuation,
-    domain_logdisc_hypersurface,
-    domain_logdisc_toric,
-    hypersurface_pairings,
+    _half_open_degrees,
     initial_order,
     integer_pairings,
-    log_discrepancy_hypersurface,
-    log_discrepancy_toric,
-    reduction_variable,
-    series_pieces_toric,
     simplex_sum,
     valuation_volume_hypersurface,
     valuation_volume_toric,
@@ -124,7 +123,6 @@ class ToricConeSingularity:
         n: int,
         sigma: PolyCone,
         gorenstein_numerators: tuple[tuple[int, ...], int],
-        m0: RVector,
         dual: PolyCone,
         canonical_xi: RVector | None = None,
         label: str = "",
@@ -132,7 +130,6 @@ class ToricConeSingularity:
         self.n = n
         self.sigma = sigma
         self.gorenstein_numerators = gorenstein_numerators
-        self.m0 = m0
         self.dual = dual
         self.canonical_xi = canonical_xi
         self.label = label
@@ -153,10 +150,14 @@ class ToricConeSingularity:
     ) -> "ToricConeSingularity":
         sigma = PolyCone.from_rays(rays)
         dual = dual_cone(sigma)
-        m, e = numerators = _gorenstein_vector(sigma)
-        m0 = RVector(Fraction(c, e) for c in m)
         xi = RVector(canonical_xi) if canonical_xi is not None else None
-        return cls(sigma.dim, sigma, numerators, m0, dual, canonical_xi=xi, label=label)
+        return cls(sigma.dim, sigma, _gorenstein_vector(sigma), dual, canonical_xi=xi, label=label)
+
+    @property
+    def m0(self) -> RVector:
+        """The Gorenstein vector M / e of `gorenstein_numerators`."""
+        m, e = self.gorenstein_numerators
+        return RVector(Fraction(c, e) for c in m)
 
     @property
     def reeb_generators(self) -> tuple[tuple[int, ...], ...]:
@@ -188,9 +189,23 @@ class ToricConeSingularity:
         )
         return (piece,)
 
+    def reeb_pairings(self, xi: Sequence) -> tuple[list[int], list[int], int]:
+        """`integer_pairings` of xi with the dual rays; a NotInReebCone unless
+        xi is a Reeb vector, every pairing positive."""
+        z, pairings, denom = integer_pairings(self.reeb_generators, xi)
+        for gen, pairing in zip(self.reeb_generators, pairings):
+            if pairing <= 0:
+                raise NotInReebCone(
+                    f"{RVector(xi)} pairs nonpositively with weight generator {RVector(gen)}"
+                )
+        return z, pairings, denom
+
     def logdisc(self, xi: Sequence) -> Fraction:
-        """A(xi) = <m0, xi>; raises NotInReebCone outside the Reeb cone."""
-        return log_discrepancy_toric(self, xi)
+        """A(xi) = <m0, xi> = <M, z> / (e D) at xi = z / D, m0 = M / e; raises
+        NotInReebCone outside the Reeb cone."""
+        z, _, denom = self.reeb_pairings(xi)
+        m, e = self.gorenstein_numerators
+        return Fraction(sum(map(mul, m, z)), e * denom)
 
     def volume(self, xi: Sequence) -> Fraction:
         """n! times the volume of {y in the dual cone : <xi, y> <= 1}: the
@@ -198,14 +213,34 @@ class ToricConeSingularity:
         `volume_triangulation`, which is built once per model."""
         return valuation_volume_toric(self, xi)
 
+    def volume_gradient(self, xi: Sequence) -> RVector:
+        """The gradient of n! vol at xi, exactly: `simplex_sum` over
+        `volume_triangulation`, which differentiates `volume` term by term."""
+        z, _, denom = self.reeb_pairings(xi)
+        _, common, total = simplex_sum(self.reeb_generators, self.volume_triangulation, z)
+        return RVector(Fraction(-t * denom ** (self.n + 1), common * common) for t in total)
+
     def domain_logdisc(self, xi: Sequence) -> Fraction | None:
         """A(xi) when xi lies in the Reeb cone, where logdisc and volume are
         defined, and None otherwise."""
-        return domain_logdisc_toric(self, xi)
+        z, pairings, denom = integer_pairings(self.reeb_generators, xi)
+        if min(pairings) <= 0:
+            return None
+        m, e = self.gorenstein_numerators
+        return Fraction(sum(map(mul, m, z)), e * denom)
 
     def series_pieces(self, a: Sequence) -> tuple[int, list]:
-        """Half-open cones of `volume_triangulation` (`valuation.series_pieces_toric`)."""
-        return series_pieces_toric(self, a)
+        """(D, pieces) for the dual cone's lattice points graded by A = D a: per
+        simplicial cone s of `volume_triangulation`, (<u, A> over u in s,
+        |det U_s|, the lazy `_half_open_degrees`).  a must be a Reeb vector."""
+        _, pairings, denom = self.reeb_pairings(a)
+        rays = self.reeb_generators
+        inner = [sum(col) for col in zip(*rays)]
+        pieces = []
+        for d, s in self.volume_triangulation:
+            weights = [pairings[i] for i in s]
+            pieces.append((weights, d, _half_open_degrees([rays[i] for i in s], weights, inner, d)))
+        return denom, pieces
 
     def simplicial_pieces(self, v0: RVector, v1: RVector) -> list[tuple[Fraction, tuple]]:
         """(weight, knots) per simplicial cone s of `volume_triangulation`:
@@ -281,9 +316,21 @@ class WeightedHomogeneousHypersurface:
         """The unit vectors: weights are admissible iff all are positive."""
         return tuple(tuple(int(k == i) for k in range(self.nvars)) for i in range(self.nvars))
 
+    def pairings(self, a: Sequence) -> tuple[list[int], list[int], int]:
+        """`integer_pairings` of the weights a with the monomial exponents; a
+        NotInReebCone unless every weight is positive, the one error of every
+        hypersurface formula that needs positive weights."""
+        z, weights, denom = integer_pairings(self.monomials, a)
+        if min(z) <= 0:
+            raise NotInReebCone("hypersurface weights must be strictly positive")
+        return z, weights, denom
+
     def logdisc(self, a: Sequence) -> Fraction:
-        """sum(a) - d(a); raises NotInReebCone unless every weight is positive."""
-        return log_discrepancy_hypersurface(self, a)
+        """sum(a) - d(a), d(a) the least a-weight <m, a> over the monomials m;
+        may be nonpositive for non-klt input (flagged, not an error).  Raises
+        NotInReebCone unless every weight is positive."""
+        z, weights, denom = self.pairings(a)
+        return Fraction(sum(z) - min(weights), denom)
 
     def volume(self, a: Sequence) -> Fraction:
         """d(a) / prod(a); raises NotInReebCone unless every weight is positive,
@@ -293,24 +340,55 @@ class WeightedHomogeneousHypersurface:
     def domain_logdisc(self, a: Sequence) -> Fraction | None:
         """sum(a) - d(a) when the weights are positive and tie at least two
         monomials at d(a), where volume is defined, and None otherwise."""
-        return domain_logdisc_hypersurface(self, a)
+        z, weights, denom = integer_pairings(self.monomials, a)
+        order = min(weights)
+        if min(z) <= 0 or weights.count(order) < 2:
+            return None
+        return Fraction(sum(z) - order, denom)
+
+    def reduction_variable(self, *gradings: Sequence) -> tuple[int, int]:
+        """(index, exponent) of a reduction variable compatible with every one
+        of the positive weight vectors `gradings`.
+
+        Standard monomials bound the exponent of one variable by its exponent
+        in a defining monomial that has the least weight under each grading;
+        that monomial must be a pure power of a variable appearing in no other
+        monomial, otherwise the count does not represent the initial
+        degenerations and we refuse.
+        """
+        orders = [self.pairings(a)[1] for a in gradings]
+        for j in range(self.nvars):
+            owners = [k for k, m in enumerate(self.monomials) if m[j] > 0]
+            if len(owners) != 1:
+                continue
+            mono = self.monomials[owners[0]]
+            if any(mono[i] != 0 for i in range(self.nvars) if i != j):
+                continue
+            if all(weights[owners[0]] == min(weights) for weights in orders):
+                return j, mono[j]
+        raise ModelError(
+            "lattice counting needs a weight-minimal monomial that is a pure power "
+            "of a variable occurring in no other monomial"
+        )
 
     def series_pieces(self, a: Sequence) -> tuple[int, list]:
         """(D, [piece]), A = D a: the standard monomials, exponent below exp in the
         reduction variable, sum_{j < exp} t^(j A_red) / prod_{i != red} (1 - t^A_i).
         Refused outside the domain of `volume`, with its ModelError."""
-        z, weights, denom = hypersurface_pairings(self, a)
+        z, weights, denom = self.pairings(a)
         initial_order(weights)
-        red, exp = reduction_variable(self, a)
+        red, exp = self.reduction_variable(a)
         return denom, [(z[:red] + z[red + 1 :], exp, range(0, exp * z[red], z[red]))]
 
     def simplicial_pieces(self, v0: RVector, v1: RVector) -> list[tuple[Fraction, tuple]]:
         """One (weight, knots) pair: the orthant of the variables other than
-        v1's reduction variable, with weight exp / prod v0_i, exp that
-        variable's exponent, and knots v1_i / v0_i.  Weights must be positive."""
+        the reduction variable of both v0 and v1, with weight exp / prod v0_i,
+        exp that variable's exponent, and knots v1_i / v0_i.  Weights must be
+        positive.  The variable's pure power has the least weight under v0 too,
+        so the standard monomials count the v0 grading, and the weights sum
+        to vol(v0)."""
         v0, v1 = RVector(v0), RVector(v1)
-        hypersurface_pairings(self, v0)
-        red, exp = reduction_variable(self, v1)
+        red, exp = self.reduction_variable(v0, v1)
         keep = [i for i in range(self.nvars) if i != red]
         weight = Fraction(exp) / math.prod(v0[i] for i in keep)
         return [(weight, tuple(v1[i] / v0[i] for i in keep))]
@@ -339,25 +417,26 @@ class WeightedHomogeneousHypersurface:
         return tuple(pieces)
 
     def symmetry_classes(self) -> list[list[int]]:
-        """Variable classes interchangeable by symmetries of the monomial set."""
+        """Variable classes interchangeable by symmetries of the monomial set.
+
+        "Swapping i and j fixes the monomial set" is an equivalence, since
+        (i k) = (i j)(j k)(i j), so each class is its least variable and the
+        later variables that swap with it; placed variables are not tested."""
         mset = frozenset(self.monomials)
-        parent = list(range(self.nvars))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
+        placed: set[int] = set()
+        classes = []
         for i in range(self.nvars):
-            for j in range(i + 1, self.nvars):
-                swapped = frozenset(tuple(_swap(m, i, j)) for m in self.monomials)
-                if swapped == mset:
-                    parent[find(i)] = find(j)
-        classes: dict[int, list[int]] = {}
-        for i in range(self.nvars):
-            classes.setdefault(find(i), []).append(i)
-        return sorted(classes.values())
+            if i in placed:
+                continue
+            cls = [i] + [
+                j
+                for j in range(i + 1, self.nvars)
+                if j not in placed
+                and frozenset(tuple(_swap(m, i, j)) for m in self.monomials) == mset
+            ]
+            placed.update(cls)
+            classes.append(cls)
+        return classes
 
 
 def _face_piece(model, classes, tie, others, groups) -> ConvexPiece | None:

@@ -1,36 +1,30 @@
-"""Valuations on cone singularities: log discrepancy, volume, normalized volume.
+"""Valuations on cone singularities: what every cone model shares.
 
-Monomial weight vectors and toric Reeb vectors are evaluated exactly:
+Each model (singularities.py) states its own formulas for A, vol, its domain
+and its Hilbert series as methods; this module holds the layer they all use:
 
-* toric cones: A = <m0, xi> against the Gorenstein vector, and n! vol(xi)
-  and its gradient from the Martelli-Sparks-Yau closed form, a sum over a
-  triangulation of the dual cone that each model builds once (`simplex_sum`
-  evaluates such sums, and their gradients, for the minimizer too);
-* weighted-homogeneous hypersurfaces: A = sum(weights) - d(a) where d(a) is
-  the minimal weight of the defining monomials, volume d(a) / prod(weights).
+* `integer_pairings` clears a weight vector's denominators once (w = z / D)
+  and pairs z with the int rows a model stores, so A, vol and domain
+  membership are integer sums and each result is one `Fraction` built at the
+  end; a weight vector of the wrong length is a `ModelError` there;
+* `simplex_sum`, the Martelli-Sparks-Yau sum over simplicial cones and its
+  gradient, for the toric volume gradient, the minimizer and the log-Fano
+  pipeline;
+* `initial_order`, the least monomial weight where at least two monomials
+  reach it, the domain of a hypersurface's volume;
+* `nvol_report`, A, vol and A^n vol of one valuation through the model
+  interface, and the record types `MonomialValuation` and `ValuationReport`;
+* `lattice_count_oracle`, which counts the monomials of a-weight below p,
+  the colength whose limit defines vol, from the Hilbert series that the
+  model's `series_pieces` states (on a toric cone one term per half-open
+  cone of the volume triangulation, the index-character of Martelli-Sparks-
+  Yau, read by `_half_open_degrees`).  It is the independent check on the
+  closed volume formulas; `hvol selftest` checks it against a box sweep.
 
-Each evaluation clears the point's denominators once (w = z / D, see
-`integer_pairings`) and pairs z with the int tuples the model stores: the
-dual rays and the Gorenstein numerators (M, e), m0 = M / e, of a toric cone,
-the monomial exponents of a hypersurface.  A, vol and domain membership are
-then integer sums, and each result is one `Fraction` built at the end.  A
-weight vector of the wrong length is a `ModelError`; hypersurface weights
-that are not all positive, where a formula needs them positive, are a
-`NotInReebCone` (`hypersurface_pairings`).
-
-These functions are the formulas behind the model methods `logdisc`,
-`volume` and `domain_logdisc` (singularities.py); the rest of the package
-calls the methods.  `domain_logdisc` answers "is w in the domain, and what is
-A there" in one integer pass, for the minimizer's objective.  The
-hypersurface volume is the multiplicity of the initial degeneration, defined
-where at least two monomials reach the least weight.
-
-`lattice_count_oracle` counts the monomials of a-weight below p, the
-colength whose limit defines vol, from the Hilbert series that the model's
-`series_pieces` states: on a toric cone one term per half-open cone of the
-volume triangulation, the index-character of Martelli-Sparks-Yau.  It is the
-independent check on the closed volume formulas; `hvol selftest` checks it
-against a box sweep.
+The two volume closed forms, `valuation_volume_toric` and
+`valuation_volume_hypersurface`, also live here as module functions that the
+models' `volume` methods call: the benchmark tracer counts the minimizer's
+objective evaluations through these two names.
 """
 
 from __future__ import annotations
@@ -39,13 +33,10 @@ import math
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .errors import BudgetExceeded, ModelError, NotInReebCone
+from .errors import BudgetExceeded, ModelError
 from .exactgeom import RVector, _integral, int_kernel, rat
-
-if TYPE_CHECKING:  # the model classes call into this module, so no runtime import
-    from .singularities import ToricConeSingularity, WeightedHomogeneousHypersurface
 
 _SERIES_BUDGET = 2_000_000  # table cells and parallelepiped points per oracle call
 
@@ -78,7 +69,7 @@ def integer_pairings(
 ) -> tuple[list[int], list[int], int]:
     """(z, [<row, z> for each row], D) where w = z / D, z integral, D least.
 
-    The one place a point's denominators are cleared: every formula below
+    The one place a point's denominators are cleared: every model formula
     reads A, vol and domain membership off these integers.  The rows (dual
     rays or monomial exponents) all have the model's length, so a weight
     vector of any other length is refused here, before `zip` could truncate.
@@ -87,65 +78,6 @@ def integer_pairings(
         raise ModelError(f"expected {len(rows[0])} weights, got {len(w)}")
     z, denom = _integral(w)
     return z, [sum(map(mul, row, z)) for row in rows], denom
-
-
-# -- toric evaluation --------------------------------------------------------
-
-
-def _require_reeb(x: "ToricConeSingularity", xi: Sequence) -> tuple[list[int], list[int], int]:
-    z, pairings, denom = integer_pairings(x.reeb_generators, xi)
-    for gen, pairing in zip(x.reeb_generators, pairings):
-        if pairing <= 0:
-            raise NotInReebCone(
-                f"{RVector(xi)} pairs nonpositively with weight generator {RVector(gen)}"
-            )
-    return z, pairings, denom
-
-
-def _toric_logdisc(x: "ToricConeSingularity", z: list[int], denom: int) -> Fraction:
-    """<m0, xi> = <M, z> / (e D) with m0 = M / e."""
-    m, e = x.gorenstein_numerators
-    return Fraction(sum(map(mul, m, z)), e * denom)
-
-
-def log_discrepancy_toric(x: "ToricConeSingularity", xi: Sequence) -> Fraction:
-    z, _, denom = _require_reeb(x, xi)
-    return _toric_logdisc(x, z, denom)
-
-
-def domain_logdisc_toric(x: "ToricConeSingularity", xi: Sequence) -> Fraction | None:
-    """A(xi) when xi is a Reeb vector (every dual-ray pairing positive), else None."""
-    z, pairings, denom = integer_pairings(x.reeb_generators, xi)
-    if min(pairings) <= 0:
-        return None
-    return _toric_logdisc(x, z, denom)
-
-
-def valuation_volume_toric(x: "ToricConeSingularity", xi: Sequence) -> Fraction:
-    """n! vol(xi) = sum over s of |det U_s| / prod_{u in s} <u, xi>.
-
-    This is the Martelli-Sparks-Yau volume functional (hep-th/0503183): s
-    runs over the simplicial cones of the model's triangulation of the dual
-    cone, built once per model, and U_s holds the primitive dual rays of s.
-    With xi = z / D the sum is D^n times a sum over integer pairings, taken
-    over the common denominator prod_u <u, z> (each simplex uses distinct
-    rays), so one `Fraction` is built at the end.
-    """
-    _, pairings, denom = _require_reeb(x, xi)
-    common = math.prod(pairings)
-    numerator = sum(
-        d * (common // math.prod(pairings[i] for i in rays))
-        for d, rays in x.volume_triangulation
-    )
-    return Fraction(numerator * denom**x.n, common)
-
-
-def volume_gradient_toric(x: "ToricConeSingularity", xi: Sequence) -> RVector:
-    """The gradient of n! vol at xi, exactly: `simplex_sum` over the model's
-    triangulation, which differentiates `valuation_volume_toric` term by term."""
-    z, _, denom = _require_reeb(x, xi)
-    _, common, total = simplex_sum(x.reeb_generators, x.volume_triangulation, z)
-    return RVector(Fraction(-t * denom ** (x.n + 1), common * common) for t in total)
 
 
 def simplex_sum(
@@ -172,54 +104,6 @@ def simplex_sum(
     return value, common, total
 
 
-# -- hypersurface evaluation -------------------------------------------------
-
-
-def hypersurface_pairings(
-    w: "WeightedHomogeneousHypersurface", a: Sequence
-) -> tuple[list[int], list[int], int]:
-    """`integer_pairings` of the weights a with the monomial exponents; a
-    NotInReebCone unless every weight is positive, the one error of every
-    hypersurface formula that needs positive weights."""
-    z, weights, denom = integer_pairings(w.monomials, a)
-    if min(z) <= 0:
-        raise NotInReebCone("hypersurface weights must be strictly positive")
-    return z, weights, denom
-
-
-def log_discrepancy_hypersurface(
-    w: "WeightedHomogeneousHypersurface", a: Sequence
-) -> Fraction:
-    """sum(a) - d(a); may be nonpositive for non-klt input (flagged, not an error).
-
-    d(a) is the minimal a-weight <m, a> over the defining monomials m.
-    """
-    z, weights, denom = hypersurface_pairings(w, a)
-    return Fraction(sum(z) - min(weights), denom)
-
-
-def domain_logdisc_hypersurface(
-    w: "WeightedHomogeneousHypersurface", a: Sequence
-) -> Fraction | None:
-    """sum(a) - d(a) when every weight is positive and at least two monomials
-    reach d(a), else None."""
-    z, weights, denom = integer_pairings(w.monomials, a)
-    order = min(weights)
-    if min(z) <= 0 or weights.count(order) < 2:
-        return None
-    return Fraction(sum(z) - order, denom)
-
-
-def valuation_volume_hypersurface(w: "WeightedHomogeneousHypersurface", a: Sequence) -> Fraction:
-    """d(a) / prod(a), the multiplicity of the a-initial degeneration; a
-    `ModelError` where that initial form is a single monomial.
-
-    With a = z / D and d(a) = d / D this is d * D^(nvars - 1) / prod(z).
-    """
-    z, weights, denom = hypersurface_pairings(w, a)
-    return Fraction(initial_order(weights) * denom ** (w.nvars - 1), math.prod(z))
-
-
 def initial_order(weights: list[int]) -> int:
     """The least of the monomials' weights; a `ModelError` where one monomial
     alone attains it, outside the domain of the hypersurface's volume."""
@@ -227,6 +111,43 @@ def initial_order(weights: list[int]) -> int:
     if weights.count(order) < 2:
         raise ModelError("a-initial form of the defining polynomial is a single monomial")
     return order
+
+
+# -- volume closed forms ------------------------------------------------------
+# The models' `volume` methods call these two functions rather than holding
+# the formulas themselves: the benchmark's tracer counts objective evaluations
+# through these module-level names, and tests/test_trace_targets.py asserts
+# that they are callables of this module.
+
+
+def valuation_volume_toric(model, xi: Sequence) -> Fraction:
+    """n! vol(xi) = sum over s of |det U_s| / prod_{u in s} <u, xi>.
+
+    This is the Martelli-Sparks-Yau volume functional (hep-th/0503183): s
+    runs over the simplicial cones of the toric model's triangulation of the
+    dual cone, built once per model, and U_s holds the primitive dual rays of
+    s.  With xi = z / D the sum is D^n times a sum over integer pairings,
+    taken over the common denominator prod_u <u, z> (each simplex uses
+    distinct rays), so one `Fraction` is built at the end.
+    """
+    _, pairings, denom = model.reeb_pairings(xi)
+    common = math.prod(pairings)
+    numerator = sum(
+        d * (common // math.prod(pairings[i] for i in rays))
+        for d, rays in model.volume_triangulation
+    )
+    return Fraction(numerator * denom**model.n, common)
+
+
+def valuation_volume_hypersurface(model, a: Sequence) -> Fraction:
+    """d(a) / prod(a), the multiplicity of the a-initial degeneration of a
+    hypersurface model; a `ModelError` where that initial form is a single
+    monomial.
+
+    With a = z / D and d(a) = d / D this is d * D^(nvars - 1) / prod(z).
+    """
+    z, weights, denom = model.pairings(a)
+    return Fraction(initial_order(weights) * denom ** (model.nvars - 1), math.prod(z))
 
 
 # -- reports -----------------------------------------------------------------
@@ -247,20 +168,6 @@ def nvol_report(model, weights: Sequence) -> ValuationReport:
 
 
 # -- lattice counting oracle -------------------------------------------------
-
-
-def series_pieces_toric(x: "ToricConeSingularity", a: Sequence) -> tuple[int, list]:
-    """(D, pieces) for the dual cone's lattice points graded by A = D a: per
-    simplicial cone s of the volume triangulation, (<u, A> over u in s,
-    |det U_s|, the lazy `_half_open_degrees`).  a must be a Reeb vector."""
-    _, pairings, denom = _require_reeb(x, a)
-    rays = x.reeb_generators
-    inner = [sum(col) for col in zip(*rays)]
-    pieces = []
-    for d, s in x.volume_triangulation:
-        weights = [pairings[i] for i in s]
-        pieces.append((weights, d, _half_open_degrees([rays[i] for i in s], weights, inner, d)))
-    return denom, pieces
 
 
 def _half_open_degrees(rays: list, weights: list[int], inner: list[int], det: int):
@@ -324,31 +231,3 @@ def lattice_count_oracle(model, a: Sequence, p) -> int:
         table = _prefix_counts(weights, top)
         count += sum(table[top - s] for s in shifts if s <= top)
     return count
-
-
-def reduction_variable(
-    w: "WeightedHomogeneousHypersurface", a: RVector
-) -> tuple[int, int]:
-    """(index, exponent) of a reduction variable compatible with the weights a.
-
-    Standard monomials bound the exponent of one variable by its exponent in
-    a weight-minimal defining monomial; that monomial must be a pure power of
-    a variable appearing in no other monomial, otherwise the count does not
-    represent the initial degeneration and we refuse.  The weights must be
-    positive (`hypersurface_pairings`).
-    """
-    _, weights, _ = hypersurface_pairings(w, a)
-    order = min(weights)
-    for j in range(w.nvars):
-        owners = [k for k, m in enumerate(w.monomials) if m[j] > 0]
-        if len(owners) != 1:
-            continue
-        mono = w.monomials[owners[0]]
-        if any(mono[i] != 0 for i in range(w.nvars) if i != j):
-            continue
-        if weights[owners[0]] == order:
-            return j, mono[j]
-    raise ModelError(
-        "lattice counting needs a weight-minimal monomial that is a pure power "
-        "of a variable occurring in no other monomial"
-    )

@@ -727,6 +727,21 @@ def test_import_does_not_load_the_selftest():
     assert done.returncode == 0, done.stderr
 
 
+def test_import_loads_the_library_and_no_command_code():
+    # `import hvol` re-exports nothing, but still loads the six library
+    # modules, so their import cost stays where it was
+    code = (
+        "import sys, hvol; "
+        "loaded = sorted(m for m in sys.modules if m.startswith('hvol.')); "
+        "library = ['exactgeom', 'filtration', 'molien', 'reeb', 'singularities', 'valuation']; "
+        "missing = [m for m in library if f'hvol.{m}' not in loaded]; "
+        "assert not missing, missing; "
+        "assert 'hvol.cli' not in loaded and 'hvol.selftest' not in loaded, loaded"
+    )
+    done = _run_python("-c", code)
+    assert done.returncode == 0, done.stderr
+
+
 def test_a_command_loads_only_its_own_module():
     # start-up cost: each command's code is compiled only when it runs
     code = (

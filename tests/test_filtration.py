@@ -39,11 +39,6 @@ from hvol.singularities import (
     conifold,
     cyclic_quotient_cone,
 )
-from hvol.valuation import (
-    log_discrepancy_hypersurface,
-    log_discrepancy_toric,
-    reduction_variable,
-)
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +145,66 @@ def test_hypersurface_profile_reduction_choice():
     # vol(v1) = d(v1) / prod(v1) = (3/2) / (1/2)
     assert p.vol_v1 == 3
     assert volume_from_profile(p) == pytest.approx(float(p.vol_v1), rel=1e-9)
+
+
+AKM_3_2 = '{"type":"akm","n":3,"k":2}'
+
+
+def test_hypersurface_profile_refuses_a_reduction_outside_the_grading(capsys):
+    # v1 = (2,2,2,1) has z4^2 alone at its least weight, but v0 = (1,1,1,2)
+    # does not: its standard monomials would count degH 2 where vol(v0) is 1
+    from hvol import cli
+
+    model = akm_singularity(3, 2)
+    assert model.volume([1, 1, 1, 2]) == 1
+    with pytest.raises(ModelError, match="^lattice counting needs a weight-minimal monomial"):
+        profile_from_model(model, [1, 1, 1, 2], [2, 2, 2, 1])
+    assert cli.main(["filtration", "--model", AKM_3_2, "--v0=1,1,1,2", "--v1=2,2,2,1"]) == 3
+    assert capsys.readouterr().err.startswith("error[model_error]: lattice counting needs")
+
+
+def test_hypersurface_profile_reduces_by_a_variable_least_under_both():
+    # v1 = (1,2,1,2) has z1^2 and z3^2 at its least weight, v0 = (2,1,1,1)
+    # only z3^2 of these: z3 is the reduction variable, and degH = vol(v0)
+    model = akm_singularity(3, 2)
+    v0, v1 = RVector([2, 1, 1, 1]), RVector([1, 2, 1, 2])
+    assert model.reduction_variable(v0, v1) == (2, 2)
+    p = profile_from_model(model, v0, v1)
+    assert p.degH == model.volume(v0) == 1
+    _assert_profile_matches_slices(model, v0, v1, Fraction(1, 2))
+
+
+def test_phi_at_zero_fails_on_a_profile_with_a_wrong_degh(monkeypatch, capsys):
+    # the check compares Phi(lam, 0) = degH with the closed form vol(v0): under
+    # a reduction variable chosen by v1 alone the case above has degH 2
+    from hvol import cli
+
+    by_both = WeightedHomogeneousHypersurface.reduction_variable
+    monkeypatch.setattr(
+        WeightedHomogeneousHypersurface,
+        "reduction_variable",
+        lambda self, *gradings: by_both(self, gradings[-1]),
+    )
+    assert cli.main(["filtration", "--model", AKM_3_2, "--v0=1,1,1,2", "--v1=2,2,2,1"]) == 2
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    failed = [(c["name"], c["lhs"], c["rhs"]) for c in checks if not c["pass"]]
+    assert failed == [("phi_at_zero", "2", "1")]
+
+
+def test_selftest_phi_at_zero_fails_on_a_profile_with_a_wrong_degh(monkeypatch):
+    import hvol.selftest as selftest
+
+    build = selftest.profile_from_model
+
+    def doubled(model, v0, v1):
+        p = build(model, v0, v1)
+        return VolumeProfile(p.n, 2 * p.degH, p.c1, p.c2, p.vol_v1, p.regions, p.simplices)
+
+    monkeypatch.setattr(selftest, "profile_from_model", doubled)
+    phi_at_zero = [
+        c for c in selftest.check_interpolation_calculus() if c.name.startswith("phi_at_zero[")
+    ]
+    assert len(phi_at_zero) == 16 and not any(c.passed for c in phi_at_zero)
 
 
 def test_tail_volume_closed_forms(plane_profile, step_profile):
@@ -272,12 +327,12 @@ def test_stability_gap_scales_linearly():
     # toward weights with a larger last coordinate
     model = akm_singularity(3, 3)
     v0 = canonical_weights(3, 3)
-    r = log_discrepancy_hypersurface(model, v0)
+    r = model.logdisc(v0)
     base = profile_from_model(model, v0, [1, 1, 1, 1])
-    a = log_discrepancy_hypersurface(model, [1, 1, 1, 1])
+    a = model.logdisc([1, 1, 1, 1])
     gap = stability_gap(base, r, a)
     doubled = profile_from_model(model, v0, [2, 2, 2, 2])
-    a2 = log_discrepancy_hypersurface(model, [2, 2, 2, 2])
+    a2 = model.logdisc([2, 2, 2, 2])
     gap2 = stability_gap(doubled, r, a2)
     assert gap > Fraction(1, 1000)
     assert gap2 == 2 * gap
@@ -285,8 +340,8 @@ def test_stability_gap_scales_linearly():
 
 def test_gap_derivative_relation(space_profile):
     model = affine_space(3)
-    r = log_discrepancy_toric(model, [1, 1, 1])
-    a = log_discrepancy_toric(model, [1, 1, 2])
+    r = model.logdisc([1, 1, 1])
+    a = model.logdisc([1, 1, 2])
     forms = interpolation_derivative_forms(space_profile, r / a)
     gap = stability_gap(space_profile, r, a)
     assert forms.via_section_integral * a == model.n * space_profile.degH * gap
@@ -411,12 +466,13 @@ def _grading(model) -> RVector:
 
 def _vertex_enumerated_slice(model, v0, v1, t) -> Fraction:
     """n! vol {y in the cone : <v0, y> <= 1, <v1 - t v0, y> >= 0}, with the
-    cone the dual cone, or for a hypersurface the orthant left after v1's
-    reduction variable with that variable's exponent as multiplicity."""
+    cone the dual cone, or for a hypersurface the orthant left after the
+    reduction variable of v0 and v1, with that variable's exponent as
+    multiplicity."""
     if isinstance(model, ToricConeSingularity):
         normals, multiplicity = list(model.sigma.rays), 1
     else:
-        red, multiplicity = reduction_variable(model, v1)
+        red, multiplicity = model.reduction_variable(v0, v1)
         keep = [i for i in range(model.nvars) if i != red]
         v0, v1 = RVector(v0[i] for i in keep), RVector(v1[i] for i in keep)
         normals = [RVector(int(i == j) for j in keep) for i in keep]

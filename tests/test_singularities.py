@@ -167,6 +167,29 @@ def test_symmetry_classes():
     assert akm_singularity(3, 3).symmetry_classes() == [[0, 1, 2], [3]]
     # k = 2 makes all four variables interchangeable
     assert akm_singularity(3, 2).symmetry_classes() == [[0, 1, 2, 3]]
+    # z1^2 + z2^2 + z3^3 + z4^3 + z5^5: two classes of size 2
+    pairs = WeightedHomogeneousHypersurface(
+        nvars=5,
+        monomials=((2, 0, 0, 0, 0), (0, 2, 0, 0, 0), (0, 0, 3, 0, 0), (0, 0, 0, 3, 0), (0, 0, 0, 0, 5)),
+    )
+    assert pairs.symmetry_classes() == [[0, 1], [2, 3], [4]]
+
+
+def test_symmetry_classes_test_each_variable_against_its_least_classmate(monkeypatch):
+    # swapping is an equivalence, so a placed variable is never tested again:
+    # on akm(4, 3) only the swaps of z1 with z2, ..., z5
+    import hvol.singularities as singularities
+
+    tested = set()
+    swap = singularities._swap
+
+    def record(vec, i, j):
+        tested.add((i, j))
+        return swap(vec, i, j)
+
+    monkeypatch.setattr(singularities, "_swap", record)
+    assert akm_singularity(4, 3).symmetry_classes() == [[0, 1, 2, 3], [4]]
+    assert sorted(tested) == [(0, 1), (0, 2), (0, 3), (0, 4)]
 
 
 def test_gorenstein_vector():

@@ -24,8 +24,6 @@ from hvol.singularities import (
 from hvol.valuation import (
     MonomialValuation,
     lattice_count_oracle,
-    log_discrepancy_hypersurface,
-    log_discrepancy_toric,
     nvol_report,
     valuation_volume_hypersurface,
     valuation_volume_toric,
@@ -38,32 +36,28 @@ def test_monomial_valuation_positivity():
 
 
 def test_log_discrepancy_toric_affine():
-    assert log_discrepancy_toric(affine_space(3), [1, 1, 1]) == 3
-    assert log_discrepancy_toric(affine_space(2), [2, 3]) == 5
+    assert affine_space(3).logdisc([1, 1, 1]) == 3
+    assert affine_space(2).logdisc([2, 3]) == 5
 
 
 def test_log_discrepancy_toric_matches_hypersurface_a1():
     # quadric 3-fold: toric and hypersurface descriptions agree
     toric = conifold()
     hyp = akm_singularity(3, 2)
-    assert log_discrepancy_toric(toric, toric.canonical_xi) == 4
-    assert log_discrepancy_hypersurface(hyp, canonical_weights(3, 2)) == 4
+    assert toric.logdisc(toric.canonical_xi) == 4
+    assert hyp.logdisc(canonical_weights(3, 2)) == 4
 
 
 def test_log_discrepancy_toric_rejects_outside():
     with pytest.raises(NotInReebCone):
-        log_discrepancy_toric(affine_space(2), [1, -1])
+        affine_space(2).logdisc([1, -1])
 
 
 def test_log_discrepancy_hypersurface_values():
-    assert log_discrepancy_hypersurface(
-        akm_singularity(3, 2), canonical_weights(3, 2)
-    ) == 4
+    assert akm_singularity(3, 2).logdisc(canonical_weights(3, 2)) == 4
     # k = 1 smooth model: sum = n + 2, order = 2
-    assert log_discrepancy_hypersurface(akm_singularity(3, 1), [1, 1, 1, 2]) == 3
-    assert log_discrepancy_hypersurface(
-        akm_singularity(3, 5), [1, 1, 1, Fraction(1, 2)]
-    ) == Fraction(3, 2)
+    assert akm_singularity(3, 1).logdisc([1, 1, 1, 2]) == 3
+    assert akm_singularity(3, 5).logdisc([1, 1, 1, Fraction(1, 2)]) == Fraction(3, 2)
 
 
 def test_volume_toric():
