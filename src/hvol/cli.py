@@ -13,10 +13,14 @@ handler, which reads its own flags.  A handler loads its JSON argument and
 parses its weight flags before its other checks; an empty flag value counts
 as absent.  Each command's flags and handler live in its own module,
 `hvol.commands.<name>`, so each command's code is compiled only when that
-command runs: `main` builds the parser for the command named first on the
-command line, and only `hvol -h` and usage errors without a known command
-build the parser that names all five.  This module keeps the report writer
-and the parsing helpers the commands share.
+command runs.  When the command line starts with a command's name, `main`
+parses the rest with that command's own parser, `hvol <command>`, built once
+and alone, and turns leftover words into the `hvol: unrecognized arguments`
+error that the `hvol` parser would raise; only `hvol -h` and usage errors
+without a known command build the `hvol` parser that names all five.  This
+module keeps the report writer and the parsing helpers the commands share.
+A model's lattice entries (rays, facet normals and offsets) pass from the
+JSON as ints, without a `Fraction` each.
 
 Reports are canonical JSON written to stdout (or --output): keys are sorted,
 exact rationals are "p/q" strings, floating point values are strings with 17
@@ -181,6 +185,12 @@ def _parse_weights(text: str | None, flag: str) -> list[Fraction] | None:
     return weights
 
 
+def _parse_lattice(value) -> int | Fraction:
+    """A lattice entry: a JSON integer as it is, anything else (a boolean
+    too) through `_parse_rational`."""
+    return value if type(value) is int else _parse_rational(value)
+
+
 def _canonical_xi(descriptor: dict) -> list[Fraction] | None:
     canonical = descriptor.get("canonical_xi")
     if canonical and not isinstance(canonical, list):
@@ -201,7 +211,7 @@ def parse_model(descriptor: dict):
         if any(not isinstance(ray, list) or len(ray) != len(rays[0]) for ray in rays):
             raise SchemaError("toric_cone rays must be lists of one length")
         return ToricConeSingularity.from_rays(
-            [[_parse_rational(v) for v in ray] for ray in rays],
+            [[_parse_lattice(v) for v in ray] for ray in rays],
             canonical_xi=_canonical_xi(descriptor),
         )
     if kind == "hypersurface":
@@ -246,10 +256,10 @@ def parse_model(descriptor: dict):
             for f in facets
         ):
             raise SchemaError("toric_log_fano facets must be objects with 'normal' and 'offset'")
-        normals = [[_parse_rational(v) for v in f["normal"]] for f in facets]
+        normals = [[_parse_lattice(v) for v in f["normal"]] for f in facets]
         if any(len(v) != len(normals[0]) or not any(v) for v in normals):
             raise SchemaError("toric_log_fano facet normals must be nonzero and of one length")
-        rows = [_integral([*v, _parse_rational(f["offset"])]) for v, f in zip(normals, facets)]
+        rows = [_integral([*v, _parse_lattice(f["offset"])]) for v, f in zip(normals, facets)]
         return ToricLogFanoPair(rows, _parse_rational(descriptor["r"]))
     raise SchemaError(f"unknown model type {kind!r}")
 
@@ -330,35 +340,42 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `hvol` parser, built once per process and command: parsing leaves
-    it unchanged.  A command of COMMANDS gets its subparser alone, with flags
-    and handler from `hvol.commands.<command>`; None gets every command's
-    name and help line, all that `hvol -h` and usage errors read."""
-    parser = _Parser(
-        prog="hvol",
-        description="normalized volume of valuations on cone singularities",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    """A parser built once per process and command: parsing leaves it
+    unchanged.  A command of COMMANDS gets its own parser, `hvol <command>`,
+    the subparser that `hvol` would give it, with flags and handler from
+    `hvol.commands.<command>`; None gets the `hvol` parser with every
+    command's name and help line, all that `hvol -h` and usage errors read."""
     if command is None:
+        parser = _Parser(
+            prog="hvol",
+            description="normalized volume of valuations on cone singularities",
+        )
+        sub = parser.add_subparsers(dest="command", required=True)
         for name, text in COMMANDS.items():
             sub.add_parser(name, help=text)
         return parser
     module = importlib.import_module(f".commands.{command}", __package__)
-    p = sub.add_parser(command, help=COMMANDS[command])
+    p = _Parser(prog=f"hvol {command}")
     module.add_arguments(p)
     p.add_argument("--output", help="write the report here instead of stdout")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--timing", action="store_true", help="include wall time in the report")
     p.set_defaults(handler=module.run)
-    return parser
+    return p
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser(command).parse_args(argv)
+        if argv and argv[0] in COMMANDS:
+            # the command's parser alone; leftover words are the usage error
+            # that the `hvol` parser raises for them
+            args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
+            if extra:
+                raise SchemaError(f"hvol: unrecognized arguments: {' '.join(extra)}")
+        else:
+            args = build_parser().parse_args(argv)
         start = time.perf_counter()
         report, csv = args.handler(args)
         report.timing = time.perf_counter() - start
@@ -381,4 +398,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    # `python -m hvol.cli` runs this file as __main__; the command modules'
+    # `from ..cli import ...` then finds it instead of compiling it again
+    sys.modules.setdefault("hvol.cli", sys.modules[__name__])
     sys.exit(main())

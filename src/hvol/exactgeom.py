@@ -25,11 +25,12 @@ Conventions
   (`singularities._gorenstein_vector`); `int_cone_rays`, the integer double
   description, gives extreme rays: the rays of `dual_cone`, the cone over a
   toric log-Fano polytope (`singularities.toric_log_fano`) and the cells of
-  a hypersurface's faces.  A rational row is cleared to integers once
-  (`_integral`) before it enters them.  The double description's cost
-  follows the rays of its intermediate cones, not the (d - 1)-subsets of
-  rows, whose signed maximal minors are its witness (self-test criterion
-  12).
+  a hypersurface's monomials (`singularities._monomial_cell`), whose faces
+  hold the rays of the hypersurface's faces.  A rational row is cleared to
+  integers once (`_integral`) before it enters them.  The double
+  description's cost follows the rays of its intermediate cones, not the
+  (d - 1)-subsets of rows, whose signed maximal minors are its witness
+  (self-test criterion 12).
 * A model's set-up stays on integers: `PolyCone.from_rays` clears each
   given ray to its primitive integer tuple once, and what follows reads the
   tuples as they are: `from_rays` and `dual_cone` test rank with `int_rank`,
@@ -41,7 +42,8 @@ Conventions
   lexicographically smallest vertex (`_fan`), which makes results
   reproducible.  It needs no vertex enumeration: incidences and ranks come
   from integer pairings, and `certify_tiling` checks the result
-  combinatorially.
+  combinatorially, each of its determinants the pairing with the integer
+  normal of a ridge (`_ridge_normal`), one per distinct ridge.
 * The `Fraction` polytope layer (halfspaces, vertex enumeration, polytope
   volumes, centroids and cut cones) lives in `selftest`, where it is the
   witness of the closed forms; `__getattr__` below resolves the names of it
@@ -455,21 +457,29 @@ def certify_tiling(
       same at every generic point of the cone;
     * one generic interior point lies in exactly one cone.
 
-    The side of the cone s at its ridge s - {w} is the sign of det(ridge, w),
-    the sign of det U_s times (-1) for each index of s after w.
+    Every determinant here has dim - 1 rows from one ridge, so each distinct
+    ridge gets its normal N once (`_ridge_normal`), det(ridge, x) = <N, x>:
+    det U_s is <N, w> at the ridge s - {w} without the last ray w of s, and
+    the generic point's side of every ridge is the sign of <N, point>.  The
+    side of the cone s at its ridge s - {w} is the sign of det(ridge, w), the
+    sign of det U_s times (-1) for each index of s after w.
     """
     dim = len(rays[0])
     out = []
     sides: list[list[tuple[tuple[int, ...], bool]]] = []
     by_ridge: dict[tuple[int, ...], list[bool]] = {}
+    ridge_normals: dict[tuple[int, ...], tuple[int, ...]] = {}
     for s in cones:
-        d = int_det([rays[i] for i in s])
+        ridges = [s[:j] + s[j + 1 :] for j in range(dim)]
+        for ridge in ridges:
+            if ridge not in ridge_normals:
+                ridge_normals[ridge] = _ridge_normal([rays[i] for i in ridge], dim)
+        d = sum(map(mul, ridge_normals[ridges[-1]], rays[s[-1]]))
         if d == 0:
             raise DegeneratePolytope(f"the simplicial cone on rays {s} is flat")
         out.append((abs(d), s))
         sides.append([])
-        for j in range(dim):
-            ridge = s[:j] + s[j + 1 :]
+        for j, ridge in enumerate(ridges):
             side = (d > 0) == ((dim - 1 - j) % 2 == 0)
             sides[-1].append((ridge, side))
             by_ridge.setdefault(ridge, []).append(side)
@@ -488,8 +498,8 @@ def certify_tiling(
     for m in count(1):
         point = [sum(m**i * ray[k] for i, ray in enumerate(rays)) for k in range(dim)]
         point_side = {}
-        for ridge in by_ridge:
-            d = int_det([rays[i] for i in ridge] + [point])
+        for ridge, normal in ridge_normals.items():
+            d = sum(map(mul, normal, point))
             if d == 0:
                 break
             point_side[ridge] = d > 0
@@ -499,6 +509,33 @@ def certify_tiling(
     if holding != 1:
         raise DegeneratePolytope(f"a generic interior point lies in {holding} simplicial cones")
     return tuple(out)
+
+
+def _ridge_normal(rows: Sequence[Sequence[int]], dim: int) -> tuple[int, ...]:
+    """N with det(rows + [x]) = <N, x>, for dim - 1 integer rows of length
+    dim: the signed maximal minors, N_c = (-1)^(dim - 1 + c) times the minor
+    without column c.  In closed form up to dim 4, where the 3 x 3 minors
+    share the 2 x 2 minors p_ij of the first two rows; `int_det` beyond."""
+    if dim == 2:
+        ((a, b),) = rows
+        return -b, a
+    if dim == 3:
+        (a, b, c), (d, e, f) = rows
+        return b * f - c * e, c * d - a * f, a * e - b * d
+    if dim == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
+        p01, p02, p03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+        p12, p13, p23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+        return (
+            c2 * p13 - c1 * p23 - c3 * p12,
+            c0 * p23 - c2 * p03 + c3 * p02,
+            c1 * p03 - c0 * p13 - c3 * p01,
+            c0 * p12 - c1 * p02 + c2 * p01,
+        )
+    return tuple(
+        (-1) ** (dim - 1 + c) * int_det([row[:c] + row[c + 1 :] for row in rows])
+        for c in range(dim)
+    )
 
 
 def __getattr__(name: str):

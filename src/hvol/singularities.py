@@ -289,7 +289,7 @@ class WeightedHomogeneousHypersurface:
             raise ModelError("a hypersurface model needs at least two monomials")
         mons = []
         for m in monomials:
-            exps = [rat(e) for e in m]
+            exps = [e if type(e) is int else rat(e) for e in m]
             if len(exps) != nvars:
                 raise ModelError("monomial exponent length does not match nvars")
             if any(e < 0 or e.denominator != 1 for e in exps):
@@ -400,18 +400,23 @@ class WeightedHomogeneousHypersurface:
         monomial counted that often; a face is a set S of them, counted at
         least twice, that ties at the least weight.  There vol(w) =
         <m, w> / prod w = sum_k m_k / prod_{l != k} w_l for m in S, a sum of
-        convex terms, and A = <1 - m, w>."""
+        convex terms, and A = <1 - m, w>.  The face of S is a face of the
+        closed cell of its first monomial m, where m has the least weight
+        (`_monomial_cell`), so each such cell's extreme rays are found once,
+        and a face's rays are the rays of its cell that lie on it."""
         classes = self.symmetry_classes()
         groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for mono in self.monomials:
             groups.setdefault(tuple(sum(mono[k] for k in cls) for cls in classes), []).append(mono)
         reduced = list(groups)
+        cells: dict[int, list[tuple[tuple[int, ...], int]]] = {}
         pieces = []
         for size in range(1, len(reduced) + 1):
-            for tie in combinations(reduced, size):
-                if sum(len(groups[m]) for m in tie) >= 2:
-                    others = [m for m in reduced if m not in tie]
-                    piece = _face_piece(self, classes, tie, others, groups)
+            for tie in combinations(range(len(reduced)), size):
+                if sum(len(groups[reduced[t]]) for t in tie) >= 2:
+                    if tie[0] not in cells:
+                        cells[tie[0]] = _monomial_cell(reduced, tie[0])
+                    piece = _face_piece(self, classes, reduced, tie, groups, cells[tie[0]])
                     if piece is not None:
                         pieces.append(piece)
         return tuple(pieces)
@@ -439,56 +444,82 @@ class WeightedHomogeneousHypersurface:
         return classes
 
 
-def _face_piece(model, classes, tie, others, groups) -> ConvexPiece | None:
-    """The piece where the reduced monomials `tie` tie at or below `others`,
-    in class weights y (one per symmetry class); None when no positive weight
-    lies there, or when the ties force one of `others` to tie as well (the
-    larger face then has the same cell).  `groups` maps a reduced monomial to
-    the monomials it stands for.
+def _monomial_cell(
+    reduced: Sequence[tuple[int, ...]], i: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """The extreme rays y of the closed cell {y >= 0 : <o - m, y> >= 0 for
+    every other o} of the reduced monomial m = reduced[i], in class weights,
+    from one integer double description (`exactgeom.int_cone_rays`).  Each
+    ray comes with the bitmask of the rows it is tight on: bit k for
+    <reduced[k] - m, y> = 0, bit len(reduced) + j for y_j = 0."""
+    m = reduced[i]
+    dim = len(m)
+    diffs = [[a - e for a, e in zip(o, m)] for o in reduced]
+    units = [[int(k == j) for k in range(dim)] for j in range(dim)]
+    rays = int_cone_rays(units + [d for k, d in enumerate(diffs) if k != i], dim)
+    return [
+        (
+            y,
+            sum(1 << k for k, d in enumerate(diffs) if k != i and not sum(map(mul, d, y)))
+            | sum(1 << (len(reduced) + j) for j, c in enumerate(y) if not c),
+        )
+        for y in rays
+    ]
 
-    The cell lives in the coordinates z of y = sum_f z_f b_f over the kernel
-    basis of the ties (`exactgeom.int_kernel`): one primitive integer vector
-    x per free column f, with b_f = x / x_f.  So the cell's rows are integers
-    in z'_f = z_f / x_f, and the integer double description
-    (`exactgeom.int_cone_rays`) gives its extreme rays.  Each ray maps back
-    to the primitive z with z_f = x_f z'_f, the key that sorts the rays, and
-    to the integer weight y' = sum_f z'_f x on the ray of y.
-    The interior and klt tests read only signs, so they run on y'; the slice
-    vertex is the pair (n y', <logdisc, y'>) and the basis vector b_f the pair
-    (x, x_f), each variable taking the entry of its class.  A piece's
-    coordinate for b_f is the weight of the first variable of class f.
+
+def _face_piece(model, classes, reduced, tie, groups, cell) -> ConvexPiece | None:
+    """The piece where the reduced monomials `reduced[t]`, t in `tie`, tie at
+    or below the others, in class weights y (one per symmetry class); None
+    when no positive weight lies there, or when the ties force another
+    monomial to tie as well (the larger face then has the same cell).
+    `groups` maps a reduced monomial to the monomials it stands for, and
+    `cell` is `_monomial_cell` of the tie's first monomial m.
+
+    The face is the face of m's cell on every tie row <t - m, y> = 0, and a
+    face of a pointed cone holds exactly the cone's extreme rays that lie in
+    it, so its rays are the cell's rays tight on those rows.  Inside it only
+    the tie rows are tight, unless some other row (y_j >= 0 or <o - m, y> >=
+    0) is tight on all of its rays.  The kernel basis of the ties
+    (`exactgeom.int_kernel`) has one primitive integer vector x per free
+    column f, with b_f = x / x_f, so the face lives in the coordinates z of
+    y = sum_f z_f b_f, where z_f = y_f, and in z'_f = z_f / x_f its rows are
+    integers.  Each ray is scaled to y' = sum_f z'_f x at its primitive
+    integer z', and the rays are sorted by their primitive z.  The klt test
+    reads only signs, so it runs on y'; the slice vertex is the pair (n y',
+    <logdisc, y'>) and the basis vector b_f the pair (x, x_f), each variable
+    taking the entry of its class.  A piece's coordinate for b_f is the
+    weight of the first variable of class f.
     """
     dim = len(classes)
-    m = tie[0]
-    kernel = int_kernel([[a - b for a, b in zip(t, m)] for t in tie[1:]], dim)
-    if not kernel:
+    m = reduced[tie[0]]
+    need = sum(1 << t for t in tie[1:])
+    face, tight = [], -1
+    for y, mask in cell:
+        if mask & need == need:
+            face.append(y)
+            tight &= mask
+    if tight != need:  # no ray, or a row tight on the whole face
         return None
-    cols = [x for _, x in kernel]
-    scales = [x[f] for f, x in kernel]
-    diffs = [[a - e for a, e in zip(o, m)] for o in others]
-    # the closed cell in z': every y_j >= 0 and every <o - m, y> >= 0
-    cons = [[col[j] for col in cols] for j in range(dim)]
-    cons += [[sum(map(mul, d, col)) for col in cols] for d in diffs]
+    kernel = int_kernel([[a - b for a, b in zip(reduced[t], m)] for t in tie[1:]], dim)
     rays = []
-    for ray in int_cone_rays(cons, len(cols)):
-        z = [c * s for c, s in zip(ray, scales)]
-        g = math.gcd(*z)
-        y = [sum(c * col[j] for c, col in zip(ray, cols)) for j in range(dim)]
-        rays.append((tuple(c // g for c in z), y))
+    for y in face:
+        # z' = (y_f / x_f) lcm / g over the quotients' least common
+        # denominator and their gcd after clearing it, so y' = y lcm / g
+        lcm = math.lcm(*(x[f] // math.gcd(y[f], x[f]) for f, x in kernel))
+        g = math.gcd(*(y[f] * lcm // x[f] for f, x in kernel))
+        z = [y[f] for f, _ in kernel]
+        h = math.gcd(*z)
+        rays.append((tuple(c // h for c in z), [c * (lcm // g) for c in y]))
     rays.sort()
-    # the rays' sum is interior unless some row vanishes on the whole cell
-    mean = [sum(col) for col in zip(*(y for _, y in rays))]
-    if not rays or min(mean) <= 0 or any(sum(map(mul, d, mean)) <= 0 for d in diffs):
-        return None
     logdisc = [len(cls) - e for cls, e in zip(classes, m)]
     heights = [sum(map(mul, logdisc, y)) for _, y in rays]
     if min(heights) <= 0:
-        tied = [mono for t in tie for mono in groups[t]]
+        tied = [mono for t in tie for mono in groups[reduced[t]]]
         raise ModelError(f"not klt: the log discrepancy is not positive where {tied} tie")
     nvars = sum(map(len, classes))
     class_of = [next(j for j, cls in enumerate(classes) if k in cls) for k in range(nvars)]
     mono = groups[m][0]
-    others_full = [groups[o][0] for o in others]
+    others_full = [groups[o][0] for k, o in enumerate(reduced) if k not in tie]
     return ConvexPiece(
         generators=model.reeb_generators,
         simplices=tuple(

@@ -704,6 +704,19 @@ def test_python_dash_m_runs_the_cli():
     assert json.loads(done.stdout)["results"]["nvol"]["exact"] == "4"
 
 
+def test_python_dash_m_hvol_cli_compiles_the_cli_once():
+    # run as __main__, cli.py stands in for the `hvol.cli` that the command
+    # module imports, so it is not imported a second time
+    group = '{"type":"cyclic","r":7,"a":3}'
+    done = _run_python("-X", "importtime", "-m", "hvol.cli", "quotient", "--group", group)
+    assert done.returncode == 0, done.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
+    assert "hvol" in imported and "hvol.cli" not in imported
+    reference = _run_python("-m", "hvol", "quotient", "--group", group)
+    assert reference.returncode == 0, reference.stderr
+    assert done.stdout == reference.stdout
+
+
 def test_import_does_not_load_numpy():
     # start-up cost: the package runs on the standard library alone
     done = _run_python("-c", "import sys, hvol, hvol.cli; assert 'numpy' not in sys.modules")

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 from operator import mul
@@ -16,7 +17,7 @@ from hvol.errors import (
     NotQGorenstein,
     UnboundedRegion,
 )
-from hvol.exactgeom import RVector
+from hvol.exactgeom import RVector, int_cone_rays, int_kernel
 from hvol.selftest import (
     Halfspace,
     Polytope,
@@ -26,6 +27,7 @@ from hvol.selftest import (
     vertex_enumerate,
 )
 from hvol.singularities import (
+    ConvexPiece,
     PolarizedConeData,
     ToricConeSingularity,
     WeightedHomogeneousHypersurface,
@@ -37,6 +39,8 @@ from hvol.singularities import (
     cyclic_quotient_cone,
     fano_index_check,
     toric_log_fano,
+    _face_piece,
+    _monomial_cell,
 )
 from hvol.valuation import nvol_report
 
@@ -416,3 +420,143 @@ def test_brieskorn_pham_has_one_piece_per_tie():
         degrees = [max(m) for m in model.monomials]
         once = sum(degrees.count(d) == 1 for d in set(degrees))
         assert len(model.convex_pieces) == 2 ** len(set(degrees)) - 1 - once, degrees
+
+
+# -- the monomial cells against a double description per face -------------------
+
+
+def _reference_face_piece(model, classes, tie, others, groups):
+    """The piece of the face where the reduced monomials `tie` tie at or
+    below `others`, from a double description of its own cell: the cell in
+    the coordinates z'_f = z_f / x_f over the tie kernel's basis, whose rays
+    map back to y' = sum_f z'_f x, sorted by the primitive z."""
+    dim = len(classes)
+    m = tie[0]
+    kernel = int_kernel([[a - b for a, b in zip(t, m)] for t in tie[1:]], dim)
+    if not kernel:
+        return None
+    cols = [x for _, x in kernel]
+    scales = [x[f] for f, x in kernel]
+    diffs = [[a - e for a, e in zip(o, m)] for o in others]
+    cons = [[col[j] for col in cols] for j in range(dim)]
+    cons += [[sum(map(mul, d, col)) for col in cols] for d in diffs]
+    rays = []
+    for ray in int_cone_rays(cons, len(cols)):
+        z = [c * s for c, s in zip(ray, scales)]
+        g = math.gcd(*z)
+        y = [sum(c * col[j] for c, col in zip(ray, cols)) for j in range(dim)]
+        rays.append((tuple(c // g for c in z), y))
+    rays.sort()
+    mean = [sum(col) for col in zip(*(y for _, y in rays))]
+    if not rays or min(mean) <= 0 or any(sum(map(mul, d, mean)) <= 0 for d in diffs):
+        return None
+    logdisc = [len(cls) - e for cls, e in zip(classes, m)]
+    heights = [sum(map(mul, logdisc, y)) for _, y in rays]
+    if min(heights) <= 0:
+        tied = [mono for t in tie for mono in groups[t]]
+        raise ModelError(f"not klt: the log discrepancy is not positive where {tied} tie")
+    nvars = sum(map(len, classes))
+    class_of = [next(j for j, cls in enumerate(classes) if k in cls) for k in range(nvars)]
+    mono = groups[m][0]
+    return ConvexPiece(
+        generators=model.reeb_generators,
+        simplices=tuple(
+            (e, tuple(l for l in range(nvars) if l != k)) for k, e in enumerate(mono) if e > 0
+        ),
+        row=(tuple(1 - e for e in mono), 1),
+        basis=tuple((tuple(x[j] for j in class_of), x[f]) for f, x in kernel),
+        free=tuple(classes[f][0] for f, _ in kernel),
+        bounds=tuple(tuple(a - e for a, e in zip(groups[o][0], mono)) for o in others),
+        vertices=tuple(
+            (tuple(model.n * y[j] for j in class_of), h) for (_, y), h in zip(rays, heights)
+        ),
+    )
+
+
+def _both_routes(model):
+    """Per counted tie: (tie, reference piece, piece from the monomial cell),
+    a ModelError standing for the piece it refuses."""
+    classes = model.symmetry_classes()
+    groups = {}
+    for mono in model.monomials:
+        groups.setdefault(tuple(sum(mono[k] for k in cls) for cls in classes), []).append(mono)
+    reduced = list(groups)
+    out = []
+    for size in range(1, len(reduced) + 1):
+        for tie in itertools.combinations(range(len(reduced)), size):
+            if sum(len(groups[reduced[t]]) for t in tie) < 2:
+                continue
+            found = []
+            for route in ("reference", "cell"):
+                try:
+                    if route == "reference":
+                        ties = [reduced[t] for t in tie]
+                        others = [o for k, o in enumerate(reduced) if k not in tie]
+                        found.append(_reference_face_piece(model, classes, ties, others, groups))
+                    else:
+                        cell = _monomial_cell(reduced, tie[0])
+                        found.append(_face_piece(model, classes, reduced, tie, groups, cell))
+                except ModelError as exc:
+                    found.append(str(exc))
+            out.append((tie, *found))
+    return out
+
+
+def _random_exponent_sets(seed, count, symmetric):
+    """Seeded monomial sets in 3-5 variables: a pure power of each variable,
+    of degree 2-6, and one to three mixed monomials of low degree; with
+    `symmetric`, closed under swapping the first two variables, which then
+    have one degree."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        nvars = rng.randint(3, 5)
+        degrees = [rng.randint(2, 6) for _ in range(nvars)]
+        if symmetric:
+            degrees[1] = degrees[0]
+        monomials = {tuple(d * (j == i) for j in range(nvars)) for i, d in enumerate(degrees)}
+        for _ in range(rng.randint(1, 3)):
+            monomials.add(tuple(rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(nvars)))
+        if symmetric:
+            monomials |= {(m[1], m[0], *m[2:]) for m in monomials}
+        monomials.discard((0,) * nvars)
+        out.append(WeightedHomogeneousHypersurface(nvars, sorted(monomials)))
+    return out
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_monomial_cells_give_the_pieces_of_a_double_description_per_face(symmetric):
+    pieces = refused = none = 0
+    models = _random_exponent_sets(3 + symmetric, 60, symmetric)
+    assert all(len(model.symmetry_classes()[0]) > 1 for model in models) == symmetric
+    for model in models:
+        for tie, reference, from_cell in _both_routes(model):
+            assert from_cell == reference, (model.monomials, tie)
+            pieces += isinstance(reference, ConvexPiece)
+            refused += isinstance(reference, str)
+            none += reference is None
+    # every kind of outcome occurs
+    assert pieces > 100 and refused > 10 and none > 100, (pieces, refused, none)
+
+
+def test_monomial_cells_match_on_the_face_cell_models():
+    for model in _face_cell_models():
+        routes = _both_routes(model)
+        assert all(from_cell == reference for _, reference, from_cell in routes)
+        assert tuple(p for _, p, _ in routes if p is not None) == model.convex_pieces
+
+
+def test_a_tie_that_forces_another_gives_no_piece_on_either_route():
+    # x^2 + y^2 + xy + z^3 + x z^5, without symmetry: wherever x^2 and y^2
+    # tie, xy has their weight too, so that face belongs to the triple tie
+    monomials = [(0, 0, 3), (0, 2, 0), (1, 1, 0), (1, 0, 5), (2, 0, 0)]
+    model = WeightedHomogeneousHypersurface(3, monomials)
+    assert model.symmetry_classes() == [[0], [1], [2]]
+    routes = {tie: (reference, from_cell) for tie, reference, from_cell in _both_routes(model)}
+    squares, triple = (1, 4), (1, 2, 4)
+    assert routes[squares] == (None, None)
+    assert isinstance(routes[triple][1], ConvexPiece) and routes[triple][0] == routes[triple][1]
+    # the face is not empty: the cell of y^2 has rays on the row of x^2, all
+    # of them on the row of xy as well
+    on_face = [mask for _, mask in _monomial_cell(monomials, 1) if mask >> 4 & 1]
+    assert on_face and all(mask >> 2 & 1 for mask in on_face)

@@ -121,13 +121,28 @@ def test_triangulation_enumerates_no_vertices(monkeypatch):
     assert model.volume([sum(col) for col in zip(*model.sigma.rays)]) > 0
 
 
-CERTIFIED = {
+def _cross_polytope_rays(d):
+    """The cone over the d-dimensional cross-polytope; its dual cone is the
+    cone over the d-cube."""
+    return [[s * (i == k) for k in range(d)] + [1] for i in range(d) for s in (1, -1)]
+
+
+# the dual cones over quadrilaterals, which have two triangulations each
+QUADRILATERALS = {
     "conifold": conifold(),
     "Y21": ToricConeSingularity.from_rays(_ypq_rays(2, 1)),
     "Y31": ToricConeSingularity.from_rays(_ypq_rays(3, 1)),
     "square pyramid": ToricConeSingularity.from_rays(
         [[1, 1, 0, 1], [1, -1, 0, 1], [-1, 1, 0, 1], [-1, -1, 0, 1], [0, 0, 1, 1]]
     ),
+}
+CERTIFIED = {
+    **QUADRILATERALS,
+    # dimension 4: the first generic point, the sum of the cube's rays, lies
+    # on ridge hyperplanes through the cube's centre
+    "3-cube": ToricConeSingularity.from_rays(_cross_polytope_rays(3)),
+    # dimension 5, beyond the closed-form ridge normals
+    "4-cube": ToricConeSingularity.from_rays(_cross_polytope_rays(4)),
 }
 
 
@@ -140,6 +155,8 @@ def test_certificate_rejects_dropped_and_duplicated_cones(name):
     rays, normals = _integer_cone(CERTIFIED[name])
     cones = [s for _, s in CERTIFIED[name].volume_triangulation]
     assert certify_tiling(rays, normals, cones) == CERTIFIED[name].volume_triangulation
+    for d, s in CERTIFIED[name].volume_triangulation:
+        assert d == abs(int_det([rays[i] for i in s]))
     for i in range(len(cones)):
         with pytest.raises(DegeneratePolytope):
             certify_tiling(rays, normals, cones[:i] + cones[i + 1 :])
@@ -149,12 +166,42 @@ def test_certificate_rejects_dropped_and_duplicated_cones(name):
         certify_tiling(rays, normals, [])
 
 
-@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_certificate_retries_a_generic_point_on_a_ridge():
+    # the first candidate point, m = 1, lies on a ridge hyperplane of the
+    # 3-cube's triangulation, so the certificate must move on to m = 2
+    model = CERTIFIED["3-cube"]
+    rays, normals = _integer_cone(model)
+    first = [sum(col) for col in zip(*rays)]
+    ridges = {s[:j] + s[j + 1 :] for _, s in model.volume_triangulation for j in range(model.n)}
+    assert any(int_det([rays[i] for i in ridge] + [first]) == 0 for ridge in ridges)
+    cones = [s for _, s in model.volume_triangulation]
+    assert certify_tiling(rays, normals, cones) == model.volume_triangulation
+    assert sum(d for d, _ in model.volume_triangulation) == math.factorial(3) * 2**3
+
+
+@pytest.mark.parametrize("name, sigma", SIGMAS, ids=[name for name, _ in SIGMAS])
+def test_certified_determinants_are_the_cones_determinants(name, sigma):
+    dual = dual_cone(sigma)
+    for d, s in triangulate_cone(dual):
+        assert d == abs(int_det([dual.rays[i] for i in s]))
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_ridge_normal_pairs_as_the_determinant(dim):
+    rng = random.Random(dim)
+    for _ in range(50):
+        rows = [[rng.randint(-5, 5) for _ in range(dim)] for _ in range(dim - 1)]
+        point = [rng.randint(-5, 5) for _ in range(dim)]
+        normal = exactgeom._ridge_normal(rows, dim)
+        assert sum(a * b for a, b in zip(normal, point)) == int_det(rows + [point])
+
+
+@pytest.mark.parametrize("name", sorted(QUADRILATERALS))
 def test_certificate_accepts_exactly_the_two_triangulations(name):
     # each of these dual cones is the cone over a quadrilateral, whose two
     # diagonals give its only triangulations; every other set of simplicial
     # cones on its rays overlaps or leaves a gap
-    model = CERTIFIED[name]
+    model = QUADRILATERALS[name]
     rays, normals = _integer_cone(model)
     simplicial = [s for s in itertools.combinations(range(len(rays)), model.n) if int_det([rays[i] for i in s])]
     accepted = []
