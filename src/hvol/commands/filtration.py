@@ -121,11 +121,14 @@ def run(args: argparse.Namespace) -> tuple[Report, Callable[[], str] | None]:
         ("profile_volume_matches", volume_from_profile(profile), profile.vol_v1),
     ]
     checks = [_check(name, lhs == rhs, lhs, rhs, "exact") for name, lhs, rhs in exact_pairs]
+    c1 = profile.c1
     checks.append(
         _check(
             "liu_bound",
             liu_bound_check(
-                profile, [profile.c1 * Fraction(j, 4) for j in range(1, 5)] + [profile.c2]
+                profile,
+                [Fraction(c1.numerator * j, 4 * c1.denominator) for j in range(1, 5)]
+                + [profile.c2],
             ),
             "pointwise bound",
             "holds",

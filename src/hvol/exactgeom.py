@@ -159,7 +159,11 @@ def _sum_terms(a: Fraction, sign: int, b: Fraction) -> Fraction:
 
 def _integral(row) -> tuple[list[int], int]:
     """(s * row, s) for the least positive integer s that clears the
-    denominators of a rational row; int entries pass as they are."""
+    denominators of a rational row (any iterable); int entries pass as they
+    are, and a row of ints alone is returned with s = 1."""
+    row = list(row)
+    if all(type(c) is int for c in row):
+        return row, 1
     row = [c if type(c) is Fraction or type(c) is int else rat(c) for c in row]
     scale = math.lcm(*(c.denominator for c in row))
     return [c.numerator * (scale // c.denominator) for c in row], scale

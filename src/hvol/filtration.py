@@ -47,9 +47,25 @@ integrate to Laurent polynomials with no logarithmic term.  The arithmetic
 runs on Python integers: a rational is an integer pair (num, den) with
 den > 0, not reduced, and a polynomial is a list of integer numerators over
 one denominator.  `VolumeProfile` holds its regions and simplices in that
-form, built once by `profile_from_model` from the integers it works in; the
-kernels read them as they are, sum over a common denominator, and build each
-returned quantity as one `Fraction` at the end.
+form, built once by `profile_from_model` from the integers it works in.  The
+kernels read them as they are and return integer pairs; a quantity is their
+sum over a common denominator, and each public function builds what it
+returns as one `Fraction` at the end.
+
+Each profile memoizes the integrals that several quantities share, and no
+memo outlives its profile:
+
+* per region, G(v) = integral_v^inf vol_r(t) t^(-n-1) dt at its upper end
+  v, as a reduced integer pair, each region integrated once
+  (`_kernel_tails`);
+* per point x > 0, G(x) as an integer pair, keyed by x in lowest terms
+  (`_tail_integral_memo`), so that Theta(c1) = n c1^n G(c1), the volume
+  identity and the Liu bound at c1 integrate from c1 once;
+* the section integral, integral_0^inf Theta, as one `Fraction`
+  (`section_integral`).
+
+A memo only hands a quantity to the places that compute that same quantity;
+no side of a check is derived from the other side.
 """
 
 from __future__ import annotations
@@ -84,23 +100,24 @@ def _poly_eval(nums: Sequence[int], den: int, t: tuple[int, int]) -> Fraction:
 
 def _poly_integral(
     nums: Sequence[int], den: int, lo: tuple[int, int], hi: tuple[int, int]
-) -> Fraction:
-    """integral_lo^hi poly(t) dt for the polynomial nums / den: the
-    antiderivative, over den * m! with m = len(nums), at both ends."""
+) -> tuple[int, int]:
+    """integral_lo^hi poly(t) dt for the polynomial nums / den, as integers
+    (num, den): the antiderivative, over den * m! with m = len(nums), at both
+    ends."""
     m = len(nums)
     scale = math.factorial(m)
     anti = [0] + [c * (scale // (j + 1)) for j, c in enumerate(nums)]
     (a, b), (c, d) = lo, hi
     top = _horner(anti, c, d) * b**m - _horner(anti, a, b) * d**m
-    return Fraction(top, den * scale * (b * d) ** m)
+    return top, den * scale * (b * d) ** m
 
 
 def _poly_tail_kernel(
     nums: Sequence[int], den: int, lo: tuple[int, int], hi: tuple[int, int], n: int
-) -> Fraction:
-    """integral_lo^hi poly(t) t^(-n-1) dt for 0 < lo <= hi; requires
-    deg(poly) < n (no log terms).  With u = 1 / t it is the integral of
-    sum_j c_j u^(n-1-j) from 1 / hi to 1 / lo."""
+) -> tuple[int, int]:
+    """integral_lo^hi poly(t) t^(-n-1) dt for 0 < lo <= hi, as integers
+    (num, den); requires deg(poly) < n (no log terms).  With u = 1 / t it is
+    the integral of sum_j c_j u^(n-1-j) from 1 / hi to 1 / lo."""
     if any(nums[n:]):
         raise IntegralDivergence("the tail kernel needs deg(poly) < n: degree n gives a logarithm")
     padded = list(nums[:n]) + [0] * (n - len(nums))
@@ -129,12 +146,24 @@ def _below(x: tuple[int, int], y: tuple[int, int]) -> bool:
     return x[0] * y[1] < y[0] * x[1]
 
 
-def _sum(terms: Iterable[tuple[int, int]]) -> Fraction:
-    """The sum of rationals (num, den) over a running common denominator."""
+def _add(terms: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of rationals (num, den) over a running common denominator,
+    not reduced."""
     num, den = 0, 1
     for a, b in terms:
         num, den = num * b + a * den, den * b
-    return Fraction(num, den)
+    return num, den
+
+
+def _sum(terms: Iterable[tuple[int, int]]) -> Fraction:
+    """The sum of rationals (num, den), built as one Fraction."""
+    return Fraction(*_add(terms))
+
+
+def _reduced(x: tuple[int, int]) -> tuple[int, int]:
+    """The rational (num, den), den > 0, in lowest terms."""
+    g = math.gcd(*x)
+    return x[0] // g, x[1] // g
 
 
 # -- the profile ---------------------------------------------------------------
@@ -168,7 +197,10 @@ class VolumeProfile:
         self.vol_v1 = vol_v1
         self.regions = regions
         self.simplices = simplices
-        if c1 <= 0 or c2 < c1:
+        # x -> integral_x^inf vol_r(t) t^(-n-1) dt, both as integer pairs,
+        # x reduced; filled by `_tail_kernel_integral`
+        self._tail_integral_memo: dict[tuple[int, int], tuple[int, int]] = {}
+        if c1.numerator <= 0 or c2.numerator * c1.denominator < c1.numerator * c2.denominator:
             raise ModelError("support bounds must satisfy 0 < c1 <= c2")
         self._validate_shape()
 
@@ -211,15 +243,16 @@ class VolumeProfile:
 
     @cached_property
     def _section_integral(self) -> Fraction:
-        return theta_integral(self, Fraction(0))
+        return Fraction(*_theta_integral(self, (0, 1)))
 
     @cached_property
-    def _kernel_tails(self) -> tuple[Fraction, ...]:
+    def _kernel_tails(self) -> tuple[tuple[int, int], ...]:
         """Per region, integral of vol_r(t) t^(-n-1) over the regions after
-        it: each region but the first integrated once, summed from c2 down."""
-        tails = [Fraction(0)]
+        it, as a reduced integer pair: each region but the first integrated
+        once, summed from c2 down."""
+        tails = [(0, 1)]
         for lo, hi, nums, den in reversed(self.regions[1:]):
-            tails.append(tails[-1] + _poly_tail_kernel(nums, den, lo, hi, self.n))
+            tails.append(_reduced(_add([tails[-1], _poly_tail_kernel(nums, den, lo, hi, self.n)])))
         return tuple(reversed(tails))
 
     def _piece_at(self, a: int, b: int) -> tuple[Sequence[int], int]:
@@ -274,6 +307,8 @@ def _bspline_tail(ks: Sequence[int], hi: int, n: int) -> tuple[list[int], int]:
                 coeffs[i] = (-1) ** i * outer * math.comb(m, i) * k ** (m - i)
         return coeffs, 1
 
+    if ks[0] >= hi:  # (x - t)^(n-1) at every knot: leading coefficient 1
+        return [1] + [0] * (n - 1), 1
     column = [taylor(k, 0) for k in ks]
     for j in range(1, n):
         new = []
@@ -318,23 +353,26 @@ def profile_from_model(model, v0: Sequence, v1: Sequence) -> VolumeProfile:
     """
     v0, v1 = RVector(v0), RVector(v1)
     n = model.n
-    simplices = model.simplicial_pieces(v0, v1)
-    q = math.lcm(*(k.denominator for _, knots in simplices for k in knots))
+    simplices = tuple(
+        (*weight.as_integer_ratio(), tuple(k.as_integer_ratio() for k in knots))
+        for weight, knots in model.simplicial_pieces(v0, v1)
+    )
+    q = math.lcm(*(d for *_, knots in simplices for _, d in knots))
     cleared = [
-        (weight, sorted(k.numerator * (q // k.denominator) for k in knots))
-        for weight, knots in simplices
+        (w_num, w_den, sorted(u * (q // d) for u, d in knots))
+        for w_num, w_den, knots in simplices
     ]
-    xs = sorted({x for _, ks in cleared for x in ks})
+    xs = sorted({x for *_, ks in cleared for x in ks})
     powers = [q**j for j in range(n)]
-    degh = _sum((w.numerator, w.denominator) for w, _ in cleared)
+    degh = _sum((w_num, w_den) for w_num, w_den, _ in cleared)
     regions = [((0, 1), (xs[0], q), (degh.numerator,), degh.denominator)]
     for lo, hi in zip(xs, xs[1:]):
         nums, den = [0] * n, 1
-        for weight, ks in cleared:
+        for w_num, w_den, ks in cleared:
             if ks[-1] < hi:  # every knot at or below the interval
                 continue
             tail, tail_den = _bspline_tail(ks, hi, n)
-            w_num, w_den = weight.numerator, weight.denominator * tail_den
+            w_den *= tail_den
             nums = [s * w_den + w_num * c * den for s, c in zip(nums, tail)]
             den *= w_den
         nums = [c * p for c, p in zip(nums, powers)]
@@ -346,13 +384,16 @@ def profile_from_model(model, v0: Sequence, v1: Sequence) -> VolumeProfile:
         c1=_support_start(model, v0, v1),
         c2=Fraction(xs[-1], q),
         # weight / prod(knots) = w_num q^n / (w_den prod(x))
-        vol_v1=_sum((w.numerator * q**n, w.denominator * math.prod(ks)) for w, ks in cleared),
+        vol_v1=_sum((w_num * q**n, w_den * math.prod(ks)) for w_num, w_den, ks in cleared),
         regions=tuple(regions),
-        simplices=tuple(
-            (w.numerator, w.denominator, tuple((k.numerator, k.denominator) for k in knots))
-            for w, knots in simplices
-        ),
+        simplices=simplices,
     )
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, without building the Fraction."""
+    num, den = _reduced((num, den))
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def profile_to_dict(p: VolumeProfile) -> dict:
@@ -364,8 +405,8 @@ def profile_to_dict(p: VolumeProfile) -> dict:
         "c1": str(p.c1),
         "c2": str(p.c2),
         "vol_v1": str(p.vol_v1),
-        "breakpoints": [str(b) for b in p.breakpoints],
-        "pieces": [[str(Fraction(c, den)) for c in nums] for _, _, nums, den in p.regions[1:]],
+        "breakpoints": [_ratio_text(*hi) for _, hi, _, _ in p.regions],
+        "pieces": [[_ratio_text(c, den) for c in nums] for _, _, nums, den in p.regions[1:]],
     }
 
 
@@ -377,34 +418,50 @@ def _later(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     return y if _below(x, y) else x
 
 
-def _tail_kernel_integral(p: VolumeProfile, x: Fraction) -> Fraction:
-    """integral_x^inf vol_r(t) t^(-n-1) dt, exact; x > 0: the part of x's
-    region above x plus the cached integral beyond that region."""
-    x = x.numerator, x.denominator
-    for (lo, hi, nums, den), beyond in zip(p.regions, p._kernel_tails):
-        if _below(x, hi):
-            return _poly_tail_kernel(nums, den, _later(lo, x), hi, p.n) + beyond
-    return Fraction(0)
+def _tail_kernel_integral(p: VolumeProfile, x: tuple[int, int]) -> tuple[int, int]:
+    """integral_x^inf vol_r(t) t^(-n-1) dt as integers (num, den), for
+    x = (a, b) in lowest terms with a, b > 0: the part of x's region above x
+    plus the cached integral beyond that region.  Computed once per x and
+    profile."""
+    g = p._tail_integral_memo.get(x)
+    if g is None:
+        g = 0, 1
+        for (lo, hi, nums, den), beyond in zip(p.regions, p._kernel_tails):
+            if _below(x, hi):
+                g = _add([_poly_tail_kernel(nums, den, _later(lo, x), hi, p.n), beyond])
+                break
+        p._tail_integral_memo[x] = g
+    return g
+
+
+def _theta(p: VolumeProfile, x: tuple[int, int]) -> tuple[int, int]:
+    """Theta(x) = n x^n G(x) as integers (num, den), for x = (a, b) in lowest
+    terms with a, b > 0."""
+    g_num, g_den = _tail_kernel_integral(p, x)
+    (a, b), n = x, p.n
+    return n * a**n * g_num, b**n * g_den
 
 
 def tail_volume_exact(p: VolumeProfile, x) -> Fraction:
-    """Theta(x) exactly; a float x counts as its exact binary value."""
-    x = Fraction(x)
-    if x >= p.c2:
-        return Fraction(0)
-    g = _tail_kernel_integral(p, x)
-    n = p.n
-    return Fraction(n * x.numerator**n * g.numerator, x.denominator**n * g.denominator)
+    """Theta(x) exactly, for x > 0; a float x counts as its exact binary value."""
+    a, b = x.as_integer_ratio()
+    if a <= 0:
+        raise PreconditionViolated(f"Theta(x) needs x > 0, not {x}")
+    return Fraction(*_theta(p, (a, b)))
 
 
 def theta_integral(p: VolumeProfile, lo) -> Fraction:
     """integral_lo^inf Theta(t) dt in closed form, region by region."""
     lo = rat(lo)
-    lo = lo.numerator, lo.denominator
+    return Fraction(*_theta_integral(p, (lo.numerator, lo.denominator)))
+
+
+def _theta_integral(p: VolumeProfile, lo: tuple[int, int]) -> tuple[int, int]:
+    """integral_lo^inf Theta(t) dt as integers (num, den), for lo >= 0."""
     n = p.n
     scale = math.factorial(n)
-    total = Fraction(0)
-    for (u, v, nums, den), g_v in zip(p.regions, p._kernel_tails):
+    terms = []
+    for (u, v, nums, den), (g_num, g_den) in zip(p.regions, p._kernel_tails):
         a = _later(u, lo)
         if not _below(a, v):
             continue
@@ -416,26 +473,29 @@ def theta_integral(p: VolumeProfile, lo) -> Fraction:
         # the t^n one n (num(G(v)) den n! v_num^n - den(G(v)) S), where
         # S = sum_j w_j v_den^(n-j) v_num^j.
         v_num, v_den = v
-        g_num, g_den = g_v.numerator, g_v.denominator
         w = [scale // (n - j) * c for j, c in enumerate(nums)]
         v_pow = v_num**n
         s = _horner(w + [0] * (n + 1 - len(w)), v_num, v_den)
         theta = [n * wj * g_den * v_pow for wj in w] + [0] * (n - len(w))
         theta.append(n * (g_num * den * scale * v_pow - g_den * s))
-        total += _poly_integral(theta, g_den * den * scale * v_pow, a, v)
-    return total
+        terms.append(_poly_integral(theta, g_den * den * scale * v_pow, a, v))
+    return _add(terms)
 
 
 def profile_integral(p: VolumeProfile, lo) -> Fraction:
     """integral_lo^inf vol_r(t) dt in closed form."""
     lo = rat(lo)
-    lo = lo.numerator, lo.denominator
-    total = Fraction(0)
+    return Fraction(*_profile_integral(p, (lo.numerator, lo.denominator)))
+
+
+def _profile_integral(p: VolumeProfile, lo: tuple[int, int]) -> tuple[int, int]:
+    """integral_lo^inf vol_r(t) dt as integers (num, den), for lo >= 0."""
+    terms = []
     for u, v, nums, den in p.regions:
         a = _later(u, lo)
         if _below(a, v):
-            total += _poly_integral(nums, den, a, v)
-    return total
+            terms.append(_poly_integral(nums, den, a, v))
+    return _add(terms)
 
 
 def section_integral(p: VolumeProfile) -> Fraction:
@@ -446,10 +506,10 @@ def section_integral(p: VolumeProfile) -> Fraction:
 
 def volume_from_profile(p: VolumeProfile) -> Fraction:
     """vol(v1) = degH / c1^n - n integral_{c1}^inf vol_r(t) / t^(n+1) dt."""
-    g = _tail_kernel_integral(p, p.c1)
     n, h, c1 = p.n, p.degH, p.c1
+    g_num, g_den = _tail_kernel_integral(p, (c1.numerator, c1.denominator))
     degh_term = h.numerator * c1.denominator**n, h.denominator * c1.numerator**n
-    return _sum([degh_term, (-n * g.numerator, g.denominator)])
+    return _sum([degh_term, (-n * g_num, g_den)])
 
 
 def liu_bound_check(p: VolumeProfile, xs: Sequence) -> bool:
@@ -460,16 +520,18 @@ def liu_bound_check(p: VolumeProfile, xs: Sequence) -> bool:
     n = p.n
     h_num, h_den = p.degH.numerator, p.degH.denominator
     v_num, v_den = p.vol_v1.numerator, p.vol_v1.denominator
-    for x in map(Fraction, xs):
-        if not 0 < x <= p.c2:
+    c1, c2 = p.c1, p.c2
+    for x in xs:
+        a, b = x.as_integer_ratio()
+        if a <= 0 or a * c2.denominator > c2.numerator * b:
             raise PreconditionViolated("sample points must lie in (0, c2]")
-        theta = tail_volume_exact(p, x)
-        # lhs = theta + vol(v1) x^n = top / bottom, compared with degH
-        x_pow = x.denominator**n
-        bottom = theta.denominator * v_den * x_pow
-        top = theta.numerator * v_den * x_pow + v_num * x.numerator**n * theta.denominator
+        t_num, t_den = _theta(p, (a, b))
+        # lhs = Theta(x) + vol(v1) x^n = top / bottom, compared with degH
+        x_pow = b**n
+        bottom = t_den * v_den * x_pow
+        top = t_num * v_den * x_pow + v_num * a**n * t_den
         lhs, rhs = top * h_den, h_num * bottom
-        if lhs < rhs or (x <= p.c1 and lhs != rhs):
+        if lhs < rhs or (a * c1.denominator <= c1.numerator * b and lhs != rhs):
             return False
     return True
 
@@ -488,16 +550,14 @@ def interpolation_volume(p: VolumeProfile, lam, s) -> Fraction:
     it with the closed form of `interpolation_closed_form`, which never
     looks at the profile pieces.
     """
-    lam, s = Fraction(lam), Fraction(s)
-    if lam <= 0:
+    (la, lb), (sa, sb) = lam.as_integer_ratio(), s.as_integer_ratio()
+    if la <= 0:
         raise ValueError("lambda must be positive")
-    if not 0 <= s <= 1:
+    if not 0 <= sa <= sb:
         raise ValueError("s must lie in [0, 1]")
-    if s == 0:
+    if sa == 0:
         return p.degH
     n = p.n
-    la, lb = lam.numerator, lam.denominator
-    sa, sb = s.numerator, s.denominator
     # Phi = degH / u(c1)^n - n * integral_{c1}^inf vol_r(t) slope / u^(n+1) dt
     # with u = shift + slope * t, shift = 1 - s and slope = lambda s; in u each
     # piece is a polynomial of degree < n, through t = (b0 + b1 u) / e, and
@@ -507,16 +567,17 @@ def interpolation_volume(p: VolumeProfile, lam, s) -> Fraction:
     def u_of(t: tuple[int, int]) -> tuple[int, int]:
         return (sb - sa) * lb * t[1] + la * sa * t[0], lb * sb * t[1]
 
-    c1 = p.c1.numerator, p.c1.denominator
-    tail = Fraction(0)
+    c1 = p.c1.as_integer_ratio()
+    u, w = u_of(c1)
+    h_num, h_den = p.degH.as_integer_ratio()
+    terms = [(h_num * w**n, h_den * u**n)]
     for lo, hi, nums, den in p.regions:
         a = _later(lo, c1)
         if _below(a, hi):
             in_u, in_den = _poly_compose_affine(nums, den, b0, b1, e)
-            tail += _poly_tail_kernel(in_u, in_den, u_of(a), u_of(hi), n)
-    u, w = u_of(c1)
-    degh_term = p.degH.numerator * w**n, p.degH.denominator * u**n
-    return _sum([degh_term, (-n * tail.numerator, tail.denominator)])
+            k_num, k_den = _poly_tail_kernel(in_u, in_den, u_of(a), u_of(hi), n)
+            terms.append((-n * k_num, k_den))
+    return _sum(terms)
 
 
 def interpolation_closed_form(p: VolumeProfile, lam, s) -> Fraction:
@@ -531,22 +592,22 @@ def interpolation_closed_form(p: VolumeProfile, lam, s) -> Fraction:
     s = Fraction(s)
     if not 0 <= s <= 1:
         raise ValueError("s must lie in [0, 1]")
-    return Fraction(*_phi_ratio(p, Fraction(lam), s.denominator, [s.numerator])[0])
+    return Fraction(*_phi_ratio(p, lam.as_integer_ratio(), s.denominator, [s.numerator])[0])
 
 
 def _phi_ratio(
-    p: VolumeProfile, lam: Fraction, m: int, js: Sequence[int]
+    p: VolumeProfile, lam: tuple[int, int], m: int, js: Sequence[int]
 ) -> list[tuple[int, int]]:
     """Integers (num, den) with num / den = Phi(lambda, j / m), for each j in
-    js, 0 <= j <= m.
+    js, 0 <= j <= m, and lambda = (a, b) with b > 0.
 
     With lambda = a / b and a knot k = u / q, the factor 1 - s + lambda s k
     is (m b q + j (a u - b q)) / (m b q), so the sum needs no gcd, and each
     simplex's numerator and factors are set up once for all j.
     """
-    if lam <= 0:
+    a, b = lam
+    if a <= 0:
         raise ValueError("lambda must be positive")
-    a, b = lam.numerator, lam.denominator
     terms = []
     for top, bottom, knots in p.simplices:
         factors = []
@@ -568,10 +629,9 @@ def _phi_ratio(
 
 def _combination(*terms) -> Fraction:
     """The sum of c * prod(factors) over the terms (c, *factors), an integer
-    c times rationals."""
+    c times rationals (num, den)."""
     return _sum(
-        (c * math.prod(f.numerator for f in fs), math.prod(f.denominator for f in fs))
-        for c, *fs in terms
+        (c * math.prod(f[0] for f in fs), math.prod(f[1] for f in fs)) for c, *fs in terms
     )
 
 
@@ -584,14 +644,9 @@ class DerivativeForms(NamedTuple):
     via_section_integral: Fraction
 
     def spread(self) -> Fraction:
-        vals = (
-            self.via_profile_integral,
-            self.via_tail_integral,
-            self.via_tail_and_volume,
-            self.via_section_integral,
-        )
-        scale = max(1, max(abs(v) for v in vals))
-        return (max(vals) - min(vals)) / scale
+        """(largest - least) / max(1, largest magnitude) over the four forms."""
+        least, *_, largest = sorted(self)
+        return (largest - least) / max(1, largest, -least)
 
 
 def interpolation_derivative_forms(p: VolumeProfile, lam) -> DerivativeForms:
@@ -607,14 +662,14 @@ def interpolation_derivative_forms(p: VolumeProfile, lam) -> DerivativeForms:
     where I_vol and I_Theta integrate vol_r and Theta from c1 and I_section
     integrates Theta from 0.
     """
-    lam = Fraction(lam)
+    lam = lam.as_integer_ratio()
     n = p.n
-    degh = p.degH
-    c1 = p.c1
-    i_profile = profile_integral(p, c1)
-    i_theta = theta_integral(p, c1)
-    i_section = section_integral(p)
-    theta_c1 = tail_volume_exact(p, c1)
+    degh = p.degH.as_integer_ratio()
+    c1 = p.c1.as_integer_ratio()
+    i_profile = _profile_integral(p, c1)
+    i_theta = _theta_integral(p, c1)
+    i_section = section_integral(p).as_integer_ratio()
+    theta_c1 = _theta(p, c1)
     return DerivativeForms(
         via_profile_integral=_combination((n, degh), (-n, lam, degh, c1), (-n, lam, i_profile)),
         via_tail_integral=_combination(
@@ -624,7 +679,7 @@ def interpolation_derivative_forms(p: VolumeProfile, lam) -> DerivativeForms:
             (n, degh),
             (-(n + 1), lam, degh, c1),
             (-(n + 1), lam, i_theta),
-            (1, lam, p.vol_v1, *[c1] * (n + 1)),
+            (1, lam, p.vol_v1.as_integer_ratio(), *[c1] * (n + 1)),
         ),
         via_section_integral=_combination((n, degh), (-(n + 1), lam, i_section)),
     )
@@ -647,15 +702,15 @@ def phi_surface(
     `interpolation_closed_form`, rounded to a float once: Python's
     int / int is correctly rounded.
     """
-    m = s_count - 1
-    s_grid = tuple(j / m for j in range(s_count))
-    values = tuple(
-        tuple(
-            to_float(num, "Phi(lambda, s)", den)
-            for num, den in _phi_ratio(p, lam, m, range(s_count))
+    m, js = s_count - 1, range(s_count)
+    s_grid = tuple(j / m for j in js)
+    try:
+        values = tuple(
+            tuple(num / den for num, den in _phi_ratio(p, lam.as_integer_ratio(), m, js))
+            for lam in lambdas
         )
-        for lam in map(Fraction, lambdas)
-    )
+    except OverflowError:
+        raise PreconditionViolated("Phi(lambda, s) is too large in magnitude for a float") from None
     return PhiSurface(
         lambdas=tuple(to_float(x, "lambda") for x in lambdas), s_grid=s_grid, values=values
     )
@@ -671,4 +726,11 @@ def stability_gap(p: VolumeProfile, logdisc_v0, logdisc_v1) -> Fraction:
     Nonnegative whenever the compactified cone is semistable; zero at the
     canonical valuation.
     """
-    return rat(logdisc_v1) - Fraction(p.n + 1, p.n) * rat(logdisc_v0) / p.degH * section_integral(p)
+    n = p.n
+    a0, a1, h, i = rat(logdisc_v0), rat(logdisc_v1), p.degH, section_integral(p)
+    # A(v1) - (n+1) A(v0) I / (n degH), over one denominator
+    common = a0.denominator * n * h.numerator * i.denominator
+    delta = (n + 1) * a0.numerator * h.denominator * i.numerator
+    return Fraction(
+        a1.numerator * common - a1.denominator * delta, a1.denominator * common
+    )

@@ -10,6 +10,7 @@ from hvol.errors import DegeneratePolytope, EmptyRegion, NotInReebCone, Unbounde
 from hvol.exactgeom import (
     PolyCone,
     RVector,
+    _integral,
     dual_cone,
     facets_among,
     int_cone_rays,
@@ -31,6 +32,26 @@ from hvol.selftest import (
 
 def hs(normal, offset=0):
     return Halfspace(RVector(normal), Fraction(offset))
+
+
+@pytest.mark.parametrize(
+    "entries, expected",
+    [
+        ([3, -4, 0], ([3, -4, 0], 1)),
+        ([], ([], 1)),
+        ([Fraction(1, 2), 3, Fraction(-2, 3)], ([3, 18, -4], 6)),
+        ([Fraction(4), 2], ([4, 2], 1)),
+        (["1/4", 1], ([1, 4], 4)),
+        ([True, 2], ([1, 2], 1)),
+    ],
+    ids=["ints", "empty", "fractions", "integral-fraction", "string", "bool"],
+)
+def test_integral_reads_any_iterable_once(entries, expected):
+    # reeb passes a generator: it must be read once, not emptied by a type scan
+    results = [_integral(make(entries)) for make in (iter, list, tuple)]
+    assert results == [expected] * 3
+    for row, scale in results:
+        assert type(scale) is int and all(type(c) is int for c in row)
 
 
 UNIT_SQUARE = [hs([1, 0]), hs([0, 1]), hs([-1, 0], 1), hs([0, -1], 1)]

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hvol.errors import IntegralDivergence, ModelError, NotInReebCone, PreconditionViolated
 from hvol.exactgeom import RVector, int_kernel
 from hvol.filtration import (
+    DerivativeForms,
     VolumeProfile,
     _bspline_tail,
     _poly_compose_affine,
@@ -260,12 +262,25 @@ def test_liu_bound(plane_profile, step_profile):
 def test_liu_bound_is_exact(plane_profile, space_profile):
     for p in (plane_profile, space_profile):
         assert liu_bound_check(p, [p.c1 * Fraction(j, 4) for j in range(1, 5)] + [p.c2])
-    # equality on (0, c1] is exact: a vol(v1) off by 1e-30 breaks it
+    # equality on (0, c1] is exact: a vol(v1) off by 1e-30 breaks it, also
+    # after the original profile has memoized Theta's tail integral at 1/2
     p = plane_profile
+    assert (1, 2) in p._tail_integral_memo
     nudged = VolumeProfile(
         p.n, p.degH, p.c1, p.c2, p.vol_v1 + Fraction(1, 10**30), p.regions, p.simplices
     )
     assert not liu_bound_check(nudged, [Fraction(1, 2)])
+
+
+@pytest.mark.parametrize(
+    "x", [0, -1, -0.0, Fraction(-1, 3)], ids=["0", "-1", "-0.0", "-1/3"]
+)
+def test_tail_volume_refuses_levels_at_or_below_zero(x):
+    # on C^2 graded by (1,1) and filtered by (1,2); x^n G(x) would divide by 0
+    p = profile_from_model(affine_space(2), [1, 1], [1, 2])
+    with pytest.raises(PreconditionViolated, match="x > 0"):
+        tail_volume_exact(p, x)
+    assert p._tail_integral_memo == {}
 
 
 def test_tail_volume_takes_a_float_at_its_binary_value(plane_profile, space_profile):
@@ -688,7 +703,8 @@ def test_cached_tail_integrals_equal_the_direct_sum(name):
     *_, p = _closed_form_profile(name)
     points = [p.c1, p.c2, *p.breakpoints, *_midpoints(p)]
     for x in points:
-        assert _tail_kernel_integral(p, x) == _tail_kernel_reference(p, x), x
+        g = _tail_kernel_integral(p, x.as_integer_ratio())
+        assert Fraction(*g) == _tail_kernel_reference(p, x), x
         expected = p.n * x**p.n * _tail_kernel_reference(p, x) if x < p.c2 else 0
         assert tail_volume_exact(p, x) == expected, x
 
@@ -773,6 +789,13 @@ def _exact(value, expected):
     assert value == expected
 
 
+def _exact_pair(pair, expected):
+    """An integer pair (num, den) with den > 0 that equals `expected`."""
+    num, den = pair
+    assert type(num) is int and type(den) is int and den > 0
+    _exact(Fraction(num, den), expected)
+
+
 @KERNEL_SETTINGS
 @given(COEFFS, DENOMINATORS, POINTS)
 @example([0, 0, 0], 1, (0, 1))
@@ -788,7 +811,7 @@ def test_poly_eval_matches_fraction_horner(nums, den, t):
 @example([BIG, -BIG], BIG - 1, (-BIG, 7), (BIG, 11))
 def test_poly_integral_matches_fraction_reference(nums, den, lo, hi):
     expected = _ref_integral(_fractions(nums, den), Fraction(*lo), Fraction(*hi))
-    _exact(_poly_integral(nums, den, lo, hi), expected)
+    _exact_pair(_poly_integral(nums, den, lo, hi), expected)
 
 
 @KERNEL_SETTINGS
@@ -802,7 +825,7 @@ def test_poly_tail_kernel_matches_fraction_reference(n, data):
         den = data.draw(DENOMINATORS)
         lo, hi = data.draw(POSITIVE), data.draw(POSITIVE)
     expected = _ref_tail_kernel(_fractions(nums, den), Fraction(*lo), Fraction(*hi), n)
-    _exact(_poly_tail_kernel(nums, den, lo, hi, n), expected)
+    _exact_pair(_poly_tail_kernel(nums, den, lo, hi, n), expected)
 
 
 @KERNEL_SETTINGS
@@ -851,3 +874,165 @@ def test_bspline_tail_matches_fraction_reference(n, data):
         expected = _ref_bspline_tail(knots, Fraction(hi, q), n)
         for j, (c, ref) in enumerate(zip(nums, expected, strict=True)):
             _exact(Fraction(c * q**j, den), ref)
+
+
+# -- the exact calculus against plain-Fraction references -------------------------
+
+
+def _ref_theta_integral(p, lo: Fraction) -> Fraction:
+    """integral_lo^inf Theta(t) dt with Theta(t) = n t^n G(t): on a region
+    [a, v], G(t) = G(v) + sum_j c_j (t^(j-n) - v^(j-n)) / (n - j)."""
+    n, total = p.n, Fraction(0)
+    for a, v, coeffs in _fraction_regions(p):
+        a = max(a, lo)
+        if a >= v:
+            continue
+        theta = [Fraction(0)] * (n + 1)
+        theta[n] = n * _tail_kernel_reference(p, v)
+        for j, c in enumerate(coeffs):
+            theta[j] += n * c / (n - j)
+            theta[n] -= n * c * v ** (j - n) / (n - j)
+        total += _ref_integral(theta, a, v)
+    return total
+
+
+def _ref_profile_integral(p, lo: Fraction) -> Fraction:
+    total = Fraction(0)
+    for a, v, coeffs in _fraction_regions(p):
+        if max(a, lo) < v:
+            total += _ref_integral(coeffs, max(a, lo), v)
+    return total
+
+
+def _ref_theta(p, x: Fraction) -> Fraction:
+    return p.n * x**p.n * _tail_kernel_reference(p, x)
+
+
+def _ref_interpolation_volume(p, lam: Fraction, s: Fraction) -> Fraction:
+    """degH / u(c1)^n - n integral_{c1}^inf vol_r(t) lambda s / u(t)^(n+1) dt
+    with u(t) = 1 - s + lambda s t, integrated in u."""
+    if s == 0:
+        return p.degH
+    shift, slope = 1 - s, lam * s
+    tail = Fraction(0)
+    for a, v, coeffs in _fraction_regions(p):
+        a = max(a, p.c1)
+        if a < v:
+            in_u = _ref_compose_affine(list(coeffs), -shift / slope, 1 / slope)
+            tail += _ref_tail_kernel(in_u, shift + slope * a, shift + slope * v, p.n)
+    return p.degH / (shift + slope * p.c1) ** p.n - p.n * tail
+
+
+def _ref_spread(forms) -> Fraction:
+    vals = tuple(forms)
+    return (max(vals) - min(vals)) / max(1, max(abs(v) for v in vals))
+
+
+def _ref_liu_bound(p, xs) -> bool:
+    for x in xs:
+        lhs = _ref_theta(p, x) + p.vol_v1 * x**p.n
+        if lhs < p.degH or (x <= p.c1 and lhs != p.degH):
+            return False
+    return True
+
+
+def _calculus_cases():
+    """Every CLOSED_FORM_CASES profile, then v1 drawn from a seeded generator
+    as positive combinations of the rays of the toric PROFILE_CONES."""
+    cases = [pytest.param(*CLOSED_FORM_CASES[name], id=name) for name in sorted(CLOSED_FORM_CASES)]
+    rng = random.Random(1511)
+    toric = [name for name, m in PROFILE_CONES.items() if isinstance(m, ToricConeSingularity)]
+    for k in range(18):
+        name = toric[k % len(toric)]
+        model = PROFILE_CONES[name]
+        coeffs = [Fraction(rng.randint(1, 40), rng.randint(1, 12)) for _ in model.sigma.rays]
+        v1 = _ray_combination(model, coeffs)
+        cases.append(pytest.param(model, _grading(model), v1, id=f"{name}, draw {k}"))
+    return cases
+
+
+def _sample_points(p) -> list[Fraction]:
+    return [p.c1 * Fraction(j, 4) for j in range(1, 5)] + [p.c2, *p.breakpoints, *_midpoints(p)]
+
+
+@pytest.mark.parametrize("model, v0, v1", _calculus_cases())
+def test_exact_calculus_matches_fraction_references(model, v0, v1):
+    p = profile_from_model(model, v0, v1)
+    points = _sample_points(p)
+    for lo in [Fraction(0), p.c1, *points]:
+        _exact(theta_integral(p, lo), _ref_theta_integral(p, lo))
+        _exact(profile_integral(p, lo), _ref_profile_integral(p, lo))
+    _exact(section_integral(p), _ref_theta_integral(p, Fraction(0)))
+    _exact(volume_from_profile(p), p.degH / p.c1**p.n - p.n * _tail_kernel_reference(p, p.c1))
+    r, a = model.logdisc(v0), model.logdisc(v1)
+    gap = a - Fraction(p.n + 1, p.n) * r / p.degH * _ref_theta_integral(p, Fraction(0))
+    _exact(stability_gap(p, r, a), gap)
+    for lam in (Fraction(1, 2), Fraction(1), Fraction(7, 3), r / a):
+        for s in (Fraction(0), Fraction(1, 7), Fraction(1, 2), Fraction(1)):
+            _exact(interpolation_volume(p, lam, s), _ref_interpolation_volume(p, lam, s))
+        forms = interpolation_derivative_forms(p, lam)
+        _exact(forms.spread(), _ref_spread(forms))
+    # the bound holds on the true profile; a vol(v1) nudged either way breaks
+    # the equality on (0, c1], also at c1 alone
+    assert liu_bound_check(p, points) is _ref_liu_bound(p, points) is True
+    for nudge in (Fraction(1, 10**30), Fraction(-1, 10**30)):
+        nudged = VolumeProfile(p.n, p.degH, p.c1, p.c2, p.vol_v1 + nudge, p.regions, p.simplices)
+        for xs in (points, [p.c1]):
+            assert liu_bound_check(nudged, xs) is _ref_liu_bound(nudged, xs) is False
+
+
+@pytest.mark.parametrize(
+    "vals",
+    [
+        (Fraction(0),) * 4,
+        (Fraction(3, 2), Fraction(-5, 2), Fraction(1, 3), Fraction(0)),
+        (Fraction(-7), Fraction(-7), Fraction(-9, 2), Fraction(-7)),
+        (Fraction(1, 5), Fraction(2, 5), Fraction(1, 10), Fraction(3, 10)),
+        (Fraction(10**20), Fraction(10**20 + 1), Fraction(-1), Fraction(10**20)),
+    ],
+    ids=["equal", "mixed signs", "negative", "below one", "large"],
+)
+def test_spread_matches_the_fraction_reference(vals):
+    forms = DerivativeForms(*vals)
+    _exact(forms.spread(), _ref_spread(forms))
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_CASES))
+def test_theta_does_not_depend_on_the_order_of_calls(name):
+    # Theta's tail integrals are memoized per profile and point; any order of
+    # points gives what a fresh profile gives for each point alone
+    model, v0, v1, p = _closed_form_profile(name)
+    points = [p.c1, *_sample_points(p)]
+    random.Random(name).shuffle(points)
+    fresh = [tail_volume_exact(profile_from_model(model, v0, v1), x) for x in points]
+    for x, expected in zip(points, fresh):
+        assert expected == (_ref_theta(p, x) if x < p.c2 else 0), x
+    assert [tail_volume_exact(p, x) for x in points] == fresh
+    assert [tail_volume_exact(p, x) for x in reversed(points)] == fresh[::-1]
+
+
+def test_tail_integral_at_a_point_is_computed_once_per_profile(monkeypatch):
+    import hvol.filtration as filtration
+
+    _, _, _, p = _closed_form_profile("conifold")
+    p._kernel_tails  # the per-region sums, computed once on first use
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    kernel = filtration._poly_tail_kernel
+    monkeypatch.setattr(filtration, "_poly_tail_kernel", counted)
+    for _ in range(3):
+        tail_volume_exact(p, p.c1)
+        volume_from_profile(p)
+        liu_bound_check(p, [p.c1])
+        interpolation_derivative_forms(p, 1)
+    assert len(calls) == 1
+    # a copy of the profile has its own memo
+    copy = VolumeProfile(p.n, p.degH, p.c1, p.c2, p.vol_v1, p.regions, p.simplices)
+    copy._kernel_tails
+    before = len(calls)
+    assert tail_volume_exact(copy, copy.c1) == tail_volume_exact(p, p.c1)
+    assert len(calls) == before + 1
