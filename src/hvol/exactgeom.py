@@ -157,6 +157,12 @@ def _sum_terms(a: Fraction, sign: int, b: Fraction) -> Fraction:
 # -- exact dense linear algebra ------------------------------------------------
 
 
+def _reduced(x: tuple[int, int]) -> tuple[int, int]:
+    """The rational (num, den), den > 0, in lowest terms."""
+    g = math.gcd(*x)
+    return x[0] // g, x[1] // g
+
+
 def _integral(row) -> tuple[list[int], int]:
     """(s * row, s) for the least positive integer s that clears the
     denominators of a rational row (any iterable); int entries pass as they

@@ -15,11 +15,11 @@ share of that face, the tail of the uniform measure's B-spline: the divided
 difference of x -> (x - t)_+^(n-1) at the knots (Curry-Schoenberg;
 Brion-Vergne).  Between consecutive knots this is a polynomial of degree < n
 in t, and repeated knots take confluent divided differences, so every piece
-is exact.  A hypersurface contributes one simplex, the orthant left after
-the reduction variable, weighted by that variable's exponent.  The same
-pieces give vol(v1) = sum of weight / prod(knots), and the support starts at
-c1 = min <u, v1> / <u, v0> over the model's `reeb_generators`.  So nothing
-here asks which kind of model it holds.
+is exact.  A hypersurface splits the numerator of its Hilbert series into a
+piece on n knots and one on all n + 1 (Leibniz), a divided difference of one
+order more whose terms of Phi and vol(v1) change sign.  The same pieces give
+vol(v1) = sum of weight / prod(knots), and the support starts at the least
+knot c1.  So nothing here asks which kind of model it holds.
 
 Everything downstream is derived from the profile:
 
@@ -76,8 +76,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import IntegralDivergence, ModelError, PreconditionViolated
-from .exactgeom import RVector, rat, to_float
-from .valuation import integer_pairings
+from .exactgeom import RVector, _reduced, rat, to_float
 
 
 # -- polynomial kernels on integers -------------------------------------------
@@ -160,12 +159,6 @@ def _sum(terms: Iterable[tuple[int, int]]) -> Fraction:
     return Fraction(*_add(terms))
 
 
-def _reduced(x: tuple[int, int]) -> tuple[int, int]:
-    """The rational (num, den), den > 0, in lowest terms."""
-    g = math.gcd(*x)
-    return x[0] // g, x[1] // g
-
-
 # -- the profile ---------------------------------------------------------------
 
 
@@ -177,7 +170,7 @@ class VolumeProfile:
     order from the constant degH region: lo and hi are rationals (num, den)
     and the profile there is the polynomial nums / den, coefficients from low
     to high degree.  `simplices` holds (weight num, weight den, knots) per
-    simplicial cone the profile is summed from, each knot a pair (num, den).
+    nonzero piece the profile is summed from, n or n + 1 knot pairs (num, den).
     """
 
     def __init__(
@@ -288,7 +281,8 @@ class VolumeProfile:
 
 def _bspline_tail(ks: Sequence[int], hi: int, n: int) -> tuple[list[int], int]:
     """Divided difference of x -> (x - t)_+^(n-1) at the sorted integer
-    knots ks, in powers of t: integer numerators over one denominator.
+    knots ks, of order len(ks) - 1, in powers of t: integer numerators over
+    one denominator.
 
     Valid for t in an interval (lo, hi) that contains no knot: a knot k >= hi
     has k > t and contributes (k - t)^(n-1), a knot k <= lo contributes 0.
@@ -307,12 +301,12 @@ def _bspline_tail(ks: Sequence[int], hi: int, n: int) -> tuple[list[int], int]:
                 coeffs[i] = (-1) ** i * outer * math.comb(m, i) * k ** (m - i)
         return coeffs, 1
 
-    if ks[0] >= hi:  # (x - t)^(n-1) at every knot: leading coefficient 1
-        return [1] + [0] * (n - 1), 1
+    if ks[0] >= hi:  # (x - t)^(n-1) at every knot: its leading coefficient, or 0
+        return [int(len(ks) == n)] + [0] * (n - 1), 1
     column = [taylor(k, 0) for k in ks]
-    for j in range(1, n):
+    for j in range(1, len(ks)):
         new = []
-        for i in range(n - j):
+        for i in range(len(ks) - j):
             gap = ks[i + j] - ks[i]
             if gap == 0:
                 new.append(taylor(ks[i], j))
@@ -323,48 +317,33 @@ def _bspline_tail(ks: Sequence[int], hi: int, n: int) -> tuple[list[int], int]:
     return column[0]
 
 
-def _support_start(model, v0: RVector, v1: RVector) -> Fraction:
-    """c1 = min <u, v1> / <u, v0> over the model's Reeb generators u: the
-    least v1-weight of a degree-1 element of the v0-graded ring.  Both
-    weights are Reeb vectors, which `simplicial_pieces` has checked, so
-    every <u, v0> is positive and the ratios compare by cross products."""
-    gens = model.reeb_generators
-    (p0, d0), (p1, d1) = (integer_pairings(gens, v)[1:] for v in (v0, v1))
-    num, den = p1[0], p0[0]
-    for a, b in zip(p1, p0):
-        if a * den < num * b:
-            num, den = a, b
-    return Fraction(num * d0, den * d1)
-
-
 def profile_from_model(model, v0: Sequence, v1: Sequence) -> VolumeProfile:
     """Exact piecewise-polynomial profile of the v1-filtration on the v0-graded ring.
 
-    vol(R^(t)) = sum_s w_s [k_s1, ..., k_sn] (x - t)_+^(n-1) over the
-    model's (weight, knots) pairs s; the breakpoints are the distinct knots,
-    degH = vol(R^(0)) is the sum of the weights, the support starts at c1
-    (`_support_start`) and vol(v1) = sum_s w_s / prod_i k_si, the volume of
-    each simplicial cone at v1.
+    vol(R^(t)) = sum_s w_s [k_s1, ..., k_sm] (x - t)_+^(n-1) over the
+    model's pieces s on m = n or n + 1 knots; the breakpoints are the
+    distinct knots, degH = vol(R^(0)) sums the weights on n knots, the
+    support starts at the least knot c1 and vol(v1) = sum_s (-1)^(m-n) w_s /
+    prod_i k_si.  Pieces of weight 0 add nothing but breakpoints, and
+    neighbouring regions with equal polynomials, which a knot that the
+    pieces cancel leaves behind, are merged.
 
-    All knots are cleared to one denominator q, k = x / q.  The divided
-    difference at the integers x, in powers of T = q t, is the one at the
-    knots in powers of t (an order n-1 difference scales by q^(n-1), as does
-    (x - t)^(n-1)), so the coefficient of t^j is q^j times that of T^j.
+    All knots are cleared to one denominator q, k = x / q.  An order m-1
+    divided difference at the integers x, in powers of T = q t, is q^(n-m)
+    times the one at the knots in powers of t, so the coefficient of t^j is
+    q^(m-n+j) times that of T^j.
     """
-    v0, v1 = RVector(v0), RVector(v1)
     n = model.n
-    simplices = tuple(
-        (*weight.as_integer_ratio(), tuple(k.as_integer_ratio() for k in knots))
-        for weight, knots in model.simplicial_pieces(v0, v1)
-    )
-    q = math.lcm(*(d for *_, knots in simplices for _, d in knots))
+    pieces = model.simplicial_pieces(RVector(v0), RVector(v1))
+    q = math.lcm(*(d for *_, knots in pieces for _, d in knots))
+    xs = sorted({u * (q // d) for *_, knots in pieces for u, d in knots})
+    simplices = tuple(piece for piece in pieces if piece[0])
     cleared = [
-        (w_num, w_den, sorted(u * (q // d) for u, d in knots))
+        (w_num * q ** (len(knots) - n), w_den, sorted(u * (q // d) for u, d in knots))
         for w_num, w_den, knots in simplices
     ]
-    xs = sorted({x for *_, ks in cleared for x in ks})
     powers = [q**j for j in range(n)]
-    degh = _sum((w_num, w_den) for w_num, w_den, _ in cleared)
+    degh = _sum((w_num, w_den) for w_num, w_den, ks in cleared if len(ks) == n)
     regions = [((0, 1), (xs[0], q), (degh.numerator,), degh.denominator)]
     for lo, hi in zip(xs, xs[1:]):
         nums, den = [0] * n, 1
@@ -377,14 +356,19 @@ def profile_from_model(model, v0: Sequence, v1: Sequence) -> VolumeProfile:
             den *= w_den
         nums = [c * p for c, p in zip(nums, powers)]
         g = math.gcd(den, *nums)
-        regions.append(((lo, q), (hi, q), tuple(c // g for c in nums), den // g))
+        nums, den = tuple(c // g for c in nums), den // g
+        start, _, last, last_den = regions[-1]
+        if den == last_den and nums[: len(last)] == last and not any(nums[len(last) :]):
+            regions[-1] = (start, (hi, q), last, last_den)
+        else:
+            regions.append(((lo, q), (hi, q), nums, den))
     return VolumeProfile(
         n=n,
         degH=degh,
-        c1=_support_start(model, v0, v1),
+        c1=Fraction(xs[0], q),
         c2=Fraction(xs[-1], q),
-        # weight / prod(knots) = w_num q^n / (w_den prod(x))
-        vol_v1=_sum((w_num * q**n, w_den * math.prod(ks)) for w_num, w_den, ks in cleared),
+        # weight / prod(knots) = w_num q^m / (w_den prod(x)), q^(m-n) in w_num
+        vol_v1=_sum(((-1) ** (len(ks) - n) * w * q**n, d * math.prod(ks)) for w, d, ks in cleared),
         regions=tuple(regions),
         simplices=simplices,
     )
@@ -581,7 +565,8 @@ def interpolation_volume(p: VolumeProfile, lam, s) -> Fraction:
 
 
 def interpolation_closed_form(p: VolumeProfile, lam, s) -> Fraction:
-    """Phi(lambda, s) = sum_s w_s / prod_i (1 - s + lambda s k_si), exact.
+    """Phi(lambda, s) = sum_s w_s (-lambda s)^(m-n) / prod_i (1 - s +
+    lambda s k_si) over the pieces s on m knots, exact.
 
     On monomial valuations Phi(lambda, s) is the volume of (1 - s) v0 +
     s lambda v1 (C. Li, arXiv:1511.08164), and each simplicial cone of
@@ -602,26 +587,30 @@ def _phi_ratio(
     js, 0 <= j <= m, and lambda = (a, b) with b > 0.
 
     With lambda = a / b and a knot k = u / q, the factor 1 - s + lambda s k
-    is (m b q + j (a u - b q)) / (m b q), so the sum needs no gcd, and each
-    simplex's numerator and factors are set up once for all j.
+    is (m b q + j (a u - b q)) / (m b q), and -lambda s = -a j / (b m), so
+    the sum needs no gcd, and each simplex's numerator and factors are set
+    up once for all j.
     """
     a, b = lam
     if a <= 0:
         raise ValueError("lambda must be positive")
     terms = []
     for top, bottom, knots in p.simplices:
+        extra = len(knots) - p.n
+        top, bottom = top * (-a) ** extra, bottom * (b * m) ** extra
         factors = []
         for u, q in knots:
             q *= b
             top *= m * q
             factors.append((m * q, a * u - q))
-        terms.append((top, bottom, factors))
+        terms.append((top, bottom, extra, factors))
     out = []
     for j in js:
         num, den = 0, 1
-        for top, bottom, factors in terms:
+        for top, bottom, extra, factors in terms:
             for base, step in factors:
                 bottom *= base + j * step
+            top *= j**extra
             num, den = num * bottom + top * den, den * bottom
         out.append((num, den))
     return out
@@ -696,8 +685,8 @@ def phi_surface(
 ) -> PhiSurface:
     """Phi(lambda, j / (s_count - 1)) for each lambda and j.
 
-    Each value is the exact Phi(lambda, s) = sum_s w_s / prod_i
-    (1 - s + lambda s k_si) over the profile's simplices (C. Li,
+    Each value is the exact Phi(lambda, s) = sum_s w_s (-lambda s)^(m-n) /
+    prod_i (1 - s + lambda s k_si) over the profile's simplices (C. Li,
     arXiv:1511.08164; Martelli-Sparks-Yau, hep-th/0503183), as in
     `interpolation_closed_form`, rounded to a float once: Python's
     int / int is correctly rounded.

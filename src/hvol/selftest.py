@@ -497,30 +497,33 @@ def lattice_region(model, a: RVector, p: Fraction) -> tuple[list, list]:
     On a toric cone: the integer box around {<alpha, a> <= p} in the dual
     cone (`dual_cone_box`), and the facet rows <rho, alpha> >= 0 over the
     primitive rays rho of sigma; a must be a Reeb vector.  On a hypersurface:
-    each alpha_i below p / a_i, and the exponent of a's reduction variable
-    below its exponent there; no facet rows; the weights must be positive and
-    tie two monomials at the least weight, where `volume` is defined.
+    each alpha_i below p / a_i, the whole orthant of C[z], and no facet rows;
+    the weights must be positive.  A box is empty where p <= 0.
     """
     if isinstance(model, ToricConeSingularity):
         return dual_cone_box(model, a, p), [(list(ray), 0) for ray in model.sigma.rays]
-    initial_order(model.pairings(a)[1])
-    red, exp = model.reduction_variable(a)
-    bounds = [(0, math.ceil(p / weight) - 1) for weight in a]
-    bounds[red] = (0, min(bounds[red][1], exp - 1))
-    return bounds, []
+    model.pairings(a)
+    return [(0, math.ceil(p / weight) - 1) for weight in a], []
 
 
 def box_count(model, a, p) -> int:
     """The count of `lattice_count_oracle` by sweeping the box and facet
     rows of `lattice_region`, independent of the Hilbert series: the witness
-    that criterion 7 compares the oracle with."""
+    that criterion 7 compares the oracle with.  On a hypersurface, where
+    `volume` is defined, it counts the monomials not divisible by the leading
+    monomial of in_a f, of weight alpha: N(p) - N(p - alpha), two sweeps."""
     a = RVector(a)
     p = rat(p)
     if p <= 0:
         raise ValueError("threshold p must be positive")
-    bounds, rows = lattice_region(model, a, p)
     strict_coefs, scale = _integral(a)
-    return _count_box(bounds, rows, strict_coefs, math.ceil(scale * p) - 1)
+    levels = [(p, 1)]
+    if not isinstance(model, ToricConeSingularity):
+        levels.append((p - Fraction(initial_order(model.pairings(a)[1]), scale), -1))
+    return sum(
+        sign * _count_box(*lattice_region(model, a, x), strict_coefs, math.ceil(scale * x) - 1)
+        for x, sign in levels
+    )
 
 
 def _oracle_cases():
@@ -575,13 +578,21 @@ def _profile_cases():
 def _slice_volume(model, v0: RVector, v1: RVector, t: Fraction) -> Fraction:
     """n! vol {y in the cone : <v0, y> <= 1, <v1 - t v0, y> >= 0} from the
     enumerated vertices of the slice.  The cone is the dual cone of a toric
-    model; for a hypersurface it is the orthant of the variables other than
-    the reduction variable of v0 and v1, and the volume counts that variable's
-    exponent."""
+    model; for a hypersurface with a pure power z_j^e of least weight under
+    v0 and v1, z_j in no other monomial, C[z] / (in f) has the monomials of
+    z_j-degree < e, so the cone is the orthant of the other variables, and
+    the volume counts e."""
     if isinstance(model, ToricConeSingularity):
         normals, multiplicity = list(model.sigma.rays), 1
     else:
-        red, multiplicity = model.reduction_variable(v0, v1)
+        weights = [[RVector(m).dot(v) for m in model.monomials] for v in (v0, v1)]
+        red, multiplicity = next(
+            (j, m[j])
+            for k, m in enumerate(model.monomials)
+            for j in range(model.nvars)
+            if 0 < m[j] == sum(m) and all(w[k] == min(w) for w in weights)
+            and sum(o[j] > 0 for o in model.monomials) == 1
+        )
         keep = [i for i in range(model.nvars) if i != red]
         v0, v1 = RVector(v0[i] for i in keep), RVector(v1[i] for i in keep)
         normals = [RVector(int(i == j) for j in keep) for i in keep]

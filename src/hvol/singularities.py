@@ -16,10 +16,10 @@ vector on a toric cone, a monomial weight on a hypersurface):
 * `reeb_generators`, the integer rows u with every <u, w> > 0 on admissible
   weights: the dual rays of a toric cone, the unit vectors of a hypersurface;
 * `series_pieces(a)`, (D, pieces): the Hilbert series of the monomials graded
-  by A = D a integral, pieces (weights, size, shifts) of sum_s t^s / prod_w
-  (1 - t^w) over `size` shifts, which `valuation.lattice_count_oracle` sums;
-* `simplicial_pieces(v0, v1)`, the (weight, knots) pairs that the volume
-  profile of a filtration sums over (filtration.py);
+  by A = D a integral, pieces (weights, size, shifts, cancelled) of (sum_s t^s
+  - sum_c t^c) / prod_w (1 - t^w), which `valuation.lattice_count_oracle` sums;
+* `simplicial_pieces(v0, v1)`, the (weight, knots) pieces on n or n + 1 knots,
+  in integer pairs, that the profile of a filtration sums (filtration.py);
 * `convex_pieces`, the minimizer's convex programs (below);
 * `canonical_xi`, the canonical grading where the model knows it (the toric
   library cones, the A_{k-1} cones of `akm_singularity`), None otherwise.
@@ -71,6 +71,7 @@ from .errors import (
 from .exactgeom import (
     PolyCone,
     RVector,
+    _reduced,
     _vector,
     dual_cone,
     facets_among,
@@ -232,29 +233,30 @@ class ToricConeSingularity:
     def series_pieces(self, a: Sequence) -> tuple[int, list]:
         """(D, pieces) for the dual cone's lattice points graded by A = D a: per
         simplicial cone s of `volume_triangulation`, (<u, A> over u in s,
-        |det U_s|, the lazy `_half_open_degrees`).  a must be a Reeb vector."""
+        |det U_s|, the lazy `_half_open_degrees`, ()); a must be a Reeb vector."""
         _, pairings, denom = self.reeb_pairings(a)
         rays = self.reeb_generators
         inner = [sum(col) for col in zip(*rays)]
         pieces = []
         for d, s in self.volume_triangulation:
             weights = [pairings[i] for i in s]
-            pieces.append((weights, d, _half_open_degrees([rays[i] for i in s], weights, inner, d)))
+            shifts = _half_open_degrees([rays[i] for i in s], weights, inner, d)
+            pieces.append((weights, d, shifts, ()))
         return denom, pieces
 
-    def simplicial_pieces(self, v0: RVector, v1: RVector) -> list[tuple[Fraction, tuple]]:
-        """(weight, knots) per simplicial cone s of `volume_triangulation`:
-        |det U_s| / prod_{u in s} <u, v0>, the terms of n! vol(v0), and the
-        ratios <u, v1> / <u, v0>.  Both must be Reeb vectors."""
+    def simplicial_pieces(self, v0: RVector, v1: RVector) -> list[tuple[int, int, tuple]]:
+        """(weight num, weight den, knots) per simplicial cone s of
+        `volume_triangulation`: the weight |det U_s| / prod_{u in s} <u, v0>,
+        the term of n! vol(v0), and the knots <u, v1> / <u, v0>, each in
+        lowest terms.  Both must be Reeb vectors."""
         (p0, d0), (p1, d1) = (integer_pairings(self.reeb_generators, xi)[1:] for xi in (v0, v1))
         for xi, pairings in ((v0, p0), (v1, p1)):
             if min(pairings) <= 0:
                 raise NotInReebCone(f"{xi} is not in the Reeb cone")
+        knots = [_reduced((b * d0, a * d1)) for a, b in zip(p0, p1)]
+        scale = d0**self.n
         return [
-            (
-                Fraction(d * d0**self.n, math.prod(p0[i] for i in rays)),
-                tuple(Fraction(p1[i] * d0, p0[i] * d1) for i in rays),
-            )
+            (*_reduced((d * scale, math.prod(p0[i] for i in rays))), tuple(knots[i] for i in rays))
             for d, rays in self.volume_triangulation
         ]
 
@@ -346,52 +348,37 @@ class WeightedHomogeneousHypersurface:
             return None
         return Fraction(sum(z) - order, denom)
 
-    def reduction_variable(self, *gradings: Sequence) -> tuple[int, int]:
-        """(index, exponent) of a reduction variable compatible with every one
-        of the positive weight vectors `gradings`.
-
-        Standard monomials bound the exponent of one variable by its exponent
-        in a defining monomial that has the least weight under each grading;
-        that monomial must be a pure power of a variable appearing in no other
-        monomial, otherwise the count does not represent the initial
-        degenerations and we refuse.
-        """
-        orders = [self.pairings(a)[1] for a in gradings]
-        for j in range(self.nvars):
-            owners = [k for k, m in enumerate(self.monomials) if m[j] > 0]
-            if len(owners) != 1:
-                continue
-            mono = self.monomials[owners[0]]
-            if any(mono[i] != 0 for i in range(self.nvars) if i != j):
-                continue
-            if all(weights[owners[0]] == min(weights) for weights in orders):
-                return j, mono[j]
-        raise ModelError(
-            "lattice counting needs a weight-minimal monomial that is a pure power "
-            "of a variable occurring in no other monomial"
-        )
-
     def series_pieces(self, a: Sequence) -> tuple[int, list]:
-        """(D, [piece]), A = D a: the standard monomials, exponent below exp in the
-        reduction variable, sum_{j < exp} t^(j A_red) / prod_{i != red} (1 - t^A_i).
-        Refused outside the domain of `volume`, with its ModelError."""
+        """(D, [piece]), A = D a: (1 - t^alpha) / prod_i (1 - t^A_i), the Hilbert
+        series of C[z] / (in_a f) with alpha the least weight.  Refused outside
+        the domain of `volume`, with its ModelError."""
         z, weights, denom = self.pairings(a)
-        initial_order(weights)
-        red, exp = self.reduction_variable(a)
-        return denom, [(z[:red] + z[red + 1 :], exp, range(0, exp * z[red], z[red]))]
+        return denom, [(z, 2, (0,), (initial_order(weights),))]
 
-    def simplicial_pieces(self, v0: RVector, v1: RVector) -> list[tuple[Fraction, tuple]]:
-        """One (weight, knots) pair: the orthant of the variables other than
-        the reduction variable of both v0 and v1, with weight exp / prod v0_i,
-        exp that variable's exponent, and knots v1_i / v0_i.  Weights must be
-        positive.  The variable's pure power has the least weight under v0 too,
-        so the standard monomials count the v0 grading, and the weights sum
-        to vol(v0)."""
-        v0, v1 = RVector(v0), RVector(v1)
-        red, exp = self.reduction_variable(v0, v1)
-        keep = [i for i in range(self.nvars) if i != red]
-        weight = Fraction(exp) / math.prod(v0[i] for i in keep)
-        return [(weight, tuple(v1[i] / v0[i] for i in keep))]
+    def simplicial_pieces(self, v0: RVector, v1: RVector) -> list[tuple[int, int, tuple]]:
+        """The Leibniz split of the numerator of (1 - x^alpha y^beta) / prod_i
+        (1 - x^a_i y^b_i), the Hilbert series of C[z] / (in f) under (a, b) =
+        (v0, v1): alpha is the least v0-weight of a monomial, beta the least
+        v1-weight among those, k_i = b_i / a_i and j the first index of least
+        knot.  Since alpha (1 - s) + beta lambda s = alpha (1 - s + lambda s
+        k_j) - lambda s (alpha k_j - beta), the (weight num, weight den, knots)
+        pieces are alpha / prod a on the knots but k_j and (alpha k_j - beta)
+        / prod a <= 0 on all n + 1.  v0 must tie two monomials at alpha, as
+        `volume` needs, and one of them have the least v1-weight of all."""
+        z0, w0, d0 = self.pairings(v0)
+        z1, w1, d1 = self.pairings(v1)
+        alpha = initial_order(w0)
+        beta = min(b for a, b in zip(w0, w1) if a == alpha)
+        if beta != min(w1):
+            raise ModelError("no monomial of least v0-weight has the least v1-weight")
+        common = math.prod(z0)
+        j = min(range(self.nvars), key=lambda i: z1[i] * (common // z0[i]))
+        knots = [_reduced((b * d0, a * d1)) for a, b in zip(z0, z1)]
+        # over v0 = z0 / d0 and v1 = z1 / d1: alpha / prod v0 = alpha d0^n /
+        # prod z0, and alpha k_j - beta = (alpha z1_j - beta z0_j) / (z0_j d1)
+        first = _reduced((alpha * d0**self.n, common))
+        second = _reduced(((alpha * z1[j] - beta * z0[j]) * d0**self.nvars, z0[j] * d1 * common))
+        return [(*first, tuple(knots[:j] + knots[j + 1 :])), (*second, tuple(knots))]
 
     @cached_property
     def convex_pieces(self) -> tuple[ConvexPiece, ...]:

@@ -18,8 +18,9 @@ and its Hilbert series as methods; this module holds the layer they all use:
   the colength whose limit defines vol, from the Hilbert series that the
   model's `series_pieces` states (on a toric cone one term per half-open
   cone of the volume triangulation, the index-character of Martelli-Sparks-
-  Yau, read by `_half_open_degrees`).  It is the independent check on the
-  closed volume formulas; `hvol selftest` checks it against a box sweep.
+  Yau, read by `_half_open_degrees`; one orthant over 1 - t^alpha on a
+  hypersurface), the independent check on the closed volume formulas that
+  `hvol selftest` checks against a box sweep.
 
 The two volume closed forms, `valuation_volume_toric` and
 `valuation_volume_hypersurface`, also live here as module functions that the
@@ -214,8 +215,9 @@ def lattice_count_oracle(model, a: Sequence, p) -> int:
 
     The monomials with <alpha, a> < p have degree at most top = ceil(D p) - 1
     in the grading by A = D a of `series_pieces`: #{k : sum_j k_j w_j <= top
-    - s} per shift s of a piece (weights, size, shifts), read off one table.
-    The (top + 1) * len(weights) + size cells per piece meet the budget first.
+    - s} per shift s of a piece (weights, size, shifts, cancelled), less
+    that per cancelled s, read off one table.  The (top + 1) * len(weights)
+    + size cells per piece meet the budget first.
     """
     a = RVector(a)
     p = rat(p)
@@ -223,11 +225,12 @@ def lattice_count_oracle(model, a: Sequence, p) -> int:
         raise ValueError("threshold p must be positive")
     scale, pieces = model.series_pieces(a)
     top = math.ceil(scale * p) - 1
-    cells = sum((top + 1) * len(weights) + size for weights, size, _ in pieces)
+    cells = sum((top + 1) * len(weights) + size for weights, size, *_ in pieces)
     if cells > _SERIES_BUDGET:
         raise BudgetExceeded(f"series tables of {cells} cells exceed budget")
     count = 0
-    for weights, _, shifts in pieces:
+    for weights, _, shifts, cancelled in pieces:
         table = _prefix_counts(weights, top)
         count += sum(table[top - s] for s in shifts if s <= top)
+        count -= sum(table[top - s] for s in cancelled if s <= top)
     return count

@@ -139,7 +139,7 @@ def test_profile_dimension_check_refuses_non_reeb_weights(model, v0, v1):
 
 def test_hypersurface_profile_reduction_choice():
     # v1 with the pure power z4^3 as unique initial monomial still profiles:
-    # the reduction variable must follow the initial form
+    # under the canonical v0 the piece on all four knots has weight 0
     model = akm_singularity(3, 3)
     p = profile_from_model(model, canonical_weights(3, 3), [1, 1, 1, Fraction(1, 2)])
     assert p.degH == Fraction(1, 9)
@@ -154,40 +154,69 @@ AKM_3_2 = '{"type":"akm","n":3,"k":2}'
 
 def test_hypersurface_profile_refuses_a_reduction_outside_the_grading(capsys):
     # v1 = (2,2,2,1) has z4^2 alone at its least weight, but v0 = (1,1,1,2)
-    # does not: its standard monomials would count degH 2 where vol(v0) is 1
+    # does not have z4^2 at its least: A(v1) and vol(v1) read z4^2, the
+    # numerator of the v0-graded ring the monomials z1^2, z2^2, z3^2
     from hvol import cli
 
     model = akm_singularity(3, 2)
     assert model.volume([1, 1, 1, 2]) == 1
-    with pytest.raises(ModelError, match="^lattice counting needs a weight-minimal monomial"):
+    message = "no monomial of least v0-weight has the least v1-weight"
+    with pytest.raises(ModelError, match=f"^{message}$"):
         profile_from_model(model, [1, 1, 1, 2], [2, 2, 2, 1])
     assert cli.main(["filtration", "--model", AKM_3_2, "--v0=1,1,1,2", "--v1=2,2,2,1"]) == 3
-    assert capsys.readouterr().err.startswith("error[model_error]: lattice counting needs")
+    assert capsys.readouterr().err.startswith(f"error[model_error]: {message}")
 
 
-def test_hypersurface_profile_reduces_by_a_variable_least_under_both():
-    # v1 = (1,2,1,2) has z1^2 and z3^2 at its least weight, v0 = (2,1,1,1)
-    # only z3^2 of these: z3 is the reduction variable, and degH = vol(v0)
+def test_hypersurface_profile_refuses_a_v0_with_one_least_monomial():
+    # z4^3 alone has the least v0-weight: the error of `volume`
+    model = akm_singularity(3, 3)
+    message = "^a-initial form of the defining polynomial is a single monomial$"
+    for call in (model.volume, lambda v0: profile_from_model(model, v0, [1, 1, 1, 1])):
+        with pytest.raises(ModelError, match=message):
+            call([1, 1, 1, Fraction(1, 2)])
+
+
+def test_hypersurface_profile_merges_regions_across_a_cancelled_knot():
+    # v0 = (2,1,1,1) has z2^2, z3^2, z4^2 at its least weight 2, and v1 =
+    # (1,2,1,2) gives z3^2 the least v1-weight 2 among them; the knots are
+    # 1/2, 2, 1, 2.  The numerator cancels the knot 1 of z3: the two pieces
+    # change there by opposite amounts, so one region spans it.
     model = akm_singularity(3, 2)
     v0, v1 = RVector([2, 1, 1, 1]), RVector([1, 2, 1, 2])
-    assert model.reduction_variable(v0, v1) == (2, 2)
+    first, second = model.simplicial_pieces(v0, v1)
+    assert first == (1, 1, ((2, 1), (1, 1), (2, 1)))
+    assert second == (-1, 2, ((1, 2), (2, 1), (1, 1), (2, 1)))
     p = profile_from_model(model, v0, v1)
     assert p.degH == model.volume(v0) == 1
+    assert (p.c1, p.breakpoints) == (Fraction(1, 2), (Fraction(1, 2), 2))
     _assert_profile_matches_slices(model, v0, v1, Fraction(1, 2))
 
 
+def _doubled_numerator(monkeypatch, *classes):
+    """Let each model class's pieces carry twice their weight: the numerator
+    2 (1 - x^alpha y^beta) on a hypersurface, a profile consistent in itself
+    whose degH is twice vol(v0)."""
+    for cls in classes:
+        pieces = cls.simplicial_pieces
+        monkeypatch.setattr(
+            cls,
+            "simplicial_pieces",
+            lambda self, v0, v1, pieces=pieces: [
+                (2 * w_num, w_den, knots) for w_num, w_den, knots in pieces(self, v0, v1)
+            ],
+        )
+
+
 def test_phi_at_zero_fails_on_a_profile_with_a_wrong_degh(monkeypatch, capsys):
-    # the check compares Phi(lam, 0) = degH with the closed form vol(v0): under
-    # a reduction variable chosen by v1 alone the case above has degH 2
+    # the check compares Phi(lam, 0) = degH with the closed form vol(v0) = 1;
+    # every other check reads the profile alone
     from hvol import cli
 
-    by_both = WeightedHomogeneousHypersurface.reduction_variable
-    monkeypatch.setattr(
-        WeightedHomogeneousHypersurface,
-        "reduction_variable",
-        lambda self, *gradings: by_both(self, gradings[-1]),
-    )
-    assert cli.main(["filtration", "--model", AKM_3_2, "--v0=1,1,1,2", "--v1=2,2,2,1"]) == 2
+    argv = ["filtration", "--model", AKM_3_2, "--v0=1,1,1,2", "--v1=1,2,1,2"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    _doubled_numerator(monkeypatch, WeightedHomogeneousHypersurface)
+    assert cli.main(argv) == 2
     checks = json.loads(capsys.readouterr().out)["checks"]
     failed = [(c["name"], c["lhs"], c["rhs"]) for c in checks if not c["pass"]]
     assert failed == [("phi_at_zero", "2", "1")]
@@ -196,17 +225,12 @@ def test_phi_at_zero_fails_on_a_profile_with_a_wrong_degh(monkeypatch, capsys):
 def test_selftest_phi_at_zero_fails_on_a_profile_with_a_wrong_degh(monkeypatch):
     import hvol.selftest as selftest
 
-    build = selftest.profile_from_model
-
-    def doubled(model, v0, v1):
-        p = build(model, v0, v1)
-        return VolumeProfile(p.n, 2 * p.degH, p.c1, p.c2, p.vol_v1, p.regions, p.simplices)
-
-    monkeypatch.setattr(selftest, "profile_from_model", doubled)
-    phi_at_zero = [
-        c for c in selftest.check_interpolation_calculus() if c.name.startswith("phi_at_zero[")
-    ]
+    _doubled_numerator(monkeypatch, WeightedHomogeneousHypersurface, ToricConeSingularity)
+    checks = selftest.check_interpolation_calculus()
+    phi_at_zero = [c for c in checks if c.name.startswith("phi_at_zero[")]
+    phi_at_one = [c for c in checks if c.name.startswith("phi_at_one[")]
     assert len(phi_at_zero) == 16 and not any(c.passed for c in phi_at_zero)
+    assert len(phi_at_one) == 16 and all(c.passed for c in phi_at_one)
 
 
 def test_tail_volume_closed_forms(plane_profile, step_profile):
@@ -479,15 +503,26 @@ def _grading(model) -> RVector:
     return canonical_weights(model.n, int(model.monomials[-1][-1]))
 
 
+def _pure_power(model, v0, v1) -> tuple[int, int]:
+    """(j, e) of a pure power z_j^e of least weight under v0 and v1 whose
+    variable occurs in no other monomial."""
+    least = [min(RVector(m).dot(v) for m in model.monomials) for v in (v0, v1)]
+    for j in range(model.nvars):
+        owners = [m for m in model.monomials if m[j]]
+        if len(owners) == 1 and sum(owners[0]) == owners[0][j]:
+            if all(RVector(owners[0]).dot(v) == d for v, d in zip((v0, v1), least)):
+                return j, owners[0][j]
+    raise ValueError("no pure power of least weight under v0 and v1")
+
+
 def _vertex_enumerated_slice(model, v0, v1, t) -> Fraction:
     """n! vol {y in the cone : <v0, y> <= 1, <v1 - t v0, y> >= 0}, with the
-    cone the dual cone, or for a hypersurface the orthant left after the
-    reduction variable of v0 and v1, with that variable's exponent as
-    multiplicity."""
+    cone the dual cone, or for a hypersurface the orthant left after a pure
+    power z_j^e of least weight under v0 and v1, with e as multiplicity."""
     if isinstance(model, ToricConeSingularity):
         normals, multiplicity = list(model.sigma.rays), 1
     else:
-        red, multiplicity = model.reduction_variable(v0, v1)
+        red, multiplicity = _pure_power(model, v0, v1)
         keep = [i for i in range(model.nvars) if i != red]
         v0, v1 = RVector(v0[i] for i in keep), RVector(v1[i] for i in keep)
         normals = [RVector(int(i == j) for j in keep) for i in keep]
@@ -529,7 +564,7 @@ def _repeated_knot_cases(name):
 def test_profile_with_repeated_knots_matches_slice_volume(name, v1):
     model = PROFILE_CONES[name]
     pieces = model.simplicial_pieces(_grading(model), v1)
-    assert any(len(set(knots)) < len(knots) for _, knots in pieces)
+    assert any(len(set(knots)) < len(knots) for *_, knots in pieces)
     for t in (Fraction(1, 3), Fraction(7, 6)):
         _assert_profile_matches_slices(model, _grading(model), v1, t)
 
@@ -569,8 +604,9 @@ def _ray_combination(model, coeffs) -> RVector:
     return sum((RVector(ray).scale(c) for c, ray in zip(coeffs, model.sigma.rays)), RVector([0] * model.n))
 
 
-# name -> (model, v0, v1).  On x^2+y^3+z^4+w^12 the reduction variable x has
-# the least ratio, 1/2, so c1 lies below the first knot 1.
+# name -> (model, v0, v1).  On x^2+y^3+z^4+w^12 the variable x has the least
+# ratio, 1/2, and the piece on all four knots weight 0, so c1 lies below the
+# first breakpoint 1.
 CLOSED_FORM_CASES = {
     name: (PROFILE_CONES[name], _grading(PROFILE_CONES[name]), RVector(v1))
     for name, v1 in (
@@ -594,6 +630,45 @@ for _name in ("C3", "conifold", "akm(3,2)"):
 def _closed_form_profile(name):
     model, v0, v1 = CLOSED_FORM_CASES[name]
     return model, v0, v1, profile_from_model(model, v0, v1)
+
+
+def test_xy_zw_profile_equals_the_toric_conifold():
+    # xy + zw is the conifold.  Its variables in the order of the dual rays
+    # u1, ..., u4, where u1 + u4 = u2 + u3, make the monomials x w and y z,
+    # and the Reeb vector xi gives the weights <u_i, xi>; no variable is a
+    # pure power, so only the numerator 1 - x^alpha y^beta gives the profile
+    toric = conifold()
+    u1, u2, u3, u4 = (RVector(u) for u in toric.dual.rays)
+    assert u1 + u4 == u2 + u3
+    hypersurface = WeightedHomogeneousHypersurface(nvars=4, monomials=((1, 0, 0, 1), (0, 1, 1, 0)))
+    rng = random.Random(503183)
+
+    def reeb() -> RVector:
+        coeffs = [Fraction(rng.randint(1, 12), rng.randint(1, 4)) for _ in toric.sigma.rays]
+        return _ray_combination(toric, coeffs)
+
+    def weights(xi: RVector) -> RVector:
+        return RVector(u.dot(xi) for u in (u1, u2, u3, u4))
+
+    grid = [(Fraction(1, 2), Fraction(1, 3)), (1, Fraction(1, 2)), (3, Fraction(5, 7)), (2, 1)]
+    for _ in range(24):
+        v0, v1 = reeb(), reeb()
+        p = profile_from_model(toric, v0, v1)
+        h = profile_from_model(hypersurface, weights(v0), weights(v1))
+        assert (h.n, h.degH, h.c1, h.c2, h.vol_v1) == (p.n, p.degH, p.c1, p.c2, p.vol_v1)
+        assert h.breakpoints == p.breakpoints and _fraction_regions(h) == _fraction_regions(p)
+        for lam, s in grid:
+            assert interpolation_closed_form(h, lam, s) == interpolation_closed_form(p, lam, s)
+
+
+def test_xy_zw_filtration_passes_every_check(capsys):
+    from hvol import cli
+
+    model = '{"type":"hypersurface","n":3,"monomials":[[1,1,0,0],[0,0,1,1]]}'
+    assert cli.main(["filtration", "--model", model, "--v0=1,1,1,1", "--v1=1,2,1,2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"] and all(c["pass"] for c in report["checks"])
+    assert (report["results"]["c1"]["exact"], report["results"]["c2"]["exact"]) == ("1", "2")
 
 
 def test_closed_form_case_with_c1_below_the_first_knot():

@@ -92,9 +92,12 @@ def test_hypersurface_interface_values():
 
 
 def test_lattice_region():
-    # the box witness of `hvol selftest`, now outside the model interface
+    # the box witness of `hvol selftest`, now outside the model interface; on
+    # a hypersurface the whole orthant, empty at p <= 0
     a1 = akm_singularity(2, 2)
     assert lattice_region(a1, RVector([1, 1, 1]), Fraction(2)) == ([(0, 1)] * 3, [])
+    assert lattice_region(a1, RVector([1, 2, 1]), Fraction(7, 2)) == ([(0, 3), (0, 1), (0, 3)], [])
+    assert lattice_region(a1, RVector([1, 1, 1]), Fraction(-1)) == ([(0, -2)] * 3, [])
     box, rows = lattice_region(affine_space(2), RVector([1, 1]), Fraction(3))
     assert box == [(0, 3), (0, 3)]
     assert sorted(rows) == [([0, 1], 0), ([1, 0], 0)]
@@ -105,18 +108,21 @@ def test_lattice_region():
 
 
 def test_series_pieces():
-    # A_1 surface: x^2 + y^2 + z^2 with x reduced, 1 + t over (1 - t)^2
-    (scale, [(weights, size, shifts)]) = akm_singularity(2, 2).series_pieces(RVector([1, 1, 1]))
-    assert (scale, weights, size, list(shifts)) == (1, [1, 1], 2, [0, 1])
+    # A_1 surface: x^2 + y^2 + z^2, (1 - t^2) over (1 - t)^3
+    (scale, [piece]) = akm_singularity(2, 2).series_pieces(RVector([1, 1, 1]))
+    assert (scale, piece) == (1, ([1, 1, 1], 2, (0,), (2,)))
     scale, pieces = akm_singularity(2, 3).series_pieces(RVector([Fraction(3, 2), Fraction(3, 2), 1]))
-    assert scale == 2 and [(w, n, list(s)) for w, n, s in pieces] == [([3, 2], 2, [0, 3])]
+    assert (scale, pieces) == (2, [([3, 3, 2], 2, (0,), (6,))])
     # C^2/Z_2: one cone on the dual rays (1, 0), (1, 2) with the point (1, 1)
-    scale, [(weights, size, shifts)] = cyclic_quotient_cone(2, 1).series_pieces(RVector([2, 0]))
-    assert (scale, sorted(weights), size, sorted(shifts)) == (1, [2, 2], 2, [0, 2])
+    scale, [(weights, size, shifts, cancelled)] = cyclic_quotient_cone(2, 1).series_pieces(RVector([2, 0]))
+    assert (scale, sorted(weights), size, sorted(shifts), cancelled) == (1, [2, 2], 2, [0, 2], ())
     # the conifold: two unimodular cones; the facet they share is open in one
     scale, pieces = conifold().series_pieces(RVector([0, 0, 2]))
     assert scale == 1
-    assert sorted((w, n, sorted(s)) for w, n, s in pieces) == [([2, 2, 2], 1, [0]), ([2, 2, 2], 1, [2])]
+    assert sorted((w, n, sorted(s), c) for w, n, s, c in pieces) == [
+        ([2, 2, 2], 1, [0], ()),
+        ([2, 2, 2], 1, [2], ()),
+    ]
     with pytest.raises(NotInReebCone):
         conifold().series_pieces(RVector([1, 0, 0]))
 

@@ -452,6 +452,26 @@ def test_series_count_equals_box_witness_on_hypersurfaces(model):
     _same_count(model, [Fraction(12, d) for d in degrees], 25)
 
 
+def test_series_count_equals_box_witness_on_xy_zw():
+    # no variable of xy + zw is a pure power: the orthant less the multiples
+    # of the leading monomial, 15 - 1 monomials below degree 3 at (1,1,1,1)
+    assert lattice_count_oracle(XY_ZW, [1, 1, 1, 1], 3) == box_count(XY_ZW, [1, 1, 1, 1], 3) == 14
+    for a in ([1, 3, 2, 2], [Fraction(1, 2), 2, Fraction(3, 2), 1], [2, 1, 1, 2]):
+        for depth in (Fraction(5, 2), 6, Fraction(23, 3)):
+            _same_count(XY_ZW, a, depth)
+
+
+def test_xy_zw_count_equals_the_toric_conifold():
+    # with x, y, z, w on the dual rays of the conifold (u1 + u4 = u2 + u3,
+    # monomials x w and y z), the weights <u_i, xi> count what xi counts
+    model = conifold()
+    xy_zw = WeightedHomogeneousHypersurface(nvars=4, monomials=((1, 0, 0, 1), (0, 1, 1, 0)))
+    for xi in ([0, 0, 2], [1, 1, 3], [Fraction(1, 2), Fraction(2, 3), 2]):
+        a = [RVector(u).dot(xi) for u in model.dual.rays]
+        for depth in (3, Fraction(17, 2), 12):
+            assert lattice_count_oracle(xy_zw, a, depth) == lattice_count_oracle(model, xi, depth)
+
+
 @pytest.mark.parametrize(
     "model, a, p, error, message",
     [
@@ -460,11 +480,10 @@ def test_series_count_equals_box_witness_on_hypersurfaces(model):
         (conifold(), [1, 0, 0], 3, NotInReebCone, "(1, 0, 0) pairs nonpositively with weight generator (0, 0, 1)"),
         (conifold(), [1, 1], 3, ModelError, "expected 3 weights, got 2"),
         (akm_singularity(2, 2), [1, -1, 1], 3, NotInReebCone, "hypersurface weights must be strictly positive"),
-        (XY_ZW, [1, 1, 1, 1], 3, ModelError, "lattice counting needs a weight-minimal monomial"),
         # x^2 alone has the least weight: outside the domain of volume
         (akm_singularity(2, 3), [1, 2, 1], 10, ModelError, "a-initial form of the defining polynomial is a single monomial"),
     ],
-    ids=["toric p=0", "hypersurface p<0", "not Reeb", "wrong length", "nonpositive weight", "no reduction", "one least monomial"],
+    ids=["toric p=0", "hypersurface p<0", "not Reeb", "wrong length", "nonpositive weight", "one least monomial"],
 )
 def test_series_count_refuses_as_the_box_witness(model, a, p, error, message):
     for count in (lattice_count_oracle, box_count):
