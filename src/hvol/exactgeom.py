@@ -33,13 +33,15 @@ Conventions
   (self-test criterion 12).
 * A model's set-up stays on integers: `PolyCone.from_rays` clears each
   given ray to its primitive integer tuple once, and what follows reads the
-  tuples as they are: `from_rays` and `dual_cone` test rank with `int_rank`,
+  tuples as they are: `from_rays` and `dual_cone` test that the rays span
+  with `int_det` when there are dim of them and `int_rank` otherwise,
   `dual_cone` takes the extreme rays with `int_cone_rays`, and
   `triangulate_cone` orders rays by an integer key.  An :class:`RVector`
   holds a rational point (a weight, a vertex), never a ray.
-* A cone is triangulated (`triangulate_cone`) by fanning the cross-section
-  whose vertices are its rays scaled to one affine hyperplane from its
-  lexicographically smallest vertex (`_fan`), which makes results
+* A cone with dim rays is its own triangulation (`triangulate_cone`), one
+  cone of weight |det|.  Any other cone is triangulated by fanning the
+  cross-section whose vertices are its rays scaled to one affine hyperplane
+  from its lexicographically smallest vertex (`_fan`), which makes results
   reproducible.  It needs no vertex enumeration: incidences and ranks come
   from integer pairings, and `certify_tiling` checks the result
   combinatorially, each of its determinants the pairing with the integer
@@ -221,6 +223,12 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
     return _echelon(rows)[0]
 
 
+def _spans(rows: Sequence[Sequence[int]], dim: int) -> bool:
+    """Whether integer rows of length dim span the space: a nonzero
+    `int_det` when there are dim of them, rank dim otherwise."""
+    return int_det(rows) != 0 if len(rows) == dim else int_rank(rows) == dim
+
+
 def int_kernel(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[int, tuple[int, ...]]]:
     """A basis of {x : <row, x> = 0 for every integer row of length dim}:
     (f, x) per free column f, x the primitive integer vector with x_f > 0
@@ -377,7 +385,7 @@ class PolyCone:
         for v in vecs:
             if not any(v):
                 raise ModelError(f"ray {RVector(v)} is zero")
-        if int_rank(vecs) != len(vecs[0]):
+        if not _spans(vecs, len(vecs[0])):
             raise NotFullDimensional("rays do not span the ambient space")
         return cls(dim=len(vecs[0]), rays=tuple(sorted(set(vecs))))
 
@@ -392,7 +400,7 @@ class PolyCone:
 def dual_cone(c: PolyCone) -> PolyCone:
     """{y : <y, u> >= 0 for every ray u of c}; involutive on pointed cones."""
     rays = int_cone_rays(c.rays, c.dim)
-    if int_rank(rays) != c.dim:
+    if not _spans(rays, c.dim):
         raise NotFullDimensional("dual cone is not full-dimensional (input not pointed)")
     dual = PolyCone(dim=c.dim, rays=tuple(rays))
     dual.facets = c.rays
@@ -421,14 +429,26 @@ def facets_among(
 def triangulate_cone(c: PolyCone) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Simplicial cones tiling c: (|det U_s|, indices into c.rays) for each s.
 
-    The cross-section {<xi0, y> = 1} of c at xi0, the sum of c's facet
-    normals, has the vertices u / <u, xi0> over the rays u of c, and its
-    facets lie on c's facets.  It is fanned from its lex-min vertex (`_fan`)
-    on ray indices: ray u lies on facet rho iff <rho, u> = 0, and a set of
-    vertices has affine rank one less than the linear rank of its rays, all
-    in integers.  `certify_tiling` then checks that the cones tile c.
+    A cone with dim rays is simplicial, its own tiling: the one cone
+    (|det U|, (0, ..., dim - 1)), with U its rays, raising
+    DegeneratePolytope when det U = 0 (a flat cone), as `certify_tiling`
+    would.  It needs neither the fan nor the certificate.
+
+    Otherwise the cross-section {<xi0, y> = 1} of c at xi0, the sum of c's
+    facet normals, has the vertices u / <u, xi0> over the rays u of c, and
+    its facets lie on c's facets.  It is fanned from its lex-min vertex
+    (`_fan`) on ray indices: ray u lies on facet rho iff <rho, u> = 0, and a
+    set of vertices has affine rank one less than the linear rank of its
+    rays, all in integers.  `certify_tiling` then checks that the cones tile
+    c.
     """
-    rays, normals = c.rays, c.facets
+    rays = c.rays
+    if len(rays) == c.dim:
+        det = int_det(rays)
+        if det == 0:
+            raise DegeneratePolytope(f"the simplicial cone on rays {tuple(range(c.dim))} is flat")
+        return ((abs(det), tuple(range(c.dim))),)
+    normals = c.facets
     xi0 = [sum(col) for col in zip(*normals)]
     heights = [sum(map(mul, ray, xi0)) for ray in rays]
     # lexicographic order of the vertices u / <u, xi0>, all scaled by the lcm of the heights

@@ -24,9 +24,15 @@ Each piece runs damped Newton steps in floats on its slice, in its own
 coordinates, with F, grad F and the Hessian in closed form; a backtracking
 guard keeps every pairing positive.  The final point x is rationalized and put
 on the slice exactly; the least exact objective over the runs is the upper end
-of the bracket.  Convexity gives the lower end: F lies above its tangent plane
-at any point where it is convex, and the least value of that plane on a
-piece's slice is at a vertex, so
+of the bracket.  A run that converges at its start, as on a simplicial cone
+whose start sum rho_i is the minimizer, ends on that exact start when each
+free coordinate p / q of it (lowest terms) has q <= L = 10^12 and |p| L <
+2^52: its float lies within |p / q| 2^-53 < 1 / (2 q L) of p / q, closer
+than any other fraction with denominator at most L, so rationalizing it
+would give p / q back.  The exact objective at a point P / Q of the slice is
+(n Q)^n vol(P), since A = n there.  Convexity gives the lower end: F lies
+above its tangent plane at any point where it is convex, and the least value
+of that plane on a piece's slice is at a vertex, so
 
     n^n min over pieces of (F(x) + min_v <grad F(x), v - x>)  <=  min
 
@@ -179,14 +185,19 @@ def _newton(model, piece: ConvexPiece, z: Sequence[int], denom: int, max_iter: i
     `_on_slice(z, denom)`, then the exact point; None when that is outside
     the piece.  A backtracking guard keeps every generator and bound pairing
     positive, so a run whose minimum lies on the piece's boundary stops there
-    (the smaller face through that boundary has its own run)."""
+    (the smaller face through that boundary has its own run).  A run whose
+    floats end where they started ends on the exact start when
+    `_rationalizes_back` shows that rationalizing them returns it; any other
+    end is rationalized."""
     n = model.n
     gens = [_pullback(piece, u) for u in piece.generators]
     guards = gens + [_pullback(piece, b) for b in piece.bounds]
     row = _pullback(piece, *piece.row)
     expand = [[x[k] / s for x, s in piece.basis] for k in range(len(piece.row[0]))]
-    point, height = _on_slice(piece, n, z, denom)
+    start = _on_slice(piece, n, z, denom)
+    point, height = start
     x = [point[f] / height for f in piece.free]
+    first = x
     trajectory = []
     last_step = math.inf
     iterations = 0
@@ -220,11 +231,25 @@ def _newton(model, piece: ConvexPiece, z: Sequence[int], denom: int, max_iter: i
             t /= 2
         x = [a + t * b for a, b in zip(x, step)]
         last_step = t * size
-    z = (Fraction(c).limit_denominator(_ITERATE_DENOMINATOR) for c in x)
-    end = _on_slice(piece, n, *_integral(z))
+    if x == first and all(_rationalizes_back(point[f], height) for f in piece.free):
+        end = start
+    else:
+        z = (Fraction(c).limit_denominator(_ITERATE_DENOMINATOR) for c in x)
+        end = _on_slice(piece, n, *_integral(z))
     if not _inside(piece, end[0]):
         return None
-    return _Run(piece, end, _objective(model, end[0]), iterations, trajectory, {})
+    return _Run(piece, end, _objective(model, end), iterations, trajectory, {})
+
+
+def _rationalizes_back(num: int, den: int) -> bool:
+    """Whether `Fraction(num / den).limit_denominator(_ITERATE_DENOMINATOR)`
+    is num / den, shown without computing it: with num / den = p / q in
+    lowest terms, q <= L = _ITERATE_DENOMINATOR and |p| L < 2^52.  The float
+    x = num / den lies within |p / q| 2^-53 < 1 / (2 q L) of p / q, and any
+    other fraction with denominator at most L lies at least 1 / (q L) from
+    p / q, so further from x; limit_denominator returns the closest one."""
+    g = math.gcd(num, den)
+    return den // g <= _ITERATE_DENOMINATOR and abs(num // g) * _ITERATE_DENOMINATOR < 2**52
 
 
 def _inside(piece: ConvexPiece, point: Sequence[int]) -> bool:
@@ -235,9 +260,13 @@ def _inside(piece: ConvexPiece, point: Sequence[int]) -> bool:
     )
 
 
-def _objective(model, point: Sequence[int]) -> Fraction:
-    """A^n vol at P, equal to its value at P / Q: A has degree 1, vol -n."""
-    return model.logdisc(point) ** model.n * model.volume(point)
+def _objective(model, end: tuple) -> Fraction:
+    """A^n vol at a point (P, Q) inside a piece and on its slice A = n, as
+    `_on_slice` builds it, equal to its value at P / Q (A has degree 1, vol
+    -n): the piece's row is A on the closed piece, so A(P) = n Q, and the
+    value is (n Q)^n vol(P), one `volume` call."""
+    point, height = end
+    return (model.n * height) ** model.n * model.volume(point)
 
 
 def _rank(run: _Run) -> tuple[Fraction, int]:
@@ -347,7 +376,7 @@ def minimize_nvol(
         moved = _on_slice(piece, n, z, height * top)
         if not _inside(piece, moved[0]):
             break
-        value = _objective(model, moved[0])
+        value = _objective(model, moved)
         runs[runs.index(best)] = best = best._replace(point=moved, value=value, bounds={})
         best.trajectory.append((tuple(c / moved[1] for c in moved[0]), float(best.value)))
         lower = _lower_bound(n, enumerate(model.convex_pieces), runs)

@@ -440,27 +440,30 @@ def _count_box(
     bounds: list[tuple[int, int]],
     nonstrict: list[tuple[list[int], int]],
     strict_coefs: list[int],
-    strict_max: int,
-) -> int:
-    """Count integer points in a box with <c,x>+b >= 0 constraints and <s,x> <= strict_max.
+    strict_maxes: list[int],
+) -> list[int]:
+    """Per level t in strict_maxes, the count of integer points in a box with
+    <c,x>+b >= 0 constraints and <s,x> <= t, all levels in one sweep.
 
-    Loops over every coordinate but the last, x_n.  There each row
-    c x_n + r >= 0 (r collecting the constant and the other coordinates)
-    bounds x_n below by ceil(-r / c) when c > 0 and above by floor(r / -c)
-    when c < 0, or holds or fails outright when c = 0, and the lengths of the
-    resulting intervals are added up.
+    Loops over the prefixes of every coordinate but the last, x_n, that
+    `_prefixes` keeps.  There each row c x_n + r >= 0 (r collecting the
+    constant and the other coordinates) bounds x_n below by ceil(-r / c)
+    when c > 0 and above by floor(r / -c) when c < 0, or holds or fails
+    outright when c = 0.  The rows <c,x>+b >= 0 give one interval per
+    prefix, each level's strict row cuts it, and the lengths of the
+    resulting intervals are added up per level.
     """
     sizes = [hi - lo + 1 for lo, hi in bounds]
     if any(s <= 0 for s in sizes):
-        return 0
+        return [0] * len(strict_maxes)
     total = math.prod(sizes)
     if total > _ENUM_BUDGET:
         raise BudgetExceeded(f"enumeration box of {total} cells exceeds budget")
     rows = [(coefs[:-1], coefs[-1], const) for coefs, const in nonstrict]
-    rows.append(([-c for c in strict_coefs[:-1]], -strict_coefs[-1], strict_max))
-    *head, (lo_last, hi_last) = bounds
-    count = 0
-    for prefix in iter_product(*[range(lo, hi + 1) for lo, hi in head]):
+    last = strict_coefs[-1]
+    lo_last, hi_last = bounds[-1]
+    counts = [0] * len(strict_maxes)
+    for prefix, used in _prefixes(bounds, strict_coefs, max(strict_maxes)):
         lo, hi = lo_last, hi_last
         for coefs, c, const in rows:
             r = const + sum(map(mul, coefs, prefix))
@@ -471,9 +474,51 @@ def _count_box(
             elif r < 0:
                 hi = lo - 1
                 break
-        if hi >= lo:
-            count += hi - lo + 1
-    return count
+        if hi < lo:
+            continue
+        # the strict row -s_n x_n + (t - <s, prefix>) >= 0 at each level t
+        for k, top in enumerate(strict_maxes):
+            r, low, high = top - used, lo, hi
+            if last < 0:
+                low = max(low, -(r // -last))
+            elif last > 0:
+                high = min(high, r // last)
+            elif r < 0:
+                continue
+            if high >= low:
+                counts[k] += high - low + 1
+    return counts
+
+
+def _prefixes(bounds: list[tuple[int, int]], strict_coefs: list[int], top: int):
+    """(prefix, <s, prefix>) over the prefixes (x_1, ..., x_{n-1}) of the box
+    that some completion in the box takes to <s, x> <= top.  Coordinate by
+    coordinate, x_j keeps <s, x> at most top less the least that the
+    coordinates after it can add, min(s_i lo_i, s_i hi_i) each, so no prefix
+    is dropped that a point of the box with <s, x> <= top extends."""
+    rest = [0] * len(bounds)
+    for j in reversed(range(len(bounds) - 1)):
+        (lo, hi), c = bounds[j + 1], strict_coefs[j + 1]
+        rest[j] = rest[j + 1] + min(c * lo, c * hi)
+    prefixes = [((), 0)]
+    for (lo, hi), c, least in zip(bounds[:-1], strict_coefs, rest):
+        prefixes = _extend(prefixes, lo, hi, c, top - least)
+    return prefixes
+
+
+def _extend(prefixes, lo: int, hi: int, c: int, cap: int):
+    """Each (prefix, used) followed by every x in [lo, hi] with used + c x <= cap."""
+    for prefix, used in prefixes:
+        room = cap - used
+        low, high = lo, hi
+        if c > 0:
+            high = min(hi, room // c)
+        elif c < 0:
+            low = max(lo, -(room // -c))
+        elif room < 0:
+            continue
+        for x in range(low, high + 1):
+            yield prefix + (x,), used + c * x
 
 
 def dual_cone_box(x: ToricConeSingularity, a: RVector, p: Fraction) -> list[tuple[int, int]]:
@@ -511,19 +556,21 @@ def box_count(model, a, p) -> int:
     rows of `lattice_region`, independent of the Hilbert series: the witness
     that criterion 7 compares the oracle with.  On a hypersurface, where
     `volume` is defined, it counts the monomials not divisible by the leading
-    monomial of in_a f, of weight alpha: N(p) - N(p - alpha), two sweeps."""
+    monomial of in_a f, of weight alpha: N(p) - N(p - alpha).  Both levels
+    are counted in one sweep of the box of level p (`_count_box`): the
+    weights are positive and the box starts at 0, so <a, x> < p - alpha
+    already keeps x inside the box of level p - alpha."""
     a = RVector(a)
     p = rat(p)
     if p <= 0:
         raise ValueError("threshold p must be positive")
     strict_coefs, scale = _integral(a)
-    levels = [(p, 1)]
+    levels = [p]
     if not isinstance(model, ToricConeSingularity):
-        levels.append((p - Fraction(initial_order(model.pairings(a)[1]), scale), -1))
-    return sum(
-        sign * _count_box(*lattice_region(model, a, x), strict_coefs, math.ceil(scale * x) - 1)
-        for x, sign in levels
-    )
+        levels.append(p - Fraction(initial_order(model.pairings(a)[1]), scale))
+    tops = [math.ceil(scale * x) - 1 for x in levels]
+    counts = _count_box(*lattice_region(model, a, p), strict_coefs, tops)
+    return counts[0] - sum(counts[1:])
 
 
 def _oracle_cases():

@@ -6,7 +6,7 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hvol.errors import ModelError, NotInReebCone
@@ -381,3 +381,104 @@ def test_each_convexity_bound_is_computed_once_per_piece_and_run(monkeypatch):
     assert best.min_nvol_lower == best.min_nvol_upper == Fraction(4, 3)
     assert len(calls) == 11
     assert len({(id(piece), id(run)) for _, piece, run in calls}) == 11
+
+
+# Simplicial cones against a closed form computed here, by cofactors: for
+# rays rho_1..rho_n of sigma, the dual ray u_i is the primitive covector that
+# vanishes on the other rays and is positive on rho_i.  At xi = sum rho_i,
+# A(xi) = n and <u_i, xi> = <u_i, rho_i>, and xi is the minimizer (AM-GM on
+# the slice), so min A^n vol = n^n |det(u_1..u_n)| / prod <u_i, rho_i>.
+
+
+def _leibniz_det(rows):
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += (-1) ** inversions * math.prod(row[j] for row, j in zip(rows, perm))
+    return total
+
+
+def _closed_form_simplicial(rays):
+    n = len(rays)
+    sign = 1 if _leibniz_det(rays) > 0 else -1
+    duals = []
+    for i in range(n):
+        others = rays[:i] + rays[i + 1 :]
+        cofactor = [
+            (-1) ** (i + k) * _leibniz_det([row[:k] + row[k + 1 :] for row in others])
+            for k in range(n)
+        ]
+        g = math.gcd(*cofactor)
+        duals.append([sign * c // g for c in cofactor])
+    pairings = [sum(map(mul, u, rho)) for u, rho in zip(duals, rays)]
+    assert all(p > 0 for p in pairings)
+    value = Fraction(n**n * abs(_leibniz_det(duals)), math.prod(pairings))
+    return RVector(map(sum, zip(*rays))), value
+
+
+def _random_simplicial_rays(rng, n):
+    while True:
+        rays = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        rays = [[c // (math.gcd(*ray) or 1) for c in ray] for ray in rays]
+        if _leibniz_det(rays) and len({tuple(ray) for ray in rays}) == n:
+            return rays
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_minimize_matches_the_closed_form_on_random_simplicial_cones(n):
+    rng = random.Random(4100 + n)
+    for _ in range(12):
+        rays = _random_simplicial_rays(rng, n)
+        argmin, value = _closed_form_simplicial(rays)
+        best = minimize_nvol(ToricConeSingularity.from_rays(rays))
+        assert best.argmin == argmin, rays
+        assert best.min_nvol_lower == best.min_nvol_upper == value, rays
+        assert best.converged
+
+
+def test_a_run_that_converges_at_its_start_ends_there_without_rationalizing(monkeypatch):
+    """On C^3 the start (1, 1, 1) is the minimizer: the run takes no step and
+    ends on the exact start, so `limit_denominator` is never reached; on
+    Y^{2,1}, whose minimizer is irrational, it is."""
+    calls = []
+    limit = Fraction.limit_denominator
+    monkeypatch.setattr(Fraction, "limit_denominator", lambda *a: calls.append(a) or limit(*a))
+    best = minimize_nvol(affine_space(3))
+    assert best.argmin == RVector([1, 1, 1]) and best.min_nvol_upper == 27
+    assert calls == []
+    minimize_nvol(ToricConeSingularity.from_rays([[1, 0, 0], [1, 0, 1], [1, 2, 2], [1, 1, 0]]))
+    assert calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-6000, 6000),
+    st.one_of(
+        st.integers(1, 10**12 + 10),
+        st.sampled_from([10**12 - 1, 10**12, 10**12 + 1]),
+        st.integers(10**12 - 10**6, 10**12 + 10**6),
+    ),
+)
+@example(4503, 10**12)
+@example(-4503, 10**12)
+@example(4504, 10**12 - 1)
+@example(4503, 10**12 + 1)
+@example(4504, 10**12 + 1)
+@example(0, 7)
+def test_the_exact_start_gate_implies_limit_denominator_returns_the_start(num, den):
+    reduced = Fraction(num, den)
+    p, q = reduced.numerator, reduced.denominator
+    gate = reeb._rationalizes_back(num, den)
+    assert gate == (q <= 10**12 and abs(p) * 10**12 < 2**52)
+    if gate:
+        assert Fraction(num / den).limit_denominator(10**12) == reduced
+
+
+def test_the_exact_start_gate_at_its_bound():
+    # 4503 * 10^12 < 2^52 < 4504 * 10^12; each fraction here is in lowest terms
+    assert reeb._rationalizes_back(4503, 10**12)
+    assert reeb._rationalizes_back(-4503, 10**12)
+    assert not reeb._rationalizes_back(4504, 10**12 - 1)
+    assert not reeb._rationalizes_back(-4504, 10**12 - 1)
+    assert not reeb._rationalizes_back(4503, 10**12 + 1)
+    assert not reeb._rationalizes_back(1, 10**12 + 1)

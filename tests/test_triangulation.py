@@ -241,3 +241,51 @@ def test_certificate_counts_covering_at_a_generic_point():
         certify_tiling(rays, normals, fine + coarse)
     cone = dual_cone(PolyCone.from_rays(normals))
     assert sum(d for d, _ in triangulate_cone(cone)) == 4
+
+
+def _random_simplicial_cones(count, seed=23):
+    """Cones with dim independent primitive rays, in dimensions 1-6."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        dim = rng.randint(1, 6)
+        rays = [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(dim)]
+        if len({tuple(ray) for ray in rays}) == dim and int_rank(rays) == dim:
+            out.append(PolyCone.from_rays(rays))
+    return out
+
+
+SIMPLICIAL = [
+    cone for _, sigma in SIGMAS for cone in (sigma, dual_cone(sigma)) if len(cone.rays) == cone.dim
+]
+
+
+@pytest.mark.parametrize("cone", SIMPLICIAL + _random_simplicial_cones(40), ids=repr)
+def test_a_simplicial_cone_is_its_own_tiling_without_the_fan(cone, monkeypatch):
+    expected = certify_tiling(cone.rays, cone.facets, [tuple(range(cone.dim))])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a simplicial cone reached the fan or the certificate")
+
+    monkeypatch.setattr(exactgeom, "_fan", refuse)
+    monkeypatch.setattr(exactgeom, "certify_tiling", refuse)
+    assert triangulate_cone(cone) == expected
+
+
+def test_a_flat_cone_with_dim_rays_is_refused():
+    flat = PolyCone(dim=3, rays=((0, 1, 0), (1, 0, 0), (1, 1, 0)))
+    with pytest.raises(DegeneratePolytope, match="flat"):
+        triangulate_cone(flat)
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_a_cone_with_more_rays_than_dim_is_fanned_and_certified(name, monkeypatch):
+    calls = []
+    for helper in ("_fan", "certify_tiling"):
+        real = getattr(exactgeom, helper)
+        spy = lambda *args, _real=real, _name=helper: calls.append(_name) or _real(*args)
+        monkeypatch.setattr(exactgeom, helper, spy)
+    dual = CERTIFIED[name].dual
+    assert len(dual.rays) > dual.dim
+    assert triangulate_cone(dual) == CERTIFIED[name].volume_triangulation
+    assert "_fan" in calls and "certify_tiling" in calls

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from hvol.errors import BudgetExceeded, ModelError, NotFullDimensional, NotInReebCone
 from hvol.exactgeom import RVector
+import hvol.selftest as selftest
 from hvol.selftest import _count_box, box_count, cut_cone, polytope_volume
 from hvol.singularities import (
     ToricConeSingularity,
@@ -172,7 +173,7 @@ def _naive_box_count(bounds, nonstrict, strict_coefs, strict_max):
     return count
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_count_box_matches_naive_count(dim):
     rng = random.Random(300 + dim)
     for _ in range(40):
@@ -183,18 +184,33 @@ def test_count_box_matches_naive_count(dim):
             for _ in range(rng.randint(0, 3))
         ]
         strict = [rng.randint(-2, 3) for _ in range(dim)]
-        top = rng.randint(-4, 10)
-        args = (bounds, rows, strict, top)
-        assert _count_box(*args) == _naive_box_count(*args), args
+        # one to three levels, counted in one sweep
+        tops = [rng.randint(-4, 10) for _ in range(rng.randint(1, 3))]
+        expected = [_naive_box_count(bounds, rows, strict, top) for top in tops]
+        assert _count_box(bounds, rows, strict, tops) == expected, (bounds, rows, strict, tops)
+
+
+def test_a_wrong_alpha_fails_the_oracle_witness(monkeypatch):
+    # the witness subtracts the monomials of weight below p - alpha; twice
+    # alpha must show on every hypersurface case of criterion 7
+    order = selftest.initial_order
+    monkeypatch.setattr(selftest, "initial_order", lambda pairings: 2 * order(pairings))
+    failed = [check.name for check in selftest.check_oracle() if not check.passed]
+    assert failed == [
+        f"oracle_witness[{name},{weights}]"
+        for name, model, valuations in selftest._oracle_cases()
+        if not isinstance(model, ToricConeSingularity)
+        for weights in valuations
+    ]
 
 
 def test_count_box_empty_cases():
     # an empty box, and a strict bound that cuts the box to nothing
-    assert _count_box([(0, 3), (2, 1)], [], [1, 1], 10) == 0
-    assert _count_box([(0, 3), (0, 3)], [], [1, 1], -1) == 0
+    assert _count_box([(0, 3), (2, 1)], [], [1, 1], [10, 4]) == [0, 0]
+    assert _count_box([(0, 3), (0, 3)], [], [1, 1], [-1]) == [0]
     # a row with last coefficient 0 that fails everywhere, or holds everywhere
-    assert _count_box([(0, 3), (0, 3)], [([1, 0], -4)], [1, 1], 10) == 0
-    assert _count_box([(0, 3), (0, 3)], [([1, 0], 0)], [0, 0], 0) == 16
+    assert _count_box([(0, 3), (0, 3)], [([1, 0], -4)], [1, 1], [10]) == [0]
+    assert _count_box([(0, 3), (0, 3)], [([1, 0], 0)], [0, 0], [0, -1]) == [16, 0]
 
 
 def test_oracle_budget():
