@@ -279,6 +279,7 @@ def _parse_integer(value, what: str) -> int:
 
 
 def _check(name: str, passed: bool, lhs, rhs, tolerance) -> dict:
+    """One check record, as the reports and `hvol selftest` print it."""
     return {
         "name": name,
         "pass": bool(passed),
@@ -286,6 +287,16 @@ def _check(name: str, passed: bool, lhs, rhs, tolerance) -> dict:
         "rhs": rhs,
         "tolerance": str(tolerance),
     }
+
+
+def _exact_check(name: str, lhs, rhs) -> dict:
+    """lhs == rhs exactly, each side recorded as its text."""
+    return _check(name, lhs == rhs, str(lhs), str(rhs), "exact")
+
+
+def _close_check(name: str, lhs: float, rhs: float, tol: float) -> dict:
+    """|lhs - rhs| <= tol, each side recorded as its 17-digit text."""
+    return _check(name, abs(lhs - rhs) <= tol, _fmt_float(lhs), _fmt_float(rhs), f"{tol:g}")
 
 
 def _approx(value, what: str) -> str:

@@ -9,6 +9,7 @@ from typing import Callable
 from ..cli import (
     Report,
     _check,
+    _exact_check,
     _exact_pair,
     _exact_text,
     _load_json_arg,
@@ -31,7 +32,6 @@ def run(args: argparse.Namespace) -> tuple[Report, Callable[[], str] | None]:
     valuation = _parse_weights(args.valuation, "valuation")
     model = parse_model(descriptor)
     inputs = {"model": descriptor, "valuation": valuation}
-    checks: list[dict] = []
     if isinstance(model, PolarizedConeData):
         inv = cone_invariants(model)
         results = {
@@ -40,16 +40,7 @@ def run(args: argparse.Namespace) -> tuple[Report, Callable[[], str] | None]:
             "nvol_lower_bound": _exact_pair(inv.nvol_lower_bound, "nvol_lower_bound"),
             "nvol_canonical": _exact_pair(inv.nvol_canonical, "nvol_canonical"),
         }
-        checks.append(
-            _check(
-                "lower_bound_sharpness",
-                inv.nvol_lower_bound == inv.nvol_canonical,
-                str(inv.nvol_lower_bound),
-                str(inv.nvol_canonical),
-                "exact",
-            )
-        )
-        return Report("compute", inputs, results, checks), None
+        return Report("compute", inputs, results, []), None
     if isinstance(model, ToricLogFanoPair):
         rep = toric_log_fano(*model)
         results = {
@@ -62,26 +53,14 @@ def run(args: argparse.Namespace) -> tuple[Report, Callable[[], str] | None]:
         }
         n = len(rep.p_star) + 1
         expected = RVector([*rep.p_star, 1]).scale(Fraction(n, n + 1))
-        checks.append(
-            _check(
-                "lifted_centroid",
-                rep.frak_p_star == expected,
-                results["frak_p_star"],
-                [_exact_text(v, "lifted_centroid") for v in expected],
-                "exact",
-            )
+        check = _check(
+            "lifted_centroid",
+            rep.frak_p_star == expected,
+            results["frak_p_star"],
+            [_exact_text(v, "lifted_centroid") for v in expected],
+            "exact",
         )
-        r_over_n = model.r / n
-        checks.append(
-            _check(
-                "beta_n_is_r_over_n",
-                rep.beta_n == r_over_n,
-                results["beta_n"]["exact"],
-                _exact_text(r_over_n, "beta_n_is_r_over_n"),
-                "exact",
-            )
-        )
-        return Report("compute", inputs, results, checks), None
+        return Report("compute", inputs, results, [check]), None
     if valuation is None:
         raise SchemaError("compute on this model needs --valuation")
     weights = RVector(valuation)
@@ -93,17 +72,12 @@ def run(args: argparse.Namespace) -> tuple[Report, Callable[[], str] | None]:
         "nvol": _exact_pair(report.nvol, "nvol"),
         "nonpositive_discrepancy": report.nonpositive_discrepancy,
     }
-    for lam in (Fraction(1, 3), Fraction(2), Fraction(7)):
-        scaled = nvol_report(model, weights.scale(lam))
-        checks.append(
-            _check(
-                f"rescaling_invariance[{lam}]",
-                scaled.nvol == report.nvol,
-                str(scaled.nvol),
-                str(report.nvol),
-                "exact",
-            )
+    checks = [
+        _exact_check(
+            f"rescaling_invariance[{lam}]", nvol_report(model, weights.scale(lam)).nvol, report.nvol
         )
+        for lam in (Fraction(1, 3), Fraction(2), Fraction(7))
+    ]
 
     def csv() -> str:
         keys = ("logdisc", "volume", "nvol")

@@ -11,6 +11,7 @@ from ..cli import (
     _approx,
     _check,
     _cone_model,
+    _exact_check,
     _exact_pair,
     _fmt_float,
     _load_json_arg,
@@ -35,7 +36,13 @@ from ..filtration import (
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", required=True)
-    parser.add_argument("--v1", required=True, help="comma-separated filtration weights")
+    parser.add_argument(
+        "--v1",
+        required=True,
+        help="comma-separated filtration weights; on a hypersurface, a v1 with a single "
+        "least monomial gives the profile of a monomial filtration of C[z]/(in_v0 f), "
+        "not of a valuation",
+    )
     parser.add_argument("--v0", help="grading weights; defaults to the canonical ones")
     parser.add_argument(
         "--lam", "--lambda", dest="lam", help="a positive rational; auto by default"
@@ -120,7 +127,7 @@ def run(args: argparse.Namespace) -> tuple[Report, Callable[[], str] | None]:
         ),
         ("profile_volume_matches", volume_from_profile(profile), profile.vol_v1),
     ]
-    checks = [_check(name, lhs == rhs, lhs, rhs, "exact") for name, lhs, rhs in exact_pairs]
+    checks = [_exact_check(*pair) for pair in exact_pairs]
     c1 = profile.c1
     checks.append(
         _check(

@@ -4,10 +4,18 @@ from __future__ import annotations
 
 import argparse
 import math
-from fractions import Fraction
 from typing import Callable
 
-from ..cli import Report, _approx, _check, _cone_model, _fmt_float, _load_json_arg, _parse_weights
+from ..cli import (
+    Report,
+    _approx,
+    _check,
+    _cone_model,
+    _exact_check,
+    _fmt_float,
+    _load_json_arg,
+    _parse_weights,
+)
 from ..errors import SchemaError
 from ..reeb import CERTIFIED_WIDTH, minimize_nvol
 
@@ -51,14 +59,7 @@ def run(args: argparse.Namespace) -> tuple[Report, Callable[[], str] | None]:
         "converged": best.converged,
     }
     checks = [
-        _check("converged", best.converged, best.converged, True, "boolean"),
-        _check(
-            "slice_normalization",
-            logdisc == Fraction(model.n),
-            str(logdisc),
-            str(model.n),
-            "exact",
-        ),
+        _exact_check("slice_normalization", logdisc, model.n),
         _check(
             "certified_bracket",
             lower <= upper and upper - lower <= CERTIFIED_WIDTH * upper,

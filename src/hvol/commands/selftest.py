@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 from typing import Callable
 
-from ..cli import Report, _check
+from ..cli import Report
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -16,18 +16,18 @@ def run(args: argparse.Namespace) -> tuple[Report, Callable[[], str] | None]:
     from .. import selftest  # imported here: it is large and only this command runs it
 
     name_filter = args.filter or None
-    results = selftest.run_all(name_filter)
-    checks = [
-        _check(r.name, r.passed, r.lhs, r.rhs, r.tolerance) for r in results
-    ]
+    checks = selftest.run_all(name_filter)
     summary = {
-        "total": len(results),
-        "failed": sum(1 for r in results if not r.passed),
+        "total": len(checks),
+        "failed": sum(1 for c in checks if not c["pass"]),
         "filter": name_filter,
     }
 
     def csv() -> str:
-        rows = (f"{r.name},{int(r.passed)},{r.lhs},{r.rhs},{r.tolerance}\n" for r in results)
+        rows = (
+            f"{c['name']},{int(c['pass'])},{c['lhs']},{c['rhs']},{c['tolerance']}\n"
+            for c in checks
+        )
         return "name,pass,lhs,rhs,tolerance\n" + "".join(rows)
 
     return Report("selftest", {"filter": name_filter}, summary, checks), csv

@@ -11,11 +11,8 @@ Conventions
 * A :class:`PolyCone` is pointed and full-dimensional; it stores its
   generating rays as sorted, distinct primitive integer tuples, and its
   facet normals (`facets`, the rays of the dual cone) the same way.
-* :class:`RVector` arithmetic runs on integers: `+`, `-`, `scale` and
-  unary `-` build each coordinate as one `Fraction(num, den)` from the
-  operands' numerators and denominators, and `dot` sums integer products
-  over a running common denominator and builds one `Fraction` at the end,
-  so no `Fraction` operator dispatches per coordinate.
+* :class:`RVector` arithmetic is plain `Fraction` arithmetic, but for
+  `scale`, which builds each coordinate as one `Fraction(num, den)`.
 * Every exact linear-algebra decision runs on integer rows, fraction-free:
   `_echelon`, Bareiss elimination (Bareiss 1968), gives `int_rank` and
   `int_det` (the cofactor expansion up to 3 x 3); `int_kernel`,
@@ -45,7 +42,8 @@ Conventions
   reproducible.  It needs no vertex enumeration: incidences and ranks come
   from integer pairings, and `certify_tiling` checks the result
   combinatorially, each of its determinants the pairing with the integer
-  normal of a ridge (`_ridge_normal`), one per distinct ridge.
+  normal of a ridge (`_ridge_normal`), one per distinct ridge.  The lattice
+  oracle's half-open cones take their facet normals from it too.
 * The `Fraction` polytope layer (halfspaces, vertex enumeration, polytope
   volumes, centroids and cut cones) lives in `selftest`, where it is the
   witness of the closed forms; `__getattr__` below resolves the names of it
@@ -92,11 +90,8 @@ def to_float(value, what: str, den: int = 1) -> float:
 class RVector(tuple):
     """Immutable rational vector; tuple ordering gives lexicographic ties.
 
-    Every coordinate is a `Fraction`.  The arithmetic reads the operands'
-    integer numerators and denominators and builds each coordinate of the
-    result as one `Fraction(num, den)`; `dot` sums over a running common
-    denominator and builds one `Fraction` at the end.  An operand may hold
-    ints where it holds Fractions; a float is refused, as `rat` refuses it.
+    Every coordinate is a `Fraction`.  An operand may hold ints where it
+    holds Fractions; a float is refused, as `rat` refuses it.
     """
 
     def __new__(cls, coords: Iterable) -> "RVector":
@@ -112,26 +107,13 @@ class RVector(tuple):
     def dot(self, other: Sequence) -> Fraction:
         if len(self) != len(other):
             raise ValueError("dimension mismatch")
-        num, den = 0, 1
-        for a, b in zip(self, other):
-            if type(b) is int:
-                p, q = a.numerator * b, a.denominator
-            else:
-                b = rat(b)
-                p, q = a.numerator * b.numerator, a.denominator * b.denominator
-            if q == den:
-                num += p
-            else:
-                g = math.gcd(q, den)
-                num = num * (q // g) + p * (den // g)
-                den = den // g * q
-        return Fraction(num, den)
+        return sum((a * rat(b) for a, b in zip(self, other)), Fraction(0))
 
     def __add__(self, other):
-        return _vector(_sum_terms(a, 1, rat(b)) for a, b in zip(self, other))
+        return _vector(a + rat(b) for a, b in zip(self, other))
 
     def __sub__(self, other):
-        return _vector(_sum_terms(a, -1, rat(b)) for a, b in zip(self, other))
+        return _vector(a - rat(b) for a, b in zip(self, other))
 
     def __neg__(self):
         return _vector(-a for a in self)
@@ -148,12 +130,6 @@ class RVector(tuple):
 def _vector(fractions: Iterable[Fraction]) -> RVector:
     """An RVector of coordinates that are already Fractions, unchecked."""
     return tuple.__new__(RVector, fractions)
-
-
-def _sum_terms(a: Fraction, sign: int, b: Fraction) -> Fraction:
-    """a + sign * b as one Fraction over the product of the denominators."""
-    da, db = a.denominator, b.denominator
-    return Fraction(a.numerator * db + sign * b.numerator * da, da * db)
 
 
 # -- exact dense linear algebra ------------------------------------------------

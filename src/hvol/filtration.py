@@ -19,7 +19,11 @@ is exact.  A hypersurface splits the numerator of its Hilbert series into a
 piece on n knots and one on all n + 1 (Leibniz), a divided difference of one
 order more whose terms of Phi and vol(v1) change sign.  The same pieces give
 vol(v1) = sum of weight / prod(knots), and the support starts at the least
-knot c1.  So nothing here asks which kind of model it holds.
+knot c1.  So nothing here asks which kind of model it holds.  On a
+hypersurface, a v1 that gives a single monomial the least weight is no
+valuation of the ring, since its initial form of f is that monomial; such a
+v1 is accepted, and its profile is that of the monomial filtration of
+C[z] / (in_{v0} f) by v1-weight, not of a valuation.
 
 Everything downstream is derived from the profile:
 

@@ -364,7 +364,12 @@ class WeightedHomogeneousHypersurface:
         k_j) - lambda s (alpha k_j - beta), the (weight num, weight den, knots)
         pieces are alpha / prod a on the knots but k_j and (alpha k_j - beta)
         / prod a <= 0 on all n + 1.  v0 must tie two monomials at alpha, as
-        `volume` needs, and one of them have the least v1-weight of all."""
+        `volume` needs, and one of them have the least v1-weight of all.
+
+        v1 may give a single monomial the least weight, so that in_{v1} f is a
+        monomial and v1 is no valuation of the ring (`volume` refuses it).
+        The pieces are then the profile of the monomial filtration of
+        C[z] / (in_{v0} f) by v1-weight, not of a valuation."""
         z0, w0, d0 = self.pairings(v0)
         z1, w1, d1 = self.pairings(v1)
         alpha = initial_order(w0)
@@ -629,14 +634,13 @@ def cone_invariants(c: PolarizedConeData) -> ConeInvariants:
     """Cone angle, anti-log-canonical power, and the sharp lower bound.
 
     The bound (n/(n+1))^n (-K-D)^n collapses to r^n degH exactly, i.e. it is
-    attained by the canonical valuation; the equality is asserted here.
+    attained by the canonical valuation.
     """
     n = c.n
     beta = c.r / n
     antilog_power = c.r**n * Fraction(n + 1, n) ** n * c.degH
     lower = Fraction(n, n + 1) ** n * antilog_power
     canonical = c.r**n * c.degH
-    assert lower == canonical, "sharpness identity must hold exactly"
     return ConeInvariants(
         beta=beta,
         antilog_power=antilog_power,

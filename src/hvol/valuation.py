@@ -37,7 +37,7 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ModelError
-from .exactgeom import RVector, _integral, int_kernel, rat
+from .exactgeom import RVector, _integral, _ridge_normal, rat
 
 _SERIES_BUDGET = 2_000_000  # table cells and parallelepiped points per oracle call
 
@@ -175,18 +175,20 @@ def _half_open_degrees(rays: list, weights: list[int], inner: list[int], det: in
     """Yield <pi, A> over the det lattice points pi = sum_j lambda_j u_j,
     weights[j] = <u_j, A>, with lambda_j in [0, 1), or (0, 1] on open facets.
 
-    Row b_j of B = det U^-1 is normal to the facet opposite u_j, open when
-    `inner`, inside the dual cone, pushed to inner + eps e_1 + eps^2 e_2 + ...
-    lies beyond it (the first nonzero of <b_j, inner>, b_j1, ..., b_jn is
-    negative), so each lattice point lies in one half-open cone (Koeppe-
-    Verdoolaege 2008).  x -> B x mod det embeds Z^n / U Z^n and B's columns
-    generate it, each adding the cosets of its least multiple already in.
-    A residue r is the point lambda = r / det, r_j = 0 read as det if open.
+    Row b_j of B = det U^-1 is normal to the facet opposite u_j: the signed
+    maximal minors N of the other rays (`_ridge_normal`), <N, u_j> = +-det,
+    times det / <N, u_j>.  The facet is open when `inner`, inside the dual
+    cone, pushed to inner + eps e_1 + eps^2 e_2 + ... lies beyond it (the
+    first nonzero of <b_j, inner>, b_j1, ..., b_jn is negative), so each
+    lattice point lies in one half-open cone (Koeppe-Verdoolaege 2008).
+    x -> B x mod det embeds Z^n / U Z^n and B's columns generate it, each
+    adding the cosets of its least multiple already in.  A residue r is the
+    point lambda = r / det, r_j = 0 read as det if open.
     """
     n = len(rays)
     normals = []
     for j, u in enumerate(rays):
-        ((_, x),) = int_kernel(rays[:j] + rays[j + 1 :], n)
+        x = _ridge_normal(rays[:j] + rays[j + 1 :], n)
         normals.append([c * (det // sum(map(mul, x, u))) for c in x])
     is_open = [next(v for v in (sum(map(mul, b, inner)), *b) if v) < 0 for b in normals]
     group = {(0,) * n}

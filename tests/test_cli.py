@@ -301,11 +301,13 @@ def test_help_still_exits_zero(capsys):
 
 
 def test_selftest_filtered(capsys):
-    code, out = run_cli(capsys, ["selftest", "--filter", "sharpness"])
+    # criterion 1: two checks per coprime (r, a) with r <= 12, and the
+    # cross-check of the A1 surface
+    code, out = run_cli(capsys, ["selftest", "--filter", "quotient"])
     assert code == 0
     report = json.loads(out)
     assert report["results"]["failed"] == 0
-    assert report["results"]["total"] == 50
+    assert report["results"]["total"] == 93
 
 
 def test_csv_output(capsys):
@@ -340,6 +342,22 @@ def test_exit_code_on_model_error(capsys):
     code = main(["compute", "--model", '{"type":"akm","n":2,"k":2}', "--valuation", "1,1,0"])
     assert code == 3
     assert "not_in_reeb_cone" in capsys.readouterr().err
+
+
+def test_a_v1_with_a_single_least_monomial_filters_but_has_no_volume(capsys):
+    # under v1 = (1, 2, 3) only x^2 of x^2 + y^2 + z^3 has the least weight:
+    # no valuation of the ring, so compute refuses it, while filtration
+    # reports the profile of the monomial filtration of C[z] / (in_v0 f)
+    akm_23 = '{"type":"akm","n":2,"k":3}'
+    assert main(["compute", "--model", akm_23, "--valuation", "1,2,3"]) == 3
+    assert capsys.readouterr().err == (
+        "error[model_error]: a-initial form of the defining polynomial is a single monomial\n"
+    )
+    code, out = run_cli(capsys, ["filtration", "--model", akm_23, "--v1", "1,2,3"])
+    report = json.loads(out)
+    assert code == 0 and all(check["pass"] for check in report["checks"])
+    assert report["results"]["vol_v1"]["exact"] == "1/3"
+    assert report["results"]["logdisc_v1"]["exact"] == "4"
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,8 @@ one unimodular image each of a cube, cross-polytope and simplex in dimensions
 the double description of the cone over a polytope, its certified
 triangulation, both barycenter formulas of `toric_log_fano` and exact
 determinants, which the minimize and filtration goldens do not; every report
-must stay byte-identical.
+must stay byte-identical.  The `beta_n_is_r_over_n` check, which
+`lifted_centroid` implies, was later deleted from each log-Fano `stdout`.
 """
 
 import json

@@ -8,7 +8,8 @@ that `hvolbench/jobs.py` minimizes, akm(n,k) for (n,k) = (2,2), (2,5),
 `results` object and its `--format csv` payload, recorded from the Newton
 minimizer with its exact bracket; the constant fields
 `multistart_spread_approx` and `stalled_at_kink` were later deleted from
-each record's `results` and `stdout`.  So every layout of hypersurface pieces
+each record's `results` and `stdout`, and the `converged` check, which
+`certified_bracket` implies, from each `stdout`.  So every layout of hypersurface pieces
 that the benchmark minimizes is pinned, and so is akm(4,4), whose minimizer
 (3/2, 3/2, 3/2, 3/2, 1) is not on the ray of its canonical weights
 (4, 4, 4, 4, 2).  The report must stay byte-identical: the bracket, the argmin, every

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hvol.errors import BudgetExceeded, ModelError, NotFullDimensional, NotInReebCone
-from hvol.exactgeom import RVector
+from hvol.exactgeom import RVector, int_det
 import hvol.selftest as selftest
 from hvol.selftest import _count_box, box_count, cut_cone, polytope_volume
 from hvol.singularities import (
@@ -24,6 +24,7 @@ from hvol.singularities import (
 )
 from hvol.valuation import (
     MonomialValuation,
+    _half_open_degrees,
     lattice_count_oracle,
     nvol_report,
     valuation_volume_hypersurface,
@@ -195,7 +196,7 @@ def test_a_wrong_alpha_fails_the_oracle_witness(monkeypatch):
     # alpha must show on every hypersurface case of criterion 7
     order = selftest.initial_order
     monkeypatch.setattr(selftest, "initial_order", lambda pairings: 2 * order(pairings))
-    failed = [check.name for check in selftest.check_oracle() if not check.passed]
+    failed = [check["name"] for check in selftest.check_oracle() if not check["pass"]]
     assert failed == [
         f"oracle_witness[{name},{weights}]"
         for name, model, valuations in selftest._oracle_cases()
@@ -211,6 +212,38 @@ def test_count_box_empty_cases():
     # a row with last coefficient 0 that fails everywhere, or holds everywhere
     assert _count_box([(0, 3), (0, 3)], [([1, 0], -4)], [1, 1], [10]) == [0]
     assert _count_box([(0, 3), (0, 3)], [([1, 0], 0)], [0, 0], [0, -1]) == [16, 0]
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_half_open_degrees_sweep_the_half_open_parallelepiped(dim):
+    # the det lattice points r U / det, r in {0, ..., det - 1}^n, found by
+    # sweeping every r, against the residues that the facet normals
+    # generate; inner = sum_j c_j u_j lies beyond the facet opposite u_j
+    # exactly when c_j < 0, and there lambda_j = 0 is read as 1
+    rng = random.Random(dim)
+    for _ in range(8):
+        diagonal = [1] * dim
+        for _ in range(2):
+            diagonal[rng.randrange(dim)] *= rng.randint(1, 2)
+        rays = [[diagonal[i] * (i == j) for j in range(dim)] for i in range(dim)]
+        for _ in range(3 * dim if dim > 1 else 0):
+            # unimodular row and column operations keep |det| = prod(diagonal)
+            (i, j), c = rng.sample(range(dim), 2), rng.choice((-1, 1))
+            rays[i] = [a + c * b for a, b in zip(rays[i], rays[j])]
+            for row in rays:
+                row[j] += c * row[i]
+        det = abs(int_det(rays))
+        a = [rng.randint(-3, 3) for _ in range(dim)]
+        weights = [sum(map(mul, u, a)) for u in rays]
+        signs = [rng.choice((-1, 1)) for _ in range(dim)]
+        inner = [sum(c * u[k] for c, u in zip(signs, rays)) for k in range(dim)]
+        expected = []
+        for r in itertools.product(range(det), repeat=dim):
+            if all(sum(c * u[k] for c, u in zip(r, rays)) % det == 0 for k in range(dim)):
+                lam = [c or det * (s < 0) for c, s in zip(r, signs)]
+                expected.append(sum(map(mul, lam, weights)) // det)
+        rays = [tuple(u) for u in rays]
+        assert sorted(_half_open_degrees(rays, weights, inner, det)) == sorted(expected), rays
 
 
 def test_oracle_budget():
