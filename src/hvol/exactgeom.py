@@ -18,10 +18,11 @@ Conventions
   `int_det` (the cofactor expansion up to 3 x 3); `int_kernel`,
   fraction-free Gauss-Jordan, gives kernel bases: the lineality space of a
   toric log-Fano polytope's facets, the tie kernels of a hypersurface's
-  faces (`singularities._face_piece`) and a toric model's Gorenstein vector
-  (`singularities._gorenstein_vector`); `int_cone_rays`, the integer double
-  description, gives extreme rays: the rays of `dual_cone`, the cone over a
-  toric log-Fano polytope (`singularities.toric_log_fano`) and the cells of
+  faces (`singularities._face_piece`) and the Gorenstein vector of a toric
+  model with more rays than dim (`singularities._gorenstein_vector`);
+  `int_cone_rays`, the integer double description, gives extreme rays: the
+  rays of such a cone's `dual_cone`, the cone over a toric log-Fano
+  polytope (`singularities.toric_log_fano`) and the cells of
   a hypersurface's monomials (`singularities._monomial_cell`), whose faces
   hold the rays of the hypersurface's faces.  A rational row is cleared to
   integers once (`_integral`) before it enters them.  The double
@@ -30,10 +31,11 @@ Conventions
   (self-test criterion 12).
 * A model's set-up stays on integers: `PolyCone.from_rays` clears each
   given ray to its primitive integer tuple once, and what follows reads the
-  tuples as they are: `from_rays` and `dual_cone` test that the rays span
-  with `int_det` when there are dim of them and `int_rank` otherwise,
-  `dual_cone` takes the extreme rays with `int_cone_rays`, and
-  `triangulate_cone` orders rays by an integer key.  An :class:`RVector`
+  tuples as they are: `from_rays` tests that the rays span with `int_det`
+  when there are dim of them and `int_rank` otherwise, `dual_cone` takes
+  one `_ridge_normal` per ray when there are dim of them and the extreme
+  rays of `int_cone_rays` otherwise, and `triangulate_cone` orders rays by
+  an integer key.  An :class:`RVector`
   holds a rational point (a weight, a vertex), never a ray.
 * A cone with dim rays is its own triangulation (`triangulate_cone`), one
   cone of weight |det|.  Any other cone is triangulated by fanning the
@@ -374,11 +376,24 @@ class PolyCone:
 
 
 def dual_cone(c: PolyCone) -> PolyCone:
-    """{y : <y, u> >= 0 for every ray u of c}; involutive on pointed cones."""
-    rays = int_cone_rays(c.rays, c.dim)
-    if not _spans(rays, c.dim):
+    """{y : <y, u> >= 0 for every ray u of c}; involutive on pointed cones.
+    A cone with dim rays rho_j has the closed form: its dual rays are the
+    primitive `_ridge_normal`s u_j of the other rays, signed so that <u_j,
+    rho_j> > 0, and it is flat where <u_j, rho_j> = +-det / gcd is 0.  Any
+    other cone takes the double description (`int_cone_rays`)."""
+    rays, dim = c.rays, c.dim
+    if len(rays) == dim:
+        others = ([*rays[:j], *rays[j + 1 :]] for j in range(dim))
+        normals = [_primitive_row(_ridge_normal(rows, dim)) for rows in others]
+        signs = [sum(map(mul, u, ray)) for u, ray in zip(normals, rays)]
+        pointed = all(signs)
+        rays = sorted(tuple(v if s > 0 else -v for v in u) for u, s in zip(normals, signs))
+    else:
+        rays = int_cone_rays(rays, dim)
+        pointed = _spans(rays, dim)
+    if not pointed:
         raise NotFullDimensional("dual cone is not full-dimensional (input not pointed)")
-    dual = PolyCone(dim=c.dim, rays=tuple(rays))
+    dual = PolyCone(dim=dim, rays=tuple(rays))
     dual.facets = c.rays
     return dual
 

@@ -24,15 +24,14 @@ Each piece runs damped Newton steps in floats on its slice, in its own
 coordinates, with F, grad F and the Hessian in closed form; a backtracking
 guard keeps every pairing positive.  The final point x is rationalized and put
 on the slice exactly; the least exact objective over the runs is the upper end
-of the bracket.  A run that converges at its start, as on a simplicial cone
-whose start sum rho_i is the minimizer, ends on that exact start when each
-free coordinate p / q of it (lowest terms) has q <= L = 10^12 and |p| L <
-2^52: its float lies within |p / q| 2^-53 < 1 / (2 q L) of p / q, closer
-than any other fraction with denominator at most L, so rationalizing it
-would give p / q back.  The exact objective at a point P / Q of the slice is
-(n Q)^n vol(P), since A = n there.  Convexity gives the lower end: F lies
-above its tangent plane at any point where it is convex, and the least value
-of that plane on a piece's slice is at a vertex, so
+of the bracket.  A toric cone's run first tests its exact start: where the
+slope of the objective on the slice vanishes (below), the start is the
+minimizer, since F is strictly convex there, and the run ends on it with 0
+Newton steps.  On a simplicial cone the start sum rho_i always is (AM-GM).
+The exact objective at a point P / Q of the slice is (n Q)^n vol(P), since
+A = n there.  Convexity gives the lower end: F lies above its tangent plane
+at any point where it is convex, and the least value of that plane on a
+piece's slice is at a vertex, so
 
     n^n min over pieces of (F(x) + min_v <grad F(x), v - x>)  <=  min
 
@@ -47,9 +46,13 @@ toric cone's run (a hypersurface checks it lies in the domain, then drops it).
 
 The exact side runs on the pieces' integers.  A run's point is a pair (P, Q),
 w = P / Q; the interior test, bound and gradient are integer sums at P, every
-float for Newton an int / int quotient, rounded as float(Fraction) is.  Each
-run keeps the bound of every piece at its point, so pruning and the bracket
-compute it once; a polishing step that moves the point drops them.
+float for Newton an int / int quotient, rounded as float(Fraction) is.  With
+F(P) = N / C and grad F(P) = -T / C^2 (`simplex_sum`) and the row (R, r), the
+slope is n^n Q^n (N C R - r Q T) / (r C^2) in the weights.  A toric run keeps
+its (N, C, T) for its stationarity test, bound, polishing and final slope.
+Each run keeps the bound of every piece at its point, so pruning and the
+bracket compute it once; a polishing step that moves the point drops them.
+The bracket's width is compared once, in integers (`_certified`).
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, NotInReebCone
-from .exactgeom import RVector, _integral, rat
+from .exactgeom import RVector, _integral, _vector, rat
 from .singularities import ConvexPiece
 from .valuation import simplex_sum
 
@@ -90,7 +93,7 @@ class MinimizeResult(NamedTuple):
     min_nvol: float  # the objective at argmin, as a float
     min_nvol_upper: Fraction  # the exact objective at argmin, an upper bound on the minimum
     min_nvol_lower: Fraction  # the exact convexity bound below the minimum (module docstring)
-    iterations: int  # Newton steps over all pieces, and polishing steps
+    iterations: int  # Newton and polishing steps over all pieces; 0 from a stationary toric start
     trajectory: list[tuple[tuple[float, ...], float]]  # of the winning piece's Newton run
     grad_norm: float  # of the objective in the winning piece's coordinates (exact, then rounded)
     converged: bool  # the bracket is at most CERTIFIED_WIDTH wide relative to its upper end
@@ -110,6 +113,7 @@ class _Run(NamedTuple):
     iterations: int
     trajectory: list[tuple[tuple[float, ...], float]]
     bounds: dict[int, Fraction]  # the convexity bounds at the point, by piece index
+    sums: tuple[int, int, list[int]] | None  # a toric run's `simplex_sum` (N, C, T) at the point
 
 
 def _pullback(piece: ConvexPiece, row: Sequence[int], den: int = 1) -> list[float]:
@@ -180,24 +184,38 @@ def _on_slice(piece: ConvexPiece, n: int, z: Sequence[int], denom: int) -> tuple
     return tuple(c // g for c in point), height // g
 
 
+def _slope(piece: ConvexPiece, height: int, sums: tuple) -> list[int]:
+    """N C R - r Q T at a point (P, Q) of a piece's slice, from its row (R, r)
+    and the `simplex_sum` (N, C, T) at P: the slope of the objective in the
+    weights times r C^2 / (n^n Q^n), 0 exactly where it is stationary."""
+    (row, r), (volume, common, total) = piece.row, sums
+    return [volume * common * a - r * height * t for a, t in zip(row, total)]
+
+
 def _newton(model, piece: ConvexPiece, z: Sequence[int], denom: int, max_iter: int) -> _Run | None:
     """Damped Newton steps on the piece's slice in its coordinates, from
-    `_on_slice(z, denom)`, then the exact point; None when that is outside
-    the piece.  A backtracking guard keeps every generator and bound pairing
-    positive, so a run whose minimum lies on the piece's boundary stops there
-    (the smaller face through that boundary has its own run).  A run whose
-    floats end where they started ends on the exact start when
-    `_rationalizes_back` shows that rationalizing them returns it; any other
-    end is rationalized."""
+    `_on_slice(z, denom)`, then the rationalized end; None when that is
+    outside the piece.  A backtracking guard keeps every generator and bound
+    pairing positive, so a run whose minimum lies on the piece's boundary
+    stops there (the smaller face through that boundary has its own run).
+    On a toric cone's piece, the only one whose coordinates are all the
+    weights, a start where the slope vanishes exactly is the minimizer: the
+    run ends there with 0 steps and a trajectory of the start alone."""
     n = model.n
+    start = _on_slice(piece, n, z, denom)
+    point, height = start
+    toric = len(piece.free) == len(point)
+    if toric:
+        sums = simplex_sum(piece.generators, piece.simplices, point)
+        if not any(_slope(piece, height, sums)):
+            value = _objective(model, start)
+            trajectory = [(tuple(c / height for c in point), float(value))]
+            return _Run(piece, start, value, 0, trajectory, {}, sums)
     gens = [_pullback(piece, u) for u in piece.generators]
     guards = gens + [_pullback(piece, b) for b in piece.bounds]
     row = _pullback(piece, *piece.row)
     expand = [[x[k] / s for x, s in piece.basis] for k in range(len(piece.row[0]))]
-    start = _on_slice(piece, n, z, denom)
-    point, height = start
     x = [point[f] / height for f in piece.free]
-    first = x
     trajectory = []
     last_step = math.inf
     iterations = 0
@@ -231,25 +249,12 @@ def _newton(model, piece: ConvexPiece, z: Sequence[int], denom: int, max_iter: i
             t /= 2
         x = [a + t * b for a, b in zip(x, step)]
         last_step = t * size
-    if x == first and all(_rationalizes_back(point[f], height) for f in piece.free):
-        end = start
-    else:
-        z = (Fraction(c).limit_denominator(_ITERATE_DENOMINATOR) for c in x)
-        end = _on_slice(piece, n, *_integral(z))
+    z = (Fraction(c).limit_denominator(_ITERATE_DENOMINATOR) for c in x)
+    end = _on_slice(piece, n, *_integral(z))
     if not _inside(piece, end[0]):
         return None
-    return _Run(piece, end, _objective(model, end), iterations, trajectory, {})
-
-
-def _rationalizes_back(num: int, den: int) -> bool:
-    """Whether `Fraction(num / den).limit_denominator(_ITERATE_DENOMINATOR)`
-    is num / den, shown without computing it: with num / den = p / q in
-    lowest terms, q <= L = _ITERATE_DENOMINATOR and |p| L < 2^52.  The float
-    x = num / den lies within |p / q| 2^-53 < 1 / (2 q L) of p / q, and any
-    other fraction with denominator at most L lies at least 1 / (q L) from
-    p / q, so further from x; limit_denominator returns the closest one."""
-    g = math.gcd(num, den)
-    return den // g <= _ITERATE_DENOMINATOR and abs(num // g) * _ITERATE_DENOMINATOR < 2**52
+    sums = simplex_sum(piece.generators, piece.simplices, end[0]) if toric else None
+    return _Run(piece, end, _objective(model, end), iterations, trajectory, {}, sums)
 
 
 def _inside(piece: ConvexPiece, point: Sequence[int]) -> bool:
@@ -269,6 +274,14 @@ def _objective(model, end: tuple) -> Fraction:
     return (model.n * height) ** model.n * model.volume(point)
 
 
+def _certified(upper: Fraction, lower: Fraction) -> bool:
+    """upper - lower <= CERTIFIED_WIDTH * upper, in integers: with upper =
+    a / b, lower = c / d and CERTIFIED_WIDTH = p / q, (a d - c b) q <= a d p."""
+    (a, b), (c, d) = upper.as_integer_ratio(), lower.as_integer_ratio()
+    p, q = CERTIFIED_WIDTH.as_integer_ratio()
+    return (a * d - c * b) * q <= a * d * p
+
+
 def _rank(run: _Run) -> tuple[Fraction, int]:
     """The least objective wins; on a tie, the piece of fewest coordinates,
     the face where the most monomials tie, where the gradient vanishes."""
@@ -283,7 +296,10 @@ def _convexity_bound(n: int, piece: ConvexPiece, run: _Run) -> Fraction:
     largest <T, V> / h, and the bound is n^n Q^n (h (N C + <T, P>) - Q <T, V>)
     / (C^2 h)."""
     point, height = run.point
-    value, common, total = simplex_sum(piece.generators, piece.simplices, point)
+    if piece is run.piece and run.sums:
+        value, common, total = run.sums
+    else:
+        value, common, total = simplex_sum(piece.generators, piece.simplices, point)
     (top, over), *rest = piece.vertices
     top = sum(map(mul, total, top))
     for vertex, h in rest:
@@ -359,14 +375,15 @@ def minimize_nvol(
     iterations = sum(run.iterations for run in runs)
     best = min(runs, key=_rank)
     lower = _lower_bound(n, enumerate(model.convex_pieces), runs)
+    converged = _certified(best.value, lower)
     for _ in range(_POLISH_STEPS):
-        if best.value - lower <= CERTIFIED_WIDTH * best.value:
+        if converged:
             break
         piece, (point, height) = best.piece, best.point
         gens = [_pullback(piece, u) for u in piece.generators]
         x = [point[f] / height for f in piece.free]
         hess = _volume_derivatives(gens, piece.simplices, x)[2]
-        _, common, total = simplex_sum(piece.generators, piece.simplices, point)
+        _, common, total = best.sums or simplex_sum(piece.generators, piece.simplices, point)
         grad = _pullback(piece, [-(height ** (n + 1)) * t for t in total], common * common)
         # each step coordinate is a dyadic p / q, added to P_f / Q exactly
         step = _kkt_step(hess, grad, _pullback(piece, *piece.row), 0.0)
@@ -377,27 +394,30 @@ def minimize_nvol(
         if not _inside(piece, moved[0]):
             break
         value = _objective(model, moved)
-        runs[runs.index(best)] = best = best._replace(point=moved, value=value, bounds={})
+        sums = simplex_sum(piece.generators, piece.simplices, moved[0]) if best.sums else None
+        index = runs.index(best)
+        runs[index] = best = best._replace(point=moved, value=value, bounds={}, sums=sums)
         best.trajectory.append((tuple(c / moved[1] for c in moved[0]), float(best.value)))
         lower = _lower_bound(n, enumerate(model.convex_pieces), runs)
         iterations += 1
         best = min(runs, key=_rank)
+        converged = _certified(best.value, lower)
     upper = best.value
-    # the pullback of the objective's gradient n^n (F R / r + grad F) =
-    # n^n Q^n (N C R - r Q T) / (r C^2), which vanishes at the minimizer
-    (point, height), (row, r) = best.point, best.piece.row
-    volume, common, total = simplex_sum(best.piece.generators, best.piece.simplices, point)
-    slope = [n**n * height**n * (volume * common * a - r * height * t) for a, t in zip(row, total)]
-    grad_norm = math.hypot(*_pullback(best.piece, slope, r * common * common))
+    # the pullback of the objective's gradient n^n (F R / r + grad F), the
+    # `_slope` times n^n Q^n / (r C^2), which vanishes at the minimizer
+    (point, height), piece = best.point, best.piece
+    sums = best.sums or simplex_sum(piece.generators, piece.simplices, point)
+    slope = [n**n * height**n * s for s in _slope(piece, height, sums)]
+    grad_norm = math.hypot(*_pullback(piece, slope, piece.row[1] * sums[1] ** 2))
     return MinimizeResult(
-        argmin=RVector(Fraction(c, height) for c in point),
+        argmin=_vector(Fraction(c, height) for c in point),
         min_nvol=float(upper),
         min_nvol_upper=upper,
         min_nvol_lower=lower,
         iterations=iterations,
         trajectory=best.trajectory,
         grad_norm=grad_norm,
-        converged=upper - lower <= CERTIFIED_WIDTH * upper,
+        converged=converged,
     )
 
 

@@ -152,7 +152,8 @@ class ToricConeSingularity:
         sigma = PolyCone.from_rays(rays)
         dual = dual_cone(sigma)
         xi = RVector(canonical_xi) if canonical_xi is not None else None
-        return cls(sigma.dim, sigma, _gorenstein_vector(sigma), dual, canonical_xi=xi, label=label)
+        gorenstein = _gorenstein_vector(sigma, dual)
+        return cls(sigma.dim, sigma, gorenstein, dual, canonical_xi=xi, label=label)
 
     @property
     def m0(self) -> RVector:
@@ -261,12 +262,22 @@ class ToricConeSingularity:
         ]
 
 
-def _gorenstein_vector(sigma: PolyCone) -> tuple[tuple[int, ...], int]:
+def _gorenstein_vector(sigma: PolyCone, dual: PolyCone) -> tuple[tuple[int, ...], int]:
     """(M, e) with m0 = M / e pairing to 1 with every primitive ray u, in
-    integers.  Since the rays span, the rows (u, -1) have at most one kernel
-    vector, the primitive (M, e) with e > 0 (`int_kernel`; e is its free
-    column), and <M, u> = e on every ray; with none, no covector pairs to 1
-    with every ray."""
+    integers, primitive with e > 0.  A cone with dim rays has it in closed
+    form: each ray u_j of its dual pairs to 0 with every ray of sigma but
+    one, rho_j, so <u_j, rho_j> = <u_j, s> for the sum s of the rays, and m0
+    = sum_j u_j / <u_j, s>.  Otherwise, since the rays span, the rows (u, -1)
+    have at most one kernel vector, the primitive (M, e) with e > 0
+    (`int_kernel`; e is its free column), and <M, u> = e on every ray; with
+    none, no covector pairs to 1 with every ray."""
+    if len(sigma.rays) == sigma.dim:
+        total = [sum(col) for col in zip(*sigma.rays)]
+        duals = [(u, sum(map(mul, u, total))) for u in dual.rays]
+        e = math.lcm(*(p for _, p in duals))
+        m = [sum(u[k] * (e // p) for u, p in duals) for k in range(sigma.dim)]
+        g = math.gcd(e, *m)
+        return tuple(c // g for c in m), e // g
     kernel = int_kernel([ray + (-1,) for ray in sigma.rays], sigma.dim + 1)
     if not kernel:
         raise NotQGorenstein("no covector pairs to 1 with every primitive ray")

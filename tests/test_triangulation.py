@@ -14,13 +14,16 @@ import pytest
 
 import hvol.exactgeom as exactgeom
 import hvol.selftest as selftest
-from hvol.errors import DegeneratePolytope, NotQGorenstein
+import hvol.singularities as singularities
+from hvol.errors import DegeneratePolytope, NotFullDimensional, NotQGorenstein
 from hvol.exactgeom import (
     PolyCone,
     RVector,
     certify_tiling,
     dual_cone,
+    int_cone_rays,
     int_det,
+    int_kernel,
     int_rank,
     triangulate_cone,
 )
@@ -276,6 +279,39 @@ def test_a_flat_cone_with_dim_rays_is_refused():
     flat = PolyCone(dim=3, rays=((0, 1, 0), (1, 0, 0), (1, 1, 0)))
     with pytest.raises(DegeneratePolytope, match="flat"):
         triangulate_cone(flat)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_a_simplicial_cone_takes_its_dual_and_gorenstein_vector_in_closed_form(dim, monkeypatch):
+    # against the double description and the kernel that they replace
+    rng = random.Random(700 + dim)
+    cones = []
+    while len(cones) < 30:
+        rays = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)]
+        if len({tuple(ray) for ray in rays}) == dim and int_rank(rays) == dim:
+            cone = PolyCone.from_rays(rays)
+            *m, e = int_kernel([ray + (-1,) for ray in cone.rays], dim + 1)[0][1]
+            cones.append((cone, tuple(int_cone_rays(cone.rays, dim)), (tuple(m), e)))
+    assert {int_det(cone.rays) > 0 for cone, _, _ in cones} == {False, True}
+    assert any(e > 1 for _, _, (_, e) in cones)
+
+    def refuse(*args):
+        raise AssertionError("a simplicial cone reached the double description or the kernel")
+
+    monkeypatch.setattr(exactgeom, "int_cone_rays", refuse)
+    monkeypatch.setattr(singularities, "int_kernel", refuse)
+    for cone, dual_rays, gorenstein in cones:
+        dual = dual_cone(cone)
+        assert dual.rays == dual_rays and dual.facets == cone.rays
+        assert singularities._gorenstein_vector(cone, dual) == gorenstein
+
+
+def test_a_flat_cone_with_dim_rays_has_no_dual():
+    # the error that the double description raised on it before
+    flat = PolyCone(dim=3, rays=((0, 1, 0), (1, 0, 0), (1, 1, 0)))
+    with pytest.raises(NotFullDimensional) as caught:
+        dual_cone(flat)
+    assert str(caught.value) == "dual cone is not full-dimensional (input not pointed)"
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFIED))

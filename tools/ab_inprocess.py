@@ -8,14 +8,15 @@ both trees live in this one interpreter.  The jobs are the distinct jobs of
 the workload in PARENT_DIR's `hvolbench/jobs.py`.  Every round runs each job
 on both trees, the parent first in even (round + job) and the change first
 in odd, as `hvolbench/run.py:execute` runs it: `cli.main(argv)` with stdout
-captured, or the lattice-oracle library call.  Every run of a job must give
-the same stdout and exit code on both trees, or the tool stops with an
-AssertionError.
+captured, or the lattice-oracle library call.  A job whose stdout or exit
+code differs between the trees in any run is still timed to the end.
 
 It prints one line per job (the least time of each tree and their ratio,
-change over parent), then the median job time of each tree over all runs and
-the quartiles of the per-job ratios of least times.  A ratio below 1 means
-the change is faster.  It writes no file, and it times nothing but the calls:
+change over parent, and `differs` on a job whose output differed), then the
+median job time of each tree over all runs, the quartiles of the per-job
+ratios of least times and the count of differing jobs.  A ratio below 1 means
+the change is faster.  It exits 1 if any job's output differed, 0 otherwise.
+It writes no file, and it times nothing but the calls:
 one process on a quiet host resolves a few percent, where a benchmark run
 that spends most of its time in set-up and probes cannot.
 """
@@ -84,6 +85,7 @@ def main(argv=None) -> int:
     jobs = list(dict.fromkeys(job for slot in WORKLOADS[args.workload]() for job in slot.jobs))
     packages = {side: load(f"hvol_{side}", getattr(args, side).resolve()) for side in SIDES}
     times = {side: [[] for _ in jobs] for side in SIDES}
+    differs = set()
     for r in range(args.rounds):
         for k, job in enumerate(jobs):
             order = SIDES if (r + k) % 2 == 0 else SIDES[::-1]
@@ -92,21 +94,25 @@ def main(argv=None) -> int:
                 code, stdout, ms = execute(packages[side], job)
                 outcomes[side] = code, stdout
                 times[side][k].append(ms)
-            assert outcomes["parent"] == outcomes["change"], f"outputs differ: {job.key}"
+            if outcomes["parent"] != outcomes["change"]:
+                differs.add(k)
     ratios = []
     for k, job in enumerate(jobs):
         best = {side: min(times[side][k]) for side in SIDES}
         ratios.append(best["change"] / best["parent"])
-        print(f"{best['parent']:.4f} ms -> {best['change']:.4f} ms  x{ratios[-1]:.3f}  {job.key}")
+        mark = "  differs" if k in differs else ""
+        line = f"{best['parent']:.4f} ms -> {best['change']:.4f} ms  x{ratios[-1]:.3f}"
+        print(f"{line}  {job.key}{mark}")
     medians = {side: statistics.median(t for ts in times[side] for t in ts) for side in SIDES}
     q1, q2, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
     print(
-        f"{args.workload}: {len(jobs)} jobs x {args.rounds} rounds, identical outputs; "
+        f"{args.workload}: {len(jobs)} jobs x {args.rounds} rounds, "
+        f"{len(differs)} with differing outputs; "
         f"median job {medians['parent']:.4f} -> {medians['change']:.4f} ms "
         f"({100 * (medians['change'] / medians['parent'] - 1):+.1f}%); "
         f"ratio of least times change/parent: quartiles {q1:.3f} {q2:.3f} {q3:.3f}"
     )
-    return 0
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":
