@@ -24,8 +24,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.description = (
         "Newton steps on each convex piece of the model's domain (a toric "
         "cone's Reeb cone; the faces of a hypersurface's domain, over weights constant on "
-        "interchangeable variables), none on a toric cone whose start is exactly "
-        "stationary (iterations 0), then an exact bracket min_nvol_lower <= min <= "
+        "interchangeable variables), none on a piece whose start is exactly "
+        "stationary, then an exact bracket min_nvol_lower <= min <= "
         "min_nvol_upper from convexity (the certified_bracket check asks for a width of "
         "at most 1e-12 relative).  A hypersurface result is the minimum among monomial "
         "valuations in these coordinates.  --tol and --seed are accepted and change no "

@@ -31,8 +31,12 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import NonIntegerDimension, PreconditionViolated
+from .errors import BudgetExceeded, NonIntegerDimension, PreconditionViolated
 from .exactgeom import rat
+
+# cells of one series: |G| N min(M, N) stepped in the cyclotomic ring, plus
+# the M + 1 dimensions kept
+_TRACE_BUDGET = 2_000_000
 
 
 class GroupElement:
@@ -193,10 +197,15 @@ def _trace_sums(shifts: list[tuple[int, int]], order: int, M: int):
 
 
 def invariant_dimension_series(g: FiniteGroupAction, M: int) -> DimensionSeries:
-    """Exact d_m = dim of invariants of degree < m, for m = 0 .. M."""
+    """Exact d_m = dim of invariants of degree < m, for m = 0 .. M; a
+    BudgetExceeded, before any degree is stepped, where the series would
+    take more than _TRACE_BUDGET cells."""
     if M < 1:
         raise PreconditionViolated("M must be at least 1")
     order = math.lcm(*(math.lcm(e.eig1.denominator, e.eig2.denominator) for e in g.elements))
+    cells = g.order * order * min(M, order) + M
+    if cells > _TRACE_BUDGET:
+        raise BudgetExceeded(f"a Molien series of {cells} cells exceeds the budget")
     shifts = [
         (int(e.eig1 * order) % order, int(e.eig2 * order) % order) for e in g.elements
     ]

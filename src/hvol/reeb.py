@@ -24,10 +24,11 @@ Each piece runs damped Newton steps in floats on its slice, in its own
 coordinates, with F, grad F and the Hessian in closed form; a backtracking
 guard keeps every pairing positive.  The final point x is rationalized and put
 on the slice exactly; the least exact objective over the runs is the upper end
-of the bracket.  A toric cone's run first tests its exact start: where the
-slope of the objective on the slice vanishes (below), the start is the
-minimizer, since F is strictly convex there, and the run ends on it with 0
-Newton steps.  On a simplicial cone the start sum rho_i always is (AM-GM).
+of the bracket.  Every run first tests its exact start: where the slope of
+the objective on the piece's slice vanishes (below), the start is the
+piece's minimizer, since F is convex there, and the run ends on it with 0
+Newton steps.  On a simplicial cone the start sum rho_i always is (AM-GM),
+as is the vertex of a hypersurface face whose slice is a point.
 The exact objective at a point P / Q of the slice is (n Q)^n vol(P), since
 A = n there.  Convexity gives the lower end: F lies above its tangent plane
 at any point where it is convex, and the least value of that plane on a
@@ -48,10 +49,12 @@ The exact side runs on the pieces' integers.  A run's point is a pair (P, Q),
 w = P / Q; the interior test, bound and gradient are integer sums at P, every
 float for Newton an int / int quotient, rounded as float(Fraction) is.  With
 F(P) = N / C and grad F(P) = -T / C^2 (`simplex_sum`) and the row (R, r), the
-slope is n^n Q^n (N C R - r Q T) / (r C^2) in the weights.  A toric run keeps
-its (N, C, T) for its stationarity test, bound, polishing and final slope.
-Each run keeps the bound of every piece at its point, so pruning and the
-bracket compute it once; a polishing step that moves the point drops them.
+slope is n^n Q^n (N C R - r Q T) / (r C^2) in the weights; pulled back to
+the piece's coordinates it is <x, N C R - r Q T> / s on each basis pair
+(x, s).  Every run keeps its (N, C, T) for its stationarity test, bound,
+polishing and final slope, and the bound of every piece at its point, so
+pruning and the bracket compute it once; a polishing step that moves the
+point drops them.
 The bracket's width is compared once, in integers (`_certified`).
 """
 
@@ -93,7 +96,7 @@ class MinimizeResult(NamedTuple):
     min_nvol: float  # the objective at argmin, as a float
     min_nvol_upper: Fraction  # the exact objective at argmin, an upper bound on the minimum
     min_nvol_lower: Fraction  # the exact convexity bound below the minimum (module docstring)
-    iterations: int  # Newton and polishing steps over all pieces; 0 from a stationary toric start
+    iterations: int  # Newton and polishing steps over all pieces; 0 from stationary starts
     trajectory: list[tuple[tuple[float, ...], float]]  # of the winning piece's Newton run
     grad_norm: float  # of the objective in the winning piece's coordinates (exact, then rounded)
     converged: bool  # the bracket is at most CERTIFIED_WIDTH wide relative to its upper end
@@ -113,7 +116,7 @@ class _Run(NamedTuple):
     iterations: int
     trajectory: list[tuple[tuple[float, ...], float]]
     bounds: dict[int, Fraction]  # the convexity bounds at the point, by piece index
-    sums: tuple[int, int, list[int]] | None  # a toric run's `simplex_sum` (N, C, T) at the point
+    sums: tuple[int, int, list[int]]  # the `simplex_sum` (N, C, T) at the point
 
 
 def _pullback(piece: ConvexPiece, row: Sequence[int], den: int = 1) -> list[float]:
@@ -198,19 +201,18 @@ def _newton(model, piece: ConvexPiece, z: Sequence[int], denom: int, max_iter: i
     outside the piece.  A backtracking guard keeps every generator and bound
     pairing positive, so a run whose minimum lies on the piece's boundary
     stops there (the smaller face through that boundary has its own run).
-    On a toric cone's piece, the only one whose coordinates are all the
-    weights, a start where the slope vanishes exactly is the minimizer: the
-    run ends there with 0 steps and a trajectory of the start alone."""
+    A start where the slope pulled back to the piece's coordinates vanishes
+    exactly is the piece's minimizer: the run ends there with 0 steps and a
+    trajectory of the start alone."""
     n = model.n
     start = _on_slice(piece, n, z, denom)
     point, height = start
-    toric = len(piece.free) == len(point)
-    if toric:
-        sums = simplex_sum(piece.generators, piece.simplices, point)
-        if not any(_slope(piece, height, sums)):
-            value = _objective(model, start)
-            trajectory = [(tuple(c / height for c in point), float(value))]
-            return _Run(piece, start, value, 0, trajectory, {}, sums)
+    sums = simplex_sum(piece.generators, piece.simplices, point)
+    slope = _slope(piece, height, sums)
+    if not any(sum(map(mul, x, slope)) for x, _ in piece.basis):
+        value = _objective(model, start)
+        trajectory = [(tuple(c / height for c in point), float(value))]
+        return _Run(piece, start, value, 0, trajectory, {}, sums)
     gens = [_pullback(piece, u) for u in piece.generators]
     guards = gens + [_pullback(piece, b) for b in piece.bounds]
     row = _pullback(piece, *piece.row)
@@ -253,7 +255,7 @@ def _newton(model, piece: ConvexPiece, z: Sequence[int], denom: int, max_iter: i
     end = _on_slice(piece, n, *_integral(z))
     if not _inside(piece, end[0]):
         return None
-    sums = simplex_sum(piece.generators, piece.simplices, end[0]) if toric else None
+    sums = simplex_sum(piece.generators, piece.simplices, end[0])
     return _Run(piece, end, _objective(model, end), iterations, trajectory, {}, sums)
 
 
@@ -296,7 +298,7 @@ def _convexity_bound(n: int, piece: ConvexPiece, run: _Run) -> Fraction:
     largest <T, V> / h, and the bound is n^n Q^n (h (N C + <T, P>) - Q <T, V>)
     / (C^2 h)."""
     point, height = run.point
-    if piece is run.piece and run.sums:
+    if piece is run.piece:
         value, common, total = run.sums
     else:
         value, common, total = simplex_sum(piece.generators, piece.simplices, point)
@@ -342,11 +344,10 @@ def minimize_nvol(
     slice's vertices, then the exact bracket of the module docstring,
     polished by exact-gradient steps on the winning piece while it is wider
     than CERTIFIED_WIDTH.  `init` must lie in the model's domain; it starts
-    the run of a piece whose coordinates are all the weights (a toric cone's
-    only piece), and is checked but not used on a hypersurface, whose pieces
-    lie in tie hyperplanes.  A run from `init` that ends outside its piece,
-    or whose float arithmetic breaks down because `init` lies too near the
-    boundary, is run again from the default start.
+    a toric cone's run, the one piece whose coordinates are all the weights,
+    and is checked but not used on a hypersurface.  A run from `init` that
+    ends outside its piece, or whose float arithmetic breaks down because
+    `init` lies too near the boundary, is run again from the default start.
     """
     n = model.n
     if init is not None and model.domain_logdisc(init) is None:
@@ -383,7 +384,7 @@ def minimize_nvol(
         gens = [_pullback(piece, u) for u in piece.generators]
         x = [point[f] / height for f in piece.free]
         hess = _volume_derivatives(gens, piece.simplices, x)[2]
-        _, common, total = best.sums or simplex_sum(piece.generators, piece.simplices, point)
+        _, common, total = best.sums
         grad = _pullback(piece, [-(height ** (n + 1)) * t for t in total], common * common)
         # each step coordinate is a dyadic p / q, added to P_f / Q exactly
         step = _kkt_step(hess, grad, _pullback(piece, *piece.row), 0.0)
@@ -394,7 +395,7 @@ def minimize_nvol(
         if not _inside(piece, moved[0]):
             break
         value = _objective(model, moved)
-        sums = simplex_sum(piece.generators, piece.simplices, moved[0]) if best.sums else None
+        sums = simplex_sum(piece.generators, piece.simplices, moved[0])
         index = runs.index(best)
         runs[index] = best = best._replace(point=moved, value=value, bounds={}, sums=sums)
         best.trajectory.append((tuple(c / moved[1] for c in moved[0]), float(best.value)))
@@ -402,17 +403,15 @@ def minimize_nvol(
         iterations += 1
         best = min(runs, key=_rank)
         converged = _certified(best.value, lower)
-    upper = best.value
     # the pullback of the objective's gradient n^n (F R / r + grad F), the
     # `_slope` times n^n Q^n / (r C^2), which vanishes at the minimizer
-    (point, height), piece = best.point, best.piece
-    sums = best.sums or simplex_sum(piece.generators, piece.simplices, point)
+    (point, height), piece, sums = best.point, best.piece, best.sums
     slope = [n**n * height**n * s for s in _slope(piece, height, sums)]
     grad_norm = math.hypot(*_pullback(piece, slope, piece.row[1] * sums[1] ** 2))
     return MinimizeResult(
         argmin=_vector(Fraction(c, height) for c in point),
-        min_nvol=float(upper),
-        min_nvol_upper=upper,
+        min_nvol=float(best.value),
+        min_nvol_upper=best.value,
         min_nvol_lower=lower,
         iterations=iterations,
         trajectory=best.trajectory,

@@ -287,7 +287,8 @@ def _gorenstein_vector(sigma: PolyCone, dual: PolyCone) -> tuple[tuple[int, ...]
 
 class WeightedHomogeneousHypersurface:
     """Hypersurface {sum of monomials = 0} in C^(n+1), coefficients generic.
-    The `monomials` are its exponent vectors, stored as int tuples."""
+    The `monomials` are its exponent vectors, stored as int tuples: distinct,
+    since each counts once, and not constant, since the germ is at the origin."""
 
     def __init__(
         self,
@@ -307,7 +308,12 @@ class WeightedHomogeneousHypersurface:
                 raise ModelError("monomial exponent length does not match nvars")
             if any(e < 0 or e.denominator != 1 for e in exps):
                 raise ModelError("exponents must be nonnegative integers")
-            mons.append(tuple(e.numerator for e in exps))
+            mono = tuple(e.numerator for e in exps)
+            if not any(mono):
+                raise ModelError(f"the constant monomial {list(mono)} is not 0 at the origin")
+            if mono in mons:
+                raise ModelError(f"monomial {list(mono)} is repeated")
+            mons.append(mono)
         self.nvars = nvars
         self.monomials = tuple(mons)
         self.label = label

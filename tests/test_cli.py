@@ -8,12 +8,14 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import hvol
+import hvol.molien
 import hvol.singularities as singularities
 
 from hvol.cli import COMMANDS, Report, main, parse_model
@@ -182,6 +184,24 @@ def test_quotient_refuses_nonpositive_samples(capsys, samples):
     code = main(["quotient", "--group", '{"type":"cyclic","r":7,"a":3}', "--samples", samples])
     assert code == 3
     assert capsys.readouterr().err.startswith("error[schema_error]: quotient --samples")
+
+
+@pytest.mark.parametrize(
+    "group, samples, cells",
+    [
+        # Z_1000 would step 1000 elements x 1000 roots x 1000 degrees, tens of seconds
+        ('{"type":"cyclic","r":1000,"a":1}', "400", 1000 * 1000 * 1000 + 1001),
+        ('{"type":"cyclic","r":7,"a":3}', "100000000", 7 * 7 * 7 + 100000000),
+    ],
+)
+def test_quotient_refuses_a_series_over_budget(monkeypatch, capsys, group, samples, cells):
+    monkeypatch.setattr(hvol.molien, "_trace_sums", lambda *args: pytest.fail("stepped"))
+    start = time.perf_counter()
+    assert main(["quotient", "--group", group, "--samples", samples]) == 3
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().err == (
+        f"error[budget_exceeded]: a Molien series of {cells} cells exceeds the budget\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -878,6 +898,26 @@ def test_akm_refuses_non_integer_fields(capsys, fields):
 )
 def test_hypersurface_refuses_non_integer_fields(capsys, fields):
     _refused_model(capsys, {"type": "hypersurface", **fields})
+
+
+@pytest.mark.parametrize(
+    "monomials, message",
+    [
+        # x^2 counted twice tied with itself: compute gave nvol 162/25 at (1, 5, 5)
+        ([[2, 0, 0], [2, 0, 0], [0, 3, 0], [0, 0, 5]], "monomial [2, 0, 0] is repeated"),
+        ([[2, 0, 0], [0, 3, 0], [0, 0, 5], [0, "3", 0]], "monomial [0, 3, 0] is repeated"),
+        # 1 + x^2 + y^3 + z^5 does not pass through the origin
+        (
+            [[0, 0, 0], [2, 0, 0], [0, 3, 0], [0, 0, 5]],
+            "the constant monomial [0, 0, 0] is not 0 at the origin",
+        ),
+    ],
+)
+def test_hypersurface_refuses_repeated_and_constant_monomials(capsys, monomials, message):
+    model = json.dumps({"type": "hypersurface", "n": 2, "monomials": monomials})
+    for argv in (["compute", "--model", model, "--valuation", "1,5,5"], ["minimize", "--model", model]):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error[model_error]: {message}\n"
 
 
 @pytest.mark.parametrize("n", [2.5, "x", "3/2"])

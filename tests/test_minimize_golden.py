@@ -9,11 +9,16 @@ that `hvolbench/jobs.py` minimizes, akm(n,k) for (n,k) = (2,2), (2,5),
 minimizer with its exact bracket; the constant fields
 `multistart_spread_approx` and `stalled_at_kink` were later deleted from
 each record's `results` and `stdout`, and the `converged` check, which
-`certified_bracket` implies, from each `stdout`.  So every layout of hypersurface pieces
-that the benchmark minimizes is pinned, and so is akm(4,4), whose minimizer
-(3/2, 3/2, 3/2, 3/2, 1) is not on the ray of its canonical weights
-(4, 4, 4, 4, 2).  The report must stay byte-identical: the bracket, the argmin, every
-float derived from them, the Newton trajectory and the report's formatting.
+`certified_bracket` implies, from each `stdout`.  A run now ends with 0
+Newton steps on a start where the exact slope on its piece vanishes: the
+C^2/Z_3(1,1) and conifold runs, and on each hypersurface the face whose
+slice is one vertex, so `iterations` was re-recorded one lower on those
+records, and akm(3,3)'s CSV row is its exact start.  So every layout of
+hypersurface pieces that the benchmark minimizes is pinned, and so is
+akm(4,4), whose minimizer (3/2, 3/2, 3/2, 3/2, 1) is not on the ray of its
+canonical weights (4, 4, 4, 4, 2).  The report must stay byte-identical: the
+bracket, the argmin, every float derived from them, the Newton trajectory and
+the report's formatting.
 """
 
 import json

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import types
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from operator import mul
@@ -175,17 +176,20 @@ DP1 = [[1, 0, 1], [0, 1, 1], [-1, 1, 1], [0, -1, 1]]
 DP3 = [[1, 0, 1], [1, 1, 1], [0, 1, 1], [-1, 0, 1], [-1, -1, 1], [0, -1, 1]]
 
 
-def _start_slope(model):
-    """`reeb._slope` at the run's default start, the centre of the slice's vertices."""
-    (piece,) = model.convex_pieces
-    centre = [sum(v[f] for v, _ in piece.vertices) for f in piece.free]
-    start = reeb._on_slice(piece, model.n, centre, 1)
+def _start_slope(model, piece):
+    """`reeb._slope` at a piece's default start, the centre of its slice's
+    vertices, pulled back to the piece's coordinates (times the positive
+    s of each basis pair (x, s)); on a toric cone it is `_slope` itself."""
+    common = math.lcm(*(h for _, h in piece.vertices))
+    centre = [sum(v[f] * (common // h) for v, h in piece.vertices) for f in piece.free]
+    start = reeb._on_slice(piece, model.n, centre, common)
     sums = reeb.simplex_sum(piece.generators, piece.simplices, start[0])
-    return reeb._slope(piece, start[1], sums)
+    slope = reeb._slope(piece, start[1], sums)
+    return [sum(map(mul, x, slope)) for x, _ in piece.basis]
 
 
 def _assert_ends_at_a_stationary_start(model):
-    assert not any(_start_slope(model))
+    assert not any(_start_slope(model, *model.convex_pieces))
     best = minimize_nvol(model)
     assert best.iterations == 0 and len(best.trajectory) == 1  # no Newton step
     assert best.min_nvol_lower == best.min_nvol_upper
@@ -491,8 +495,73 @@ NEWTON_BRACKETS = {
 def test_cones_whose_start_is_not_stationary_run_newton_as_before(name):
     rays, iterations, digest = NEWTON_BRACKETS[name]
     model = ToricConeSingularity.from_rays(rays)
-    assert any(_start_slope(model))
+    assert any(_start_slope(model, *model.convex_pieces))
     best = minimize_nvol(model)
+    assert best.iterations == iterations
+    text = f"{best.min_nvol_lower} {best.min_nvol_upper}"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+# -- one hypersurface face at a time -------------------------------------------
+
+
+X2Y3Z4W12 = [[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 4, 0], [0, 0, 0, 12]]
+BENCHMARK_AKM = [(2, 2), (2, 5), (3, 1), (3, 2), (3, 3), (4, 2), (3, 4), (4, 3), (3, 5)]
+
+
+def _face(model, piece):
+    """The model with `piece` as its only convex piece: `minimize_nvol` on it
+    is the run of that face alone, with the bracket of that face."""
+    return types.SimpleNamespace(n=model.n, volume=model.volume, convex_pieces=(piece,))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [akm_singularity(n, k) for n, k in BENCHMARK_AKM] + [_hypersurface(*X2Y3Z4W12)],
+    ids=[f"akm({n},{k})" for n, k in BENCHMARK_AKM] + ["x2+y3+z4+w12"],
+)
+def test_a_face_whose_slice_is_one_vertex_ends_on_it_without_newton(model):
+    """Where every monomial ties the slice is one point, the start; the slope
+    pulled back to its one coordinate, along that point, vanishes (Euler)."""
+    (piece,) = [piece for piece in model.convex_pieces if len(piece.vertices) == 1]
+    assert len(piece.free) == 1 and not any(_start_slope(model, piece))
+    best = minimize_nvol(_face(model, piece))
+    assert best.iterations == 0 and len(best.trajectory) == 1
+    assert best.grad_norm == 0.0 and best.converged
+    assert best.min_nvol_lower == best.min_nvol_upper
+
+
+# (Newton and polishing steps, the first 16 hex digits of the sha256 of
+# f"{lower} {upper}") of a face run alone, by the face's index in
+# `convex_pieces`, as the minimizer gave them before every run tested its start
+FACE_MODELS = {
+    "akm(3,5)": akm_singularity(3, 5),
+    "akm(4,4)": akm_singularity(4, 4),
+    "x2+y3+z4+w12": _hypersurface(*X2Y3Z4W12),
+}
+FACE_BRACKETS = {
+    ("akm(3,5)", 0): (7, "135d0d9f1e394921"),
+    ("akm(4,4)", 0): (8, "80f4cc3d18b98877"),
+    ("x2+y3+z4+w12", 0): (11, "a3351cf20ee50871"),
+    ("x2+y3+z4+w12", 1): (15, "ee6827bd1f22f98a"),
+    ("x2+y3+z4+w12", 2): (15, "f873d0ff12084256"),
+    ("x2+y3+z4+w12", 3): (18, "0d0e9d50e3af246d"),
+    ("x2+y3+z4+w12", 4): (17, "175284904b52eb11"),
+    ("x2+y3+z4+w12", 5): (15, "a62cad1d43dfd219"),
+    ("x2+y3+z4+w12", 6): (20, "c5664043a181a7c2"),
+    ("x2+y3+z4+w12", 7): (21, "0257f54122259420"),
+    ("x2+y3+z4+w12", 8): (15, "0e721691b14a47e1"),
+    ("x2+y3+z4+w12", 9): (14, "fb3246c2fea7aee5"),
+}
+
+
+@pytest.mark.parametrize("key", FACE_BRACKETS, ids=[f"{name}[{i}]" for name, i in FACE_BRACKETS])
+def test_faces_whose_start_is_not_stationary_run_newton_as_before(key):
+    (name, index), (iterations, digest) = key, FACE_BRACKETS[key]
+    model = FACE_MODELS[name]
+    piece = model.convex_pieces[index]
+    assert len(piece.free) > 1 and any(_start_slope(model, piece))
+    best = minimize_nvol(_face(model, piece))
     assert best.iterations == iterations
     text = f"{best.min_nvol_lower} {best.min_nvol_upper}"
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest

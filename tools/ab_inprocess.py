@@ -12,8 +12,9 @@ captured, or the lattice-oracle library call.  A job whose stdout or exit
 code differs between the trees in any run is still timed to the end.
 
 It prints one line per job (the least time of each tree and their ratio,
-change over parent, and `differs` on a job whose output differed), then the
-median job time of each tree over all runs, the quartiles of the per-job
+change over parent, and `differs` on a job whose output differed, followed by
+the first stdout line where the two trees differ, one line per tree), then
+the median job time of each tree over all runs, the quartiles of the per-job
 ratios of least times and the count of differing jobs.  A ratio below 1 means
 the change is faster.  It exits 1 if any job's output differed, 0 otherwise.
 It writes no file, and it times nothing but the calls:
@@ -27,6 +28,7 @@ import argparse
 import contextlib
 import importlib.util
 import io
+import itertools
 import json
 import statistics
 import sys
@@ -72,6 +74,14 @@ def execute(package, job) -> tuple[int | None, str, float]:
     return code, out.getvalue(), (time.perf_counter() - start) * 1e3
 
 
+def first_difference(outcomes: dict) -> tuple[str, str]:
+    """The first stdout line where the parent's and the change's outcomes
+    differ, or their exit codes when every line agrees."""
+    (code_a, out_a), (code_b, out_b) = (outcomes[side] for side in SIDES)
+    lines = itertools.zip_longest(out_a.splitlines(), out_b.splitlines(), fillvalue="<no line>")
+    return next(((a, b) for a, b in lines if a != b), (f"exit {code_a}", f"exit {code_b}"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -85,7 +95,7 @@ def main(argv=None) -> int:
     jobs = list(dict.fromkeys(job for slot in WORKLOADS[args.workload]() for job in slot.jobs))
     packages = {side: load(f"hvol_{side}", getattr(args, side).resolve()) for side in SIDES}
     times = {side: [[] for _ in jobs] for side in SIDES}
-    differs = set()
+    differs = {}  # the first differing outcomes of a job, by job index
     for r in range(args.rounds):
         for k, job in enumerate(jobs):
             order = SIDES if (r + k) % 2 == 0 else SIDES[::-1]
@@ -95,7 +105,7 @@ def main(argv=None) -> int:
                 outcomes[side] = code, stdout
                 times[side][k].append(ms)
             if outcomes["parent"] != outcomes["change"]:
-                differs.add(k)
+                differs.setdefault(k, outcomes)
     ratios = []
     for k, job in enumerate(jobs):
         best = {side: min(times[side][k]) for side in SIDES}
@@ -103,6 +113,9 @@ def main(argv=None) -> int:
         mark = "  differs" if k in differs else ""
         line = f"{best['parent']:.4f} ms -> {best['change']:.4f} ms  x{ratios[-1]:.3f}"
         print(f"{line}  {job.key}{mark}")
+        if k in differs:
+            for side, text in zip(SIDES, first_difference(differs[k])):
+                print(f"    {side}: {text}")
     medians = {side: statistics.median(t for ts in times[side] for t in ts) for side in SIDES}
     q1, q2, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
     print(
