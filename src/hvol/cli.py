@@ -14,11 +14,18 @@ parses its weight flags before its other checks; an empty flag value counts
 as absent.  Each command's flags and handler live in its own module,
 `hvol.commands.<name>`, so each command's code is compiled only when that
 command runs.  When the command line starts with a command's name, `main`
-parses the rest with that command's own parser, `hvol <command>`, built once
-and alone, and turns leftover words into the `hvol: unrecognized arguments`
-error that the `hvol` parser would raise; only `hvol -h` and usage errors
-without a known command build the `hvol` parser that names all five.  This
-module keeps the report writer and the parsing helpers the commands share.
+reads the rest against that command's own parser, `hvol <command>`, built
+once and alone.  Plain words (`_Parser.parse_plain`) are read straight from
+the parser's actions: an exact flag with a value word that does not start
+with "-", `--flag=value`, or a `store_true` flag, with each value through
+its flag's type and choices and every other flag at its default.  Any other
+command line (help, an abbreviated or unknown flag, a dash-leading value, a
+bad value, a missing required flag) goes to argparse's `parse_known_args`,
+which writes every help text and usage error; `main` turns its leftover
+words into the `hvol: unrecognized arguments` error that the `hvol` parser
+would raise.  Only `hvol -h` and usage errors without a known command build
+the `hvol` parser that names all five.  This module keeps the report writer
+and the parsing helpers the commands share.
 A model's lattice entries (rays, facet normals and offsets) pass from the
 JSON as ints, without a `Fraction` each.
 
@@ -210,10 +217,15 @@ def parse_model(descriptor: dict):
             raise SchemaError("toric_cone needs a 'rays' list")
         if any(not isinstance(ray, list) or len(ray) != len(rays[0]) for ray in rays):
             raise SchemaError("toric_cone rays must be lists of one length")
-        return ToricConeSingularity.from_rays(
-            [[_parse_lattice(v) for v in ray] for ray in rays],
-            canonical_xi=_canonical_xi(descriptor),
+        canonical = _canonical_xi(descriptor)
+        model = ToricConeSingularity.from_rays(
+            [[_parse_lattice(v) for v in ray] for ray in rays], canonical_xi=canonical
         )
+        if canonical is not None and (
+            len(canonical) != model.n or model.domain_logdisc(canonical) is None
+        ):
+            raise SchemaError(f"toric_cone canonical_xi needs {model.n} weights in the Reeb cone")
+        return model
     if kind == "hypersurface":
         monomials = descriptor.get("monomials")
         if descriptor.get("n") is None or not monomials:
@@ -348,14 +360,91 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise SchemaError(f"{self.prog}: {message}")
 
+    def parse_plain(self, words: Sequence[str]) -> argparse.Namespace | None:
+        """The Namespace that `parse_known_args(words)` returns, with no
+        leftover words, when every word is plain; None otherwise.
+
+        The plain words are an exact option string of a `store` action that
+        takes one value, followed by a value word that does not start with
+        "-" (the empty word is a value); `--flag=value` for such an action;
+        and a `store_true` flag.  A value goes through the action's `type`
+        and `choices`, a repeated flag's last value wins, and every flag not
+        given takes its default as argparse gives it.  Help, an abbreviated
+        or unknown flag, a dash-leading value, a failed type or choice and a
+        missing required flag give None, so that argparse, reading the same
+        actions, writes every help text and usage error."""
+        options = self._option_string_actions
+        given: dict[str, Any] = {}
+        seen = set()
+        i = 0
+        while i < len(words):
+            word = words[i]
+            action = options.get(word)
+            explicit = None
+            if action is None:
+                flag, eq, explicit = word.partition("=")
+                action = options.get(flag) if eq else None
+                if action is None:
+                    return None
+            kind = type(action)
+            if kind is argparse._StoreTrueAction and explicit is None:
+                value = action.const
+                i += 1
+            elif kind is argparse._StoreAction and action.nargs is None:
+                if explicit is not None:
+                    if explicit == "--":  # argparse drops it and stores []
+                        return None
+                    value = explicit
+                    i += 1
+                else:
+                    if i + 1 == len(words) or words[i + 1][:1] == "-":
+                        return None
+                    value = words[i + 1]
+                    i += 2
+                if action.type is not None:
+                    try:
+                        value = action.type(value)
+                    except (TypeError, ValueError, argparse.ArgumentTypeError):
+                        return None
+                if action.choices is not None and value not in action.choices:
+                    return None
+            else:
+                return None
+            given[action.dest] = value
+            seen.add(action)
+        values = {}
+        for action in self._actions:
+            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+                values.setdefault(action.dest, action.default)
+        for dest, default in self._defaults.items():
+            values.setdefault(dest, default)
+        values.update(given)
+        for action in self._actions:
+            if action in seen:
+                continue
+            if action.required:
+                return None
+            default = action.default
+            if isinstance(default, str) and action.type and values.get(action.dest) is default:
+                try:
+                    values[action.dest] = action.type(default)
+                except (TypeError, ValueError, argparse.ArgumentTypeError):
+                    return None
+        args = argparse.Namespace()
+        vars(args).update(values)  # what Namespace(**values) sets, without a setattr each
+        return args
+
 
 @functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """A parser built once per process and command: parsing leaves it
     unchanged.  A command of COMMANDS gets its own parser, `hvol <command>`,
     the subparser that `hvol` would give it, with flags and handler from
-    `hvol.commands.<command>`; None gets the `hvol` parser with every
-    command's name and help line, all that `hvol -h` and usage errors read."""
+    `hvol.commands.<command>`: its `parse_plain` reads a command line of
+    plain words from these actions, and argparse parses every other one,
+    writing its help and usage errors.  None gets the `hvol` parser with
+    every command's name and help line, all that `hvol -h` and usage errors
+    read."""
     if command is None:
         parser = _Parser(
             prog="hvol",
@@ -380,11 +469,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         if argv and argv[0] in COMMANDS:
-            # the command's parser alone; leftover words are the usage error
-            # that the `hvol` parser raises for them
-            args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
-            if extra:
-                raise SchemaError(f"hvol: unrecognized arguments: {' '.join(extra)}")
+            parser = build_parser(argv[0])
+            args = parser.parse_plain(argv[1:])
+            if args is None:
+                # the command's parser alone; leftover words are the usage
+                # error that the `hvol` parser raises for them
+                args, extra = parser.parse_known_args(argv[1:])
+                if extra:
+                    raise SchemaError(f"hvol: unrecognized arguments: {' '.join(extra)}")
         else:
             args = build_parser().parse_args(argv)
         start = time.perf_counter()

@@ -139,15 +139,32 @@ def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     return quot, num
 
 
+def _stretch(poly: list[int], k: int) -> list[int]:
+    """The coefficients of poly(x^k)."""
+    out = [0] * ((len(poly) - 1) * k + 1)
+    out[::k] = poly
+    return out
+
+
 def cyclotomic_polynomial(order: int) -> list[int]:
-    """Integer coefficients (low to high) of the order-th cyclotomic polynomial."""
-    poly = [-1] + [0] * (order - 1) + [1]  # x^order - 1
-    for d in range(1, order):
-        if order % d == 0:
-            quot, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
-            assert rem == [0]
-            poly = quot
-    return poly
+    """Integer coefficients (low to high) of the order-th cyclotomic polynomial.
+
+    Built bottom-up over the primes of order, each Phi once: from Phi_1 =
+    x - 1, Phi_mp(x) = Phi_m(x^p) / Phi_m(x) for each prime p of order in
+    turn (p does not divide m), up to the product r of those primes, then
+    Phi_order(x) = Phi_r(x^(order / r))."""
+    poly, radical, rest = [-1, 1], 1, order
+    for p in range(2, order + 1):
+        if rest == 1:
+            break
+        if rest % p:
+            continue
+        while rest % p == 0:
+            rest //= p
+        poly, rem = _poly_divmod(_stretch(poly, p), poly)
+        assert rem == [0]
+        radical *= p
+    return _stretch(poly, order // radical)
 
 
 def _reduce_to_integer(coeffs: list[int], cyclo: list[int]) -> int:

@@ -25,7 +25,14 @@ from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .cli import _check, _close_check, _exact_check
-from .errors import BudgetExceeded, DegeneratePolytope, EmptyRegion, NotInReebCone, UnboundedRegion
+from .errors import (
+    BudgetExceeded,
+    DegeneratePolytope,
+    EmptyRegion,
+    NotInReebCone,
+    SchemaError,
+    UnboundedRegion,
+)
 from .exactgeom import (
     PolyCone,
     RVector,
@@ -1002,9 +1009,11 @@ SUITES: list[tuple[str, Callable[[], list[dict]]]] = [
 
 
 def run_all(name_filter: str | None = None) -> list[dict]:
-    results: list[dict] = []
-    for suite_name, runner in SUITES:
-        if name_filter and name_filter not in suite_name:
-            continue
-        results.extend(runner())
-    return results
+    """The checks of every suite whose name contains `name_filter`, or of
+    every suite for an empty one; a SchemaError when no suite matches, since
+    a run that checks nothing would pass."""
+    chosen = [runner for name, runner in SUITES if not name_filter or name_filter in name]
+    if not chosen:
+        names = ", ".join(name for name, _ in SUITES)
+        raise SchemaError(f"no self-test suite matches {name_filter!r}; the suites are {names}")
+    return [check for runner in chosen for check in runner()]

@@ -13,12 +13,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hvol
 import hvol.molien
 import hvol.singularities as singularities
 
-from hvol.cli import COMMANDS, Report, main, parse_model
+from hvol.cli import COMMANDS, Report, _Parser, build_parser, main, parse_model
 from hvol.commands.quotient import parse_group
 from hvol.errors import SchemaError
 from hvol.singularities import PolarizedConeData, ToricConeSingularity
@@ -83,8 +85,6 @@ def test_hypersurface_minimize_ignores_seed_and_init(capsys):
 
 
 def test_build_parser_once():
-    from hvol.cli import build_parser
-
     assert build_parser() is build_parser()
     assert build_parser("minimize") is build_parser("minimize")
 
@@ -313,6 +313,19 @@ def test_hypersurface_canonical_xi_is_checked(capsys, canonical):
     assert "schema_error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("canonical", [[1], [1, 1, 1], [-1, 1], [0, 1], [1, "-1/2"], 5])
+def test_toric_canonical_xi_is_checked(capsys, canonical):
+    descriptor = {"type": "toric_cone", "rays": [[1, 0], [0, 1]], "canonical_xi": canonical}
+    with pytest.raises(SchemaError):
+        parse_model(descriptor)
+    model = json.dumps(descriptor)
+    for argv in (["compute", "--model", model, "--valuation", "1,1"], ["minimize", "--model", model]):
+        assert main(argv) == 3
+        assert "schema_error" in capsys.readouterr().err
+    descriptor["canonical_xi"] = [1, "1/2"]
+    assert parse_model(descriptor).canonical_xi == (1, Fraction(1, 2))
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["minimize", "--help"])
@@ -328,6 +341,13 @@ def test_selftest_filtered(capsys):
     report = json.loads(out)
     assert report["results"]["failed"] == 0
     assert report["results"]["total"] == 93
+
+
+def test_a_filter_that_matches_no_suite_is_a_schema_error(capsys):
+    assert main(["selftest", "--filter", "nosuchsuite"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error[schema_error]: no self-test suite matches 'nosuchsuite'; the suites are quotient, ")
 
 
 def test_csv_output(capsys):
@@ -836,6 +856,80 @@ def test_command_help_names_its_own_flags(capsys, command):
     others = {flag for flags in _FLAGS.values() for flag in flags} - own
     assert all(flag in out for flag in own)
     assert not [flag for flag in others if flag in out]
+
+
+_VALUES = ["", "0", "3", "3,2", "1e-8", "1/2", " 2", "json", "csv", "x", "inf", "xml", '{"type":"akm"}']
+_DASHED = ["-1", "-1,2", "--", "-"]
+
+
+def _takes(action, word: str) -> bool:
+    try:
+        value = action.type(word) if action.type else word
+    except ValueError:
+        return False
+    return action.choices is None or value in action.choices
+
+
+@st.composite
+def _argvs(draw, parser) -> list[str]:
+    """A command line of the parser's own flags, each with a value its type
+    and choices take, after it or as `--flag=value`; about one word group in
+    four is one that argparse must read instead: help, an abbreviated or
+    unknown flag, a lone word, a value of any kind after any flag, or
+    `--flag=value` with any value.  Half of them open with each required flag."""
+    actions = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+    words = []
+    if draw(st.booleans()):
+        words = [w for a in actions if a.required for w in (a.option_strings[0], "m")]
+    for _ in range(draw(st.integers(0, 5))):
+        action = draw(st.sampled_from(actions))
+        flag = draw(st.sampled_from(action.option_strings))
+        if draw(st.integers(0, 3)) == 0:
+            odd = draw(st.sampled_from(["-h", "--help", "--mod", "--v", "--form", "--bogus"]))
+            value = draw(st.sampled_from(_VALUES + _DASHED))
+            words += draw(st.sampled_from([[odd], [value], [odd, value], [flag, value], [f"{flag}={value}"]]))
+        elif action.nargs == 0:
+            words.append(flag)
+        else:
+            value = draw(st.sampled_from([v for v in _VALUES if _takes(action, v)]))
+            words += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+    return words
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_the_direct_parse_agrees_with_argparse(command, data):
+    # parse_plain either declines or gives what argparse gives, nothing left over
+    parser = build_parser(command)
+    words = data.draw(_argvs(parser))
+    plain = parser.parse_plain(words)
+    if plain is not None:
+        assert parser.parse_known_args(words) == (plain, [])
+
+
+def test_the_direct_parse_converts_a_text_default_and_declines_other_actions():
+    parser = _Parser(prog="p")
+    parser.add_argument("--n", type=int, default="7")
+    parser.add_argument("--tag", action="append")
+    assert parser.parse_plain([]) == parser.parse_known_args([])[0]
+    assert parser.parse_plain([]).n == 7
+    assert parser.parse_plain(["--n", "8"]).n == 8
+    assert parser.parse_plain(["--tag", "a"]) is None
+
+
+def test_every_benchmark_job_takes_the_direct_path(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "hvolbench"))
+    from jobs import WORKLOADS
+
+    argvs = {job.argv for build in WORKLOADS.values() for slot in build() for job in slot.jobs}
+    argvs.discard(())  # a library call
+    assert {argv[0] for argv in argvs} == {"compute", "minimize", "quotient", "filtration"}
+    for command, *words in argvs:
+        parser = build_parser(command)
+        plain = parser.parse_plain(words)
+        assert plain is not None, words
+        assert parser.parse_known_args(words) == (plain, [])
 
 
 def test_import_leaves_the_polytope_layer_to_the_selftest():

@@ -44,6 +44,31 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(6) == [1, -1, 1]
 
 
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_one():
+    for order in range(1, 201):
+        product = [1]
+        for d in range(1, order + 1):
+            if order % d == 0:
+                product = _poly_mul(product, cyclotomic_polynomial(d))
+        assert product == [-1] + [0] * (order - 1) + [1]
+
+
+def test_cyclotomic_polynomial_105_has_a_coefficient_minus_two():
+    # the least order whose cyclotomic polynomial has a coefficient outside {-1, 0, 1}
+    phi = cyclotomic_polynomial(105)
+    assert len(phi) == 49 and phi[-1] == 1
+    assert phi[7] == phi[41] == -2
+    assert all(c in (-1, 0, 1) for k, c in enumerate(phi) if k not in (7, 41))
+
+
 def test_series_z3():
     series = invariant_dimension_series(cyclic_group(3, 2), 5)
     # degree <3 invariants: 1 and xy; degree 3 adds x^3 and y^3

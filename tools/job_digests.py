@@ -8,12 +8,16 @@ the job lists from `hvolbench/`, and changes neither.  In one process, through
 `hvolbench/run.py:execute`, it runs every distinct job of
 `hvolbench/jobs.py:WORKLOADS`, each CLI job again with `--format csv`, and
 `hvol selftest` in JSON and in CSV, then the parser surface: `hvol --help`,
-each `hvol <command> --help`, and the usage errors of no command, an unknown
-command, a missing required flag and an unknown flag.  Help text is wrapped at
-80 columns whatever the terminal.  Each output line is the sha256 of the
-job's exit code, stdout and error line, then the job's key.  Diff the output
-of two checkouts to compare them; the last line counts the jobs (1132: 1122
-benchmark and self-test jobs, 10 parser-surface jobs).
+each `hvol <command> --help`, the usage errors of no command, an unknown
+command, a missing required flag and an unknown flag, and command lines on
+both sides of `cli._Parser.parse_plain`: `--v1=3,2`, the `--lambda` alias, an
+empty `--v0=` and a repeated `--seed`, which it reads, and the abbreviation
+`--mod`, `--init -1,2`, `--max-iter x` and `--format xml`, which it leaves to
+argparse.  Help text is wrapped at 80 columns whatever the terminal.  Each
+output line is the sha256 of the job's exit code, stdout and error line, then
+the job's key.  Diff the output of two checkouts to compare them; the last
+line counts the jobs (1140: 1122 benchmark and self-test jobs, 18
+parser-surface jobs).
 """
 
 from __future__ import annotations
@@ -49,11 +53,24 @@ def jobs() -> list[Job]:
 
 
 def surface() -> list[Job]:
-    """The help texts and usage errors, but for the bare `hvol` (see `bare_hvol`)."""
+    """The help texts and usage errors, but for the bare `hvol` (see
+    `bare_hvol`), then command lines on both sides of `parse_plain`: ones it
+    reads itself and ones it leaves to argparse."""
     commands = ("compute", "minimize", "quotient", "filtration", "selftest")
     model = '{"type":"toric_cone","rays":[[1,0],[0,1]]}'
     argvs = [("--help",), *((name, "--help") for name in commands)]
     argvs += [("bogus",), ("minimize",), ("minimize", "--model", model, "--bogus")]
+    filtration = ("filtration", "--model", model)
+    argvs += [
+        (*filtration, "--v1=3,2"),
+        (*filtration, "--v1", "3,2", "--lambda", "2"),
+        (*filtration, "--v1", "3,2", "--v0="),
+        ("filtration", "--mod", model, "--v1", "3,2"),
+        ("minimize", "--model", model, "--init", "-1,2"),
+        ("minimize", "--model", model, "--max-iter", "x"),
+        ("minimize", "--model", model, "--format", "xml"),
+        ("minimize", "--model", model, "--seed", "1", "--seed", "2"),
+    ]
     return [Job("usage", argv=argv) for argv in argvs]
 
 
